@@ -15,7 +15,6 @@ Subpackages by layer:
 - ``borel``     — Borel sums of the building-block series, Laplace oracle,
                   jump factors, connection multipliers
 - ``walls``     — parameter-space walls and chambers
-- ``cli``       — command-line interface, ``verify`` suites
 """
 
 __version__ = "0.1.0"

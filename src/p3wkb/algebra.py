@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Jet, poly_roots
+from .numerics import Jet, _chain_signs, _nearer_negated, poly_roots
 
 __all__ = [
     "AlgebraError",
@@ -141,11 +141,6 @@ def quartic_coeffs(t: complex, p: Parameters) -> list[complex]:
     return [-t * t, p.c_0 * t, 0.0, -p.c_inf, 1.0]
 
 
-def F_of(lam, t, p: Parameters):
-    """F(lambda, t): the eta^2 coefficient of the equation; roots define lambda0."""
-    return lam ** 3 / t ** 2 - p.c_inf * lam ** 2 / t ** 2 + p.c_0 / t - 1 / lam
-
-
 def lambda0_branches(t: complex, p: Parameters) -> list[BranchPoint]:
     """The four branches of lambda0 over a regular point t != 0."""
     t = complex(t)
@@ -231,13 +226,21 @@ def turning_points(p: Parameters) -> TurningPointSet:
 class UChart:
     """Shared structure of the u-plane uniformization: positions of the
     distinguished points and the quadratic differential q(u) with q du^2
-    equal to Delta dt^2.  Concrete charts implement the rational maps."""
+    equal to Delta dt^2.  Concrete charts implement the rational maps and
+    carry everything in which the two equations differ, so the tracer and
+    the oracle run one code path for both."""
+
+    equation: str                 # "d6" | "d7"
+    escape_label: str             # terminus of a curve running off to u = infinity
 
     # Concrete classes set these in __init__:
     turning_points_u: tuple
     simple_pole_u: complex
     double_poles_u: dict          # label -> u position
-    infinity_labels: dict         # label -> u position or "inf"
+    double_pole_residues: dict    # label -> residue of sqrt(q) du (up to sign)
+    finite_infinities_u: dict     # label -> u position of a t = infinity branch
+    escape_scale: float           # escape radius per unit of the tracer's escape factor
+    arc_scale: float              # arc budget per unit of the tracer's budget factor
 
     def t_of_u(self, u):
         raise NotImplementedError
@@ -263,12 +266,14 @@ class UChart:
         return jet.coeffs[k]
 
     def singular_points(self) -> list[complex]:
-        pts = list(self.turning_points_u) + [self.simple_pole_u]
-        pts += list(self.double_poles_u.values())
-        for v in self.infinity_labels.values():
-            if v != "inf":
-                pts.append(v)
-        return pts
+        return (list(self.turning_points_u) + [self.simple_pole_u]
+                + list(self.double_poles_u.values())
+                + list(self.finite_infinities_u.values()))
+
+    def capture_points(self) -> dict:
+        """label -> u of the finite points where a Stokes curve ends.  The
+        double poles come last, so they win where capture discs overlap."""
+        return {**self.finite_infinities_u, **self.double_poles_u}
 
 
 class D6Chart(UChart):
@@ -287,6 +292,9 @@ class D6Chart(UChart):
     u = infinity (inf1/inf2 branches).
     """
 
+    equation = "d6"
+    escape_label = "inf12"
+
     def __init__(self, p: Parameters):
         self.p = p
         cp, cm = p.c_p, p.c_m
@@ -296,7 +304,10 @@ class D6Chart(UChart):
             "zero_cinf": cm / cp,
             "zero_c0": -cm / cp,
         }
-        self.infinity_labels = {"inf34": 0j, "inf12": "inf"}
+        self.double_pole_residues = {"zero_cinf": p.c_inf, "zero_c0": p.c_0}
+        self.finite_infinities_u = {"inf34": 0j}
+        self.escape_scale = max(1.0, abs(cm / cp))
+        self.arc_scale = max(1.0, abs(cp))
 
     def t_of_u(self, u):
         cp, cm = self.p.c_p, self.p.c_m
@@ -332,6 +343,10 @@ class D6Chart(UChart):
             "double_c0": p.c_0,
         }
 
+    def parameter_dict(self) -> dict:
+        p = self.p
+        return {"c_inf": [p.c_inf.real, p.c_inf.imag], "c_0": [p.c_0.real, p.c_0.imag]}
+
 
 class D7Chart(UChart):
     """u-plane chart of the degenerate (D7) equation.
@@ -348,6 +363,9 @@ class D7Chart(UChart):
     u = infinity, where q -> 27.
     """
 
+    equation = "d7"
+    escape_label = "escaped"
+
     def __init__(self, c: complex):
         c = complex(c)
         if abs(c) <= 1e-12:
@@ -356,7 +374,10 @@ class D7Chart(UChart):
         self.turning_points_u = (2 * c / 3,)
         self.simple_pole_u = 0j
         self.double_poles_u = {"zero_c": c}
-        self.infinity_labels = {"inf": "inf"}
+        self.double_pole_residues = {"zero_c": c}
+        self.finite_infinities_u = {}
+        self.escape_scale = 1.0
+        self.arc_scale = max(1.0, abs(c))
 
     def t_of_u(self, u):
         return u * u * (self.c - u) / 2
@@ -371,12 +392,16 @@ class D7Chart(UChart):
         c = self.c
         return (3 * u - 2 * c) ** 3 / (u * (u - c) ** 2)
 
-    def residue_closed_forms(self) -> dict:
-        return {"zero_c": self.c}
+    def parameter_dict(self) -> dict:
+        return {"c": [self.c.real, self.c.imag]}
 
 
-def u_chart(p: Parameters) -> D6Chart:
-    return D6Chart(p)
+def u_chart(params) -> UChart:
+    """The u-plane chart of the equation ``params`` belongs to: D6 for
+    :class:`Parameters`, D7 for the single complex parameter c."""
+    if isinstance(params, Parameters):
+        return D6Chart(params)
+    return D7Chart(params)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +415,8 @@ def _contour_residue(f, center: complex, radius: float, samples: int = 1024) -> 
     theta = 2 * np.pi * np.arange(samples) / samples
     z = center + radius * np.exp(1j * theta)
     vals = np.array([f(zz) for zz in z])
-    # Enforce continuity of the sign chain (f may be a square root).
-    for k in range(1, samples):
-        if abs(vals[k] - vals[k - 1]) > abs(-vals[k] - vals[k - 1]):
-            vals[k] = -vals[k]
-    if abs(vals[-1] - vals[0]) > abs(vals[-1] + vals[0]):
+    vals = vals * _chain_signs(vals)
+    if _nearer_negated(vals[-1], vals[0]):
         raise AlgebraError("residue contour did not close (odd branching inside)")
     return complex(radius / samples * np.sum(vals * np.exp(1j * theta)))
 

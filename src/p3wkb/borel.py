@@ -54,6 +54,7 @@ import numpy as np
 from .algebra import Parameters
 from .numerics import log_gamma
 from .voros import f_coefficient, g_coefficient
+from .walls import on_imaginary_axis
 
 __all__ = [
     "GammaPoleError",
@@ -68,12 +69,6 @@ __all__ = [
     "summability_report",
     "connection_multiplier",
 ]
-
-#: relative half-width of the non-summable locus Re z = 0.
-SUMMABLE_TOL = 1e-12
-
-#: relative tolerance used by :func:`summability_report`.
-REPORT_TOL = 1e-10
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -99,8 +94,8 @@ class BorelSumValue:
     """One lateral Borel sum.
 
     ``value`` is ``None`` exactly when ``summable`` is false, i.e. when the
-    argument z = c eta is purely imaginary (relative tolerance
-    ``SUMMABLE_TOL``) and no lateral sum is defined.
+    argument z = c eta is purely imaginary (``walls.on_imaginary_axis``)
+    and no lateral sum is defined.
     """
 
     value: complex | None
@@ -108,10 +103,6 @@ class BorelSumValue:
     summable: bool
     kind: str            # "F" | "G"
     argument: complex    # z = c eta
-
-
-def _summable(z: complex) -> bool:
-    return abs(z.real) > SUMMABLE_TOL * abs(z)
 
 
 def _gamma_term(w: complex) -> complex:
@@ -143,7 +134,7 @@ def _borel_sum(kind: str, c: complex, eta: complex, side: str) -> BorelSumValue:
     # the shifted log Gamma argument z + 1/2 drops it, so without this the
     # terms of one sum would sit on opposite lips of the cut.
     z = complex(z.real, z.imag + 0.0)
-    if not _summable(z):
+    if on_imaginary_axis(z):
         return BorelSumValue(None, side, False, kind, z)
     return BorelSumValue(_lateral_sum(kind, z, side), side, True, kind, z)
 
@@ -287,20 +278,14 @@ def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
 def summability_report(p: Parameters) -> dict[str, bool]:
     """Which of the four endpoint Voros series are Borel summable at ``p``.
 
-    A series fails exactly when its argument is purely imaginary (relative
-    tolerance ``REPORT_TOL``), i.e. when ``p`` sits on the matching wall.
+    A series fails exactly when its argument is purely imaginary
+    (``walls.on_imaginary_axis``), i.e. when ``p`` sits on the matching wall.
     """
-    def ok(w: complex) -> bool:
-        w = complex(w)
-        if w == 0:
-            return False
-        return abs(w.real) >= REPORT_TOL * abs(w)
-
     return {
-        "F(c_p)": ok(p.c_p),
-        "F(c_m)": ok(p.c_m),
-        "G(c_inf)": ok(p.c_inf),
-        "G(c_0)": ok(p.c_0),
+        "F(c_p)": not on_imaginary_axis(p.c_p),
+        "F(c_m)": not on_imaginary_axis(p.c_m),
+        "G(c_inf)": not on_imaginary_axis(p.c_inf),
+        "G(c_0)": not on_imaginary_axis(p.c_0),
     }
 
 

@@ -17,15 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    AlgebraError,
-    BranchPoint,
-    D6Chart,
-    D7Chart,
-    Parameters,
-    delta,
-)
-from .numerics import Jet
+from .algebra import AlgebraError, BranchPoint, Parameters, delta, u_chart
+from .numerics import _nearer_negated
 
 __all__ = [
     "TraceError",
@@ -84,9 +77,6 @@ class TracedCurve:
     im_drift: float = 0.0            # worst |Im| of the accumulated integral
     arc_length: float = 0.0
 
-    def t_points(self, chart) -> np.ndarray:
-        return np.array([complex(chart.t_of_u(u)) for u in self.points])
-
 
 @dataclass
 class DegenerationRecord:
@@ -116,15 +106,8 @@ class StokesDiagram:
         return self.chart.double_poles_u
 
     def to_dict(self) -> dict:
-        if self.equation == "d6":
-            p = self.parameters
-            params = {"c_inf": [p.c_inf.real, p.c_inf.imag],
-                      "c_0": [p.c_0.real, p.c_0.imag]}
-        else:
-            c = complex(self.parameters)
-            params = {"c": [c.real, c.imag]}
         return {
-            "parameters": params,
+            "parameters": self.chart.parameter_dict(),
             "turning_points_u": [[u.real, u.imag] for u in self.turning_points_u],
             "curves": [{
                 "origin": c.origin,
@@ -144,17 +127,10 @@ class StokesDiagram:
 # Emanating directions
 # ---------------------------------------------------------------------------
 
-def _chart_of(params):
-    if isinstance(params, Parameters):
-        return D6Chart(params)
-    return D7Chart(complex(params))
-
-
-def emanation_directions(origin: complex, params) -> list:
+def emanation_directions(origin: complex, chart) -> list:
     """Unit directions of the Stokes rays at a turning point (five, from the
     local (5/2)-power primitive) or at the simple pole over t = 0 (one, from
-    the local (1/2)-power primitive)."""
-    chart = params if hasattr(params, "turning_points_u") else _chart_of(params)
+    the local (1/2)-power primitive) of a u-plane chart."""
     origin = complex(origin)
     scale = max([1.0] + [abs(s) for s in chart.singular_points()])
     for u_tp in chart.turning_points_u:
@@ -179,9 +155,7 @@ def emanation_directions(origin: complex, params) -> list:
 def _sqrt_q(chart, u: complex, ref: complex) -> complex:
     """Branch of sqrt(q(u)) closest in direction to ref (continuation)."""
     v = cmath.sqrt(chart.q(u))
-    if abs(v - ref) > abs(v + ref):
-        v = -v
-    return v
+    return -v if _nearer_negated(v, ref) else v
 
 
 def _nearest_special_distance(chart, u: complex, exclude=()) -> float:
@@ -207,7 +181,7 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing."""
     opts = opts or TraceOptions()
     if chart is None:
-        chart = params if hasattr(params, "turning_points_u") else _chart_of(params)
+        chart = u_chart(params)
     origin = complex(origin)
     scale = max([1.0] + [abs(s) for s in chart.singular_points()])
 
@@ -224,20 +198,18 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         raise AlgebraError(f"ray {ray} out of range for {origin_label}")
     direction = directions[ray]
 
-    if isinstance(chart, D6Chart):
-        cp, cm = chart.p.c_p, chart.p.c_m
-        escape = opts.escape_factor * max(1.0, abs(cm / cp))
-        budget = opts.arc_budget_factor * max(1.0, abs(cp))
-    else:
-        escape = opts.escape_factor
-        budget = opts.arc_budget_factor * max(1.0, abs(chart.c))
+    escape = opts.escape_factor * chart.escape_scale
+    budget = opts.arc_budget_factor * chart.arc_scale
+    # Later entries win where capture discs overlap (see UChart.capture_points).
+    captures = [(label, pole, opts.capture_radius * max(1.0, abs(pole)))
+                for label, pole in chart.capture_points().items()]
 
     # Step off the origin along the ray; the steering correction then pulls
     # the polyline onto the exact level set.
     h0 = 1e-4 * max(1e-3, _nearest_special_distance(chart, origin, exclude=(origin,)))
     u = origin + h0 * direction
     sq = cmath.sqrt(chart.q(u))
-    if abs(sq.conjugate() / abs(sq) - direction) > abs(sq.conjugate() / abs(sq) + direction):
+    if _nearer_negated(sq.conjugate() / abs(sq), direction):
         sq = -sq
     phi = 0j            # accumulated integral of sqrt(q) du from the first point
     points = [origin, u]
@@ -316,23 +288,18 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         # before the hard escape radius.
         far_out = abs(u) > 25 * scale and (u.real * k1.real + u.imag * k1.imag) > 0
         if abs(u) > escape or far_out:
-            terminus = "escaped" if isinstance(chart, D7Chart) else "inf12"
+            terminus = chart.escape_label
             break
-        captured = False
-        for label, pole in chart.double_poles_u.items():
-            if abs(u - pole) < opts.capture_radius * max(1.0, abs(pole)):
+        for label, pole, radius in captures:
+            if abs(u - pole) < radius:
                 terminus = label
-                captured = True
-        if captured:
+        if terminus:
             break
         sp_is_origin = abs(chart.simple_pole_u - origin) < 1e-12 * scale
         if (left_origin or not sp_is_origin) and \
                 abs(u - chart.simple_pole_u) < opts.capture_radius * \
                 max(1.0, abs(chart.simple_pole_u)):
             terminus = "simple_pole"
-            break
-        if isinstance(chart, D6Chart) and abs(u) < opts.capture_radius:
-            terminus = "inf34"
             break
         for k, u_tp in enumerate(chart.turning_points_u):
             tp_is_origin = abs(u_tp - origin) < 1e-12 * scale
@@ -388,14 +355,13 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
 def stokes_diagram(params, opts: TraceOptions | None = None) -> StokesDiagram:
     """Trace every Stokes curve (five per turning point plus one from the
     simple pole) and detect degenerations."""
-    chart = _chart_of(params)
-    equation = "d6" if isinstance(chart, D6Chart) else "d7"
+    chart = u_chart(params)
     curves = []
     for u_tp in chart.turning_points_u:
         for ray in range(5):
             curves.append(trace_curve(u_tp, ray, params, opts, chart=chart))
     curves.append(trace_curve(chart.simple_pole_u, 0, params, opts, chart=chart))
-    diagram = StokesDiagram(equation, params, chart, curves)
+    diagram = StokesDiagram(chart.equation, params, chart, curves)
     diagram.degenerations = detect_degenerations(diagram, params)
     return diagram
 
@@ -434,9 +400,6 @@ def detect_degenerations(diagram: StokesDiagram, params=None) -> list:
             max(connected.values())))
 
     # Loops around a double pole.
-    residues = chart.residue_closed_forms()
-    names = {"d6": {"zero_cinf": "double_cinf", "zero_c0": "double_c0"},
-             "d7": {"zero_c": "zero_c"}}[diagram.equation]
     for c in diagram.curves:
         self_loop = (c.origin.startswith("tp") and
                      c.terminus == f"turning_point:{c.origin[2:]}")
@@ -450,7 +413,7 @@ def detect_degenerations(diagram: StokesDiagram, params=None) -> list:
         if len(hits) != 1:
             continue
         label, pole = hits[0]
-        res = residues[names[label]] if diagram.equation == "d6" else residues["zero_c"]
+        res = chart.double_pole_residues[label]
         defect = abs(res.real) / abs(res)
         if defect < EPS_DEG:
             rec = DegenerationRecord("loop", [c.origin, label], defect)

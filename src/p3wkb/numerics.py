@@ -1,5 +1,6 @@
-"""Foundational arithmetic: exact rationals, Bernoulli numbers, truncated
-Taylor jets, Laurent series at infinity, polynomial roots, complex log-Gamma.
+"""Foundational arithmetic: Bernoulli numbers, truncated Taylor jets, Laurent
+series at infinity, polynomial roots, complex log-Gamma, and the sign chain
+that continues a square root along a path.
 
 Everything in this module is a pure function over immutable values.  Jets are
 the substrate for all t-differentiation in the series layer: a ``Jet`` holds
@@ -20,7 +21,6 @@ import numpy as np
 import scipy.special
 
 __all__ = [
-    "Rational",
     "Jet",
     "LaurentAtInfinity",
     "SingularJetError",
@@ -28,10 +28,6 @@ __all__ = [
     "poly_roots",
     "log_gamma",
 ]
-
-# Exact rational scalar used throughout the formal-series identities.
-Rational = Fraction
-
 
 class SingularJetError(ValueError):
     """Division / sqrt / log of a jet whose constant term vanishes."""
@@ -123,6 +119,29 @@ def log_gamma(z: complex) -> complex:
     if z.imag == 0 and z.real <= 0 and z.real == int(z.real):
         raise ValueError(f"log_gamma pole at z = {z}")
     return complex(scipy.special.loggamma(z))
+
+
+# ---------------------------------------------------------------------------
+# Square-root sign chain
+# ---------------------------------------------------------------------------
+
+def _nearer_negated(v, ref) -> bool:
+    """The continuation rule for a square root: True when -v lies closer
+    than v to ``ref``, the signed value at the previous point."""
+    return abs(v - ref) > abs(v + ref)
+
+
+def _chain_signs(values, start=None) -> np.ndarray:
+    """Signs (+1/-1) that continue a square root along an ordered list of
+    values: each signed value is the one nearer its signed predecessor,
+    the first one nearer ``start`` (default: the first value itself)."""
+    signs = np.ones(len(values))
+    prev = values[0] if start is None else start
+    for k, v in enumerate(values):
+        if _nearer_negated(v, prev):
+            signs[k] = -1.0
+        prev = signs[k] * v
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +374,6 @@ class LaurentAtInfinity:
         }
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(depth: int) -> "LaurentAtInfinity":
-        return LaurentAtInfinity({}, depth)
 
     @staticmethod
     def monomial(power: int, coeff, depth: int) -> "LaurentAtInfinity":

@@ -50,6 +50,7 @@ __all__ = [
     "backlund_model",
     "main_equation_residual",
     "riccati_residual",
+    "model_for",
 ]
 
 
@@ -243,12 +244,6 @@ class EtaSeries:
         """Multiply by eta^k."""
         return EtaSeries(self.offset + k, self.terms, exact=self.exact)
 
-    def truncate_low(self, lowest_power: int) -> "EtaSeries":
-        n = self.offset - lowest_power + 1
-        if n < 1:
-            raise ValueError("nothing left after truncation")
-        return EtaSeries(self.offset, self.terms[:n], exact=False)
-
     def map_jets(self, fn) -> "EtaSeries":
         return EtaSeries(self.offset, tuple(fn(t) for t in self.terms), exact=self.exact)
 
@@ -264,9 +259,6 @@ class EtaSeries:
     def slot_values(self) -> dict:
         return {p: self.slot(p).value() for p in self.powers()}
 
-    def max_abs_value(self) -> float:
-        return max(abs(v) for v in self.slot_values().values())
-
     def __repr__(self):
         bits = ", ".join(f"eta^{p}: {self.slot(p).value():.6g}" for p in self.powers())
         return f"EtaSeries({bits})"
@@ -276,6 +268,12 @@ def _jet_inverse(j: Jet) -> Jet:
     return Jet.constant(1.0 + 0j, j.base_point, j.order) / j
 
 
+def _eta_inverse(template: EtaSeries) -> EtaSeries:
+    """The exact series eta^-1, with jets shaped like the template's."""
+    ref = template.terms[0]
+    return EtaSeries.from_slots({-1: 1.0}, ref.base_point, ref.order, exact=True)
+
+
 # ---------------------------------------------------------------------------
 # Equation models
 # ---------------------------------------------------------------------------
@@ -283,13 +281,18 @@ def _jet_inverse(j: Jet) -> Jet:
 @dataclass(frozen=True)
 class D6Model:
     """The two-parameter equation, with optional eta^-1 parameter shifts
-    (c_inf -> c_inf + shift_inf eta^-1 and likewise for c_0)."""
+    (c_inf -> c_inf + shift_inf eta^-1 and likewise for c_0).
+
+    Both models offer the same methods, so the solvers, the one-instanton
+    factors, the Hamiltonians and the parameter shifts below run one code
+    path for either equation."""
 
     p: Parameters
     shift_inf: int = 0
     shift_0: int = 0
 
-    family = "d6"
+    #: t scales like c^t_weight under the homogeneity of the equation.
+    t_weight = 2
 
     @property
     def shifted(self) -> bool:
@@ -310,6 +313,14 @@ class D6Model:
                                   ref.base_point, ref.order, exact=True)
         return ci, c0
 
+    def coupling(self, template: EtaSeries) -> EtaSeries:
+        """The parameter series entering mu and X next to eta^-1: c_0."""
+        return self.c_series(template)[1]
+
+    def scaled(self, r: float) -> "D6Model":
+        """The unshifted model at the parameters r * (c_inf, c_0)."""
+        return D6Model(Parameters(self.p.c_inf * r, self.p.c_0 * r))
+
     def F(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
         t2 = _jet_inverse(t * t)
@@ -328,15 +339,48 @@ class D6Model:
 
     def mu(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         """(eta^-1 t lam' + lam^2 + (c_0 - eta^-1) lam - t) / (2 lam^2)."""
-        _, c0 = self.c_series(lam)
-        ref = lam.terms[0]
-        one = Jet.constant(1.0 + 0j, ref.base_point, ref.order)
-        eminus = EtaSeries.from_slots({-1: one}, ref.base_point, ref.order, exact=True)
+        c0 = self.coupling(lam)
+        eminus = _eta_inverse(lam)
         num = eminus * (lam.derive() * t) + lam * lam + (c0 - eminus) * lam - t
         return num / (2 * (lam * lam))
 
-    def shifted_params(self) -> "D6Model":
-        return self
+    def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
+        ci, c0 = self.c_series(lam)
+        em = _eta_inverse(lam)
+        lam2 = lam * lam
+        return (lam2 * (mu * mu) - (lam2 + (c0 - em) * lam - t) * mu
+                + 0.5 * (ci + c0 - em) * lam)
+
+    def t_hamiltonian_dlam(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
+        ci, c0 = self.c_series(lam)
+        em = _eta_inverse(lam)
+        return (2 * lam * (mu * mu) - (2 * lam + (c0 - em)) * mu
+                + 0.5 * (ci + c0 - em))
+
+    def backlund(self, lam: EtaSeries, mu: EtaSeries, t: Jet, which: int) -> tuple:
+        ci, c0 = self.c_series(lam)
+        em = _eta_inverse(lam)
+        if which == 1:
+            den = 2 * (lam * lam) * (mu - 1) + (ci - c0 + em) * lam + 2 * t
+            Lam = -EtaSeries.lift(t, lam) * lam.inverse() + (ci + c0 + em) * t * den.inverse()
+            M = (lam * lam) * (mu - 1) / EtaSeries.lift(t, lam) \
+                + (ci - c0 + em) * lam * _jet_inverse(2 * t) + 1
+            return Lam, M
+        if which == 2:
+            den = 2 * lam * (mu - 1) + (ci - c0 + em)
+            Lam = 2 * t * (mu - 1) * den.inverse()
+            shifted = lam + (ci - c0 + em) * (2 * (mu - 1)).inverse()
+            M = ((ci + c0 - em) * 0.5 * shifted - (shifted * shifted) * mu) \
+                / EtaSeries.lift(t, lam)
+            return Lam, M
+        raise ValueError("which must be 1 or 2")
+
+    def backlund_shifted(self, which: int) -> "D6Model":
+        if which == 1:
+            return replace(self, shift_inf=self.shift_inf + 1, shift_0=self.shift_0 + 1)
+        if which == 2:
+            return replace(self, shift_inf=self.shift_inf + 1, shift_0=self.shift_0 - 1)
+        raise ValueError("which must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -346,7 +390,7 @@ class D7Model:
     c: complex
     shift: int = 0
 
-    family = "d7"
+    t_weight = 3
 
     @property
     def shifted(self) -> bool:
@@ -364,6 +408,11 @@ class D7Model:
         return EtaSeries.from_slots({0: self.c, -1: self.shift},
                                     ref.base_point, ref.order, exact=True)
 
+    coupling = c_series
+
+    def scaled(self, r: float) -> "D7Model":
+        return D7Model(self.c * r)
+
     def F(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
         return -2 * (lam * lam) * _jet_inverse(t * t) + c * _jet_inverse(t) - lam.inverse()
@@ -379,11 +428,36 @@ class D7Model:
     def mu(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         """(eta^-1 t lam' + (c - eta^-1) lam - t) / (2 lam^2)."""
         c = self.c_series(lam)
-        ref = lam.terms[0]
-        one = Jet.constant(1.0 + 0j, ref.base_point, ref.order)
-        eminus = EtaSeries.from_slots({-1: one}, ref.base_point, ref.order, exact=True)
+        eminus = _eta_inverse(lam)
         num = eminus * (lam.derive() * t) + (c - eminus) * lam - t
         return num / (2 * (lam * lam))
+
+    def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
+        c = self.c_series(lam)
+        return lam * lam * (mu * mu) - (c - _eta_inverse(lam)) * lam * mu + t * mu + lam
+
+    def t_hamiltonian_dlam(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
+        c = self.c_series(lam)
+        return 2 * lam * (mu * mu) - (c - _eta_inverse(lam)) * mu + 1
+
+    def backlund(self, lam: EtaSeries, mu: EtaSeries, t: Jet, which: int) -> tuple:
+        """c -> c + eta^-1 (``which`` is ignored)."""
+        c = self.c_series(lam)
+        inv_lam = lam.inverse()
+        Lam = -(mu * t) + c * t * inv_lam - (inv_lam * inv_lam) * (t * t)
+        M = lam / EtaSeries.lift(t, lam)
+        return Lam, M
+
+    def backlund_shifted(self, which: int) -> "D7Model":
+        return replace(self, shift=self.shift + 1)
+
+
+def model_for(params):
+    """The equation model of ``params``: D6 for :class:`Parameters`, D7 for
+    the single complex parameter c."""
+    if isinstance(params, Parameters):
+        return D6Model(params)
+    return D7Model(complex(params))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +590,13 @@ def _riccati_coefficients(zp: ZeroParamSolution):
     return G, H
 
 
+def _riccati_defect(R: EtaSeries, G: EtaSeries, H: EtaSeries) -> EtaSeries:
+    return R * R + R.derive() - G * R - H
+
+
 def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
     """R^2 + R' - (2 lam'/lam - 1/t) R - (eta^2 dF(lam) - (lam'/lam)^2)."""
-    G, H = _riccati_coefficients(zp)
-    return R * R + R.derive() - G * R - H
+    return _riccati_defect(R, *_riccati_coefficients(zp))
 
 
 def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
@@ -535,8 +612,9 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
         slots[-m] = Jet.constant(0j, t0, K)
     R = EtaSeries.from_slots(slots, t0, K)
     inv2r = Jet.constant(-0.5 + 0j, t0, r_m1.order) / r_m1
+    G, H = _riccati_coefficients(zp)
     for m in range(0, N):
-        res = riccati_residual(R, zp)
+        res = _riccati_defect(R, G, H)
         slots[-m] = inv2r * res.slot(1 - m)
         R = EtaSeries.from_slots(slots, t0, K)
     return RiccatiSolution(zp, sign, R)
@@ -565,57 +643,26 @@ def x_factor(ric: RiccatiSolution) -> EtaSeries:
     equal d(mu)/d(lam) + eta^-1 t R/(2 lam^2))."""
     zp = ric.zp
     lam, t = zp.lam, zp.t_jet
-    ref = lam.terms[0]
-    one = Jet.constant(1.0 + 0j, ref.base_point, ref.order)
-    em = EtaSeries.from_slots({-1: one}, ref.base_point, ref.order, exact=True)
+    em = _eta_inverse(lam)
     lam2 = lam * lam
     inv_lam2 = lam2.inverse()
     inv_lam3 = (lam2 * lam).inverse()
     common = em * (ric.R * t) * inv_lam2 * 0.5 - em * (lam.derive() * t) * inv_lam3
-    if zp.model.family == "d6":
-        _, c_coupling = zp.model.c_series(lam)
-    else:
-        c_coupling = zp.model.c_series(lam)
-    return common - (c_coupling - em) * inv_lam2 * 0.5 + t * inv_lam3
+    return common - (zp.model.coupling(lam) - em) * inv_lam2 * 0.5 + t * inv_lam3
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _t_hamiltonian(model, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
-    ref = lam.terms[0]
-    one = Jet.constant(1.0 + 0j, ref.base_point, ref.order)
-    em = EtaSeries.from_slots({-1: one}, ref.base_point, ref.order, exact=True)
-    if model.family == "d6":
-        ci, c0 = model.c_series(lam)
-        lam2 = lam * lam
-        return (lam2 * (mu * mu) - (lam2 + (c0 - em) * lam - t) * mu
-                + 0.5 * (ci + c0 - em) * lam)
-    c = model.c_series(lam)
-    return lam * lam * (mu * mu) - (c - em) * lam * mu + t * mu + lam
-
-
-def _t_hamiltonian_dlam(model, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
-    ref = lam.terms[0]
-    one = Jet.constant(1.0 + 0j, ref.base_point, ref.order)
-    em = EtaSeries.from_slots({-1: one}, ref.base_point, ref.order, exact=True)
-    if model.family == "d6":
-        ci, c0 = model.c_series(lam)
-        return (2 * lam * (mu * mu) - (2 * lam + (c0 - em)) * mu
-                + 0.5 * (ci + c0 - em))
-    c = model.c_series(lam)
-    return 2 * lam * (mu * mu) - (c - em) * mu + 1
-
-
 def hamiltonian(zp: ZeroParamSolution) -> EtaSeries:
     """H with t H the polynomial Hamiltonian evaluated on (lam, mu)."""
-    return _t_hamiltonian(zp.model, zp.lam, zp.mu, zp.t_jet) / EtaSeries.lift(zp.t_jet, zp.lam)
+    return zp.model.t_hamiltonian(zp.lam, zp.mu, zp.t_jet) / EtaSeries.lift(zp.t_jet, zp.lam)
 
 
 def hamilton_residual(model, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
     """t mu' + eta d(tH)/d(lam): vanishes iff (lam, mu) solves the system."""
-    return (mu.derive() * t) + _t_hamiltonian_dlam(model, lam, mu, t).shift_eta(1)
+    return (mu.derive() * t) + model.t_hamiltonian_dlam(lam, mu, t).shift_eta(1)
 
 
 # ---------------------------------------------------------------------------
@@ -631,39 +678,9 @@ def backlund_apply(zp: ZeroParamSolution, which: int) -> tuple:
         Lam = -t mu + c t/lam - t^2/lam^2,  M = lam/t.
 
     Returns (Lam, M) as eta-series."""
-    model, lam, mu, t = zp.model, zp.lam, zp.mu, zp.t_jet
-    ref = lam.terms[0]
-    one = Jet.constant(1.0 + 0j, ref.base_point, ref.order)
-    em = EtaSeries.from_slots({-1: one}, ref.base_point, ref.order, exact=True)
-    if model.family == "d7":
-        c = model.c_series(lam)
-        inv_lam = lam.inverse()
-        Lam = -(mu * t) + c * t * inv_lam - (inv_lam * inv_lam) * (t * t)
-        M = lam / EtaSeries.lift(t, lam)
-        return Lam, M
-    ci, c0 = model.c_series(lam)
-    if which == 1:
-        den = 2 * (lam * lam) * (mu - 1) + (ci - c0 + em) * lam + 2 * t
-        Lam = -EtaSeries.lift(t, lam) * lam.inverse() + (ci + c0 + em) * t * den.inverse()
-        M = (lam * lam) * (mu - 1) / EtaSeries.lift(t, lam) \
-            + (ci - c0 + em) * lam * _jet_inverse(2 * t) + 1
-        return Lam, M
-    if which == 2:
-        den = 2 * lam * (mu - 1) + (ci - c0 + em)
-        Lam = 2 * t * (mu - 1) * den.inverse()
-        shifted = lam + (ci - c0 + em) * (2 * (mu - 1)).inverse()
-        M = ((ci + c0 - em) * 0.5 * shifted - (shifted * shifted) * mu) \
-            / EtaSeries.lift(t, lam)
-        return Lam, M
-    raise ValueError("which must be 1 or 2")
+    return zp.model.backlund(zp.lam, zp.mu, zp.t_jet, which)
 
 
 def backlund_model(model, which: int):
     """The parameter-shifted model matched to backlund_apply."""
-    if model.family == "d7":
-        return replace(model, shift=model.shift + 1)
-    if which == 1:
-        return replace(model, shift_inf=model.shift_inf + 1, shift_0=model.shift_0 + 1)
-    if which == 2:
-        return replace(model, shift_inf=model.shift_inf + 1, shift_0=model.shift_0 - 1)
-    raise ValueError("which must be 1 or 2")
+    return model.backlund_shifted(which)

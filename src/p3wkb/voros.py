@@ -27,9 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BranchPoint, D6Chart, D7Chart, Parameters
-from .numerics import Jet, LaurentAtInfinity, bernoulli
-from .series import D7Model, riccati_solution, zero_param_solution
+from .algebra import BranchPoint, Parameters, u_chart
+from .numerics import Jet, LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
+from .series import model_for, riccati_solution, zero_param_solution
 
 __all__ = [
     "PathError",
@@ -199,12 +199,6 @@ def g_difference_rhs(depth: int = 21) -> LaurentAtInfinity:
     """1 - (z + 1/2) log(1 + 1/z)."""
     one = LaurentAtInfinity.monomial(0, Fraction(1), depth)
     return one - _times_z_plus(Fraction(1, 2), LaurentAtInfinity.log1p_over_z(Fraction(1), depth + 1))
-
-
-def _g_decrement_rhs(depth: int = 21) -> LaurentAtInfinity:
-    """G(z-1) - G(z) = -1 - (z - 1/2) log(1 - 1/z)."""
-    one = LaurentAtInfinity.monomial(0, Fraction(1), depth)
-    return -one - _times_z_plus(Fraction(-1, 2), LaurentAtInfinity.log1p_over_z(Fraction(-1), depth + 1))
 
 
 def verify_difference_equation(kind: str, depth: int = 21):
@@ -393,8 +387,6 @@ _CIRCLE_SAMPLES = 512
 _RADIUS_FACTOR = 0.3
 _GL_NODES = 16
 
-_oracle_cache: dict = {}
-
 
 @dataclass
 class OracleResult:
@@ -405,12 +397,6 @@ class OracleResult:
     label_sign: int               # sign label the raw contour integrated to
     turning_point_u: complex
     diagnostics: dict = field(default_factory=dict)
-
-
-def _chart_for(spec: EndpointSpec, params):
-    if spec.equation == "d7":
-        return D7Chart(complex(params))
-    return D6Chart(params)
 
 
 def _target_of(chart, spec: EndpointSpec):
@@ -477,18 +463,6 @@ def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
         if not changed:
             break
     return pts
-
-
-def _chain_signs(values: np.ndarray, start: complex | None = None) -> np.ndarray:
-    """Sign chain continuing a square root along an ordered node list: each
-    sign makes the value closest to its (signed) predecessor."""
-    signs = np.ones(len(values))
-    prev = values[0] if start is None else start
-    for k, v in enumerate(values):
-        if abs(v - prev) > abs(v + prev):
-            signs[k] = -1.0
-        prev = signs[k] * v
-    return signs
 
 
 def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
@@ -561,31 +535,26 @@ def _leg_quadrature(chart, u_pts: list, w_pts: list, rho: float, panel_scale: in
     return parts[0], parts[1]
 
 
-def _batched_r_slots(chart, spec: EndpointSpec, us: np.ndarray, n_max: int,
+def _batched_r_slots(chart, model, us: np.ndarray, n_max: int,
                      rescale: bool = False):
     """Slot values R_{-1}, R_1, ..., R_{2 n_max - 1} (principal square-root
     branch per node) plus t and lambda_0 arrays for u-chart positions.
 
     With ``rescale`` the computation runs at scaled parameters r*c and
-    scaled t (r^2 t for the two-parameter family, r^3 t for the degenerate
-    one, with lambda_0 scaling by r and r^2 respectively) and converts the
-    slots back through the exact weight R_k -> r^(k+p) R_k.  This keeps
-    |Delta| in range on the t -> infinity branches, where it decays like
-    1/t although no turning point is near."""
+    scaled t (r^p t with p = ``model.t_weight``: 2 for the two-parameter
+    family, 3 for the degenerate one, with lambda_0 scaling by r^(p-1)) and
+    converts the slots back through the exact weight R_k -> r^(k+p) R_k.
+    This keeps |Delta| in range on the t -> infinity branches, where it
+    decays like 1/t although no turning point is near."""
     ts = np.array([complex(chart.t_of_u(u)) for u in us])
     lams = np.array([complex(chart.lambda0_of_u(u)) for u in us])
     N = 2 * n_max
-    p_t = 3 if spec.equation == "d7" else 2
+    p_t = model.t_weight
     r = float(np.max(np.abs(ts))) ** (-1.0 / p_t) if rescale else 1.0
     ts_eval = ts * r ** p_t
     lams_eval = lams * r ** (p_t - 1)
     branch = BranchPoint(ts_eval, lams_eval)
-    if spec.equation == "d7":
-        zp = zero_param_solution(ts_eval, branch, N=N, K=N + 4,
-                                 model=D7Model(chart.c * r))
-    else:
-        p_scaled = Parameters(chart.p.c_inf * r, chart.p.c_0 * r)
-        zp = zero_param_solution(ts_eval, branch, p_scaled, N=N, K=N + 4)
+    zp = zero_param_solution(ts_eval, branch, N=N, K=N + 4, model=model.scaled(r))
     ric = riccati_solution(zp, +1)
     slots = {k: np.asarray(ric.R.slot(-k).value()) * r ** (k + p_t)
              for k in range(-1, 2 * n_max, 2)}
@@ -629,13 +598,10 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     independent of the closed forms: Riccati slots are integrated along a
     dumbbell around the adjacent turning point with FFT mode extraction on
     the circle.  Raises PathError when a consistency check fails."""
-    key = (str(spec), complex(params.c_inf) if spec.equation == "d6" else complex(params),
-           complex(params.c_0) if spec.equation == "d6" else 0j, n_max, samples,
-           tp_override)
-    if key in _oracle_cache:
-        return _oracle_cache[key]
-
-    chart = _chart_for(spec, params)
+    chart = u_chart(params)
+    if chart.equation != spec.equation:
+        raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
+    model = model_for(params)
     u_tp = tp_override if tp_override is not None else _select_turning_point(chart, spec)
     specials = chart.singular_points()
     scale = max([1.0] + [abs(s) for s in specials])
@@ -657,19 +623,18 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     # The u-chart group (moderate |t|) and the w-chart group (t -> infinity,
     # evaluated at rescaled parameters) get separate batched solves.
     group_u = np.concatenate([circle, fine_u[0], coarse_u[0]])
-    ts, lams, slots = _batched_r_slots(chart, spec, group_u, n_max)
+    ts, lams, slots = _batched_r_slots(chart, model, group_u, n_max)
     nC, nFu = M, len(fine_u[0])
     has_w = len(fine_w[0]) > 0
     if has_w:
         group_w = np.concatenate([fine_w[0], coarse_w[0]])
-        ts_w, lams_w, slots_w = _batched_r_slots(chart, spec, group_w, n_max,
+        ts_w, lams_w, slots_w = _batched_r_slots(chart, model, group_w, n_max,
                                                  rescale=True)
         nFw = len(fine_w[0])
 
     sqrtD = slots[-1]          # R_{-1} values, principal branch per node
     sig_circle = _chain_signs(sqrtD[:nC])
-    if abs(sig_circle[-1] * sqrtD[nC - 1] - (-1) * sig_circle[0] * sqrtD[0]) < \
-       abs(sig_circle[-1] * sqrtD[nC - 1] - sig_circle[0] * sqrtD[0]):
+    if _nearer_negated(sig_circle[-1] * sqrtD[nC - 1], sig_circle[0] * sqrtD[0]):
         # After two full turns the chain must close on itself.
         raise PathError("square-root branch failed to close after two turns")
 
@@ -729,6 +694,4 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     label = _anchor_label(spec, chart, t_end, lam_end, r_end)
     if label != spec.sign:
         values = {n: -v for n, v in values.items()}
-    result = OracleResult(spec, values, label, u_tp, diags)
-    _oracle_cache[key] = result
-    return result
+    return OracleResult(spec, values, label, u_tp, diags)

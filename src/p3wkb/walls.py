@@ -33,6 +33,7 @@ __all__ = [
     "CHAMBER_SIGNS",
     "classify",
     "jumping_coefficients",
+    "on_imaginary_axis",
 ]
 
 #: relative half-width of each wall's defining hyperplane Re(·) = 0.
@@ -83,8 +84,13 @@ _JUMPING = {
 }
 
 
-def _real_is_zero(v: complex) -> bool:
-    return abs(v.real) <= WALL_TOL * max(1.0, abs(v))
+def on_imaginary_axis(z: complex) -> bool:
+    """Re z = 0 up to the relative tolerance ``WALL_TOL`` (z = 0 included).
+
+    The one test behind "on a wall" here and "not Borel summable" in
+    :mod:`p3wkb.borel`, so the two can never disagree."""
+    z = complex(z)
+    return abs(z.real) <= WALL_TOL * abs(z)
 
 
 def classify(p: Parameters) -> Stratum:
@@ -104,7 +110,7 @@ def classify(p: Parameters) -> Stratum:
         "c_p": complex(p.c_p),
         "c_m": complex(p.c_m),
     }
-    vanishing = [name for name in _QUANTITIES if _real_is_zero(values[name])]
+    vanishing = [name for name in _QUANTITIES if on_imaginary_axis(values[name])]
 
     if not vanishing:
         key = tuple(+1 if values[name].real > 0 else -1 for name in _QUANTITIES)
@@ -119,7 +125,7 @@ def classify(p: Parameters) -> Stratum:
         name = vanishing[0]
         for label, (eq, companion, sgn) in WALL_TABLE.items():
             comp = values[companion]
-            if eq == name and sgn * comp.real > WALL_TOL * max(1.0, abs(comp)):
+            if eq == name and sgn * comp.real > 0 and not on_imaginary_axis(comp):
                 return Stratum("wall", label)
         raise StratificationError(
             f"Re {name} = 0 but the companion real part is degenerate too")

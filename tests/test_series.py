@@ -329,6 +329,14 @@ def test_d7_mu_leading(zp7):
     assert abs(zp7.mu.slot_value(0) - (C7 * lam0 - t0) / (2 * lam0 ** 2)) < 1e-12
 
 
+def test_d7_x_factor_leading(zp7):
+    ric = riccati_solution(zp7, +1)
+    lam0, t = zp7.lambda0_jet, zp7.t_jet
+    direct = ric.R.slot(1) * t / (2 * lam0 * lam0) - C7 / (2 * lam0 * lam0) \
+        + t / (lam0 * lam0 * lam0)
+    assert abs(x_factor(ric).slot_value(0) - direct.value()) < 1e-12
+
+
 def test_d7_backlund(zp7):
     lam_t, mu_t = backlund_apply(zp7, 1)
     shifted = backlund_model(zp7.model, 1)

@@ -205,3 +205,17 @@ def test_oracle_sign_flip_consistency():
     minus = voros_numeric_oracle(EndpointSpec("d6", "zero_c0", -1), P_GEN, n_max=2)
     for n in (1, 2):
         assert abs(plus.values[n] + minus.values[n]) < 1e-12 * abs(plus.values[n])
+
+
+def test_oracle_rejects_endpoint_of_the_other_family():
+    with pytest.raises(ValueError):
+        voros_numeric_oracle(EndpointSpec("d7", "zero_c", +1), P_GEN, n_max=1)
+    with pytest.raises(ValueError):
+        voros_numeric_oracle(EndpointSpec("d6", "inf1", +1), 2 + 1j, n_max=1)
+
+
+def test_oracle_results_are_not_shared_between_calls():
+    spec = EndpointSpec("d7", "zero_c", +1)
+    first = voros_numeric_oracle(spec, 2 + 1j, n_max=1)
+    first.values[1] = 0j
+    assert voros_numeric_oracle(spec, 2 + 1j, n_max=1).values[1] != 0

@@ -5,12 +5,13 @@ degenerations of the traced curve geometry."""
 
 import math
 import random
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from p3wkb.algebra import AlgebraError, Parameters
-from p3wkb.borel import summability_report
+from p3wkb.algebra import AlgebraError, NearDegenerateWarning, Parameters
+from p3wkb.borel import borel_sum_F, borel_sum_G, summability_report
 from p3wkb.geometry import stokes_diagram
 from p3wkb.walls import (
     CHAMBER_SIGNS,
@@ -132,6 +133,63 @@ def test_summability_report_agrees_with_walls():
             assert summable == (key not in jumping)
     for p in CHAMBER_POINTS.values():
         assert all(summability_report(p).values())
+
+
+def test_wall_point_is_not_borel_summable():
+    # Re c_0 = 3e-11 sits inside the wall's relative tolerance.
+    p = Parameters(1 + 0.5j, 3e-11 + 1j)
+    assert classify(p) == Stratum("wall", "W1")
+    assert not borel_sum_G(p.c_0, 1.0).summable
+    assert summability_report(p)["G(c_0)"] is False
+
+
+def test_small_parameter_off_the_axis_is_in_a_chamber():
+    # |c_0| = 1e-3: Re c_0 = 5e-12 is 5e-9 of |c_0|, well off the wall.
+    p = Parameters(2 + 1j, 5e-12 + 1e-3j)
+    assert classify(p).kind == "chamber"
+    assert all(summability_report(p).values())
+    assert borel_sum_G(p.c_0, 1.0).summable
+
+
+#: quantity -> (model series, summability-report key)
+_BLOCKS = {"c_inf": (borel_sum_G, "G(c_inf)"), "c_0": (borel_sum_G, "G(c_0)"),
+           "c_p": (borel_sum_F, "F(c_p)"), "c_m": (borel_sum_F, "F(c_m)")}
+
+
+@given(st.sampled_from(sorted(_BLOCKS)),
+       st.sampled_from([0.0, 1e-13, -3e-11, 9e-11, -1.1e-10, 5e-10, 1e-6]),
+       st.floats(-4.0, 0.5),
+       st.floats(0.2, 2.0),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+@settings(max_examples=200, deadline=None)
+def test_walls_and_summability_agree_near_walls(near, rel_re, log_size, im, other):
+    """classify, jumping_coefficients, summability_report and the lateral
+    Borel sums give one verdict per quantity, also at small |c|."""
+    size = 10.0 ** log_size
+    a = size * complex(rel_re * im, im)        # Re a / |a| ~ rel_re
+    b = size * other
+    c_inf, c_0 = {"c_inf": (a, b), "c_0": (b, a),
+                  "c_p": (a + b, a - b), "c_m": (b + a, b - a)}[near]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearDegenerateWarning)
+            p = Parameters(c_inf, c_0)
+    except (AlgebraError, NearDegenerateWarning):
+        assume(False)
+    report = summability_report(p)
+    off_axis = {}
+    for name, (borel_sum, key) in _BLOCKS.items():
+        c = getattr(p, name)
+        side = "minus" if c.real >= 0 else "plus"   # away from the Gamma poles
+        off_axis[key] = borel_sum(c, 1.0, side).summable
+        assert report[key] is off_axis[key]
+    jumping = {key for key, ok in off_axis.items() if not ok}
+    try:
+        stratum = classify(p)
+    except StratificationError:
+        assert len(jumping) >= 2
+        return
+    assert jumping_coefficients(stratum) == jumping
 
 
 # ---------------------------------------------------------------------------
