@@ -106,12 +106,12 @@ class BorelSumValue:
 
 
 def _gamma_term(w: complex) -> complex:
-    """log Gamma(w), raising :class:`GammaPoleError` at / next to a pole."""
-    if abs(w.imag) < 1e-12 and w.real < 0.5:
-        nearest = round(w.real)
-        if nearest <= 0 and abs(w.real - nearest) < 1e-12:
-            raise GammaPoleError(f"log Gamma pole at w = {w}")
-    return log_gamma(w)
+    """log Gamma(w), raising :class:`GammaPoleError` at a pole (w = 0, -1,
+    -2, ...).  Next to a pole log Gamma is large but finite and accurate."""
+    try:
+        return log_gamma(w)
+    except ValueError as exc:
+        raise GammaPoleError(f"log Gamma pole at w = {w}") from exc
 
 
 def _lateral_sum(kind: str, z: complex, side: str) -> complex:

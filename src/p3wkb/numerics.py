@@ -2,12 +2,15 @@
 series at infinity, polynomial roots, complex log-Gamma, and the sign chain
 that continues a square root along a path.
 
-Everything in this module is a pure function over immutable values.  Jets are
-the substrate for all t-differentiation in the series layer: a ``Jet`` holds
-Taylor coefficients of a function in the local coordinate ``s = t - t0``, and
-arithmetic is exact truncation to the jet order.  Coefficients are duck-typed:
-plain ``complex`` for scalar work, or ``numpy`` arrays of identical shape when
-many base points are processed in one batch (the contour quadratures do this).
+Everything in this module but ``DenseJets`` is a pure function over immutable
+values.  Jets are the substrate for all t-differentiation in the series
+layer: a ``Jet`` holds Taylor coefficients of a function in the local
+coordinate ``s = t - t0``, and arithmetic is exact truncation to the jet
+order.  Coefficients are duck-typed: plain ``complex`` for scalar work, or
+``numpy`` arrays of identical shape when many base points are processed in
+one batch (the contour quadratures do this).  ``DenseJets`` does the same
+arithmetic on stacks of jets held as one complex array, which is how the
+series solvers compute.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 import scipy.special
 
 __all__ = [
+    "DenseJets",
     "Jet",
     "LaurentAtInfinity",
     "SingularJetError",
@@ -347,6 +351,174 @@ class Jet:
             for k in range(n - 1, j - 1, -1):
                 out[k] = out[k] + h * out[k + 1]
         return Jet(new_base, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Dense jets: stacks of jets as complex arrays
+# ---------------------------------------------------------------------------
+
+#: Up to this many base points, jets multiply through one outer product of
+#: their coefficient vectors: few numpy calls, all (K+1)^2 terms.  Larger
+#: batches add shifted rows over the coefficient index instead: K+1 calls
+#: but half the terms, which is what counts once arithmetic sets the cost.
+_OUTER_PRODUCT_NODES = 16
+
+@lru_cache(maxsize=None)
+def _antidiagonals(K: int):
+    """Flat indices of the cells (j, l) with j + l <= K of a (K+1) x (K+1)
+    outer product, grouped by j + l, and the start of each group."""
+    j, l = np.divmod(np.arange((K + 1) ** 2), K + 1)
+    cells = np.flatnonzero(j + l <= K)
+    cells = cells[np.argsort((j + l)[cells], kind="stable")]
+    return _read_only(cells, np.searchsorted((j + l)[cells], np.arange(K + 1)))
+
+
+@lru_cache(maxsize=None)
+def _cauchy_pairs(n: int, step_a: int, step_b: int):
+    """The slot pairs (i, j) with i + j < n, i a multiple of step_a and j of
+    step_b, grouped by m = i + j: (i's, j's, group starts, the m's)."""
+    pairs = sorted((i + j, i, j) for i in range(0, n, step_a)
+                   for j in range(0, n - i, step_b))
+    ms = np.array([m for m, _, _ in pairs])
+    starts = np.flatnonzero(np.diff(ms, prepend=-1))
+    return _read_only(np.array([i for _, i, _ in pairs]), np.array([j for _, _, j in pairs]),
+                      starts, ms[starts])
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, locked: cached index arrays are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _running_sum(terms: np.ndarray):
+    """The sum over the leading axis, added in order and kept as a one-row
+    slice.  Summed plainly, one base point (a 1-d array) would pair its
+    terms differently than a batch, and numpy scalars round differently
+    than arrays; this way one node and many give the same bits."""
+    return np.cumsum(terms, axis=0)[-1:] if len(terms) else 0.0
+
+
+class DenseJets:
+    """Truncated Taylor arithmetic of order K at the base points t0.
+
+    A jet is an array whose axis -1 - t0.ndim holds its K+1 coefficients
+    in s = t - t0, followed by the batch axes of t0 (none for one base
+    point).  An eta-series is a stack of jets, shape (slots, K+1, *batch),
+    slot m holding the coefficient of eta^(offset - m).  One base point
+    and a batch of them share every line below."""
+
+    def __init__(self, t0, K: int):
+        self.K = K
+        self.t0 = np.asarray(t0, complex)   # one arithmetic for one node or many
+        self.batch = np.shape(t0)
+        self.small = int(np.prod(self.batch)) <= _OUTER_PRODUCT_NODES
+        tail = (slice(None),) * len(self.batch)
+        self._hi = (Ellipsis, slice(1, None)) + tail
+        self._lo = (Ellipsis, slice(None, -1)) + tail
+        self._kfac = np.arange(1, K + 1).reshape((-1,) + (1,) * len(self.batch))
+        self._t_powers = {}
+
+    def zeros(self, *lead) -> np.ndarray:
+        return np.zeros(lead + (self.K + 1,) + self.batch, complex)
+
+    def constant(self, value) -> np.ndarray:
+        out = self.zeros()
+        out[0] = value
+        return out
+
+    def t_power(self, p: int) -> np.ndarray:
+        """The jet of t^p: binomial coefficients of (t0 + s)^p."""
+        if p not in self._t_powers:
+            fac = np.ones((self.K + 1,) + self.batch, complex)
+            k = np.arange(1, self.K + 1)
+            fac[1:] = ((p - k + 1) / k).reshape(self._kfac.shape) / self.t0
+            self._t_powers[p] = self.t0 ** p * np.cumprod(fac, axis=0)
+        return self._t_powers[p]
+
+    # -- t-operations on jets or stacks -------------------------------------
+
+    def derive(self, a: np.ndarray) -> np.ndarray:
+        """d/dt; the top coefficient, which d/dt cannot know, becomes 0."""
+        out = np.zeros_like(a)
+        out[self._lo] = a[self._hi] * self._kfac
+        return out
+
+    def times_t(self, a: np.ndarray) -> np.ndarray:
+        out = a * self.t0
+        out[self._hi] += a[self._lo]
+        return out
+
+    def theta(self, a: np.ndarray) -> np.ndarray:
+        """t d/dt."""
+        return self.times_t(self.derive(a))
+
+    # -- products: the one (eta, t) Cauchy kernel ---------------------------
+
+    def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Truncated jet products X[i] * Y[i] along the leading axis of two
+        stacks (a stack of one broadcasts).  The order is read off X, so
+        lower-order stacks work too."""
+        K1 = X.shape[1]
+        if K1 == 1:
+            return X * Y
+        if self.small:
+            M = X[:, :, None] * Y[:, None, :]
+            cells, starts = _antidiagonals(K1 - 1)
+            M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
+            return np.add.reduceat(M, starts, axis=1)
+        out = X[:, :1] * Y
+        for j in range(1, K1):
+            out[:, j:] += X[:, j:j + 1] * Y[:, :K1 - j]
+        return out
+
+    def slot(self, A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
+             step: int = 1) -> np.ndarray:
+        """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi."""
+        i = np.arange(lo, hi + 1, step)
+        if not len(i):
+            return self.zeros()
+        return self.products(A[i], B[m - i]).sum(axis=0)
+
+    def mul(self, A: np.ndarray, B: np.ndarray, step_a: int = 1,
+            step_b: int = 1) -> np.ndarray:
+        """The eta-product of two stacks of equal length, truncated to it;
+        A (B) is nonzero only on slots that are multiples of step_a (step_b)."""
+        first, second, starts, ms = _cauchy_pairs(len(A), step_a, step_b)
+        out = np.zeros_like(A)
+        out[ms] = np.add.reduceat(self.products(A[first], B[second]), starts, axis=0)
+        return out
+
+    def inverse(self, A: np.ndarray, step: int = 1) -> np.ndarray:
+        """The eta-series 1 / A, for A nonzero only on slots that are
+        multiples of ``step`` (and so is the result)."""
+        out = np.zeros_like(A)
+        out[0] = self.divide(self.constant(1.0), A[0])
+        for m in range(step, len(A), step):
+            out[m] = -self.products(self.slot(A, out, m, step, m, step)[None], out[:1])[0]
+        return out
+
+    # -- single jets --------------------------------------------------------
+
+    @staticmethod
+    def divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        inv0 = 1.0 / y[:1]
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+        out[:1] = x[:1] * inv0
+        for k in range(1, len(out)):
+            out[k:k + 1] = (x[k:k + 1] - _running_sum(out[:k] * y[k:0:-1])) * inv0
+        return out
+
+    @staticmethod
+    def sqrt(a: np.ndarray) -> np.ndarray:
+        """The jet whose square is a, with the principal root as value."""
+        out = np.empty_like(a)
+        out[:1] = np.sqrt(a[:1])
+        half = 0.5 / out[:1]
+        for k in range(1, len(a)):
+            out[k:k + 1] = (a[k:k + 1] - _running_sum(out[1:k] * out[k - 1:0:-1])) * half
+        return out
 
 
 # ---------------------------------------------------------------------------

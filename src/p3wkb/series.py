@@ -5,10 +5,11 @@ An :class:`EtaSeries` stores coefficients of eta^(offset), eta^(offset-1),
 ... as jets at a common base point.  On top of that sit:
 
 * the zero-parameter formal solution lambda^(0) = lambda_0 + eta^-2 lambda_2
-  + ... of the second-order equation, built by a Newton jet solve for
-  lambda_0 followed by slot-by-slot elimination of the residual,
+  + ... of the second-order equation: lambda_0 by Newton's method, on its
+  value and then on jets of doubling order, and every later slot by the
+  term-by-term recursion, in which the new slot enters linearly,
 * the Riccati series R = eta R_{-1} + R_0 + eta^-1 R_1 + ... attached to
-  the linearization along lambda^(0),
+  the linearization along lambda^(0), by the same kind of recursion,
 * the conjugate-momentum series, Hamiltonians, and the parameter-shift
   (Backlund) transformations,
 * the analogous objects for the degenerate family (one parameter c).
@@ -16,11 +17,18 @@ An :class:`EtaSeries` stores coefficients of eta^(offset), eta^(offset-1),
 Parameter shifts by multiples of eta^-1 are first-class: models carry
 integer shift amounts, so a "solution at shifted parameters" is an ordinary
 eta-series and can be compared termwise against a transformed solution.
+
+The two solvers compute on dense complex arrays, a series being one array
+of shape (slots, K+1, *batch), so one base point and a batch of them run
+the same code; they return EtaSeries of Jets.  The residual functions
+evaluate the equations with EtaSeries arithmetic instead and serve as
+independent checks: no solver calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from .algebra import (
     d7_lambda0_branches,
     lambda0_branches,
 )
-from .numerics import Jet
+from .numerics import DenseJets, Jet
 
 __all__ = [
     "ConditioningError",
@@ -301,9 +309,17 @@ class D6Model:
     def branches(self, t):
         return lambda0_branches(t, self.p)
 
-    def newton_poly(self, lam, t):
-        return (lam ** 4 - self.p.c_inf * lam ** 3 + self.p.c_0 * t * lam - t * t,
-                4 * lam ** 3 - 3 * self.p.c_inf * lam ** 2 + self.p.c_0 * t)
+    def lam_poly(self) -> tuple:
+        """lam t^2 F(lam) = lam^4 - c_inf lam^3 + c_0 t lam - t^2 as terms
+        (d, e, a, p), each a t^p lam^d eta^-e."""
+        return ((4, 0, 1, 0), (3, 0, -self.p.c_inf, 0), (3, 1, -self.shift_inf, 0),
+                (1, 0, self.p.c_0, 1), (1, 1, self.shift_0, 1), (0, 0, -1, 2))
+
+    def mu_poly(self) -> tuple:
+        """2 lam^2 mu - eta^-1 t lam' = lam^2 + (c_0 - eta^-1) lam - t, as
+        terms like those of lam_poly."""
+        return ((2, 0, 1, 0), (1, 0, self.p.c_0, 0), (1, 1, self.shift_0 - 1, 0),
+                (0, 0, -1, 1))
 
     def c_series(self, template: EtaSeries):
         ref = template.terms[0]
@@ -332,17 +348,6 @@ class D6Model:
         t2 = _jet_inverse(t * t)
         inv = lam.inverse()
         return (3 * (lam * lam)) * t2 - 2 * ci * lam * t2 + inv * inv
-
-    def delta_jet(self, lam0: Jet, t: Jet) -> Jet:
-        inv = _jet_inverse(lam0)
-        return (3 * lam0 * lam0 - 2 * self.p.c_inf * lam0) * _jet_inverse(t * t) + inv * inv
-
-    def mu(self, lam: EtaSeries, t: Jet) -> EtaSeries:
-        """(eta^-1 t lam' + lam^2 + (c_0 - eta^-1) lam - t) / (2 lam^2)."""
-        c0 = self.coupling(lam)
-        eminus = _eta_inverse(lam)
-        num = eminus * (lam.derive() * t) + lam * lam + (c0 - eminus) * lam - t
-        return num / (2 * (lam * lam))
 
     def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
@@ -399,9 +404,13 @@ class D7Model:
     def branches(self, t):
         return d7_lambda0_branches(t, self.c)
 
-    def newton_poly(self, lam, t):
-        return (2 * lam ** 3 - self.c * t * lam + t * t,
-                6 * lam ** 2 - self.c * t)
+    def lam_poly(self) -> tuple:
+        """lam t^2 F(lam) = -2 lam^3 + c t lam - t^2 as (d, e, a, p) terms."""
+        return ((3, 0, -2, 0), (1, 0, self.c, 1), (1, 1, self.shift, 1), (0, 0, -1, 2))
+
+    def mu_poly(self) -> tuple:
+        """2 lam^2 mu - eta^-1 t lam' = (c - eta^-1) lam - t, as terms."""
+        return ((1, 0, self.c, 0), (1, 1, self.shift - 1, 0), (0, 0, -1, 1))
 
     def c_series(self, template: EtaSeries):
         ref = template.terms[0]
@@ -420,17 +429,6 @@ class D7Model:
     def dF(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         inv = lam.inverse()
         return -4 * lam * _jet_inverse(t * t) + inv * inv
-
-    def delta_jet(self, lam0: Jet, t: Jet) -> Jet:
-        inv = _jet_inverse(lam0)
-        return -4 * lam0 * _jet_inverse(t * t) + inv * inv
-
-    def mu(self, lam: EtaSeries, t: Jet) -> EtaSeries:
-        """(eta^-1 t lam' + (c - eta^-1) lam - t) / (2 lam^2)."""
-        c = self.c_series(lam)
-        eminus = _eta_inverse(lam)
-        num = eminus * (lam.derive() * t) + (c - eminus) * lam - t
-        return num / (2 * (lam * lam))
 
     def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
@@ -460,26 +458,171 @@ def model_for(params):
     return D7Model(complex(params))
 
 
+#: Larger batches are solved in chunks of this many base points, so that
+#: the solvers' working arrays stay near a megabyte at K = 8.
+_CHUNK_NODES = 256
+
+
+def _stack(series: EtaSeries, K: int) -> np.ndarray:
+    """The slots of an eta-series as a stack of order K, zero above each
+    jet's own order."""
+    ref = series.terms[0]
+    out = np.zeros((series.n_slots, K + 1) + np.shape(ref.base_point), complex)
+    for m, jet in enumerate(series.terms):
+        for k, c in enumerate(jet.coeffs):
+            out[m, k] = c
+    return out
+
+
+def _jets_of(A: np.ndarray, orders, t0) -> list:
+    """Jets at t0 of the given orders from the rows of a stack."""
+    if isinstance(t0, np.ndarray):
+        return [Jet(t0, tuple(A[m, :o + 1])) for m, o in enumerate(orders)]
+    return [Jet(t0, tuple(row[:o + 1])) for row, o in zip(A.tolist(), orders)]
+
+
+def _by_chunks(solve, t0, *per_node):
+    """``solve(t0, *per_node)`` over chunks of at most ``_CHUNK_NODES``
+    base points, its arrays joined again.  Per-node arrays (in and out)
+    end in the batch axes of t0.  Chunks bound the working memory of large
+    batches; one base point is one chunk."""
+    if not isinstance(t0, np.ndarray):
+        return solve(t0, *per_node)
+    nb = t0.ndim
+    flat = [np.reshape(a, np.shape(a)[:np.ndim(a) - nb] + (-1,)) for a in per_node]
+    parts = [solve(t0.reshape(-1)[i:i + _CHUNK_NODES], *(a[..., i:i + _CHUNK_NODES] for a in flat))
+             for i in range(0, t0.size, _CHUNK_NODES)]
+    return tuple(np.concatenate(arrays, axis=-1).reshape(arrays[0].shape[:-1] + t0.shape)
+                 for arrays in zip(*parts))
+
+
+def _eta_shift(A: np.ndarray, e: int) -> np.ndarray:
+    """eta^-e times a stack, truncated to its length."""
+    if e == 0:
+        return A
+    out = np.zeros_like(A)
+    out[e:] = A[:-e]
+    return out
+
+
+def _by_t_power(jets: DenseJets, groups: dict) -> np.ndarray:
+    """sum of t^p * groups[p] over the powers p present."""
+    return sum(jets.products(g, jets.t_power(p)[None]) if p else g
+               for p, g in groups.items())
+
+
+def _step(model) -> int:
+    """Slots of lambda that can be nonzero are the multiples of this: every
+    one when the model shifts parameters by eta^-1, else every other one."""
+    return 1 if model.shifted else 2
+
+
+def _slot_orders(K: int, N: int, shifted: bool):
+    """Taylor orders kept per slot of lambda, mu and R.
+
+    Each is what truncated jet arithmetic certifies through the elimination
+    of the full residual, slot by slot: two orders per eta-step of lambda
+    (two t-derivatives), one per eta-step of mu and R (one derivative).
+    The recursions below certify at least as many, and the outputs keep
+    these so that a slot's order does not depend on the engine."""
+    m = np.arange(N + 1)
+    if shifted:
+        return K - 2 * ((m + 1) // 2), K - 1 - m, np.where(m == 0, K, K - 1 - m)
+    return np.where(m % 2, K, K - m), K - np.maximum(m, 1), K - m
+
+
 # ---------------------------------------------------------------------------
 # Zero-parameter solution
 # ---------------------------------------------------------------------------
 
-def _newton_jet_root(model, t: Jet, seed: complex) -> Jet:
-    lam = Jet.constant(seed, t.base_point, t.order)
-    for _ in range(6 + t.order.bit_length()):
-        val, dval = model.newton_poly(lam, t)
+def _lambda0_jet(model, jets: DenseJets, seed):
+    """The jet of lambda_0, the root of P(lam) = lam t^2 F(lam) at
+    eta^-1 = 0 through ``seed``, with P'(lambda_0) and the Newton gate's
+    residual-to-scale ratio per node.
+
+    Newton runs on the values first; then each jet step doubles the order
+    (from a root correct through order q, one step is correct through
+    2q + 1) until it reaches K."""
+    coeff = jets.zeros(1 + max(d for d, *_ in model.lam_poly()))
+    for d, e, a, p in model.lam_poly():
+        if e == 0:
+            coeff[d] += a * jets.t_power(p)
+    top = len(coeff) - 1
+
+    def horner(lam):
+        """P(lam) and P'(lam) for jets of the order of lam."""
+        q1 = lam.shape[0]
+        vd = np.stack([np.zeros_like(lam), coeff[top, :q1]])
+        for d in range(top - 1, -1, -1):
+            nxt = jets.products(vd, lam[None])
+            nxt[0] += vd[1]
+            nxt[1] += coeff[d, :q1]
+            vd = nxt
+        return vd[1], vd[0]
+
+    lam = np.asarray(seed, complex)[None]
+    for _ in range(6):
+        val, dval = horner(lam)
         lam = lam - val / dval
-    val, dval = model.newton_poly(lam, t)
+    q = 0
+    while q < jets.K:
+        q = min(2 * q + 1, jets.K)
+        grown = np.zeros((q + 1,) + jets.batch, complex)
+        grown[:len(lam)] = lam
+        val, dval = horner(grown)
+        lam = grown - jets.divide(val, dval)
+    val, dval = horner(lam)
     # Gate the residual per node against the size of the polynomial's own
     # terms (lam * P'(lam) dominates the leading monomial), so batches that
     # mix very different |t| scales are judged each at their own scale.
-    res = np.maximum.reduce([np.abs(np.asarray(c)) for c in val.coeffs])
-    lead = lam * dval
-    scale = np.maximum.reduce([np.abs(np.asarray(c)) for c in lead.coeffs])
-    scale = np.maximum(1.0, np.maximum(scale, np.abs(np.asarray(t.value())) ** 2))
+    res = np.abs(val).max(axis=0)
+    scale = np.abs(jets.products(lam[None], dval[None])[0]).max(axis=0)
+    scale = np.maximum(1.0, np.maximum(scale, np.abs(jets.t0) ** 2))
     if np.any(res > 1e-8 * scale):
         raise ConditioningError("jet Newton iteration for lambda_0 did not converge")
-    return lam
+    return lam, dval, res / scale
+
+
+def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
+    """The slots lambda_0..lambda_N as the stack of powers lam^0..lam^D
+    (D the degree of P), and theta lam = t lam'.
+
+    Multiplied by lam t^2, the equation reads eta^2 P(lam) = lam theta^2 lam
+    - (theta lam)^2.  At eta^(2-m) the left side is linear in lambda_m with
+    coefficient P'(lambda_0) = lambda_0 t^2 Delta, and the right side holds
+    only slots up to m - 2.  The powers of lam keep running slots, so each
+    new slot costs O(m) jet products."""
+    terms = [term for term in model.lam_poly() if term[2] != 0]
+    top = max(d for d, *_ in terms)
+    step = _step(model)
+    pw = jets.zeros(top + 1, N + 1)
+    pw[0, 0, 0] = 1.0
+    pw[1, 0] = lam0
+    for d in range(2, top + 1):
+        pw[d, 0] = jets.products(pw[d - 1, :1], lam0[None])[0]
+    # d lambda_0^(d-1): how slot m of lam^d moves with lambda_m, d = 2..D.
+    grow = np.arange(2, top + 1).reshape((-1,) + (1,) * (1 + len(jets.batch))) * pw[1:top, 0]
+    lam = pw[1]
+    th1, th2 = jets.zeros(N + 1), jets.zeros(N + 1)
+    th1[0] = jets.theta(lam0)
+    th2[0] = jets.theta(th1[0])
+    linv = jets.divide(jets.constant(1.0), dP)[None]
+    for m in range(step, N + 1, step):
+        for d in range(2, top + 1):
+            pw[d, m] = jets.slot(pw[d - 1], lam, m, step, m, step)   # lambda_m still 0
+        groups = {}
+        for d, e, a, p in terms:
+            if m >= e:
+                groups[p] = groups.get(p, 0) + a * pw[d, m - e:m - e + 1]
+        rhs = -_by_t_power(jets, groups)[0]
+        if m >= 2:
+            rhs += jets.slot(lam, th2, m - 2, 0, m - 2, step) \
+                - jets.slot(th1, th1, m - 2, 0, m - 2, step)
+        lam[m] = jets.products(rhs[None], linv)[0]
+        th1[m] = jets.theta(lam[m])
+        th2[m] = jets.theta(th1[m])
+        pw[2:, m] += jets.products(grow, lam[m][None])
+    return pw, th1
 
 
 def _equation_residual(model, lam: EtaSeries, t: Jet) -> EtaSeries:
@@ -491,7 +634,13 @@ def _equation_residual(model, lam: EtaSeries, t: Jet) -> EtaSeries:
 
 @dataclass(frozen=True)
 class ZeroParamSolution:
-    """The formal solution pair (lambda-series, mu-series) at a base point."""
+    """The formal solution pair (lambda-series, mu-series) at a base point.
+
+    ``diagnostics`` records what the conditioning gates measured: the worst
+    Newton residual-to-scale ratio of lambda_0 (``newton_ratio``, gate
+    1e-8) at node ``newton_node``, and the smallest |Delta| (``delta_min``,
+    gate 1e-8) at node ``delta_node``; nodes index the flattened base
+    points (0 for one base point)."""
 
     model: object
     t0: complex
@@ -502,6 +651,7 @@ class ZeroParamSolution:
     lam: EtaSeries
     mu: EtaSeries
     delta0: Jet
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def lambda0_jet(self) -> Jet:
@@ -511,14 +661,36 @@ class ZeroParamSolution:
         return _equation_residual(self.model, self.lam, self.t_jet)
 
 
+def _zero_param_arrays(model, N: int, K: int, t0, seed):
+    """The stacks of lambda and mu, the jet of Delta, and per node the
+    Newton residual-to-scale ratio and |Delta|, for base points t0."""
+    jets = DenseJets(t0, K)
+    lam0, dP, newton_ratio = _lambda0_jet(model, jets, seed)
+    delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))
+    delta_abs = np.abs(delta0[0])
+    delta_min = float(np.min(delta_abs))
+    if delta_min < 1e-8:
+        raise ConditioningError(
+            f"|Delta| = {delta_min:.2e} at t0={t0}: too close to a turning point")
+    pw, th1 = _lambda_slots(model, jets, lam0, dP, N)
+    # mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table.
+    groups = {}
+    for d, e, a, p in model.mu_poly():
+        groups[p] = groups.get(p, 0) + a * _eta_shift(pw[d], e)
+    mu = jets.mul(_eta_shift(th1, 1) + _by_t_power(jets, groups),
+                  jets.inverse(2 * pw[2], _step(model)), 1, _step(model))
+    return pw[1], mu, delta0, newton_ratio, delta_abs
+
+
 def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
                         K: int | None = None, model=None) -> ZeroParamSolution:
     """Build the zero-parameter solution along ``branch`` at ``t0``: jets of
     lambda_0, lambda_2, ..., lambda_N (odd slots vanish identically unless the
     model shifts parameters by eta^-1) plus the matching mu-series.
 
-    K is the jet order of lambda_0; each eta-slot costs two derivatives, so
-    K >= N + 2 is required (default N + 4)."""
+    ``t0`` and ``branch.lambda0`` may be arrays of base points, solved in
+    one batch.  K is the jet order of lambda_0; each eta-slot costs two
+    derivatives, so K >= N + 2 is required (default N + 4)."""
     if model is None:
         model = D6Model(p)
     if K is None:
@@ -527,25 +699,20 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
         raise OrderBudgetError(f"jet order K={K} too small for N={N}; need K >= N + 2")
     if not isinstance(t0, np.ndarray):
         t0 = complex(t0)
-    t = Jet.variable(t0, K)
-    lam0 = _newton_jet_root(model, t, branch.lambda0)
-    delta0 = model.delta_jet(lam0, t)
-    delta_min = float(np.min(np.abs(delta0.value())))
-    if delta_min < 1e-8:
-        raise ConditioningError(
-            f"|Delta| = {delta_min:.2e} at t0={t0}: too close to a turning point")
-    step = 1 if model.shifted else 2
-    slots = {0: lam0}
-    for m in range(1, N + 1):
-        slots[-m] = Jet.constant(0j, t0, K)
-    lam = EtaSeries.from_slots(slots, t0, K)
-    for m in range(step, N + 1, step):
-        res = _equation_residual(model, lam, t)
-        num = res.slot(2 - m)
-        slots[-m] = num / delta0
-        lam = EtaSeries.from_slots(slots, t0, K)
-    mu = model.mu(lam, t)
-    return ZeroParamSolution(model, t0, branch, N, K, t, lam, mu, delta0)
+    lam, mu, delta0, newton_ratio, delta_abs = _by_chunks(
+        partial(_zero_param_arrays, model, N, K), t0,
+        np.broadcast_to(branch.lambda0, np.shape(t0)))
+    newton_node, delta_node = int(np.argmax(newton_ratio)), int(np.argmin(delta_abs))
+    lam_orders, mu_orders, _ = _slot_orders(K, N, model.shifted)
+    return ZeroParamSolution(
+        model, t0, branch, N, K, Jet.variable(t0, K),
+        EtaSeries(0, tuple(_jets_of(lam, lam_orders, t0))),
+        EtaSeries(0, tuple(_jets_of(mu, mu_orders, t0))),
+        _jets_of(delta0[None], [K], t0)[0],
+        {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
+         "newton_node": newton_node,
+         "delta_min": float(np.ravel(delta_abs)[delta_node]),
+         "delta_node": delta_node})
 
 
 def main_equation_residual(zp: ZeroParamSolution) -> EtaSeries:
@@ -590,34 +757,64 @@ def _riccati_coefficients(zp: ZeroParamSolution):
     return G, H
 
 
-def _riccati_defect(R: EtaSeries, G: EtaSeries, H: EtaSeries) -> EtaSeries:
+def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
+    """R^2 + R' - (2 lam'/lam - 1/t) R - (eta^2 dF(lam) - (lam'/lam)^2)."""
+    G, H = _riccati_coefficients(zp)
     return R * R + R.derive() - G * R - H
 
 
-def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
-    """R^2 + R' - (2 lam'/lam - 1/t) R - (eta^2 dF(lam) - (lam'/lam)^2)."""
-    return _riccati_defect(R, *_riccati_coefficients(zp))
+def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int):
+    """G = 2 lam'/lam - 1/t (slot k at eta^-k) and H = eta^2 dF(lam) -
+    (lam'/lam)^2 (slot n at eta^(2-n)) as stacks.  With P = lam t^2 F,
+    dF = t^-2 sum (d - 1) a t^p lam^(d-2) eta^-e over the terms of P."""
+    terms = [term for term in model.lam_poly() if term[2] != 0 and term[0] != 1]
+    one = jets.zeros(len(lam))
+    one[0, 0] = 1.0
+    inv = jets.inverse(lam, step)
+    ratio = jets.mul(jets.derive(lam), inv, step, step)
+    g = 2 * ratio
+    g[0] -= jets.t_power(-1)
+    powers = {-2: jets.mul(inv, inv, step, step), -1: inv, 0: one, 1: lam}
+    for k in range(2, max(d for d, *_ in terms) - 1):
+        powers[k] = jets.mul(powers[k - 1], lam, step, step)
+    groups = {}
+    for d, e, a, p in terms:
+        term = (d - 1) * a * _eta_shift(powers[d - 2], e)
+        groups[p - 2] = groups.get(p - 2, 0) + term
+    h = _by_t_power(jets, groups)
+    h[2:] -= jets.mul(ratio, ratio, step, step)[:-2]
+    return g, h
 
 
 def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
-    """Solve the Riccati recursion along zp; slots run from eta^1 down to
-    eta^-(N-1)."""
-    N = zp.N
-    t0, K = zp.t0, zp.K
-    r_m1 = zp.delta0.sqrt()
+    """Solve the Riccati equation along zp slot by slot; slots run from eta^1
+    down to eta^-(N-1).  With R = sum R_n eta^(1-n), R_0 = sign sqrt(Delta)
+    and, from the slot eta^(2-n) of R^2 + R' - G R - H = 0,
+
+        R_n = -(sum_{0<i<n} R_i R_{n-i} + R_{n-1}' - (G R)_{n-1} - H_n) / (2 R_0).
+    """
+    N, K = zp.N, zp.K
+    r, = _by_chunks(partial(_riccati_arrays, zp.model, N, K, sign), zp.t0,
+                    _stack(zp.lam, K), _stack(EtaSeries(0, (zp.delta0,)), K)[0])
+    orders = _slot_orders(K, N, zp.model.shifted)[2]
+    return RiccatiSolution(zp, sign, EtaSeries(1, tuple(_jets_of(r, orders, zp.t0))))
+
+
+def _riccati_arrays(model, N: int, K: int, sign: int, t0, lam, delta0):
+    """The stack of R for base points t0, from the stacks of lambda and Delta."""
+    jets = DenseJets(t0, K)
+    step = _step(model)
+    g, h = _riccati_terms(model, jets, lam, step)
+    r = jets.zeros(N + 1)
+    r[0] = jets.sqrt(delta0)
     if sign < 0:
-        r_m1 = -r_m1
-    slots = {1: r_m1}
-    for m in range(0, N):
-        slots[-m] = Jet.constant(0j, t0, K)
-    R = EtaSeries.from_slots(slots, t0, K)
-    inv2r = Jet.constant(-0.5 + 0j, t0, r_m1.order) / r_m1
-    G, H = _riccati_coefficients(zp)
-    for m in range(0, N):
-        res = _riccati_defect(R, G, H)
-        slots[-m] = inv2r * res.slot(1 - m)
-        R = EtaSeries.from_slots(slots, t0, K)
-    return RiccatiSolution(zp, sign, R)
+        r[0] = -r[0]
+    inv2r = jets.divide(jets.constant(-0.5), r[0])[None]
+    for n in range(1, N + 1):
+        acc = jets.slot(r, r, n, 1, n - 1) + jets.derive(r[n - 1]) \
+            - jets.slot(g, r, n - 1, 0, n - 1, step) - h[n]
+        r[n] = jets.products(acc[None], inv2r)[0]
+    return (r,)
 
 
 # ---------------------------------------------------------------------------

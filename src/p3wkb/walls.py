@@ -76,6 +76,11 @@ CHAMBER_SIGNS = {
     (+1, -1, +1, +1): "VIII",
 }
 
+#: vanishing quantity -> its companion, and (quantity, companion real part
+#: > 0) -> wall label
+_COMPANION = {eq: companion for eq, companion, _ in WALL_TABLE.values()}
+_WALL_OF = {(eq, sgn > 0): label for label, (eq, _, sgn) in WALL_TABLE.items()}
+
 _JUMPING = {
     "c_0": "G(c_0)",
     "c_inf": "G(c_inf)",
@@ -122,13 +127,11 @@ def classify(p: Parameters) -> Stratum:
         return Stratum("chamber", label)
 
     if len(vanishing) == 1:
+        # The companion is one of the four quantities and not the vanishing
+        # one, so its real part is off zero and its sign picks the wall.
         name = vanishing[0]
-        for label, (eq, companion, sgn) in WALL_TABLE.items():
-            comp = values[companion]
-            if eq == name and sgn * comp.real > 0 and not on_imaginary_axis(comp):
-                return Stratum("wall", label)
-        raise StratificationError(
-            f"Re {name} = 0 but the companion real part is degenerate too")
+        companion = _COMPANION[name]
+        return Stratum("wall", _WALL_OF[name, values[companion].real > 0])
 
     raise StratificationError(
         "several wall equalities hold simultaneously (corner of the "

@@ -94,6 +94,19 @@ def test_gamma_pole_errors():
     assert borel_sum_F(1.5, 1.0, "minus").summable
 
 
+@pytest.mark.parametrize("z", [3e-13, -1 + 1e-13j])
+def test_gamma_term_next_to_a_pole(z):
+    # log Gamma is finite a hair away from a pole: the minus-side sum of G
+    # there is a number, and it matches the closed form in mpmath.
+    zm = mp.mpc(z)
+    with mp.workdps(30):
+        want = (mp.loggamma(zm) - mp.log(2 * mp.pi) / 2 - zm * (mp.log(zm) - 1)
+                + mp.log(zm) / 2)
+    got = borel_sum_G(z, 1.0, "minus")
+    assert got.summable
+    assert abs(got.value - complex(want)) < 1e-12 * abs(complex(want))
+
+
 # ---------------------------------------------------------------------------
 # Optimal truncation of the asymptotic series (high-precision oracle)
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p3wkb.numerics import (
+    DenseJets,
     Jet,
     LaurentAtInfinity,
     SingularJetError,
@@ -237,6 +238,46 @@ def test_jet_product_rule(xs, ys):
     rhs = a.derive() * b.truncate(3) + a.truncate(3) * b.derive()
     for x, y in zip(lhs.coeffs, rhs.coeffs):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
+
+
+@pytest.mark.parametrize("nodes", [3, 40])
+def test_dense_jets_match_jet_arithmetic(nodes):
+    # Both product kernels (outer products for a few nodes, shifted rows
+    # for many) and the one-jet division and square root, against the
+    # tuple-based Jet loops on the same coefficients.
+    rng = np.random.default_rng(7)
+    K = 9
+    t0 = rng.uniform(0.5, 2, nodes) * np.exp(1j * rng.uniform(-3, 3, nodes))
+    X, Y = (rng.standard_normal((2, K + 1, nodes)) + 1j * rng.standard_normal((2, K + 1, nodes))
+            for _ in range(2))
+    Y[:, 0] += 3.0
+    dense = DenseJets(t0, K)
+    got = {"mul": dense.products(X, Y), "div": dense.divide(X[0], Y[0]),
+           "sqrt": dense.sqrt(Y[0]), "dt": dense.derive(X), "tx": dense.times_t(X)}
+    for node in range(nodes):
+        a, b = (Jet(t0[node], tuple(Z[0, :, node])) for Z in (X, Y))
+        t = Jet.variable(t0[node], K)
+        want = {"mul": a * b, "div": a / b, "sqrt": b.sqrt(), "dt": a.derive(), "tx": t * a}
+        for key, jet in want.items():
+            row = got[key][0, :, node] if got[key].ndim == 3 else got[key][:, node]
+            ref = np.array(jet.coeffs)
+            assert np.max(np.abs(row[:len(ref)] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
+
+
+def test_dense_eta_products_match_slot_sums():
+    # mul, inverse and one slot of a product, on two five-slot eta-series.
+    rng = np.random.default_rng(8)
+    dense = DenseJets(0.7 + 0.2j, 6)
+    A, B = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)) for _ in range(2))
+    B[0, 0] += 4.0
+    prod = dense.mul(A, B)
+    for m in range(5):
+        want = sum(dense.products(A[i:i + 1], B[m - i:m - i + 1])[0] for i in range(m + 1))
+        assert np.allclose(prod[m], want, rtol=1e-14, atol=1e-13)
+        assert np.allclose(dense.slot(A, B, m, 0, m), want, rtol=1e-14, atol=1e-13)
+    one = dense.mul(B, dense.inverse(B))
+    assert np.allclose(one[0], dense.constant(1.0), atol=1e-12)
+    assert np.allclose(one[1:], 0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

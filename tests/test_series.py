@@ -3,9 +3,11 @@ Hamiltonians, and parameter-shift transformations."""
 
 import cmath
 
+import numpy as np
 import pytest
 
 from p3wkb.algebra import (
+    BranchPoint,
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
@@ -15,6 +17,7 @@ from p3wkb.algebra import (
 from p3wkb.numerics import Jet
 from p3wkb.series import (
     ConditioningError,
+    D6Model,
     D7Model,
     EtaSeries,
     OrderBudgetError,
@@ -27,6 +30,7 @@ from p3wkb.series import (
     x_factor,
     zero_param_solution,
 )
+from series_reference import ENGINE, HIGH_PRECISION
 
 P = Parameters(2 + 1j, 3)
 T0 = 0.8 + 0.6j
@@ -353,3 +357,110 @@ def test_d7_backlund(zp7):
 def test_d7_odd_slots_vanish(zp7):
     for m in (1, 3, 5):
         assert all(c == 0 for c in zp7.lam.slot(-m).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The slot recursions against recorded values
+# ---------------------------------------------------------------------------
+
+def _reference_case(case):
+    if case.startswith("d6"):
+        model, branch = D6Model(P), lambda0_branches(T0, P)[0]
+    else:
+        model, branch = D7Model(C7), d7_lambda0_branches(T0, C7)[1]
+    if case.endswith("backlund2"):
+        model = backlund_model(model, 2)
+    elif case.endswith(("backlund1", "shifted")):
+        model = backlund_model(model, 1)
+    return model, branch
+
+
+def _max_slot_error(series, values):
+    got = np.array([t.coeffs[0] for t in series.terms])
+    want = np.array(values)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case,N", sorted(ENGINE))
+def test_slots_match_the_elimination_engine(case, N):
+    model, branch = _reference_case(case)
+    zp = zero_param_solution(T0, branch, model=model, N=N)
+    ric = riccati_solution(zp, +1)
+    for name, series in (("lam", zp.lam), ("mu", zp.mu), ("R", ric.R)):
+        offset, exact, orders, values = ENGINE[case, N][name]
+        assert (series.offset, series.exact) == (offset, exact), name
+        assert [t.order for t in series.terms] == orders, name
+        assert _max_slot_error(series, values) < 1e-12, name
+
+
+def test_ill_conditioned_slots_match_high_precision():
+    # On branch 0 of D7 the shifted slots fall to 1e-6 of lambda_0 by
+    # N = 12, so double precision keeps about 5e-12 of the largest slot
+    # (the elimination engine kept 2e-12): checked against 40 digits.
+    zp = zero_param_solution(T0, d7_lambda0_branches(T0, C7)[0],
+                             model=backlund_model(D7Model(C7), 1), N=12)
+    ric = riccati_solution(zp, +1)
+    for name, series in (("lam", zp.lam), ("mu", zp.mu), ("R", ric.R)):
+        assert _max_slot_error(series, HIGH_PRECISION[name]) < 1e-11, name
+
+
+# ---------------------------------------------------------------------------
+# Batched solves
+# ---------------------------------------------------------------------------
+
+T_BATCH = np.array([0.8 + 0.6j, -1.7 + 0.2j, 0.3 - 0.5j, 2.4 + 2.1j, -0.6 - 1.1j])
+
+
+def _batch_case(family):
+    if family == "d6":
+        model = D6Model(P)
+        lams = [lambda0_branches(t, P)[k % 4].lambda0 for k, t in enumerate(T_BATCH)]
+    else:
+        model = backlund_model(D7Model(C7), 1)
+        lams = [d7_lambda0_branches(t, C7)[k % 3].lambda0 for k, t in enumerate(T_BATCH)]
+    return model, np.array(lams)
+
+
+def _coefficients(series):
+    return [np.array([np.broadcast_to(c, np.shape(series.terms[0].coeffs[0]))
+                      for c in t.coeffs]) for t in series.terms]
+
+
+@pytest.mark.parametrize("repeat", [1, 4])
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_batched_solve_equals_scalar_solves(family, repeat):
+    # Five base points solved at once give each node's scalar solve bit for
+    # bit.  Repeated to twenty, the batch multiplies jets by shifted rows
+    # instead of outer products, which rounds differently.
+    model, lams = _batch_case(family)
+    ts, lams = np.tile(T_BATCH, repeat), np.tile(lams, repeat)
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
+    ric = riccati_solution(zp, +1)
+    batched = [_coefficients(s) for s in (zp.lam, zp.mu, ric.R)]
+    for node in range(len(ts)):
+        one = zero_param_solution(complex(ts[node]), BranchPoint(ts[node], lams[node]),
+                                  model=model, N=6)
+        for slots, series in zip(batched, (one.lam, one.mu, riccati_solution(one, +1).R)):
+            scale = max(max(abs(c) for c in jet.coeffs) for jet in series.terms)
+            for jets, jet in zip(slots, series.terms):
+                err = np.max(np.abs(jets[:, node] - np.array(jet.coeffs)))
+                assert err == 0 if repeat == 1 else err < 1e-11 * scale
+    delta = np.abs(zp.delta0.value())
+    assert zp.diagnostics["delta_node"] == int(np.argmin(delta))
+    assert zp.diagnostics["delta_min"] == pytest.approx(delta.min(), rel=1e-15)
+    assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
+
+
+def test_batch_with_a_node_at_a_turning_point_raises():
+    tau, lam_double = turning_points(P).taus[0]
+    ts = np.append(T_BATCH, tau)
+    lams = np.append(_batch_case("d6")[1], lam_double)
+    zero_param_solution(T_BATCH, BranchPoint(T_BATCH, lams[:-1]), P, N=4)
+    with pytest.raises(ConditioningError):
+        zero_param_solution(ts, BranchPoint(ts, lams), P, N=4)
+
+
+def test_diagnostics_record_the_gates(zp):
+    assert zp.diagnostics["delta_min"] == pytest.approx(abs(zp.delta0.value()), rel=1e-15)
+    assert zp.diagnostics["delta_node"] == zp.diagnostics["newton_node"] == 0
+    assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
