@@ -11,10 +11,11 @@ equivalently F(lambda, t) = lambda^3/t^2 - c_inf lambda^2/t^2 + c_0/t
 to a single plane where the quadratic differential q(u) du^2 has polynomial
 zeros; all Stokes tracing happens there.
 
-Chart functions are duck-typed over scalars and jets: passing a
-``numerics.Jet`` in u through ``t_of_u`` / ``q`` yields u-derivatives for
-free, which is how du/dt, the emanation data, and the tracer obtain local
-expansions.
+Chart functions are duck-typed over scalars, numpy arrays and jets (of
+scalars or of arrays): passing a ``numerics.Jet`` in u through ``t_of_u`` /
+``q`` yields u-derivatives for free, which is how du/dt, the emanation data,
+and the tracer obtain local expansions, and an array of u (or a jet whose
+coefficients are arrays) evaluates a whole set of nodes in one call.
 """
 
 from __future__ import annotations
@@ -253,8 +254,11 @@ class UChart:
 
     # -- derived ------------------------------------------------------------
 
-    def dt_du(self, u) -> complex:
-        return self.t_of_u(Jet.variable(complex(u), 1)).coeffs[1]
+    def dt_du(self, u):
+        """dt/du at a point u, or elementwise on an array of points."""
+        if not isinstance(u, np.ndarray):
+            u = complex(u)
+        return self.t_of_u(Jet.variable(u, 1)).coeffs[1]
 
     def branch_point_at_u(self, u, sign: int = +1, tag: str = "generic") -> BranchPoint:
         return BranchPoint(complex(self.t_of_u(u)), complex(self.lambda0_of_u(u)),

@@ -299,9 +299,6 @@ class D6Model:
     shift_inf: int = 0
     shift_0: int = 0
 
-    #: t scales like c^t_weight under the homogeneity of the equation.
-    t_weight = 2
-
     @property
     def shifted(self) -> bool:
         return bool(self.shift_inf or self.shift_0)
@@ -332,10 +329,6 @@ class D6Model:
     def coupling(self, template: EtaSeries) -> EtaSeries:
         """The parameter series entering mu and X next to eta^-1: c_0."""
         return self.c_series(template)[1]
-
-    def scaled(self, r: float) -> "D6Model":
-        """The unshifted model at the parameters r * (c_inf, c_0)."""
-        return D6Model(Parameters(self.p.c_inf * r, self.p.c_0 * r))
 
     def F(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
@@ -395,8 +388,6 @@ class D7Model:
     c: complex
     shift: int = 0
 
-    t_weight = 3
-
     @property
     def shifted(self) -> bool:
         return bool(self.shift)
@@ -418,9 +409,6 @@ class D7Model:
                                     ref.base_point, ref.order, exact=True)
 
     coupling = c_series
-
-    def scaled(self, r: float) -> "D7Model":
-        return D7Model(self.c * r)
 
     def F(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
@@ -537,8 +525,8 @@ def _slot_orders(K: int, N: int, shifted: bool):
 
 def _lambda0_jet(model, jets: DenseJets, seed):
     """The jet of lambda_0, the root of P(lam) = lam t^2 F(lam) at
-    eta^-1 = 0 through ``seed``, with P'(lambda_0) and the Newton gate's
-    residual-to-scale ratio per node.
+    eta^-1 = 0 through ``seed``, with P'(lambda_0) and per node the Newton
+    gate's residual-to-scale ratio and the turning-point gate's ratio.
 
     Newton runs on the values first; then each jet step doubles the order
     (from a root correct through order q, one step is correct through
@@ -564,6 +552,17 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     for _ in range(6):
         val, dval = horner(lam)
         lam = lam - val / dval
+    # At a turning point lambda_0 is a double root, P'(lambda_0) is rounding
+    # next to the terms of P, and the jet steps would divide by it.  The gate
+    # is relative to the largest monomial |a lam^d t^p| of P at the node.
+    terms = np.abs([a * lam[0] ** d * jets.t0 ** p
+                    for d, e, a, p in model.lam_poly() if e == 0])
+    delta_ratio = np.abs(lam[0] * horner(lam)[1][0]) / terms.max(axis=0)
+    if np.min(delta_ratio) < 1e-6:
+        node = int(np.argmin(delta_ratio))
+        raise ConditioningError(
+            f"|lambda_0 P'(lambda_0)| is {np.min(delta_ratio):.2e} of P's largest term "
+            f"at t0={np.ravel(jets.t0)[node]}: too close to a turning point")
     q = 0
     while q < jets.K:
         q = min(2 * q + 1, jets.K)
@@ -580,7 +579,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     scale = np.maximum(1.0, np.maximum(scale, np.abs(jets.t0) ** 2))
     if np.any(res > 1e-8 * scale):
         raise ConditioningError("jet Newton iteration for lambda_0 did not converge")
-    return lam, dval, res / scale
+    return lam, dval, res / scale, delta_ratio
 
 
 def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
@@ -638,9 +637,11 @@ class ZeroParamSolution:
 
     ``diagnostics`` records what the conditioning gates measured: the worst
     Newton residual-to-scale ratio of lambda_0 (``newton_ratio``, gate
-    1e-8) at node ``newton_node``, and the smallest |Delta| (``delta_min``,
-    gate 1e-8) at node ``delta_node``; nodes index the flattened base
-    points (0 for one base point)."""
+    1e-8) at node ``newton_node``; the smallest turning-point ratio
+    |lambda_0 P'(lambda_0)| / max |a lambda_0^d t^p| over the monomials
+    of P (``delta_ratio``, gate 1e-6) at node ``delta_ratio_node``; and,
+    ungated, the smallest |Delta| (``delta_min``) at node ``delta_node``.
+    Nodes index the flattened base points (0 for one base point)."""
 
     model: object
     t0: complex
@@ -663,15 +664,11 @@ class ZeroParamSolution:
 
 def _zero_param_arrays(model, N: int, K: int, t0, seed):
     """The stacks of lambda and mu, the jet of Delta, and per node the
-    Newton residual-to-scale ratio and |Delta|, for base points t0."""
+    Newton residual-to-scale ratio, the turning-point ratio and |Delta|,
+    for base points t0."""
     jets = DenseJets(t0, K)
-    lam0, dP, newton_ratio = _lambda0_jet(model, jets, seed)
+    lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(model, jets, seed)
     delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))
-    delta_abs = np.abs(delta0[0])
-    delta_min = float(np.min(delta_abs))
-    if delta_min < 1e-8:
-        raise ConditioningError(
-            f"|Delta| = {delta_min:.2e} at t0={t0}: too close to a turning point")
     pw, th1 = _lambda_slots(model, jets, lam0, dP, N)
     # mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table.
     groups = {}
@@ -679,7 +676,7 @@ def _zero_param_arrays(model, N: int, K: int, t0, seed):
         groups[p] = groups.get(p, 0) + a * _eta_shift(pw[d], e)
     mu = jets.mul(_eta_shift(th1, 1) + _by_t_power(jets, groups),
                   jets.inverse(2 * pw[2], _step(model)), 1, _step(model))
-    return pw[1], mu, delta0, newton_ratio, delta_abs
+    return pw[1], mu, delta0, newton_ratio, delta_ratio, np.abs(delta0[0])
 
 
 def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
@@ -699,10 +696,11 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
         raise OrderBudgetError(f"jet order K={K} too small for N={N}; need K >= N + 2")
     if not isinstance(t0, np.ndarray):
         t0 = complex(t0)
-    lam, mu, delta0, newton_ratio, delta_abs = _by_chunks(
+    lam, mu, delta0, newton_ratio, delta_ratio, delta_abs = _by_chunks(
         partial(_zero_param_arrays, model, N, K), t0,
         np.broadcast_to(branch.lambda0, np.shape(t0)))
     newton_node, delta_node = int(np.argmax(newton_ratio)), int(np.argmin(delta_abs))
+    ratio_node = int(np.argmin(delta_ratio))
     lam_orders, mu_orders, _ = _slot_orders(K, N, model.shifted)
     return ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
@@ -711,6 +709,8 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
         _jets_of(delta0[None], [K], t0)[0],
         {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
          "newton_node": newton_node,
+         "delta_ratio": float(np.ravel(delta_ratio)[ratio_node]),
+         "delta_ratio_node": ratio_node,
          "delta_min": float(np.ravel(delta_abs)[delta_node]),
          "delta_node": delta_node})
 

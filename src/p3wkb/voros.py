@@ -441,8 +441,7 @@ def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
             for o, clr in obstacles:
                 if L2 == 0:
                     continue
-                s = ((o - p0) / seg).real * 0 + ((o - p0).real * seg.real +
-                                                 (o - p0).imag * seg.imag) / L2
+                s = ((o - p0).real * seg.real + (o - p0).imag * seg.imag) / L2
                 if not 0.02 < s < 0.98:
                     continue
                 foot = p0 + s * seg
@@ -506,58 +505,40 @@ def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
 
 
 def _leg_quadrature(chart, u_pts: list, w_pts: list, rho: float, panel_scale: int):
-    """Gauss-Legendre data for the leg, as two groups: ((u positions,
-    dt/du, weights) for the u-chart part, (u positions, dt/dw, weights) for
-    the w = 1/u part).  Node order runs from the staging point toward the
-    endpoint within each group."""
-    parts = []
+    """Gauss-Legendre data (u positions, dt/dx, weights in x) for the leg,
+    with x = u along the u-chart waypoints and then x = w = 1/u along the
+    w-chart ones.  Node order runs from the staging point to the endpoint."""
+    groups = []
     for pts, in_w in ((u_pts, False), (w_pts, True)):
-        us, jacs, wts = [], [], []
+        if len(pts) < 2:
+            continue
+        nodes, wts = [], []
         for a, b in zip(pts, pts[1:]):
             L = abs(b - a)
             ref = rho if not in_w else max(abs(a), abs(b), 1e-3)
             n_p = max(4, min(48, int(math.ceil(3.0 * L / ref))))
             n_p = max(4, int(math.ceil(n_p * panel_scale)))
-            nodes, weights = _gl_segment(a, b, n_p)
-            if in_w:
-                jet = [chart.t_of_u(1 / Jet.variable(complex(wv), 1)) for wv in nodes]
-                us.append(np.array([1 / complex(wv) for wv in nodes]))
-                jacs.append(np.array([j.coeffs[1] for j in jet]))
-            else:
-                jet = [chart.t_of_u(Jet.variable(complex(uv), 1)) for uv in nodes]
-                us.append(nodes)
-                jacs.append(np.array([j.coeffs[1] for j in jet]))
-            wts.append(weights)
-        if us:
-            parts.append((np.concatenate(us), np.concatenate(jacs), np.concatenate(wts)))
+            seg_nodes, seg_weights = _gl_segment(a, b, n_p)
+            nodes.append(seg_nodes)
+            wts.append(seg_weights)
+        x = np.concatenate(nodes)
+        if in_w:
+            groups.append((1 / x, chart.t_of_u(1 / Jet.variable(x, 1)).coeffs[1],
+                           np.concatenate(wts)))
         else:
-            parts.append((np.array([]), np.array([]), np.array([])))
-    return parts[0], parts[1]
+            groups.append((x, chart.dt_du(x), np.concatenate(wts)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*groups))
 
 
-def _batched_r_slots(chart, model, us: np.ndarray, n_max: int,
-                     rescale: bool = False):
+def _batched_r_slots(chart, model, us: np.ndarray, n_max: int):
     """Slot values R_{-1}, R_1, ..., R_{2 n_max - 1} (principal square-root
-    branch per node) plus t and lambda_0 arrays for u-chart positions.
-
-    With ``rescale`` the computation runs at scaled parameters r*c and
-    scaled t (r^p t with p = ``model.t_weight``: 2 for the two-parameter
-    family, 3 for the degenerate one, with lambda_0 scaling by r^(p-1)) and
-    converts the slots back through the exact weight R_k -> r^(k+p) R_k.
-    This keeps |Delta| in range on the t -> infinity branches, where it
-    decays like 1/t although no turning point is near."""
-    ts = np.array([complex(chart.t_of_u(u)) for u in us])
-    lams = np.array([complex(chart.lambda0_of_u(u)) for u in us])
+    branch per node) plus t and lambda_0 arrays for u-chart positions."""
+    ts = chart.t_of_u(us)
+    lams = chart.lambda0_of_u(us)
     N = 2 * n_max
-    p_t = model.t_weight
-    r = float(np.max(np.abs(ts))) ** (-1.0 / p_t) if rescale else 1.0
-    ts_eval = ts * r ** p_t
-    lams_eval = lams * r ** (p_t - 1)
-    branch = BranchPoint(ts_eval, lams_eval)
-    zp = zero_param_solution(ts_eval, branch, N=N, K=N + 4, model=model.scaled(r))
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 4, model=model)
     ric = riccati_solution(zp, +1)
-    slots = {k: np.asarray(ric.R.slot(-k).value()) * r ** (k + p_t)
-             for k in range(-1, 2 * n_max, 2)}
+    slots = {k: np.asarray(ric.R.slot(-k).value()) for k in range(-1, 2 * n_max, 2)}
     return ts, lams, slots
 
 
@@ -597,7 +578,16 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     """Contour-integral evaluation of W_1..W_{n_max} at an endpoint,
     independent of the closed forms: Riccati slots are integrated along a
     dumbbell around the adjacent turning point with FFT mode extraction on
-    the circle.  Raises PathError when a consistency check fails."""
+    the circle.  Raises PathError when a consistency check fails.
+
+    ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``)
+    and high-frequency (``tail_ratio``) mode ratios, the leg's relative
+    change under a rule with twice the panels (``leg_rel_err``), the two
+    parts of W_n before the sign label (``mode_sum`` and ``leg``), and
+    ``cancellation`` = (|mode_sum| + |leg|) / |W_n| >= 1, the factor by
+    which rounding in either part is amplified in W_n."""
+    if samples % 2:
+        raise ValueError(f"samples must be even (two turns), got {samples}")
     chart = u_chart(params)
     if chart.equation != spec.equation:
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
@@ -611,46 +601,40 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
 
     kind, u_star = _target_of(chart, spec)
     theta_P = cmath.phase(u_star - u_tp) if kind == "point" else 0.0
-    M = samples
-    thetas = theta_P + 4 * math.pi * np.arange(M) / M
-    circle = u_tp + rho * np.exp(1j * thetas)
-    P = circle[0]
+    # The FFT runs over the double cover, M samples on two turns.  The second
+    # turn passes the nodes of the first, so only one turn is solved and its
+    # principal-branch values are reused for the second.
+    M, half = samples, samples // 2
+    turn = u_tp + rho * np.exp(1j * (theta_P + 4 * math.pi * np.arange(half) / M))
+    P = turn[0]
 
     u_pts, w_pts = _leg_waypoints(chart, spec, u_tp, P)
-    fine_u, fine_w = _leg_quadrature(chart, u_pts, w_pts, rho, 1)
-    coarse_u, coarse_w = _leg_quadrature(chart, u_pts, w_pts, rho, 2)   # doubled
+    single = _leg_quadrature(chart, u_pts, w_pts, rho, 1)
+    doubled = _leg_quadrature(chart, u_pts, w_pts, rho, 2)
 
-    # The u-chart group (moderate |t|) and the w-chart group (t -> infinity,
-    # evaluated at rescaled parameters) get separate batched solves.
-    group_u = np.concatenate([circle, fine_u[0], coarse_u[0]])
-    ts, lams, slots = _batched_r_slots(chart, model, group_u, n_max)
-    nC, nFu = M, len(fine_u[0])
-    has_w = len(fine_w[0]) > 0
-    if has_w:
-        group_w = np.concatenate([fine_w[0], coarse_w[0]])
-        ts_w, lams_w, slots_w = _batched_r_slots(chart, model, group_w, n_max,
-                                                 rescale=True)
-        nFw = len(fine_w[0])
+    ts, lams, slots = _batched_r_slots(
+        chart, model, np.concatenate([turn, single[0], doubled[0]]), n_max)
+    on_single = slice(half, half + len(single[0]))
+    on_doubled = slice(half + len(single[0]), None)
+
+    def two_turns(vals):
+        return np.tile(vals[:half], 2)
 
     sqrtD = slots[-1]          # R_{-1} values, principal branch per node
-    sig_circle = _chain_signs(sqrtD[:nC])
-    if _nearer_negated(sig_circle[-1] * sqrtD[nC - 1], sig_circle[0] * sqrtD[0]):
+    sqrt_circle = two_turns(sqrtD)
+    sig_circle = _chain_signs(sqrt_circle)
+    if _nearer_negated(sig_circle[-1] * sqrt_circle[-1], sig_circle[0] * sqrt_circle[0]):
         # After two full turns the chain must close on itself.
         raise PathError("square-root branch failed to close after two turns")
 
-    def _leg_chain(u_vals, w_vals):
-        seq = np.concatenate([[sqrtD[0]], u_vals, w_vals])
-        return _chain_signs(seq, start=sqrtD[0])[1:]
+    def _leg_chain(vals):
+        return _chain_signs(np.concatenate([[sqrtD[0]], vals]), start=sqrtD[0])[1:]
 
-    if has_w:
-        sig_fine = _leg_chain(sqrtD[nC:nC + nFu], slots_w[-1][:nFw])
-        sig_coarse = _leg_chain(sqrtD[nC + nFu:], slots_w[-1][nFw:])
-    else:
-        sig_fine = _leg_chain(sqrtD[nC:nC + nFu], np.array([]))
-        sig_coarse = _leg_chain(sqrtD[nC + nFu:], np.array([]))
+    sig_single = _leg_chain(sqrtD[on_single])
+    sig_doubled = _leg_chain(sqrtD[on_doubled])
 
     # dt/du on the circle (for rho_n = R dt/du) via one-jets.
-    jac_circle = np.array([chart.dt_du(u) for u in circle])
+    jac_circle = two_turns(chart.dt_du(turn))
 
     freqs = np.fft.fftfreq(M, d=1.0 / M)       # signed integer bins
     odd = (np.abs(freqs) % 2).astype(int) == 1
@@ -659,7 +643,7 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     values, diags = {}, {}
     for n in range(1, n_max + 1):
         r = slots[2 * n - 1]
-        f_circle = sig_circle * r[:nC] * jac_circle
+        f_circle = sig_circle * two_turns(r) * jac_circle
         chat = np.fft.fft(f_circle) / M
         amp = np.max(np.abs(chat))
         even_ratio = float(np.max(np.abs(chat[even])) / amp) if amp > 0 else 0.0
@@ -670,28 +654,21 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
         tail_ratio = float(np.max(np.abs(chat[tail])) / amp) if amp > 0 else 0.0
         mode_sum = np.sum(chat[odd] * (P - u_tp) / (freqs[odd] / 2 + 1))
 
-        nCu = len(coarse_u[0])
-        leg_fine = np.sum(fine_u[2] * sig_fine[:nFu] * r[nC:nC + nFu] * fine_u[1])
-        leg_coarse = np.sum(coarse_u[2] * sig_coarse[:nCu] * r[nC + nFu:] * coarse_u[1])
-        if has_w:
-            rw = slots_w[2 * n - 1]
-            leg_fine += np.sum(fine_w[2] * sig_fine[nFu:] * rw[:nFw] * fine_w[1])
-            leg_coarse += np.sum(coarse_w[2] * sig_coarse[nCu:] * rw[nFw:] * coarse_w[1])
-        leg_err = abs(leg_fine - leg_coarse) / max(abs(leg_fine), 1e-30)
-        if leg_err > 1e-6 and abs(leg_fine - leg_coarse) > 1e-9 * max(1.0, abs(mode_sum)):
+        leg = np.sum(single[2] * sig_single * r[on_single] * single[1])
+        leg_doubled = np.sum(doubled[2] * sig_doubled * r[on_doubled] * doubled[1])
+        leg_err = abs(leg - leg_doubled) / max(abs(leg), 1e-30)
+        if leg_err > 1e-6 and abs(leg - leg_doubled) > 1e-9 * max(1.0, abs(mode_sum)):
             raise PathError(f"leg quadrature not converged (rel {leg_err:.2e})")
 
-        values[n] = _ORIENTATION * (mode_sum + leg_fine)
+        w_n = mode_sum + leg
+        values[n] = _ORIENTATION * w_n
         diags[n] = {"even_ratio": even_ratio, "tail_ratio": tail_ratio,
-                    "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg_fine}
+                    "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg,
+                    "cancellation": float((abs(mode_sum) + abs(leg)) / abs(w_n))
+                    if w_n else math.inf}
 
-    if has_w:
-        t_end, lam_end = ts_w[nFw - 1], lams_w[nFw - 1]
-        r_end = sig_fine[-1] * slots_w[-1][nFw - 1]
-    else:
-        t_end, lam_end = ts[nC + nFu - 1], lams[nC + nFu - 1]
-        r_end = sig_fine[-1] * sqrtD[nC + nFu - 1]
-    label = _anchor_label(spec, chart, t_end, lam_end, r_end)
+    end = on_single.stop - 1
+    label = _anchor_label(spec, chart, ts[end], lams[end], sig_single[-1] * sqrtD[end])
     if label != spec.sign:
         values = {n: -v for n, v in values.items()}
     return OracleResult(spec, values, label, u_tp, diags)

@@ -266,3 +266,18 @@ def test_d7_distinguished_points():
 def test_d7_rejects_zero_parameter():
     with pytest.raises(DegenerateParametersError):
         D7Chart(0)
+
+
+@pytest.mark.parametrize("chart", [D6Chart(P_GEN), D7Chart(2 + 1j)], ids=["d6", "d7"])
+def test_chart_maps_on_node_arrays_equal_the_scalar_maps(chart):
+    us = np.array([0.5 + 0.5j, -2 + 0.3j, 1.5 - 1j, 3 + 2j, -0.4 - 1.3j, 0.2 + 0.05j, 40 - 25j])
+    ws = 1 / us
+    for name in ("t_of_u", "lambda0_of_u", "dt_du"):
+        chart_map = getattr(chart, name)
+        got = chart_map(us)
+        want = np.array([complex(chart_map(complex(u))) for u in us])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+    # dt/dw at w = 1/u, as the oracle's leg to u = infinity takes it.
+    got = chart.t_of_u(1 / Jet.variable(ws, 1)).coeffs[1]
+    want = np.array([chart.t_of_u(1 / Jet.variable(complex(w), 1)).coeffs[1] for w in ws])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

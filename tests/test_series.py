@@ -2,6 +2,7 @@
 Hamiltonians, and parameter-shift transformations."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -95,15 +96,22 @@ def test_lambda4_printed_formula(zp):
     assert abs(direct.value() - zp.lam.slot_value(-4)) < 1e-10
 
 
-def test_conditioning_error_for_tiny_delta():
-    # Rescaling (t, c) -> (r^-2 t, r^-1 c) scales Delta by r^2; r = 1e-5
-    # drives |Delta| below the 1e-8 conditioning gate.
+def test_tiny_delta_from_rescaling_is_accepted():
+    # Rescaling (t, c) -> (r^-2 t, r^-1 c) scales Delta by r^2 and slot 2k
+    # of lambda by r^(2k-1), leaving the turning-point ratio unchanged.
+    # At r = 1e-5, |Delta| ~ 5e-10 is far from any turning point and solves
+    # as accurately as the unscaled point.
     r = 1e-5
     ps = Parameters(P.c_inf / r, P.c_0 / r)
     ts = T0 / r ** 2
-    b = lambda0_branches(ts, ps)[0]
-    with pytest.raises(ConditioningError):
-        zero_param_solution(ts, b, ps, N=4)
+    one = zero_param_solution(T0, lambda0_branches(T0, P)[0], P, N=4)
+    scaled = zero_param_solution(ts, lambda0_branches(ts, ps)[0], ps, N=4)
+    assert scaled.diagnostics["delta_min"] < 1e-8
+    assert scaled.diagnostics["delta_ratio"] == pytest.approx(one.diagnostics["delta_ratio"],
+                                                              rel=1e-12)
+    for k in range(3):
+        want = one.lam.slot_value(-2 * k) * r ** (2 * k - 1)
+        assert abs(scaled.lam.slot_value(-2 * k) - want) < 1e-12 * abs(want)
 
 
 def test_order_budget_gate():
@@ -464,3 +472,26 @@ def test_diagnostics_record_the_gates(zp):
     assert zp.diagnostics["delta_min"] == pytest.approx(abs(zp.delta0.value()), rel=1e-15)
     assert zp.diagnostics["delta_node"] == zp.diagnostics["newton_node"] == 0
     assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_base_point_at_a_turning_point_is_refused(k):
+    # At a turning point lambda_0 is a double root of P; the gate refuses it
+    # before any jet step divides by P'(lambda_0).
+    tau, lam_double = turning_points(P).taus[k]
+    lam = min((b.lambda0 for b in lambda0_branches(tau, P)), key=lambda v: abs(v - lam_double))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for N in (4, 8):
+            with pytest.raises(ConditioningError):
+                zero_param_solution(tau, BranchPoint(tau, lam), P, N=N)
+
+
+def test_diagnostics_record_the_turning_point_ratio(zp):
+    lam, t = zp.lam.slot(0).value(), zp.t0
+    terms = [abs(a * lam ** d * t ** p) for d, e, a, p in zp.model.lam_poly() if e == 0]
+    dP = sum(d * a * lam ** (d - 1) * t ** p for d, e, a, p in zp.model.lam_poly()
+             if e == 0 and d > 0)
+    assert zp.diagnostics["delta_ratio"] == pytest.approx(abs(lam * dP) / max(terms), rel=1e-9)
+    assert zp.diagnostics["delta_ratio"] >= 1e-6
+    assert zp.diagnostics["delta_ratio_node"] == 0

@@ -10,6 +10,7 @@ from p3wkb.algebra import Parameters
 from p3wkb.numerics import LaurentAtInfinity
 from p3wkb.voros import (
     EndpointSpec,
+    PathError,
     cycle_symbolic,
     f_coefficient,
     f_difference_rhs,
@@ -219,3 +220,29 @@ def test_oracle_results_are_not_shared_between_calls():
     first = voros_numeric_oracle(spec, 2 + 1j, n_max=1)
     first.values[1] = 0j
     assert voros_numeric_oracle(spec, 2 + 1j, n_max=1).values[1] != 0
+
+
+@pytest.mark.parametrize("target", ["inf1", "zero_c0"])
+def test_oracle_reports_the_cancellation_between_its_parts(target):
+    res = voros_numeric_oracle(EndpointSpec("d6", target, +1), P_GEN, n_max=2)
+    for n, diag in res.diagnostics.items():
+        parts = abs(diag["mode_sum"]) + abs(diag["leg"])
+        assert diag["cancellation"] >= 1
+        assert diag["cancellation"] == pytest.approx(parts / abs(res.values[n]), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, params, center", [
+    (EndpointSpec("d7", "zero_c", +1), 2 + 1j, -(2 + 1j)),
+    (EndpointSpec("d6", "zero_c0", +1), P_GEN, 5 + 5j),
+])
+def test_oracle_refuses_a_circle_around_no_turning_point(spec, params, center):
+    # The second turn of the circle reuses the values solved on the first;
+    # with no branch point inside, the signs do not flip after one turn and
+    # the integer-power modes must still give the circle away.
+    with pytest.raises(PathError, match="integer-power"):
+        voros_numeric_oracle(spec, params, n_max=2, tp_override=center)
+
+
+def test_oracle_needs_an_even_sample_count():
+    with pytest.raises(ValueError):
+        voros_numeric_oracle(EndpointSpec("d7", "zero_c", +1), 2 + 1j, n_max=1, samples=511)
