@@ -312,6 +312,7 @@ class D6Chart(UChart):
         self.finite_infinities_u = {"inf34": 0j}
         self.escape_scale = max(1.0, abs(cm / cp))
         self.arc_scale = max(1.0, abs(cp))
+        self._cp2, self._cm2 = cp ** 2, cm ** 2      # q's coefficients
 
     def t_of_u(self, u):
         cp, cm = self.p.c_p, self.p.c_m
@@ -326,8 +327,7 @@ class D6Chart(UChart):
         return 1 / (1 + u)
 
     def q(self, u):
-        cp2 = self.p.c_p ** 2
-        cm2 = self.p.c_m ** 2
+        cp2, cm2 = self._cp2, self._cm2
         num = cp2 * u ** 3 + cm2
         den = (u + 1) * u ** 4 * (cp2 * u * u - cm2) ** 2
         return 4 * num ** 3 / den

@@ -221,8 +221,10 @@ def _kernel_series() -> np.ndarray:
 
 
 def _k_G(y: np.ndarray, series: np.ndarray) -> np.ndarray:
+    # The Taylor series converges for |y| < 2 pi; the test is on |y| so that
+    # complex y far from the origin takes the direct formula.
     out = np.empty_like(y)
-    small = y < 0.1
+    small = np.abs(y) < 0.1
     out[small] = np.polynomial.polynomial.polyval(y[small], series)
     yl = y[~small]
     out[~small] = (1.0 / np.expm1(yl) - 1.0 / yl + 0.5) / yl

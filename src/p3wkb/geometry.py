@@ -6,6 +6,9 @@ Curves are integral curves of Im int sqrt(q) du = 0, traced with the
 unit-speed field conj(sqrt q)/|sqrt q| (so Re of the integral increases
 monotonically), a continuation sign chained along the curve, and a steering
 correction that keeps the accumulated imaginary part pinned to zero.
+Every step does the same work however long the curve already is: at most 9
+evaluations of q, and a scan of the earlier segments for closure only once
+the curve has turned through 1.5 pi since one of them.
 """
 
 from __future__ import annotations
@@ -158,15 +161,6 @@ def _sqrt_q(chart, u: complex, ref: complex) -> complex:
     return -v if _nearer_negated(v, ref) else v
 
 
-def _nearest_special_distance(chart, u: complex, exclude=()) -> float:
-    best = math.inf
-    for s in chart.singular_points():
-        if any(abs(s - e) < 1e-12 * (1 + abs(e)) for e in exclude):
-            continue
-        best = min(best, abs(u - s))
-    return best
-
-
 _GL4 = (
     (-0.8611363115940526, 0.34785484513745385),
     (-0.3399810435848563, 0.6521451548625461),
@@ -174,16 +168,32 @@ _GL4 = (
     (0.8611363115940526, 0.34785484513745385),
 )
 
+# A closure needs the sub-path since the revisited segment to have turned
+# through more than _CLOSURE_TURN.  The tracer keeps a running sum of the
+# turning angle, so the segment scan waits until some arc-separated segment
+# lies that far behind, less a margin far above the rounding between the
+# running sum and the scan's own sum over the same angles.
+_CLOSURE_TURN = 1.5 * math.pi
+_TURN_MARGIN = 1e-6
+
 
 def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = None,
                 chart=None) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
-    pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing."""
+    pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
+
+    Each step costs the same however long the curve already is: at most 9
+    evaluations of q (3 for RK4, whose first stage reuses the square root
+    at the current point, 4 for the Gauss-Legendre chord, 1 at the end
+    point and 1 for steering when it applies), and a scan of the earlier
+    segments for closure only once the curve has turned through 1.5 pi
+    since one of them."""
     opts = opts or TraceOptions()
     if chart is None:
         chart = u_chart(params)
     origin = complex(origin)
-    scale = max([1.0] + [abs(s) for s in chart.singular_points()])
+    specials = chart.singular_points()
+    scale = max([1.0] + [abs(s) for s in specials])
 
     origin_label = None
     for k, u_tp in enumerate(chart.turning_points_u):
@@ -200,13 +210,24 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
 
     escape = opts.escape_factor * chart.escape_scale
     budget = opts.arc_budget_factor * chart.arc_scale
+    max_h, min_h = opts.max_step * scale, opts.min_step * scale
     # Later entries win where capture discs overlap (see UChart.capture_points).
     captures = [(label, pole, opts.capture_radius * max(1.0, abs(pole)))
                 for label, pole in chart.capture_points().items()]
+    sp = chart.simple_pole_u
+    sp_radius = opts.capture_radius * max(1.0, abs(sp))
+    sp_is_origin = abs(sp - origin) < 1e-12 * scale
+    tp_radius = opts.tp_radius * scale
+    tp_targets = [(k, u_tp, abs(u_tp - origin) < 1e-12 * scale)
+                  for k, u_tp in enumerate(chart.turning_points_u)]
+    sep_arc = 20 * opts.capture_radius * scale
+    hit_tol = 1e-5 * scale
 
     # Step off the origin along the ray; the steering correction then pulls
     # the polyline onto the exact level set.
-    h0 = 1e-4 * max(1e-3, _nearest_special_distance(chart, origin, exclude=(origin,)))
+    d0 = min([abs(origin - s) for s in specials
+              if not abs(s - origin) < 1e-12 * (1 + abs(origin))])
+    h0 = 1e-4 * max(1e-3, d0)
     u = origin + h0 * direction
     sq = cmath.sqrt(chart.q(u))
     if _nearer_negated(sq.conjugate() / abs(sq), direction):
@@ -221,6 +242,13 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     # its neighborhood (else the first step "terminates" immediately).
     leave_radius = 3 * max(opts.tp_radius, opts.capture_radius) * scale
     left_origin = False
+    # Running turning angle: turns[i] is the angle turned from the first
+    # step through step i (points[i] -> points[i+1]); lo and hi bound it
+    # over the first n_sep steps, the arc-separated ones.
+    last_step = u - origin
+    turn_exact = last_step != 0
+    turn, turns = 0.0, [0.0]
+    n_sep, lo, hi = 0, math.inf, -math.inf
 
     def field_at(v: complex, ref: complex) -> tuple:
         s = _sqrt_q(chart, v, ref)
@@ -228,16 +256,17 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
 
     step_shrink = 0
     while terminus is None:
-        d_near = _nearest_special_distance(chart, u, exclude=())
-        h = min(opts.max_step * scale, opts.step_factor * max(d_near, 1e-12))
+        d_near = min([abs(u - s) for s in specials])
+        h = min(max_h, opts.step_factor * max(d_near, 1e-12))
         h /= 2 ** step_shrink
-        if h < opts.min_step * scale:
+        if h < min_h:
             raise TraceError(f"step underflow at u={u:.6g}", partial=points)
 
-        # RK4 on the unit-speed field, with sign continuation via sq.
+        # RK4 on the unit-speed field, with sign continuation via sq, which
+        # is already the continued square root at u.
         try:
-            k1, s1 = field_at(u, sq)
-            k2, s2 = field_at(u + 0.5 * h * k1, s1)
+            k1 = sq.conjugate() / abs(sq)
+            k2, s2 = field_at(u + 0.5 * h * k1, sq)
             k3, s3 = field_at(u + 0.5 * h * k2, s2)
             k4, s4 = field_at(u + h * k3, s3)
         except ZeroDivisionError:
@@ -248,7 +277,7 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         # the turning-point capture scale.
         half = (u_next - u) / 2
         mid = (u + u_next) / 2
-        ref = s1
+        ref = sq
         dphi = 0j
         for x, w in _GL4:
             ref = _sqrt_q(chart, mid + half * x, ref)
@@ -274,11 +303,22 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         step_shrink = max(0, step_shrink - 1)
 
         phi += dphi
-        arc += abs(u_next - u)
+        step = u_next - u
+        arc += abs(step)
         u, sq = u_next, sq_next
         points.append(u)
         arcs.append(arc)
         im_worst = max(im_worst, abs(phi.imag))
+        if turn_exact:
+            bend = cmath.phase(step / last_step) if step else math.nan
+            if abs(bend) < 3.0:
+                turn += bend
+                last_step = step
+            else:
+                # A zero step, or a near-reversal whose rounded angle may
+                # flip between +pi and -pi: scan on every step from here.
+                turn_exact = False
+        turns.append(turn)
 
         # --- terminus checks -------------------------------------------
         if not left_origin and abs(u - origin) > leave_radius:
@@ -295,16 +335,11 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
                 terminus = label
         if terminus:
             break
-        sp_is_origin = abs(chart.simple_pole_u - origin) < 1e-12 * scale
-        if (left_origin or not sp_is_origin) and \
-                abs(u - chart.simple_pole_u) < opts.capture_radius * \
-                max(1.0, abs(chart.simple_pole_u)):
+        if (left_origin or not sp_is_origin) and abs(u - sp) < sp_radius:
             terminus = "simple_pole"
             break
-        for k, u_tp in enumerate(chart.turning_points_u):
-            tp_is_origin = abs(u_tp - origin) < 1e-12 * scale
-            if (left_origin or not tp_is_origin) and \
-                    abs(u - u_tp) < opts.tp_radius * scale:
+        for k, u_tp, tp_is_origin in tp_targets:
+            if (left_origin or not tp_is_origin) and abs(u - u_tp) < tp_radius:
                 terminus = f"turning_point:{k}"
                 break
         if terminus:
@@ -318,29 +353,28 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         # land on the earlier segment itself (perpendicular distance at the
         # integration-accuracy scale, far below any spiral's arm gap), and
         # the intervening sub-path must have turned through a full loop.
-        if arc > 20 * opts.capture_radius * scale and len(points) > 20:
-            pts = np.asarray(points)
-            arcs_a = np.asarray(arcs)
-            sep = arcs_a[:-1] < arc - 20 * opts.capture_radius * scale
-            idx = np.nonzero(sep)[0]
-            if idx.size:
-                a = pts[idx]
-                seg = pts[idx + 1] - a
+        if arc > sep_arc and len(points) > 20:
+            while n_sep < len(points) - 1 and arcs[n_sep] < arc - sep_arc:
+                lo, hi = min(lo, turns[n_sep]), max(hi, turns[n_sep])
+                n_sep += 1
+            behind = max(turn - lo, hi - turn)
+            if n_sep and (not turn_exact or behind > _CLOSURE_TURN - _TURN_MARGIN):
+                pts = np.asarray(points)
+                a = pts[:n_sep]
+                seg = pts[1:n_sep + 1] - a
                 L2 = np.abs(seg) ** 2
                 tpar = np.clip(((u - a) * np.conj(seg)).real /
                                np.maximum(L2, 1e-300), 0.0, 1.0)
                 d = np.abs(u - (a + tpar * seg))
-                jrel = int(np.argmin(d))
-                if d[jrel] < 1e-5 * scale * (1 + arc):
-                    j = int(idx[jrel])
-                    seg_dir = seg[jrel]
-                    step_dir = points[-1] - points[-2]
+                j = int(np.argmin(d))
+                if d[j] < hit_tol * (1 + arc):
+                    seg_dir = seg[j]
                     dirs = np.diff(pts[j:])
                     dirs = dirs[np.abs(dirs) > 0]
                     turning = abs(float(np.sum(np.angle(dirs[1:] / dirs[:-1]))))
-                    cosine = (step_dir / abs(step_dir) *
+                    cosine = (step / abs(step) *
                               (seg_dir / abs(seg_dir)).conjugate()).real
-                    if cosine > opts.closure_cosine and turning > 1.5 * math.pi:
+                    if cosine > opts.closure_cosine and turning > _CLOSURE_TURN:
                         terminus = "closed"
                         break
 

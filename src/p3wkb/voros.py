@@ -583,7 +583,8 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``)
     and high-frequency (``tail_ratio``) mode ratios, the leg's relative
     change under a rule with twice the panels (``leg_rel_err``), the two
-    parts of W_n before the sign label (``mode_sum`` and ``leg``), and
+    parts of W_n before the sign label (``mode_sum``, and ``leg`` from the
+    rule with twice the panels), and
     ``cancellation`` = (|mode_sum| + |leg|) / |W_n| >= 1, the factor by
     which rounding in either part is amplified in W_n."""
     if samples % 2:
@@ -660,11 +661,12 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
         if leg_err > 1e-6 and abs(leg - leg_doubled) > 1e-9 * max(1.0, abs(mode_sum)):
             raise PathError(f"leg quadrature not converged (rel {leg_err:.2e})")
 
-        w_n = mode_sum + leg
+        # The gate has just compared the two rules; W_n takes the finer one.
+        w_n = mode_sum + leg_doubled
         values[n] = _ORIENTATION * w_n
         diags[n] = {"even_ratio": even_ratio, "tail_ratio": tail_ratio,
-                    "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg,
-                    "cancellation": float((abs(mode_sum) + abs(leg)) / abs(w_n))
+                    "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg_doubled,
+                    "cancellation": float((abs(mode_sum) + abs(leg_doubled)) / abs(w_n))
                     if w_n else math.inf}
 
     end = on_single.stop - 1

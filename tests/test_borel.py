@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,6 +17,8 @@ from p3wkb.borel import (
     GammaPoleError,
     KernelGateError,
     UnsupportedCaseError,
+    _k_G,
+    _kernel_series,
     _validate_kernels,
     borel_sum_F,
     borel_sum_G,
@@ -225,6 +228,15 @@ def test_kernel_gate_detects_corruption():
         _validate_kernels(g_coeff=lambda n: g_coefficient(n) + Fraction(1, 10 ** 9))
     with pytest.raises(KernelGateError):
         _validate_kernels(f_coeff=lambda n: -f_coefficient(n))
+
+
+def test_kernel_branch_is_chosen_by_modulus():
+    # Complex y with Re y < 0.1 but |y| far beyond the series radius 2 pi
+    # must take the direct formula; small |y| keeps the series.
+    y = np.array([0.05 + 20j, -0.3 + 9j, 0.02 + 0.03j])
+    got = _k_G(y, _kernel_series())
+    direct = (1.0 / np.expm1(y) - 1.0 / y + 0.5) / y
+    assert np.all(np.abs(got - direct) < 1e-12 * np.abs(direct))
 
 
 @pytest.mark.parametrize("kind,fn", [("G", borel_sum_G), ("F", borel_sum_F)])

@@ -30,6 +30,8 @@ from p3wkb.geometry import (
     trace_curve,
 )
 
+from trace_reference import TRACES
+
 P_GEN = Parameters(2 + 1j, 3)
 
 
@@ -179,6 +181,33 @@ def test_reference_figure(name, params, termini, verdict):
         else:
             assert rec.participants == [[0, 1], [0, 2], [1, 2]]
             assert rec.diagnostic < EPS_TRACE * 100
+
+
+@pytest.mark.parametrize("name,params",
+                         [(c[0], c[1]) for c in FIGURE_CASES]
+                         + [("d6_wall_corner", Parameters(1j, 0.5j))],
+                         ids=[c[0] for c in FIGURE_CASES] + ["d6_wall_corner"])
+def test_traces_match_recorded_curves(name, params):
+    # Termini and point counts exactly; end points, phi_end and im_drift
+    # within 1e-12 relative of the recorded tracer.
+    diag = _diagram(params)
+    assert len(diag.curves) == len(TRACES[name])
+    for c, (terminus, count, last, phi_end, im_drift) in zip(diag.curves, TRACES[name]):
+        assert (c.terminus, len(c.points)) == (terminus, count)
+        assert abs(c.points[-1] - last) <= 1e-12 * abs(last)
+        assert abs(c.phi_end - phi_end) <= 1e-12 * abs(phi_end)
+        assert abs(c.im_drift - im_drift) <= 1e-12 * im_drift
+
+
+def test_closure_terminus_reports_loop():
+    # At W1 with a turning-point capture radius too small to catch the
+    # self-connection, the curve from tp1 comes round the double pole and
+    # ends on its own earlier segment.
+    diag = stokes_diagram(Parameters(2 + 1j, 3j), TraceOptions(tp_radius=1e-6))
+    closed = [c for c in diag.curves if c.terminus == "closed"]
+    assert [(c.origin, c.ray) for c in closed] == [("tp1", 1)]
+    assert [(d.kind, d.participants) for d in diag.degenerations] == \
+        [("loop", ["tp1", "zero_c0"])]
 
 
 def test_triangle_connections_are_direction_symmetric():

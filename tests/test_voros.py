@@ -222,6 +222,18 @@ def test_oracle_results_are_not_shared_between_calls():
     assert voros_numeric_oracle(spec, 2 + 1j, n_max=1).values[1] != 0
 
 
+def test_oracle_returns_the_refined_leg():
+    # A chamber-V point where W_2's two parts cancel by about 1e8: the leg
+    # from the coarser rule passes its convergence gate yet leaves W_2 off
+    # by 2.6 relative; the leg from the rule with twice the panels does not.
+    spec = EndpointSpec("d6", "inf1", +1)
+    p = Parameters(-2.28992598346274 + 0.3078450670676809j,
+                   -1.8157789096795514 + 0.23112540915714153j)
+    res = voros_numeric_oracle(spec, p, n_max=2)
+    closed = voros_closed_form(spec, p, 2)
+    assert abs(res.values[2] - closed[2]) / abs(closed[2]) < 1e-3
+
+
 @pytest.mark.parametrize("target", ["inf1", "zero_c0"])
 def test_oracle_reports_the_cancellation_between_its_parts(target):
     res = voros_numeric_oracle(EndpointSpec("d6", target, +1), P_GEN, n_max=2)
