@@ -52,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Parameters
-from .numerics import log_gamma
+from .numerics import _read_only, log_gamma
 from .voros import f_coefficient, g_coefficient
 from .walls import on_imaginary_axis
 
@@ -168,6 +168,10 @@ _KERNEL_DEPTH = 24          # Taylor terms kept for the small-y evaluation
 _KERNEL_GATE_ORDERS = 8     # exact coefficient matches demanded per kernel
 _KERNEL_CACHE: np.ndarray | None = None
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_BLOCK_PANELS = 256         # panels evaluated together, bounding the memory
+_MAX_PANELS = 10 ** 6       # grids beyond this are refused, not allocated
+
 
 def _kernel_table(n_terms: int) -> list[Fraction]:
     """Taylor coefficients of k_G at y = 0, in exact rationals.
@@ -213,10 +217,11 @@ def _validate_kernels(f_coeff=f_coefficient, g_coeff=g_coefficient,
 
 
 def _kernel_series() -> np.ndarray:
-    """Float Taylor coefficients of k_G, validated once per process."""
+    """Float Taylor coefficients of k_G, validated once per process.  The
+    array is shared by every caller, so it is read-only."""
     global _KERNEL_CACHE
     if _KERNEL_CACHE is None:
-        _KERNEL_CACHE = np.array([float(a) for a in _validate_kernels()])
+        (_KERNEL_CACHE,) = _read_only(np.array([float(a) for a in _validate_kernels()]))
     return _KERNEL_CACHE
 
 
@@ -225,9 +230,13 @@ def _k_G(y: np.ndarray, series: np.ndarray) -> np.ndarray:
     # complex y far from the origin takes the direct formula.
     out = np.empty_like(y)
     small = np.abs(y) < 0.1
-    out[small] = np.polynomial.polynomial.polyval(y[small], series)
+    if small.any():
+        out[small] = np.polynomial.polynomial.polyval(y[small], series)
+    # k_G is even, so the direct formula is taken on Re y >= 0, where
+    # 1/(e^y - 1) = -e^{-y}/expm1(-y) cannot overflow.
     yl = y[~small]
-    out[~small] = (1.0 / np.expm1(yl) - 1.0 / yl + 0.5) / yl
+    yl = np.where(yl.real < 0.0, -yl, yl)
+    out[~small] = (-np.exp(-yl) / np.expm1(-yl) - 1.0 / yl + 0.5) / yl
     return out
 
 
@@ -237,39 +246,71 @@ def _kernel_values(kind: str, y: np.ndarray, series: np.ndarray) -> np.ndarray:
     return 0.5 * _k_G(0.5 * y, series) - _k_G(y, series)
 
 
+def _panel_edges(z: complex) -> np.ndarray:
+    """Edges of the Gauss-Legendre panels of :func:`laplace_oracle`.
+
+    The edge after e is min(1.6 e, e + 6/|Im z|, 60/Re z) beyond the
+    uniform block [0, 10/Re z].  Since 1.6**4 > 6, at most four geometric
+    steps precede either the end or the width cap, after which every panel
+    has the capped width.  Both runs are built by accumulation, so each
+    edge carries the rounding of the step-by-step rule.  The panel count is
+    known before anything large is allocated; above ``_MAX_PANELS`` the
+    grid is refused with a ``ValueError``.
+    """
+    x, w = z.real, abs(z.imag)
+    y_split, y_max = 10.0 / x, 60.0 / x
+    cap = 6.0 / w if w else math.inf
+    geo = np.multiply.accumulate(np.r_[y_split, np.full(4, 1.6)])
+    # m geometric edges lie below y_max; from geo[m] on, the cap or the end rules
+    m = int(np.argmax((geo[1:] > geo[:-1] + cap) | (geo[1:] >= y_max)))
+    start = geo[m]
+    capped = geo[m + 1] > start + cap
+    n_lin = max(8.0, 4.0 * (1.0 + w / x))
+    n_capped = (y_max - start) / cap if capped else 0.0
+    n_panels = n_lin + m + n_capped + 1.0    # within 2 of the count; nan or inf if runaway
+    if not (n_panels <= _MAX_PANELS and y_max < math.inf):
+        raise ValueError(f"Laplace oracle at z = {z} needs about {n_panels:.4g} "
+                         f"quadrature panels out to y = {y_max:.4g}, beyond the "
+                         f"ceiling of {_MAX_PANELS} panels or the float range")
+    run = np.add.accumulate(np.r_[start, np.full(int(n_capped) + 1, cap)])
+    run = run[1:np.searchsorted(run, y_max)]
+    return np.concatenate((np.linspace(0.0, y_split, math.ceil(n_lin) + 1), geo[1:m + 1],
+                           run, [y_max]))
+
+
 def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
     """Evaluate the minus-side sum by direct Laplace quadrature.
 
-    Requires Re(c eta) > 0.  The integrand is sampled on Gauss-Legendre
-    panels: a uniform block out to y = 10/Re(z) (refined against the
-    oscillation e^{-i Im(z) y}) continued by geometrically growing panels
-    to y = 60/Re(z), where the dropped tail is below
-    e^{-60} * (1/(2 y) + 1/y^2)/Re(z) < 1e-26 for every admissible z.
+    Requires Re(c eta) > 0.  The integrand is sampled on 32-point
+    Gauss-Legendre panels (:func:`_panel_edges`): a uniform block of
+    max(8, ceil(4 (1 + |Im z|/Re z))) panels out to y = 10/Re(z), refined
+    against the oscillation e^{-i Im(z) y}, continued by panels growing by
+    a factor 1.6 but at most 6/|Im z| wide, out to y = 60/Re(z), where the
+    dropped tail is below e^{-60} * (1/(2 y) + 1/y^2)/Re(z) < 1e-26 for
+    every admissible z.  A grid of more than ``_MAX_PANELS`` panels (Re z
+    tiny against |Im z|) raises ``ValueError`` before it is built.
+
+    The kernel and e^{-z y} are evaluated on blocks of at most
+    ``_BLOCK_PANELS`` panels, each reduced by one weighted sum, so memory
+    stays bounded whatever the oscillation.  The kernel is evaluated on
+    Re y >= 0 through its evenness, where it cannot overflow.
     """
     if kind not in ("F", "G"):
         raise ValueError(f"kind must be 'F' or 'G', got {kind!r}")
     z = complex(c) * complex(eta)
     if z.real <= 0.0:
         raise ValueError(f"Laplace oracle needs Re(c eta) > 0, got z = {z}")
+    edges = _panel_edges(z)
     series = _kernel_series()
 
-    x = z.real
-    y_split = 10.0 / x
-    y_max = 60.0 / x
-    osc = 1.0 + abs(z.imag) / x
-    n_lin = max(8, math.ceil(4.0 * osc))
-    edges = list(np.linspace(0.0, y_split, n_lin + 1))
-    width_cap = 6.0 / abs(z.imag) if z.imag else math.inf
-    while edges[-1] < y_max:
-        edges.append(min(edges[-1] * 1.6, edges[-1] + width_cap, y_max))
-
-    nodes, weights = np.polynomial.legendre.leggauss(32)
     total = 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
+    for lo in range(0, len(edges) - 1, _BLOCK_PANELS):
+        block = edges[lo:lo + _BLOCK_PANELS + 1]
+        a, b = block[:-1], block[1:]
         half = 0.5 * (b - a)
-        ys = 0.5 * (a + b) + half * nodes
-        kv = _kernel_values(kind, ys, series)
-        total += half * np.sum(weights * kv * np.exp(-z * ys))
+        ys = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        integrand = _kernel_values(kind, ys, series) * np.exp(-z * ys)
+        total += half @ (integrand @ _GL_WEIGHTS)
     return complex(total)
 
 

@@ -19,6 +19,8 @@ from p3wkb.borel import (
     UnsupportedCaseError,
     _k_G,
     _kernel_series,
+    _kernel_values,
+    _panel_edges,
     _validate_kernels,
     borel_sum_F,
     borel_sum_G,
@@ -245,6 +247,68 @@ def test_laplace_oracle_matches_closed_form(kind, fn, c):
     closed = fn(c, 1.0).value
     direct = laplace_oracle(kind, c, 1.0)
     assert abs(direct - closed) < 1e-8 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("kind,fn", [("G", borel_sum_G), ("F", borel_sum_F)])
+@pytest.mark.parametrize("c", [0.05, 0.05 + 5j])
+def test_laplace_oracle_at_small_real_part(kind, fn, c):
+    # The grid reaches y = 1200, where e^y overflows a float; the kernel
+    # must not (RuntimeWarnings from p3wkb.borel are errors, pyproject.toml).
+    closed = fn(c, 1.0).value
+    direct = laplace_oracle(kind, c, 1.0)
+    assert abs(direct - closed) < 1e-8 * max(1.0, abs(closed))
+
+
+def test_kernel_series_is_read_only():
+    with pytest.raises(ValueError):
+        _kernel_series()[0] = 0.0
+
+
+def test_runaway_grid_is_refused():
+    # About 4e9 panels: refused from the closed-form count, not built.
+    with pytest.raises(ValueError, match="panels"):
+        laplace_oracle("G", 1e-9 + 1j, 1.0)
+
+
+#: |Im z| / Re z bands of the borel_laplace benchmark workload.
+RATIO_BANDS = ((0.0, 0.0), (0.0, 0.3), (0.3, 1.0), (1.0, 3.0),
+               (3.0, 10.0), (10.0, 30.0), (30.0, 100.0))
+
+
+def _reference_edges(z):
+    # The panel rule edge by edge, as laplace_oracle once built it.
+    x = z.real
+    y_split, y_max = 10.0 / x, 60.0 / x
+    n_lin = max(8, math.ceil(4.0 * (1.0 + abs(z.imag) / x)))
+    edges = list(np.linspace(0.0, y_split, n_lin + 1))
+    width_cap = 6.0 / abs(z.imag) if z.imag else math.inf
+    while edges[-1] < y_max:
+        edges.append(min(edges[-1] * 1.6, edges[-1] + width_cap, y_max))
+    return np.array(edges)
+
+
+def _reference_oracle(kind, z):
+    # One panel at a time, as laplace_oracle once summed them.
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = _reference_edges(z)
+    total = 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        ys = 0.5 * (a + b) + half * nodes
+        kv = _kernel_values(kind, ys, _kernel_series())
+        total += half * np.sum(weights * kv * np.exp(-z * ys))
+    return complex(total)
+
+
+@pytest.mark.parametrize("kind", ["F", "G"])
+@pytest.mark.parametrize("x", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("band", RATIO_BANDS)
+def test_block_quadrature_matches_per_panel_rule(band, x, kind):
+    z = complex(x, x * 0.5 * sum(band))
+    edges = _panel_edges(z)
+    assert np.array_equal(edges, _reference_edges(z))
+    want = _reference_oracle(kind, z)
+    assert abs(laplace_oracle(kind, z, 1.0) - want) < 1e-14 * max(1.0, abs(want))
 
 
 def test_laplace_oracle_eta_scaling():
