@@ -138,9 +138,20 @@ def _nearer_negated(v, ref) -> bool:
 def _chain_signs(values, start=None) -> np.ndarray:
     """Signs (+1/-1) that continue a square root along an ordered list of
     values: each signed value is the one nearer its signed predecessor,
-    the first one nearer ``start`` (default: the first value itself)."""
+    the first one nearer ``start`` (default: the first value itself).
+
+    Negating the predecessor negates the rule's verdict, so the signs are
+    the running product of the rule's flips between consecutive unsigned
+    values.  An exact tie, |v - r| = |v + r| (or a NaN), keeps the sign
+    whichever way r points, which breaks that symmetry; then the values
+    are chained one by one."""
+    values = np.asarray(values)
+    refs = np.concatenate([[values[0] if start is None else start], values[:-1]])
+    flips = _nearer_negated(values, refs)
+    if np.all(flips | _nearer_negated(values, -refs)):
+        return np.cumprod(np.where(flips, -1.0, 1.0))
     signs = np.ones(len(values))
-    prev = values[0] if start is None else start
+    prev = refs[0]
     for k, v in enumerate(values):
         if _nearer_negated(v, prev):
             signs[k] = -1.0

@@ -28,7 +28,7 @@ independent checks: no solver calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -446,9 +446,12 @@ def model_for(params):
     return D7Model(complex(params))
 
 
-#: Larger batches are solved in chunks of this many base points, so that
-#: the solvers' working arrays stay near a megabyte at K = 8.
-_CHUNK_NODES = 256
+#: Larger batches are solved in chunks of this many base points, which
+#: bounds the solvers' working arrays while keeping the passes of the slot
+#: recursions, whose numpy calls cost per pass, few.  Measured on the Voros
+#: oracle's largest batch (2,752 nodes at N = 4, K = 6): the oracle call
+#: peaks at 14 MB of allocations with chunks of 1024, 23 MB with 2048.
+_CHUNK_NODES = 1024
 
 
 def _stack(series: EtaSeries, K: int) -> np.ndarray:
@@ -523,10 +526,12 @@ def _slot_orders(K: int, N: int, shifted: bool):
 # Zero-parameter solution
 # ---------------------------------------------------------------------------
 
-def _lambda0_jet(model, jets: DenseJets, seed):
+def _lambda0_jet(model, jets: DenseJets, seed, index):
     """The jet of lambda_0, the root of P(lam) = lam t^2 F(lam) at
     eta^-1 = 0 through ``seed``, with P'(lambda_0) and per node the Newton
     gate's residual-to-scale ratio and the turning-point gate's ratio.
+    ``index`` holds each base point's flat index in the whole batch, by
+    which a gate's error names the failing node.
 
     Newton runs on the values first; then each jet step doubles the order
     (from a root correct through order q, one step is correct through
@@ -562,7 +567,8 @@ def _lambda0_jet(model, jets: DenseJets, seed):
         node = int(np.argmin(delta_ratio))
         raise ConditioningError(
             f"|lambda_0 P'(lambda_0)| is {np.min(delta_ratio):.2e} of P's largest term "
-            f"at t0={np.ravel(jets.t0)[node]}: too close to a turning point")
+            f"at node {np.ravel(index)[node]}, t0={np.ravel(jets.t0)[node]}: "
+            "too close to a turning point")
     q = 0
     while q < jets.K:
         q = min(2 * q + 1, jets.K)
@@ -576,21 +582,25 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     # mix very different |t| scales are judged each at their own scale.
     res = np.abs(val).max(axis=0)
     scale = np.abs(jets.products(lam[None], dval[None])[0]).max(axis=0)
-    scale = np.maximum(1.0, np.maximum(scale, np.abs(jets.t0) ** 2))
-    if np.any(res > 1e-8 * scale):
-        raise ConditioningError("jet Newton iteration for lambda_0 did not converge")
-    return lam, dval, res / scale, delta_ratio
+    ratio = res / np.maximum(1.0, np.maximum(scale, np.abs(jets.t0) ** 2))
+    failed = ratio > 1e-8
+    if np.any(failed):
+        node = int(np.argmax(np.where(failed, ratio, 0.0)))
+        raise ConditioningError(
+            f"jet Newton iteration for lambda_0 did not converge at node "
+            f"{np.ravel(index)[node]}, t0={np.ravel(jets.t0)[node]}: residual "
+            f"{np.ravel(ratio)[node]:.2e} of its scale (gate 1e-8)")
+    return lam, dval, ratio, delta_ratio
 
 
 def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
-    """The slots lambda_0..lambda_N as the stack of powers lam^0..lam^D
-    (D the degree of P), and theta lam = t lam'.
+    """The stack of the slots lambda_0..lambda_N.
 
     Multiplied by lam t^2, the equation reads eta^2 P(lam) = lam theta^2 lam
     - (theta lam)^2.  At eta^(2-m) the left side is linear in lambda_m with
     coefficient P'(lambda_0) = lambda_0 t^2 Delta, and the right side holds
     only slots up to m - 2.  The powers of lam keep running slots, so each
-    new slot costs O(m) jet products."""
+    new slot costs O(m) jet products; theta lam = t lam' is kept the same way."""
     terms = [term for term in model.lam_poly() if term[2] != 0]
     top = max(d for d, *_ in terms)
     step = _step(model)
@@ -621,7 +631,7 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
         th1[m] = jets.theta(lam[m])
         th2[m] = jets.theta(th1[m])
         pw[2:, m] += jets.products(grow, lam[m][None])
-    return pw, th1
+    return lam
 
 
 def _equation_residual(model, lam: EtaSeries, t: Jet) -> EtaSeries:
@@ -634,6 +644,11 @@ def _equation_residual(model, lam: EtaSeries, t: Jet) -> EtaSeries:
 @dataclass(frozen=True)
 class ZeroParamSolution:
     """The formal solution pair (lambda-series, mu-series) at a base point.
+
+    Only lambda is solved eagerly.  ``mu`` follows from lambda and the
+    model and is built on first access, so solves whose callers read only
+    lambda or R (the Voros oracle among them) never pay for it; a copy
+    made with ``dataclasses.replace`` derives its own mu from its own lam.
 
     ``diagnostics`` records what the conditioning gates measured: the worst
     Newton residual-to-scale ratio of lambda_0 (``newton_ratio``, gate
@@ -650,7 +665,6 @@ class ZeroParamSolution:
     K: int
     t_jet: Jet
     lam: EtaSeries
-    mu: EtaSeries
     delta0: Jet
     diagnostics: dict = field(default_factory=dict, compare=False)
 
@@ -658,32 +672,50 @@ class ZeroParamSolution:
     def lambda0_jet(self) -> Jet:
         return self.lam.slot(0)
 
+    @cached_property
+    def mu(self) -> EtaSeries:
+        """The mu-series, solved from lam chunk by chunk like lam itself."""
+        mu, = _by_chunks(partial(_mu_arrays, self.model, self.K), self.t0,
+                         _stack(self.lam, self.K))
+        orders = _slot_orders(self.K, self.N, self.model.shifted)[1]
+        return EtaSeries(0, tuple(_jets_of(mu, orders, self.t0)))
+
     def residual(self) -> EtaSeries:
         return _equation_residual(self.model, self.lam, self.t_jet)
 
 
-def _zero_param_arrays(model, N: int, K: int, t0, seed):
-    """The stacks of lambda and mu, the jet of Delta, and per node the
-    Newton residual-to-scale ratio, the turning-point ratio and |Delta|,
-    for base points t0."""
+def _zero_param_arrays(model, N: int, K: int, t0, seed, index):
+    """The stack of lambda, the jet of Delta, and per node the Newton
+    residual-to-scale ratio, the turning-point ratio and |Delta|, for base
+    points t0 (flat indices ``index`` in the whole batch)."""
     jets = DenseJets(t0, K)
-    lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(model, jets, seed)
+    lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(model, jets, seed, index)
     delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))
-    pw, th1 = _lambda_slots(model, jets, lam0, dP, N)
-    # mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table.
+    lam = _lambda_slots(model, jets, lam0, dP, N)
+    return lam, delta0, newton_ratio, delta_ratio, np.abs(delta0[0])
+
+
+def _mu_arrays(model, K: int, t0, lam):
+    """The stack of mu for base points t0 from the stack of lambda:
+    mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table."""
+    jets = DenseJets(t0, K)
+    step = _step(model)
+    one = jets.zeros(len(lam))
+    one[0, 0] = 1.0
+    powers = (one, lam, jets.mul(lam, lam, step, step))
     groups = {}
     for d, e, a, p in model.mu_poly():
-        groups[p] = groups.get(p, 0) + a * _eta_shift(pw[d], e)
-    mu = jets.mul(_eta_shift(th1, 1) + _by_t_power(jets, groups),
-                  jets.inverse(2 * pw[2], _step(model)), 1, _step(model))
-    return pw[1], mu, delta0, newton_ratio, delta_ratio, np.abs(delta0[0])
+        groups[p] = groups.get(p, 0) + a * _eta_shift(powers[d], e)
+    return (jets.mul(_eta_shift(jets.theta(lam), 1) + _by_t_power(jets, groups),
+                     jets.inverse(2 * powers[2], step), 1, step),)
 
 
 def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
                         K: int | None = None, model=None) -> ZeroParamSolution:
     """Build the zero-parameter solution along ``branch`` at ``t0``: jets of
     lambda_0, lambda_2, ..., lambda_N (odd slots vanish identically unless the
-    model shifts parameters by eta^-1) plus the matching mu-series.
+    model shifts parameters by eta^-1); the matching mu-series is built when
+    first read.
 
     ``t0`` and ``branch.lambda0`` may be arrays of base points, solved in
     one batch.  K is the jet order of lambda_0; each eta-slot costs two
@@ -696,16 +728,15 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
         raise OrderBudgetError(f"jet order K={K} too small for N={N}; need K >= N + 2")
     if not isinstance(t0, np.ndarray):
         t0 = complex(t0)
-    lam, mu, delta0, newton_ratio, delta_ratio, delta_abs = _by_chunks(
+    lam, delta0, newton_ratio, delta_ratio, delta_abs = _by_chunks(
         partial(_zero_param_arrays, model, N, K), t0,
-        np.broadcast_to(branch.lambda0, np.shape(t0)))
+        np.broadcast_to(branch.lambda0, np.shape(t0)),
+        np.arange(np.size(t0)).reshape(np.shape(t0)))
     newton_node, delta_node = int(np.argmax(newton_ratio)), int(np.argmin(delta_abs))
     ratio_node = int(np.argmin(delta_ratio))
-    lam_orders, mu_orders, _ = _slot_orders(K, N, model.shifted)
     return ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
-        EtaSeries(0, tuple(_jets_of(lam, lam_orders, t0))),
-        EtaSeries(0, tuple(_jets_of(mu, mu_orders, t0))),
+        EtaSeries(0, tuple(_jets_of(lam, _slot_orders(K, N, model.shifted)[0], t0))),
         _jets_of(delta0[None], [K], t0)[0],
         {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
          "newton_node": newton_node,

@@ -385,7 +385,7 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 _ORIENTATION = +1.0
 _CIRCLE_SAMPLES = 512
 _RADIUS_FACTOR = 0.3
-_GL_NODES = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass
@@ -415,15 +415,10 @@ def _target_of(chart, spec: EndpointSpec):
 def _gl_segment(a: complex, b: complex, n_panels: int):
     """Gauss-Legendre nodes and complex weights for a straight segment,
     ordered from a to b."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    nodes, weights = [], []
-    for k in range(n_panels):
-        lo = a + (b - a) * (k / n_panels)
-        hi = a + (b - a) * ((k + 1) / n_panels)
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        nodes.append(mid + half * x)
-        weights.append(half * w.astype(complex))
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = a + (b - a) * (np.arange(n_panels + 1) / n_panels)
+    mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+    return ((mid[:, None] + half[:, None] * _GL_NODES).ravel(),
+            (half[:, None] * _GL_WEIGHTS).ravel())
 
 
 def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
@@ -532,11 +527,15 @@ def _leg_quadrature(chart, u_pts: list, w_pts: list, rho: float, panel_scale: in
 
 def _batched_r_slots(chart, model, us: np.ndarray, n_max: int):
     """Slot values R_{-1}, R_1, ..., R_{2 n_max - 1} (principal square-root
-    branch per node) plus t and lambda_0 arrays for u-chart positions."""
+    branch per node) plus t and lambda_0 arrays for u-chart positions.
+
+    Only the values (order 0) of the R slots are read, so the solve runs at
+    the lowest jet order the solvers accept, K = N + 2: it still certifies
+    R slot N through order 1 (see ``series._slot_orders``)."""
     ts = chart.t_of_u(us)
     lams = chart.lambda0_of_u(us)
     N = 2 * n_max
-    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 4, model=model)
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 2, model=model)
     ric = riccati_solution(zp, +1)
     slots = {k: np.asarray(ric.R.slot(-k).value()) for k in range(-1, 2 * n_max, 2)}
     return ts, lams, slots

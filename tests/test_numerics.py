@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p3wkb import numerics, voros
+from p3wkb.algebra import Parameters
 from p3wkb.numerics import (
     DenseJets,
     Jet,
     LaurentAtInfinity,
     SingularJetError,
+    _chain_signs,
     bernoulli,
     log_gamma,
     poly_roots,
@@ -140,6 +143,57 @@ def test_log_gamma_pole():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-3.0)
+
+
+# ---------------------------------------------------------------------------
+# Square-root sign chain
+# ---------------------------------------------------------------------------
+
+def _chain_signs_by_loop(values, start=None):
+    """Reference: the continuation rule applied one value at a time."""
+    signs = np.ones(len(values))
+    prev = values[0] if start is None else start
+    for k, v in enumerate(values):
+        if abs(v - prev) > abs(v + prev):
+            signs[k] = -1.0
+        prev = signs[k] * v
+    return signs
+
+
+def test_chain_signs_break_an_exact_tie_like_the_loop():
+    # -1 flips against 1; then 1j is exactly as far from the signed
+    # predecessor 1 as from -1, and the tie keeps its own sign.  A running
+    # product of the unsigned flips would negate it.
+    values = np.array([1, -1, 1j])
+    assert list(_chain_signs(values)) == list(_chain_signs_by_loop(values)) == [1, -1, 1]
+
+
+def test_chain_signs_match_the_loop_on_random_walks():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(1, 300))
+        steps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        values = np.cumsum(steps) * rng.choice([-1.0, 1.0], n)
+        start = complex(rng.standard_normal(), rng.standard_normal())
+        for s in (None, start):
+            assert np.array_equal(_chain_signs(values, s), _chain_signs_by_loop(values, s))
+
+
+@pytest.mark.parametrize("target", ["inf1", "zero_c0"])
+def test_chain_signs_match_the_loop_on_oracle_arrays(target, monkeypatch):
+    # Every circle and leg array the contour oracle continues at P_GEN.
+    seen = []
+
+    def spy(values, start=None):
+        seen.append((np.array(values), start))
+        return numerics._chain_signs(values, start)
+
+    monkeypatch.setattr(voros, "_chain_signs", spy)
+    voros.voros_numeric_oracle(voros.EndpointSpec("d6", target, +1),
+                               Parameters(3 + 1j, 1 + 0.5j), n_max=2)
+    assert len(seen) == 3
+    for values, start in seen:
+        assert np.array_equal(_chain_signs(values, start), _chain_signs_by_loop(values, start))
 
 
 # ---------------------------------------------------------------------------

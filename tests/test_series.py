@@ -3,10 +3,12 @@ Hamiltonians, and parameter-shift transformations."""
 
 import cmath
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from p3wkb import series
 from p3wkb.algebra import (
     BranchPoint,
     Parameters,
@@ -459,12 +461,17 @@ def test_batched_solve_equals_scalar_solves(family, repeat):
     assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
 
 
-def test_batch_with_a_node_at_a_turning_point_raises():
+def test_batch_with_a_node_at_a_turning_point_raises(monkeypatch):
     tau, lam_double = turning_points(P).taus[0]
     ts = np.append(T_BATCH, tau)
     lams = np.append(_batch_case("d6")[1], lam_double)
     zero_param_solution(T_BATCH, BranchPoint(T_BATCH, lams[:-1]), P, N=4)
-    with pytest.raises(ConditioningError):
+    with pytest.raises(ConditioningError, match="at node 5,"):
+        zero_param_solution(ts, BranchPoint(ts, lams), P, N=4)
+    # In chunks of four the node is the second of the second chunk; the
+    # error still names its index in the whole batch.
+    monkeypatch.setattr(series, "_CHUNK_NODES", 4)
+    with pytest.raises(ConditioningError, match="at node 5,"):
         zero_param_solution(ts, BranchPoint(ts, lams), P, N=4)
 
 
@@ -495,3 +502,57 @@ def test_diagnostics_record_the_turning_point_ratio(zp):
     assert zp.diagnostics["delta_ratio"] == pytest.approx(abs(lam * dP) / max(terms), rel=1e-9)
     assert zp.diagnostics["delta_ratio"] >= 1e-6
     assert zp.diagnostics["delta_ratio_node"] == 0
+
+
+# ---------------------------------------------------------------------------
+# mu, built on first access
+# ---------------------------------------------------------------------------
+
+def _mu_by_series_arithmetic(zp):
+    """Reference: mu from 2 lam^2 mu = eta^-1 t lam' + Q(lam), with Q the
+    model's mu_poly, in EtaSeries arithmetic."""
+    lam, t = zp.lam, zp.t_jet
+    num = _eta_minus(lam) * (lam.derive() * t)
+    for d, e, a, p in zp.model.mu_poly():
+        term = EtaSeries.lift(a * t ** p, lam)
+        for _ in range(d):
+            term = term * lam
+        num = num + term.shift_eta(-e)
+    return num / (2 * (lam * lam))
+
+
+def test_mu_is_built_only_when_read(zp):
+    fresh = zero_param_solution(T0, zp.branch, P, N=6)
+    riccati_solution(fresh, +1)
+    assert "mu" not in vars(fresh)
+    assert fresh.mu is fresh.mu
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_mu_matches_its_defining_relation(family, shifted):
+    # Twenty nodes (the shifted-row product kernel), relative to the
+    # node's largest coefficient: slot values within 1e-14, and every kept
+    # Taylor coefficient within 1e-12 (the reference's products lose more
+    # in the top orders at small |t|).
+    lams = _batch_case(family)[1]
+    model = D6Model(P) if family == "d6" else D7Model(C7)
+    if shifted:
+        model = backlund_model(model, 1)
+    ts, lams = np.tile(T_BATCH, 4), np.tile(lams, 4)
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
+    got = [np.array(t.coeffs) for t in zp.mu.terms]
+    want = [np.array([np.broadcast_to(c, ts.shape) for c in t.coeffs])
+            for t in _mu_by_series_arithmetic(zp).terms]
+    scale = np.max([np.abs(w).max(axis=0) for w in want], axis=0)
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g[0] - w[0]) <= 1e-14 * scale)
+        assert np.all(np.abs(g - w[:len(g)]).max(axis=0) <= 1e-12 * scale)
+
+
+def test_replaced_lam_gets_its_own_mu():
+    first, second = (zero_param_solution(T0, b, P, N=6) for b in lambda0_branches(T0, P)[:2])
+    stale = first.mu
+    moved = replace(first, lam=second.lam)
+    assert [t.coeffs for t in moved.mu.terms] == [t.coeffs for t in second.mu.terms]
+    assert moved.mu.slot_value(0) != stale.slot_value(0)

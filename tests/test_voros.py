@@ -1,13 +1,23 @@
 """Voros coefficients: closed forms, difference equations, shift lemmas,
 and agreement with the independent contour oracle."""
 
+import cmath
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p3wkb.algebra import Parameters
+from p3wkb import series, voros
+from p3wkb.algebra import BranchPoint, Parameters, u_chart
 from p3wkb.numerics import LaurentAtInfinity
+from p3wkb.series import (
+    ConditioningError,
+    D7Model,
+    riccati_solution,
+    zero_param_solution,
+)
 from p3wkb.voros import (
     EndpointSpec,
     PathError,
@@ -258,3 +268,121 @@ def test_oracle_refuses_a_circle_around_no_turning_point(spec, params, center):
 def test_oracle_needs_an_even_sample_count():
     with pytest.raises(ValueError):
         voros_numeric_oracle(EndpointSpec("d7", "zero_c", +1), 2 + 1j, n_max=1, samples=511)
+
+
+# ---------------------------------------------------------------------------
+# The oracle's quadrature rule and its batched series solve
+# ---------------------------------------------------------------------------
+
+def _gl_segment_by_panels(a, b, n_panels):
+    """Reference: the segment rule built one panel at a time."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes, weights = [], []
+    for k in range(n_panels):
+        lo = a + (b - a) * (k / n_panels)
+        hi = a + (b - a) * ((k + 1) / n_panels)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        nodes.append(mid + half * x)
+        weights.append(half * w.astype(complex))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def test_gl_segment_is_bit_identical_to_the_panel_loop():
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        a, b = rng.uniform(-5, 5, 2) + 1j * rng.uniform(-5, 5, 2)
+        a, b = (complex(a), complex(b)) if k % 2 else (a, b)   # Python and numpy scalars
+        n = int(rng.integers(4, 97))
+        for got, want in zip(voros._gl_segment(a, b, n), _gl_segment_by_panels(a, b, n)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _oracle_batch(spec, params, monkeypatch):
+    """(t, lambda_0, keyword arguments) of the oracle's batched solve."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return zero_param_solution(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(voros, "zero_param_solution", spy)
+        voros_numeric_oracle(spec, params, n_max=2)
+    (ts, branch), kwargs = calls[0]
+    return ts, branch.lambda0, kwargs
+
+
+_BATCH_CASES = [(EndpointSpec("d6", "inf1", +1), P_GEN), (EndpointSpec("d7", "inf1", +1), 2 + 1j)]
+
+
+@pytest.mark.parametrize("spec, params", _BATCH_CASES, ids=["d6-inf1", "d7-inf1"])
+def test_chunk_size_does_not_change_the_solve(spec, params, monkeypatch):
+    # 1,100 circle and leg nodes: four chunks and a rest of 76 against one
+    # and the same rest (both above the outer-product threshold).
+    ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
+    ts, lams = ts[:1100], lams[:1100]
+    solved = []
+    for nodes in (256, 1024):
+        monkeypatch.setattr(series, "_CHUNK_NODES", nodes)
+        zp = zero_param_solution(ts, BranchPoint(ts, lams), **kwargs)
+        coeffs = [np.array(jet.coeffs) for s in (zp.lam, riccati_solution(zp, +1).R)
+                  for jet in s.terms]
+        solved.append((coeffs, zp.diagnostics))
+    (first, diag_first), (second, diag_second) = solved
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+    assert diag_first == diag_second
+
+
+@pytest.mark.parametrize("spec, params", _BATCH_CASES + [
+    (EndpointSpec("d6", "zero_c0", +1), P_GEN), (EndpointSpec("d7", "zero_c", +1), 2 + 1j)],
+    ids=["d6-inf1", "d7-inf1", "d6-zero_c0", "d7-zero_c"])
+def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
+    # The oracle reads only R's values; K = N + 2 certifies them as K = N + 4 does.
+    ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
+    N = kwargs["N"]
+    assert kwargs["K"] == N + 2
+    low, high = (riccati_solution(zero_param_solution(
+        ts, BranchPoint(ts, lams), N=N, K=K, model=kwargs["model"]), +1).R for K in (N + 2, N + 4))
+    for power in low.powers():
+        a, b = low.slot_value(power), high.slot_value(power)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _double_pole_nodes():
+    """The 32 smallest-|t| nodes of the d7:zero_c:+ leg with four times the
+    oracle's panels, at a c where that leg runs to |t| = 6e-5 beside the
+    double pole: (t, lambda_0, model)."""
+    c = -0.7638629002045076 + 1.259755939720333j
+    spec = EndpointSpec("d7", "zero_c", +1)
+    chart = u_chart(c)
+    u_tp = voros._select_turning_point(chart, spec)
+    _, u_star = voros._target_of(chart, spec)
+    rho = voros._RADIUS_FACTOR * min(abs(s - u_tp) for s in chart.singular_points()
+                                     if abs(s - u_tp) > 1e-9)
+    P = u_tp + rho * cmath.exp(1j * cmath.phase(u_star - u_tp))
+    us = voros._leg_quadrature(chart, *voros._leg_waypoints(chart, spec, u_tp, P), rho, 4)[0]
+    us = us[np.argsort(np.abs(chart.t_of_u(us)))[:32]]
+    return chart.t_of_u(us), chart.lambda0_of_u(us), D7Model(c)
+
+
+def test_newton_gate_names_the_failing_node():
+    # At K = N + 4 the shifted-row products leave lambda_0's residual above
+    # the gate at the smallest |t|; its one-node solve passes.
+    ts, lams, model = _double_pole_nodes()
+    with pytest.raises(ConditioningError, match=re.escape(f"at node 0, t0={ts[0]}:")) as err:
+        zero_param_solution(ts, BranchPoint(ts, lams), N=4, K=8, model=model)
+    ratio = float(re.search(r"residual (\S+) of its scale", str(err.value)).group(1))
+    assert ratio > 1e-8
+    zero_param_solution(complex(ts[0]), BranchPoint(ts[0], lams[0]), N=4, K=8, model=model)
+
+
+def test_double_pole_batch_at_the_oracle_order_matches_one_node_solves():
+    ts, lams, model = _double_pole_nodes()
+    R = riccati_solution(zero_param_solution(ts, BranchPoint(ts, lams), N=4, K=6,
+                                             model=model), +1).R
+    for k in range(len(ts)):
+        one = riccati_solution(zero_param_solution(
+            complex(ts[k]), BranchPoint(ts[k], lams[k]), N=4, K=6, model=model), +1).R
+        for power in one.powers():
+            want = one.slot_value(power)
+            assert abs(R.slot_value(power)[k] - want) <= 1e-11 * abs(want)
