@@ -3,14 +3,14 @@ series at infinity, polynomial roots, complex log-Gamma, and the sign chain
 that continues a square root along a path.
 
 Everything in this module but ``DenseJets`` is a pure function over immutable
-values.  Jets are the substrate for all t-differentiation in the series
-layer: a ``Jet`` holds Taylor coefficients of a function in the local
-coordinate ``s = t - t0``, and arithmetic is exact truncation to the jet
-order.  Coefficients are duck-typed: plain ``complex`` for scalar work, or
-``numpy`` arrays of identical shape when many base points are processed in
-one batch (the contour quadratures do this).  ``DenseJets`` does the same
-arithmetic on stacks of jets held as one complex array, which is how the
-series solvers compute.
+values.  A ``Jet`` holds the Taylor coefficients of one function in the local
+coordinate ``s = t - t0``, and its arithmetic is exact truncation to the jet
+order; coefficients are plain ``complex``, or ``numpy`` arrays of one shape
+when a batch of base points is processed at once (the chart maps and the
+contour quadratures use it).  ``DenseJets`` is the one arithmetic of the
+series layer: stacks of jets held as one complex array, on which both the
+series solvers and ``series.EtaSeries`` compute.  The ``Jet`` loops are the
+independent reference its kernels are tested against.
 """
 
 from __future__ import annotations
@@ -200,11 +200,8 @@ class Jet:
         """The jet of t itself: t = base_point + s."""
         if order < 1:
             raise ValueError("variable jet needs order >= 1")
-        one = complex(1)
-        b = base_point if not isinstance(base_point, np.ndarray) else base_point
-        if isinstance(base_point, np.ndarray):
-            one = np.ones_like(base_point)
-        return Jet(base_point, (b, one) + tuple(one * 0 for _ in range(order - 1)))
+        one = np.ones_like(base_point) if isinstance(base_point, np.ndarray) else complex(1)
+        return Jet(base_point, (base_point, one) + (one * 0,) * (order - 1))
 
     # -- structure ----------------------------------------------------------
 
@@ -403,6 +400,13 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+def _refuse_zero_constant(a: np.ndarray, what: str):
+    """Refuse a jet with a zero constant term, naming the first such node."""
+    zero = np.flatnonzero(a[0] == 0)
+    if len(zero):
+        raise SingularJetError(f"jet {what} of a zero constant term at node {zero[0]}")
+
+
 def _running_sum(terms: np.ndarray):
     """The sum over the leading axis, added in order and kept as a one-row
     slice.  Summed plainly, one base point (a 1-d array) would pair its
@@ -514,6 +518,7 @@ class DenseJets:
 
     @staticmethod
     def divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        _refuse_zero_constant(y, "division")
         inv0 = 1.0 / y[:1]
         out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
         out[:1] = x[:1] * inv0
@@ -524,6 +529,7 @@ class DenseJets:
     @staticmethod
     def sqrt(a: np.ndarray) -> np.ndarray:
         """The jet whose square is a, with the principal root as value."""
+        _refuse_zero_constant(a, "square root")
         out = np.empty_like(a)
         out[:1] = np.sqrt(a[:1])
         half = 0.5 / out[:1]

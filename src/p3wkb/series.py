@@ -1,8 +1,9 @@
 """Formal power series in the large parameter: eta-expansions whose
 coefficients are jets in t.
 
-An :class:`EtaSeries` stores coefficients of eta^(offset), eta^(offset-1),
-... as jets at a common base point.  On top of that sit:
+An :class:`EtaSeries` stores the coefficients of eta^(offset),
+eta^(offset-1), ... as one complex array of jets at one base point or a
+batch of them, and computes with the ``DenseJets`` kernels.  On it sit:
 
 * the zero-parameter formal solution lambda^(0) = lambda_0 + eta^-2 lambda_2
   + ... of the second-order equation: lambda_0 by Newton's method, on its
@@ -18,11 +19,10 @@ Parameter shifts by multiples of eta^-1 are first-class: models carry
 integer shift amounts, so a "solution at shifted parameters" is an ordinary
 eta-series and can be compared termwise against a transformed solution.
 
-The two solvers compute on dense complex arrays, a series being one array
-of shape (slots, K+1, *batch), so one base point and a batch of them run
-the same code; they return EtaSeries of Jets.  The residual functions
-evaluate the equations with EtaSeries arithmetic instead and serve as
-independent checks: no solver calls them.
+The two solvers run slot recursions on those arrays, shape (slots, K+1,
+*batch), and return them as EtaSeries.  The residual functions evaluate
+the equations with EtaSeries arithmetic, whole series at a time, and serve
+as independent checks: no solver calls them.
 """
 
 from __future__ import annotations
@@ -71,97 +71,102 @@ class OrderBudgetError(ArithmeticError):
     """A derivative or slot was requested beyond what the jet order K supports."""
 
 
-_EXACT_WIDTH_CAP = 24
+def _jet_rows(jet: Jet, batch) -> np.ndarray:
+    """A Jet's coefficients as one array of shape (order + 1, *batch)."""
+    rows = np.empty((jet.order + 1,) + batch, complex)
+    for k, c in enumerate(jet.coeffs):
+        rows[k] = c
+    return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaSeries:
-    """sum_k terms[k] * eta^(offset - k), with Jet coefficients at a common
-    base point.
-
-    ``exact=True`` marks a finite eta-polynomial (no truncation tail); an
-    inexact series is known modulo O(eta^(offset - len(terms)))."""
+    """sum_m coeffs[m] * eta^(offset - m) at the base points t0, known
+    modulo O(eta^(offset - slots)).  ``coeffs`` is a stack of jets of shape
+    (slots, K+1, *batch) as in :class:`DenseJets`; slot m is certified
+    through Taylor order ``orders[m]`` (its coefficients above that order
+    carry no meaning).  Scalars, per-node arrays, Jets and parameters
+    c + s eta^-1 enter sums as series at eta^0 (:meth:`lift`), and a
+    factor eta^-1 is ``shift_eta(-1)``."""
 
     offset: int
-    terms: tuple
-    exact: bool = False
-
-    # -- basic access -------------------------------------------------------
+    coeffs: np.ndarray
+    orders: np.ndarray
+    t0: object
 
     @property
     def n_slots(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    @property
+    def K(self) -> int:
+        return self.coeffs.shape[1] - 1
 
     @property
     def lowest_power(self) -> int:
         return self.offset - self.n_slots + 1
 
-    def slot(self, power: int) -> Jet:
-        idx = self.offset - power
-        if 0 <= idx < self.n_slots:
-            return self.terms[idx]
-        if self.exact or idx < 0:
-            ref = self.terms[0]
-            return Jet.constant(0j, ref.base_point, ref.order)
-        raise OrderBudgetError(f"eta^{power} slot not available (series known "
-                               f"down to eta^{self.lowest_power})")
-
-    def slot_value(self, power: int) -> complex:
-        return self.slot(power).value()
-
     def powers(self):
         return range(self.offset, self.lowest_power - 1, -1)
 
-    @staticmethod
-    def from_slots(pairs: dict, base_point: complex, jet_order: int,
-                   exact: bool = False) -> "EtaSeries":
-        """Build from a {power: Jet | scalar} mapping; gaps become zeros."""
-        hi = max(pairs)
-        lo = min(pairs)
-        terms = []
-        for p in range(hi, lo - 1, -1):
-            v = pairs.get(p, 0j)
-            if not isinstance(v, Jet):
-                v = Jet.constant(complex(v), base_point, jet_order)
-            terms.append(v)
-        return EtaSeries(hi, tuple(terms), exact=exact)
+    def slot(self, power: int) -> Jet:
+        """The coefficient of eta^power, a Jet of its certified order."""
+        m = self.offset - power
+        if m >= self.n_slots:
+            raise OrderBudgetError(f"eta^{power} slot not available (series known "
+                                   f"down to eta^{self.lowest_power})")
+        if m < 0:
+            return Jet.constant(0j, self.t0, self.K)
+        row = self.coeffs[m, :self.orders[m] + 1]
+        return Jet(self.t0, tuple(row.tolist() if row.ndim == 1 else row))
+
+    def slot_value(self, power: int):
+        return self.slot(power).value()
+
+    def slot_values(self) -> dict:
+        return {p: self.slot_value(p) for p in self.powers()}
 
     @staticmethod
-    def lift(value, template: "EtaSeries") -> "EtaSeries":
-        """Coerce a Jet or scalar to an exact one-slot series at eta^0."""
+    def from_slots(pairs: dict, base_point, jet_order: int) -> "EtaSeries":
+        """Build from a {power: Jet | scalar} mapping; gaps become zeros."""
+        hi, batch = max(pairs), np.shape(base_point)
+        coeffs = np.zeros((hi - min(pairs) + 1, jet_order + 1) + batch, complex)
+        orders = np.full(len(coeffs), jet_order)
+        for p, v in pairs.items():
+            if isinstance(v, Jet):
+                orders[hi - p] = min(v.order, jet_order)
+                coeffs[hi - p, :orders[hi - p] + 1] = _jet_rows(v, batch)[:jet_order + 1]
+            else:
+                coeffs[hi - p, 0] = v
+        return EtaSeries(hi, coeffs, orders, base_point)
+
+    @staticmethod
+    def lift(value, template: "EtaSeries", shift=0) -> "EtaSeries":
+        """value + shift eta^-1, for a scalar, per-node array or Jet value,
+        as a series at eta^0 that reaches at least as far down as template."""
         if isinstance(value, EtaSeries):
             return value
-        ref = template.terms[0]
-        if not isinstance(value, Jet):
-            value = Jet.constant(complex(value), ref.base_point, ref.order)
-        return EtaSeries(0, (value,), exact=True)
-
-    def _pmin(self):
-        return None if self.exact else self.lowest_power
-
-    def _zero_jet(self, order=None) -> Jet:
-        ref = self.terms[0]
-        return Jet.constant(0j, ref.base_point, ref.order if order is None else order)
+        n = max(template.n_slots, 1 - template.lowest_power)
+        return EtaSeries.from_slots({1 - n: 0, -1: shift, 0: value}, template.t0, template.K)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         other = EtaSeries.lift(other, self)
-        off = max(self.offset, other.offset)
-        pmins = [p for p in (self._pmin(), other._pmin()) if p is not None]
-        if pmins:
-            lo = max(pmins)
-            exact = False
-        else:
-            lo = min(self.lowest_power, other.lowest_power)
-            exact = True
-        terms = tuple(self.slot(p) + other.slot(p) for p in range(off, lo - 1, -1))
-        return EtaSeries(off, terms, exact=exact)
+        hi, lo = max(self.offset, other.offset), max(self.lowest_power, other.lowest_power)
+        K = min(self.K, other.K)
+        coeffs = np.zeros((hi - lo + 1, K + 1) + self.coeffs.shape[2:], complex)
+        orders = np.full(len(coeffs), K)
+        for s in (self, other):         # the powers hi..lo of each; zero above its offset
+            top, n = hi - s.offset, max(0, s.offset - lo + 1)
+            coeffs[top:top + n] += s.coeffs[:n, :K + 1]
+            orders[top:top + n] = np.minimum(orders[top:top + n], s.orders[:n])
+        return EtaSeries(hi, coeffs, orders, self.t0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EtaSeries(self.offset, tuple(-t for t in self.terms), exact=self.exact)
+        return replace(self, coeffs=-self.coeffs)
 
     def __sub__(self, other):
         return self + (-EtaSeries.lift(other, self))
@@ -170,116 +175,58 @@ class EtaSeries:
         return EtaSeries.lift(other, self) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, Jet):      # slot by slot, not as a lifted series
+            K = min(self.K, other.order)
+            return EtaSeries(self.offset, DenseJets(self.t0, K).products(
+                self.coeffs[:, :K + 1], _jet_rows(other, np.shape(self.t0))[None, :K + 1]),
+                np.minimum(self.orders, K), self.t0)
         if not isinstance(other, EtaSeries):
-            return EtaSeries(self.offset, tuple(t * other for t in self.terms),
-                             exact=self.exact)
-        off = self.offset + other.offset
-        if self.exact and other.exact:
-            n = min(self.n_slots + other.n_slots - 1, _EXACT_WIDTH_CAP)
-            exact = self.n_slots + other.n_slots - 1 <= _EXACT_WIDTH_CAP
-        elif self.exact:
-            n = other.n_slots
-            exact = False
-        elif other.exact:
-            n = self.n_slots
-            exact = False
-        else:
-            n = min(self.n_slots, other.n_slots)
-            exact = False
-        terms = []
-        for k in range(n):
-            acc = None
-            for i in range(k + 1):
-                if i < self.n_slots and (k - i) < other.n_slots:
-                    prod = self.terms[i] * other.terms[k - i]
-                    acc = prod if acc is None else acc + prod
-            terms.append(acc if acc is not None else self._zero_jet())
-        return EtaSeries(off, tuple(terms), exact=exact)
+            return replace(self, coeffs=self.coeffs * other)
+        n, K = min(self.n_slots, other.n_slots), min(self.K, other.K)
+        orders = np.minimum(np.minimum.accumulate(self.orders[:n]),
+                            np.minimum.accumulate(other.orders[:n]))
+        coeffs = DenseJets(self.t0, K).mul(self.coeffs[:n, :K + 1], other.coeffs[:n, :K + 1])
+        return EtaSeries(self.offset + other.offset, coeffs, np.minimum(orders, K), self.t0)
 
     __rmul__ = __mul__
 
-    def inverse(self, n_slots: int | None = None) -> "EtaSeries":
-        n = n_slots or self.n_slots
-        if self.exact and n_slots is None:
-            raise ValueError("inverse of an exact series needs an explicit width")
-        lead = self.terms[0]
-        if float(np.min(np.abs(lead.value()))) == 0:
-            raise ZeroDivisionError("eta-series with vanishing leading jet")
-        inv0 = Jet.constant(1.0 + 0j, lead.base_point, lead.order) / lead
-        out = [inv0]
-        for k in range(1, n):
-            acc = None
-            for j in range(1, k + 1):
-                sj = self.terms[j] if j < self.n_slots else None
-                if sj is None:
-                    if self.exact:
-                        continue
-                    break
-                prod = sj * out[k - j]
-                acc = prod if acc is None else acc + prod
-            out.append(-(inv0 * acc) if acc is not None else self._zero_jet())
-        return EtaSeries(-self.offset, tuple(out), exact=False)
+    def inverse(self) -> "EtaSeries":
+        """1 / self; a vanishing leading value raises SingularJetError."""
+        return EtaSeries(-self.offset, DenseJets(self.t0, self.K).inverse(self.coeffs),
+                         np.minimum.accumulate(self.orders), self.t0)
 
     def __truediv__(self, other):
-        if not isinstance(other, EtaSeries):
-            return self * (1.0 / other) if not isinstance(other, Jet) else self * _jet_inverse(other)
-        return self * other.inverse(self.n_slots if other.exact else None)
-
-    def __rtruediv__(self, other):
-        return EtaSeries.lift(other, self) / self
+        return self * (other.inverse() if isinstance(other, EtaSeries) else 1.0 / other)
 
     def sqrt(self) -> "EtaSeries":
+        """The series S with S^2 = self and the principal root as the value
+        of S_0: S_k = (A_k - sum_{0<j<k} S_j S_{k-j}) / (2 S_0)."""
         if self.offset % 2:
             raise ValueError("square root needs an even leading power of eta")
-        s0 = self.terms[0].sqrt()
-        out = [s0]
-        half = Jet.constant(0.5 + 0j, s0.base_point, s0.order)
-        inv2s0 = half / s0
+        jets = DenseJets(self.t0, self.K)
+        out = np.zeros_like(self.coeffs)
+        out[0] = jets.sqrt(self.coeffs[0])
+        half = jets.divide(jets.constant(0.5), out[0])[None]
         for k in range(1, self.n_slots):
-            acc = self.terms[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out.append(inv2s0 * acc)
-        return EtaSeries(self.offset // 2, tuple(out), exact=False)
+            acc = self.coeffs[k] - jets.slot(out, out, k, 1, k - 1)
+            out[k] = jets.products(acc[None], half)[0]
+        return EtaSeries(self.offset // 2, out, np.minimum.accumulate(self.orders), self.t0)
 
     def derive(self) -> "EtaSeries":
-        if any(t.order < 1 for t in self.terms):
+        if np.min(self.orders) < 1:
             raise OrderBudgetError("jet order exhausted; rebuild the series with larger K")
-        return EtaSeries(self.offset, tuple(t.derive() for t in self.terms),
-                         exact=self.exact)
+        return EtaSeries(self.offset, DenseJets(self.t0, self.K).derive(self.coeffs),
+                         self.orders - 1, self.t0)
 
     def shift_eta(self, k: int) -> "EtaSeries":
         """Multiply by eta^k."""
-        return EtaSeries(self.offset + k, self.terms, exact=self.exact)
-
-    def map_jets(self, fn) -> "EtaSeries":
-        return EtaSeries(self.offset, tuple(fn(t) for t in self.terms), exact=self.exact)
-
-    def rebase(self, new_base: complex) -> "EtaSeries":
-        return self.map_jets(lambda j: j.rebase(new_base))
+        return replace(self, offset=self.offset + k)
 
     def parity_part(self, rem: int) -> "EtaSeries":
         """Keep slots whose eta-power is congruent to rem mod 2, zeroing others."""
-        terms = tuple(t if (self.offset - k) % 2 == rem % 2 else self._zero_jet(t.order)
-                      for k, t in enumerate(self.terms))
-        return EtaSeries(self.offset, terms, exact=self.exact)
-
-    def slot_values(self) -> dict:
-        return {p: self.slot(p).value() for p in self.powers()}
-
-    def __repr__(self):
-        bits = ", ".join(f"eta^{p}: {self.slot(p).value():.6g}" for p in self.powers())
-        return f"EtaSeries({bits})"
-
-
-def _jet_inverse(j: Jet) -> Jet:
-    return Jet.constant(1.0 + 0j, j.base_point, j.order) / j
-
-
-def _eta_inverse(template: EtaSeries) -> EtaSeries:
-    """The exact series eta^-1, with jets shaped like the template's."""
-    ref = template.terms[0]
-    return EtaSeries.from_slots({-1: 1.0}, ref.base_point, ref.order, exact=True)
+        keep = (self.offset - np.arange(self.n_slots)) % 2 == rem % 2
+        return replace(self, coeffs=np.where(
+            keep.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)), self.coeffs, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +266,9 @@ class D6Model:
                 (0, 0, -1, 1))
 
     def c_series(self, template: EtaSeries):
-        ref = template.terms[0]
-        ci = EtaSeries.from_slots({0: self.p.c_inf, -1: self.shift_inf},
-                                  ref.base_point, ref.order, exact=True)
-        c0 = EtaSeries.from_slots({0: self.p.c_0, -1: self.shift_0},
-                                  ref.base_point, ref.order, exact=True)
-        return ci, c0
+        """c_inf and c_0 with their eta^-1 shifts, lifted like ``template``."""
+        return (EtaSeries.lift(self.p.c_inf, template, self.shift_inf),
+                EtaSeries.lift(self.p.c_0, template, self.shift_0))
 
     def coupling(self, template: EtaSeries) -> EtaSeries:
         """The parameter series entering mu and X next to eta^-1: c_0."""
@@ -332,45 +276,39 @@ class D6Model:
 
     def F(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
-        t2 = _jet_inverse(t * t)
-        return (lam * lam * lam) * t2 - ci * (lam * lam) * t2 \
-            + c0 * _jet_inverse(t) - lam.inverse()
+        lam2 = lam * lam
+        return (lam2 * lam - ci * lam2) / (t * t) + c0 / t - lam.inverse()
 
     def dF(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         ci, _ = self.c_series(lam)
-        t2 = _jet_inverse(t * t)
         inv = lam.inverse()
-        return (3 * (lam * lam)) * t2 - 2 * ci * lam * t2 + inv * inv
+        return (3 * (lam * lam) - 2 * ci * lam) / (t * t) + inv * inv
 
     def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
-        em = _eta_inverse(lam)
+        em = EtaSeries.lift(0, lam, 1)
         lam2 = lam * lam
         return (lam2 * (mu * mu) - (lam2 + (c0 - em) * lam - t) * mu
                 + 0.5 * (ci + c0 - em) * lam)
 
     def t_hamiltonian_dlam(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
-        em = _eta_inverse(lam)
+        em = EtaSeries.lift(0, lam, 1)
         return (2 * lam * (mu * mu) - (2 * lam + (c0 - em)) * mu
                 + 0.5 * (ci + c0 - em))
 
     def backlund(self, lam: EtaSeries, mu: EtaSeries, t: Jet, which: int) -> tuple:
         ci, c0 = self.c_series(lam)
-        em = _eta_inverse(lam)
+        em = EtaSeries.lift(0, lam, 1)
         if which == 1:
             den = 2 * (lam * lam) * (mu - 1) + (ci - c0 + em) * lam + 2 * t
-            Lam = -EtaSeries.lift(t, lam) * lam.inverse() + (ci + c0 + em) * t * den.inverse()
-            M = (lam * lam) * (mu - 1) / EtaSeries.lift(t, lam) \
-                + (ci - c0 + em) * lam * _jet_inverse(2 * t) + 1
-            return Lam, M
+            Lam = -(lam.inverse() * t) + (ci + c0 + em) * t * den.inverse()
+            return Lam, (lam * lam) * (mu - 1) / t + (ci - c0 + em) * lam / (2 * t) + 1
         if which == 2:
             den = 2 * lam * (mu - 1) + (ci - c0 + em)
             Lam = 2 * t * (mu - 1) * den.inverse()
             shifted = lam + (ci - c0 + em) * (2 * (mu - 1)).inverse()
-            M = ((ci + c0 - em) * 0.5 * shifted - (shifted * shifted) * mu) \
-                / EtaSeries.lift(t, lam)
-            return Lam, M
+            return Lam, ((ci + c0 - em) * 0.5 * shifted - (shifted * shifted) * mu) / t
         raise ValueError("which must be 1 or 2")
 
     def backlund_shifted(self, which: int) -> "D6Model":
@@ -404,35 +342,34 @@ class D7Model:
         return ((1, 0, self.c, 0), (1, 1, self.shift - 1, 0), (0, 0, -1, 1))
 
     def c_series(self, template: EtaSeries):
-        ref = template.terms[0]
-        return EtaSeries.from_slots({0: self.c, -1: self.shift},
-                                    ref.base_point, ref.order, exact=True)
+        """c with its eta^-1 shift, lifted like ``template``."""
+        return EtaSeries.lift(self.c, template, self.shift)
 
     coupling = c_series
 
     def F(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
-        return -2 * (lam * lam) * _jet_inverse(t * t) + c * _jet_inverse(t) - lam.inverse()
+        return -2 * (lam * lam) / (t * t) + c / t - lam.inverse()
 
     def dF(self, lam: EtaSeries, t: Jet) -> EtaSeries:
         inv = lam.inverse()
-        return -4 * lam * _jet_inverse(t * t) + inv * inv
+        return -4 * lam / (t * t) + inv * inv
 
     def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
-        return lam * lam * (mu * mu) - (c - _eta_inverse(lam)) * lam * mu + t * mu + lam
+        em = EtaSeries.lift(0, lam, 1)
+        return lam * lam * (mu * mu) - (c - em) * lam * mu + t * mu + lam
 
     def t_hamiltonian_dlam(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
-        return 2 * lam * (mu * mu) - (c - _eta_inverse(lam)) * mu + 1
+        return 2 * lam * (mu * mu) - (c - EtaSeries.lift(0, lam, 1)) * mu + 1
 
     def backlund(self, lam: EtaSeries, mu: EtaSeries, t: Jet, which: int) -> tuple:
         """c -> c + eta^-1 (``which`` is ignored)."""
         c = self.c_series(lam)
         inv_lam = lam.inverse()
         Lam = -(mu * t) + c * t * inv_lam - (inv_lam * inv_lam) * (t * t)
-        M = lam / EtaSeries.lift(t, lam)
-        return Lam, M
+        return Lam, lam / t
 
     def backlund_shifted(self, which: int) -> "D7Model":
         return replace(self, shift=self.shift + 1)
@@ -454,22 +391,11 @@ def model_for(params):
 _CHUNK_NODES = 1024
 
 
-def _stack(series: EtaSeries, K: int) -> np.ndarray:
-    """The slots of an eta-series as a stack of order K, zero above each
-    jet's own order."""
-    ref = series.terms[0]
-    out = np.zeros((series.n_slots, K + 1) + np.shape(ref.base_point), complex)
-    for m, jet in enumerate(series.terms):
-        for k, c in enumerate(jet.coeffs):
-            out[m, k] = c
-    return out
-
-
-def _jets_of(A: np.ndarray, orders, t0) -> list:
-    """Jets at t0 of the given orders from the rows of a stack."""
-    if isinstance(t0, np.ndarray):
-        return [Jet(t0, tuple(A[m, :o + 1])) for m, o in enumerate(orders)]
-    return [Jet(t0, tuple(row[:o + 1])) for row, o in zip(A.tolist(), orders)]
+def _solved(offset: int, A: np.ndarray, orders, t0) -> EtaSeries:
+    """A solver's stack as a series certified through ``orders``, zeroing
+    (in place) the coefficients above them, which later solves read back."""
+    A[np.arange(A.shape[1]) > orders[:, None]] = 0
+    return EtaSeries(offset, A, orders, t0)
 
 
 def _by_chunks(solve, t0, *per_node):
@@ -634,16 +560,13 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
     return lam
 
 
-def _equation_residual(model, lam: EtaSeries, t: Jet) -> EtaSeries:
-    """lam'' - lam'^2/lam + lam'/t - eta^2 F(lam), as an eta-series."""
-    d1 = lam.derive()
-    d2 = d1.derive()
-    return d2 - (d1 * d1) / lam + d1 * _jet_inverse(t) - model.F(lam, t).shift_eta(2)
-
-
 @dataclass(frozen=True)
 class ZeroParamSolution:
-    """The formal solution pair (lambda-series, mu-series) at a base point.
+    """The formal solution pair (lambda-series, mu-series) at the base
+    points ``t0`` (one complex, or an array solved as one batch): ``lam``
+    holds lambda_0 .. lambda_N, each slot of it and of mu zero above the
+    order ``_slot_orders`` certifies; ``t_jet`` and ``delta0`` are the
+    jets of t and of Delta, all of order K.
 
     Only lambda is solved eagerly.  ``mu`` follows from lambda and the
     model and is built on first access, so solves whose callers read only
@@ -675,13 +598,8 @@ class ZeroParamSolution:
     @cached_property
     def mu(self) -> EtaSeries:
         """The mu-series, solved from lam chunk by chunk like lam itself."""
-        mu, = _by_chunks(partial(_mu_arrays, self.model, self.K), self.t0,
-                         _stack(self.lam, self.K))
-        orders = _slot_orders(self.K, self.N, self.model.shifted)[1]
-        return EtaSeries(0, tuple(_jets_of(mu, orders, self.t0)))
-
-    def residual(self) -> EtaSeries:
-        return _equation_residual(self.model, self.lam, self.t_jet)
+        mu, = _by_chunks(partial(_mu_arrays, self.model, self.K), self.t0, self.lam.coeffs)
+        return _solved(0, mu, _slot_orders(self.K, self.N, self.model.shifted)[1], self.t0)
 
 
 def _zero_param_arrays(model, N: int, K: int, t0, seed, index):
@@ -736,8 +654,8 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
     ratio_node = int(np.argmin(delta_ratio))
     return ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
-        EtaSeries(0, tuple(_jets_of(lam, _slot_orders(K, N, model.shifted)[0], t0))),
-        _jets_of(delta0[None], [K], t0)[0],
+        _solved(0, lam, _slot_orders(K, N, model.shifted)[0], t0),
+        EtaSeries(0, delta0[None], np.array([K]), t0).slot(0),
         {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
          "newton_node": newton_node,
          "delta_ratio": float(np.ravel(delta_ratio)[ratio_node]),
@@ -747,7 +665,10 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
 
 
 def main_equation_residual(zp: ZeroParamSolution) -> EtaSeries:
-    return zp.residual()
+    """lam'' - lam'^2/lam + lam'/t - eta^2 F(lam), as an eta-series."""
+    d1 = zp.lam.derive()
+    return d1.derive() - (d1 * d1) / zp.lam + d1 / zp.t_jet \
+        - zp.model.F(zp.lam, zp.t_jet).shift_eta(2)
 
 
 # ---------------------------------------------------------------------------
@@ -775,23 +696,13 @@ class RiccatiSolution:
         Rf = self.r_even - self.r_odd
         return replace(self, sign=-self.sign, R=Rf)
 
-    def residual(self) -> EtaSeries:
-        return riccati_residual(self.R, self.zp)
-
-
-def _riccati_coefficients(zp: ZeroParamSolution):
-    lam, t = zp.lam, zp.t_jet
-    dlam = lam.derive()
-    ratio = dlam / lam
-    G = 2 * ratio - EtaSeries.lift(_jet_inverse(t), lam)
-    H = zp.model.dF(lam, t).shift_eta(2) - ratio * ratio
-    return G, H
-
 
 def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
     """R^2 + R' - (2 lam'/lam - 1/t) R - (eta^2 dF(lam) - (lam'/lam)^2)."""
-    G, H = _riccati_coefficients(zp)
-    return R * R + R.derive() - G * R - H
+    lam, t = zp.lam, zp.t_jet
+    ratio = lam.derive() / lam
+    return R * R + R.derive() - (2 * ratio - 1 / t) * R \
+        - (zp.model.dF(lam, t).shift_eta(2) - ratio * ratio)
 
 
 def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int):
@@ -826,9 +737,8 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
     """
     N, K = zp.N, zp.K
     r, = _by_chunks(partial(_riccati_arrays, zp.model, N, K, sign), zp.t0,
-                    _stack(zp.lam, K), _stack(EtaSeries(0, (zp.delta0,)), K)[0])
-    orders = _slot_orders(K, N, zp.model.shifted)[2]
-    return RiccatiSolution(zp, sign, EtaSeries(1, tuple(_jets_of(r, orders, zp.t0))))
+                    zp.lam.coeffs, np.array(zp.delta0.coeffs))
+    return RiccatiSolution(zp, sign, _solved(1, r, _slot_orders(K, N, zp.model.shifted)[2], zp.t0))
 
 
 def _riccati_arrays(model, N: int, K: int, sign: int, t0, lam, delta0):
@@ -871,12 +781,12 @@ def x_factor(ric: RiccatiSolution) -> EtaSeries:
     equal d(mu)/d(lam) + eta^-1 t R/(2 lam^2))."""
     zp = ric.zp
     lam, t = zp.lam, zp.t_jet
-    em = _eta_inverse(lam)
     lam2 = lam * lam
     inv_lam2 = lam2.inverse()
     inv_lam3 = (lam2 * lam).inverse()
-    common = em * (ric.R * t) * inv_lam2 * 0.5 - em * (lam.derive() * t) * inv_lam3
-    return common - (zp.model.coupling(lam) - em) * inv_lam2 * 0.5 + t * inv_lam3
+    common = ((ric.R * t) * inv_lam2 * 0.5 - (lam.derive() * t) * inv_lam3).shift_eta(-1)
+    coupling = zp.model.coupling(lam) - EtaSeries.lift(0, lam, 1)
+    return common - coupling * inv_lam2 * 0.5 + t * inv_lam3
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +795,7 @@ def x_factor(ric: RiccatiSolution) -> EtaSeries:
 
 def hamiltonian(zp: ZeroParamSolution) -> EtaSeries:
     """H with t H the polynomial Hamiltonian evaluated on (lam, mu)."""
-    return zp.model.t_hamiltonian(zp.lam, zp.mu, zp.t_jet) / EtaSeries.lift(zp.t_jet, zp.lam)
+    return zp.model.t_hamiltonian(zp.lam, zp.mu, zp.t_jet) / zp.t_jet
 
 
 def hamilton_residual(model, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:

@@ -537,7 +537,7 @@ def _batched_r_slots(chart, model, us: np.ndarray, n_max: int):
     N = 2 * n_max
     zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 2, model=model)
     ric = riccati_solution(zp, +1)
-    slots = {k: np.asarray(ric.R.slot(-k).value()) for k in range(-1, 2 * n_max, 2)}
+    slots = {k: np.asarray(ric.R.slot_value(-k)) for k in range(-1, 2 * n_max, 2)}
     return ts, lams, slots
 
 

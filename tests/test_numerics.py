@@ -252,6 +252,16 @@ def test_jet_singularities():
         zero_const.sqrt()
     with pytest.raises(SingularJetError):
         zero_const.log()
+    # The dense kernels refuse the same, naming the first node at fault:
+    # one node (a jet of shape (K+1,)) and a batch with the zero at node 1.
+    one = np.array([0, 1, 2], complex)
+    batch = np.ones((3, 4), complex)
+    batch[0, 1] = 0
+    for y, node in ((one, 0), (batch, 1)):
+        with pytest.raises(SingularJetError, match=f"at node {node}$"):
+            DenseJets.divide(np.ones_like(y), y)
+        with pytest.raises(SingularJetError, match=f"at node {node}$"):
+            DenseJets.sqrt(y)
 
 
 def test_jet_array_coefficients_batch():

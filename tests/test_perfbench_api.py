@@ -1,0 +1,51 @@
+"""The benchmark's use of the package.
+
+``perfbench/workloads.py`` and ``perfbench/tracing.py`` reach into ``p3wkb``
+by name: solver and residual functions, ``EtaSeries.from_slots``, and the
+Jet and chart methods the tracer wraps.  These tests import both files
+read-only, so an API change that breaks the benchmark fails here without
+running ``perfbench/selftest.py``."""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """perfbench/<name>.py as a module (the directory is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses look their module up here
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True   # no cache in perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+@pytest.mark.parametrize("index, family", [(0, "d6"), (1, "d7")])
+def test_series_scalar_gate_accepts_the_solve_and_rejects_the_perturbed_one(workloads, index,
+                                                                            family):
+    series_scalar = workloads.SeriesScalar
+    task = series_scalar.tasks(1, 4)[::3][index]
+    assert (task.kind, task.args[2]) == (family, 4)
+    out = series_scalar.run(task)
+    assert series_scalar.check(task, out).ok
+    assert not series_scalar.check(task, series_scalar.perturb(task, out)).ok
+
+
+def test_traced_methods_exist_on_their_classes():
+    tracing = _load("tracing")
+    for module, cls, attr, _ in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"p3wkb.{module}"), cls)
+        assert attr in owner.__dict__, f"{module}.{cls}.{attr}"

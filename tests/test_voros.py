@@ -325,17 +325,19 @@ def test_chunk_size_does_not_change_the_solve(spec, params, monkeypatch):
     for nodes in (256, 1024):
         monkeypatch.setattr(series, "_CHUNK_NODES", nodes)
         zp = zero_param_solution(ts, BranchPoint(ts, lams), **kwargs)
-        coeffs = [np.array(jet.coeffs) for s in (zp.lam, riccati_solution(zp, +1).R)
-                  for jet in s.terms]
+        coeffs = [s.coeffs for s in (zp.lam, riccati_solution(zp, +1).R)]
         solved.append((coeffs, zp.diagnostics))
     (first, diag_first), (second, diag_second) = solved
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
     assert diag_first == diag_second
 
 
-@pytest.mark.parametrize("spec, params", _BATCH_CASES + [
-    (EndpointSpec("d6", "zero_c0", +1), P_GEN), (EndpointSpec("d7", "zero_c", +1), 2 + 1j)],
-    ids=["d6-inf1", "d7-inf1", "d6-zero_c0", "d7-zero_c"])
+_ENDPOINT_CASES = _BATCH_CASES + [
+    (EndpointSpec("d6", "zero_c0", +1), P_GEN), (EndpointSpec("d7", "zero_c", +1), 2 + 1j)]
+_ENDPOINT_IDS = ["d6-inf1", "d7-inf1", "d6-zero_c0", "d7-zero_c"]
+
+
+@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
 def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
     # The oracle reads only R's values; K = N + 2 certifies them as K = N + 4 does.
     ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
@@ -346,6 +348,22 @@ def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
     for power in low.powers():
         a, b = low.slot_value(power), high.slot_value(power)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
+def test_residuals_vanish_on_every_node_of_the_oracle_batch(spec, params, monkeypatch):
+    # The oracle's own batch at its own order K = N + 2: both residuals
+    # vanish on eta^2 .. eta^(2-N) at every node, relative to 1 + the
+    # node's largest slot (the rule of the series_scalar benchmark gate).
+    ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
+    N = kwargs["N"]
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), **kwargs)
+    ric = riccati_solution(zp, +1)
+    for res, sol in ((series.main_equation_residual(zp), zp.lam),
+                     (series.riccati_residual(ric.R, zp), ric.R)):
+        size = 1.0 + np.abs(sol.coeffs[:, 0]).max(axis=0)
+        err = np.abs([res.slot_value(p) for p in range(2, 1 - N, -1)]).max(axis=0)
+        assert np.all(err <= 1e-9 * size), np.max(err / size)
 
 
 def _double_pole_nodes():
