@@ -2,7 +2,8 @@
 
 Subpackages by layer:
 
-- ``numerics``  — rationals, Bernoulli numbers, jets, Laurent series, roots
+- ``numerics``  — rationals, Bernoulli numbers, jets, Laurent series, roots,
+                  Binet's function ``binet`` and ``log_gamma``
 - ``algebra``   — parameters, branches of the leading algebraic equation,
                   turning points, the u-plane chart and its quadratic
                   differential

@@ -18,8 +18,19 @@ imaginary part, and ``BorelSumValue.argument`` reports that normalised z):
                                                      - (1/2) log z + pi i (z + 1/2)
 
 The minus side is the natural one for Re z > 0 (S-[G] is Binet's first
-log-Gamma formula), the plus side for Re z < 0.  Crossing the imaginary
-axis produces the exponentiated jumps
+log-Gamma formula), the plus side for Re z < 0.  The sums are evaluated
+through Binet's function J(w) = log Gamma(w) - (w - 1/2) log w + w -
+(1/2) log 2 pi (``numerics.binet``), whose asymptotic series is G itself:
+
+    S-[G](z) = J(z)
+    S-[F](z) = J(z + 1/2) + z log1p(1/(2z)) - 1/2
+    S+[K](z) = -S-[K](-z) + 2 pi i m (z + 1/2 for G, z for F)
+
+with m = 1 where arg(-z) > arg z and 0 otherwise (for F a real -z is
+taken on the upper lip, as the Gamma argument -z + 1/2 has it).  So no
+terms of size |z log z| are added to leave a sum of size 1/(12 z), and
+the sums keep their relative accuracy at large |z|.  Crossing the
+imaginary axis produces the exponentiated jumps
 
     exp(S+[F] - S-[F]) = 1 + e^{2 pi i z}
     exp(S+[G] - S-[G]) = 1 - e^{2 pi i z}
@@ -52,7 +63,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Parameters
-from .numerics import _read_only, log_gamma
+from .numerics import _atanh_excess, _read_only, binet
 from .voros import f_coefficient, g_coefficient
 from .walls import on_imaginary_axis
 
@@ -69,8 +80,6 @@ __all__ = [
     "summability_report",
     "connection_multiplier",
 ]
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class GammaPoleError(ValueError):
@@ -106,32 +115,55 @@ class BorelSumValue:
 
 
 def _gamma_term(w: complex) -> complex:
-    """log Gamma(w), raising :class:`GammaPoleError` at a pole (w = 0, -1,
-    -2, ...).  Next to a pole log Gamma is large but finite and accurate."""
+    """Binet's J(w) = log Gamma(w) - (w - 1/2) log w + w - (1/2) log 2 pi
+    (:func:`numerics.binet`), raising :class:`GammaPoleError` at a pole of
+    Gamma (w = 0, -1, -2, ...).  Next to a pole J is large but finite and
+    accurate.  J is log Gamma less its Stirling part, so the closed forms
+    built on it add no terms of size |w log w|."""
     try:
-        return log_gamma(w)
+        return binet(w)
     except ValueError as exc:
         raise GammaPoleError(f"log Gamma pole at w = {w}") from exc
 
 
+def _minus_sum(kind: str, z: complex) -> complex:
+    """S-[G](z) = J(z), and S-[F](z) = J(z + 1/2) + z log1p(1/(2z)) - 1/2.
+
+    For F, with t = 1/(4z + 1), z log1p(1/(2z)) - 1/2 is
+    ((atanh(t)/t - 1) - atanh(t))/2, which is free of cancellation where
+    |t| < 1/2; nearer the origin the two logs are taken apart, so that the
+    lips of log(z + 1/2) and log z follow the signs of their zero imaginary
+    parts as in log Gamma(z + 1/2) - z log z."""
+    if kind == "G":
+        return _gamma_term(z)
+    a = 4.0 * z + 1.0
+    if abs(a) > 2.0:
+        t = 1.0 / a
+        excess = _atanh_excess(t)
+        rest = 0.5 * (excess - t * (1.0 + excess))
+    else:
+        rest = z * (cmath.log(z + 0.5) - cmath.log(z)) - 0.5
+    return _gamma_term(z + 0.5) + rest
+
+
 def _lateral_sum(kind: str, z: complex, side: str) -> complex:
-    base = -z * (cmath.log(z) - 1.0)
-    if kind == "F":
-        if side == "minus":
-            return _gamma_term(z + 0.5) - _HALF_LOG_2PI + base
-        return -_gamma_term(-z + 0.5) + _HALF_LOG_2PI + base + 1j * math.pi * z
     if side == "minus":
-        return _gamma_term(z) - _HALF_LOG_2PI + base + 0.5 * cmath.log(z)
-    return (-_gamma_term(-z) + _HALF_LOG_2PI + base - 0.5 * cmath.log(z)
-            + 1j * math.pi * (z + 0.5))
+        return _minus_sum(kind, z)
+    # S+[K](z) = -S-[K](u) + 2 pi i m (z + 1/2 for G), u = -z: the Gamma
+    # factor of S+ is Gamma(u) for G and Gamma(u + 1/2) for F, and
+    # log u - log z + pi i = 2 pi i m.  For F, u carries the +0 imaginary
+    # part that u + 1/2 gets on the real axis.
+    u = -z if kind == "G" else complex(-z.real, 0.0 - z.imag)
+    m = cmath.phase(u) > cmath.phase(z)
+    return -_minus_sum(kind, u) + 2j * math.pi * m * (z + 0.5 if kind == "G" else z)
 
 
 def _borel_sum(kind: str, c: complex, eta: complex, side: str) -> BorelSumValue:
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     z = complex(c) * complex(eta)
-    # A -0.0 imaginary part becomes +0.0: log z honours the zero's sign but
-    # the shifted log Gamma argument z + 1/2 drops it, so without this the
+    # A -0.0 imaginary part becomes +0.0: J(z) and log z honour the zero's
+    # sign but the shifted argument z + 1/2 drops it, so without this the
     # terms of one sum would sit on opposite lips of the cut.
     z = complex(z.real, z.imag + 0.0)
     if on_imaginary_axis(z):

@@ -112,6 +112,35 @@ def test_gamma_term_next_to_a_pole(z):
     assert abs(got.value - complex(want)) < 1e-12 * abs(complex(want))
 
 
+def _closed_form_mp(kind, z, side):
+    """The Gamma closed forms of the module docstring in 30-digit mpmath,
+    for z off the real axis."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        half_log_2pi, base = mp.log(2 * mp.pi) / 2, -z * (mp.log(z) - 1)
+        if kind == "F" and side == "minus":
+            value = mp.loggamma(z + 0.5) - half_log_2pi + base
+        elif kind == "F":
+            value = -mp.loggamma(-z + 0.5) + half_log_2pi + base + 1j * mp.pi * z
+        elif side == "minus":
+            value = mp.loggamma(z) - half_log_2pi + base + mp.log(z) / 2
+        else:
+            value = (-mp.loggamma(-z) + half_log_2pi + base - mp.log(z) / 2
+                     + 1j * mp.pi * (z + 0.5))
+        return complex(value)
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+@pytest.mark.parametrize("z", [4.454 - 363.37j, 2.305 - 215.64j])
+def test_closed_forms_at_large_imaginary_z(z, side):
+    # Here log Gamma and z (log z - 1) are each near 2000 in size while the
+    # sums are near 1e-4: the closed forms must not lose digits to that.
+    for kind, fn in (("F", borel_sum_F), ("G", borel_sum_G)):
+        want = _closed_form_mp(kind, z, side)
+        got = fn(z, 1.0, side).value
+        assert abs(got - want) < 1e-14 * max(1.0, abs(want)), kind
+
+
 # ---------------------------------------------------------------------------
 # Optimal truncation of the asymptotic series (high-precision oracle)
 # ---------------------------------------------------------------------------

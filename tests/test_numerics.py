@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +24,7 @@ from p3wkb.numerics import (
     SingularJetError,
     _chain_signs,
     bernoulli,
+    binet,
     log_gamma,
     poly_roots,
 )
@@ -143,6 +150,59 @@ def test_log_gamma_pole():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-3.0)
+
+
+def _seeded_quadrant_points(seed, per_quadrant=150):
+    """|z| log-uniform on [1e-3, 1e3], the argument uniform in each quadrant."""
+    rng = random.Random(seed)
+    return [cmath.rect(10 ** rng.uniform(-3, 3), (q + rng.random()) * math.pi / 2)
+            for q in range(4) for _ in range(per_quadrant)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_binet_and_log_gamma_match_mpmath(seed):
+    with mp.workdps(30):
+        for z in _seeded_quadrant_points(seed):
+            zm = mp.mpc(z)
+            lg = mp.loggamma(zm)
+            j = complex(lg - (zm - 0.5) * mp.log(zm) + zm - mp.log(2 * mp.pi) / 2)
+            lg = complex(lg)
+            assert abs(binet(z) - j) <= 1e-14 * abs(j), z
+            assert abs(log_gamma(z) - lg) <= 1e-14 * max(1.0, abs(lg)), z
+
+
+def test_log_gamma_lips_of_the_negative_axis():
+    # The upper lip (Im z = +0) is the limit from Im z > 0, the lower lip
+    # from Im z < 0, as the principal branch of log Gamma is continued.
+    upper, lower = log_gamma(-2.5 + 0j), log_gamma(complex(-2.5, -0.0))
+    assert abs(upper.imag + 3 * math.pi) < 1e-14
+    assert abs(lower.imag - 3 * math.pi) < 1e-14
+    assert abs(upper.real - math.log(abs(math.gamma(-2.5)))) < 1e-14
+    assert upper.real == lower.real
+    assert abs(log_gamma(complex(-2.5, 1e-300)) - upper) < 1e-14
+    assert abs(log_gamma(complex(-2.5, -1e-300)) - lower) < 1e-14
+    with pytest.raises(ValueError):
+        binet(complex(-2.0, -0.0))
+
+
+def test_binet_series_is_the_g_series():
+    # The Stirling series binet sums and the Voros series G have one definition.
+    for n, c in enumerate(numerics._STIRLING, start=1):
+        assert c == float(voros.g_coefficient(n))
+
+
+def test_importing_every_module_leaves_scipy_out():
+    # A fresh interpreter that imports all of p3wkb has not loaded scipy:
+    # the package's start-up cost is numpy's alone.
+    code = ("import importlib, pkgutil, sys, p3wkb\n"
+            "for m in pkgutil.iter_modules(p3wkb.__path__):\n"
+            "    importlib.import_module('p3wkb.' + m.name)\n"
+            "print(len(list(pkgutil.iter_modules(p3wkb.__path__))), 'scipy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert int(out[0]) >= 8 and out[1] == "False"
 
 
 # ---------------------------------------------------------------------------
