@@ -26,8 +26,10 @@ through Binet's function J(w) = log Gamma(w) - (w - 1/2) log w + w -
     S-[F](z) = J(z + 1/2) + z log1p(1/(2z)) - 1/2
     S+[K](z) = -S-[K](-z) + 2 pi i m (z + 1/2 for G, z for F)
 
-with m = 1 where arg(-z) > arg z and 0 otherwise (for F a real -z is
-taken on the upper lip, as the Gamma argument -z + 1/2 has it).  So no
+with m = 1 where arg(-z) > arg z and 0 otherwise.  On the real axis both
+plus sides are the limits from Im z > 0, the lip of the normalised +0
+imaginary part: S+[F](x) and S+[G](x) at real x > 0 are the values just
+above the axis, and the lips of their Gamma factors at -x follow.  So no
 terms of size |z log z| are added to leave a sum of size 1/(12 z), and
 the sums keep their relative accuracy at large |z|.  Crossing the
 imaginary axis produces the exponentiated jumps
@@ -131,19 +133,20 @@ def _minus_sum(kind: str, z: complex) -> complex:
 
     For F, with t = 1/(4z + 1), z log1p(1/(2z)) - 1/2 is
     ((atanh(t)/t - 1) - atanh(t))/2, which is free of cancellation where
-    |t| < 1/2; nearer the origin the two logs are taken apart, so that the
-    lips of log(z + 1/2) and log z follow the signs of their zero imaginary
-    parts as in log Gamma(z + 1/2) - z log z."""
+    |t| < 1/2; nearer the origin the two logs are taken apart.  The shift
+    z + 1/2 keeps the sign of a zero imaginary part (adding a float would
+    make it +0), so J(z + 1/2), log(z + 1/2) and log z take one lip."""
     if kind == "G":
         return _gamma_term(z)
+    shifted = complex(z.real + 0.5, z.imag)
     a = 4.0 * z + 1.0
     if abs(a) > 2.0:
         t = 1.0 / a
         excess = _atanh_excess(t)
         rest = 0.5 * (excess - t * (1.0 + excess))
     else:
-        rest = z * (cmath.log(z + 0.5) - cmath.log(z)) - 0.5
-    return _gamma_term(z + 0.5) + rest
+        rest = z * (cmath.log(shifted) - cmath.log(z)) - 0.5
+    return _gamma_term(shifted) + rest
 
 
 def _lateral_sum(kind: str, z: complex, side: str) -> complex:
@@ -151,10 +154,12 @@ def _lateral_sum(kind: str, z: complex, side: str) -> complex:
         return _minus_sum(kind, z)
     # S+[K](z) = -S-[K](u) + 2 pi i m (z + 1/2 for G), u = -z: the Gamma
     # factor of S+ is Gamma(u) for G and Gamma(u + 1/2) for F, and
-    # log u - log z + pi i = 2 pi i m.  For F, u carries the +0 imaginary
-    # part that u + 1/2 gets on the real axis.
-    u = -z if kind == "G" else complex(-z.real, 0.0 - z.imag)
-    m = cmath.phase(u) > cmath.phase(z)
+    # log u - log z + pi i = 2 pi i m.  On the real axis z carries +0, so
+    # u = -z carries -0 and both kinds take the limit from Im z > 0.  The
+    # arguments come from atan2, which unlike cmath.phase does not raise
+    # when a subnormal imaginary part makes the angle underflow.
+    u = -z
+    m = math.atan2(u.imag, u.real) > math.atan2(z.imag, z.real)
     return -_minus_sum(kind, u) + 2j * math.pi * m * (z + 0.5 if kind == "G" else z)
 
 

@@ -489,6 +489,42 @@ def _cauchy_pairs(n: int, step_a: int, step_b: int):
                       starts, ms[starts])
 
 
+@lru_cache(maxsize=None)
+def _cauchy_by_order(n: int, step_a: int, step_b: int, orders: tuple):
+    """The pairs of ``_cauchy_pairs`` split by the order q = orders[m] of
+    their product slot m: per q, (q, i's, j's, group starts, the m's)."""
+    first, second, starts, ms = _cauchy_pairs(n, step_a, step_b)
+    sizes = np.diff(np.append(starts, len(first)))
+    out = []
+    for q in sorted({orders[m] for m in ms}, reverse=True):
+        keep = np.array([orders[m] == q for m in ms])
+        rows = np.repeat(keep, sizes)
+        out.append((q,) + _read_only(first[rows], second[rows],
+                                     np.cumsum(sizes[keep]) - sizes[keep], ms[keep]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cauchy_cells(n: int, step_a: int, step_b: int, K: int, orders: tuple):
+    """The outer-product path of ``DenseJets.mul`` through order orders[m]
+    of each product slot m: the pairs of ``_cauchy_pairs``; the flat
+    indices of the cells (pair, j, l) of their (K+1) x (K+1) outer
+    products with j + l = k <= orders[m], in runs of one (m, k, pair),
+    j rising, the start of each run, the start of each (m, k) block of
+    runs, and each block's flat index m (K+1) + k in the product stack."""
+    first, second, starts, ms = _cauchy_pairs(n, step_a, step_b)
+    bounds = np.append(starts, len(first))
+    cells, runs, blocks, targets = [], [], [], []
+    for g, m in enumerate(ms):
+        for k in range(orders[m] + 1):
+            blocks.append(len(runs))
+            targets.append(m * (K + 1) + k)
+            for pair in range(bounds[g], bounds[g + 1]):
+                runs.append(len(cells))
+                cells.extend(pair * (K + 1) ** 2 + j * (K + 1) + k - j for j in range(k + 1))
+    return (first, second) + _read_only(*map(np.array, (cells, runs, blocks, targets)))
+
+
 def _read_only(*arrays) -> tuple:
     """The arrays, locked: cached index arrays are shared by every caller."""
     for a in arrays:
@@ -508,7 +544,7 @@ def _running_sum(terms: np.ndarray):
     slice.  Summed plainly, one base point (a 1-d array) would pair its
     terms differently than a batch, and numpy scalars round differently
     than arrays; this way one node and many give the same bits."""
-    return np.cumsum(terms, axis=0)[-1:] if len(terms) else 0.0
+    return terms.cumsum(axis=0)[-1:] if len(terms) else 0.0
 
 
 class DenseJets:
@@ -567,10 +603,16 @@ class DenseJets:
 
     # -- products: the one (eta, t) Cauchy kernel ---------------------------
 
-    def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def products(self, X: np.ndarray, Y: np.ndarray, order: int | None = None) -> np.ndarray:
         """Truncated jet products X[i] * Y[i] along the leading axis of two
-        stacks (a stack of one broadcasts).  The order is read off X, so
-        lower-order stacks work too."""
+        stacks (a stack of one broadcasts), through Taylor order ``order``,
+        the result holding order + 1 coefficients.  Coefficient k adds the
+        same terms in the same order whatever the order, so a product
+        stopped at the order its slot is certified to is bit-identical
+        below it.  Without ``order`` it is read off X, so lower-order
+        stacks work too."""
+        if order is not None:
+            X, Y = X[:, :order + 1], Y[:, :order + 1]
         K1 = X.shape[1]
         if K1 == 1:
             return X * Y
@@ -585,29 +627,64 @@ class DenseJets:
         return out
 
     def slot(self, A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
-             step: int = 1) -> np.ndarray:
-        """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi."""
+             step: int = 1, *, order: int | None = None) -> np.ndarray:
+        """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi, a jet
+        of order ``order`` (default: the stacks' order): the order the
+        caller's slot is certified to, so no term above it is computed.
+        The terms are added in turn whatever the order.  ``sum`` does so
+        along the node axis of a large batch, but would add one node's
+        terms of one coefficient pairwise; few base points take the
+        running sum."""
+        q = A.shape[1] - 1 if order is None else order
         i = np.arange(lo, hi + 1, step)
         if not len(i):
-            return self.zeros()
-        return self.products(A[i], B[m - i]).sum(axis=0)
+            return np.zeros((q + 1,) + self.batch, complex)
+        terms = self.products(A[i, :q + 1], B[m - i, :q + 1])
+        return _running_sum(terms)[0] if self.small else terms.sum(axis=0)
 
-    def mul(self, A: np.ndarray, B: np.ndarray, step_a: int = 1,
-            step_b: int = 1) -> np.ndarray:
+    def mul(self, A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
+            orders=None) -> np.ndarray:
         """The eta-product of two stacks of equal length, truncated to it;
-        A (B) is nonzero only on slots that are multiples of step_a (step_b)."""
-        first, second, starts, ms = _cauchy_pairs(len(A), step_a, step_b)
-        out = np.zeros_like(A)
-        out[ms] = np.add.reduceat(self.products(A[first], B[second]), starts, axis=0)
+        A (B) is nonzero only on slots that are multiples of step_a (step_b).
+        Product slot m stops at Taylor order orders[m] (default: the
+        stacks' order), the order it is certified to, and is zero above.
+
+        With few base points one gather picks, from the pairs' outer
+        products, the cells of every kept order of every slot, and two
+        reductions add each antidiagonal and then each slot's pairs, in
+        the order the full product adds them.  A large batch runs the
+        shifted rows of ``products`` once per distinct order."""
+        K = A.shape[1] - 1
+        orders = (K,) * len(A) if orders is None else tuple(np.minimum(orders, K).tolist())
+        out = np.zeros(A.shape, complex)
+        if self.small:
+            first, second, cells, runs, blocks, targets = _cauchy_cells(
+                len(A), step_a, step_b, K, orders)
+            M = A[first][:, :, None] * B[second][:, None, :]
+            sums = np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], runs, axis=0)
+            out.reshape((-1,) + out.shape[2:])[targets] = np.add.reduceat(sums, blocks, axis=0)
+            return out
+        for q, first, second, starts, ms in _cauchy_by_order(len(A), step_a, step_b, orders):
+            out[ms, :q + 1] = np.add.reduceat(
+                self.products(A[first, :q + 1], B[second, :q + 1]), starts, axis=0)
         return out
 
-    def inverse(self, A: np.ndarray, step: int = 1) -> np.ndarray:
+    def inverse(self, A: np.ndarray, step: int = 1, orders=None) -> np.ndarray:
         """The eta-series 1 / A, for A nonzero only on slots that are
-        multiples of ``step`` (and so is the result)."""
-        out = np.zeros_like(A)
-        out[0] = self.divide(self.constant(1.0), A[0])
+        multiples of ``step`` (and so is the result).  Slot m stops at
+        Taylor order orders[m] (default: the stack's order) and is zero
+        above; it reads only slots of A and of the result at or below m,
+        so orders that do not rise with m leave every kept coefficient
+        as the full-order inverse computes it."""
+        K = A.shape[1] - 1
+        orders = [K] * len(A) if orders is None else np.minimum(orders, K).tolist()
+        out = np.zeros(A.shape, complex)
+        q = orders[0]
+        out[0, :q + 1] = self.divide(self.constant(1.0)[:q + 1], A[0, :q + 1])
         for m in range(step, len(A), step):
-            out[m] = -self.products(self.slot(A, out, m, step, m, step)[None], out[:1])[0]
+            q = orders[m]
+            out[m, :q + 1] = -self.products(self.slot(A, out, m, step, m, step, order=q)[None],
+                                            out[:1], q)[0]
         return out
 
     # -- single jets --------------------------------------------------------

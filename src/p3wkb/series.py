@@ -28,7 +28,7 @@ as independent checks: no solver calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .algebra import (
     d7_lambda0_branches,
     lambda0_branches,
 )
-from .numerics import DenseJets, Jet
+from .numerics import DenseJets, Jet, _read_only
 
 __all__ = [
     "ConditioningError",
@@ -185,15 +185,18 @@ class EtaSeries:
         n, K = min(self.n_slots, other.n_slots), min(self.K, other.K)
         orders = np.minimum(np.minimum.accumulate(self.orders[:n]),
                             np.minimum.accumulate(other.orders[:n]))
-        coeffs = DenseJets(self.t0, K).mul(self.coeffs[:n, :K + 1], other.coeffs[:n, :K + 1])
-        return EtaSeries(self.offset + other.offset, coeffs, np.minimum(orders, K), self.t0)
+        orders = np.minimum(orders, K)
+        coeffs = DenseJets(self.t0, K).mul(self.coeffs[:n, :K + 1], other.coeffs[:n, :K + 1],
+                                           orders=orders)
+        return EtaSeries(self.offset + other.offset, coeffs, orders, self.t0)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "EtaSeries":
         """1 / self; a vanishing leading value raises SingularJetError."""
-        return EtaSeries(-self.offset, DenseJets(self.t0, self.K).inverse(self.coeffs),
-                         np.minimum.accumulate(self.orders), self.t0)
+        orders = np.minimum.accumulate(self.orders)
+        return EtaSeries(-self.offset, DenseJets(self.t0, self.K).inverse(self.coeffs, orders=orders),
+                         orders, self.t0)
 
     def __truediv__(self, other):
         return self * (other.inverse() if isinstance(other, EtaSeries) else 1.0 / other)
@@ -204,13 +207,14 @@ class EtaSeries:
         if self.offset % 2:
             raise ValueError("square root needs an even leading power of eta")
         jets = DenseJets(self.t0, self.K)
+        orders = np.minimum.accumulate(self.orders)
         out = np.zeros_like(self.coeffs)
         out[0] = jets.sqrt(self.coeffs[0])
         half = jets.divide(jets.constant(0.5), out[0])[None]
-        for k in range(1, self.n_slots):
-            acc = self.coeffs[k] - jets.slot(out, out, k, 1, k - 1)
-            out[k] = jets.products(acc[None], half)[0]
-        return EtaSeries(self.offset // 2, out, np.minimum.accumulate(self.orders), self.t0)
+        for k, q in enumerate(orders[1:], 1):
+            acc = self.coeffs[k, :q + 1] - jets.slot(out, out, k, 1, k - 1, order=q)
+            out[k, :q + 1] = jets.products(acc[None], half, q)[0]
+        return EtaSeries(self.offset // 2, out, orders, self.t0)
 
     def derive(self) -> "EtaSeries":
         if np.min(self.orders) < 1:
@@ -391,13 +395,6 @@ def model_for(params):
 _CHUNK_NODES = 1024
 
 
-def _solved(offset: int, A: np.ndarray, orders, t0) -> EtaSeries:
-    """A solver's stack as a series certified through ``orders``, zeroing
-    (in place) the coefficients above them, which later solves read back."""
-    A[np.arange(A.shape[1]) > orders[:, None]] = 0
-    return EtaSeries(offset, A, orders, t0)
-
-
 def _by_chunks(solve, t0, *per_node):
     """``solve(t0, *per_node)`` over chunks of at most ``_CHUNK_NODES``
     base points, its arrays joined again.  Per-node arrays (in and out)
@@ -422,9 +419,11 @@ def _eta_shift(A: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _by_t_power(jets: DenseJets, groups: dict) -> np.ndarray:
-    """sum of t^p * groups[p] over the powers p present."""
-    return sum(jets.products(g, jets.t_power(p)[None]) if p else g
+def _by_t_power(jets: DenseJets, groups: dict, order: int | None = None) -> np.ndarray:
+    """sum of t^p * groups[p] over the powers p present, through Taylor
+    order ``order`` (default K)."""
+    q = jets.K if order is None else order
+    return sum(jets.products(g, jets.t_power(p)[None], q) if p else g[:, :q + 1]
                for p, g in groups.items())
 
 
@@ -434,18 +433,25 @@ def _step(model) -> int:
     return 1 if model.shifted else 2
 
 
+@lru_cache(maxsize=None)
 def _slot_orders(K: int, N: int, shifted: bool):
-    """Taylor orders kept per slot of lambda, mu and R.
+    """Taylor orders kept per slot of lambda, mu and R (read-only: every
+    solve shares them).
 
     Each is what truncated jet arithmetic certifies through the elimination
     of the full residual, slot by slot: two orders per eta-step of lambda
     (two t-derivatives), one per eta-step of mu and R (one derivative).
-    The recursions below certify at least as many, and the outputs keep
-    these so that a slot's order does not depend on the engine."""
+    The outputs keep these so that a slot's order does not depend on the
+    engine.  The recursions compute each slot only through them and leave
+    it zero above: through its own order a slot reads slots at or before it,
+    which the orders certify at least as far, and t-derivatives of
+    earlier slots, which they certify one order further per derivative.
+    So every kept coefficient adds the same terms, in the same order, as
+    products through the full jet order K would."""
     m = np.arange(N + 1)
     if shifted:
-        return K - 2 * ((m + 1) // 2), K - 1 - m, np.where(m == 0, K, K - 1 - m)
-    return np.where(m % 2, K, K - m), K - np.maximum(m, 1), K - m
+        return _read_only(K - 2 * ((m + 1) // 2), K - 1 - m, np.where(m == 0, K, K - 1 - m))
+    return _read_only(np.where(m % 2, K, K - m), K - np.maximum(m, 1), K - m)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +532,13 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
     - (theta lam)^2.  At eta^(2-m) the left side is linear in lambda_m with
     coefficient P'(lambda_0) = lambda_0 t^2 Delta, and the right side holds
     only slots up to m - 2.  The powers of lam keep running slots, so each
-    new slot costs O(m) jet products; theta lam = t lam' is kept the same way."""
+    new slot costs O(m) jet products; theta lam = t lam' is kept the same way.
+    Slot m of lam and of the powers is computed through the order
+    ``_slot_orders`` certifies for lambda_m and is zero above it."""
     terms = [term for term in model.lam_poly() if term[2] != 0]
     top = max(d for d, *_ in terms)
     step = _step(model)
+    orders = _slot_orders(jets.K, N, model.shifted)[0]
     pw = jets.zeros(top + 1, N + 1)
     pw[0, 0, 0] = 1.0
     pw[1, 0] = lam0
@@ -543,20 +552,21 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
     th2[0] = jets.theta(th1[0])
     linv = jets.divide(jets.constant(1.0), dP)[None]
     for m in range(step, N + 1, step):
+        q = orders[m]
         for d in range(2, top + 1):
-            pw[d, m] = jets.slot(pw[d - 1], lam, m, step, m, step)   # lambda_m still 0
+            pw[d, m, :q + 1] = jets.slot(pw[d - 1], lam, m, step, m, step, order=q)   # lambda_m still 0
         groups = {}
         for d, e, a, p in terms:
             if m >= e:
                 groups[p] = groups.get(p, 0) + a * pw[d, m - e:m - e + 1]
-        rhs = -_by_t_power(jets, groups)[0]
+        rhs = -_by_t_power(jets, groups, q)[0]
         if m >= 2:
-            rhs += jets.slot(lam, th2, m - 2, 0, m - 2, step) \
-                - jets.slot(th1, th1, m - 2, 0, m - 2, step)
-        lam[m] = jets.products(rhs[None], linv)[0]
+            rhs += jets.slot(lam, th2, m - 2, 0, m - 2, step, order=q) \
+                - jets.slot(th1, th1, m - 2, 0, m - 2, step, order=q)
+        lam[m, :q + 1] = jets.products(rhs[None], linv, q)[0]
         th1[m] = jets.theta(lam[m])
         th2[m] = jets.theta(th1[m])
-        pw[2:, m] += jets.products(grow, lam[m][None])
+        pw[2:, m, :q + 1] += jets.products(grow, lam[m][None], q)
     return lam
 
 
@@ -599,7 +609,7 @@ class ZeroParamSolution:
     def mu(self) -> EtaSeries:
         """The mu-series, solved from lam chunk by chunk like lam itself."""
         mu, = _by_chunks(partial(_mu_arrays, self.model, self.K), self.t0, self.lam.coeffs)
-        return _solved(0, mu, _slot_orders(self.K, self.N, self.model.shifted)[1], self.t0)
+        return EtaSeries(0, mu, _slot_orders(self.K, self.N, self.model.shifted)[1], self.t0)
 
 
 def _zero_param_arrays(model, N: int, K: int, t0, seed, index):
@@ -615,17 +625,19 @@ def _zero_param_arrays(model, N: int, K: int, t0, seed, index):
 
 def _mu_arrays(model, K: int, t0, lam):
     """The stack of mu for base points t0 from the stack of lambda:
-    mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table."""
+    mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table.
+    Its products stop at the orders ``_slot_orders`` certifies for mu."""
     jets = DenseJets(t0, K)
     step = _step(model)
+    orders = _slot_orders(K, len(lam) - 1, model.shifted)[1]
     one = jets.zeros(len(lam))
     one[0, 0] = 1.0
-    powers = (one, lam, jets.mul(lam, lam, step, step))
+    powers = (one, lam, jets.mul(lam, lam, step, step, orders))
     groups = {}
     for d, e, a, p in model.mu_poly():
         groups[p] = groups.get(p, 0) + a * _eta_shift(powers[d], e)
     return (jets.mul(_eta_shift(jets.theta(lam), 1) + _by_t_power(jets, groups),
-                     jets.inverse(2 * powers[2], step), 1, step),)
+                     jets.inverse(2 * powers[2], step, orders), 1, step, orders),)
 
 
 def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
@@ -654,7 +666,7 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
     ratio_node = int(np.argmin(delta_ratio))
     return ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
-        _solved(0, lam, _slot_orders(K, N, model.shifted)[0], t0),
+        EtaSeries(0, lam, _slot_orders(K, N, model.shifted)[0], t0),
         EtaSeries(0, delta0[None], np.array([K]), t0).slot(0),
         {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
          "newton_node": newton_node,
@@ -705,26 +717,28 @@ def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
         - (zp.model.dF(lam, t).shift_eta(2) - ratio * ratio)
 
 
-def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int):
+def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int, orders):
     """G = 2 lam'/lam - 1/t (slot k at eta^-k) and H = eta^2 dF(lam) -
     (lam'/lam)^2 (slot n at eta^(2-n)) as stacks.  With P = lam t^2 F,
-    dF = t^-2 sum (d - 1) a t^p lam^(d-2) eta^-e over the terms of P."""
+    dF = t^-2 sum (d - 1) a t^p lam^(d-2) eta^-e over the terms of P.
+    Their eta-products stop at ``orders``, the orders of R's slots: R_n
+    reads slot n of H and slots below n of G, and no deeper order."""
     terms = [term for term in model.lam_poly() if term[2] != 0 and term[0] != 1]
     one = jets.zeros(len(lam))
     one[0, 0] = 1.0
-    inv = jets.inverse(lam, step)
-    ratio = jets.mul(jets.derive(lam), inv, step, step)
+    inv = jets.inverse(lam, step, orders)
+    ratio = jets.mul(jets.derive(lam), inv, step, step, orders)
     g = 2 * ratio
     g[0] -= jets.t_power(-1)
-    powers = {-2: jets.mul(inv, inv, step, step), -1: inv, 0: one, 1: lam}
+    powers = {-2: jets.mul(inv, inv, step, step, orders), -1: inv, 0: one, 1: lam}
     for k in range(2, max(d for d, *_ in terms) - 1):
-        powers[k] = jets.mul(powers[k - 1], lam, step, step)
+        powers[k] = jets.mul(powers[k - 1], lam, step, step, orders)
     groups = {}
     for d, e, a, p in terms:
         term = (d - 1) * a * _eta_shift(powers[d - 2], e)
         groups[p - 2] = groups.get(p - 2, 0) + term
     h = _by_t_power(jets, groups)
-    h[2:] -= jets.mul(ratio, ratio, step, step)[:-2]
+    h[2:] -= jets.mul(ratio, ratio, step, step, orders)[:-2]
     return g, h
 
 
@@ -738,23 +752,25 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
     N, K = zp.N, zp.K
     r, = _by_chunks(partial(_riccati_arrays, zp.model, N, K, sign), zp.t0,
                     zp.lam.coeffs, np.array(zp.delta0.coeffs))
-    return RiccatiSolution(zp, sign, _solved(1, r, _slot_orders(K, N, zp.model.shifted)[2], zp.t0))
+    return RiccatiSolution(zp, sign, EtaSeries(1, r, _slot_orders(K, N, zp.model.shifted)[2], zp.t0))
 
 
 def _riccati_arrays(model, N: int, K: int, sign: int, t0, lam, delta0):
     """The stack of R for base points t0, from the stacks of lambda and Delta."""
     jets = DenseJets(t0, K)
     step = _step(model)
-    g, h = _riccati_terms(model, jets, lam, step)
+    orders = _slot_orders(K, N, model.shifted)[2]
+    g, h = _riccati_terms(model, jets, lam, step, orders)
     r = jets.zeros(N + 1)
     r[0] = jets.sqrt(delta0)
     if sign < 0:
         r[0] = -r[0]
     inv2r = jets.divide(jets.constant(-0.5), r[0])[None]
     for n in range(1, N + 1):
-        acc = jets.slot(r, r, n, 1, n - 1) + jets.derive(r[n - 1]) \
-            - jets.slot(g, r, n - 1, 0, n - 1, step) - h[n]
-        r[n] = jets.products(acc[None], inv2r)[0]
+        q = orders[n]
+        acc = jets.slot(r, r, n, 1, n - 1, order=q) + jets.derive(r[n - 1])[:q + 1] \
+            - jets.slot(g, r, n - 1, 0, n - 1, step, order=q) - h[n, :q + 1]
+        r[n, :q + 1] = jets.products(acc[None], inv2r, q)[0]
     return (r,)
 
 

@@ -220,10 +220,35 @@ def test_duplication_of_closed_forms():
             assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("fn", [borel_sum_F, borel_sum_G], ids=["F", "G"])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("z", [complex(2.23, 5e-324), complex(2.23, -5e-324),
+                               complex(-2.23, 5e-324), complex(-2.23, -5e-324)])
+def test_subnormal_imaginary_part_is_the_limit_from_its_half_plane(z, side, fn):
+    # The argument of z underflows; the sum must still be the one just
+    # off the axis on the side of the subnormal imaginary part.
+    near = complex(z.real, math.copysign(1e-300, z.imag))
+    assert abs(fn(z, 1.0, side).value - fn(near, 1.0, side).value) < 1e-12
+
+
+@pytest.mark.parametrize("x", [0.7, 2.3, 5.2])
+def test_plus_sides_on_the_positive_axis_are_the_upper_lip(x):
+    # Both kinds take the limit from Im z > 0 (the lip of the normalised
+    # +0 imaginary part); the lower lip is 2 pi i n away.
+    for fn in (borel_sum_F, borel_sum_G):
+        on = fn(x, 1.0, "plus").value
+        assert abs(on - fn(complex(x, 1e-12), 1.0, "plus").value) < 1e-9
+        assert abs(on - fn(complex(x, -1e-12), 1.0, "plus").value) > 1.0
+    # so the plus sides obey the duplication identity on the axis too
+    rhs = borel_sum_G(2 * x, 1.0, "plus").value - borel_sum_G(x, 1.0, "plus").value
+    assert abs(borel_sum_F(x, 1.0, "plus").value - rhs) < 1e-9
+
+
 @given(st.complex_numbers(min_magnitude=0.7, max_magnitude=6,
                           allow_infinity=False, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 @example(complex(-1.75, -0.0))   # signed zero on the cut of log z
+@example(complex(2, 5e-324))     # the argument of a subnormal Im z underflows
 def test_identities_on_random_arguments(c):
     if abs(c.real) < 0.3:
         c += 0.5 if c.real >= 0 else -0.5
