@@ -4,15 +4,18 @@ Subpackages by layer:
 
 - ``numerics``  — rationals, Bernoulli numbers, jets, Laurent series, roots,
                   Binet's function ``binet`` and ``log_gamma``
-- ``algebra``   — parameters, branches of the leading algebraic equation,
-                  turning points, the u-plane chart and its quadratic
-                  differential
-- ``series``    — formal eta-series engine: 0-parameter solutions, Riccati
-                  solutions, odd/even parts, instanton prefactor, Backlund maps
+- ``algebra``   — parameters, branches of the leading algebraic equations,
+                  turning points, the u-plane charts of D6 and D7 and their
+                  quadratic differentials
+- ``series``    — formal eta-series engine: the D6 and D7 equation models,
+                  0-parameter solutions, Riccati solutions, odd/even parts,
+                  instanton prefactor, Backlund maps
+- ``asymptotics`` — large- and small-|t| reference profiles of the labeled
+                  branches, compared with the series, and homogeneity checks
 - ``geometry``  — Stokes-curve tracing on the u-plane, degeneration detection,
                   SVG/JSON rendering
-- ``voros``     — Voros coefficients: closed forms, difference-equation
-                  verification, numeric contour oracle, the D7 model
+- ``voros``     — Voros coefficients: one endpoint table of closed forms,
+                  difference-equation verification, numeric contour oracle
 - ``borel``     — Borel sums of the building-block series, Laplace oracle,
                   jump factors, connection multipliers
 - ``walls``     — parameter-space walls and chambers

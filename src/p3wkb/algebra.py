@@ -1,15 +1,17 @@
-"""Algebraic layer of the D6 equation: parameters with genericity checks,
-branches of the leading algebraic function, turning points, and the u-plane
-uniformization with its quadratic differential.
+"""Algebraic layer of the D6 and D7 equations: parameters with genericity
+checks, branches of the leading algebraic functions, turning points, and the
+u-plane charts of both families with their quadratic differentials.
 
 The leading-order equation is the quartic
 
     lambda^4 - c_inf lambda^3 + c_0 t lambda - t^2 = 0,
 
 equivalently F(lambda, t) = lambda^3/t^2 - c_inf lambda^2/t^2 + c_0/t
-- 1/lambda = 0.  The u-plane chart pulls the whole four-sheeted picture back
-to a single plane where the quadratic differential q(u) du^2 has polynomial
-zeros; all Stokes tracing happens there.
+- 1/lambda = 0; the degenerate (D7) family has the cubic
+2 lambda^3 - c t lambda + t^2 = 0 (``D7Chart``, ``d7_lambda0_branches``).
+Each u-plane chart pulls the whole many-sheeted picture back to a single
+plane where the quadratic differential q(u) du^2 has polynomial zeros; all
+Stokes tracing happens there.
 
 Chart functions are duck-typed over scalars, numpy arrays and jets (of
 scalars or of arrays): passing a ``numerics.Jet`` in u through ``t_of_u`` /
@@ -21,7 +23,8 @@ coefficients are arrays) evaluates a whole set of nodes in one call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -238,8 +241,9 @@ class UChart:
     turning_points_u: tuple
     simple_pole_u: complex
     double_poles_u: dict          # label -> u position
-    double_pole_residues: dict    # label -> residue of sqrt(q) du (up to sign)
     finite_infinities_u: dict     # label -> u position of a t = infinity branch
+    pole_residues: dict           # terminus label -> residue of sqrt(q) du there (up
+                                  # to sign); the escape label stands for u = infinity
     escape_scale: float           # escape radius per unit of the tracer's escape factor
     arc_scale: float              # arc budget per unit of the tracer's budget factor
 
@@ -273,6 +277,11 @@ class UChart:
         return (list(self.turning_points_u) + [self.simple_pole_u]
                 + list(self.double_poles_u.values())
                 + list(self.finite_infinities_u.values()))
+
+    @cached_property
+    def scale(self) -> float:
+        """Length scale of the chart: the largest |u| of a singular point, at least 1."""
+        return max([1.0] + [abs(s) for s in self.singular_points()])
 
     def capture_points(self) -> dict:
         """label -> u of the finite points where a Stokes curve ends.  The
@@ -308,8 +317,9 @@ class D6Chart(UChart):
             "zero_cinf": cm / cp,
             "zero_c0": -cm / cp,
         }
-        self.double_pole_residues = {"zero_cinf": p.c_inf, "zero_c0": p.c_0}
         self.finite_infinities_u = {"inf34": 0j}
+        self.pole_residues = {"inf12": p.c_p, "inf34": p.c_m,
+                              "zero_cinf": p.c_inf, "zero_c0": p.c_0}
         self.escape_scale = max(1.0, abs(cm / cp))
         self.arc_scale = max(1.0, abs(cp))
         self._cp2, self._cm2 = cp ** 2, cm ** 2      # q's coefficients
@@ -338,15 +348,6 @@ class D6Chart(UChart):
             raise AlgebraError("u-chart undefined where mu0 = 0")
         return (1 - m) / m
 
-    def residue_closed_forms(self) -> dict:
-        p = self.p
-        return {
-            "inf": p.c_p,
-            "zero": p.c_m,
-            "double_cinf": p.c_inf,
-            "double_c0": p.c_0,
-        }
-
     def parameter_dict(self) -> dict:
         p = self.p
         return {"c_inf": [p.c_inf.real, p.c_inf.imag], "c_0": [p.c_0.real, p.c_0.imag]}
@@ -364,7 +365,7 @@ class D7Chart(UChart):
 
     One turning point u = 2c/3, simple pole u = 0, double pole u = c; all
     three branches over t = infinity meet the single order-structure at
-    u = infinity, where q -> 27.
+    u = infinity, where q -> 27 and sqrt(q) du has no residue.
     """
 
     equation = "d7"
@@ -378,8 +379,8 @@ class D7Chart(UChart):
         self.turning_points_u = (2 * c / 3,)
         self.simple_pole_u = 0j
         self.double_poles_u = {"zero_c": c}
-        self.double_pole_residues = {"zero_c": c}
         self.finite_infinities_u = {}
+        self.pole_residues = {"escaped": 0j, "zero_c": c}
         self.escape_scale = 1.0
         self.arc_scale = max(1.0, abs(c))
 
@@ -425,51 +426,41 @@ def _contour_residue(f, center: complex, radius: float, samples: int = 1024) -> 
     return complex(radius / samples * np.sum(vals * np.exp(1j * theta)))
 
 
-def residues(p: Parameters, tol: float = 1e-8) -> dict:
-    """Residues of the 1-form sqrt(q) du at its poles (up to overall sign):
+def residues(p, tol: float = 1e-8) -> dict:
+    """Residues of the 1-form sqrt(q) du at its poles (up to overall sign),
+    keyed like the chart's ``pole_residues``.  For D6 (``Parameters``):
 
-        u = infinity        -> +/- c_p        ("inf")
-        u = 0               -> +/- c_m        ("zero")
-        u = +c_m/c_p        -> +/- c_inf      ("double_cinf")
-        u = -c_m/c_p        -> +/- c_0        ("double_c0")
+        u = infinity        -> +/- c_p        ("inf12")
+        u = 0               -> +/- c_m        ("inf34")
+        u = +c_m/c_p        -> +/- c_inf      ("zero_cinf")
+        u = -c_m/c_p        -> +/- c_0        ("zero_c0")
 
-    Each closed form is confirmed by numerical contour integration; the
-    contour radius shrinks on failure before giving up."""
-    chart = D6Chart(p)
-    closed = chart.residue_closed_forms()
+    and for D7 (a complex c): 0 at u = infinity ("escaped"), +/- c at u = c
+    ("zero_c").  Each closed form is confirmed by numerical contour
+    integration; the contour radius shrinks on failure before giving up."""
+    chart = u_chart(p)
     specials = chart.singular_points()
-
-    def check(label, center, expect, at_infinity=False):
-        others = [s for s in specials if abs(s - center) > 1e-12] if not at_infinity else []
-        if at_infinity:
-            base = 0.2 / max(abs(s) for s in specials)
+    for label, expect in chart.pole_residues.items():
+        if label == chart.escape_label:      # u = infinity, integrated in w = 1/u
+            center, base = 0j, 0.2 / max(abs(s) for s in specials)
+            f = lambda w: np.sqrt(complex(chart.q(1 / w))) / w ** 2
         else:
-            base = 0.3 * min(abs(s - center) for s in others)
-        last_err = None
+            center = chart.capture_points()[label]
+            base = 0.3 * min(abs(s - center) for s in specials if abs(s - center) > 1e-12)
+            f = lambda u: np.sqrt(complex(chart.q(u)))
         for shrink in (1.0, 0.5, 0.25):
-            r = base * shrink
             try:
-                if at_infinity:
-                    val = _contour_residue(
-                        lambda w: np.sqrt(complex(chart.q(1 / w))) / w ** 2, 0j, r)
-                else:
-                    val = _contour_residue(
-                        lambda u: np.sqrt(complex(chart.q(u))), center, r)
+                val = _contour_residue(f, center, base * shrink)
             except AlgebraError as e:
                 last_err = e
                 continue
-            err = min(abs(val - expect), abs(val + expect))
-            if err < tol * max(1.0, abs(expect)):
-                return
+            if min(abs(val - expect), abs(val + expect)) < tol * max(1.0, abs(expect)):
+                break
             last_err = AlgebraError(
                 f"residue at {label}: contour {val} vs closed form +/-{expect}")
-        raise last_err
-
-    check("inf", None, closed["inf"], at_infinity=True)
-    check("zero", 0j, closed["zero"])
-    check("double_cinf", chart.double_poles_u["zero_cinf"], closed["double_cinf"])
-    check("double_c0", chart.double_poles_u["zero_c0"], closed["double_c0"])
-    return closed
+        else:
+            raise last_err
+    return dict(chart.pole_residues)
 
 
 def d7_lambda0_branches(t: complex, c: complex) -> list[BranchPoint]:

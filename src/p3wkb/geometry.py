@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import AlgebraError, BranchPoint, Parameters, delta, u_chart
 from .numerics import _nearer_negated
+from .walls import on_imaginary_axis
 
 __all__ = [
     "TraceError",
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 EPS_TRACE = 1e-6
-EPS_DEG = 1e-4
 
 
 class TraceError(RuntimeError):
@@ -96,22 +96,10 @@ class StokesDiagram:
     curves: list = field(default_factory=list)
     degenerations: list = field(default_factory=list)
 
-    @property
-    def turning_points_u(self):
-        return self.chart.turning_points_u
-
-    @property
-    def simple_pole_u(self):
-        return self.chart.simple_pole_u
-
-    @property
-    def double_poles_u(self):
-        return self.chart.double_poles_u
-
     def to_dict(self) -> dict:
         return {
             "parameters": self.chart.parameter_dict(),
-            "turning_points_u": [[u.real, u.imag] for u in self.turning_points_u],
+            "turning_points_u": [[u.real, u.imag] for u in self.chart.turning_points_u],
             "curves": [{
                 "origin": c.origin,
                 "ray": c.ray,
@@ -130,25 +118,30 @@ class StokesDiagram:
 # Emanating directions
 # ---------------------------------------------------------------------------
 
+def _trace_origin(origin: complex, chart) -> tuple:
+    """(label, u) of the turning point ("tp0".."tp2") or the simple pole
+    ("simple_pole") of the chart at ``origin``."""
+    origins = [(f"tp{k}", u_tp) for k, u_tp in enumerate(chart.turning_points_u)]
+    for label, u in origins + [("simple_pole", chart.simple_pole_u)]:
+        if abs(origin - u) < 1e-9 * chart.scale:
+            return label, u
+    raise AlgebraError(f"{origin} is neither a turning point nor the simple pole")
+
+
 def emanation_directions(origin: complex, chart) -> list:
     """Unit directions of the Stokes rays at a turning point (five, from the
     local (5/2)-power primitive) or at the simple pole over t = 0 (one, from
     the local (1/2)-power primitive) of a u-plane chart."""
-    origin = complex(origin)
-    scale = max([1.0] + [abs(s) for s in chart.singular_points()])
-    for u_tp in chart.turning_points_u:
-        if abs(origin - u_tp) < 1e-9 * scale:
-            lead = chart.q_leading(u_tp, 4, 3)     # q ~ lead (u - u_tp)^3
-            base = -cmath.phase(lead) / 5.0
-            return [cmath.exp(1j * (base + 2 * math.pi * k / 5)) for k in range(5)]
-    if abs(origin - chart.simple_pole_u) < 1e-9 * scale:
+    label, u0 = _trace_origin(complex(origin), chart)
+    if label == "simple_pole":
         # q ~ res/(u - u_sp): evaluate (u - u_sp) q(u) at +/- eps and average
         # to cancel the linear term of the analytic part.
-        sp = chart.simple_pole_u
-        eps = 1e-5 * scale
-        res = (eps * chart.q(sp + eps) - eps * chart.q(sp - eps)) / 2
+        eps = 1e-5 * chart.scale
+        res = (eps * chart.q(u0 + eps) - eps * chart.q(u0 - eps)) / 2
         return [cmath.exp(-1j * cmath.phase(res))]
-    raise AlgebraError(f"{origin} is neither a turning point nor the simple pole")
+    lead = chart.q_leading(u0, 4, 3)     # q ~ lead (u - u_tp)^3
+    base = -cmath.phase(lead) / 5.0
+    return [cmath.exp(1j * (base + 2 * math.pi * k / 5)) for k in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +184,10 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     opts = opts or TraceOptions()
     if chart is None:
         chart = u_chart(params)
-    origin = complex(origin)
+    # Start from the chart's own point, so the origin is not taken for a target.
+    origin_label, origin = _trace_origin(complex(origin), chart)
     specials = chart.singular_points()
-    scale = max([1.0] + [abs(s) for s in specials])
-
-    origin_label = None
-    for k, u_tp in enumerate(chart.turning_points_u):
-        if abs(origin - u_tp) < 1e-9 * scale:
-            origin_label = f"tp{k}"
-    if origin_label is None and abs(origin - chart.simple_pole_u) < 1e-9 * scale:
-        origin_label = "simple_pole"
-    if origin_label is None:
-        raise AlgebraError(f"{origin} is not a trace origin")
+    scale = chart.scale
     directions = emanation_directions(origin, chart)
     if not 0 <= ray < len(directions):
         raise AlgebraError(f"ray {ray} out of range for {origin_label}")
@@ -409,8 +394,9 @@ def _winding_number(points: np.ndarray, center: complex) -> float:
 def detect_degenerations(diagram: StokesDiagram, params=None) -> list:
     """Triangle records (all three turning-point pairs connected) and loop
     records (a curve from a turning point back to itself, or closed, winding
-    once around exactly one double pole whose residue is close to purely
-    imaginary)."""
+    once around exactly one double pole whose residue is purely imaginary in
+    the sense of ``walls.on_imaginary_axis``, the test that puts the
+    parameters on a wall)."""
     chart = diagram.chart
     tps = list(chart.turning_points_u)
     records = []
@@ -447,10 +433,9 @@ def detect_degenerations(diagram: StokesDiagram, params=None) -> list:
         if len(hits) != 1:
             continue
         label, pole = hits[0]
-        res = chart.double_pole_residues[label]
-        defect = abs(res.real) / abs(res)
-        if defect < EPS_DEG:
-            rec = DegenerationRecord("loop", [c.origin, label], defect)
+        res = chart.pole_residues[label]
+        if on_imaginary_axis(res):
+            rec = DegenerationRecord("loop", [c.origin, label], abs(res.real) / abs(res))
             if not any(r.kind == "loop" and r.participants[1] == label
                        for r in records):
                 records.append(rec)

@@ -10,6 +10,9 @@ c eta with the relevant parameter combination substituted):
 
 Every supported endpoint's Voros series is a signed integer combination of
 F and G evaluated at c_p, c_m, c_inf, c_0 (or c for the degenerate family).
+They live in one endpoint table, ``_ENDPOINTS``, keyed by family and then
+by target, whose rows also say where each endpoint sits in the u-chart and
+how the oracle reads the endpoint's +/- convention there.
 
 The numerical oracle integrates slot 2n-1 of the Riccati series along a
 dumbbell contour in the u-plane: a circle around a turning point, resolved
@@ -22,14 +25,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BranchPoint, Parameters, u_chart
+from .algebra import BranchPoint, u_chart
 from .numerics import Jet, LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
-from .series import model_for, riccati_solution, zero_param_solution
+from .series import D6Model, D7Model, model_for, riccati_solution, zero_param_solution
 
 __all__ = [
     "PathError",
@@ -61,8 +65,35 @@ class PathError(RuntimeError):
 # Endpoint specifications
 # ---------------------------------------------------------------------------
 
-_D6_TARGETS = ("inf1", "inf2", "inf3", "inf4", "zero_cinf", "zero_c0")
-_D7_TARGETS = ("inf1", "inf2", "inf3", "zero_c")
+#: A row of the endpoint table: the F/G combination {variable: (multiple,
+#: "F" | "G")} for the '+' sign; the chart's capture label at the endpoint
+#: (None: u = infinity); and the limit of lambda_0 R_{-1} at a t = infinity
+#: endpoint, which fixes its +/- convention (None: at a double pole
+#: t R_{-1} tends to the chart's residue instead).
+_Endpoint = namedtuple("_Endpoint", "combination capture lam_r_limit", defaults=(None, None))
+
+#: family -> target -> row.  The D7 infinity branches meet at u = infinity,
+#: where W vanishes in both conventions.
+_ENDPOINTS = {
+    "d6": {"inf1": _Endpoint({"c_p": (1, "F")}, None, 2.0),
+           "inf2": _Endpoint({"c_p": (1, "F")}, None, 2.0),
+           "inf3": _Endpoint({"c_m": (1, "F")}, "inf34", -2.0),
+           "inf4": _Endpoint({"c_m": (1, "F")}, "inf34", -2.0),
+           "zero_cinf": _Endpoint({"c_p": (1, "F"), "c_m": (1, "F"), "c_inf": (-3, "G")},
+                                  "zero_cinf"),
+           "zero_c0": _Endpoint({"c_p": (1, "F"), "c_m": (-1, "F"), "c_0": (-3, "G")},
+                                "zero_c0")},
+    "d7": {"inf1": _Endpoint({}), "inf2": _Endpoint({}), "inf3": _Endpoint({}),
+           "zero_c": _Endpoint({"c": (-3, "G")}, "zero_c")},
+}
+
+#: family -> (model, the eta^-1 shift of each closed-form variable in a shifted model).
+_SHIFTS = {
+    "d6": (D6Model, lambda m: {"c_inf": m.shift_inf, "c_0": m.shift_0,
+                               "c_p": (m.shift_inf + m.shift_0) // 2,
+                               "c_m": (m.shift_inf - m.shift_0) // 2}),
+    "d7": (D7Model, lambda m: {"c": m.shift}),
+}
 
 
 @dataclass(frozen=True)
@@ -75,16 +106,19 @@ class EndpointSpec:
     sign: int = +1
 
     def __post_init__(self):
-        if self.equation not in ("d6", "d7"):
+        if self.equation not in _ENDPOINTS:
             raise ValueError(f"unknown equation family {self.equation!r}")
-        allowed = _D6_TARGETS if self.equation == "d6" else _D7_TARGETS
-        if self.target not in allowed:
+        if self.target not in _ENDPOINTS[self.equation]:
             raise ValueError(f"unknown target {self.target!r} for {self.equation}")
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
 
     def __str__(self):
         return f"{self.equation}:{self.target}:{'+' if self.sign > 0 else '-'}"
+
+    @property
+    def row(self) -> _Endpoint:
+        return _ENDPOINTS[self.equation][self.target]
 
 
 def parse_endpoint(text: str) -> EndpointSpec:
@@ -135,20 +169,8 @@ def voros_symbolic(spec: EndpointSpec) -> dict:
 
     Variables are "c_p", "c_m", "c_inf", "c_0" for the two-parameter family
     and "c" for the degenerate one."""
-    s = spec.sign
-    if spec.equation == "d7":
-        if spec.target == "zero_c":
-            return {"c": (-3 * s, "G")}
-        return {}
-    table = {
-        "inf1": {"c_p": (s, "F")},
-        "inf2": {"c_p": (s, "F")},
-        "inf3": {"c_m": (s, "F")},
-        "inf4": {"c_m": (s, "F")},
-        "zero_cinf": {"c_p": (s, "F"), "c_m": (s, "F"), "c_inf": (-3 * s, "G")},
-        "zero_c0": {"c_p": (s, "F"), "c_m": (-s, "F"), "c_0": (-3 * s, "G")},
-    }
-    return table[spec.target]
+    return {var: (spec.sign * mult, kind)
+            for var, (mult, kind) in spec.row.combination.items()}
 
 
 def cycle_symbolic() -> dict:
@@ -158,10 +180,7 @@ def cycle_symbolic() -> dict:
 
 
 def _variable_value(var: str, params) -> complex:
-    if var == "c":
-        return complex(params)
-    p: Parameters = params
-    return {"c_p": p.c_p, "c_m": p.c_m, "c_inf": p.c_inf, "c_0": p.c_0}[var]
+    return complex(params) if var == "c" else getattr(params, var)
 
 
 def voros_closed_form(spec: EndpointSpec, params, n_max: int = 6) -> dict:
@@ -252,15 +271,13 @@ def reconstruct_from_difference(rhs: LaurentAtInfinity, depth: int = 21) -> Laur
 
 def shift_decomposition(which: int, equation: str = "d6") -> dict:
     """Integer shifts of each closed-form variable under the eta^-1
-    parameter shift: which=1 moves (c_inf, c_0) by (+1, +1) in units of
-    eta^-1, which=2 by (+1, -1); the degenerate family moves c by +1."""
-    if equation == "d7":
-        return {"c": 1}
-    if which == 1:
-        return {"c_inf": 1, "c_0": 1, "c_p": 1, "c_m": 0}
-    if which == 2:
-        return {"c_inf": 1, "c_0": -1, "c_p": 0, "c_m": 1}
-    raise ValueError("which must be 1 or 2")
+    parameter shift, read off the model's ``backlund_shifted``: which=1
+    moves (c_inf, c_0) by (+1, +1) in units of eta^-1, which=2 by (+1, -1),
+    and c_p, c_m = (c_inf +/- c_0)/2 follow; the degenerate family moves c
+    by +1."""
+    model, shifts = _SHIFTS[equation]
+    # The shifts do not depend on the parameters, so none are supplied.
+    return shifts(model(None).backlund_shifted(which))
 
 
 def _trim(L: LaurentAtInfinity, depth: int) -> LaurentAtInfinity:
@@ -378,11 +395,6 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # the endpoint on the branch fixed at P.  Integer-power bins must vanish;
 # their size is a built-in consistency check on the branch tracking.
 
-# Global sign: the mode/leg assembly above computes the contour in one fixed
-# orientation; the labelled convention runs it the other way.  The constant is
-# a single convention factor for every endpoint and both equation families;
-# its value is pinned by the degenerate-family closed form (see tests).
-_ORIENTATION = +1.0
 _CIRCLE_SAMPLES = 512
 _RADIUS_FACTOR = 0.3
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -400,16 +412,9 @@ class OracleResult:
 
 
 def _target_of(chart, spec: EndpointSpec):
-    """('point', u*) for finite u targets, ('w', None) for u = infinity."""
-    if spec.equation == "d7":
-        if spec.target == "zero_c":
-            return "point", chart.double_poles_u["zero_c"]
-        return "w", None
-    if spec.target in ("inf1", "inf2"):
-        return "w", None
-    if spec.target in ("inf3", "inf4"):
-        return "point", 0j
-    return "point", chart.double_poles_u[spec.target]
+    """The endpoint's position u* in the u-chart; None for u = infinity."""
+    capture = spec.row.capture
+    return None if capture is None else chart.capture_points()[capture]
 
 
 def _gl_segment(a: complex, b: complex, n_panels: int):
@@ -419,6 +424,11 @@ def _gl_segment(a: complex, b: complex, n_panels: int):
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
     return ((mid[:, None] + half[:, None] * _GL_NODES).ravel(),
             (half[:, None] * _GL_WEIGHTS).ravel())
+
+
+def _foot(o: complex, p0: complex, seg: complex) -> float:
+    """The s at which p0 + s seg is the point of the line nearest to o."""
+    return ((o - p0).real * seg.real + (o - p0).imag * seg.imag) / abs(seg) ** 2
 
 
 def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
@@ -431,12 +441,9 @@ def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
         changed = False
         for p0, p1 in zip(pts, pts[1:]):
             seg = p1 - p0
-            L2 = abs(seg) ** 2
             worst = None
-            for o, clr in obstacles:
-                if L2 == 0:
-                    continue
-                s = ((o - p0).real * seg.real + (o - p0).imag * seg.imag) / L2
+            for o, clr in obstacles if abs(seg) ** 2 else ():   # a zero segment needs no detour
+                s = _foot(o, p0, seg)
                 if not 0.02 < s < 0.98:
                     continue
                 foot = p0 + s * seg
@@ -462,36 +469,30 @@ def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
 def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
     """(u-chart waypoints, w-chart waypoints) for the leg from P to the
     endpoint; the w list is empty for finite targets."""
-    kind, u_star = _target_of(chart, spec)
-    specials = [s for s in chart.singular_points()]
-    scale = max([1.0] + [abs(s) for s in specials])
+    u_star = _target_of(chart, spec)
+    specials = chart.singular_points()
+    scale = chart.scale
 
     def clearance(o):
         others = [s for s in specials + [u_tp] if abs(s - o) > 1e-12 * scale]
         d = min(abs(s - o) for s in others) if others else scale
         return 0.3 * d
 
-    if kind == "point":
+    if u_star is not None:
         obstacles = [(o, clearance(o)) for o in specials
                      if abs(o - u_star) > 1e-12 * scale and abs(o - u_tp) > 1e-12 * scale]
         return _avoid_obstacles(P, u_star, obstacles), []
 
     # Target u = infinity: ray out to a large radius, then w = 1/u to zero.
-    R_big = 12.0 * scale
-    best = None
-    for m in range(24):
-        theta = 2 * math.pi * m / 24
-        end = u_tp + R_big * cmath.exp(1j * theta)
+    def gap(end):
+        """Distance from the segment P -> end to the nearest special point."""
         seg = end - P
-        score = min(
-            (abs((o - P) - (((o - P).real * seg.real + (o - P).imag * seg.imag)
-                            / abs(seg) ** 2) * seg)
-             if 0 < ((o - P).real * seg.real + (o - P).imag * seg.imag) / abs(seg) ** 2 < 1
-             else min(abs(o - P), abs(o - end)))
-            for o in specials)
-        if best is None or score > best[0]:
-            best = (score, end)
-    u_big = best[1]
+        feet = [(o, _foot(o, P, seg)) for o in specials]
+        return min(abs((o - P) - s * seg) if 0 < s < 1 else min(abs(o - P), abs(o - end))
+                   for o, s in feet)
+
+    u_big = max((u_tp + 12.0 * scale * cmath.exp(1j * (2 * math.pi * m / 24))
+                 for m in range(24)), key=gap)
     obstacles = [(o, clearance(o)) for o in specials if abs(o - u_tp) > 1e-12 * scale]
     u_pts = _avoid_obstacles(P, u_big, obstacles)
     w_obstacles = [(1 / o, clearance(o) / abs(o) ** 2) for o in specials if abs(o) > 1e-9]
@@ -543,19 +544,13 @@ def _batched_r_slots(chart, model, us: np.ndarray, n_max: int):
 
 def _anchor_label(spec: EndpointSpec, chart, t_end, lam_end, r_end) -> int:
     """Which +/- convention the continued branch at the endpoint matches."""
-    if spec.equation == "d7":
-        if spec.target == "zero_c":
-            a, ref = t_end * r_end, chart.c
-        else:
-            return +1          # both conventions give the same (vanishing) W
-    elif spec.target == "zero_cinf":
-        a, ref = t_end * r_end, chart.p.c_inf
-    elif spec.target == "zero_c0":
-        a, ref = t_end * r_end, chart.p.c_0
-    elif spec.target in ("inf3", "inf4"):
-        a, ref = lam_end * r_end, -2.0
+    row = spec.row
+    if row.lam_r_limit is not None:
+        a, ref = lam_end * r_end, row.lam_r_limit
+    elif row.capture is not None:
+        a, ref = t_end * r_end, chart.pole_residues[row.capture]
     else:
-        a, ref = lam_end * r_end, 2.0
+        return +1          # both conventions give the same (vanishing) W
     return +1 if abs(a - ref) <= abs(a + ref) else -1
 
 
@@ -564,9 +559,9 @@ def _select_turning_point(chart, spec: EndpointSpec) -> complex:
     (for u = infinity endpoints the one whose escape direction is cleanest,
     which for the symmetric triple is the same as picking any; use the one
     of maximal real part for determinism)."""
-    kind, u_star = _target_of(chart, spec)
+    u_star = _target_of(chart, spec)
     tps = list(chart.turning_points_u)
-    if kind == "point":
+    if u_star is not None:
         return min(tps, key=lambda v: abs(v - u_star))
     return max(tps, key=lambda v: (v.real, v.imag))
 
@@ -593,14 +588,12 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
     model = model_for(params)
     u_tp = tp_override if tp_override is not None else _select_turning_point(chart, spec)
-    specials = chart.singular_points()
-    scale = max([1.0] + [abs(s) for s in specials])
-    others = [s for s in specials if abs(s - u_tp) > 1e-9 * scale]
+    others = [s for s in chart.singular_points() if abs(s - u_tp) > 1e-9 * chart.scale]
     d = min(abs(s - u_tp) for s in others)
     rho = _RADIUS_FACTOR * d
 
-    kind, u_star = _target_of(chart, spec)
-    theta_P = cmath.phase(u_star - u_tp) if kind == "point" else 0.0
+    u_star = _target_of(chart, spec)
+    theta_P = 0.0 if u_star is None else cmath.phase(u_star - u_tp)
     # The FFT runs over the double cover, M samples on two turns.  The second
     # turn passes the nodes of the first, so only one turn is solved and its
     # principal-branch values are reused for the second.
@@ -661,8 +654,10 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
             raise PathError(f"leg quadrature not converged (rel {leg_err:.2e})")
 
         # The gate has just compared the two rules; W_n takes the finer one.
+        # The assembly's orientation is the labelled one for every endpoint of
+        # both families, as the degenerate-family closed form pins (see tests).
         w_n = mode_sum + leg_doubled
-        values[n] = _ORIENTATION * w_n
+        values[n] = w_n
         diags[n] = {"even_ratio": even_ratio, "tail_ratio": tail_ratio,
                     "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg_doubled,
                     "cancellation": float((abs(mode_sum) + abs(leg_doubled)) / abs(w_n))

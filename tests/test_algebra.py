@@ -197,11 +197,14 @@ def test_q_invariant_under_parameter_swap():
 
 def test_residue_closed_forms_confirmed_by_contours():
     res = residues(P_GEN)
-    assert res["inf"] == pytest.approx(P_GEN.c_p)
-    assert res["zero"] == pytest.approx(P_GEN.c_m)
-    assert res["double_cinf"] == pytest.approx(P_GEN.c_inf)
-    assert res["double_c0"] == pytest.approx(P_GEN.c_0)
+    assert res["inf12"] == pytest.approx(P_GEN.c_p)
+    assert res["inf34"] == pytest.approx(P_GEN.c_m)
+    assert res["zero_cinf"] == pytest.approx(P_GEN.c_inf)
+    assert res["zero_c0"] == pytest.approx(P_GEN.c_0)
     residues(P_ALT)  # second chamber, same oracle
+    # D7: +/- c at the double pole u = c, no residue at u = infinity.
+    for c in (2 + 1j, 1j, -0.7638629002045076 + 1.259755939720333j):
+        assert residues(c, tol=1e-12) == {"escaped": 0, "zero_c": c}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from p3wkb.algebra import (
     lambda0_branches,
 )
 from p3wkb.geometry import (
-    EPS_DEG,
     EPS_TRACE,
     BranchCutError,
     TraceOptions,
@@ -29,6 +28,7 @@ from p3wkb.geometry import (
     stokes_diagram,
     trace_curve,
 )
+from p3wkb.walls import on_imaginary_axis
 
 from trace_reference import TRACES
 
@@ -87,10 +87,21 @@ def test_trace_rejects_bad_ray():
         trace_curve(ch.simple_pole_u, 3, P_GEN, chart=ch)
 
 
+def test_origin_a_rounding_error_away_traces_the_same_curves():
+    # An origin within the matching tolerance of a turning point (or of the
+    # simple pole) is that point, not a target its own curves run into.
+    ch = D6Chart(P_GEN)
+    nudge = 1e-11 * ch.scale
+    for u0, rays in [(ch.turning_points_u[0], range(5)), (ch.simple_pole_u, [0])]:
+        for ray in rays:
+            exact, nudged = (trace_curve(u, ray, P_GEN, chart=ch) for u in (u0, u0 + nudge))
+            assert nudged.terminus == exact.terminus
+            assert np.array_equal(nudged.points, exact.points)
+
+
 def test_option_defaults():
     opts = TraceOptions()
     assert EPS_TRACE == 1e-6
-    assert EPS_DEG == 1e-4
     assert opts.capture_radius == 1e-3
 
 
@@ -177,7 +188,7 @@ def test_reference_figure(name, params, termini, verdict):
         if kind == "loop":
             assert rec.participants[0].startswith("tp")
             assert rec.participants[1] == pole
-            assert rec.diagnostic < EPS_DEG
+            assert on_imaginary_axis(diag.chart.pole_residues[pole])
         else:
             assert rec.participants == [[0, 1], [0, 2], [1, 2]]
             assert rec.diagnostic < EPS_TRACE * 100

@@ -188,27 +188,51 @@ def test_oracle_degenerate_family(c, sign):
 
 
 def test_oracle_degenerate_infinity_vanishes():
-    res = voros_numeric_oracle(EndpointSpec("d7", "inf1", +1), 2 + 1j, n_max=2)
-    assert abs(res.values[1]) < 1e-8
-    assert abs(res.values[2]) < 1e-5
+    for target in ("inf1", "inf2", "inf3"):
+        for sign in (+1, -1):
+            res = voros_numeric_oracle(EndpointSpec("d7", target, sign), 2 + 1j, n_max=2)
+            assert abs(res.values[1]) < 1e-8
+            assert abs(res.values[2]) < 1e-5
 
 
-@pytest.mark.parametrize("target", ["zero_cinf", "zero_c0", "inf3"])
+@pytest.mark.parametrize("target", ["zero_cinf", "zero_c0", "inf1", "inf2", "inf3", "inf4"])
 def test_oracle_two_parameter_family(target):
-    spec = EndpointSpec("d6", target, +1)
-    res = voros_numeric_oracle(spec, P_GEN, n_max=2)
-    closed = voros_closed_form(spec, P_GEN, 2)
-    for n in (1, 2):
-        rel = abs(res.values[n] - closed[n]) / abs(closed[n])
-        assert rel < 1e-5, f"n={n}: rel {rel:.2e}"
+    for sign in (+1, -1):
+        spec = EndpointSpec("d6", target, sign)
+        res = voros_numeric_oracle(spec, P_GEN, n_max=2)
+        closed = voros_closed_form(spec, P_GEN, 2)
+        for n in (1, 2):
+            rel = abs(res.values[n] - closed[n]) / abs(closed[n])
+            assert rel < 1e-5, f"sign {sign}, n={n}: rel {rel:.2e}"
 
 
-def test_oracle_infinity_target_uses_second_chart():
-    spec = EndpointSpec("d6", "inf1", +1)
-    res = voros_numeric_oracle(spec, P_GEN, n_max=2)
-    closed = voros_closed_form(spec, P_GEN, 2)
-    for n in (1, 2):
-        assert abs(res.values[n] - closed[n]) / abs(closed[n]) < 1e-5
+_TABLE_ROWS = [(EndpointSpec(family, target), params)
+               for family, params in (("d6", P_GEN), ("d7", 2 + 1j))
+               for target in voros._ENDPOINTS[family]]
+
+
+@pytest.mark.parametrize("spec, params", _TABLE_ROWS, ids=[str(s) for s, _ in _TABLE_ROWS])
+def test_each_row_anchor_is_the_limit_at_its_endpoint(spec, params):
+    # R_{-1} = sqrt(q)/(dt/du) up to sign, from the chart alone.  Towards the
+    # endpoint lambda_0 R_{-1} tends to the row's +/-2 at t = infinity, and
+    # t R_{-1} to the chart's residue at a double pole.
+    chart, row = u_chart(params), spec.row
+    u_star = voros._target_of(chart, spec)
+    eps = 10.0 ** -np.arange(2, 7) * cmath.exp(0.3j)
+    us = 1 / eps if u_star is None else u_star + eps
+    r = np.sqrt(chart.q(us)) / chart.dt_du(us)
+    ts, lams = chart.t_of_u(us), chart.lambda0_of_u(us)
+    if row.lam_r_limit is not None:
+        a, ref = lams * r, row.lam_r_limit
+    elif row.capture is not None:
+        a, ref = ts * r, chart.pole_residues[row.capture]
+    else:
+        assert voros._anchor_label(spec, chart, ts[-1], lams[-1], r[-1]) == +1
+        return
+    err = np.minimum(np.abs(a - ref), np.abs(a + ref)) / abs(ref)
+    assert np.all(np.diff(err) < 0) and err[-1] < 1e-4, err
+    labels = [voros._anchor_label(spec, chart, ts[-1], lams[-1], s * r[-1]) for s in (+1, -1)]
+    assert sorted(labels) == [-1, +1]
 
 
 def test_oracle_sign_flip_consistency():
@@ -374,7 +398,7 @@ def _double_pole_nodes():
     spec = EndpointSpec("d7", "zero_c", +1)
     chart = u_chart(c)
     u_tp = voros._select_turning_point(chart, spec)
-    _, u_star = voros._target_of(chart, spec)
+    u_star = voros._target_of(chart, spec)
     rho = voros._RADIUS_FACTOR * min(abs(s - u_tp) for s in chart.singular_points()
                                      if abs(s - u_tp) > 1e-9)
     P = u_tp + rho * cmath.exp(1j * cmath.phase(u_star - u_tp))

@@ -143,6 +143,16 @@ def test_wall_point_is_not_borel_summable():
     assert summability_report(p)["G(c_0)"] is False
 
 
+@pytest.mark.parametrize("p, chamber", [(Parameters(1e-6 + 1j, 3 + 0.5j), "II"),
+                                        (Parameters(2 + 1j, 1e-6 + 3j), "I")],
+                         ids=["near-W3", "near-W1"])
+def test_tracer_reports_no_loop_where_classify_sees_a_chamber(p, chamber):
+    # Re c_inf (Re c_0) is 1e-6 of its size: off the wall, so the residue at
+    # the double pole is not purely imaginary and no loop may be reported.
+    assert classify(p) == Stratum("chamber", chamber)
+    assert stokes_diagram(p).degenerations == []
+
+
 def test_small_parameter_off_the_axis_is_in_a_chamber():
     # |c_0| = 1e-3: Re c_0 = 5e-12 is 5e-9 of |c_0|, well off the wall.
     p = Parameters(2 + 1j, 5e-12 + 1e-3j)
