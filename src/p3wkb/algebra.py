@@ -321,7 +321,8 @@ class D6Chart(UChart):
         self.pole_residues = {"inf12": p.c_p, "inf34": p.c_m,
                               "zero_cinf": p.c_inf, "zero_c0": p.c_0}
         self.escape_scale = max(1.0, abs(cm / cp))
-        self.arc_scale = max(1.0, abs(cp))
+        # At least scale/5, so the arc budget outlasts the far-out radius.
+        self.arc_scale = max(1.0, abs(cp), self.scale / 5)
         self._cp2, self._cm2 = cp ** 2, cm ** 2      # q's coefficients
 
     def t_of_u(self, u):

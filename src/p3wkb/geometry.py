@@ -4,11 +4,13 @@ serialization (SVG / JSON).
 
 Curves are integral curves of Im int sqrt(q) du = 0, traced with the
 unit-speed field conj(sqrt q)/|sqrt q| (so Re of the integral increases
-monotonically), a continuation sign chained along the curve, and a steering
-correction that keeps the accumulated imaginary part pinned to zero.
-Every step does the same work however long the curve already is: at most 9
-evaluations of q, and a scan of the earlier segments for closure only once
-the curve has turned through 1.5 pi since one of them.
+monotonically), and a continuation sign chained along the curve.  Each
+step is an RK4 predictor over 0.3 of the distance to the nearest special
+point, an 8-point Gauss-Legendre integral over the chord, and a Newton
+projection back onto Im of the integral = 0.  Every step does the same
+work however long the curve already is: at most 15 evaluations of q, and a
+scan of the earlier segments for closure only once the curve has turned
+through 1.5 pi since one of them.
 """
 
 from __future__ import annotations
@@ -57,11 +59,15 @@ class BranchCutError(AlgebraError):
 
 @dataclass
 class TraceOptions:
-    """Tuning knobs of the tracer; defaults reproduce the reference
-    pictures."""
+    """Tuning knobs of the tracer; the defaults give the termini of the
+    reference pictures.  A step is step_factor times the distance to the
+    nearest special point (the curve's own origin included), capped at
+    max_step times the chart scale.  It is halved while the Newton
+    projection leaves more drift than EPS_TRACE allows, and a step below
+    min_step times the scale raises TraceError."""
 
-    step_factor: float = 0.08        # step = factor * distance to specials
-    max_step: float = 0.25
+    step_factor: float = 0.3
+    max_step: float = 1.0
     min_step: float = 1e-9
     capture_radius: float = 1e-3     # scaled by the local pole size
     tp_radius: float = 1e-3          # scaled, for hitting another turning point
@@ -90,8 +96,6 @@ class DegenerationRecord:
 
 @dataclass
 class StokesDiagram:
-    equation: str                    # "d6" | "d7"
-    parameters: object               # Parameters or complex
     chart: object
     curves: list = field(default_factory=list)
     degenerations: list = field(default_factory=list)
@@ -154,12 +158,8 @@ def _sqrt_q(chart, u: complex, ref: complex) -> complex:
     return -v if _nearer_negated(v, ref) else v
 
 
-_GL4 = (
-    (-0.8611363115940526, 0.34785484513745385),
-    (-0.3399810435848563, 0.6521451548625461),
-    (0.3399810435848563, 0.6521451548625461),
-    (0.8611363115940526, 0.34785484513745385),
-)
+# Python floats: the chord loop runs on complex scalars.
+_GL8 = [(float(x), float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(8))]
 
 # A closure needs the sub-path since the revisited segment to have turned
 # through more than _CLOSURE_TURN.  The tracer keeps a running sum of the
@@ -175,12 +175,15 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
-    Each step costs the same however long the curve already is: at most 9
+    Each step costs the same however long the curve already is: at most 15
     evaluations of q (3 for RK4, whose first stage reuses the square root
-    at the current point, 4 for the Gauss-Legendre chord, 1 at the end
-    point and 1 for steering when it applies), and a scan of the earlier
-    segments for closure only once the curve has turned through 1.5 pi
-    since one of them."""
+    at the current point, 8 for the Gauss-Legendre chord, 1 at the end
+    point and 1 to 3 for the Newton projection onto Im phi = 0), and a
+    scan of the earlier segments for closure only once the curve has
+    turned through 1.5 pi since one of them.  The projection shifts the
+    end point along the normal by -Im phi / |sqrt q| and adds the
+    trapezoid rule over the shift, until the shift is below 1e-6 of the
+    step; it refuses shifts of 0.2 of the step or more."""
     opts = opts or TraceOptions()
     if chart is None:
         chart = u_chart(params)
@@ -208,7 +211,7 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     sep_arc = 20 * opts.capture_radius * scale
     hit_tol = 1e-5 * scale
 
-    # Step off the origin along the ray; the steering correction then pulls
+    # Step off the origin along the ray; the Newton projection then pulls
     # the polyline onto the exact level set.
     d0 = min([abs(origin - s) for s in specials
               if not abs(s - origin) < 1e-12 * (1 + abs(origin))])
@@ -264,22 +267,29 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         mid = (u + u_next) / 2
         ref = sq
         dphi = 0j
-        for x, w in _GL4:
+        for x, w in _GL8:
             ref = _sqrt_q(chart, mid + half * x, ref)
             dphi += w * ref
         dphi *= half
         sq_next = _sqrt_q(chart, u_next, ref)
 
-        # Steering: cancel the imaginary drift with a small normal shift.
-        drift = (phi + dphi).imag
-        denom = abs(sq_next)
-        if denom > 0 and abs(drift) > 0:
+        # Newton projection onto Im phi = 0: a normal shift that cancels
+        # the imaginary drift to first order, the trapezoid rule over the
+        # shift, repeated until the shift is negligible against the step.
+        for _ in range(3):
+            drift = (phi + dphi).imag
+            denom = abs(sq_next)
+            if not (denom > 0 and abs(drift) > 0):
+                break
             shift = -1j * (sq_next.conjugate() / denom) * (drift / denom)
-            if abs(shift) < 0.2 * h:
-                u_corr = u_next + shift
-                sq_corr = _sqrt_q(chart, u_corr, sq_next)
-                dphi_corr = dphi + (u_corr - u_next) / 2 * (sq_next + sq_corr)
-                u_next, sq_next, dphi = u_corr, sq_corr, dphi_corr
+            if abs(shift) >= 0.2 * h:
+                break
+            u_corr = u_next + shift
+            sq_corr = _sqrt_q(chart, u_corr, sq_next)
+            dphi += (u_corr - u_next) / 2 * (sq_next + sq_corr)
+            u_next, sq_next = u_corr, sq_corr
+            if abs(shift) < 1e-6 * h:
+                break
 
         new_im = abs((phi + dphi).imag)
         if new_im > EPS_TRACE * (1 + arc + h) and step_shrink < 20:
@@ -380,8 +390,8 @@ def stokes_diagram(params, opts: TraceOptions | None = None) -> StokesDiagram:
         for ray in range(5):
             curves.append(trace_curve(u_tp, ray, params, opts, chart=chart))
     curves.append(trace_curve(chart.simple_pole_u, 0, params, opts, chart=chart))
-    diagram = StokesDiagram(chart.equation, params, chart, curves)
-    diagram.degenerations = detect_degenerations(diagram, params)
+    diagram = StokesDiagram(chart, curves)
+    diagram.degenerations = detect_degenerations(diagram)
     return diagram
 
 
@@ -391,7 +401,7 @@ def _winding_number(points: np.ndarray, center: complex) -> float:
     return float(np.sum(angles) / (2 * math.pi))
 
 
-def detect_degenerations(diagram: StokesDiagram, params=None) -> list:
+def detect_degenerations(diagram: StokesDiagram) -> list:
     """Triangle records (all three turning-point pairs connected) and loop
     records (a curve from a turning point back to itself, or closed, winding
     once around exactly one double pole whose residue is purely imaginary in
