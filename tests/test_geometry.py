@@ -20,6 +20,7 @@ from p3wkb.algebra import (
 )
 from p3wkb.geometry import (
     EPS_TRACE,
+    START_FRACTION,
     BranchCutError,
     TraceOptions,
     emanation_directions,
@@ -129,7 +130,7 @@ FIGURE_CASES = [
      {"inf12": 5, "inf34": 5, "simple_pole": 1, "turning_point": 3,
       "zero_cinf": 2}, ("loop", "zero_c0")),
     ("d6_loop_cinf_A", Parameters(3j, 1 - 2j),
-     {"inf12": 6, "inf34": 5, "simple_pole": 1, "turning_point": 2,
+     {"inf12": 5, "inf34": 5, "simple_pole": 1, "turning_point": 3,
       "zero_c0": 2}, ("loop", "zero_cinf")),
     ("d6_triangle_W4", Parameters(-2 + 1j, 2 + 0.5j),
      {"inf12": 4, "inf34": 4, "turning_point": 6, "zero_c0": 1,
@@ -247,6 +248,23 @@ def test_loop_curve_winds_once_around_named_pole():
     assert abs(abs(winding) - 1) < 0.05
 
 
+LOOP_CASES = [c for c in FIGURE_CASES if c[3] is not None and c[3][0] == "loop"]
+
+
+@pytest.mark.parametrize("name,params,termini,verdict",
+                         LOOP_CASES, ids=[c[0] for c in LOOP_CASES])
+def test_simple_pole_curve_spans_half_the_loop_period(name, params, termini, verdict):
+    # On a loop wall the closed curve round the double pole has period
+    # 2 pi |res| (res of sqrt(q) du there), and the simple-pole curve runs
+    # into that loop's turning point with half of it.  The integral from the
+    # pole to the curve's first point belongs to phi_end.
+    diag = _diagram(params)
+    (c,) = [c for c in diag.curves if c.origin == "simple_pole"]
+    assert c.terminus.startswith("turning_point:")
+    half_period = np.pi * abs(diag.chart.pole_residues[verdict[1]])
+    assert abs(abs(c.phi_end) - half_period) <= 1e-5 * half_period
+
+
 @pytest.mark.parametrize("params", [
     Parameters(2 + 1j, 3),
     Parameters(1 + 1j, 3 + 0.5j),
@@ -322,6 +340,28 @@ def test_imaginary_drift_small_against_independent_quadrature():
     pts = np.asarray(c.points)[1:]
     cum = _reintegrate(diag.chart, pts)
     assert np.max(np.abs(cum.imag)) < 1e-12 * (1 + c.arc_length)
+
+
+@pytest.mark.parametrize("params", [P_GEN, Parameters(3j, 1 - 2j), 1j, -0.2 + 1j],
+                         ids=["P_GEN", "d6_loop_cinf_A", "d7_loop", "d7_flank_left"])
+def test_first_point_lies_on_the_exact_level_set(params):
+    # Every curve's first point lies START_FRACTION of the way from its
+    # origin to the nearest other special point, and the integral from the
+    # origin to it is real by an independent 64-point Gauss-Legendre rule in
+    # tau, u = origin + (points[1] - origin) tau^2, in which the (5/2)- and
+    # (1/2)-power behaviour at the origin is analytic.
+    diag = _diagram(params)
+    x, w = np.polynomial.legendre.leggauss(64)
+    tau = (1 + x) / 2
+    for c in diag.curves:
+        origin, span = c.points[0], c.points[1] - c.points[0]
+        d0 = min(abs(s - origin) for s in diag.chart.singular_points() if s != origin)
+        assert abs(abs(span) - START_FRACTION * d0) <= 0.01 * START_FRACTION * d0
+        raw = np.sqrt(np.asarray(diag.chart.q(origin + span * tau ** 2), dtype=complex))
+        flips = np.where((raw[1:] * np.conj(raw[:-1])).real < 0, -1.0, 1.0)
+        signs = np.concatenate([[1.0], np.cumprod(flips)])
+        integral = span * np.sum(w * tau * signs * raw)
+        assert abs(integral.imag) <= 1e-10 * abs(integral)
 
 
 # ---------------------------------------------------------------------------
