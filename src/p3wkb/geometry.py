@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 EPS_TRACE = 1e-6
+#: Step halvings the tracer tries on a drift before it gives up.
+_MAX_HALVINGS = 20
 
 
 class TraceError(RuntimeError):
@@ -67,8 +69,9 @@ class TraceOptions:
     reference pictures.  A step is step_factor times the distance to the
     nearest special point (the curve's own origin included), capped at
     max_step times the chart scale.  It is halved while the Newton
-    projection leaves more drift than EPS_TRACE allows, and a step below
-    min_step times the scale raises TraceError."""
+    projection leaves more drift than EPS_TRACE allows; a step below
+    min_step times the scale, or a drift left after 20 halvings, raises
+    TraceError."""
 
     step_factor: float = 0.3
     max_step: float = 1.0
@@ -332,7 +335,12 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
                 break
 
         new_im = abs((phi + dphi).imag)
-        if new_im > EPS_TRACE * (1 + arc + h) and step_shrink < 20:
+        if new_im > EPS_TRACE * (1 + arc + h):
+            if step_shrink == _MAX_HALVINGS:
+                # A drift the projection cannot cancel even on the shortest
+                # step tried: shorter steps would only crawl on.
+                raise TraceError(f"drift {new_im:.3g} left after {_MAX_HALVINGS} step "
+                                 f"halvings at u={u:.6g}", partial=points)
             step_shrink += 1
             continue
         step_shrink = max(0, step_shrink - 1)

@@ -394,10 +394,20 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # on the circle (two turns, 2 s_j mod M), and leg integrates rho_n from P to
 # the endpoint on the branch fixed at P.  Integer-power bins must vanish;
 # their size is a built-in consistency check on the branch tracking.
+#
+# The leg is 16-point Gauss-Legendre on panels graded by the distance to the
+# nearest special point of the chart, so they are short only where the
+# integrand's nearest singularity is near.  The same panels halved give a
+# second rule, and the leg's gate compares the two.
 
 _CIRCLE_SAMPLES = 512
 _RADIUS_FACTOR = 0.3
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: A leg panel spans this share of the distance from its start to the
+#: nearest special point.  A segment that passes 1e-9 of its length from
+#: one takes about 85 panels; _MAX_PANELS bounds the panels of a segment.
+_PANEL_FRACTION = 0.5
+_MAX_PANELS = 200
 
 
 @dataclass
@@ -417,13 +427,38 @@ def _target_of(chart, spec: EndpointSpec):
     return None if capture is None else chart.capture_points()[capture]
 
 
-def _gl_segment(a: complex, b: complex, n_panels: int):
-    """Gauss-Legendre nodes and complex weights for a straight segment,
-    ordered from a to b."""
-    edges = a + (b - a) * (np.arange(n_panels + 1) / n_panels)
+def _gl_rule(edges: np.ndarray):
+    """Gauss-Legendre nodes and complex weights over the panels between
+    consecutive edges, ordered along the edges."""
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
     return ((mid[:, None] + half[:, None] * _GL_NODES).ravel(),
             (half[:, None] * _GL_WEIGHTS).ravel())
+
+
+def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float,
+                  panel_scale: int) -> np.ndarray:
+    """Panel edges from a to b.  Each panel spans _PANEL_FRACTION of the
+    distance from its start to the nearest special point, where 16-point
+    Gauss-Legendre converges like 5.8^-32; a last panel shorter than half
+    the one before is merged into it, so no panel exceeds 0.75 of that
+    distance.  Each panel is then split into ``panel_scale`` equal ones, so
+    the edges of every ``panel_scale`` contain those of 1.  Raises
+    PathError when the segment passes within ``tiny`` of a special point,
+    or needs more than _MAX_PANELS panels."""
+    seg = b - a
+    feet = np.clip([_foot(o, a, seg) for o in specials], 0.0, 1.0)
+    if len(specials) and np.min(np.abs(specials - (a + feet * seg))) < tiny:
+        raise PathError(f"leg segment {a} -> {b} passes through a special point")
+    s, out = 0.0, [0.0]
+    while s < 1.0:
+        h = _PANEL_FRACTION * np.min(np.abs(specials - (a + s * seg)), initial=math.inf) / abs(seg)
+        s = 1.0 if s + 1.5 * h >= 1.0 else s + h
+        out.append(s)
+        if len(out) > _MAX_PANELS:
+            raise PathError(f"leg segment {a} -> {b} needs over {_MAX_PANELS} panels")
+    lo, hi = np.array(out[:-1])[:, None], np.array(out[1:])[:, None]
+    fine = np.append((lo + (hi - lo) * (np.arange(panel_scale) / panel_scale)).ravel(), 1.0)
+    return a + seg * fine
 
 
 def _foot(o: complex, p0: complex, seg: complex) -> float:
@@ -500,29 +535,40 @@ def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
     return u_pts, w_pts
 
 
-def _leg_quadrature(chart, u_pts: list, w_pts: list, rho: float, panel_scale: int):
+def _leg_specials(chart, spec: EndpointSpec, u_tp: complex) -> np.ndarray:
+    """The points of the u-chart that grade the leg's panels: the chart's
+    singular points and the turning point, without the finite endpoint
+    (the leg ends there, and its integrand is integrable up to it)."""
+    u_star = _target_of(chart, spec)
+    pts = chart.singular_points() + [u_tp]
+    return np.array([s for s in pts
+                     if u_star is None or abs(s - u_star) > 1e-12 * chart.scale])
+
+
+def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray, panel_scale: int):
     """Gauss-Legendre data (u positions, dt/dx, weights in x) for the leg,
     with x = u along the u-chart waypoints and then x = w = 1/u along the
-    w-chart ones.  Node order runs from the staging point to the endpoint."""
+    w-chart ones.  Node order runs from the staging point to the endpoint.
+
+    The panels are graded by the distance to the nearest of ``specials``
+    (in the w-chart, to their images 1/s), and each is then split into
+    ``panel_scale`` equal ones, so the rules of every ``panel_scale``
+    share one grading.  A segment may not come within 1e-9 of the chart's
+    length scale of a special point: ``chart.scale`` in u, 1/``chart.scale``
+    in w."""
+    w_specials = 1 / specials[np.abs(specials) > 1e-9]
     groups = []
     for pts, in_w in ((u_pts, False), (w_pts, True)):
         if len(pts) < 2:
             continue
-        nodes, wts = [], []
-        for a, b in zip(pts, pts[1:]):
-            L = abs(b - a)
-            ref = rho if not in_w else max(abs(a), abs(b), 1e-3)
-            n_p = max(4, min(48, int(math.ceil(3.0 * L / ref))))
-            n_p = max(4, int(math.ceil(n_p * panel_scale)))
-            seg_nodes, seg_weights = _gl_segment(a, b, n_p)
-            nodes.append(seg_nodes)
-            wts.append(seg_weights)
-        x = np.concatenate(nodes)
+        pole_pts, tiny = (w_specials, 1e-9 / chart.scale) if in_w else (specials, 1e-9 * chart.scale)
+        x, wts = (np.concatenate(arrays) for arrays in zip(*(
+            _gl_rule(_graded_edges(a, b, pole_pts, tiny, panel_scale))
+            for a, b in zip(pts, pts[1:]))))
         if in_w:
-            groups.append((1 / x, chart.t_of_u(1 / Jet.variable(x, 1)).coeffs[1],
-                           np.concatenate(wts)))
+            groups.append((1 / x, chart.t_of_u(1 / Jet.variable(x, 1)).coeffs[1], wts))
         else:
-            groups.append((x, chart.dt_du(x), np.concatenate(wts)))
+            groups.append((x, chart.dt_du(x), wts))
     return tuple(np.concatenate(arrays) for arrays in zip(*groups))
 
 
@@ -574,11 +620,15 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     dumbbell around the adjacent turning point with FFT mode extraction on
     the circle.  Raises PathError when a consistency check fails.
 
+    The leg's panels each span half the distance from their start to the
+    nearest singular point or turning point (the finite endpoint aside);
+    W_n takes the leg from the rule that halves every panel.
+
     ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``)
     and high-frequency (``tail_ratio``) mode ratios, the leg's relative
-    change under a rule with twice the panels (``leg_rel_err``), the two
-    parts of W_n before the sign label (``mode_sum``, and ``leg`` from the
-    rule with twice the panels), and
+    change when every panel is halved (``leg_rel_err``), the two parts of
+    W_n before the sign label (``mode_sum``, and ``leg`` from the halved
+    panels), and
     ``cancellation`` = (|mode_sum| + |leg|) / |W_n| >= 1, the factor by
     which rounding in either part is amplified in W_n."""
     if samples % 2:
@@ -602,8 +652,9 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     P = turn[0]
 
     u_pts, w_pts = _leg_waypoints(chart, spec, u_tp, P)
-    single = _leg_quadrature(chart, u_pts, w_pts, rho, 1)
-    doubled = _leg_quadrature(chart, u_pts, w_pts, rho, 2)
+    specials = _leg_specials(chart, spec, u_tp)
+    single = _leg_quadrature(chart, u_pts, w_pts, specials, 1)
+    doubled = _leg_quadrature(chart, u_pts, w_pts, specials, 2)
 
     ts, lams, slots = _batched_r_slots(
         chart, model, np.concatenate([turn, single[0], doubled[0]]), n_max)

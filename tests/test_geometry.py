@@ -3,12 +3,14 @@ the closed-form phase primitive, and diagram rendering."""
 
 import cmath
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p3wkb import geometry
 from p3wkb.algebra import (
     AlgebraError,
     BranchPoint,
@@ -22,6 +24,7 @@ from p3wkb.geometry import (
     EPS_TRACE,
     START_FRACTION,
     BranchCutError,
+    TraceError,
     TraceOptions,
     emanation_directions,
     phi_primitive,
@@ -86,6 +89,27 @@ def test_trace_rejects_bad_ray():
     ch = D6Chart(P_GEN)
     with pytest.raises(AlgebraError):
         trace_curve(ch.simple_pole_u, 3, P_GEN, chart=ch)
+
+
+def test_trace_gives_up_on_a_drift_it_cannot_project_away(monkeypatch):
+    # A start that leaves Im phi at 0.3 |phi_1|.  The projection refuses a
+    # shift of 0.2 of the step, so on the first step it can cancel about
+    # 0.15 |phi_1|, and less on every halved step: the tracer must stop
+    # with the partial polyline, not crawl on at a millionth of a step
+    # until the arc budget is spent.
+    start_integral = geometry._start_integral
+
+    def drifting(*args):
+        phi, sq = start_integral(*args)
+        return complex(phi.real, 0.3 * abs(phi)), sq
+
+    monkeypatch.setattr(geometry, "_start_integral", drifting)
+    ch = D6Chart(P_GEN)
+    began = time.perf_counter()
+    with pytest.raises(TraceError, match="after 20 step halvings") as err:
+        trace_curve(ch.turning_points_u[0], 0, P_GEN, chart=ch)
+    assert time.perf_counter() - began < 5
+    assert len(err.value.partial) >= 2
 
 
 def test_origin_a_rounding_error_away_traces_the_same_curves():

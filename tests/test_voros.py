@@ -256,16 +256,19 @@ def test_oracle_results_are_not_shared_between_calls():
     assert voros_numeric_oracle(spec, 2 + 1j, n_max=1).values[1] != 0
 
 
+#: A chamber-V point where W_2's two parts cancel by about 1e8.
+_REPRODUCER = (EndpointSpec("d6", "inf1", +1),
+               Parameters(-2.28992598346274 + 0.3078450670676809j,
+                          -1.8157789096795514 + 0.23112540915714153j))
+
+
 def test_oracle_returns_the_refined_leg():
-    # A chamber-V point where W_2's two parts cancel by about 1e8: the leg
-    # from the coarser rule passes its convergence gate yet leaves W_2 off
-    # by 2.6 relative; the leg from the rule with twice the panels does not.
-    spec = EndpointSpec("d6", "inf1", +1)
-    p = Parameters(-2.28992598346274 + 0.3078450670676809j,
-                   -1.8157789096795514 + 0.23112540915714153j)
+    # W_2's parts cancel by about 1e8 here, so a leg that passes its own
+    # gate can still leave W_2 off: it must meet the benchmark's 1e-5.
+    spec, p = _REPRODUCER
     res = voros_numeric_oracle(spec, p, n_max=2)
     closed = voros_closed_form(spec, p, 2)
-    assert abs(res.values[2] - closed[2]) / abs(closed[2]) < 1e-3
+    assert abs(res.values[2] - closed[2]) / abs(closed[2]) < 1e-5
 
 
 @pytest.mark.parametrize("target", ["inf1", "zero_c0"])
@@ -317,8 +320,23 @@ def test_gl_segment_is_bit_identical_to_the_panel_loop():
         a, b = rng.uniform(-5, 5, 2) + 1j * rng.uniform(-5, 5, 2)
         a, b = (complex(a), complex(b)) if k % 2 else (a, b)   # Python and numpy scalars
         n = int(rng.integers(4, 97))
-        for got, want in zip(voros._gl_segment(a, b, n), _gl_segment_by_panels(a, b, n)):
+        edges = a + (b - a) * (np.arange(n + 1) / n)
+        for got, want in zip(voros._gl_rule(edges), _gl_segment_by_panels(a, b, n)):
             assert got.tobytes() == want.tobytes()
+
+
+def _leg_of(spec, params):
+    """(chart, circle radius, u-chart waypoints, w-chart waypoints, special
+    points) of the oracle's leg at an endpoint."""
+    chart = u_chart(params)
+    u_tp = voros._select_turning_point(chart, spec)
+    u_star = voros._target_of(chart, spec)
+    rho = voros._RADIUS_FACTOR * min(abs(s - u_tp) for s in chart.singular_points()
+                                     if abs(s - u_tp) > 1e-9)
+    theta = 0.0 if u_star is None else cmath.phase(u_star - u_tp)
+    P = u_tp + rho * cmath.exp(1j * theta)
+    u_pts, w_pts = voros._leg_waypoints(chart, spec, u_tp, P)
+    return chart, rho, u_pts, w_pts, voros._leg_specials(chart, spec, u_tp)
 
 
 def _oracle_batch(spec, params, monkeypatch):
@@ -341,10 +359,14 @@ _BATCH_CASES = [(EndpointSpec("d6", "inf1", +1), P_GEN), (EndpointSpec("d7", "in
 
 @pytest.mark.parametrize("spec, params", _BATCH_CASES, ids=["d6-inf1", "d7-inf1"])
 def test_chunk_size_does_not_change_the_solve(spec, params, monkeypatch):
-    # 1,100 circle and leg nodes: four chunks and a rest of 76 against one
-    # and the same rest (both above the outer-product threshold).
-    ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
-    ts, lams = ts[:1100], lams[:1100]
+    # 1,100 distinct leg nodes: four chunks and a rest of 76 against one
+    # and the same rest (both above the outer-product threshold).  The
+    # oracle's own batch has fewer nodes, so they come from a finer leg.
+    _, _, kwargs = _oracle_batch(spec, params, monkeypatch)
+    chart, _, u_pts, w_pts, specials = _leg_of(spec, params)
+    us = voros._leg_quadrature(chart, u_pts, w_pts, specials, 8)[0][:1100]
+    assert len(np.unique(us)) == 1100
+    ts, lams = chart.t_of_u(us), chart.lambda0_of_u(us)
     solved = []
     for nodes in (256, 1024):
         monkeypatch.setattr(series, "_CHUNK_NODES", nodes)
@@ -362,6 +384,48 @@ _ENDPOINT_IDS = ["d6-inf1", "d7-inf1", "d6-zero_c0", "d7-zero_c"]
 
 
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
+def test_leg_panels_are_graded_by_the_nearest_special_point(spec, params):
+    chart, _, u_pts, w_pts, specials = _leg_of(spec, params)
+    w_specials = 1 / specials[np.abs(specials) > 1e-9]
+    for pts, poles in ((u_pts, specials), (w_pts, w_specials)):
+        for a, b in zip(pts, pts[1:]):
+            coarse = voros._graded_edges(a, b, poles, 0.0, 1)
+            s = (coarse - a) / (b - a)
+            assert s[0] == 0 and s[-1] == pytest.approx(1, abs=1e-15)
+            assert np.all(np.diff(s.real) > 0) and np.allclose(s.imag, 0, atol=1e-15)
+            start = np.min(np.abs(poles[None, :] - coarse[:-1, None]), axis=1)
+            assert np.all(np.abs(np.diff(coarse)) <= 0.75 * start * (1 + 1e-12))
+            for scale in (2, 4):
+                fine = voros._graded_edges(a, b, poles, 0.0, scale)
+                assert len(fine) == scale * (len(coarse) - 1) + 1
+                assert fine[::scale].tobytes() == coarse.tobytes()
+
+
+@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES[2:], ids=_ENDPOINT_IDS[2:])
+def test_leg_grading_leaves_out_the_finite_endpoint(spec, params):
+    # The leg ends on its endpoint, a double pole of the chart, where the
+    # integrand is integrable; as a special point it would refuse the leg.
+    chart, _, u_pts, _, specials = _leg_of(spec, params)
+    u_star, tiny = voros._target_of(chart, spec), 1e-9 * chart.scale
+    assert u_star in chart.singular_points() and u_pts[-1] == u_star
+    assert np.min(np.abs(specials - u_star)) > 1e-6 * chart.scale
+    voros._graded_edges(u_pts[-2], u_star, specials, tiny, 1)
+    with pytest.raises(PathError, match="passes through"):
+        voros._graded_edges(u_pts[-2], u_star, np.append(specials, u_star), tiny, 1)
+
+
+def test_leg_segment_through_a_special_point_is_refused():
+    specials = np.array([1 + 1j, 3 - 2j])
+    with pytest.raises(PathError, match="passes through"):
+        voros._graded_edges(0j, 2 + 2j, specials, 1e-9, 1)
+    with pytest.raises(PathError, match="passes through"):
+        voros._graded_edges(0j, 1 + (1 + 1e-12) * 1j, specials, 1e-9, 1)
+    with pytest.raises(PathError, match="panels"):   # the guard off: panels halve forever
+        voros._graded_edges(0j, 2 + 2j, specials, 0.0, 1)
+    assert len(voros._graded_edges(0j, 2 + 2.2j, specials, 1e-9, 1)) > 2
+
+
+@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
 def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
     # The oracle reads only R's values; K = N + 2 certifies them as K = N + 4 does.
     ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
@@ -372,6 +436,13 @@ def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
     for power in low.powers():
         a, b = low.slot_value(power), high.slot_value(power)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES + [_REPRODUCER],
+                         ids=_ENDPOINT_IDS + ["reproducer"])
+def test_graded_leg_agrees_with_its_halved_panels(spec, params):
+    res = voros_numeric_oracle(spec, params, n_max=2)
+    assert max(d["leg_rel_err"] for d in res.diagnostics.values()) <= 1e-12
 
 
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
@@ -391,18 +462,16 @@ def test_residuals_vanish_on_every_node_of_the_oracle_batch(spec, params, monkey
 
 
 def _double_pole_nodes():
-    """The 32 smallest-|t| nodes of the d7:zero_c:+ leg with four times the
-    oracle's panels, at a c where that leg runs to |t| = 6e-5 beside the
-    double pole: (t, lambda_0, model)."""
+    """The 32 smallest-|t| nodes of a d7:zero_c:+ leg with four times the
+    uniform panels the oracle once used (about 3 L / rho per segment of
+    length L, 4 to 48 of them), at a c where that leg runs to |t| = 6e-5
+    beside the double pole: (t, lambda_0, model).  The graded leg keeps
+    further from the pole, so it no longer reaches these nodes."""
     c = -0.7638629002045076 + 1.259755939720333j
-    spec = EndpointSpec("d7", "zero_c", +1)
-    chart = u_chart(c)
-    u_tp = voros._select_turning_point(chart, spec)
-    u_star = voros._target_of(chart, spec)
-    rho = voros._RADIUS_FACTOR * min(abs(s - u_tp) for s in chart.singular_points()
-                                     if abs(s - u_tp) > 1e-9)
-    P = u_tp + rho * cmath.exp(1j * cmath.phase(u_star - u_tp))
-    us = voros._leg_quadrature(chart, *voros._leg_waypoints(chart, spec, u_tp, P), rho, 4)[0]
+    chart, rho, u_pts, _, _ = _leg_of(EndpointSpec("d7", "zero_c", +1), c)
+    us = np.concatenate([
+        _gl_segment_by_panels(a, b, 4 * max(4, min(48, int(np.ceil(3.0 * abs(b - a) / rho)))))[0]
+        for a, b in zip(u_pts, u_pts[1:])])
     us = us[np.argsort(np.abs(chart.t_of_u(us)))[:32]]
     return chart.t_of_u(us), chart.lambda0_of_u(us), D7Model(c)
 
