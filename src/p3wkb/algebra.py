@@ -13,11 +13,12 @@ Each u-plane chart pulls the whole many-sheeted picture back to a single
 plane where the quadratic differential q(u) du^2 has polynomial zeros; all
 Stokes tracing happens there.
 
-Chart functions are duck-typed over scalars, numpy arrays and jets (of
-scalars or of arrays): passing a ``numerics.Jet`` in u through ``t_of_u`` /
-``q`` yields u-derivatives for free, which is how du/dt, the emanation data,
-and the tracer obtain local expansions, and an array of u (or a jet whose
-coefficients are arrays) evaluates a whole set of nodes in one call.
+Chart functions are duck-typed over scalars, numpy arrays and jets: passing
+a ``numerics.Jet`` in u through ``t_of_u`` / ``q`` yields u-derivatives,
+which is how dt/du and q's leading coefficient at each turning point (the
+chart's ``turning_point_leads``, computed once per chart, which fix the
+Stokes rays) are obtained.  An array of u, or a jet at a batch of base
+points, evaluates a whole set of nodes in one call.
 """
 
 from __future__ import annotations
@@ -277,6 +278,13 @@ class UChart:
         return (list(self.turning_points_u) + [self.simple_pole_u]
                 + list(self.double_poles_u.values())
                 + list(self.finite_infinities_u.values()))
+
+    @cached_property
+    def turning_point_leads(self) -> tuple:
+        """Per turning point u_tp, the coefficient lead of q ~ lead (u - u_tp)^3,
+        which fixes the directions of its five Stokes rays.  Computed once per
+        chart, however many rays are traced from it."""
+        return tuple(self.q_leading(u, 4, 3) for u in self.turning_points_u)
 
     @cached_property
     def scale(self) -> float:

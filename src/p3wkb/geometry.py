@@ -4,7 +4,9 @@ serialization (SVG / JSON).
 
 Curves are integral curves of Im int sqrt(q) du = 0, traced with the
 unit-speed field conj(sqrt q)/|sqrt q| (so Re of the integral increases
-monotonically), and a continuation sign chained along the curve.  A curve
+monotonically), and a continuation sign chained along the curve.  The five
+rays of a turning point come from q's leading coefficient there, which the
+chart expands once for all of them (``UChart.turning_point_leads``).  A curve
 starts on its exact level set a tenth of the way from its origin to the
 nearest other special point: the integral from the origin is an 8-point
 Gauss-Legendre rule in tau, u = origin + (u1 - origin) tau^2, in which the
@@ -33,7 +35,6 @@ from .walls import on_imaginary_axis
 __all__ = [
     "TraceError",
     "BranchCutError",
-    "TraceOptions",
     "TracedCurve",
     "DegenerationRecord",
     "StokesDiagram",
@@ -45,9 +46,19 @@ __all__ = [
     "render",
 ]
 
+#: A step is halved while the drift of Im phi exceeds this, times 1 + arc + step.
 EPS_TRACE = 1e-6
 #: Step halvings the tracer tries on a drift before it gives up.
 _MAX_HALVINGS = 20
+# The tracer's constants; they give the termini of the reference pictures.
+_STEP_FACTOR = 0.3           # of the distance to the nearest special point (origin included)
+_MAX_STEP = 1.0              # times the chart scale
+_MIN_STEP = 1e-9             # times the chart scale; a shorter step raises TraceError
+_CAPTURE_RADIUS = 1e-3       # scaled by the local pole size
+_TP_RADIUS = 1e-3            # scaled by the chart scale, for hitting another turning point
+_ESCAPE_FACTOR = 1e3         # times the chart's escape_scale
+_ARC_BUDGET_FACTOR = 200.0   # times the chart's arc_scale
+_CLOSURE_COSINE = 0.99       # least alignment of a revisit with the earlier segment
 
 
 class TraceError(RuntimeError):
@@ -61,26 +72,6 @@ class TraceError(RuntimeError):
 
 class BranchCutError(AlgebraError):
     """A logarithm in the closed-form primitive hit its branch point."""
-
-
-@dataclass
-class TraceOptions:
-    """Tuning knobs of the tracer; the defaults give the termini of the
-    reference pictures.  A step is step_factor times the distance to the
-    nearest special point (the curve's own origin included), capped at
-    max_step times the chart scale.  It is halved while the Newton
-    projection leaves more drift than EPS_TRACE allows; a step below
-    min_step times the scale, or a drift left after 20 halvings, raises
-    TraceError."""
-
-    step_factor: float = 0.3
-    max_step: float = 1.0
-    min_step: float = 1e-9
-    capture_radius: float = 1e-3     # scaled by the local pole size
-    tp_radius: float = 1e-3          # scaled, for hitting another turning point
-    escape_factor: float = 1e3
-    arc_budget_factor: float = 200.0
-    closure_cosine: float = 0.99
 
 
 @dataclass
@@ -141,8 +132,9 @@ def _trace_origin(origin: complex, chart) -> tuple:
 
 def emanation_directions(origin: complex, chart) -> list:
     """Unit directions of the Stokes rays at a turning point (five, from the
-    local (5/2)-power primitive) or at the simple pole over t = 0 (one, from
-    the local (1/2)-power primitive) of a u-plane chart."""
+    local (5/2)-power primitive, by the chart's ``turning_point_leads``) or
+    at the simple pole over t = 0 (one, from the local (1/2)-power
+    primitive) of a u-plane chart."""
     label, u0 = _trace_origin(complex(origin), chart)
     if label == "simple_pole":
         # q ~ res/(u - u_sp): evaluate (u - u_sp) q(u) at +/- eps and average
@@ -150,7 +142,7 @@ def emanation_directions(origin: complex, chart) -> list:
         eps = 1e-5 * chart.scale
         res = (eps * chart.q(u0 + eps) - eps * chart.q(u0 - eps)) / 2
         return [cmath.exp(-1j * cmath.phase(res))]
-    lead = chart.q_leading(u0, 4, 3)     # q ~ lead (u - u_tp)^3
+    lead = chart.turning_point_leads[chart.turning_points_u.index(u0)]
     base = -cmath.phase(lead) / 5.0
     return [cmath.exp(1j * (base + 2 * math.pi * k / 5)) for k in range(5)]
 
@@ -198,8 +190,7 @@ _CLOSURE_TURN = 1.5 * math.pi
 _TURN_MARGIN = 1e-6
 
 
-def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = None,
-                chart=None) -> TracedCurve:
+def trace_curve(origin: complex, ray: int, params, chart=None) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
@@ -222,7 +213,6 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     end point along the normal by -Im phi / |sqrt q| and adds the
     trapezoid rule over the shift, until the shift is below 1e-6 of the
     step; it refuses shifts of 0.2 of the step or more."""
-    opts = opts or TraceOptions()
     if chart is None:
         chart = u_chart(params)
     # Start from the chart's own point, so the origin is not taken for a target.
@@ -234,19 +224,19 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
         raise AlgebraError(f"ray {ray} out of range for {origin_label}")
     direction = directions[ray]
 
-    escape = opts.escape_factor * chart.escape_scale
-    budget = opts.arc_budget_factor * chart.arc_scale
-    max_h, min_h = opts.max_step * scale, opts.min_step * scale
+    escape = _ESCAPE_FACTOR * chart.escape_scale
+    budget = _ARC_BUDGET_FACTOR * chart.arc_scale
+    max_h, min_h = _MAX_STEP * scale, _MIN_STEP * scale
     # Later entries win where capture discs overlap (see UChart.capture_points).
-    captures = [(label, pole, opts.capture_radius * max(1.0, abs(pole)))
+    captures = [(label, pole, _CAPTURE_RADIUS * max(1.0, abs(pole)))
                 for label, pole in chart.capture_points().items()]
     sp = chart.simple_pole_u
-    sp_radius = opts.capture_radius * max(1.0, abs(sp))
+    sp_radius = _CAPTURE_RADIUS * max(1.0, abs(sp))
     sp_is_origin = abs(sp - origin) < 1e-12 * scale
-    tp_radius = opts.tp_radius * scale
+    tp_radius = _TP_RADIUS * scale
     tp_targets = [(k, u_tp, abs(u_tp - origin) < 1e-12 * scale)
                   for k, u_tp in enumerate(chart.turning_points_u)]
-    sep_arc = 20 * opts.capture_radius * scale
+    sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
 
     # The first point: START_FRACTION of the distance d0 to the nearest
@@ -271,7 +261,7 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     terminus = None
     # Capture checks at the origin itself stay off until the curve has left
     # its neighborhood (else the first step "terminates" immediately).
-    leave_radius = 3 * max(opts.tp_radius, opts.capture_radius) * scale
+    leave_radius = 3 * max(_TP_RADIUS, _CAPTURE_RADIUS) * scale
     left_origin = False
     # Running turning angle: turns[i] is the angle turned from the first
     # step through step i (points[i] -> points[i+1]); lo and hi bound it
@@ -288,7 +278,7 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
     step_shrink = 0
     while terminus is None:
         d_near = min([abs(u - s) for s in specials])
-        h = min(max_h, opts.step_factor * max(d_near, 1e-12))
+        h = min(max_h, _STEP_FACTOR * max(d_near, 1e-12))
         h /= 2 ** step_shrink
         if h < min_h:
             raise TraceError(f"step underflow at u={u:.6g}", partial=points)
@@ -417,7 +407,7 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
                     turning = abs(float(np.sum(np.angle(dirs[1:] / dirs[:-1]))))
                     cosine = (step / abs(step) *
                               (seg_dir / abs(seg_dir)).conjugate()).real
-                    if cosine > opts.closure_cosine and turning > _CLOSURE_TURN:
+                    if cosine > _CLOSURE_COSINE and turning > _CLOSURE_TURN:
                         terminus = "closed"
                         break
 
@@ -429,15 +419,15 @@ def trace_curve(origin: complex, ray: int, params, opts: TraceOptions | None = N
 # Full diagram and degenerations
 # ---------------------------------------------------------------------------
 
-def stokes_diagram(params, opts: TraceOptions | None = None) -> StokesDiagram:
+def stokes_diagram(params) -> StokesDiagram:
     """Trace every Stokes curve (five per turning point plus one from the
     simple pole) and detect degenerations."""
     chart = u_chart(params)
     curves = []
     for u_tp in chart.turning_points_u:
         for ray in range(5):
-            curves.append(trace_curve(u_tp, ray, params, opts, chart=chart))
-    curves.append(trace_curve(chart.simple_pole_u, 0, params, opts, chart=chart))
+            curves.append(trace_curve(u_tp, ray, params, chart=chart))
+    curves.append(trace_curve(chart.simple_pole_u, 0, params, chart=chart))
     diagram = StokesDiagram(chart, curves)
     diagram.degenerations = detect_degenerations(diagram)
     return diagram

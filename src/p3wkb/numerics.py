@@ -4,14 +4,13 @@ complex ``log_gamma`` built on it, and the sign chain that continues a square
 root along a path.
 
 Everything in this module but ``DenseJets`` is a pure function over immutable
-values.  A ``Jet`` holds the Taylor coefficients of one function in the local
-coordinate ``s = t - t0``, and its arithmetic is exact truncation to the jet
-order; coefficients are plain ``complex``, or ``numpy`` arrays of one shape
-when a batch of base points is processed at once (the chart maps and the
-contour quadratures use it).  ``DenseJets`` is the one arithmetic of the
-series layer: stacks of jets held as one complex array, on which both the
-series solvers and ``series.EtaSeries`` compute.  The ``Jet`` loops are the
-independent reference its kernels are tested against.
+values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
+in the local coordinate ``s = t - t0``, at one base point or a batch of them,
+held as one complex array, on which the series solvers and
+``series.EtaSeries`` compute.  A ``Jet`` is one such jet, read-only, with
+operators that run on the same kernels; the chart maps, the contour
+quadratures and the slots of an eta-series use it.  The tests check the
+kernels against numpy's polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -256,208 +255,6 @@ def _chain_signs(values, start=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Jets
-# ---------------------------------------------------------------------------
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else complex(np.sqrt(complex(x)))
-
-
-def _log(x):
-    return np.log(x) if isinstance(x, np.ndarray) else complex(np.log(complex(x)))
-
-
-def _is_zero_const(x) -> bool:
-    if isinstance(x, np.ndarray):
-        return bool(np.any(x == 0))
-    return x == 0
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Truncated Taylor series sum_k coeffs[k] * s^k at s = t - base_point.
-
-    ``order`` is len(coeffs) - 1.  Arithmetic truncates to the smaller order
-    of the operands; ``derive`` drops one order (callers budget for this).
-    """
-
-    base_point: complex
-    coeffs: tuple
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(value, base_point: complex, order: int) -> "Jet":
-        zero = value * 0
-        return Jet(base_point, (value,) + (zero,) * order)
-
-    @staticmethod
-    def variable(base_point: complex, order: int) -> "Jet":
-        """The jet of t itself: t = base_point + s."""
-        if order < 1:
-            raise ValueError("variable jet needs order >= 1")
-        one = np.ones_like(base_point) if isinstance(base_point, np.ndarray) else complex(1)
-        return Jet(base_point, (base_point, one) + (one * 0,) * (order - 1))
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet(self.base_point, self.coeffs[: order + 1])
-
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
-
-    # -- ring operations ----------------------------------------------------
-
-    @staticmethod
-    def _scalar_like(other) -> bool:
-        return isinstance(other, (int, float, complex, np.number, np.ndarray))
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(other + 0j if not isinstance(other, np.ndarray) else other,
-                            self.base_point, self.order)
-
-    def __add__(self, other) -> "Jet":
-        if not isinstance(other, Jet) and not Jet._scalar_like(other):
-            return NotImplemented
-        o = self._coerce(other)
-        n = min(self.order, o.order)
-        return Jet(self.base_point,
-                   tuple(self.coeffs[k] + o.coeffs[k] for k in range(n + 1)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Jet":
-        return Jet(self.base_point, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other) -> "Jet":
-        if not isinstance(other, Jet) and not Jet._scalar_like(other):
-            return NotImplemented
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Jet":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            if not Jet._scalar_like(other):
-                return NotImplemented
-            return Jet(self.base_point, tuple(a * other for a in self.coeffs))
-        n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc = self.coeffs[0] * other.coeffs[k]
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return Jet(self.base_point, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            if not Jet._scalar_like(other):
-                return NotImplemented
-            return self * (1.0 / other)
-        if _is_zero_const(other.coeffs[0]):
-            raise SingularJetError("jet division by zero constant term")
-        n = min(self.order, other.order)
-        inv0 = 1.0 / other.coeffs[0]
-        out = [self.coeffs[0] * inv0]
-        for k in range(1, n + 1):
-            acc = self.coeffs[k]
-            for j in range(k):
-                acc = acc - out[j] * other.coeffs[k - j]
-            out.append(acc * inv0)
-        return Jet(self.base_point, tuple(out))
-
-    def __rtruediv__(self, other) -> "Jet":
-        return self._coerce(other) / self
-
-    def __pow__(self, m: int) -> "Jet":
-        if not isinstance(m, int):
-            raise TypeError("jet ** requires an integer exponent")
-        if m < 0:
-            return 1 / (self ** (-m))
-        out = Jet.constant(self.coeffs[0] * 0 + 1.0, self.base_point, self.order)
-        base = self
-        k = m
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- analytic operations ------------------------------------------------
-
-    def sqrt(self) -> "Jet":
-        if _is_zero_const(self.coeffs[0]):
-            raise SingularJetError("jet sqrt of zero constant term")
-        s0 = _sqrt(self.coeffs[0])
-        out = [s0]
-        half = 0.5 / s0
-        for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out.append(acc * half)
-        return Jet(self.base_point, tuple(out))
-
-    def log(self) -> "Jet":
-        if _is_zero_const(self.coeffs[0]):
-            raise SingularJetError("jet log of zero constant term")
-        # log(a)' = a'/a, integrated termwise; constant term is principal log.
-        n = self.order
-        out = [_log(self.coeffs[0])]
-        if n == 0:
-            return Jet(self.base_point, tuple(out))
-        da = self.derive()
-        ratio = da / self.truncate(n - 1)
-        for k in range(1, n + 1):
-            out.append(ratio.coeffs[k - 1] / k)
-        return Jet(self.base_point, tuple(out))
-
-    def derive(self) -> "Jet":
-        """d/dt, dropping one order."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.base_point,
-                   tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, s):
-        """Evaluate at offset s from the base point (Horner)."""
-        acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
-            acc = acc * s + a
-        return acc
-
-    def value(self):
-        return self.coeffs[0]
-
-    def rebase(self, new_base: complex) -> "Jet":
-        """Re-expand around a new base point (exact polynomial shift)."""
-        h = new_base - self.base_point
-        out = list(self.coeffs)
-        n = self.order
-        # Repeated synthetic division by (s - h).
-        for j in range(n):
-            for k in range(n - 1, j - 1, -1):
-                out[k] = out[k] + h * out[k + 1]
-        return Jet(new_base, tuple(out))
-
-
-# ---------------------------------------------------------------------------
 # Dense jets: stacks of jets as complex arrays
 # ---------------------------------------------------------------------------
 
@@ -560,7 +357,7 @@ class DenseJets:
         self.K = K
         self.t0 = np.asarray(t0, complex)   # one arithmetic for one node or many
         self.batch = np.shape(t0)
-        self.small = int(np.prod(self.batch)) <= _OUTER_PRODUCT_NODES
+        self.small = self.t0.size <= _OUTER_PRODUCT_NODES
         tail = (slice(None),) * len(self.batch)
         self._hi = (Ellipsis, slice(1, None)) + tail
         self._lo = (Ellipsis, slice(None, -1)) + tail
@@ -709,6 +506,162 @@ class DenseJets:
         for k in range(1, len(a)):
             out[k:k + 1] = (a[k:k + 1] - _running_sum(out[1:k] * out[k - 1:0:-1])) * half
         return out
+
+
+# ---------------------------------------------------------------------------
+# Jets: one jet of DenseJets with operators
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """Truncated Taylor series sum_k coeffs[k] * s^k at s = t - base_point.
+
+    One jet of :class:`DenseJets`: ``coeffs`` is a read-only complex array
+    of shape (order + 1, *batch), batch the shape of ``base_point`` (none
+    for one base point), made from any sequence of coefficients or of
+    per-node arrays.  Products, quotients, square roots, logarithms and
+    derivatives run on the ``DenseJets`` kernels.  Arithmetic truncates to
+    the smaller order of the operands; ``derive`` drops one order (callers
+    budget for this).
+    """
+
+    base_point: complex
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, complex).view()
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def constant(value, base_point: complex, order: int) -> "Jet":
+        coeffs = np.zeros((order + 1,) + np.shape(base_point), complex)
+        coeffs[0] = value
+        return Jet(base_point, coeffs)
+
+    @staticmethod
+    def variable(base_point: complex, order: int) -> "Jet":
+        """The jet of t itself: t = base_point + s."""
+        if order < 1:
+            raise ValueError("variable jet needs order >= 1")
+        coeffs = np.zeros((order + 1,) + np.shape(base_point), complex)
+        coeffs[0], coeffs[1] = base_point, 1.0
+        return Jet(base_point, coeffs)
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def truncate(self, order: int) -> "Jet":
+        if order >= self.order:
+            return self
+        return Jet(self.base_point, self.coeffs[: order + 1])
+
+    def __getitem__(self, k: int):
+        return self.coeffs[k]
+
+    # -- ring operations ----------------------------------------------------
+
+    @staticmethod
+    def _scalar_like(other) -> bool:
+        return isinstance(other, (int, float, complex, np.number, np.ndarray))
+
+    def _coerce(self, other) -> "Jet":
+        return other if isinstance(other, Jet) else Jet.constant(other, self.base_point, self.order)
+
+    def __add__(self, other) -> "Jet":
+        if not isinstance(other, Jet) and not Jet._scalar_like(other):
+            return NotImplemented
+        o = self._coerce(other)
+        n = min(self.order, o.order) + 1
+        return Jet(self.base_point, self.coeffs[:n] + o.coeffs[:n])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Jet":
+        return Jet(self.base_point, -self.coeffs)
+
+    def __sub__(self, other) -> "Jet":
+        if not isinstance(other, Jet) and not Jet._scalar_like(other):
+            return NotImplemented
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "Jet":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            if not Jet._scalar_like(other):
+                return NotImplemented
+            return Jet(self.base_point, self.coeffs * other)
+        n = min(self.order, other.order)
+        return Jet(self.base_point, DenseJets(self.base_point, n).products(
+            self.coeffs[None], other.coeffs[None], n)[0])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            if not Jet._scalar_like(other):
+                return NotImplemented
+            return self * (1.0 / other)
+        n = min(self.order, other.order) + 1
+        return Jet(self.base_point, DenseJets.divide(self.coeffs[:n], other.coeffs[:n]))
+
+    def __rtruediv__(self, other) -> "Jet":
+        return self._coerce(other) / self
+
+    def __pow__(self, m: int) -> "Jet":
+        if not isinstance(m, int):
+            raise TypeError("jet ** requires an integer exponent")
+        if m < 0:
+            return 1 / (self ** (-m))
+        out = Jet.constant(1.0, self.base_point, self.order)
+        base = self
+        k = m
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    # -- analytic operations ------------------------------------------------
+
+    def sqrt(self) -> "Jet":
+        return Jet(self.base_point, DenseJets.sqrt(self.coeffs))
+
+    def log(self) -> "Jet":
+        """The principal log of the value, and the integral of a'/a above it."""
+        _refuse_zero_constant(self.coeffs, "log")
+        out = np.empty_like(self.coeffs)
+        out[0] = np.log(self.coeffs[0])
+        if self.order:
+            ratio = self.derive() / self.truncate(self.order - 1)
+            out[1:] = ratio.coeffs / DenseJets(self.base_point, self.order)._kfac
+        return Jet(self.base_point, out)
+
+    def derive(self) -> "Jet":
+        """d/dt, dropping one order."""
+        if self.order == 0:
+            raise ValueError("cannot differentiate an order-0 jet")
+        return Jet(self.base_point, DenseJets(self.base_point, self.order).derive(self.coeffs)[:-1])
+
+    # -- evaluation ---------------------------------------------------------
+
+    def __call__(self, s):
+        """Evaluate at offset s from the base point (Horner)."""
+        acc = self.coeffs[-1]
+        for a in self.coeffs[-2::-1]:
+            acc = acc * s + a
+        return acc
+
+    def value(self):
+        return self.coeffs[0]
 
 
 # ---------------------------------------------------------------------------

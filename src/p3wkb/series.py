@@ -71,14 +71,6 @@ class OrderBudgetError(ArithmeticError):
     """A derivative or slot was requested beyond what the jet order K supports."""
 
 
-def _jet_rows(jet: Jet, batch) -> np.ndarray:
-    """A Jet's coefficients as one array of shape (order + 1, *batch)."""
-    rows = np.empty((jet.order + 1,) + batch, complex)
-    for k, c in enumerate(jet.coeffs):
-        rows[k] = c
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class EtaSeries:
     """sum_m coeffs[m] * eta^(offset - m) at the base points t0, known
@@ -117,8 +109,7 @@ class EtaSeries:
                                    f"down to eta^{self.lowest_power})")
         if m < 0:
             return Jet.constant(0j, self.t0, self.K)
-        row = self.coeffs[m, :self.orders[m] + 1]
-        return Jet(self.t0, tuple(row.tolist() if row.ndim == 1 else row))
+        return Jet(self.t0, self.coeffs[m, :self.orders[m] + 1])
 
     def slot_value(self, power: int):
         return self.slot(power).value()
@@ -129,13 +120,13 @@ class EtaSeries:
     @staticmethod
     def from_slots(pairs: dict, base_point, jet_order: int) -> "EtaSeries":
         """Build from a {power: Jet | scalar} mapping; gaps become zeros."""
-        hi, batch = max(pairs), np.shape(base_point)
-        coeffs = np.zeros((hi - min(pairs) + 1, jet_order + 1) + batch, complex)
+        hi = max(pairs)
+        coeffs = np.zeros((hi - min(pairs) + 1, jet_order + 1) + np.shape(base_point), complex)
         orders = np.full(len(coeffs), jet_order)
         for p, v in pairs.items():
             if isinstance(v, Jet):
                 orders[hi - p] = min(v.order, jet_order)
-                coeffs[hi - p, :orders[hi - p] + 1] = _jet_rows(v, batch)[:jet_order + 1]
+                coeffs[hi - p, :orders[hi - p] + 1] = v.coeffs[:jet_order + 1]
             else:
                 coeffs[hi - p, 0] = v
         return EtaSeries(hi, coeffs, orders, base_point)
@@ -178,7 +169,7 @@ class EtaSeries:
         if isinstance(other, Jet):      # slot by slot, not as a lifted series
             K = min(self.K, other.order)
             return EtaSeries(self.offset, DenseJets(self.t0, K).products(
-                self.coeffs[:, :K + 1], _jet_rows(other, np.shape(self.t0))[None, :K + 1]),
+                self.coeffs[:, :K + 1], other.coeffs[None, :K + 1]),
                 np.minimum(self.orders, K), self.t0)
         if not isinstance(other, EtaSeries):
             return replace(self, coeffs=self.coeffs * other)
@@ -601,10 +592,6 @@ class ZeroParamSolution:
     delta0: Jet
     diagnostics: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def lambda0_jet(self) -> Jet:
-        return self.lam.slot(0)
-
     @cached_property
     def mu(self) -> EtaSeries:
         """The mu-series, solved from lam chunk by chunk like lam itself."""
@@ -667,7 +654,7 @@ def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
     return ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
         EtaSeries(0, lam, _slot_orders(K, N, model.shifted)[0], t0),
-        EtaSeries(0, delta0[None], np.array([K]), t0).slot(0),
+        Jet(t0, delta0),
         {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
          "newton_node": newton_node,
          "delta_ratio": float(np.ravel(delta_ratio)[ratio_node]),
@@ -755,7 +742,7 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
     """
     N, K = zp.N, zp.K
     r, = _by_chunks(partial(_riccati_arrays, zp.model, N, K, sign), zp.t0,
-                    zp.lam.coeffs, np.array(zp.delta0.coeffs))
+                    zp.lam.coeffs, zp.delta0.coeffs)
     return RiccatiSolution(zp, sign, EtaSeries(1, r, _slot_orders(K, N, zp.model.shifted)[2], zp.t0))
 
 

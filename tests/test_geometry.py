@@ -17,6 +17,7 @@ from p3wkb.algebra import (
     D6Chart,
     D7Chart,
     Parameters,
+    UChart,
     delta,
     lambda0_branches,
 )
@@ -25,7 +26,6 @@ from p3wkb.geometry import (
     START_FRACTION,
     BranchCutError,
     TraceError,
-    TraceOptions,
     emanation_directions,
     phi_primitive,
     render,
@@ -125,9 +125,28 @@ def test_origin_a_rounding_error_away_traces_the_same_curves():
 
 
 def test_option_defaults():
-    opts = TraceOptions()
     assert EPS_TRACE == 1e-6
-    assert opts.capture_radius == 1e-3
+    assert geometry._CAPTURE_RADIUS == 1e-3
+    assert geometry._TP_RADIUS == 1e-3
+    assert (geometry._STEP_FACTOR, geometry._MAX_STEP, geometry._MIN_STEP) == (0.3, 1.0, 1e-9)
+    assert (geometry._ESCAPE_FACTOR, geometry._ARC_BUDGET_FACTOR) == (1e3, 200.0)
+    assert geometry._CLOSURE_COSINE == 0.99
+
+
+@pytest.mark.parametrize("params, calls", [(P_GEN, 3), (2 + 1j, 1)], ids=["d6", "d7"])
+def test_rays_need_one_q_leading_per_turning_point(monkeypatch, params, calls):
+    # Every ray of a turning point reads the chart's cached leading
+    # coefficient of q; it is expanded once per turning point, not per ray.
+    seen = []
+    q_leading = UChart.q_leading
+
+    def counted(self, *args):
+        seen.append(args)
+        return q_leading(self, *args)
+
+    monkeypatch.setattr(UChart, "q_leading", counted)
+    stokes_diagram(params)
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +256,12 @@ def test_traces_match_recorded_curves(name, params):
         assert abs(c.im_drift - im_drift) <= 1e-12 * im_drift
 
 
-def test_closure_terminus_reports_loop():
+def test_closure_terminus_reports_loop(monkeypatch):
     # At W1 with a turning-point capture radius too small to catch the
     # self-connection, the curve from tp1 comes round the double pole and
     # ends on its own earlier segment.
-    diag = stokes_diagram(Parameters(2 + 1j, 3j), TraceOptions(tp_radius=1e-6))
+    monkeypatch.setattr(geometry, "_TP_RADIUS", 1e-6)
+    diag = stokes_diagram(Parameters(2 + 1j, 3j))
     closed = [c for c in diag.curves if c.terminus == "closed"]
     assert [(c.origin, c.ray) for c in closed] == [("tp1", 1)]
     assert [(d.kind, d.participants) for d in diag.degenerations] == \

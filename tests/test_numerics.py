@@ -275,7 +275,7 @@ def test_jet_sqrt_squares_back():
 def test_jet_derive():
     a = _jet([0, 0, 1, 0])  # s^2
     d = a.derive()
-    assert d.coeffs == (0j, 2 + 0j, 0j)
+    assert np.array_equal(d.coeffs, [0, 2, 0])
 
 
 def test_jet_reciprocal_of_exp():
@@ -295,13 +295,6 @@ def test_jet_log_of_exp():
     assert abs(lg.coeffs[1] - 1) < 1e-14
     for k in range(2, K + 1):
         assert abs(lg.coeffs[k]) < 1e-14
-
-
-def test_jet_rebase_evaluates_consistently():
-    a = _jet([2, -1, 0.5, 0.25, -0.125], base=1.0)
-    b = a.rebase(1.3)
-    # Same underlying polynomial evaluated at t = 1.45.
-    assert abs(a(0.45) - b(0.15)) < 1e-13
 
 
 def test_jet_singularities():
@@ -367,8 +360,10 @@ def test_jet_product_rule(xs, ys):
 @pytest.mark.parametrize("nodes", [3, 40])
 def test_dense_jets_match_jet_arithmetic(nodes):
     # Both product kernels (outer products for a few nodes, shifted rows
-    # for many) and the one-jet division and square root, against the
-    # tuple-based Jet loops on the same coefficients.
+    # for many), the one-jet division and square root, d/dt and times t,
+    # against numpy's polynomial arithmetic truncated to the jet order:
+    # products and t-operations directly, the quotient multiplied back
+    # by the divisor and the square root squared back.
     rng = np.random.default_rng(7)
     K = 9
     t0 = rng.uniform(0.5, 2, nodes) * np.exp(1j * rng.uniform(-3, 3, nodes))
@@ -378,14 +373,16 @@ def test_dense_jets_match_jet_arithmetic(nodes):
     dense = DenseJets(t0, K)
     got = {"mul": dense.products(X, Y), "div": dense.divide(X[0], Y[0]),
            "sqrt": dense.sqrt(Y[0]), "dt": dense.derive(X), "tx": dense.times_t(X)}
+    poly = np.polynomial.polynomial
     for node in range(nodes):
-        a, b = (Jet(t0[node], tuple(Z[0, :, node])) for Z in (X, Y))
-        t = Jet.variable(t0[node], K)
-        want = {"mul": a * b, "div": a / b, "sqrt": b.sqrt(), "dt": a.derive(), "tx": t * a}
-        for key, jet in want.items():
-            row = got[key][0, :, node] if got[key].ndim == 3 else got[key][:, node]
-            ref = np.array(jet.coeffs)
-            assert np.max(np.abs(row[:len(ref)] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
+        x, y = X[0, :, node], Y[0, :, node]
+        pairs = {"mul": (got["mul"][0, :, node], poly.polymul(x, y)[:K + 1]),
+                 "div": (poly.polymul(got["div"][:, node], y)[:K + 1], x),
+                 "sqrt": (poly.polymul(got["sqrt"][:, node], got["sqrt"][:, node])[:K + 1], y),
+                 "dt": (got["dt"][0, :K, node], poly.polyder(x)),
+                 "tx": (got["tx"][0, :, node], poly.polymul([t0[node], 1], x)[:K + 1])}
+        for key, (row, ref) in pairs.items():
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), key
 
 
 def test_dense_eta_products_match_slot_sums():

@@ -128,7 +128,7 @@ def test_base_point_independence(zp):
     b1 = min(lambda0_branches(t1, P), key=lambda bb: abs(bb.lambda0 - zp.branch.lambda0))
     fresh = zero_param_solution(t1, b1, P, N=6)
     for power in range(0, -7, -2):
-        a, b_ = zp.lam.slot(power).rebase(t1).value(), fresh.lam.slot_value(power)
+        a, b_ = zp.lam.slot(power)(t1 - T0), fresh.lam.slot_value(power)
         assert abs(a - b_) < 1e-8 * max(1.0, abs(b_))
 
 
@@ -192,7 +192,7 @@ def test_prefactor_leading(zp, ric):
 
 
 def test_x_factor_leading(zp, ric):
-    lam0, t = zp.lambda0_jet, zp.t_jet
+    lam0, t = zp.lam.slot(0), zp.t_jet
     rm1 = ric.R.slot(1)
     direct = rm1 * t / (2 * lam0 * lam0) - P.c_0 / (2 * lam0 * lam0) \
         + t / (lam0 * lam0 * lam0)
@@ -344,7 +344,7 @@ def test_d7_mu_leading(zp7):
 
 def test_d7_x_factor_leading(zp7):
     ric = riccati_solution(zp7, +1)
-    lam0, t = zp7.lambda0_jet, zp7.t_jet
+    lam0, t = zp7.lam.slot(0), zp7.t_jet
     direct = ric.R.slot(1) * t / (2 * lam0 * lam0) - C7 / (2 * lam0 * lam0) \
         + t / (lam0 * lam0 * lam0)
     assert abs(x_factor(ric).slot_value(0) - direct.value()) < 1e-12
@@ -452,6 +452,20 @@ def test_batched_solve_equals_scalar_solves(family, repeat):
     assert zp.diagnostics["delta_node"] == int(np.argmin(delta))
     assert zp.diagnostics["delta_min"] == pytest.approx(delta.min(), rel=1e-15)
     assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
+
+
+def test_slot_jets_are_read_only():
+    # A slot is a view of the series' own array: a write into it must
+    # raise, not change the series.
+    model, lams = _batch_case("d6")
+    zp = zero_param_solution(T_BATCH, BranchPoint(T_BATCH, lams), model=model, N=4)
+    before = zp.lam.coeffs.copy()
+    for jet in (zp.lam.slot(0), zp.delta0, zp.t_jet):
+        with pytest.raises(ValueError, match="read-only"):
+            jet.coeffs[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            jet.coeffs[0] += 1
+    assert np.array_equal(zp.lam.coeffs, before)
 
 
 def test_batch_with_a_node_at_a_turning_point_raises(monkeypatch):
