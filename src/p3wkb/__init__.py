@@ -1,6 +1,6 @@
 """Exact-WKB data of the Painleve III equations of types D6 and D7.
 
-Subpackages by layer:
+Modules by layer:
 
 - ``numerics``  — rationals, Bernoulli numbers, jets, Laurent series, roots,
                   Binet's function ``binet`` and ``log_gamma``
@@ -10,8 +10,6 @@ Subpackages by layer:
 - ``series``    — formal eta-series engine: the D6 and D7 equation models,
                   0-parameter solutions, Riccati solutions, odd/even parts,
                   instanton prefactor, Backlund maps
-- ``asymptotics`` — large- and small-|t| reference profiles of the labeled
-                  branches, compared with the series, and homogeneity checks
 - ``geometry``  — Stokes-curve tracing on the u-plane, degeneration detection,
                   SVG/JSON rendering
 - ``voros``     — Voros coefficients: one endpoint table of closed forms,

@@ -265,10 +265,6 @@ class UChart:
             u = complex(u)
         return self.t_of_u(Jet.variable(u, 1)).coeffs[1]
 
-    def branch_point_at_u(self, u, sign: int = +1, tag: str = "generic") -> BranchPoint:
-        return BranchPoint(complex(self.t_of_u(u)), complex(self.lambda0_of_u(u)),
-                           sheet_tag=tag, sign=sign)
-
     def q_leading(self, u_center: complex, order: int, k: int) -> complex:
         """Coefficient of (u - u_center)^k of q around u_center via a jet."""
         jet = self.q(Jet.variable(u_center, order))
@@ -342,20 +338,11 @@ class D6Chart(UChart):
         cp, cm = self.p.c_p, self.p.c_m
         return (u + 1) * (cp * u + cm) / (2 * u)
 
-    def mu0_of_u(self, u):
-        return 1 / (1 + u)
-
     def q(self, u):
         cp2, cm2 = self._cp2, self._cm2
         num = cp2 * u ** 3 + cm2
         den = (u + 1) * u ** 4 * (cp2 * u * u - cm2) ** 2
         return 4 * num ** 3 / den
-
-    def u_of_branch(self, b: BranchPoint) -> complex:
-        m = mu0(b, self.p)
-        if m == 0:
-            raise AlgebraError("u-chart undefined where mu0 = 0")
-        return (1 - m) / m
 
     def parameter_dict(self) -> dict:
         p = self.p
@@ -398,9 +385,6 @@ class D7Chart(UChart):
 
     def lambda0_of_u(self, u):
         return u * (self.c - u) / 2
-
-    def mu0_of_u(self, u):
-        return 1 / u
 
     def q(self, u):
         c = self.c
@@ -485,31 +469,3 @@ def d7_lambda0_branches(t: complex, c: complex) -> list[BranchPoint]:
             raise AlgebraError(f"cubic root residual too large at t={t}: {res}")
         out.append(BranchPoint(t, r))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic branch classification (used by the asymptotics test suite)
-# ---------------------------------------------------------------------------
-
-def classify_branch_asymptotic(b: BranchPoint, p: Parameters) -> str:
-    """Label a branch at large or small |t| by its leading behavior:
-    inf1..inf4 (lambda0 ~ +-t^{1/2}, +-i t^{1/2}), zero_cinf (lambda0 -> c_inf),
-    zero_c0 (lambda0 ~ t/c_0), simple_pole (lambda0 ~ +-sqrt(c_0 t/c_inf));
-    'generic' if nothing matches well."""
-    t, lam = b.t, b.lambda0
-    if abs(t) >= 100:
-        root = np.sqrt(complex(t))
-        cands = {"inf1": root, "inf2": -root, "inf3": 1j * root, "inf4": -1j * root}
-        label, ref = min(cands.items(), key=lambda kv: abs(lam - kv[1]))
-        if abs(lam - ref) < 0.5 * abs(root):
-            return label
-        return "generic"
-    if abs(t) <= 0.01 * min(abs(p.c_inf), abs(p.c_0)) ** 2:
-        if abs(lam - p.c_inf) < 0.1 * abs(p.c_inf):
-            return "zero_cinf"
-        if abs(lam - t / p.c_0) < 0.1 * abs(t / p.c_0):
-            return "zero_c0"
-        sp = np.sqrt(complex(p.c_0 * t / p.c_inf))
-        if min(abs(lam - sp), abs(lam + sp)) < 0.5 * abs(sp):
-            return "simple_pole"
-    return "generic"

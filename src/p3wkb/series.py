@@ -687,14 +687,6 @@ class RiccatiSolution:
     def r_odd(self) -> EtaSeries:
         return self.R.parity_part(1)
 
-    @property
-    def r_even(self) -> EtaSeries:
-        return self.R.parity_part(0)
-
-    def flipped(self) -> "RiccatiSolution":
-        Rf = self.r_even - self.r_odd
-        return replace(self, sign=-self.sign, R=Rf)
-
 
 def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
     """R^2 + R' - (2 lam'/lam - 1/t) R - (eta^2 dF(lam) - (lam'/lam)^2)."""

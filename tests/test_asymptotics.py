@@ -4,9 +4,10 @@ rescaled-frame evaluation at small |t|, and the scaling-weight checks."""
 
 import pytest
 
-import p3wkb.asymptotics as A
 from p3wkb.algebra import Parameters
-from p3wkb.asymptotics import (
+
+import asymptotics_reference as A
+from asymptotics_reference import (
     BRANCHES,
     HOMOGENEITY_WEIGHTS,
     INF_BRANCHES,

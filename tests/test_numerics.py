@@ -202,7 +202,7 @@ def test_importing_every_module_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout.split()
-    assert int(out[0]) >= 8 and out[1] == "False"
+    assert int(out[0]) == 7 and out[1] == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,24 @@ def test_each_row_anchor_is_the_limit_at_its_endpoint(spec, params):
     assert sorted(labels) == [-1, +1]
 
 
+#: (endpoint at p.swapped(), endpoint at p) with equal W_n.  c_inf <-> c_0
+#: leaves q unchanged, exchanges the double poles over t = 0 and negates c_m,
+#: and F is odd, so the inf3 row changes sign.
+_SWAP_PAIRS = [("d6:zero_cinf:+", "d6:zero_c0:+"), ("d6:zero_c0:+", "d6:zero_cinf:+"),
+               ("d6:inf3:+", "d6:inf3:-")]
+
+
+@pytest.mark.parametrize("p", [Parameters(2 + 1j, 0.7 - 0.4j), P_GEN])
+@pytest.mark.parametrize("at_swapped, at_p", _SWAP_PAIRS)
+def test_oracle_under_parameter_swap(p, at_swapped, at_p):
+    a = voros_numeric_oracle(parse_endpoint(at_swapped), p.swapped(), n_max=2)
+    b = voros_numeric_oracle(parse_endpoint(at_p), p, n_max=2)
+    closed = voros_closed_form(parse_endpoint(at_p), p, 2)
+    for n in (1, 2):
+        rel = abs(a.values[n] - b.values[n]) / abs(closed[n])
+        assert rel < 1e-5, f"n={n}: rel {rel:.2e}"
+
+
 def test_oracle_sign_flip_consistency():
     plus = voros_numeric_oracle(EndpointSpec("d6", "zero_c0", +1), P_GEN, n_max=2)
     minus = voros_numeric_oracle(EndpointSpec("d6", "zero_c0", -1), P_GEN, n_max=2)
@@ -284,17 +302,13 @@ def test_oracle_reports_the_cancellation_between_its_parts(target):
     (EndpointSpec("d7", "zero_c", +1), 2 + 1j, -(2 + 1j)),
     (EndpointSpec("d6", "zero_c0", +1), P_GEN, 5 + 5j),
 ])
-def test_oracle_refuses_a_circle_around_no_turning_point(spec, params, center):
+def test_oracle_refuses_a_circle_around_no_turning_point(spec, params, center, monkeypatch):
     # The second turn of the circle reuses the values solved on the first;
     # with no branch point inside, the signs do not flip after one turn and
     # the integer-power modes must still give the circle away.
+    monkeypatch.setattr(voros, "_select_turning_point", lambda chart, spec: center)
     with pytest.raises(PathError, match="integer-power"):
-        voros_numeric_oracle(spec, params, n_max=2, tp_override=center)
-
-
-def test_oracle_needs_an_even_sample_count():
-    with pytest.raises(ValueError):
-        voros_numeric_oracle(EndpointSpec("d7", "zero_c", +1), 2 + 1j, n_max=1, samples=511)
+        voros_numeric_oracle(spec, params, n_max=2)
 
 
 # ---------------------------------------------------------------------------
