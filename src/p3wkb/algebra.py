@@ -41,7 +41,9 @@ __all__ = [
     "UChart",
     "D6Chart",
     "D7Chart",
+    "quartic_coeffs",
     "lambda0_branches",
+    "d7_lambda0_branches",
     "delta",
     "mu0",
     "turning_points",

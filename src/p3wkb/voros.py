@@ -54,6 +54,8 @@ __all__ = [
     "voros_increment_printed",
     "increments_match",
     "cycle_symbolic",
+    "OracleResult",
+    "voros_numeric_oracle",
 ]
 
 
@@ -399,9 +401,25 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # nearest special point of the chart, so they are short only where the
 # integrand's nearest singularity is near.  The same panels halved give a
 # second rule, and the leg's gate compares the two.
+#
+# The circle's radius is r = _RADIUS_FACTOR times the distance d from the
+# turning point to the nearest other point of chart.singular_points(), which
+# include the other turning points, so with r < 1 the Puiseux expansion
+# converges on the circle and its modes decay like r^{s_j}.  Two error terms
+# set the pair of constants:
+#
+#   aliasing:      the M bins hold the modes up to s = M/4, so the first
+#                  folded mode is about r^{M/4} of the largest (0.6^64 = 6e-15);
+#   cancellation:  mode_sum and leg cancel in W_n by a factor kappa that falls
+#                  as r grows, because the pole modes shrink and the leg
+#                  starts further out (W_2 on 600 seeded checks: median
+#                  kappa 1.7e6 at r = 0.3, 5.2e3 at r = 0.6).
+#
+# The bins with |2 s| > 0.4 M are checked against the largest (tail_ratio),
+# so a circle too wide for its samples is refused rather than aliased.
 
-_CIRCLE_SAMPLES = 512      # on two turns, so even: each turn takes half
-_RADIUS_FACTOR = 0.3
+_CIRCLE_SAMPLES = 256      # on two turns, so even: each turn takes half
+_RADIUS_FACTOR = 0.6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: A leg panel spans this share of the distance from its start to the
 #: nearest special point.  A segment that passes 1e-9 of its length from
@@ -622,6 +640,10 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     nearest singular point or turning point (the finite endpoint aside);
     W_n takes the leg from the rule that halves every panel.
 
+    The circle is refused when its integer-power modes exceed 1e-6 of the
+    largest mode (the branch tracking failed) or its high-frequency modes
+    exceed 1e-10 of it (the samples alias the Puiseux modes).
+
     ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``)
     and high-frequency (``tail_ratio``) mode ratios, the leg's relative
     change when every panel is halved (``leg_rel_err``), the two parts of
@@ -692,6 +714,9 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
                             "branch tracking inconsistent on the circle")
         tail = np.abs(freqs) > 0.4 * M
         tail_ratio = float(np.max(np.abs(chat[tail])) / amp) if amp > 0 else 0.0
+        if tail_ratio > 1e-10:
+            raise PathError(f"high-frequency modes present (ratio {tail_ratio:.2e}): "
+                            "circle samples alias the Puiseux modes")
         mode_sum = np.sum(chat[odd] * (P - u_tp) / (freqs[odd] / 2 + 1))
 
         leg = np.sum(single[2] * sig_single * r[on_single] * single[1])

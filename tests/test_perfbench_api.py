@@ -4,9 +4,12 @@
 by name: solver and residual functions, ``EtaSeries.from_slots``, and the
 Jet and chart methods the tracer wraps.  These tests import both files
 read-only, so an API change that breaks the benchmark fails here without
-running ``perfbench/selftest.py``."""
+running ``perfbench/selftest.py``.  Each module's ``__all__`` names its
+public functions and classes, so star imports reach what the benchmark
+imports by name."""
 
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -49,3 +52,15 @@ def test_traced_methods_exist_on_their_classes():
     for module, cls, attr, _ in tracing.METHODS:
         owner = getattr(importlib.import_module(f"p3wkb.{module}"), cls)
         assert attr in owner.__dict__, f"{module}.{cls}.{attr}"
+
+
+@pytest.mark.parametrize("module", ["algebra", "borel", "geometry", "numerics", "series",
+                                    "voros", "walls"])
+def test_all_names_the_public_functions_and_classes(module):
+    mod = importlib.import_module(f"p3wkb.{module}")
+    public = {name for name, obj in vars(mod).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == mod.__name__}
+    exported = {name for name in mod.__all__
+                if inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name))}
+    assert exported == public
