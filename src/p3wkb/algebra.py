@@ -115,11 +115,10 @@ class Parameters:
 @dataclass(frozen=True)
 class BranchPoint:
     """A point (t, lambda0) on one sheet of the leading algebraic function,
-    optionally labeled and carrying the +/- choice of R_{-1} = +/- sqrt(Delta)."""
+    carrying the +/- choice of R_{-1} = +/- sqrt(Delta)."""
 
     t: complex
     lambda0: complex
-    sheet_tag: str = "generic"
     sign: int = +1
 
     def residual(self, p: Parameters) -> float:

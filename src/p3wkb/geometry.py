@@ -190,7 +190,7 @@ _CLOSURE_TURN = 1.5 * math.pi
 _TURN_MARGIN = 1e-6
 
 
-def trace_curve(origin: complex, ray: int, params, chart=None) -> TracedCurve:
+def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
@@ -213,8 +213,6 @@ def trace_curve(origin: complex, ray: int, params, chart=None) -> TracedCurve:
     end point along the normal by -Im phi / |sqrt q| and adds the
     trapezoid rule over the shift, until the shift is below 1e-6 of the
     step; it refuses shifts of 0.2 of the step or more."""
-    if chart is None:
-        chart = u_chart(params)
     # Start from the chart's own point, so the origin is not taken for a target.
     origin_label, origin = _trace_origin(complex(origin), chart)
     specials = chart.singular_points()
@@ -426,8 +424,8 @@ def stokes_diagram(params) -> StokesDiagram:
     curves = []
     for u_tp in chart.turning_points_u:
         for ray in range(5):
-            curves.append(trace_curve(u_tp, ray, params, chart=chart))
-    curves.append(trace_curve(chart.simple_pole_u, 0, params, chart=chart))
+            curves.append(trace_curve(u_tp, ray, chart))
+    curves.append(trace_curve(chart.simple_pole_u, 0, chart))
     diagram = StokesDiagram(chart, curves)
     diagram.degenerations = detect_degenerations(diagram)
     return diagram

@@ -400,7 +400,9 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # The leg is 16-point Gauss-Legendre on panels graded by the distance to the
 # nearest special point of the chart, so they are short only where the
 # integrand's nearest singularity is near.  The same panels halved give a
-# second rule, and the leg's gate compares the two.
+# second rule, and the leg's gate compares the two.  The grading is also what
+# keeps a leg accurate where it passes near a special point, so the leg is
+# straight: it takes one waypoint only to step round a point that lies on it.
 #
 # The circle's radius is r = _RADIUS_FACTOR times the distance d from the
 # turning point to the nearest other point of chart.singular_points(), which
@@ -464,8 +466,7 @@ def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float,
     PathError when the segment passes within ``tiny`` of a special point,
     or needs more than _MAX_PANELS panels."""
     seg = b - a
-    feet = np.clip([_foot(o, a, seg) for o in specials], 0.0, 1.0)
-    if len(specials) and np.min(np.abs(specials - (a + feet * seg))) < tiny:
+    if np.min(_distances_to_segment(a, b, specials), initial=math.inf) < tiny:
         raise PathError(f"leg segment {a} -> {b} passes through a special point")
     s, out = 0.0, [0.0]
     while s < 1.0:
@@ -479,78 +480,56 @@ def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float,
     return a + seg * fine
 
 
-def _foot(o: complex, p0: complex, seg: complex) -> float:
-    """The s at which p0 + s seg is the point of the line nearest to o."""
-    return ((o - p0).real * seg.real + (o - p0).imag * seg.imag) / abs(seg) ** 2
+def _distances_to_segment(a: complex, b: complex, points: np.ndarray) -> np.ndarray:
+    """The distance from each of ``points`` to the segment a -> b."""
+    seg = b - a
+    feet = np.clip(((points - a) * seg.conjugate()).real / abs(seg) ** 2, 0.0, 1.0)
+    return np.abs(points - (a + feet * seg))
 
 
-def _avoid_obstacles(a: complex, b: complex, obstacles: list) -> list:
-    """Waypoints from a to b; straight unless a segment passes too close to
-    an obstacle (u, clearance), in which case a perpendicular detour is
-    inserted."""
-    pts = [a, b]
-    for _ in range(6):
-        out = [pts[0]]
-        changed = False
-        for p0, p1 in zip(pts, pts[1:]):
-            seg = p1 - p0
-            worst = None
-            for o, clr in obstacles if abs(seg) ** 2 else ():   # a zero segment needs no detour
-                s = _foot(o, p0, seg)
-                if not 0.02 < s < 0.98:
-                    continue
-                foot = p0 + s * seg
-                dist = abs(o - foot)
-                if dist < clr and (worst is None or dist / clr < worst[0]):
-                    worst = (dist / clr, o, clr, foot)
-            if worst is not None:
-                _, o, clr, foot = worst
-                away = (foot - o)
-                if abs(away) < 1e-14 * (1 + abs(o)):
-                    away = seg * 1j   # obstacle on the line: step off sideways
-                way = o + away / abs(away) * (1.6 * clr)
-                out += [way, p1]
-                changed = True
-            else:
-                out.append(p1)
-        pts = out
-        if not changed:
-            break
-    return pts
+def _chart_specials(chart, specials: np.ndarray, in_w: bool):
+    """(special points, tiny) in the u-chart, or in the w-chart w = 1/u: a
+    segment passes through a point when it comes within tiny of it, 1e-9 of
+    ``chart.scale`` in u and of 1/``chart.scale`` in w."""
+    if in_w:
+        return 1 / specials[np.abs(specials) > 1e-9], 1e-9 / chart.scale
+    return specials, 1e-9 * chart.scale
+
+
+def _straight_run(a: complex, b: complex, specials: np.ndarray, tiny: float) -> list:
+    """Waypoints of the straight run from a to b: [a, b], unless the segment
+    passes within ``tiny`` of a special point, which _graded_edges would
+    refuse.  Then one waypoint steps off to the segment's left, 0.48 d from
+    that point, d being its distance to the nearest other special point.
+    A near pass needs no detour: the graded panels shorten towards the
+    point, so the quadrature stays accurate there."""
+    gaps = _distances_to_segment(a, b, specials)
+    if np.min(gaps, initial=math.inf) >= tiny:
+        return [a, b]
+    o, seg = specials[np.argmin(gaps)], b - a
+    apart = np.abs(specials - o)
+    return [a, o + 0.48 * np.min(apart[apart > tiny]) * 1j * seg / abs(seg), b]
 
 
 def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
     """(u-chart waypoints, w-chart waypoints) for the leg from P to the
-    endpoint; the w list is empty for finite targets."""
+    endpoint; the w list is empty for finite targets.  The leg runs straight
+    from P to a finite endpoint u*; to u = infinity it runs straight from P
+    to a large radius u_big, then from 1/u_big to w = 0 in the w-chart.  A
+    run gets one more waypoint only where it would pass through a special
+    point (see _straight_run)."""
     u_star = _target_of(chart, spec)
-    specials = chart.singular_points()
-    scale = chart.scale
-
-    def clearance(o):
-        others = [s for s in specials + [u_tp] if abs(s - o) > 1e-12 * scale]
-        d = min(abs(s - o) for s in others) if others else scale
-        return 0.3 * d
-
+    specials = _leg_specials(chart, spec, u_tp)
+    in_u = _chart_specials(chart, specials, False)
     if u_star is not None:
-        obstacles = [(o, clearance(o)) for o in specials
-                     if abs(o - u_star) > 1e-12 * scale and abs(o - u_tp) > 1e-12 * scale]
-        return _avoid_obstacles(P, u_star, obstacles), []
+        return _straight_run(P, u_star, *in_u), []
 
-    # Target u = infinity: ray out to a large radius, then w = 1/u to zero.
-    def gap(end):
-        """Distance from the segment P -> end to the nearest special point."""
-        seg = end - P
-        feet = [(o, _foot(o, P, seg)) for o in specials]
-        return min(abs((o - P) - s * seg) if 0 < s < 1 else min(abs(o - P), abs(o - end))
-                   for o, s in feet)
-
-    u_big = max((u_tp + 12.0 * scale * cmath.exp(1j * (2 * math.pi * m / 24))
-                 for m in range(24)), key=gap)
-    obstacles = [(o, clearance(o)) for o in specials if abs(o - u_tp) > 1e-12 * scale]
-    u_pts = _avoid_obstacles(P, u_big, obstacles)
-    w_obstacles = [(1 / o, clearance(o) / abs(o) ** 2) for o in specials if abs(o) > 1e-9]
-    w_pts = _avoid_obstacles(1 / u_big, 0j, w_obstacles)
-    return u_pts, w_pts
+    # Target u = infinity: out to the large radius whose run clears the
+    # special points widest, then w = 1/u to zero.
+    u_big = max((u_tp + 12.0 * chart.scale * cmath.exp(1j * (2 * math.pi * m / 24))
+                 for m in range(24)), key=lambda end: np.min(_distances_to_segment(P, end, specials)))
+    return (_straight_run(P, u_big, *in_u),
+            _straight_run(1 / u_big, 0j, *_chart_specials(chart, specials, True)))
 
 
 def _leg_specials(chart, spec: EndpointSpec, u_tp: complex) -> np.ndarray:
@@ -571,15 +550,13 @@ def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray, panel
     The panels are graded by the distance to the nearest of ``specials``
     (in the w-chart, to their images 1/s), and each is then split into
     ``panel_scale`` equal ones, so the rules of every ``panel_scale``
-    share one grading.  A segment may not come within 1e-9 of the chart's
-    length scale of a special point: ``chart.scale`` in u, 1/``chart.scale``
-    in w."""
-    w_specials = 1 / specials[np.abs(specials) > 1e-9]
+    share one grading.  A segment may not pass through a special point
+    (see _chart_specials)."""
     groups = []
     for pts, in_w in ((u_pts, False), (w_pts, True)):
         if len(pts) < 2:
             continue
-        pole_pts, tiny = (w_specials, 1e-9 / chart.scale) if in_w else (specials, 1e-9 * chart.scale)
+        pole_pts, tiny = _chart_specials(chart, specials, in_w)
         x, wts = (np.concatenate(arrays) for arrays in zip(*(
             _gl_rule(_graded_edges(a, b, pole_pts, tiny, panel_scale))
             for a, b in zip(pts, pts[1:]))))

@@ -88,7 +88,7 @@ def test_emanation_rejects_non_origin():
 def test_trace_rejects_bad_ray():
     ch = D6Chart(P_GEN)
     with pytest.raises(AlgebraError):
-        trace_curve(ch.simple_pole_u, 3, P_GEN, chart=ch)
+        trace_curve(ch.simple_pole_u, 3, ch)
 
 
 def test_trace_gives_up_on_a_drift_it_cannot_project_away(monkeypatch):
@@ -107,7 +107,7 @@ def test_trace_gives_up_on_a_drift_it_cannot_project_away(monkeypatch):
     ch = D6Chart(P_GEN)
     began = time.perf_counter()
     with pytest.raises(TraceError, match="after 20 step halvings") as err:
-        trace_curve(ch.turning_points_u[0], 0, P_GEN, chart=ch)
+        trace_curve(ch.turning_points_u[0], 0, ch)
     assert time.perf_counter() - began < 5
     assert len(err.value.partial) >= 2
 
@@ -119,7 +119,7 @@ def test_origin_a_rounding_error_away_traces_the_same_curves():
     nudge = 1e-11 * ch.scale
     for u0, rays in [(ch.turning_points_u[0], range(5)), (ch.simple_pole_u, [0])]:
         for ray in rays:
-            exact, nudged = (trace_curve(u, ray, P_GEN, chart=ch) for u in (u0, u0 + nudge))
+            exact, nudged = (trace_curve(u, ray, ch) for u in (u0, u0 + nudge))
             assert nudged.terminus == exact.terminus
             assert np.array_equal(nudged.points, exact.points)
 
@@ -450,7 +450,7 @@ def test_phi_primitive_homogeneity():
 def test_phi_primitive_differences_real_along_stokes_curve():
     p = P_GEN
     ch = D6Chart(p)
-    curve = trace_curve(ch.turning_points_u[0], 3, p, chart=ch)
+    curve = trace_curve(ch.turning_points_u[0], 3, ch)
     pts = np.asarray(curve.points)[5:-5]
     sign = +1
     prev_r = None

@@ -465,6 +465,44 @@ def test_leg_segment_through_a_special_point_is_refused():
     assert len(voros._graded_edges(0j, 2 + 2.2j, specials, 1e-9, 1)) > 2
 
 
+def test_leg_runs_straight_unless_it_runs_through_a_special_point():
+    # 1 + 1j twice, as the turning point is twice among the leg's points;
+    # its nearest other point is 1 - 0.5j, so d = 1.5.
+    specials = np.array([1 + 1j, 3 - 2j, 1 - 0.5j, 1 + 1j])
+    for b in (2 + 2.2j, 2 + 2.002j):          # clear of every point; 7e-4 from 1 + 1j
+        assert voros._straight_run(0j, b, specials, 1e-9) == [0j, b]
+    a, way, b = voros._straight_run(0j, 2 + 2j, specials, 1e-9)
+    assert (a, b) == (0j, 2 + 2j)
+    step = (way - (1 + 1j)) / (b - a)         # to the left: a positive multiple of 1j
+    assert abs(step.real) < 1e-15 and step.imag > 0
+    assert abs(way - (1 + 1j)) == pytest.approx(0.48 * 1.5, rel=1e-15)
+    for lo, hi in ((a, way), (way, b)):
+        voros._graded_edges(lo, hi, specials, 1e-9, 1)
+
+
+#: Seed 106, chamber I: two legs that the graded panels alone keep accurate
+#: where they pass near a special point (the d6:inf3 one passes 0.015 from
+#: one).  Measured at n_max = 2: W_1 1.9e-13 and 1.3e-13, W_2 2.2e-8 and
+#: 5.1e-9 relative to the closed form.
+_NEAR_PASSES = [
+    (EndpointSpec("d6", "inf3", +1),
+     Parameters(2.4496175845922807 + 0.370661537812228j, 0.37787991148647804 - 0.018176683245693104j)),
+    (EndpointSpec("d6", "inf4", +1),
+     Parameters(-0.5528919735228933 + 0.2320059328119728j, -2.8987946476330806 + 0.5517798873377071j)),
+]
+
+
+@pytest.mark.parametrize("spec, params", _NEAR_PASSES, ids=["inf3", "inf4"])
+def test_straight_leg_past_a_special_point_meets_the_closed_form(spec, params):
+    chart, _, u_pts, w_pts, _ = _leg_of(spec, params)
+    assert len(u_pts) == 2 and u_pts[-1] == voros._target_of(chart, spec) and w_pts == []
+    res = voros_numeric_oracle(spec, params, n_max=2)
+    closed = voros_closed_form(spec, params, 2)
+    for n, tol in ((1, 1e-11), (2, 1e-6)):
+        rel = abs(res.values[n] - closed[n]) / abs(closed[n])
+        assert rel <= tol, f"n={n}: rel {rel:.2e}"
+
+
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
 def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
     # The oracle reads only R's values; K = N + 2 certifies them as K = N + 4 does.
