@@ -288,6 +288,14 @@ class UChart:
         """Length scale of the chart: the largest |u| of a singular point, at least 1."""
         return max([1.0] + [abs(s) for s in self.singular_points()])
 
+    def same_point(self, a: complex, b: complex) -> bool:
+        """Whether a and b are one point of the chart: within 1e-9 of its scale."""
+        return abs(a - b) < 1e-9 * self.scale
+
+    def special_gap(self, u: complex) -> float:
+        """The distance from u to the nearest singular point other than u."""
+        return min(abs(s - u) for s in self.singular_points() if not self.same_point(s, u))
+
     def capture_points(self) -> dict:
         """label -> u of the finite points where a Stokes curve ends.  The
         double poles come last, so they win where capture discs overlap."""
@@ -433,14 +441,13 @@ def residues(p, tol: float = 1e-8) -> dict:
     ("zero_c").  Each closed form is confirmed by numerical contour
     integration; the contour radius shrinks on failure before giving up."""
     chart = u_chart(p)
-    specials = chart.singular_points()
     for label, expect in chart.pole_residues.items():
         if label == chart.escape_label:      # u = infinity, integrated in w = 1/u
-            center, base = 0j, 0.2 / max(abs(s) for s in specials)
+            center, base = 0j, 0.2 / max(abs(s) for s in chart.singular_points())
             f = lambda w: np.sqrt(complex(chart.q(1 / w))) / w ** 2
         else:
             center = chart.capture_points()[label]
-            base = 0.3 * min(abs(s - center) for s in specials if abs(s - center) > 1e-12)
+            base = 0.3 * chart.special_gap(center)
             f = lambda u: np.sqrt(complex(chart.q(u)))
         for shrink in (1.0, 0.5, 0.25):
             try:

@@ -67,7 +67,7 @@ import numpy as np
 from .algebra import Parameters
 from .numerics import _atanh_excess, _read_only, binet
 from .voros import f_coefficient, g_coefficient
-from .walls import on_imaginary_axis
+from .walls import WALL_TABLE, on_imaginary_axis
 
 __all__ = [
     "GammaPoleError",
@@ -379,9 +379,9 @@ class ConnectionMultiplier:
     value: complex
 
 
-_WALLS = {f"W{k}" for k in range(1, 9)}
+_WALLS = set(WALL_TABLE)
 #: walls whose degeneration is a loop (argument of a G series imaginary).
-_LOOP_WALLS = {"W1", "W3", "W5", "W7"}
+_LOOP_WALLS = {w for w, (vanishing, *_) in WALL_TABLE.items() if vanishing in ("c_inf", "c_0")}
 _POSITIONS = {
     "t0", "t1", "outside-triangle", "inside-triangle",
     "outside-loop", "inside-loop",

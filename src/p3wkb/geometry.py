@@ -125,7 +125,7 @@ def _trace_origin(origin: complex, chart) -> tuple:
     ("simple_pole") of the chart at ``origin``."""
     origins = [(f"tp{k}", u_tp) for k, u_tp in enumerate(chart.turning_points_u)]
     for label, u in origins + [("simple_pole", chart.simple_pole_u)]:
-        if abs(origin - u) < 1e-9 * chart.scale:
+        if chart.same_point(origin, u):
             return label, u
     raise AlgebraError(f"{origin} is neither a turning point nor the simple pole")
 
@@ -230,9 +230,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 for label, pole in chart.capture_points().items()]
     sp = chart.simple_pole_u
     sp_radius = _CAPTURE_RADIUS * max(1.0, abs(sp))
-    sp_is_origin = abs(sp - origin) < 1e-12 * scale
+    sp_is_origin = chart.same_point(sp, origin)
     tp_radius = _TP_RADIUS * scale
-    tp_targets = [(k, u_tp, abs(u_tp - origin) < 1e-12 * scale)
+    tp_targets = [(k, u_tp, chart.same_point(u_tp, origin))
                   for k, u_tp in enumerate(chart.turning_points_u)]
     sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
@@ -242,9 +242,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     # by Newton iteration until the exact integral from the origin is real.
     # The branch is the one whose unit-speed field points along the ray:
     # sqrt(q) nearer conj(direction).
-    d0 = min([abs(origin - s) for s in specials
-              if not abs(s - origin) < 1e-12 * (1 + abs(origin))])
-    u = origin + START_FRACTION * d0 * direction
+    u = origin + START_FRACTION * chart.special_gap(origin) * direction
     phi, sq = _start_integral(chart, origin, u, direction.conjugate())
     for _ in range(4):
         if abs(phi.imag) <= 1e-14 * abs(phi):

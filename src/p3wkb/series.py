@@ -28,7 +28,7 @@ as independent checks: no solver calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "hamiltonian",
     "hamilton_residual",
     "backlund_apply",
-    "backlund_model",
     "main_equation_residual",
     "riccati_residual",
     "model_for",
@@ -378,29 +377,6 @@ def model_for(params):
     return D7Model(complex(params))
 
 
-#: Larger batches are solved in chunks of this many base points, which
-#: bounds the solvers' working arrays while keeping the passes of the slot
-#: recursions, whose numpy calls cost per pass, few.  Measured on the Voros
-#: oracle's largest batch (2,752 nodes at N = 4, K = 6): the oracle call
-#: peaks at 14 MB of allocations with chunks of 1024, 23 MB with 2048.
-_CHUNK_NODES = 1024
-
-
-def _by_chunks(solve, t0, *per_node):
-    """``solve(t0, *per_node)`` over chunks of at most ``_CHUNK_NODES``
-    base points, its arrays joined again.  Per-node arrays (in and out)
-    end in the batch axes of t0.  Chunks bound the working memory of large
-    batches; one base point is one chunk."""
-    if not isinstance(t0, np.ndarray):
-        return solve(t0, *per_node)
-    nb = t0.ndim
-    flat = [np.reshape(a, np.shape(a)[:np.ndim(a) - nb] + (-1,)) for a in per_node]
-    parts = [solve(t0.reshape(-1)[i:i + _CHUNK_NODES], *(a[..., i:i + _CHUNK_NODES] for a in flat))
-             for i in range(0, t0.size, _CHUNK_NODES)]
-    return tuple(np.concatenate(arrays, axis=-1).reshape(arrays[0].shape[:-1] + t0.shape)
-                 for arrays in zip(*parts))
-
-
 def _eta_shift(A: np.ndarray, e: int) -> np.ndarray:
     """eta^-e times a stack, truncated to its length."""
     if e == 0:
@@ -449,12 +425,12 @@ def _slot_orders(K: int, N: int, shifted: bool):
 # Zero-parameter solution
 # ---------------------------------------------------------------------------
 
-def _lambda0_jet(model, jets: DenseJets, seed, index):
+def _lambda0_jet(model, jets: DenseJets, seed):
     """The jet of lambda_0, the root of P(lam) = lam t^2 F(lam) at
     eta^-1 = 0 through ``seed``, with P'(lambda_0) and per node the Newton
-    gate's residual-to-scale ratio and the turning-point gate's ratio.
-    ``index`` holds each base point's flat index in the whole batch, by
-    which a gate's error names the failing node.
+    gate's residual-to-scale ratio and the turning-point gate's ratio.  A
+    gate's error names the failing node by its index in the flattened
+    base points.
 
     Newton runs on the values first; then each jet step doubles the order
     (from a root correct through order q, one step is correct through
@@ -490,7 +466,7 @@ def _lambda0_jet(model, jets: DenseJets, seed, index):
         node = int(np.argmin(delta_ratio))
         raise ConditioningError(
             f"|lambda_0 P'(lambda_0)| is {np.min(delta_ratio):.2e} of P's largest term "
-            f"at node {np.ravel(index)[node]}, t0={np.ravel(jets.t0)[node]}: "
+            f"at node {node}, t0={np.ravel(jets.t0)[node]}: "
             "too close to a turning point")
     q = 0
     while q < jets.K:
@@ -511,7 +487,7 @@ def _lambda0_jet(model, jets: DenseJets, seed, index):
         node = int(np.argmax(np.where(failed, ratio, 0.0)))
         raise ConditioningError(
             f"jet Newton iteration for lambda_0 did not converge at node "
-            f"{np.ravel(index)[node]}, t0={np.ravel(jets.t0)[node]}: residual "
+            f"{node}, t0={np.ravel(jets.t0)[node]}: residual "
             f"{np.ravel(ratio)[node]:.2e} of its scale (gate 1e-8)")
     return lam, dval, ratio, delta_ratio
 
@@ -558,7 +534,7 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
         th1[m] = jets.theta(lam[m])
         th2[m] = jets.theta(th1[m])
         pw[2:, m, :q + 1] += jets.products(grow, lam[m][None], q)
-    return lam
+    return lam.copy()      # not the view, which would keep all of pw alive
 
 
 @dataclass(frozen=True)
@@ -594,66 +570,51 @@ class ZeroParamSolution:
 
     @cached_property
     def mu(self) -> EtaSeries:
-        """The mu-series, solved from lam chunk by chunk like lam itself."""
-        mu, = _by_chunks(partial(_mu_arrays, self.model, self.K), self.t0, self.lam.coeffs)
-        return EtaSeries(0, mu, _slot_orders(self.K, self.N, self.model.shifted)[1], self.t0)
+        """The mu-series from lam: mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2),
+        Q from the model's table.  Its products stop at the orders
+        ``_slot_orders`` certifies for mu."""
+        model, lam = self.model, self.lam.coeffs
+        jets = DenseJets(self.t0, self.K)
+        step = _step(model)
+        orders = _slot_orders(self.K, self.N, model.shifted)[1]
+        one = jets.zeros(len(lam))
+        one[0, 0] = 1.0
+        powers = (one, lam, jets.mul(lam, lam, step, step, orders))
+        groups = {}
+        for d, e, a, p in model.mu_poly():
+            groups[p] = groups.get(p, 0) + a * _eta_shift(powers[d], e)
+        mu = jets.mul(_eta_shift(jets.theta(lam), 1) + _by_t_power(jets, groups),
+                      jets.inverse(2 * powers[2], step, orders), 1, step, orders)
+        return EtaSeries(0, mu, orders, self.t0)
 
 
-def _zero_param_arrays(model, N: int, K: int, t0, seed, index):
-    """The stack of lambda, the jet of Delta, and per node the Newton
-    residual-to-scale ratio, the turning-point ratio and |Delta|, for base
-    points t0 (flat indices ``index`` in the whole batch)."""
-    jets = DenseJets(t0, K)
-    lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(model, jets, seed, index)
-    delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))
-    lam = _lambda_slots(model, jets, lam0, dP, N)
-    return lam, delta0, newton_ratio, delta_ratio, np.abs(delta0[0])
-
-
-def _mu_arrays(model, K: int, t0, lam):
-    """The stack of mu for base points t0 from the stack of lambda:
-    mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2), Q from the model's table.
-    Its products stop at the orders ``_slot_orders`` certifies for mu."""
-    jets = DenseJets(t0, K)
-    step = _step(model)
-    orders = _slot_orders(K, len(lam) - 1, model.shifted)[1]
-    one = jets.zeros(len(lam))
-    one[0, 0] = 1.0
-    powers = (one, lam, jets.mul(lam, lam, step, step, orders))
-    groups = {}
-    for d, e, a, p in model.mu_poly():
-        groups[p] = groups.get(p, 0) + a * _eta_shift(powers[d], e)
-    return (jets.mul(_eta_shift(jets.theta(lam), 1) + _by_t_power(jets, groups),
-                     jets.inverse(2 * powers[2], step, orders), 1, step, orders),)
-
-
-def zero_param_solution(t0: complex, branch: BranchPoint, p=None, N: int = 6,
-                        K: int | None = None, model=None) -> ZeroParamSolution:
-    """Build the zero-parameter solution along ``branch`` at ``t0``: jets of
-    lambda_0, lambda_2, ..., lambda_N (odd slots vanish identically unless the
-    model shifts parameters by eta^-1); the matching mu-series is built when
-    first read.
+def zero_param_solution(t0: complex, branch: BranchPoint, *, model, N: int = 6,
+                        K: int | None = None) -> ZeroParamSolution:
+    """Build the zero-parameter solution of ``model`` along ``branch`` at
+    ``t0``: jets of lambda_0, lambda_2, ..., lambda_N (odd slots vanish
+    identically unless the model shifts parameters by eta^-1); the matching
+    mu-series is built when first read.
 
     ``t0`` and ``branch.lambda0`` may be arrays of base points, solved in
     one batch.  K is the jet order of lambda_0; each eta-slot costs two
     derivatives, so K >= N + 2 is required (default N + 4)."""
-    if model is None:
-        model = D6Model(p)
     if K is None:
         K = N + 4
     if K < N + 2:
         raise OrderBudgetError(f"jet order K={K} too small for N={N}; need K >= N + 2")
     if not isinstance(t0, np.ndarray):
         t0 = complex(t0)
-    lam, delta0, newton_ratio, delta_ratio, delta_abs = _by_chunks(
-        partial(_zero_param_arrays, model, N, K), t0,
-        np.broadcast_to(branch.lambda0, np.shape(t0)),
-        np.arange(np.size(t0)).reshape(np.shape(t0)))
+    jets = DenseJets(t0, K)
+    lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(
+        model, jets, np.broadcast_to(branch.lambda0, np.shape(t0)))
+    delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))
+    delta_abs = np.abs(delta0[0])
     newton_node, delta_node = int(np.argmax(newton_ratio)), int(np.argmin(delta_abs))
     ratio_node = int(np.argmin(delta_ratio))
     return ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
-        EtaSeries(0, lam, _slot_orders(K, N, model.shifted)[0], t0),
+        EtaSeries(0, _lambda_slots(model, jets, lam0, dP, N),
+                  _slot_orders(K, N, model.shifted)[0], t0),
         Jet(t0, delta0),
         {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
          "newton_node": newton_node,
@@ -733,19 +694,12 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
         R_n = -(sum_{0<i<n} R_i R_{n-i} + R_{n-1}' - (G R)_{n-1} - H_n) / (2 R_0).
     """
     N, K = zp.N, zp.K
-    r, = _by_chunks(partial(_riccati_arrays, zp.model, N, K, sign), zp.t0,
-                    zp.lam.coeffs, zp.delta0.coeffs)
-    return RiccatiSolution(zp, sign, EtaSeries(1, r, _slot_orders(K, N, zp.model.shifted)[2], zp.t0))
-
-
-def _riccati_arrays(model, N: int, K: int, sign: int, t0, lam, delta0):
-    """The stack of R for base points t0, from the stacks of lambda and Delta."""
-    jets = DenseJets(t0, K)
-    step = _step(model)
-    orders = _slot_orders(K, N, model.shifted)[2]
-    g, h = _riccati_terms(model, jets, lam, step, orders)
+    jets = DenseJets(zp.t0, K)
+    step = _step(zp.model)
+    orders = _slot_orders(K, N, zp.model.shifted)[2]
+    g, h = _riccati_terms(zp.model, jets, zp.lam.coeffs, step, orders)
     r = jets.zeros(N + 1)
-    r[0] = jets.sqrt(delta0)
+    r[0] = jets.sqrt(zp.delta0.coeffs)
     if sign < 0:
         r[0] = -r[0]
     inv2r = jets.divide(jets.constant(-0.5), r[0])[None]
@@ -754,7 +708,7 @@ def _riccati_arrays(model, N: int, K: int, sign: int, t0, lam, delta0):
         acc = jets.slot(r, r, n, 1, n - 1, order=q) + jets.derive(r[n - 1])[:q + 1] \
             - jets.slot(g, r, n - 1, 0, n - 1, step, order=q) - h[n, :q + 1]
         r[n, :q + 1] = jets.products(acc[None], inv2r, q)[0]
-    return (r,)
+    return RiccatiSolution(zp, sign, EtaSeries(1, r, orders, zp.t0))
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +770,3 @@ def backlund_apply(zp: ZeroParamSolution, which: int) -> tuple:
 
     Returns (Lam, M) as eta-series."""
     return zp.model.backlund(zp.lam, zp.mu, zp.t_jet, which)
-
-
-def backlund_model(model, which: int):
-    """The parameter-shifted model matched to backlund_apply."""
-    return model.backlund_shifted(which)

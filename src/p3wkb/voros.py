@@ -500,7 +500,8 @@ def _straight_run(a: complex, b: complex, specials: np.ndarray, tiny: float) -> 
     """Waypoints of the straight run from a to b: [a, b], unless the segment
     passes within ``tiny`` of a special point, which _graded_edges would
     refuse.  Then one waypoint steps off to the segment's left, 0.48 d from
-    that point, d being its distance to the nearest other special point.
+    that point, d being its distance to the nearest special point more
+    than ``tiny`` from it.
     A near pass needs no detour: the graded panels shorten towards the
     point, so the quadrature stays accurate there."""
     gaps = _distances_to_segment(a, b, specials)
@@ -519,7 +520,7 @@ def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
     run gets one more waypoint only where it would pass through a special
     point (see _straight_run)."""
     u_star = _target_of(chart, spec)
-    specials = _leg_specials(chart, spec, u_tp)
+    specials = _leg_specials(chart, spec)
     in_u = _chart_specials(chart, specials, False)
     if u_star is not None:
         return _straight_run(P, u_star, *in_u), []
@@ -532,14 +533,13 @@ def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
             _straight_run(1 / u_big, 0j, *_chart_specials(chart, specials, True)))
 
 
-def _leg_specials(chart, spec: EndpointSpec, u_tp: complex) -> np.ndarray:
+def _leg_specials(chart, spec: EndpointSpec) -> np.ndarray:
     """The points of the u-chart that grade the leg's panels: the chart's
-    singular points and the turning point, without the finite endpoint
-    (the leg ends there, and its integrand is integrable up to it)."""
+    singular points, which hold every turning point, without the finite
+    endpoint (the leg ends there, and its integrand is integrable up to it)."""
     u_star = _target_of(chart, spec)
-    pts = chart.singular_points() + [u_tp]
-    return np.array([s for s in pts
-                     if u_star is None or abs(s - u_star) > 1e-12 * chart.scale])
+    return np.array([s for s in chart.singular_points()
+                     if u_star is None or not chart.same_point(s, u_star)])
 
 
 def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray, panel_scale: int):
@@ -633,9 +633,7 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
     model = model_for(params)
     u_tp = _select_turning_point(chart, spec)
-    others = [s for s in chart.singular_points() if abs(s - u_tp) > 1e-9 * chart.scale]
-    d = min(abs(s - u_tp) for s in others)
-    rho = _RADIUS_FACTOR * d
+    rho = _RADIUS_FACTOR * chart.special_gap(u_tp)
 
     u_star = _target_of(chart, spec)
     theta_P = 0.0 if u_star is None else cmath.phase(u_star - u_tp)
@@ -647,7 +645,7 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     P = turn[0]
 
     u_pts, w_pts = _leg_waypoints(chart, spec, u_tp, P)
-    specials = _leg_specials(chart, spec, u_tp)
+    specials = _leg_specials(chart, spec)
     single = _leg_quadrature(chart, u_pts, w_pts, specials, 1)
     doubled = _leg_quadrature(chart, u_pts, w_pts, specials, 2)
 

@@ -56,7 +56,7 @@ from p3wkb.algebra import (
 )
 from p3wkb.geometry import phi_primitive
 from p3wkb.numerics import Jet
-from p3wkb.series import riccati_solution, zero_param_solution
+from p3wkb.series import D6Model, riccati_solution, zero_param_solution
 from p3wkb.voros import EndpointSpec, voros_closed_form
 
 BRANCHES = ("inf1", "inf2", "inf3", "inf4", "zero_cinf", "zero_c0")
@@ -364,7 +364,7 @@ def branch_series(tag: str, t0: complex, p: Parameters, *, N: int = 6):
         R = {m: v * r ** (2 - m) for m, v in R.items()}
     else:
         b = branch_point(tag, t0, p)
-        zp = zero_param_solution(t0, b, p, N=N)
+        zp = zero_param_solution(t0, b, model=D6Model(p), N=N)
         ric = riccati_solution(zp, +1)
         lam = zp.lam.slot_values()
         mu = zp.mu.slot_values()
@@ -461,8 +461,8 @@ def homogeneity_defects(p: Parameters, t0: complex, eta: complex = 1.0,
 
     put("phi", phi_primitive(b2, p2), phi_primitive(b, p))
 
-    zp = zero_param_solution(t0, b, p, N=N)
-    zp2 = zero_param_solution(t2, b2, p2, N=N)
+    zp = zero_param_solution(t0, b, model=D6Model(p), N=N)
+    zp2 = zero_param_solution(t2, b2, model=D6Model(p2), N=N)
     put("lambda_series", series_value(zp2.lam, eta2), series_value(zp.lam, eta))
     put("mu_series", series_value(zp2.mu, eta2), series_value(zp.mu, eta))
 

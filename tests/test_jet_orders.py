@@ -19,7 +19,6 @@ from p3wkb.series import (
     D6Model,
     D7Model,
     EtaSeries,
-    backlund_model,
     main_equation_residual,
     riccati_residual,
     riccati_solution,
@@ -120,7 +119,7 @@ def test_certified_coefficients_equal_the_full_order_solve(family, N, dK, nodes,
     # other slot (step 2).
     model = D6Model(P) if family.startswith("d6") else D7Model(C7)
     if family.endswith("shifted"):
-        model = backlund_model(model, 1)
+        model = model.backlund_shifted(1)
     t0, branch = _nodes(model, nodes)
     got = _solve(t0, branch, N, N + dK, model)
     want = _full_order_solve(monkeypatch, t0, branch, N, N + dK, model)

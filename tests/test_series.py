@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from p3wkb import series
 from p3wkb.algebra import (
     BranchPoint,
     Parameters,
@@ -25,7 +24,6 @@ from p3wkb.series import (
     EtaSeries,
     OrderBudgetError,
     backlund_apply,
-    backlund_model,
     hamilton_residual,
     hamiltonian,
     instanton1_prefactor,
@@ -43,7 +41,7 @@ T0 = 0.8 + 0.6j
 
 @pytest.fixture(scope="module")
 def zp():
-    return zero_param_solution(T0, lambda0_branches(T0, P)[0], P, N=6)
+    return zero_param_solution(T0, lambda0_branches(T0, P)[0], model=D6Model(P), N=6)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +104,8 @@ def test_tiny_delta_from_rescaling_is_accepted():
     r = 1e-5
     ps = Parameters(P.c_inf / r, P.c_0 / r)
     ts = T0 / r ** 2
-    one = zero_param_solution(T0, lambda0_branches(T0, P)[0], P, N=4)
-    scaled = zero_param_solution(ts, lambda0_branches(ts, ps)[0], ps, N=4)
+    one = zero_param_solution(T0, lambda0_branches(T0, P)[0], model=D6Model(P), N=4)
+    scaled = zero_param_solution(ts, lambda0_branches(ts, ps)[0], model=D6Model(ps), N=4)
     assert scaled.diagnostics["delta_min"] < 1e-8
     assert scaled.diagnostics["delta_ratio"] == pytest.approx(one.diagnostics["delta_ratio"],
                                                               rel=1e-12)
@@ -119,14 +117,14 @@ def test_tiny_delta_from_rescaling_is_accepted():
 def test_order_budget_gate():
     b = lambda0_branches(T0, P)[0]
     with pytest.raises(OrderBudgetError):
-        zero_param_solution(T0, b, P, N=6, K=7)
+        zero_param_solution(T0, b, model=D6Model(P), N=6, K=7)
 
 
 def test_base_point_independence(zp):
     delta_t = 0.004
     t1 = T0 + delta_t
     b1 = min(lambda0_branches(t1, P), key=lambda bb: abs(bb.lambda0 - zp.branch.lambda0))
-    fresh = zero_param_solution(t1, b1, P, N=6)
+    fresh = zero_param_solution(t1, b1, model=D6Model(P), N=6)
     for power in range(0, -7, -2):
         a, b_ = zp.lam.slot(power)(t1 - T0), fresh.lam.slot_value(power)
         assert abs(a - b_) < 1e-8 * max(1.0, abs(b_))
@@ -223,7 +221,7 @@ def test_hamiltonian_series_finite(zp):
 @pytest.mark.parametrize("which", [1, 2])
 def test_backlund_matches_shifted_solution(zp, which):
     lam_t, mu_t = backlund_apply(zp, which)
-    shifted = backlund_model(zp.model, which)
+    shifted = zp.model.backlund_shifted(which)
     fresh = zero_param_solution(zp.t0, zp.branch, model=shifted, N=6)
     for power in range(0, -5, -1):
         assert abs(lam_t.slot_value(power) - fresh.lam.slot_value(power)) < 1e-9
@@ -233,7 +231,7 @@ def test_backlund_matches_shifted_solution(zp, which):
 @pytest.mark.parametrize("which", [1, 2])
 def test_backlund_shifted_hamiltonian_residual(zp, which):
     lam_t, mu_t = backlund_apply(zp, which)
-    shifted = backlund_model(zp.model, which)
+    shifted = zp.model.backlund_shifted(which)
     res = hamilton_residual(shifted, lam_t, mu_t, zp.t_jet)
     for power, val in res.slot_values().items():
         if power >= -4:
@@ -256,7 +254,7 @@ def test_shift_difference_identity_first(zp, sign):
     ci, c0 = zp.model.c_series(lam)
     r = riccati_solution(zp, sign)
     x = x_factor(r)
-    shifted = zero_param_solution(zp.t0, zp.branch, model=backlund_model(zp.model, 1), N=6)
+    shifted = zero_param_solution(zp.t0, zp.branch, model=zp.model.backlund_shifted(1), N=6)
     r_shift = riccati_solution(shifted, sign)
     num = 4 * lam * (mu - 1) + (ci - c0 + em) + 2 * (lam * lam) * x
     den = 2 * (lam * lam) * (mu - 1) + (ci - c0 + em) * lam + 2 * t
@@ -275,7 +273,7 @@ def test_shift_difference_identity_second(zp, sign):
     ci, c0 = zp.model.c_series(lam)
     r = riccati_solution(zp, sign)
     x = x_factor(r)
-    shifted = zero_param_solution(zp.t0, zp.branch, model=backlund_model(zp.model, 2), N=6)
+    shifted = zero_param_solution(zp.t0, zp.branch, model=zp.model.backlund_shifted(2), N=6)
     r_shift = riccati_solution(shifted, sign)
     g2 = -2 * (mu - 1) * (mu - 1) + (ci - c0 + em) * x
     g3 = 2 * lam * (mu - 1) + (ci - c0 + em)
@@ -296,7 +294,7 @@ def test_series_homogeneity(zp, r):
     ts = T0 / r ** 2
     bs = min(lambda0_branches(ts, ps),
              key=lambda bb: abs(bb.lambda0 - zp.branch.lambda0 / r))
-    zps = zero_param_solution(ts, bs, ps, N=6)
+    zps = zero_param_solution(ts, bs, model=D6Model(ps), N=6)
     for m in range(0, 7):
         ref = zp.lam.slot_value(-m)
         scl = zps.lam.slot_value(-m)
@@ -353,7 +351,7 @@ def test_d7_x_factor_leading(zp7):
 
 def test_d7_backlund(zp7):
     lam_t, mu_t = backlund_apply(zp7, 1)
-    shifted = backlund_model(zp7.model, 1)
+    shifted = zp7.model.backlund_shifted(1)
     fresh = zero_param_solution(zp7.t0, zp7.branch, model=shifted, N=6)
     for power in range(0, -5, -1):
         assert abs(lam_t.slot_value(power) - fresh.lam.slot_value(power)) < 1e-9
@@ -379,9 +377,9 @@ def _reference_case(case):
     else:
         model, branch = D7Model(C7), d7_lambda0_branches(T0, C7)[1]
     if case.endswith("backlund2"):
-        model = backlund_model(model, 2)
+        model = model.backlund_shifted(2)
     elif case.endswith(("backlund1", "shifted")):
-        model = backlund_model(model, 1)
+        model = model.backlund_shifted(1)
     return model, branch
 
 
@@ -407,7 +405,7 @@ def test_ill_conditioned_slots_match_high_precision():
     # N = 12, so double precision keeps about 5e-12 of the largest slot
     # (the elimination engine kept 2e-12): checked against 40 digits.
     zp = zero_param_solution(T0, d7_lambda0_branches(T0, C7)[0],
-                             model=backlund_model(D7Model(C7), 1), N=12)
+                             model=D7Model(C7).backlund_shifted(1), N=12)
     ric = riccati_solution(zp, +1)
     for name, series in (("lam", zp.lam), ("mu", zp.mu), ("R", ric.R)):
         assert _max_slot_error(series, HIGH_PRECISION[name]) < 1e-11, name
@@ -425,7 +423,7 @@ def _batch_case(family):
         model = D6Model(P)
         lams = [lambda0_branches(t, P)[k % 4].lambda0 for k, t in enumerate(T_BATCH)]
     else:
-        model = backlund_model(D7Model(C7), 1)
+        model = D7Model(C7).backlund_shifted(1)
         lams = [d7_lambda0_branches(t, C7)[k % 3].lambda0 for k, t in enumerate(T_BATCH)]
     return model, np.array(lams)
 
@@ -469,18 +467,24 @@ def test_slot_jets_are_read_only():
     assert np.array_equal(zp.lam.coeffs, before)
 
 
-def test_batch_with_a_node_at_a_turning_point_raises(monkeypatch):
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_solution_keeps_only_its_own_arrays(family):
+    # lambda is solved inside the stack of its powers; a view of that stack
+    # would keep all of it alive for as long as the solution lives.
+    model, lams = _batch_case(family)
+    ts, lams = np.tile(T_BATCH, 4), np.tile(lams, 4)
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
+    for a in (zp.lam.coeffs, zp.mu.coeffs, zp.delta0.coeffs, riccati_solution(zp, +1).R.coeffs):
+        assert a.base is None or a.base.nbytes <= a.nbytes
+
+
+def test_batch_with_a_node_at_a_turning_point_raises():
     tau, lam_double = turning_points(P).taus[0]
     ts = np.append(T_BATCH, tau)
     lams = np.append(_batch_case("d6")[1], lam_double)
-    zero_param_solution(T_BATCH, BranchPoint(T_BATCH, lams[:-1]), P, N=4)
+    zero_param_solution(T_BATCH, BranchPoint(T_BATCH, lams[:-1]), model=D6Model(P), N=4)
     with pytest.raises(ConditioningError, match="at node 5,"):
-        zero_param_solution(ts, BranchPoint(ts, lams), P, N=4)
-    # In chunks of four the node is the second of the second chunk; the
-    # error still names its index in the whole batch.
-    monkeypatch.setattr(series, "_CHUNK_NODES", 4)
-    with pytest.raises(ConditioningError, match="at node 5,"):
-        zero_param_solution(ts, BranchPoint(ts, lams), P, N=4)
+        zero_param_solution(ts, BranchPoint(ts, lams), model=D6Model(P), N=4)
 
 
 def test_diagnostics_record_the_gates(zp):
@@ -499,7 +503,7 @@ def test_base_point_at_a_turning_point_is_refused(k):
         warnings.simplefilter("error", RuntimeWarning)
         for N in (4, 8):
             with pytest.raises(ConditioningError):
-                zero_param_solution(tau, BranchPoint(tau, lam), P, N=N)
+                zero_param_solution(tau, BranchPoint(tau, lam), model=D6Model(P), N=N)
 
 
 def test_diagnostics_record_the_turning_point_ratio(zp):
@@ -530,7 +534,7 @@ def _mu_by_series_arithmetic(zp):
 
 
 def test_mu_is_built_only_when_read(zp):
-    fresh = zero_param_solution(T0, zp.branch, P, N=6)
+    fresh = zero_param_solution(T0, zp.branch, model=D6Model(P), N=6)
     riccati_solution(fresh, +1)
     assert "mu" not in vars(fresh)
     assert fresh.mu is fresh.mu
@@ -546,7 +550,7 @@ def test_mu_matches_its_defining_relation(family, shifted):
     lams = _batch_case(family)[1]
     model = D6Model(P) if family == "d6" else D7Model(C7)
     if shifted:
-        model = backlund_model(model, 1)
+        model = model.backlund_shifted(1)
     ts, lams = np.tile(T_BATCH, 4), np.tile(lams, 4)
     zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
     want_mu = _mu_by_series_arithmetic(zp)
@@ -559,7 +563,8 @@ def test_mu_matches_its_defining_relation(family, shifted):
 
 
 def test_replaced_lam_gets_its_own_mu():
-    first, second = (zero_param_solution(T0, b, P, N=6) for b in lambda0_branches(T0, P)[:2])
+    first, second = (zero_param_solution(T0, b, model=D6Model(P), N=6)
+                     for b in lambda0_branches(T0, P)[:2])
     stale = first.mu
     moved = replace(first, lam=second.lam)
     assert np.array_equal(moved.mu.coeffs, second.mu.coeffs)
