@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BranchPoint, u_chart
-from .numerics import Jet, LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
+from .numerics import LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
 from .series import D6Model, D7Model, model_for, riccati_solution, zero_param_solution
 
 __all__ = [
@@ -399,10 +399,12 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 #
 # The leg is 16-point Gauss-Legendre on panels graded by the distance to the
 # nearest special point of the chart, so they are short only where the
-# integrand's nearest singularity is near.  The same panels halved give a
-# second rule, and the leg's gate compares the two.  The grading is also what
-# keeps a leg accurate where it passes near a special point, so the leg is
-# straight: it takes one waypoint only to step round a point that lies on it.
+# integrand's nearest singularity is near.  Each panel's error is estimated
+# from its own Legendre tail: the integrand's coefficients a_14 and a_15 on
+# the panel, read off its 16 values by _TAIL_ROWS, times the panel's length.
+# The grading is also what keeps a leg accurate where it passes near a special
+# point, so the leg is straight: it takes one waypoint only to step round a
+# point that lies on it.
 #
 # The circle's radius is r = _RADIUS_FACTOR times the distance d from the
 # turning point to the nearest other point of chart.singular_points(), which
@@ -423,11 +425,15 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 _CIRCLE_SAMPLES = 256      # on two turns, so even: each turn takes half
 _RADIUS_FACTOR = 0.6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Rows k = 14, 15 of the map from a panel's 16 integrand values to its
+#: Legendre coefficients a_k = (2k+1)/2 sum_i P_k(x_i) w_i f(x_i).
+_TAIL_ROWS = ((2 * np.arange(14, 16) + 1) / 2)[:, None] \
+    * np.polynomial.legendre.legvander(_GL_NODES, 15)[:, 14:].T * _GL_WEIGHTS
 #: A leg panel spans this share of the distance from its start to the
 #: nearest special point.  A segment that passes 1e-9 of its length from
-#: one takes about 85 panels; _MAX_PANELS bounds the panels of a segment.
-_PANEL_FRACTION = 0.5
-_MAX_PANELS = 200
+#: one takes about 165 panels; _MAX_PANELS bounds the panels of a segment.
+_PANEL_FRACTION = 0.25
+_MAX_PANELS = 400
 
 
 @dataclass
@@ -455,16 +461,13 @@ def _gl_rule(edges: np.ndarray):
             (half[:, None] * _GL_WEIGHTS).ravel())
 
 
-def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float,
-                  panel_scale: int) -> np.ndarray:
+def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float) -> np.ndarray:
     """Panel edges from a to b.  Each panel spans _PANEL_FRACTION of the
     distance from its start to the nearest special point, where 16-point
-    Gauss-Legendre converges like 5.8^-32; a last panel shorter than half
-    the one before is merged into it, so no panel exceeds 0.75 of that
-    distance.  Each panel is then split into ``panel_scale`` equal ones, so
-    the edges of every ``panel_scale`` contain those of 1.  Raises
-    PathError when the segment passes within ``tiny`` of a special point,
-    or needs more than _MAX_PANELS panels."""
+    Gauss-Legendre converges like 13.9^-32; a last panel shorter than half
+    the one before is merged into it, so no panel exceeds 1.5 times that
+    share of the distance.  Raises PathError when the segment passes within
+    ``tiny`` of a special point, or needs more than _MAX_PANELS panels."""
     seg = b - a
     if np.min(_distances_to_segment(a, b, specials), initial=math.inf) < tiny:
         raise PathError(f"leg segment {a} -> {b} passes through a special point")
@@ -475,9 +478,7 @@ def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float,
         out.append(s)
         if len(out) > _MAX_PANELS:
             raise PathError(f"leg segment {a} -> {b} needs over {_MAX_PANELS} panels")
-    lo, hi = np.array(out[:-1])[:, None], np.array(out[1:])[:, None]
-    fine = np.append((lo + (hi - lo) * (np.arange(panel_scale) / panel_scale)).ravel(), 1.0)
-    return a + seg * fine
+    return a + seg * np.array(out)
 
 
 def _distances_to_segment(a: complex, b: complex, points: np.ndarray) -> np.ndarray:
@@ -542,26 +543,25 @@ def _leg_specials(chart, spec: EndpointSpec) -> np.ndarray:
                      if u_star is None or not chart.same_point(s, u_star)])
 
 
-def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray, panel_scale: int):
+def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray):
     """Gauss-Legendre data (u positions, dt/dx, weights in x) for the leg,
     with x = u along the u-chart waypoints and then x = w = 1/u along the
-    w-chart ones.  Node order runs from the staging point to the endpoint.
+    w-chart ones.  Node order runs from the staging point to the endpoint,
+    16 nodes to a panel.
 
     The panels are graded by the distance to the nearest of ``specials``
-    (in the w-chart, to their images 1/s), and each is then split into
-    ``panel_scale`` equal ones, so the rules of every ``panel_scale``
-    share one grading.  A segment may not pass through a special point
-    (see _chart_specials)."""
+    (in the w-chart, to their images 1/s).  A segment may not pass through
+    a special point (see _chart_specials)."""
     groups = []
     for pts, in_w in ((u_pts, False), (w_pts, True)):
         if len(pts) < 2:
             continue
         pole_pts, tiny = _chart_specials(chart, specials, in_w)
         x, wts = (np.concatenate(arrays) for arrays in zip(*(
-            _gl_rule(_graded_edges(a, b, pole_pts, tiny, panel_scale))
+            _gl_rule(_graded_edges(a, b, pole_pts, tiny))
             for a, b in zip(pts, pts[1:]))))
         if in_w:
-            groups.append((1 / x, chart.t_of_u(1 / Jet.variable(x, 1)).coeffs[1], wts))
+            groups.append((1 / x, -chart.dt_du(1 / x) / (x * x), wts))
         else:
             groups.append((x, chart.dt_du(x), wts))
     return tuple(np.concatenate(arrays) for arrays in zip(*groups))
@@ -613,19 +613,20 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     dumbbell around the adjacent turning point with FFT mode extraction on
     the circle.  Raises PathError when a consistency check fails.
 
-    The leg's panels each span half the distance from their start to the
-    nearest singular point or turning point (the finite endpoint aside);
-    W_n takes the leg from the rule that halves every panel.
+    The leg's panels each span a quarter of the distance from their start
+    to the nearest singular point or turning point (the finite endpoint
+    aside).  The leg is refused when its error estimate, summed over the
+    panels from each panel's Legendre tail, exceeds both 1e-6 of the leg
+    and 1e-9 of max(1, |mode_sum|).
 
     The circle is refused when its integer-power modes exceed 1e-6 of the
     largest mode (the branch tracking failed) or its high-frequency modes
     exceed 1e-10 of it (the samples alias the Puiseux modes).
 
     ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``)
-    and high-frequency (``tail_ratio``) mode ratios, the leg's relative
-    change when every panel is halved (``leg_rel_err``), the two parts of
-    W_n before the sign label (``mode_sum``, and ``leg`` from the halved
-    panels), and
+    and high-frequency (``tail_ratio``) mode ratios, the leg's error
+    estimate relative to the leg (``leg_rel_err``), the two parts of W_n
+    before the sign label (``mode_sum`` and ``leg``), and
     ``cancellation`` = (|mode_sum| + |leg|) / |W_n| >= 1, the factor by
     which rounding in either part is amplified in W_n."""
     chart = u_chart(params)
@@ -645,14 +646,12 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     P = turn[0]
 
     u_pts, w_pts = _leg_waypoints(chart, spec, u_tp, P)
-    specials = _leg_specials(chart, spec)
-    single = _leg_quadrature(chart, u_pts, w_pts, specials, 1)
-    doubled = _leg_quadrature(chart, u_pts, w_pts, specials, 2)
+    leg_us, leg_jac, leg_wts = _leg_quadrature(chart, u_pts, w_pts, _leg_specials(chart, spec))
+    # A panel's weights are its half-length times those of [-1, 1], which sum
+    # to 2: their moduli sum to the panel's length.
+    panel_len = np.abs(leg_wts).reshape(-1, 16).sum(axis=1)
 
-    ts, lams, slots = _batched_r_slots(
-        chart, model, np.concatenate([turn, single[0], doubled[0]]), n_max)
-    on_single = slice(half, half + len(single[0]))
-    on_doubled = slice(half + len(single[0]), None)
+    ts, lams, slots = _batched_r_slots(chart, model, np.concatenate([turn, leg_us]), n_max)
 
     def two_turns(vals):
         return np.tile(vals[:half], 2)
@@ -664,13 +663,9 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
         # After two full turns the chain must close on itself.
         raise PathError("square-root branch failed to close after two turns")
 
-    def _leg_chain(vals):
-        return _chain_signs(np.concatenate([[sqrtD[0]], vals]), start=sqrtD[0])[1:]
+    sig_leg = _chain_signs(np.concatenate([[sqrtD[0]], sqrtD[half:]]), start=sqrtD[0])[1:]
 
-    sig_single = _leg_chain(sqrtD[on_single])
-    sig_doubled = _leg_chain(sqrtD[on_doubled])
-
-    # dt/du on the circle (for rho_n = R dt/du) via one-jets.
+    # dt/du on the circle, for rho_n = R dt/du.
     jac_circle = two_turns(chart.dt_du(turn))
 
     freqs = np.fft.fftfreq(M, d=1.0 / M)       # signed integer bins
@@ -694,24 +689,24 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
                             "circle samples alias the Puiseux modes")
         mode_sum = np.sum(chat[odd] * (P - u_tp) / (freqs[odd] / 2 + 1))
 
-        leg = np.sum(single[2] * sig_single * r[on_single] * single[1])
-        leg_doubled = np.sum(doubled[2] * sig_doubled * r[on_doubled] * doubled[1])
-        leg_err = abs(leg - leg_doubled) / max(abs(leg), 1e-30)
-        if leg_err > 1e-6 and abs(leg - leg_doubled) > 1e-9 * max(1.0, abs(mode_sum)):
+        f_leg = sig_leg * r[half:] * leg_jac
+        leg = np.sum(leg_wts * f_leg)
+        a_tail = f_leg.reshape(-1, 16) @ _TAIL_ROWS.T     # a_14, a_15 of each panel
+        est = float(panel_len @ np.abs(a_tail).sum(axis=1))
+        leg_err = est / max(abs(leg), 1e-30)
+        if leg_err > 1e-6 and est > 1e-9 * max(1.0, abs(mode_sum)):
             raise PathError(f"leg quadrature not converged (rel {leg_err:.2e})")
 
-        # The gate has just compared the two rules; W_n takes the finer one.
         # The assembly's orientation is the labelled one for every endpoint of
         # both families, as the degenerate-family closed form pins (see tests).
-        w_n = mode_sum + leg_doubled
+        w_n = mode_sum + leg
         values[n] = w_n
         diags[n] = {"even_ratio": even_ratio, "tail_ratio": tail_ratio,
-                    "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg_doubled,
-                    "cancellation": float((abs(mode_sum) + abs(leg_doubled)) / abs(w_n))
+                    "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg,
+                    "cancellation": float((abs(mode_sum) + abs(leg)) / abs(w_n))
                     if w_n else math.inf}
 
-    end = on_single.stop - 1
-    label = _anchor_label(spec, chart, ts[end], lams[end], sig_single[-1] * sqrtD[end])
+    label = _anchor_label(spec, chart, ts[-1], lams[-1], sig_leg[-1] * sqrtD[-1])
     if label != spec.sign:
         values = {n: -v for n, v in values.items()}
     return OracleResult(spec, values, label, u_tp, diags)

@@ -12,6 +12,8 @@ import importlib.util
 import inspect
 import pathlib
 import sys
+import types
+from collections import defaultdict
 
 import pytest
 
@@ -64,3 +66,16 @@ def test_all_names_the_public_functions_and_classes(module):
     exported = {name for name in mod.__all__
                 if inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name))}
     assert exported == public
+
+
+def test_oracle_hook_reads_the_diagnostics_the_oracle_writes():
+    # The tracer's oracle hook reads diagnostic keys off every result; a key
+    # the oracle stops writing must fail here, not vanish from the metrics.
+    from p3wkb import voros
+    tracing = _load("tracing")
+    res = voros.voros_numeric_oracle(voros.EndpointSpec("d7", "zero_c", +1), 2 + 1j, n_max=2)
+    tracer = types.SimpleNamespace(maxima=defaultdict(float))
+    tracing.POST["voros.voros_numeric_oracle"](tracer, res)
+    for key in ("leg_rel_err", "even_ratio"):
+        assert tracer.maxima[f"voros.{key}"] == max(d[key] for d in res.diagnostics.values())
+    assert tracer.maxima["voros.leg_rel_err"] > 0

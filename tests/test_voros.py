@@ -389,9 +389,12 @@ def _oracle_batch(spec, params, monkeypatch):
 _BATCH_CASES = [(EndpointSpec("d6", "inf1", +1), P_GEN), (EndpointSpec("d7", "inf1", +1), 2 + 1j)]
 
 
-@pytest.mark.parametrize("target, most", [("inf1", 608), ("inf3", 224), ("zero_cinf", 176)])
+#: The first three bounds are the counts of the ×1 + ×2 leg pair the one
+#: graded rule replaced; the last three are the one rule's measured counts.
+@pytest.mark.parametrize("target, most", [("inf1", 608), ("inf3", 224), ("zero_cinf", 176),
+                                          ("inf1", 400), ("inf3", 176), ("zero_cinf", 160)])
 def test_oracle_solves_at_most_its_measured_nodes(target, most, monkeypatch):
-    # Half the circle's samples plus the leg's nodes at both panel scales:
+    # Half the circle's samples plus the leg's nodes:
     # a wider leg or a denser circle shows here before it shows in a timing.
     ts, _, _ = _oracle_batch(EndpointSpec("d6", target, +1), P_GEN, monkeypatch)
     assert len(ts) <= most
@@ -408,16 +411,13 @@ def test_leg_panels_are_graded_by_the_nearest_special_point(spec, params):
     w_specials = 1 / specials[np.abs(specials) > 1e-9]
     for pts, poles in ((u_pts, specials), (w_pts, w_specials)):
         for a, b in zip(pts, pts[1:]):
-            coarse = voros._graded_edges(a, b, poles, 0.0, 1)
-            s = (coarse - a) / (b - a)
+            edges = voros._graded_edges(a, b, poles, 0.0)
+            s = (edges - a) / (b - a)
             assert s[0] == 0 and s[-1] == pytest.approx(1, abs=1e-15)
             assert np.all(np.diff(s.real) > 0) and np.allclose(s.imag, 0, atol=1e-15)
-            start = np.min(np.abs(poles[None, :] - coarse[:-1, None]), axis=1)
-            assert np.all(np.abs(np.diff(coarse)) <= 0.75 * start * (1 + 1e-12))
-            for scale in (2, 4):
-                fine = voros._graded_edges(a, b, poles, 0.0, scale)
-                assert len(fine) == scale * (len(coarse) - 1) + 1
-                assert fine[::scale].tobytes() == coarse.tobytes()
+            start = np.min(np.abs(poles[None, :] - edges[:-1, None]), axis=1)
+            most = 1.5 * voros._PANEL_FRACTION * start * (1 + 1e-12)
+            assert np.all(np.abs(np.diff(edges)) <= most)
 
 
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES[2:], ids=_ENDPOINT_IDS[2:])
@@ -428,20 +428,20 @@ def test_leg_grading_leaves_out_the_finite_endpoint(spec, params):
     u_star, tiny = voros._target_of(chart, spec), 1e-9 * chart.scale
     assert u_star in chart.singular_points() and u_pts[-1] == u_star
     assert np.min(np.abs(specials - u_star)) > 1e-6 * chart.scale
-    voros._graded_edges(u_pts[-2], u_star, specials, tiny, 1)
+    voros._graded_edges(u_pts[-2], u_star, specials, tiny)
     with pytest.raises(PathError, match="passes through"):
-        voros._graded_edges(u_pts[-2], u_star, np.append(specials, u_star), tiny, 1)
+        voros._graded_edges(u_pts[-2], u_star, np.append(specials, u_star), tiny)
 
 
 def test_leg_segment_through_a_special_point_is_refused():
     specials = np.array([1 + 1j, 3 - 2j])
     with pytest.raises(PathError, match="passes through"):
-        voros._graded_edges(0j, 2 + 2j, specials, 1e-9, 1)
+        voros._graded_edges(0j, 2 + 2j, specials, 1e-9)
     with pytest.raises(PathError, match="passes through"):
-        voros._graded_edges(0j, 1 + (1 + 1e-12) * 1j, specials, 1e-9, 1)
+        voros._graded_edges(0j, 1 + (1 + 1e-12) * 1j, specials, 1e-9)
     with pytest.raises(PathError, match="panels"):   # the guard off: panels halve forever
-        voros._graded_edges(0j, 2 + 2j, specials, 0.0, 1)
-    assert len(voros._graded_edges(0j, 2 + 2.2j, specials, 1e-9, 1)) > 2
+        voros._graded_edges(0j, 2 + 2j, specials, 0.0)
+    assert len(voros._graded_edges(0j, 2 + 2.2j, specials, 1e-9)) > 2
 
 
 def test_leg_runs_straight_unless_it_runs_through_a_special_point():
@@ -455,7 +455,7 @@ def test_leg_runs_straight_unless_it_runs_through_a_special_point():
     assert abs(step.real) < 1e-15 and step.imag > 0
     assert abs(way - (1 + 1j)) == pytest.approx(0.48 * 1.5, rel=1e-15)
     for lo, hi in ((a, way), (way, b)):
-        voros._graded_edges(lo, hi, specials, 1e-9, 1)
+        voros._graded_edges(lo, hi, specials, 1e-9)
 
 
 #: Seed 106, chamber I: two legs that the graded panels alone keep accurate
@@ -494,11 +494,32 @@ def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES + [_REPRODUCER],
-                         ids=_ENDPOINT_IDS + ["reproducer"])
-def test_graded_leg_agrees_with_its_halved_panels(spec, params):
+@pytest.mark.parametrize("spec, params", _ENDPOINT_CASES + [_REPRODUCER] + _NEAR_PASSES,
+                         ids=_ENDPOINT_IDS + ["reproducer", "near-inf3", "near-inf4"])
+def test_leg_error_estimate_bounds_the_quartered_rule(spec, params, monkeypatch):
+    # The reference leg runs on the oracle's panels each split into four.
+    graded = voros._graded_edges
+
+    def quartered(*args):
+        edges = graded(*args)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        return np.append((lo + (hi - lo) * (np.arange(4) / 4)).ravel(), edges[-1])
+
     res = voros_numeric_oracle(spec, params, n_max=2)
-    assert max(d["leg_rel_err"] for d in res.diagnostics.values()) <= 1e-12
+    monkeypatch.setattr(voros, "_graded_edges", quartered)
+    ref = voros_numeric_oracle(spec, params, n_max=2)
+    for n, diag in res.diagnostics.items():
+        est = diag["leg_rel_err"] * abs(diag["leg"])
+        assert abs(diag["leg"] - ref.diagnostics[n]["leg"]) <= est <= 1e-6 * abs(diag["leg"])
+
+
+@pytest.mark.parametrize("spec, params", _BATCH_CASES, ids=_ENDPOINT_IDS[:2])
+def test_oracle_refuses_a_leg_on_panels_too_coarse(spec, params, monkeypatch):
+    # Panels twice the distance to the nearest special point: the tail
+    # estimate must give them away.
+    monkeypatch.setattr(voros, "_PANEL_FRACTION", 2.0)
+    with pytest.raises(PathError, match="leg quadrature not converged"):
+        voros_numeric_oracle(spec, params, n_max=2)
 
 
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
