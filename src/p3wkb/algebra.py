@@ -13,12 +13,10 @@ Each u-plane chart pulls the whole many-sheeted picture back to a single
 plane where the quadratic differential q(u) du^2 has polynomial zeros; all
 Stokes tracing happens there.
 
-Chart functions are duck-typed over scalars, numpy arrays and jets: passing
-a ``numerics.Jet`` in u through ``t_of_u`` / ``q`` yields u-derivatives,
-which is how dt/du and q's leading coefficient at each turning point (the
-chart's ``turning_point_leads``, computed once per chart, which fix the
-Stokes rays) are obtained.  An array of u, or a jet at a batch of base
-points, evaluates a whole set of nodes in one call.
+Chart maps take a scalar u or a numpy array of nodes.  Each chart also
+gives its local data in closed form: dt/du, q's (u - u_tp)^3 lead at each
+turning point (``turning_point_leads``, which fix the Stokes rays) and q's
+residue at the simple pole (``simple_pole_lead``).
 """
 
 from __future__ import annotations
@@ -26,10 +24,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .numerics import Jet, _chain_signs, _nearer_negated, poly_roots
+from .numerics import _chain_signs, _nearer_negated, poly_roots
 
 __all__ = [
     "AlgebraError",
@@ -120,6 +119,10 @@ class BranchPoint:
     t: complex
     lambda0: complex
     sign: int = +1
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
     def residual(self, p: Parameters) -> float:
         t, lam = self.t, self.lambda0
@@ -215,13 +218,8 @@ def turning_points(p: Parameters) -> TurningPointSet:
     taus = []
     for tau in poly_roots(coeffs):
         roots = poly_roots(quartic_coeffs(tau, p))
-        best = None
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d = abs(roots[i] - roots[j])
-                if best is None or d < best[0]:
-                    best = (d, (roots[i] + roots[j]) / 2)
-        taus.append((tau, best[1]))
+        a, b = min(combinations(roots, 2), key=lambda pair: abs(pair[0] - pair[1]))
+        taus.append((tau, (a + b) / 2))
     return TurningPointSet(tuple(taus))
 
 
@@ -242,6 +240,7 @@ class UChart:
     # Concrete classes set these in __init__:
     turning_points_u: tuple
     simple_pole_u: complex
+    simple_pole_lead: complex     # q ~ simple_pole_lead / (u - simple_pole_u)
     double_poles_u: dict          # label -> u position
     finite_infinities_u: dict     # label -> u position of a t = infinity branch
     pole_residues: dict           # terminus label -> residue of sqrt(q) du there (up
@@ -258,18 +257,13 @@ class UChart:
     def q(self, u):
         raise NotImplementedError
 
-    # -- derived ------------------------------------------------------------
-
     def dt_du(self, u):
-        """dt/du at a point u, or elementwise on an array of points."""
-        if not isinstance(u, np.ndarray):
-            u = complex(u)
-        return self.t_of_u(Jet.variable(u, 1)).coeffs[1]
+        raise NotImplementedError
 
-    def q_leading(self, u_center: complex, order: int, k: int) -> complex:
-        """Coefficient of (u - u_center)^k of q around u_center via a jet."""
-        jet = self.q(Jet.variable(u_center, order))
-        return jet.coeffs[k]
+    def q_leading(self, u_tp: complex) -> complex:
+        raise NotImplementedError
+
+    # -- derived ------------------------------------------------------------
 
     def singular_points(self) -> list[complex]:
         return (list(self.turning_points_u) + [self.simple_pole_u]
@@ -281,7 +275,7 @@ class UChart:
         """Per turning point u_tp, the coefficient lead of q ~ lead (u - u_tp)^3,
         which fixes the directions of its five Stokes rays.  Computed once per
         chart, however many rays are traced from it."""
-        return tuple(self.q_leading(u, 4, 3) for u in self.turning_points_u)
+        return tuple(self.q_leading(u) for u in self.turning_points_u)
 
     @cached_property
     def scale(self) -> float:
@@ -326,6 +320,7 @@ class D6Chart(UChart):
         cp, cm = p.c_p, p.c_m
         self.turning_points_u = tuple(poly_roots([cm ** 2, 0.0, 0.0, cp ** 2]))
         self.simple_pole_u = -1.0 + 0j
+        self.simple_pole_lead = -4 * p.c_inf * p.c_0
         self.double_poles_u = {
             "zero_cinf": cm / cp,
             "zero_c0": -cm / cp,
@@ -352,6 +347,13 @@ class D6Chart(UChart):
         num = cp2 * u ** 3 + cm2
         den = (u + 1) * u ** 4 * (cp2 * u * u - cm2) ** 2
         return 4 * num ** 3 / den
+
+    def dt_du(self, u):
+        return (u + 1) * (self._cp2 * u ** 3 + self._cm2) / (2 * u ** 3)
+
+    def q_leading(self, u_tp):
+        den = (u_tp + 1) * u_tp ** 4 * (self._cp2 * u_tp ** 2 - self._cm2) ** 2
+        return 108 * self._cp2 ** 3 * u_tp ** 6 / den
 
     def parameter_dict(self) -> dict:
         p = self.p
@@ -383,6 +385,7 @@ class D7Chart(UChart):
         self.c = c
         self.turning_points_u = (2 * c / 3,)
         self.simple_pole_u = 0j
+        self.simple_pole_lead = -8 * c
         self.double_poles_u = {"zero_c": c}
         self.finite_infinities_u = {}
         self.pole_residues = {"escaped": 0j, "zero_c": c}
@@ -398,6 +401,12 @@ class D7Chart(UChart):
     def q(self, u):
         c = self.c
         return (3 * u - 2 * c) ** 3 / (u * (u - c) ** 2)
+
+    def dt_du(self, u):
+        return u * (2 * self.c - 3 * u) / 2
+
+    def q_leading(self, u_tp):
+        return 27 / (u_tp * (u_tp - self.c) ** 2)
 
     def parameter_dict(self) -> dict:
         return {"c": [self.c.real, self.c.imag]}

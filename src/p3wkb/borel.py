@@ -67,7 +67,7 @@ import numpy as np
 from .algebra import Parameters
 from .numerics import _atanh_excess, _read_only, binet
 from .voros import f_coefficient, g_coefficient
-from .walls import WALL_TABLE, on_imaginary_axis
+from .walls import _JUMPING, WALL_TABLE, on_imaginary_axis
 
 __all__ = [
     "GammaPoleError",
@@ -361,12 +361,8 @@ def summability_report(p: Parameters) -> dict[str, bool]:
     A series fails exactly when its argument is purely imaginary
     (``walls.on_imaginary_axis``), i.e. when ``p`` sits on the matching wall.
     """
-    return {
-        "F(c_p)": not on_imaginary_axis(p.c_p),
-        "F(c_m)": not on_imaginary_axis(p.c_m),
-        "G(c_inf)": not on_imaginary_axis(p.c_inf),
-        "G(c_0)": not on_imaginary_axis(p.c_0),
-    }
+    return {block: not on_imaginary_axis(getattr(p, quantity))
+            for quantity, block in _JUMPING.items()}
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ serialization (SVG / JSON).
 Curves are integral curves of Im int sqrt(q) du = 0, traced with the
 unit-speed field conj(sqrt q)/|sqrt q| (so Re of the integral increases
 monotonically), and a continuation sign chained along the curve.  The five
-rays of a turning point come from q's leading coefficient there, which the
-chart expands once for all of them (``UChart.turning_point_leads``).  A curve
+rays of a turning point come from q's (u - u_tp)^3 lead there, the ray of
+the simple pole from q's residue there; the chart gives both in closed form
+(``UChart.turning_point_leads``, ``UChart.simple_pole_lead``).  A curve
 starts on its exact level set a tenth of the way from its origin to the
 nearest other special point: the integral from the origin is an 8-point
 Gauss-Legendre rule in tau, u = origin + (u1 - origin) tau^2, in which the
@@ -134,14 +135,10 @@ def emanation_directions(origin: complex, chart) -> list:
     """Unit directions of the Stokes rays at a turning point (five, from the
     local (5/2)-power primitive, by the chart's ``turning_point_leads``) or
     at the simple pole over t = 0 (one, from the local (1/2)-power
-    primitive) of a u-plane chart."""
+    primitive, by the chart's ``simple_pole_lead``) of a u-plane chart."""
     label, u0 = _trace_origin(complex(origin), chart)
     if label == "simple_pole":
-        # q ~ res/(u - u_sp): evaluate (u - u_sp) q(u) at +/- eps and average
-        # to cancel the linear term of the analytic part.
-        eps = 1e-5 * chart.scale
-        res = (eps * chart.q(u0 + eps) - eps * chart.q(u0 - eps)) / 2
-        return [cmath.exp(-1j * cmath.phase(res))]
+        return [cmath.exp(-1j * cmath.phase(chart.simple_pole_lead))]
     lead = chart.turning_point_leads[chart.turning_points_u.index(u0)]
     base = -cmath.phase(lead) / 5.0
     return [cmath.exp(1j * (base + 2 * math.pi * k / 5)) for k in range(5)]
@@ -419,10 +416,8 @@ def stokes_diagram(params) -> StokesDiagram:
     """Trace every Stokes curve (five per turning point plus one from the
     simple pole) and detect degenerations."""
     chart = u_chart(params)
-    curves = []
-    for u_tp in chart.turning_points_u:
-        for ray in range(5):
-            curves.append(trace_curve(u_tp, ray, chart))
+    curves = [trace_curve(u_tp, ray, chart)
+              for u_tp in chart.turning_points_u for ray in range(5)]
     curves.append(trace_curve(chart.simple_pole_u, 0, chart))
     diagram = StokesDiagram(chart, curves)
     diagram.degenerations = detect_degenerations(diagram)

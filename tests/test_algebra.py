@@ -20,6 +20,7 @@ from p3wkb.algebra import (
     turning_points,
     u_chart,
 )
+from p3wkb.geometry import emanation_directions
 from p3wkb.numerics import Jet
 
 from asymptotics_reference import _classify_branch
@@ -295,3 +296,45 @@ def test_chart_maps_on_node_arrays_equal_the_scalar_maps(chart):
     got = chart.t_of_u(1 / Jet.variable(ws, 1)).coeffs[1]
     want = np.array([chart.t_of_u(1 / Jet.variable(complex(w), 1)).coeffs[1] for w in ws])
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("chart", [D6Chart(P_GEN), D6Chart(P_ALT), D7Chart(2 + 1j),
+                                   D7Chart(-0.7 + 1.3j)], ids=["d6", "d6-alt", "d7", "d7-alt"])
+def test_closed_form_local_data_match_jets(chart):
+    # The chart's closed forms against jets pushed through its own maps:
+    # dt/du, q's (u - u_tp)^3 lead at each turning point and q's residue
+    # at the simple pole, all within 1e-13 relative.
+    rng = np.random.default_rng(20130315)
+    us = chart.scale * (rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40))
+    want = chart.t_of_u(Jet.variable(us, 1)).coeffs[1]
+    assert np.all(np.abs(chart.dt_du(us) - want) <= 1e-13 * np.abs(want))
+    for u, w in zip(us, want):
+        assert abs(chart.dt_du(complex(u)) - w) <= 1e-13 * abs(w)
+    # dt/dw at w = 1/u, the Jacobian of the oracle's leg to u = infinity.
+    ws = 1 / us
+    want = chart.t_of_u(1 / Jet.variable(ws, 1)).coeffs[1]
+    assert np.all(np.abs(-chart.dt_du(1 / ws) / ws ** 2 - want) <= 1e-13 * np.abs(want))
+
+    for u_tp, lead in zip(chart.turning_points_u, chart.turning_point_leads):
+        want = chart.q(Jet.variable(u_tp, 4)).coeffs[3]
+        assert lead == chart.q_leading(u_tp)
+        assert abs(lead - want) <= 1e-13 * abs(want)
+
+    # (u - u_sp) q(u) is analytic inside a circle that holds no other
+    # singular point, so its mean over the circle is q's residue at u_sp.
+    u_sp = chart.simple_pole_u
+    us = u_sp + 0.1 * chart.special_gap(u_sp) * np.exp(2j * np.pi * np.arange(64) / 64)
+    want = np.mean((us - u_sp) * chart.q(us))
+    assert abs(chart.simple_pole_lead - want) <= 1e-13 * abs(want)
+    # Along the simple pole's ray d, q du^2 ~ simple_pole_lead * d / r dr^2 > 0.
+    (d,) = emanation_directions(u_sp, chart)
+    z = chart.simple_pole_lead * d
+    assert z.real > 0 and abs(z.imag) <= 1e-15 * abs(z)
+
+
+def test_branch_point_rejects_a_sign_other_than_plus_or_minus_one():
+    # With sign = 0, geometry.phi_primitive returned 0j without complaint.
+    b = lambda0_branches(0.8 + 0.6j, P_GEN)[0]
+    for sign in (0, 2, -1.5):
+        with pytest.raises(ValueError, match="sign must be"):
+            BranchPoint(b.t, b.lambda0, sign=sign)

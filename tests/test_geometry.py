@@ -17,7 +17,6 @@ from p3wkb.algebra import (
     D6Chart,
     D7Chart,
     Parameters,
-    UChart,
     delta,
     lambda0_branches,
 )
@@ -133,18 +132,19 @@ def test_option_defaults():
     assert geometry._CLOSURE_COSINE == 0.99
 
 
-@pytest.mark.parametrize("params, calls", [(P_GEN, 3), (2 + 1j, 1)], ids=["d6", "d7"])
-def test_rays_need_one_q_leading_per_turning_point(monkeypatch, params, calls):
+@pytest.mark.parametrize("params, chart_cls, calls", [(P_GEN, D6Chart, 3), (2 + 1j, D7Chart, 1)],
+                         ids=["d6", "d7"])
+def test_rays_need_one_q_leading_per_turning_point(monkeypatch, params, chart_cls, calls):
     # Every ray of a turning point reads the chart's cached leading
-    # coefficient of q; it is expanded once per turning point, not per ray.
+    # coefficient of q; it is computed once per turning point, not per ray.
     seen = []
-    q_leading = UChart.q_leading
+    q_leading = chart_cls.q_leading
 
     def counted(self, *args):
         seen.append(args)
         return q_leading(self, *args)
 
-    monkeypatch.setattr(UChart, "q_leading", counted)
+    monkeypatch.setattr(chart_cls, "q_leading", counted)
     stokes_diagram(params)
     assert len(seen) == calls
 

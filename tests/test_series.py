@@ -171,6 +171,13 @@ def test_sign_flip_equals_parity_flip(zp, ric):
         assert abs(other.R.slot_value(power) - flipped.slot_value(power)) < 1e-12
 
 
+def test_riccati_rejects_a_sign_other_than_plus_or_minus_one(zp):
+    # sign = 0 used to return the + branch labelled sign=0.
+    for sign in (0, 2, -0.5):
+        with pytest.raises(ValueError, match="sign must be"):
+            riccati_solution(zp, sign)
+
+
 def test_even_part_determined_by_odd_part(zp, ric):
     t = zp.t_jet
     half_over_t = Jet.constant(0.5 + 0j, zp.t0, t.order) / t
