@@ -15,12 +15,15 @@ Stokes tracing happens there.
 
 Chart maps take a scalar u or a numpy array of nodes.  Each chart also
 gives its local data in closed form: dt/du, q's (u - u_tp)^3 lead at each
-turning point (``turning_point_leads``, which fix the Stokes rays) and q's
-residue at the simple pole (``simple_pole_lead``).
+turning point (``turning_point_leads``, which fix the Stokes rays), q's
+residue at the simple pole (``simple_pole_lead``), and a primitive of
+sqrt(q) du (``phi``).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -263,6 +266,15 @@ class UChart:
     def q_leading(self, u_tp: complex) -> complex:
         raise NotImplementedError
 
+    def phi(self, u: complex, sq: complex, logs: tuple) -> tuple:
+        """(Phi(u), its logarithms): Phi a primitive of sqrt(q) du on the
+        branch sq of sqrt(q(u)), its logarithms continued from ``logs``."""
+        raise NotImplementedError
+
+    def phi_origin(self, u0: complex) -> tuple:
+        """``phi``'s value at a turning point or the simple pole u0."""
+        raise NotImplementedError
+
     # -- derived ------------------------------------------------------------
 
     def singular_points(self) -> list[complex]:
@@ -331,7 +343,7 @@ class D6Chart(UChart):
         self.escape_scale = max(1.0, abs(cm / cp))
         # At least scale/5, so the arc budget outlasts the far-out radius.
         self.arc_scale = max(1.0, abs(cp), self.scale / 5)
-        self._cp2, self._cm2 = cp ** 2, cm ** 2      # q's coefficients
+        self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp ** 2, cm ** 2
 
     def t_of_u(self, u):
         cp, cm = self.p.c_p, self.p.c_m
@@ -354,6 +366,27 @@ class D6Chart(UChart):
     def q_leading(self, u_tp):
         den = (u_tp + 1) * u_tp ** 4 * (self._cp2 * u_tp ** 2 - self._cm2) ** 2
         return 108 * self._cp2 ** 3 * u_tp ** 6 / den
+
+    def phi(self, u, sq, logs):
+        """Phi = 2s/u - (c_inf/2) log((c_p u^2 + c_m + s)/(c_p u^2 + c_m - s))
+                     - (c_0/2) log((c_p u^2 - c_m + s)/(c_p u^2 - c_m - s)),
+        s = (u+1) sq u^2 (c_p^2 u^2 - c_m^2) / (2 (c_p^2 u^3 + c_m^2)), taken as
+        the root of s^2 = (u+1)(c_p^2 u^3 + c_m^2) with that sign, for the
+        quotient loses digits near the double poles.  Each log's two sides
+        multiply to -u (c_p u -+ c_m)^2.  s, and so Phi, is 0 at every origin."""
+        cp, cm, cp2, cm2 = self._cp, self._cm, self._cp2, self._cm2
+        uu = u * u
+        n = cp2 * uu * u + cm2
+        s = cmath.sqrt((u + 1) * n)
+        if _nearer_negated(2 * n * s, (u + 1) * sq * uu * (cp2 * uu - cm2)):
+            s = -s
+        a, b = cp * uu + cm, cp * uu - cm
+        l_inf = _continued_log_quotient(a + s, a - s, -u * (cp * u - cm) ** 2, logs[0])
+        l_0 = _continued_log_quotient(b + s, b - s, -u * (cp * u + cm) ** 2, logs[1])
+        return 2 * s / u - (self.p.c_inf * l_inf + self.p.c_0 * l_0) / 2, (l_inf, l_0)
+
+    def phi_origin(self, u0):
+        return 0j, (0j, 0j)
 
     def parameter_dict(self) -> dict:
         p = self.p
@@ -408,8 +441,28 @@ class D7Chart(UChart):
     def q_leading(self, u_tp):
         return 27 / (u_tp * (u_tp - self.c) ** 2)
 
+    def phi(self, u, sq, logs):
+        """Phi = 3uv + c log((v - 1)/(v + 1)), v = sq (u - c)/(3u - 2c), so
+        v^2 - 1 = 2 (u - c)/u.  Phi(0) = 0; Phi(2c/3) = i pi c, as v = 0 there."""
+        c = self.c
+        v = sq * (u - c) / (3 * u - 2 * c)
+        log = _continued_log_quotient(v - 1, v + 1, 2 * (u - c) / u, logs[0])
+        return 3 * u * v + c * log, (log,)
+
+    def phi_origin(self, u0):
+        log = 0j if self.same_point(u0, self.simple_pole_u) else 1j * math.pi
+        return self.c * log, (log,)
+
     def parameter_dict(self) -> dict:
         return {"c": [self.c.real, self.c.imag]}
+
+
+def _continued_log_quotient(x: complex, y: complex, xy: complex, prev: complex) -> complex:
+    """log(x/y) plus the 2 pi i k that brings it nearest ``prev``.  The
+    smaller of x, y may have lost its digits to cancellation, so the
+    quotient is formed from the larger one and xy, given in closed form."""
+    log = cmath.log(x * x / xy if abs(x) >= abs(y) else xy / (y * y))
+    return log + 1j * math.tau * ((prev.imag - log.imag + math.pi) // math.tau)
 
 
 def u_chart(params) -> UChart:

@@ -1,23 +1,19 @@
 """Stokes geometry on the u-plane: emanating directions, curve tracing,
-degeneration detection, a closed-form phase primitive, and diagram
-serialization (SVG / JSON).
+degeneration detection, and diagram serialization (SVG / JSON).
 
 Curves are integral curves of Im int sqrt(q) du = 0, traced with the
 unit-speed field conj(sqrt q)/|sqrt q| (so Re of the integral increases
 monotonically), and a continuation sign chained along the curve.  The five
 rays of a turning point come from q's (u - u_tp)^3 lead there, the ray of
 the simple pole from q's residue there; the chart gives both in closed form
-(``UChart.turning_point_leads``, ``UChart.simple_pole_lead``).  A curve
-starts on its exact level set a tenth of the way from its origin to the
-nearest other special point: the integral from the origin is an 8-point
-Gauss-Legendre rule in tau, u = origin + (u1 - origin) tau^2, in which the
-local (5/2)- or (1/2)-power behaviour is analytic.  Each step is an RK4
-predictor over 0.3 of the distance to the nearest special point, an
-8-point Gauss-Legendre integral over the chord, and a Newton projection
-back onto Im of the integral = 0.  Every step does the same work however
-long the curve already is: at most 15 evaluations of q, and a scan of the
-earlier segments for closure only once the curve has turned through 1.5 pi
-since one of them.
+(``UChart.turning_point_leads``, ``UChart.simple_pole_lead``), and the
+integral as well (``UChart.phi``).  A curve starts on its exact level set a
+tenth of the way from its origin to the nearest other special point.  Each
+step is an RK4 predictor over 0.3 of the distance to the nearest special
+point, the chart's primitive at its end point, and a Newton projection back
+onto Im of the integral = 0: at most 7 evaluations of q however long the
+curve already is, and a scan of the earlier segments for closure only once
+the curve has turned through 1.5 pi since one of them.
 """
 
 from __future__ import annotations
@@ -29,13 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraError, BranchPoint, Parameters, delta, u_chart
+from .algebra import AlgebraError, u_chart
 from .numerics import _nearer_negated
 from .walls import on_imaginary_axis
 
 __all__ = [
     "TraceError",
-    "BranchCutError",
     "TracedCurve",
     "DegenerationRecord",
     "StokesDiagram",
@@ -43,7 +38,6 @@ __all__ = [
     "trace_curve",
     "stokes_diagram",
     "detect_degenerations",
-    "phi_primitive",
     "render",
 ]
 
@@ -71,10 +65,6 @@ class TraceError(RuntimeError):
         self.partial = partial
 
 
-class BranchCutError(AlgebraError):
-    """A logarithm in the closed-form primitive hit its branch point."""
-
-
 @dataclass
 class TracedCurve:
     origin: str                      # "tp0".."tp2" | "simple_pole"
@@ -82,7 +72,7 @@ class TracedCurve:
     points: np.ndarray               # complex u-samples
     terminus: str
     phi_end: complex = 0j            # int sqrt(q) du from the origin to the last point
-    im_drift: float = 0.0            # worst |Im| of the accumulated integral
+    im_drift: float = 0.0            # worst |Im phi| the projection left at a point
     arc_length: float = 0.0
 
 
@@ -154,28 +144,29 @@ def _sqrt_q(chart, u: complex, ref: complex) -> complex:
     return -v if _nearer_negated(v, ref) else v
 
 
-# Python floats: the chord loop runs on complex scalars.
-_GL8 = [(float(x), float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(8))]
-
 #: A curve's first point lies this fraction of the way from its origin to
 #: the nearest other special point.
 START_FRACTION = 0.1
-# The same rule on [0, 1] in tau, where u = origin + (u1 - origin) tau^2:
-# (tau^2, weight times tau), so that du = 2 (u1 - origin) tau dtau.
-_GL8_START = [((1 + x) ** 2 / 4, w * (1 + x) / 2) for x, w in _GL8]
 
 
-def _start_integral(chart, origin: complex, u1: complex, ref: complex) -> tuple:
-    """(int_origin^u1 sqrt(q) du, sqrt(q(u1))), the branch at every node
-    the one nearer ``ref``.  In tau the integrand is analytic both at a
-    turning point (q ~ (u - u_tp)^3) and at the simple pole
-    (q ~ res/(u - u_sp)), and every other special point lies at
-    |tau| >= 1/sqrt(START_FRACTION), so 8 nodes give it to rounding."""
-    span = u1 - origin
-    phi = 0j
-    for tau2, w in _GL8_START:
-        phi += w * _sqrt_q(chart, origin + span * tau2, ref)
-    return span * phi, _sqrt_q(chart, u1, ref)
+def _first_point(chart, origin: complex, direction: complex) -> tuple:
+    """(u1, sqrt(q(u1)), phi, logs, offset) of a curve leaving ``origin``
+    along ``direction``: u1 lies START_FRACTION of the way to the nearest
+    other special point, moved along the ray's normal by Newton iteration
+    (at most 4 times) until phi = int_origin^u1 sqrt(q) du = Phi(u1) +
+    offset, offset = -Phi(origin), is real to 1e-14 of itself.  sqrt(q) is
+    the branch nearer conj(direction), whose field points along the ray."""
+    phi0, logs0 = chart.phi_origin(origin)
+    u = origin + START_FRACTION * chart.special_gap(origin) * direction
+    for newton in range(5):
+        sq = _sqrt_q(chart, u, direction.conjugate())
+        big_phi, logs = chart.phi(u, sq, logs0)
+        phi = big_phi - phi0
+        if newton == 4 or abs(phi.imag) <= 1e-14 * abs(phi):
+            break
+        # d(Im phi)/ds = Re(sqrt(q) direction) along u + 1j * direction * s.
+        u -= 1j * direction * (phi.imag / (sq * direction).real)
+    return u, sq, phi, logs, -phi0
 
 
 # A closure needs the sub-path since the revisited segment to have turned
@@ -191,25 +182,20 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
-    The first point lies START_FRACTION (0.1) of the distance d0 from the
-    origin to the nearest other special point, along the ray, and the
-    running integral starts at the exact int sqrt(q) du from the origin
-    to it (8-point Gauss-Legendre in tau, u = origin + (u1 - origin) tau^2,
-    exact to rounding).  Newton iteration moves that point along the
-    ray's normal until the integral is real to 1e-14 of itself, at most
-    4 times: 3 times on most curves, with shifts of up to 0.15, 1e-3 and
-    3e-7 of 0.1 d0.  Each integral costs 9 evaluations of q, so the start
-    costs 36 on most curves and at most 45.
-
-    Each step costs the same however long the curve already is: at most 15
-    evaluations of q (3 for RK4, whose first stage reuses the square root
-    at the current point, 8 for the Gauss-Legendre chord, 1 at the end
-    point and 1 to 3 for the Newton projection onto Im phi = 0), and a
-    scan of the earlier segments for closure only once the curve has
-    turned through 1.5 pi since one of them.  The projection shifts the
-    end point along the normal by -Im phi / |sqrt q| and adds the
-    trapezoid rule over the shift, until the shift is below 1e-6 of the
-    step; it refuses shifts of 0.2 of the step or more."""
+    The running integral phi is Phi(u) - Phi(origin), Phi the chart's
+    closed-form primitive with its logarithms continued along the curve
+    (see ``_first_point`` for the first point).  Each step costs the same
+    however long the curve already is: at most 7 evaluations of q (3 for
+    RK4, whose first stage reuses the square root at the current point,
+    1 at the end point and 1 to 3 for the Newton projection onto
+    Im phi = 0; 5.5 per polyline point on the seeded benchmark scan), one
+    of Phi, at the RK4 end point, and a scan of the earlier segments for
+    closure only once the curve has turned through 1.5 pi since one of
+    them.  The projection shifts the end point along the normal by
+    -Im phi / |sqrt q| and adds the trapezoid rule over the shift, until
+    the shift is below 1e-6 of the step; it refuses shifts of 0.2 of the
+    step or more.  The next step's Phi is exact again, so the trapezoid
+    errors do not accumulate."""
     # Start from the chart's own point, so the origin is not taken for a target.
     origin_label, origin = _trace_origin(complex(origin), chart)
     specials = chart.singular_points()
@@ -234,19 +220,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
 
-    # The first point: START_FRACTION of the distance d0 to the nearest
-    # other special point out along the ray, moved along the ray's normal
-    # by Newton iteration until the exact integral from the origin is real.
-    # The branch is the one whose unit-speed field points along the ray:
-    # sqrt(q) nearer conj(direction).
-    u = origin + START_FRACTION * chart.special_gap(origin) * direction
-    phi, sq = _start_integral(chart, origin, u, direction.conjugate())
-    for _ in range(4):
-        if abs(phi.imag) <= 1e-14 * abs(phi):
-            break
-        # d(Im phi)/ds = Re(sqrt(q) direction) along u + 1j * direction * s.
-        u -= 1j * direction * (phi.imag / (sq * direction).real)
-        phi, sq = _start_integral(chart, origin, u, direction.conjugate())
+    u, sq, phi, logs, offset = _first_point(chart, origin, direction)
     points = [origin, u]
     arc = abs(u - origin)
     arcs = [0.0, arc]   # cumulative arc length at each polyline point
@@ -286,24 +260,17 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         except ZeroDivisionError:
             raise TraceError(f"vanishing q at u={u:.6g}", partial=points) from None
         u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # Gauss-Legendre accumulation of int sqrt(q) du over the chord;
-        # exact saddle connections need the primitive accurate well below
-        # the turning-point capture scale.
-        half = (u_next - u) / 2
-        mid = (u + u_next) / 2
-        ref = sq
-        dphi = 0j
-        for x, w in _GL8:
-            ref = _sqrt_q(chart, mid + half * x, ref)
-            dphi += w * ref
-        dphi *= half
-        sq_next = _sqrt_q(chart, u_next, ref)
+        # The integral from the origin, exact at the RK4 end point: the
+        # chart's primitive with its logarithms continued from u.
+        sq_next = _sqrt_q(chart, u_next, s4)
+        big_phi, logs_next = chart.phi(u_next, sq_next, logs)
+        phi_next = big_phi + offset
 
         # Newton projection onto Im phi = 0: a normal shift that cancels
         # the imaginary drift to first order, the trapezoid rule over the
         # shift, repeated until the shift is negligible against the step.
         for _ in range(3):
-            drift = (phi + dphi).imag
+            drift = phi_next.imag
             denom = abs(sq_next)
             if not (denom > 0 and abs(drift) > 0):
                 break
@@ -312,12 +279,12 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 break
             u_corr = u_next + shift
             sq_corr = _sqrt_q(chart, u_corr, sq_next)
-            dphi += (u_corr - u_next) / 2 * (sq_next + sq_corr)
+            phi_next += (u_corr - u_next) / 2 * (sq_next + sq_corr)
             u_next, sq_next = u_corr, sq_corr
             if abs(shift) < 1e-6 * h:
                 break
 
-        new_im = abs((phi + dphi).imag)
+        new_im = abs(phi_next.imag)
         if new_im > EPS_TRACE * (1 + arc + h):
             if step_shrink == _MAX_HALVINGS:
                 # A drift the projection cannot cancel even on the shortest
@@ -328,10 +295,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
             continue
         step_shrink = max(0, step_shrink - 1)
 
-        phi += dphi
         step = u_next - u
         arc += abs(step)
-        u, sq = u_next, sq_next
+        u, sq, phi, logs = u_next, sq_next, phi_next, logs_next
         points.append(u)
         arcs.append(arc)
         im_worst = max(im_worst, abs(phi.imag))
@@ -479,27 +445,6 @@ def detect_degenerations(diagram: StokesDiagram) -> list:
                        for r in records):
                 records.append(rec)
     return records
-
-
-# ---------------------------------------------------------------------------
-# Closed-form phase primitive
-# ---------------------------------------------------------------------------
-
-def phi_primitive(b: BranchPoint, p: Parameters) -> complex:
-    """Closed-form primitive of the leading Riccati slot along a branch:
-    its t-derivative is R_{-1}.  Uses principal logarithms; continuity along
-    a path is the caller's concern (evaluate pointwise and chain)."""
-    t, lam = complex(b.t), complex(b.lambda0)
-    r = b.sign * cmath.sqrt(delta(b, p))
-    ci, c0 = p.c_inf, p.c_0
-    a1 = 2 * lam - ci + t * r
-    a2 = 2 * lam - ci - t * r
-    b1 = 2 * t * t - c0 * t * lam + t * t * lam * r
-    b2 = 2 * t * t - c0 * t * lam - t * t * lam * r
-    amax = max(abs(a1), abs(a2), abs(b1), abs(b2), 1.0)
-    if min(abs(a1), abs(a2)) < 1e-14 * amax or min(abs(b1), abs(b2)) < 1e-14 * amax:
-        raise BranchCutError("logarithm argument vanishes in the phase primitive")
-    return 0.5 * (4 * t * r - ci * cmath.log(a1 / a2) - c0 * cmath.log(b1 / b2))
 
 
 # ---------------------------------------------------------------------------

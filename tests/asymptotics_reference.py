@@ -1,5 +1,7 @@
 """Large- and small-|t| profiles of the labeled solution branches: the
 reference that tests/test_asymptotics.py checks the series solver against.
+It also holds ``phi_primitive``, the t-form of the u-charts' primitive of
+sqrt(q) du, against which tests/test_algebra.py checks ``D6Chart.phi``.
 
 Each labeled branch of the two-parameter family carries a reference table:
 the first orders of the algebraic root lambda_0, its momentum mu_0, the
@@ -47,6 +49,7 @@ import cmath
 import numpy as np
 
 from p3wkb.algebra import (
+    AlgebraError,
     BranchPoint,
     Parameters,
     delta,
@@ -54,10 +57,33 @@ from p3wkb.algebra import (
     mu0,
     turning_points,
 )
-from p3wkb.geometry import phi_primitive
 from p3wkb.numerics import Jet
 from p3wkb.series import D6Model, riccati_solution, zero_param_solution
 from p3wkb.voros import EndpointSpec, voros_closed_form
+
+
+class BranchCutError(AlgebraError):
+    """A logarithm in the t-form primitive hit its branch point."""
+
+
+def phi_primitive(b: BranchPoint, p: Parameters) -> complex:
+    """Closed-form primitive of the leading Riccati slot along a branch:
+    its t-derivative is R_{-1}.  Uses principal logarithms; continuity along
+    a path is the caller's concern (evaluate pointwise and chain).  The
+    t-form of the u-charts' primitive ``D6Chart.phi``, kept as its
+    independent reference."""
+    t, lam = complex(b.t), complex(b.lambda0)
+    r = b.sign * cmath.sqrt(delta(b, p))
+    ci, c0 = p.c_inf, p.c_0
+    a1 = 2 * lam - ci + t * r
+    a2 = 2 * lam - ci - t * r
+    b1 = 2 * t * t - c0 * t * lam + t * t * lam * r
+    b2 = 2 * t * t - c0 * t * lam - t * t * lam * r
+    amax = max(abs(a1), abs(a2), abs(b1), abs(b2), 1.0)
+    if min(abs(a1), abs(a2)) < 1e-14 * amax or min(abs(b1), abs(b2)) < 1e-14 * amax:
+        raise BranchCutError("logarithm argument vanishes in the phase primitive")
+    return 0.5 * (4 * t * r - ci * cmath.log(a1 / a2) - c0 * cmath.log(b1 / b2))
+
 
 BRANCHES = ("inf1", "inf2", "inf3", "inf4", "zero_cinf", "zero_c0")
 INF_BRANCHES = BRANCHES[:4]

@@ -1,5 +1,5 @@
 """Stokes geometry: emanating rays, curve tracing, degeneration detection,
-the closed-form phase primitive, and diagram rendering."""
+the t-form phase primitive of the test reference, and diagram rendering."""
 
 import cmath
 import json
@@ -19,20 +19,20 @@ from p3wkb.algebra import (
     Parameters,
     delta,
     lambda0_branches,
+    u_chart,
 )
 from p3wkb.geometry import (
     EPS_TRACE,
     START_FRACTION,
-    BranchCutError,
     TraceError,
     emanation_directions,
-    phi_primitive,
     render,
     stokes_diagram,
     trace_curve,
 )
 from p3wkb.walls import on_imaginary_axis
 
+from asymptotics_reference import BranchCutError, phi_primitive
 from trace_reference import TRACES
 
 P_GEN = Parameters(2 + 1j, 3)
@@ -95,14 +95,17 @@ def test_trace_gives_up_on_a_drift_it_cannot_project_away(monkeypatch):
     # shift of 0.2 of the step, so on the first step it can cancel about
     # 0.15 |phi_1|, and less on every halved step: the tracer must stop
     # with the partial polyline, not crawl on at a millionth of a step
-    # until the arc budget is spent.
-    start_integral = geometry._start_integral
+    # until the arc budget is spent.  The drift enters through the offset
+    # that turns the chart's primitive into the integral from the origin,
+    # so every step's phi carries it.
+    first_point = geometry._first_point
 
     def drifting(*args):
-        phi, sq = start_integral(*args)
-        return complex(phi.real, 0.3 * abs(phi)), sq
+        u, sq, phi, logs, offset = first_point(*args)
+        drift = 0.3j * abs(phi)
+        return u, sq, phi + drift, logs, offset + drift
 
-    monkeypatch.setattr(geometry, "_start_integral", drifting)
+    monkeypatch.setattr(geometry, "_first_point", drifting)
     ch = D6Chart(P_GEN)
     began = time.perf_counter()
     with pytest.raises(TraceError, match="after 20 step halvings") as err:
@@ -254,14 +257,42 @@ def test_traces_match_recorded_curves(name, params):
         assert abs(c.points[-1] - last) <= 1e-12 * abs(last)
         assert abs(c.phi_end - phi_end) <= 1e-12 * abs(phi_end)
         assert abs(c.im_drift - im_drift) <= 1e-12 * im_drift
+        # phi is exact at every step, so what the projection leaves of its
+        # imaginary part is rounding.
+        assert c.im_drift <= 1e-12 * (1 + abs(c.phi_end))
+
+
+def test_steps_cost_at_most_seven_q_calls(monkeypatch):
+    # Every step evaluates the chart's primitive once, at the RK4 end point:
+    # between two of those come the previous step's Newton projection (at
+    # most 3 evaluations of q), RK4 (3) and the end point (1).  On the
+    # reference figures the mean is 5.49 per polyline point; a quadrature
+    # chord would take 8 more per step.
+    events = []
+    for cls in (D6Chart, D7Chart):
+        for name in ("q", "phi"):
+            method = getattr(cls, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                events.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+    points = sum(len(c.points) for _, params in TRACE_CASES
+                 for c in stokes_diagram(params).curves)
+    runs = "".join("p" if e == "phi" else "q" for e in events).split("p")
+    assert max(map(len, runs)) <= 7
+    assert events.count("q") <= 6.0 * points
 
 
 def test_closure_terminus_reports_loop(monkeypatch):
-    # At W1 with a turning-point capture radius too small to catch the
-    # self-connection, the curve from tp1 comes round the double pole and
-    # ends on its own earlier segment.
+    # At W1 moved off the wall by 3e-11 of |c_0|, inside WALL_TOL, the curve
+    # from tp1 comes round the double pole and misses tp1 by about 8e-5, to
+    # the side of its own first ray.  With a turning-point capture radius
+    # too small to catch that, it ends on its own earlier segment.  (On the
+    # wall itself the exact level set runs back into tp1.)
     monkeypatch.setattr(geometry, "_TP_RADIUS", 1e-6)
-    diag = stokes_diagram(Parameters(2 + 1j, 3j))
+    diag = stokes_diagram(Parameters(2 + 1j, -1e-10 + 3j))
     closed = [c for c in diag.curves if c.terminus == "closed"]
     assert [(c.origin, c.ray) for c in closed] == [("tp1", 1)]
     assert [(d.kind, d.participants) for d in diag.degenerations] == \
@@ -408,8 +439,27 @@ def test_first_point_lies_on_the_exact_level_set(params):
         assert abs(integral.imag) <= 1e-10 * abs(integral)
 
 
+@pytest.mark.parametrize("params", [P_GEN, Parameters(3j, 1 - 2j), 2 + 1j, 1j],
+                         ids=["P_GEN", "d6_loop_cinf_A", "d7", "d7_loop"])
+def test_start_integral_matches_the_tau_rule(params):
+    # Phi(u1) - Phi(origin) against 8-point Gauss-Legendre in tau,
+    # u = origin + (u1 - origin) tau^2, in which the (5/2)- and (1/2)-power
+    # behaviour at the origin is analytic: at every origin, on every ray.
+    chart = u_chart(params)
+    x, w = np.polynomial.legendre.leggauss(8)
+    tau = (1 + x) / 2
+    for origin in list(chart.turning_points_u) + [chart.simple_pole_u]:
+        for direction in emanation_directions(origin, chart):
+            u1, _, phi, _, _ = geometry._first_point(chart, origin, direction)
+            raw = np.sqrt(np.asarray(chart.q(origin + (u1 - origin) * tau ** 2), dtype=complex))
+            ref = direction.conjugate()
+            vals = np.where(np.abs(raw - ref) > np.abs(raw + ref), -raw, raw)
+            rule = (u1 - origin) * np.sum(w * tau * vals)
+            assert abs(phi - rule) <= 1e-12 * abs(rule)
+
+
 # ---------------------------------------------------------------------------
-# Closed-form phase primitive
+# The t-form phase primitive (tests/asymptotics_reference.py)
 # ---------------------------------------------------------------------------
 
 def _matched_branch(t, p, lam_ref):
