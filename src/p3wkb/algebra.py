@@ -1,6 +1,7 @@
 """Algebraic layer of the D6 and D7 equations: parameters with genericity
-checks, branches of the leading algebraic functions, turning points, and the
-u-plane charts of both families with their quadratic differentials.
+checks, branches of the leading algebraic functions, the u-plane charts of
+both families with their quadratic differentials, and the data read off the
+charts: turning points and the residues of sqrt(q) du at its poles.
 
 The leading-order equation is the quartic
 
@@ -16,8 +17,10 @@ Stokes tracing happens there.
 Chart maps take a scalar u or a numpy array of nodes.  Each chart also
 gives its local data in closed form: dt/du, q's (u - u_tp)^3 lead at each
 turning point (``turning_point_leads``, which fix the Stokes rays), q's
-residue at the simple pole (``simple_pole_lead``), and a primitive of
-sqrt(q) du (``phi``).
+residue at the simple pole (``simple_pole_lead``), the residues of
+sqrt(q) du at its poles (``pole_residues``), and a primitive of sqrt(q) du
+(``phi``).  ``turning_points`` maps the chart's zeros of q to (t, lambda0);
+``residues`` confirms ``pole_residues`` by contour integrals.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -39,7 +41,6 @@ __all__ = [
     "NearDegenerateWarning",
     "Parameters",
     "BranchPoint",
-    "TurningPointSet",
     "UChart",
     "D6Chart",
     "D7Chart",
@@ -127,22 +128,6 @@ class BranchPoint:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
-    def residual(self, p: Parameters) -> float:
-        t, lam = self.t, self.lambda0
-        return abs(lam ** 4 - p.c_inf * lam ** 3 + p.c_0 * t * lam - t * t)
-
-
-@dataclass(frozen=True)
-class TurningPointSet:
-    """The three turning points (with the colliding lambda0 values) and the
-    simple-pole marker at t = 0."""
-
-    taus: tuple          # 3 x (t, lambda0)
-    tau_sp: complex = 0.0
-
-    def t_values(self) -> list[complex]:
-        return [t for t, _ in self.taus]
-
 
 # ---------------------------------------------------------------------------
 # Branches, Delta, mu0
@@ -161,14 +146,14 @@ def lambda0_branches(t: complex, p: Parameters) -> list[BranchPoint]:
     roots = poly_roots(quartic_coeffs(t, p))
     out = []
     for r in roots:
-        b = BranchPoint(t, r)
+        res = abs(r ** 4 - p.c_inf * r ** 3 + p.c_0 * t * r - t * t)
         # Gate against the quartic's own term sizes at this root, so large
         # parameters or large |t| are judged at their natural float scale.
         scale = max(1.0, abs(t) ** 2, abs(r) ** 4, abs(p.c_inf * r ** 3),
                     abs(p.c_0 * t * r))
-        if b.residual(p) > 1e-10 * scale:
-            raise AlgebraError(f"quartic root residual too large at t={t}: {b.residual(p)}")
-        out.append(b)
+        if res > 1e-10 * scale:
+            raise AlgebraError(f"quartic root residual too large at t={t}: {res}")
+        out.append(BranchPoint(t, r))
     return out
 
 
@@ -186,44 +171,6 @@ def mu0(b: BranchPoint, p: Parameters) -> complex:
         raise AlgebraError("mu0 undefined at lambda0 = 0")
     t, lam = b.t, b.lambda0
     return 0.5 + p.c_0 / (2 * lam) - t / (2 * lam ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Turning points
-# ---------------------------------------------------------------------------
-
-def _cubic_discriminant(coeffs) -> complex:
-    a0, a1, a2, a3 = coeffs
-    return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0 + a2 ** 2 * a1 ** 2
-            - 4 * a3 * a1 ** 3 - 27 * a3 ** 2 * a0 ** 2)
-
-
-def turning_points(p: Parameters) -> TurningPointSet:
-    """The three simple roots of the reduced discriminant cubic
-
-        -256 t^3 + 192 c_inf c_0 t^2 + (6 c_inf^2 c_0^2 - 27 c_inf^4
-        - 27 c_0^4) t + 4 c_inf^3 c_0^3 = 0,
-
-    each paired with the colliding lambda0 (the quartic's double root)."""
-    ci, c0 = p.c_inf, p.c_0
-    coeffs = [
-        4 * ci ** 3 * c0 ** 3,
-        6 * ci ** 2 * c0 ** 2 - 27 * ci ** 4 - 27 * c0 ** 4,
-        192 * ci * c0,
-        -256.0,
-    ]
-    # Internal consistency: the cubic's own discriminant has the closed form
-    # -20155392 (c_inf^2 - c_0^2)^4 (c_inf^2 + c_0^2)^2, nonzero under genericity.
-    disc = _cubic_discriminant(coeffs)
-    expected = -20155392 * (ci ** 2 - c0 ** 2) ** 4 * (ci ** 2 + c0 ** 2) ** 2
-    if abs(disc - expected) > 1e-6 * max(abs(disc), abs(expected)):
-        raise AlgebraError("discriminant-cubic consistency check failed")
-    taus = []
-    for tau in poly_roots(coeffs):
-        roots = poly_roots(quartic_coeffs(tau, p))
-        a, b = min(combinations(roots, 2), key=lambda pair: abs(pair[0] - pair[1]))
-        taus.append((tau, (a + b) / 2))
-    return TurningPointSet(tuple(taus))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +293,12 @@ class D6Chart(UChart):
         self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp ** 2, cm ** 2
 
     def t_of_u(self, u):
-        cp, cm = self.p.c_p, self.p.c_m
+        cp, cm = self._cp, self._cm
         v = u + 1
         return v * v * (cp * cp * u * u - cm * cm) / (4 * u * u)
 
     def lambda0_of_u(self, u):
-        cp, cm = self.p.c_p, self.p.c_m
+        cp, cm = self._cp, self._cm
         return (u + 1) * (cp * u + cm) / (2 * u)
 
     def q(self, u):
@@ -474,20 +421,32 @@ def u_chart(params) -> UChart:
 
 
 # ---------------------------------------------------------------------------
-# Residues of sqrt(q) du, with numeric contour confirmation
+# Turning points, and residues of sqrt(q) du with numeric contour confirmation
 # ---------------------------------------------------------------------------
 
-def _contour_residue(f, center: complex, radius: float, samples: int = 1024) -> complex:
+def turning_points(params) -> tuple:
+    """The turning points (t, lambda0) where two lambda0 sheets meet, read
+    off the chart's order-3 zeros of q: three for D6 (``Parameters``), one
+    for D7 (a complex c: t = 2c^3/27, lambda0 = c^2/9)."""
+    chart = u_chart(params)
+    return tuple(BranchPoint(chart.t_of_u(u), chart.lambda0_of_u(u))
+                 for u in chart.turning_points_u)
+
+
+_CONTOUR_SAMPLES = 1024
+
+
+def _contour_residue(f, center: complex, radius: float) -> complex:
     """(1/2 pi i) * contour integral of f around |u - center| = radius,
     with sign-continuous square-root values supplied by f (f returns the
     principal value; continuity is enforced here)."""
-    theta = 2 * np.pi * np.arange(samples) / samples
+    theta = 2 * np.pi * np.arange(_CONTOUR_SAMPLES) / _CONTOUR_SAMPLES
     z = center + radius * np.exp(1j * theta)
     vals = np.array([f(zz) for zz in z])
     vals = vals * _chain_signs(vals)
     if _nearer_negated(vals[-1], vals[0]):
         raise AlgebraError("residue contour did not close (odd branching inside)")
-    return complex(radius / samples * np.sum(vals * np.exp(1j * theta)))
+    return complex(radius / _CONTOUR_SAMPLES * np.sum(vals * np.exp(1j * theta)))
 
 
 def residues(p, tol: float = 1e-8) -> dict:
@@ -500,29 +459,23 @@ def residues(p, tol: float = 1e-8) -> dict:
         u = -c_m/c_p        -> +/- c_0        ("zero_c0")
 
     and for D7 (a complex c): 0 at u = infinity ("escaped"), +/- c at u = c
-    ("zero_c").  Each closed form is confirmed by numerical contour
-    integration; the contour radius shrinks on failure before giving up."""
+    ("zero_c").  Each closed form is confirmed by one contour integral, on
+    a circle that holds no other singular point: 0.3 of ``special_gap``
+    around a finite pole, and five times beyond the farthest singular point
+    for u = infinity.  A contour that disagrees by ``tol`` or more (relative
+    to max(1, |residue|)) raises ``AlgebraError``."""
     chart = u_chart(p)
     for label, expect in chart.pole_residues.items():
         if label == chart.escape_label:      # u = infinity, integrated in w = 1/u
-            center, base = 0j, 0.2 / max(abs(s) for s in chart.singular_points())
+            center, radius = 0j, 0.2 / max(abs(s) for s in chart.singular_points())
             f = lambda w: np.sqrt(complex(chart.q(1 / w))) / w ** 2
         else:
             center = chart.capture_points()[label]
-            base = 0.3 * chart.special_gap(center)
+            radius = 0.3 * chart.special_gap(center)
             f = lambda u: np.sqrt(complex(chart.q(u)))
-        for shrink in (1.0, 0.5, 0.25):
-            try:
-                val = _contour_residue(f, center, base * shrink)
-            except AlgebraError as e:
-                last_err = e
-                continue
-            if min(abs(val - expect), abs(val + expect)) < tol * max(1.0, abs(expect)):
-                break
-            last_err = AlgebraError(
-                f"residue at {label}: contour {val} vs closed form +/-{expect}")
-        else:
-            raise last_err
+        val = _contour_residue(f, center, radius)
+        if not min(abs(val - expect), abs(val + expect)) < tol * max(1.0, abs(expect)):
+            raise AlgebraError(f"residue at {label}: contour {val} vs closed form +/-{expect}")
     return dict(chart.pole_residues)
 
 

@@ -8,9 +8,10 @@ values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
 in the local coordinate ``s = t - t0``, at one base point or a batch of them,
 held as one complex array, on which the series solvers and
 ``series.EtaSeries`` compute.  A ``Jet`` is one such jet, read-only, with
-operators that run on the same kernels; the chart maps, the contour
-quadratures and the slots of an eta-series use it.  The tests check the
-kernels against numpy's polynomial arithmetic.
+operators that run on the same kernels; in the package only ``series``
+uses it, for the slots of an eta-series and the t-jet of a solution, and
+the tests push it through the chart maps to read off local orders.  The
+tests check the kernels against numpy's polynomial arithmetic.
 """
 
 from __future__ import annotations

@@ -478,10 +478,10 @@ def homogeneity_defects(p: Parameters, t0: complex, eta: complex = 1.0,
     put("mu0", mu0(b2, p2), mu0(b, p))
     put("delta", delta(b2, p2), delta(b, p))
 
-    tv2 = turning_points(p2).t_values()
+    tv2 = [tp.t for tp in turning_points(p2)]
     defect = 0.0
-    for tau in turning_points(p).t_values():
-        target = tau * r ** HOMOGENEITY_WEIGHTS["turning_point"]
+    for tp in turning_points(p):
+        target = tp.t * r ** HOMOGENEITY_WEIGHTS["turning_point"]
         defect = max(defect, min(relative_error(z, target) for z in tv2))
     out["turning_point"] = defect
 

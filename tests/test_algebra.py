@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p3wkb import algebra
 from p3wkb.algebra import (
+    AlgebraError,
     BranchPoint,
     D6Chart,
     D7Chart,
@@ -113,24 +115,65 @@ def test_small_t_branch_realization():
 # Turning points
 # ---------------------------------------------------------------------------
 
+def _d6_quartic(b, p):
+    t, lam = b.t, b.lambda0
+    return lam ** 4 - p.c_inf * lam ** 3 + p.c_0 * t * lam - t * t
+
+
 def test_turning_points_annihilate_delta():
     tps = turning_points(P_GEN)
-    assert len(tps.taus) == 3
-    assert tps.tau_sp == 0
-    for tau, lam in tps.taus:
-        b = BranchPoint(tau, lam)
+    assert len(tps) == 3
+    for b in tps:
         # Double root of the quartic: both the quartic and Delta vanish.
-        assert b.residual(P_GEN) < 1e-6 * max(1.0, abs(tau) ** 2)
+        assert abs(_d6_quartic(b, P_GEN)) < 1e-6 * max(1.0, abs(b.t) ** 2)
         assert abs(delta(b, P_GEN)) < 1e-6
 
 
+def _seeded_d6_params(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        c_inf, c_0 = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
+        if _generic_params(c_inf, c_0):
+            out.append(Parameters(c_inf, c_0))
+    return out
+
+
 def test_turning_points_cubic_roots():
-    ci, c0 = P_ALT.c_inf, P_ALT.c_0
-    for tau in turning_points(P_ALT).t_values():
-        val = (-256 * tau ** 3 + 192 * ci * c0 * tau ** 2
-               + (6 * ci ** 2 * c0 ** 2 - 27 * ci ** 4 - 27 * c0 ** 4) * tau
-               + 4 * ci ** 3 * c0 ** 3)
-        assert abs(val) < 1e-8 * max(1.0, abs(tau)) ** 3
+    # The t where the quartic has a double root solve the reduced discriminant
+    # cubic; its roots, found independently here, match the chart's points
+    # one to one, and lambda0 is the double root there.
+    for p in [P_ALT] + _seeded_d6_params(24, 20):
+        ci, c0 = p.c_inf, p.c_0
+        cubic = [-256, 192 * ci * c0, 6 * ci ** 2 * c0 ** 2 - 27 * ci ** 4 - 27 * c0 ** 4,
+                 4 * ci ** 3 * c0 ** 3]
+        roots = np.roots(cubic)
+        tps = turning_points(p)
+        nearest = [int(np.argmin(abs(roots - b.t))) for b in tps]
+        assert sorted(nearest) == [0, 1, 2]
+        for b, k in zip(tps, nearest):
+            assert abs(b.t - roots[k]) < 1e-12 * abs(roots[k])
+            lam, t = b.lambda0, b.t
+            size = max(abs(t) ** 2, abs(lam) ** 4, abs(ci * lam ** 3))
+            assert abs(_d6_quartic(b, p)) < 1e-12 * size
+            assert abs(4 * lam ** 3 - 3 * ci * lam ** 2 + c0 * t) < 1e-12 * size / abs(lam)
+
+
+@pytest.mark.parametrize("c", [complex(x, y) for x, y in
+                               np.random.default_rng(7).uniform(-3, 3, (10, 2))])
+def test_d7_turning_point_is_the_double_root_of_the_cubic(c):
+    (b,) = turning_points(c)
+    assert abs(b.t - 2 * c ** 3 / 27) < 1e-14 * abs(c) ** 3
+    assert abs(b.lambda0 - c ** 2 / 9) < 1e-14 * abs(c) ** 2
+    t, lam = b.t, b.lambda0
+    size = max(abs(t) ** 2, abs(lam) ** 3, abs(c * t * lam))
+    assert abs(2 * lam ** 3 - c * t * lam + t * t) < 1e-14 * size
+    assert abs(6 * lam ** 2 - c * t) < 1e-14 * size / abs(lam)
+
+
+@pytest.mark.parametrize("chart", [D6Chart(P_GEN), D7Chart(2 + 1j)], ids=["d6", "d7"])
+def test_simple_pole_lies_over_t_zero(chart):
+    assert chart.t_of_u(chart.simple_pole_u) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +263,20 @@ def test_residues_under_parameter_swap(p):
                                      "zero_cinf": res["zero_c0"], "zero_c0": res["zero_cinf"]}
 
 
+@pytest.mark.parametrize("params, label", [(P_GEN, "inf12"), (P_GEN, "inf34"),
+                                           (P_GEN, "zero_cinf"), (P_GEN, "zero_c0"),
+                                           (2 + 1j, "zero_c")])
+def test_residues_refuse_a_wrong_closed_form(monkeypatch, params, label):
+    # A closed form off by 1e-6 relative is 100 times the default tolerance;
+    # the one contour around that pole must catch it.
+    chart = u_chart(params)
+    chart.pole_residues = {**chart.pole_residues,
+                           label: chart.pole_residues[label] * (1 + 1e-6)}
+    monkeypatch.setattr(algebra, "u_chart", lambda _: chart)
+    with pytest.raises(AlgebraError, match=f"residue at {label}:"):
+        residues(params)
+
+
 # ---------------------------------------------------------------------------
 # Homogeneity under (t, c_inf, c_0) -> (r^-2 t, r^-1 c_inf, r^-1 c_0)
 # ---------------------------------------------------------------------------
@@ -239,8 +296,8 @@ def test_homogeneity_of_branch_data(r):
         bs = BranchPoint(t / r ** 2, lam_s)
         assert abs(delta(bs, ps) - r ** 2 * delta(b, p)) < 1e-8 * abs(delta(b, p))
         assert abs(mu0(bs, ps) - mu0(b, p)) < 1e-10
-    taus = sorted(turning_points(p).t_values(), key=lambda z: cmath.phase(z))
-    taus_s = sorted(turning_points(ps).t_values(), key=lambda z: cmath.phase(z * r ** 2))
+    taus = sorted((b.t for b in turning_points(p)), key=lambda z: cmath.phase(z))
+    taus_s = sorted((b.t for b in turning_points(ps)), key=lambda z: cmath.phase(z * r ** 2))
     for tau, tau_s in zip(taus, taus_s):
         assert abs(tau_s - tau / r ** 2) < 1e-10 * max(1.0, abs(tau))
 

@@ -285,6 +285,16 @@ def test_steps_cost_at_most_seven_q_calls(monkeypatch):
     assert events.count("q") <= 6.0 * points
 
 
+def test_spiral_terminus_ends_a_curve_past_its_arc_budget(monkeypatch):
+    # With the budget cut to 0.05 arc_scale, tp0's ray 0 outruns it after a
+    # few points (measured 0.137 against 0.127, after 10 points).
+    monkeypatch.setattr(geometry, "_ARC_BUDGET_FACTOR", 0.05)
+    chart = D6Chart(P_GEN)
+    curve = trace_curve(chart.turning_points_u[0], 0, chart)
+    assert curve.terminus == "spiral"
+    assert curve.arc_length > 0.05 * chart.arc_scale
+
+
 def test_closure_terminus_reports_loop(monkeypatch):
     # At W1 moved off the wall by 3e-11 of |c_0|, inside WALL_TOL, the curve
     # from tp1 comes round the double pole and misses tp1 by about 8e-5, to

@@ -171,6 +171,34 @@ def test_shift_lemma(key, which, equation):
     assert ok, detail
 
 
+def _spoil_variables(bare, parts):
+    return bare, {"c_p": parts["c_p"]}
+
+
+def _spoil_coefficients(bare, parts):
+    # Two wrong coefficients; the first mismatch is the higher power, z^-4.
+    off = (LaurentAtInfinity.monomial(-7, Fraction(1, 3), 21)
+           + LaurentAtInfinity.monomial(-4, Fraction(1, 1000), 21))
+    return bare, {**parts, "c_inf": parts["c_inf"] + off}
+
+
+def _spoil_constant(bare, parts):
+    return bare + 1, parts
+
+
+@pytest.mark.parametrize("spoil, detail", [
+    (_spoil_variables, "variables differ: ['c_inf', 'c_p'] vs ['c_p']"),
+    (_spoil_coefficients, "c_inf: first mismatch at power -4"),
+    (_spoil_constant, "constants do not cancel: total 1"),
+], ids=["variables", "coefficient", "constant"])
+def test_increments_match_refuses_a_spoiled_right_hand_side(spoil, detail):
+    sym = voros_symbolic(EndpointSpec("d6", "zero_cinf", +1))
+    computed = voros_increment(sym, 1, "d6", depth=21)
+    printed = voros_increment_printed("zero_cinf", 1, depth=21)
+    assert increments_match(computed, printed) == (True, "ok")
+    assert increments_match(computed, spoil(*printed)) == (False, detail)
+
+
 # ---------------------------------------------------------------------------
 # Contour oracle vs closed forms
 # ---------------------------------------------------------------------------
