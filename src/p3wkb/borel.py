@@ -49,10 +49,16 @@ An independent Laplace-integral oracle evaluates the same sums directly,
     k_G(y) = (1/(e^y - 1) - 1/y + 1/2) / y,
     k_F(y) = (1/2) k_G(y/2) - k_G(y),
 
-after passing a mandatory exact-rational gate: the Taylor coefficients of
-the kernels at y = 0, computed by power-series inversion of (e^y - 1)/y
-in Fractions (no Bernoulli numbers), must reproduce the series
-coefficients F_n/(2n-2)! and G_n/(2n-2)! exactly.
+along the ray arg y = -theta, theta = sign(arg z) max(0, |arg z| - pi/4),
+which is the real axis for |Im z| <= Re z and keeps |Im(z y)| <= Re(z y)
+beyond it (the kernels' poles lie on the imaginary axis, so the ray may
+turn).  One graded grid in |y| serves every z: eight equal Gauss-Legendre
+panels out to 10 min(1, 1/x), x = Re(z e^{-i theta}), then panels growing
+by 1.6 out to 60/x.  The oracle runs only after passing a mandatory
+exact-rational gate: the Taylor coefficients of the kernels at y = 0,
+computed by power-series inversion of (e^y - 1)/y in Fractions (no
+Bernoulli numbers), must reproduce the series coefficients F_n/(2n-2)!
+and G_n/(2n-2)! exactly.
 """
 
 from __future__ import annotations
@@ -116,6 +122,14 @@ class BorelSumValue:
     argument: complex    # z = c eta
 
 
+def _argument(c: complex, eta: complex) -> complex:
+    """z = c eta, refused with ``ValueError`` unless finite."""
+    z = complex(c) * complex(eta)
+    if not cmath.isfinite(z):
+        raise ValueError(f"c eta must be finite, got c = {c!r}, eta = {eta!r}")
+    return z
+
+
 def _gamma_term(w: complex) -> complex:
     """Binet's J(w) = log Gamma(w) - (w - 1/2) log w + w - (1/2) log 2 pi
     (:func:`numerics.binet`), raising :class:`GammaPoleError` at a pole of
@@ -166,7 +180,7 @@ def _lateral_sum(kind: str, z: complex, side: str) -> complex:
 def _borel_sum(kind: str, c: complex, eta: complex, side: str) -> BorelSumValue:
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    z = complex(c) * complex(eta)
+    z = _argument(c, eta)
     # A -0.0 imaginary part becomes +0.0: J(z) and log z honour the zero's
     # sign but the shifted argument z + 1/2 drops it, so without this the
     # terms of one sum would sit on opposite lips of the cut.
@@ -193,7 +207,7 @@ def jump_factor(kind: str, c: complex, eta: complex) -> complex:
     """
     if kind not in ("F", "G"):
         raise ValueError(f"kind must be 'F' or 'G', got {kind!r}")
-    e = cmath.exp(2j * math.pi * complex(c) * complex(eta))
+    e = cmath.exp(2j * math.pi * _argument(c, eta))
     return 1.0 + e if kind == "F" else 1.0 - e
 
 
@@ -206,8 +220,6 @@ _KERNEL_GATE_ORDERS = 8     # exact coefficient matches demanded per kernel
 _KERNEL_CACHE: np.ndarray | None = None
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_BLOCK_PANELS = 256         # panels evaluated together, bounding the memory
-_MAX_PANELS = 10 ** 6       # grids beyond this are refused, not allocated
 
 
 def _kernel_table(n_terms: int) -> list[Fraction]:
@@ -268,7 +280,10 @@ def _k_G(y: np.ndarray, series: np.ndarray) -> np.ndarray:
     out = np.empty_like(y)
     small = np.abs(y) < 0.1
     if small.any():
-        out[small] = np.polynomial.polynomial.polyval(y[small], series)
+        # k_G is even: its odd coefficients are exact zeros (the gate checks
+        # them), so the even ones are summed as one matrix product in y^2.
+        even = series[::2]
+        out[small] = ((y[small] ** 2)[:, None] ** np.arange(even.size)) @ even
     # k_G is even, so the direct formula is taken on Re y >= 0, where
     # 1/(e^y - 1) = -e^{-y}/expm1(-y) cannot overflow.
     yl = y[~small]
@@ -283,72 +298,49 @@ def _kernel_values(kind: str, y: np.ndarray, series: np.ndarray) -> np.ndarray:
     return 0.5 * _k_G(0.5 * y, series) - _k_G(y, series)
 
 
-def _panel_edges(z: complex) -> np.ndarray:
-    """Edges of the Gauss-Legendre panels of :func:`laplace_oracle`.
-
-    The edge after e is min(1.6 e, e + 6/|Im z|, 60/Re z) beyond the
-    uniform block [0, 10/Re z].  Since 1.6**4 > 6, at most four geometric
-    steps precede either the end or the width cap, after which every panel
-    has the capped width.  Both runs are built by accumulation, so each
-    edge carries the rounding of the step-by-step rule.  The panel count is
-    known before anything large is allocated; above ``_MAX_PANELS`` the
-    grid is refused with a ``ValueError``.
-    """
-    x, w = z.real, abs(z.imag)
-    y_split, y_max = 10.0 / x, 60.0 / x
-    cap = 6.0 / w if w else math.inf
-    geo = np.multiply.accumulate(np.r_[y_split, np.full(4, 1.6)])
-    # m geometric edges lie below y_max; from geo[m] on, the cap or the end rules
-    m = int(np.argmax((geo[1:] > geo[:-1] + cap) | (geo[1:] >= y_max)))
-    start = geo[m]
-    capped = geo[m + 1] > start + cap
-    n_lin = max(8.0, 4.0 * (1.0 + w / x))
-    n_capped = (y_max - start) / cap if capped else 0.0
-    n_panels = n_lin + m + n_capped + 1.0    # within 2 of the count; nan or inf if runaway
-    if not (n_panels <= _MAX_PANELS and y_max < math.inf):
-        raise ValueError(f"Laplace oracle at z = {z} needs about {n_panels:.4g} "
-                         f"quadrature panels out to y = {y_max:.4g}, beyond the "
-                         f"ceiling of {_MAX_PANELS} panels or the float range")
-    run = np.add.accumulate(np.r_[start, np.full(int(n_capped) + 1, cap)])
-    run = run[1:np.searchsorted(run, y_max)]
-    return np.concatenate((np.linspace(0.0, y_split, math.ceil(n_lin) + 1), geo[1:m + 1],
-                           run, [y_max]))
-
-
 def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
     """Evaluate the minus-side sum by direct Laplace quadrature.
 
-    Requires Re(c eta) > 0.  The integrand is sampled on 32-point
-    Gauss-Legendre panels (:func:`_panel_edges`): a uniform block of
-    max(8, ceil(4 (1 + |Im z|/Re z))) panels out to y = 10/Re(z), refined
-    against the oscillation e^{-i Im(z) y}, continued by panels growing by
-    a factor 1.6 but at most 6/|Im z| wide, out to y = 60/Re(z), where the
-    dropped tail is below e^{-60} * (1/(2 y) + 1/y^2)/Re(z) < 1e-26 for
-    every admissible z.  A grid of more than ``_MAX_PANELS`` panels (Re z
-    tiny against |Im z|) raises ``ValueError`` before it is built.
+    Requires Re(c eta) > 0.  The kernels' poles lie on the imaginary axis
+    (y = 2 pi i k, and 4 pi i k for F, k != 0), so by Cauchy's theorem the
+    integral may run along the ray y = rho e^{-i theta} with
 
-    The kernel and e^{-z y} are evaluated on blocks of at most
-    ``_BLOCK_PANELS`` panels, each reduced by one weighted sum, so memory
-    stays bounded whatever the oscillation.  The kernel is evaluated on
-    Re y >= 0 through its evenness, where it cannot overflow.
+        theta = sign(arg z) max(0, |arg z| - pi/4),
+
+    the real axis where |Im z| <= Re z and otherwise the ray on which
+    |Im(z y)| = Re(z y).  Re(z e^{-i psi}) stays positive for psi between 0
+    and theta, and pole k lies 2 pi |k| cos(theta) >= 4.4 |k| from the ray.
+    With x = Re(z e^{-i theta}), the integrand is sampled on 32-point
+    Gauss-Legendre panels in rho: eight equal panels on [0, 10 min(1, 1/x)],
+    resolving both the kernel's unit scale and the exponential's 1/x, then
+    panels growing by a factor 1.6 out to rho = 60/x, where the dropped tail
+    is below e^{-60} (1/(2 rho) + 1/rho^2)/x.  That is 12 panels for x >= 1,
+    42 at x = 1e-6 and about 1,500 at the smallest x the float range
+    admits, so the grid's size is bounded without a cap.  The kernel is
+    evaluated on Re y >= 0 through its evenness, where it cannot overflow.
+
+    Raises ``ValueError`` for an unknown kind, a non-finite z, Re z <= 0, or
+    a ray end 60/x beyond the float range.
     """
     if kind not in ("F", "G"):
         raise ValueError(f"kind must be 'F' or 'G', got {kind!r}")
-    z = complex(c) * complex(eta)
+    z = _argument(c, eta)
     if z.real <= 0.0:
         raise ValueError(f"Laplace oracle needs Re(c eta) > 0, got z = {z}")
-    edges = _panel_edges(z)
-    series = _kernel_series()
-
-    total = 0.0j
-    for lo in range(0, len(edges) - 1, _BLOCK_PANELS):
-        block = edges[lo:lo + _BLOCK_PANELS + 1]
-        a, b = block[:-1], block[1:]
-        half = 0.5 * (b - a)
-        ys = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-        integrand = _kernel_values(kind, ys, series) * np.exp(-z * ys)
-        total += half @ (integrand @ _GL_WEIGHTS)
-    return complex(total)
+    arg = math.atan2(z.imag, z.real)
+    theta = math.copysign(max(0.0, abs(arg) - math.pi / 4), arg)
+    ray = cmath.exp(-1j * theta) if theta else 1.0     # real nodes on the real axis
+    x = (z * ray).real
+    rho_split, rho_max = 10.0 * min(1.0, 1.0 / x), 60.0 / x
+    if not math.isfinite(rho_max):
+        raise ValueError(f"Laplace oracle at z = {z}: the ray end 60/Re(z e^(-i theta)) "
+                         "overflows a float")
+    grown = rho_split * 1.6 ** np.arange(1, math.ceil(math.log(rho_max / rho_split, 1.6)))
+    edges = np.concatenate((np.linspace(0.0, rho_split, 9), grown[grown < rho_max], [rho_max]))
+    half = 0.5 * np.diff(edges)
+    ys = ray * ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES)
+    integrand = _kernel_values(kind, ys, _kernel_series()) * np.exp(-z * ys)
+    return complex(ray * (half @ (integrand @ _GL_WEIGHTS)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from p3wkb.borel import (
     _k_G,
     _kernel_series,
     _kernel_values,
-    _panel_edges,
     _validate_kernels,
     borel_sum_F,
     borel_sum_G,
@@ -114,7 +113,7 @@ def test_gamma_term_next_to_a_pole(z):
 
 def _closed_form_mp(kind, z, side):
     """The Gamma closed forms of the module docstring in 30-digit mpmath,
-    for z off the real axis."""
+    for z off the real axis (the minus sides also for real z > 0)."""
     with mp.workdps(30):
         z = mp.mpc(z)
         half_log_2pi, base = mp.log(2 * mp.pi) / 2, -z * (mp.log(z) - 1)
@@ -306,8 +305,10 @@ def test_laplace_oracle_matches_closed_form(kind, fn, c):
 @pytest.mark.parametrize("kind,fn", [("G", borel_sum_G), ("F", borel_sum_F)])
 @pytest.mark.parametrize("c", [0.05, 0.05 + 5j])
 def test_laplace_oracle_at_small_real_part(kind, fn, c):
-    # The grid reaches y = 1200, where e^y overflows a float; the kernel
-    # must not (RuntimeWarnings from p3wkb.borel are errors, pyproject.toml).
+    # At z = 0.05 the real-axis grid reaches y = 1200, where e^y overflows a
+    # float; the kernel must not (RuntimeWarnings from p3wkb.borel are
+    # errors, pyproject.toml).  z = 0.05 + 5j is integrated on the tilted
+    # ray arg y = -(arg z - pi/4), where Re(z y) = |Im(z y)|.
     closed = fn(c, 1.0).value
     direct = laplace_oracle(kind, c, 1.0)
     assert abs(direct - closed) < 1e-8 * max(1.0, abs(closed))
@@ -318,10 +319,20 @@ def test_kernel_series_is_read_only():
         _kernel_series()[0] = 0.0
 
 
-def test_runaway_grid_is_refused():
-    # About 4e9 panels: refused from the closed-form count, not built.
-    with pytest.raises(ValueError, match="panels"):
-        laplace_oracle("G", 1e-9 + 1j, 1.0)
+@pytest.mark.parametrize("kind", ["F", "G"])
+@pytest.mark.parametrize("z", [0.01, 1e-3, 1e-6, 1e-12, 1e-3 + 1e-3j, 1e-6 + 1e-5j,
+                               1e-9 + 1j, 1e-6 + 1e3j])
+def test_laplace_oracle_at_small_modulus_or_real_part(z, kind):
+    # The first panels must resolve the kernel's unit scale, not only
+    # 1/Re z, and on the tilted ray the grid does not grow with |Im z|/Re z.
+    want = _closed_form_mp(kind, z, "minus")
+    assert abs(laplace_oracle(kind, z, 1.0) - want) < 1e-14 * max(1.0, abs(want))
+
+
+def test_ray_end_beyond_float_range_is_refused():
+    # 60 / Re z overflows a float: refused before any grid is built.
+    with pytest.raises(ValueError, match="float"):
+        laplace_oracle("G", 1e-320, 1.0)
 
 
 #: |Im z| / Re z bands of the borel_laplace benchmark workload.
@@ -358,9 +369,9 @@ def _reference_oracle(kind, z):
 @pytest.mark.parametrize("x", [0.05, 0.5, 5.0])
 @pytest.mark.parametrize("band", RATIO_BANDS)
 def test_block_quadrature_matches_per_panel_rule(band, x, kind):
+    # The oracle's one graded grid, on the tilted ray where |Im z| > Re z,
+    # against the old real-axis rule summed one panel at a time.
     z = complex(x, x * 0.5 * sum(band))
-    edges = _panel_edges(z)
-    assert np.array_equal(edges, _reference_edges(z))
     want = _reference_oracle(kind, z)
     assert abs(laplace_oracle(kind, z, 1.0) - want) < 1e-14 * max(1.0, abs(want))
 
@@ -369,6 +380,34 @@ def test_laplace_oracle_eta_scaling():
     a = laplace_oracle("G", 3.0, 1.0)
     b = laplace_oracle("G", 1.5, 2.0)
     assert abs(a - b) < 1e-12
+
+
+NON_FINITE = [(math.nan, 1.0), (math.inf, 1.0), (complex(1.0, math.inf), 1.0),
+              (1.0, math.nan), (1e200, 1e200)]
+
+
+@pytest.mark.parametrize("c,eta", NON_FINITE)
+def test_borel_sum_F_refuses_non_finite_argument(c, eta):
+    with pytest.raises(ValueError, match="finite"):
+        borel_sum_F(c, eta)
+
+
+@pytest.mark.parametrize("c,eta", NON_FINITE)
+def test_borel_sum_G_refuses_non_finite_argument(c, eta):
+    with pytest.raises(ValueError, match="finite"):
+        borel_sum_G(c, eta, "plus")
+
+
+@pytest.mark.parametrize("c,eta", NON_FINITE)
+def test_jump_factor_refuses_non_finite_argument(c, eta):
+    with pytest.raises(ValueError, match="finite"):
+        jump_factor("G", c, eta)
+
+
+@pytest.mark.parametrize("c,eta", NON_FINITE)
+def test_laplace_oracle_refuses_non_finite_argument(c, eta):
+    with pytest.raises(ValueError, match="finite"):
+        laplace_oracle("G", c, eta)
 
 
 def test_laplace_oracle_preconditions():
