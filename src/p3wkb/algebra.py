@@ -140,19 +140,23 @@ def quartic_coeffs(t: complex, p: Parameters) -> list[complex]:
 
 def lambda0_branches(t: complex, p: Parameters) -> list[BranchPoint]:
     """The four branches of lambda0 over a regular point t != 0."""
+    return _branches(t, lambda t: quartic_coeffs(t, p), "quartic")
+
+
+def _branches(t, coeffs_of, what: str) -> list[BranchPoint]:
+    """The branches over t != 0 of the roots of sum_k a_k lambda^k, a_k =
+    coeffs_of(t).  A root's residual may be at most 1e-10 of max(1, each
+    |a_k root^k|): its own terms set the scale, however large c or |t|."""
     t = complex(t)
     if t == 0:
         raise AlgebraError("t = 0 is the singular point; branches are classified separately")
-    roots = poly_roots(quartic_coeffs(t, p))
+    coeffs = coeffs_of(t)
     out = []
-    for r in roots:
-        res = abs(r ** 4 - p.c_inf * r ** 3 + p.c_0 * t * r - t * t)
-        # Gate against the quartic's own term sizes at this root, so large
-        # parameters or large |t| are judged at their natural float scale.
-        scale = max(1.0, abs(t) ** 2, abs(r) ** 4, abs(p.c_inf * r ** 3),
-                    abs(p.c_0 * t * r))
-        if res > 1e-10 * scale:
-            raise AlgebraError(f"quartic root residual too large at t={t}: {res}")
+    for r in poly_roots(coeffs):
+        terms = [a * r ** k for k, a in enumerate(coeffs)]
+        res = abs(sum(terms))
+        if res > 1e-10 * max(1.0, *map(abs, terms)):
+            raise AlgebraError(f"{what} root residual too large at t={t}: {res}")
         out.append(BranchPoint(t, r))
     return out
 
@@ -482,13 +486,4 @@ def residues(p, tol: float = 1e-8) -> dict:
 def d7_lambda0_branches(t: complex, c: complex) -> list[BranchPoint]:
     """The three branches of the degenerate family's leading cubic
     2 lambda0^3 - c t lambda0 + t^2 = 0 over t != 0."""
-    t = complex(t)
-    if t == 0:
-        raise AlgebraError("t = 0 is the singular point; branches are classified separately")
-    out = []
-    for r in poly_roots([t * t, -c * t, 0.0, 2.0]):
-        res = abs(2 * r ** 3 - c * t * r + t * t)
-        if res > 1e-10 * max(1.0, abs(t)) ** 2:
-            raise AlgebraError(f"cubic root residual too large at t={t}: {res}")
-        out.append(BranchPoint(t, r))
-    return out
+    return _branches(t, lambda t: [t * t, -c * t, 0.0, 2.0], "cubic")

@@ -6,12 +6,14 @@ root along a path.
 Everything in this module but ``DenseJets`` is a pure function over immutable
 values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
 in the local coordinate ``s = t - t0``, at one base point or a batch of them,
-held as one complex array, on which the series solvers and
-``series.EtaSeries`` compute.  A ``Jet`` is one such jet, read-only, with
-operators that run on the same kernels; in the package only ``series``
-uses it, for the slots of an eta-series and the t-jet of a solution, and
-the tests push it through the chart maps to read off local orders.  The
-tests check the kernels against numpy's polynomial arithmetic.
+held as one array, on which the series solvers and ``series.EtaSeries``
+compute.  Its number type is fixed once, from the base points, as
+``np.result_type(t0, np.complex128)``: complex128, or 80-bit ``clongdouble``
+for clongdouble base points, which run the same code in extended precision.
+A ``Jet`` is one such jet, read-only, with operators that run on the same
+kernels; in the package only ``series`` uses it, for the slots of an
+eta-series and the t-jet of a solution.  The tests check the kernels
+against numpy's polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ class DenseJets:
 
     def __init__(self, t0, K: int):
         self.K = K
-        self.t0 = np.asarray(t0, complex)   # one arithmetic for one node or many
+        self.t0 = np.asarray(t0, np.result_type(t0, np.complex128))
+        self.dtype = self.t0.dtype
         self.batch = np.shape(t0)
         self.small = self.t0.size <= _OUTER_PRODUCT_NODES
         tail = (slice(None),) * len(self.batch)
@@ -366,7 +369,7 @@ class DenseJets:
         self._t_powers = {}
 
     def zeros(self, *lead) -> np.ndarray:
-        return np.zeros(lead + (self.K + 1,) + self.batch, complex)
+        return np.zeros(lead + (self.K + 1,) + self.batch, self.dtype)
 
     def constant(self, value) -> np.ndarray:
         out = self.zeros()
@@ -376,8 +379,8 @@ class DenseJets:
     def t_power(self, p: int) -> np.ndarray:
         """The jet of t^p: binomial coefficients of (t0 + s)^p."""
         if p not in self._t_powers:
-            fac = np.ones((self.K + 1,) + self.batch, complex)
-            k = np.arange(1, self.K + 1)
+            fac = np.ones((self.K + 1,) + self.batch, self.dtype)
+            k = np.arange(1, self.K + 1, dtype=self.t0.real.dtype)
             fac[1:] = ((p - k + 1) / k).reshape(self._kfac.shape) / self.t0
             self._t_powers[p] = self.t0 ** p * np.cumprod(fac, axis=0)
         return self._t_powers[p]
@@ -436,7 +439,7 @@ class DenseJets:
         q = A.shape[1] - 1 if order is None else order
         i = np.arange(lo, hi + 1, step)
         if not len(i):
-            return np.zeros((q + 1,) + self.batch, complex)
+            return self.zeros()[:q + 1]
         terms = self.products(A[i, :q + 1], B[m - i, :q + 1])
         return _running_sum(terms)[0] if self.small else terms.sum(axis=0)
 
@@ -454,7 +457,7 @@ class DenseJets:
         shifted rows of ``products`` once per distinct order."""
         K = A.shape[1] - 1
         orders = (K,) * len(A) if orders is None else tuple(np.minimum(orders, K).tolist())
-        out = np.zeros(A.shape, complex)
+        out = np.zeros(A.shape, self.dtype)
         if self.small:
             first, second, cells, runs, blocks, targets = _cauchy_cells(
                 len(A), step_a, step_b, K, orders)
@@ -476,7 +479,7 @@ class DenseJets:
         as the full-order inverse computes it."""
         K = A.shape[1] - 1
         orders = [K] * len(A) if orders is None else np.minimum(orders, K).tolist()
-        out = np.zeros(A.shape, complex)
+        out = np.zeros(A.shape, self.dtype)
         q = orders[0]
         out[0, :q + 1] = self.divide(self.constant(1.0)[:q + 1], A[0, :q + 1])
         for m in range(step, len(A), step):
@@ -491,7 +494,7 @@ class DenseJets:
     def divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         _refuse_zero_constant(y, "division")
         inv0 = 1.0 / y[:1]
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
         out[:1] = x[:1] * inv0
         for k in range(1, len(out)):
             out[k:k + 1] = (x[k:k + 1] - _running_sum(out[:k] * y[k:0:-1])) * inv0
@@ -530,7 +533,9 @@ class Jet:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, complex).view()
+        coeffs = np.asarray(self.coeffs)
+        coeffs = coeffs.astype(np.result_type(self.base_point, coeffs, np.complex128),
+                               copy=False).view()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -538,16 +543,14 @@ class Jet:
 
     @staticmethod
     def constant(value, base_point: complex, order: int) -> "Jet":
-        coeffs = np.zeros((order + 1,) + np.shape(base_point), complex)
-        coeffs[0] = value
-        return Jet(base_point, coeffs)
+        return Jet(base_point, DenseJets(base_point, order).constant(value))
 
     @staticmethod
     def variable(base_point: complex, order: int) -> "Jet":
         """The jet of t itself: t = base_point + s."""
         if order < 1:
             raise ValueError("variable jet needs order >= 1")
-        coeffs = np.zeros((order + 1,) + np.shape(base_point), complex)
+        coeffs = DenseJets(base_point, order).zeros()
         coeffs[0], coeffs[1] = base_point, 1.0
         return Jet(base_point, coeffs)
 

