@@ -343,6 +343,38 @@ class D6Chart(UChart):
         p = self.p
         return {"c_inf": [p.c_inf.real, p.c_inf.imag], "c_0": [p.c_0.real, p.c_0.imag]}
 
+    @staticmethod
+    def lambda0_u_jets(p: Parameters, jets, lam) -> tuple:
+        """The u-jets of dlambda0/du and of 1/t'(u), of order K - 1 in
+        v = u - u0, at the chart points u0 of (t0, lam): the base points t0
+        of the DenseJets ``jets`` and the roots lam (shape (1, *batch)) of
+        the quartic there.  u0 = c_m lam / (lam^2 - t0 - c_m lam), then two
+        Newton steps on t(u) = t0.  No chart is built: c_p and c_m are
+        formed here, in the base points' number type.
+
+            dlambda0/du = c_p/2 - (c_m/2) / u^2
+            1/t'(u)     = 2 u^3 / ((u + 1) (c_p^2 u^3 + c_m^2))"""
+        c_inf, c_0 = np.asarray(p.c_inf, jets.dtype), np.asarray(p.c_0, jets.dtype)
+        cp, cm = (c_inf + c_0) / 2, (c_inf - c_0) / 2
+        cp2, cm2 = cp * cp, cm * cm
+        t = jets.t0[None]
+        u = cm * lam / (lam * lam - t - cm * lam)
+        for _ in range(2):
+            uu, w = u * u, u + 1
+            t_u = w * w * (cp * u - cm) * (cp * u + cm) / (4 * uu)
+            u = u - (t_u - t) / (w * (cp2 * uu * u + cm2) / (2 * uu * u))
+        K = jets.K
+        inv = 1 / u
+        geo = np.empty((K,) + u.shape[1:], u.dtype)      # (-1)^k / u^(k+2)
+        geo[:1], geo[1:] = inv * inv, -inv
+        np.cumprod(geo, axis=0, out=geo)
+        dlam = (-cm / 2) * np.arange(1, K + 1).reshape((-1,) + (1,) * (geo.ndim - 1)) * geo
+        dlam[:1] += cp / 2
+        cube = _linear_factors_jet(K, u, u, u)
+        cubic = cp2 * cube
+        cubic[:1] += cm2
+        return dlam, jets.divide(2 * cube, _times_linear(cubic, u + 1))
+
 
 class D7Chart(UChart):
     """u-plane chart of the degenerate (D7) equation.
@@ -406,6 +438,37 @@ class D7Chart(UChart):
 
     def parameter_dict(self) -> dict:
         return {"c": [self.c.real, self.c.imag]}
+
+    @staticmethod
+    def lambda0_u_jets(c, jets, lam) -> tuple:
+        """``D6Chart.lambda0_u_jets`` for the cubic, at u0 = t0/lam:
+
+            dlambda0/du = (c - 2u)/2
+            1/t'(u)     = 2 / (u (2c - 3u))"""
+        c = np.asarray(c, jets.dtype)
+        u = jets.t0[None] / lam
+        K = jets.K
+        dlam = np.zeros((K,) + u.shape[1:], u.dtype)       # K >= 2 (K >= N + 2)
+        dlam[:1], dlam[1] = (c - 2 * u) / 2, -1
+        return dlam, jets.divide(jets.constant(2)[:K],
+                                     _times_linear(_linear_factors_jet(K, u), 2 * c - 3 * u, -3))
+
+
+def _linear_factors_jet(K: int, *roots):
+    """The jet of order K - 1 in v of the product of the factors u + v, one
+    per u in ``roots`` (arrays of shape (1, *batch))."""
+    out = np.zeros((K,) + roots[0].shape[1:], roots[0].dtype)
+    out[0] = 1
+    for u in roots:
+        out = _times_linear(out, u)
+    return out
+
+
+def _times_linear(a, b, slope=1):
+    """The jet a times (b + slope v), truncated to the order of a."""
+    out = a * b
+    out[1:] += slope * a[:-1]
+    return out
 
 
 def _continued_log_quotient(x: complex, y: complex, xy: complex, prev: complex) -> complex:

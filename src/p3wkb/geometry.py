@@ -198,7 +198,6 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     errors do not accumulate."""
     # Start from the chart's own point, so the origin is not taken for a target.
     origin_label, origin = _trace_origin(complex(origin), chart)
-    specials = chart.singular_points()
     scale = chart.scale
     directions = emanation_directions(origin, chart)
     if not 0 <= ray < len(directions):
@@ -217,6 +216,13 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     tp_radius = _TP_RADIUS * scale
     tp_targets = [(k, u_tp, chart.same_point(u_tp, origin))
                   for k, u_tp in enumerate(chart.turning_points_u)]
+    # Every singular point of the chart, once: the turning points, the
+    # simple pole, then the capture points.  Their distances from u are
+    # taken once per accepted step; the nearest sets the next step, and the
+    # terminus tests below read the others only if it is within reach.
+    specials = [u_tp for _, u_tp, _ in tp_targets] + [sp] + [pole for _, pole, _ in captures]
+    n_tp = len(tp_targets)
+    reach = max([sp_radius, tp_radius] + [radius for _, _, radius in captures])
     sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
 
@@ -243,8 +249,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         return s.conjugate() / abs(s), s
 
     step_shrink = 0
+    dists = [abs(u - s) for s in specials]
+    d_near = min(dists)
     while terminus is None:
-        d_near = min([abs(u - s) for s in specials])
         h = min(max_h, _STEP_FACTOR * max(d_near, 1e-12))
         h /= 2 ** step_shrink
         if h < min_h:
@@ -322,20 +329,23 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         if abs(u) > escape or far_out:
             terminus = chart.escape_label
             break
-        for label, pole, radius in captures:
-            if abs(u - pole) < radius:
-                terminus = label
-        if terminus:
-            break
-        if (left_origin or not sp_is_origin) and abs(u - sp) < sp_radius:
-            terminus = "simple_pole"
-            break
-        for k, u_tp, tp_is_origin in tp_targets:
-            if (left_origin or not tp_is_origin) and abs(u - u_tp) < tp_radius:
-                terminus = f"turning_point:{k}"
+        dists = [abs(u - s) for s in specials]
+        d_near = min(dists)
+        if d_near < reach:
+            for (label, _, radius), d in zip(captures, dists[n_tp + 1:]):
+                if d < radius:
+                    terminus = label
+            if terminus:
                 break
-        if terminus:
-            break
+            if (left_origin or not sp_is_origin) and dists[n_tp] < sp_radius:
+                terminus = "simple_pole"
+                break
+            for (k, _, tp_is_origin), d in zip(tp_targets, dists):
+                if (left_origin or not tp_is_origin) and d < tp_radius:
+                    terminus = f"turning_point:{k}"
+                    break
+            if terminus:
+                break
         if arc > budget:
             terminus = "spiral"
             break

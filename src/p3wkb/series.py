@@ -7,9 +7,10 @@ them, of the number type ``DenseJets`` takes from the base points, and
 computes with the ``DenseJets`` kernels.  On it sit:
 
 * the zero-parameter formal solution lambda^(0) = lambda_0 + eta^-2 lambda_2
-  + ... of the second-order equation: lambda_0 by Newton's method, on its
-  value and then on jets of doubling order, and every later slot by the
-  term-by-term recursion, in which the new slot enters linearly,
+  + ... of the second-order equation: lambda_0's value by Newton's method,
+  its t-derivatives by the chain rule from the u-chart, on which lambda_0
+  and t are rational, and every later slot by the term-by-term recursion,
+  in which the new slot enters linearly,
 * the Riccati series R = eta R_{-1} + R_0 + eta^-1 R_1 + ... attached to
   the linearization along lambda^(0), by the same kind of recursion,
 * the conjugate-momentum series, Hamiltonians, and the parameter-shift
@@ -35,6 +36,8 @@ import numpy as np
 
 from .algebra import (
     BranchPoint,
+    D6Chart,
+    D7Chart,
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
@@ -139,6 +142,11 @@ class EtaSeries:
             return value
         n = max(template.n_slots, 1 - template.lowest_power)
         return EtaSeries.from_slots({1 - n: 0, -1: shift, 0: value}, template.t0, template.K)
+
+    @staticmethod
+    def inverse_eta(template: "EtaSeries") -> "EtaSeries":
+        """eta^-1, lifted like ``template``: the unit of a parameter shift."""
+        return EtaSeries.lift(0, template, 1)
 
     # -- ring operations ----------------------------------------------------
 
@@ -249,6 +257,11 @@ class D6Model:
     def branches(self, t):
         return lambda0_branches(t, self.p)
 
+    def lambda0_u_jets(self, jets: DenseJets, lam) -> tuple:
+        """The u-jets of dlambda_0/du and 1/t'(u) at the roots lam of the
+        leading equation over the base points (``D6Chart.lambda0_u_jets``)."""
+        return D6Chart.lambda0_u_jets(self.p, jets, lam)
+
     def lam_poly(self) -> tuple:
         """lam t^2 F(lam) = lam^4 - c_inf lam^3 + c_0 t lam - t^2 as terms
         (d, e, a, p), each a t^p lam^d eta^-e."""
@@ -282,20 +295,20 @@ class D6Model:
 
     def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
-        em = EtaSeries.lift(0, lam, 1)
+        em = EtaSeries.inverse_eta(lam)
         lam2 = lam * lam
         return (lam2 * (mu * mu) - (lam2 + (c0 - em) * lam - t) * mu
                 + 0.5 * (ci + c0 - em) * lam)
 
     def t_hamiltonian_dlam(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         ci, c0 = self.c_series(lam)
-        em = EtaSeries.lift(0, lam, 1)
+        em = EtaSeries.inverse_eta(lam)
         return (2 * lam * (mu * mu) - (2 * lam + (c0 - em)) * mu
                 + 0.5 * (ci + c0 - em))
 
     def backlund(self, lam: EtaSeries, mu: EtaSeries, t: Jet, which: int) -> tuple:
         ci, c0 = self.c_series(lam)
-        em = EtaSeries.lift(0, lam, 1)
+        em = EtaSeries.inverse_eta(lam)
         if which == 1:
             den = 2 * (lam * lam) * (mu - 1) + (ci - c0 + em) * lam + 2 * t
             Lam = -(lam.inverse() * t) + (ci + c0 + em) * t * den.inverse()
@@ -329,6 +342,9 @@ class D7Model:
     def branches(self, t):
         return d7_lambda0_branches(t, self.c)
 
+    def lambda0_u_jets(self, jets: DenseJets, lam) -> tuple:
+        return D7Chart.lambda0_u_jets(self.c, jets, lam)
+
     def lam_poly(self) -> tuple:
         """lam t^2 F(lam) = -2 lam^3 + c t lam - t^2 as (d, e, a, p) terms."""
         return ((3, 0, -2, 0), (1, 0, self.c, 1), (1, 1, self.shift, 1), (0, 0, -1, 2))
@@ -353,12 +369,12 @@ class D7Model:
 
     def t_hamiltonian(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
-        em = EtaSeries.lift(0, lam, 1)
+        em = EtaSeries.inverse_eta(lam)
         return lam * lam * (mu * mu) - (c - em) * lam * mu + t * mu + lam
 
     def t_hamiltonian_dlam(self, lam: EtaSeries, mu: EtaSeries, t: Jet) -> EtaSeries:
         c = self.c_series(lam)
-        return 2 * lam * (mu * mu) - (c - EtaSeries.lift(0, lam, 1)) * mu + 1
+        return 2 * lam * (mu * mu) - (c - EtaSeries.inverse_eta(lam)) * mu + 1
 
     def backlund(self, lam: EtaSeries, mu: EtaSeries, t: Jet, which: int) -> tuple:
         """c -> c + eta^-1 (``which`` is ignored)."""
@@ -429,18 +445,20 @@ def _slot_orders(K: int, N: int, shifted: bool):
 
 def _lambda0_jet(model, jets: DenseJets, seed):
     """The jet of lambda_0, the root of P(lam) = lam t^2 F(lam) at
-    eta^-1 = 0 through ``seed``, with P'(lambda_0) and per node the Newton
-    gate's residual-to-scale ratio and the turning-point gate's ratio.  A
-    gate's error names the failing node by its index in the flattened
-    base points.
+    eta^-1 = 0 through ``seed``, with P'(lambda_0) and per node the
+    residual gate's ratio and the turning-point gate's ratio.  A gate's
+    error names the failing node by its index in the flattened base
+    points; a ratio that is NaN fails its gate.
 
-    Newton runs on the values first; then each jet step doubles the order
-    (from a root correct through order q, one step is correct through
-    2q + 1) until it reaches K."""
+    The value is the root after two Newton steps on the values.  The
+    t-derivatives come from the model's u-chart, on which lambda_0 and t
+    are rational in u: with D = (1/t'(u)) d/du, the chain rule gives
+    lambda_k = (D^k lambda_0)(u_0)/k!, K products of falling order of the
+    u-jets of dlambda_0/du and 1/t'(u) at the chart point u_0 of the node."""
     coeff = jets.zeros(1 + max(d for d, *_ in model.lam_poly()))
     for d, e, a, p in model.lam_poly():
         if e == 0:
-            coeff[d] += a * jets.t_power(p)
+            coeff[d] += a * jets.t_power(p) if p else jets.constant(a)
     top = len(coeff) - 1
 
     def horner(lam):
@@ -454,44 +472,59 @@ def _lambda0_jet(model, jets: DenseJets, seed):
             vd = nxt
         return vd[1], vd[0]
 
+    def values(lam):
+        """``horner`` for values (shape (1, *batch)): the same sums, without
+        the jet products' overhead."""
+        val, dval = coeff[top, :1], 0
+        for d in range(top - 1, -1, -1):
+            dval = dval * lam + val
+            val = val * lam + coeff[d, :1]
+        return val, dval
+
     lam = np.asarray(seed, jets.dtype)[None]
-    for _ in range(6):
-        val, dval = horner(lam)
-        lam = lam - val / dval
+    with np.errstate(divide="ignore", invalid="ignore"):   # the gate refuses a NaN root
+        for _ in range(2):
+            val, dval = values(lam)
+            lam = lam - val / dval
     # At a turning point lambda_0 is a double root, P'(lambda_0) is rounding
-    # next to the terms of P, and the jet steps would divide by it.  The gate
-    # is relative to the largest monomial |a lam^d t^p| of P at the node.
+    # next to the terms of P, and t'(u_0) vanishes with it.  The gate is
+    # relative to the largest monomial |a lam^d t^p| of P at the node.
     terms = np.abs([a * lam[0] ** d * jets.t0 ** p
                     for d, e, a, p in model.lam_poly() if e == 0])
-    delta_ratio = np.abs(lam[0] * horner(lam)[1][0]) / terms.max(axis=0)
-    if np.min(delta_ratio) < 1e-6:
+    delta_ratio = np.abs(lam[0] * values(lam)[1][0]) / terms.max(axis=0)
+    if not np.all(delta_ratio >= 1e-6):
         node = int(np.argmin(delta_ratio))
         raise ConditioningError(
-            f"|lambda_0 P'(lambda_0)| is {np.min(delta_ratio):.2e} of P's largest term "
-            f"at node {node}, t0={np.ravel(jets.t0)[node]}: "
+            f"|lambda_0 P'(lambda_0)| is {np.ravel(delta_ratio)[node]:.2e} of P's largest "
+            f"term at node {node}, t0={np.ravel(jets.t0)[node]}: "
             "too close to a turning point")
-    q = 0
-    while q < jets.K:
-        q = min(2 * q + 1, jets.K)
-        grown = jets.zeros()[:q + 1]
-        grown[:len(lam)] = lam
-        val, dval = horner(grown)
-        lam = grown - jets.divide(val, dval)
-    val, dval = horner(lam)
+    K = jets.K
+    dlam, inv_dt = model.lambda0_u_jets(jets, lam)
+    kfac = np.arange(1, K + 1).reshape((-1,) + (1,) * len(jets.batch))
+    out = jets.zeros()
+    out[:1] = lam
+    for k in range(1, K + 1):
+        # dlam: the u-jet of d/du D^(k-1) lambda_0, then of D^k lambda_0
+        # through order K - k, whose value is k! lambda_k.
+        dlam = jets.products(inv_dt[None, :K + 1 - k], dlam[None])[0]
+        out[k] = dlam[0]
+        dlam = dlam[1:] * kfac[:K - k]
+    out[1:] /= np.cumprod(kfac.astype(jets.t0.real.dtype), axis=0)
+    val, dval = horner(out)
     # Gate the residual per node against the size of the polynomial's own
     # terms (lam * P'(lam) dominates the leading monomial), so batches that
     # mix very different |t| scales are judged each at their own scale.
     res = np.abs(val).max(axis=0)
-    scale = np.abs(jets.products(lam[None], dval[None])[0]).max(axis=0)
+    scale = np.abs(jets.products(out[None], dval[None])[0]).max(axis=0)
     ratio = res / np.maximum(1.0, np.maximum(scale, np.abs(jets.t0) ** 2))
-    failed = ratio > 1e-8
+    failed = ~(ratio <= 1e-8)
     if np.any(failed):
         node = int(np.argmax(np.where(failed, ratio, 0.0)))
         raise ConditioningError(
-            f"jet Newton iteration for lambda_0 did not converge at node "
-            f"{node}, t0={np.ravel(jets.t0)[node]}: residual "
-            f"{np.ravel(ratio)[node]:.2e} of its scale (gate 1e-8)")
-    return lam, dval, ratio, delta_ratio
+            f"the jet of lambda_0 leaves a residual of P at node {node}, "
+            f"t0={np.ravel(jets.t0)[node]}: {np.ravel(ratio)[node]:.2e} of its scale "
+            "(gate 1e-8)")
+    return out, dval, ratio, delta_ratio
 
 
 def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
@@ -554,8 +587,8 @@ class ZeroParamSolution:
     made with ``dataclasses.replace`` derives its own mu from its own lam.
 
     ``diagnostics`` records what the conditioning gates measured: the worst
-    Newton residual-to-scale ratio of lambda_0 (``newton_ratio``, gate
-    1e-8) at node ``newton_node``; the smallest turning-point ratio
+    ratio of P's residual at lambda_0's jet to its scale (``newton_ratio``,
+    gate 1e-8) at node ``newton_node``; the smallest turning-point ratio
     |lambda_0 P'(lambda_0)| / max |a lambda_0^d t^p| over the monomials
     of P (``delta_ratio``, gate 1e-6) at node ``delta_ratio_node``; and,
     ungated, the smallest |Delta| (``delta_min``) at node ``delta_node``.
@@ -742,7 +775,7 @@ def x_factor(ric: RiccatiSolution) -> EtaSeries:
     inv_lam2 = lam2.inverse()
     inv_lam3 = (lam2 * lam).inverse()
     common = ((ric.R * t) * inv_lam2 * 0.5 - (lam.derive() * t) * inv_lam3).shift_eta(-1)
-    coupling = zp.model.coupling(lam) - EtaSeries.lift(0, lam, 1)
+    coupling = zp.model.coupling(lam) - EtaSeries.inverse_eta(lam)
     return common - coupling * inv_lam2 * 0.5 + t * inv_lam3
 
 

@@ -2,6 +2,7 @@
 Hamiltonians, and parameter-shift transformations."""
 
 import cmath
+import re
 import warnings
 from dataclasses import replace
 
@@ -47,10 +48,6 @@ def zp():
 @pytest.fixture(scope="module")
 def ric(zp):
     return riccati_solution(zp, +1)
-
-
-def _eta_minus(template):
-    return EtaSeries.lift(0, template, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def test_shift_difference_identity_first(zp, sign):
     # R at shifted parameters minus R equals d/dt log(t * G1), with the same
     # square-root sign convention on both sides.
     lam, mu, t = zp.lam, zp.mu, zp.t_jet
-    em = _eta_minus(lam)
+    em = EtaSeries.inverse_eta(lam)
     ci, c0 = zp.model.c_series(lam)
     r = riccati_solution(zp, sign)
     x = x_factor(r)
@@ -289,7 +286,7 @@ def test_shift_difference_identity_first(zp, sign):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_shift_difference_identity_second(zp, sign):
     lam, mu, t = zp.lam, zp.mu, zp.t_jet
-    em = _eta_minus(lam)
+    em = EtaSeries.inverse_eta(lam)
     ci, c0 = zp.model.c_series(lam)
     r = riccati_solution(zp, sign)
     x = x_factor(r)
@@ -422,15 +419,16 @@ def test_slots_match_the_elimination_engine(case, N):
 
 def test_ill_conditioned_slots_match_high_precision():
     # On branch 0 of D7 the shifted slots fall to 1e-6 of lambda_0 by
-    # N = 12.  The solve differs from these 40-digit literals by up to
-    # 5.8e-12 of the largest slot, but from its own 80-bit run by 4.7e-13
-    # at most (test_series_80bit.py), and the literals differ from that
-    # run by up to 3.6e-12: the gap is the literals', not double rounding.
+    # N = 12.  The literals come from an independent 40-digit mpmath solve
+    # (series_reference.py) and agree with the 80-bit run to its rounding
+    # (test_series_80bit.py).  The solve differs from them by up to 1.4e-13
+    # (lam), 7.6e-13 (mu) and 9.7e-13 (R) of the largest slot: complex128
+    # rounding, amplified as the slots fall.
     zp = zero_param_solution(T0, d7_lambda0_branches(T0, C7)[0],
                              model=D7Model(C7).backlund_shifted(1), N=12)
     ric = riccati_solution(zp, +1)
     for name, series in (("lam", zp.lam), ("mu", zp.mu), ("R", ric.R)):
-        assert _max_slot_error(series, HIGH_PRECISION[name]) < 1e-11, name
+        assert _max_slot_error(series, HIGH_PRECISION[name]) < 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +525,18 @@ def test_base_point_at_a_turning_point_is_refused(k):
         for N in (4, 8):
             with pytest.raises(ConditioningError):
                 zero_param_solution(tau, BranchPoint(tau, lam), model=D6Model(P), N=N)
+
+
+def test_a_node_exactly_at_a_turning_point_is_refused_by_name():
+    # At c = 3 the D7 turning point t = 2c^3/27 = 2, lambda_0 = c^2/9 = 1 is
+    # exact: P and P' vanish there, Newton's 0/0 leaves a NaN root and so a
+    # NaN gate ratio, which the gate must refuse, alone or in a batch.
+    model = D7Model(3)
+    ts = np.array([0.8 + 0.6j, 2, -1.7 + 0.2j])
+    lams = np.array([model.branches(ts[0])[0].lambda0, 1, model.branches(ts[2])[1].lambda0])
+    for t, lam, node in ((ts[1], lams[1], 0), (ts, lams, 1)):
+        with pytest.raises(ConditioningError, match=re.escape(f"at node {node}, t0=(2+0j):")):
+            zero_param_solution(t, BranchPoint(t, lam), model=model, N=4)
 
 
 def test_diagnostics_record_the_turning_point_ratio(zp):

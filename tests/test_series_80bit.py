@@ -135,13 +135,13 @@ _LEADS = {
 }
 
 # (branches, |t|): bounds unshifted and shifted.  zero_c0 and zero_c are
-# taken at 3e-2: at 1e-2 and N = 12 the complex128 Newton gate on lambda_0
-# refuses them.  On the simple-pole branches the error grows fast as t
-# nears 0: up to 9.4e-7 at 1e-2 (at 1e-4 it reaches the size of mu's
-# slots).  Measured, unshifted and shifted: zero_cinf 2.7e-13, 1.4e-13
-# at 1e-2 and 6.7e-13, 1.7e-12 at 1e-4; zero_c0 6.9e-15, 5.7e-12; D6's
-# simple pole 2.8e-7, 4.9e-7; zero_c 3.8e-13, 5.8e-11; D7's simple pole
-# 5.5e-7, 9.4e-7.
+# taken at 3e-2 here; test_zero_c_branches_near_t_zero_against_80_bit takes
+# them nearer.  On the simple-pole branches the error grows fast as t
+# nears 0: up to 2.6e-6 at 1e-2 (at 1e-4 it reaches the size of mu's
+# slots).  Measured, unshifted and shifted: zero_cinf 2.7e-13, 6.5e-14
+# at 1e-2 and 6.7e-13, 1.7e-12 at 1e-4; zero_c0 9.6e-15, 1.2e-11; D6's
+# simple pole 3.1e-7, 3.4e-7; zero_c 4.0e-13, 9.7e-11; D7's simple pole
+# 2.0e-6, 2.6e-6.
 NEAR_ZERO_TOL = {("d6:zero_cinf", 1e-2): (2e-12, 1e-12),
                  ("d6:zero_cinf", 1e-4): (5e-12, 1.5e-11),
                  ("d6:zero_c0", 3e-2): (5e-14, 5e-11),
@@ -163,6 +163,35 @@ def test_slots_near_t_zero_against_80_bit(family, shifted):
     errs = _group_errors(model, groups)[0]
     for key in groups:
         assert errs[key] <= NEAR_ZERO_TOL[key][shifted], key
+
+
+#: (family, |t|): bounds on lambda, mu and R, unshifted and shifted, on the
+#: branch lambda_0 ~ t/c_0 (D6) or t/c (D7) in six directions around t = 0.
+#: Measured (lambda, mu, R), unshifted / shifted:
+#:   d6 1e-2: 5.7e-19, 4.7e-14, 1.2e-14 / 9.0e-16, 5.7e-11, 1.1e-12
+#:   d6 1e-3: 6.0e-20, 3.5e-13, 1.4e-14 / 6.1e-17, 3.8e-10, 8.8e-13
+#:   d7 1e-2: 1.2e-17, 4.4e-13, 2.7e-13 / 3.3e-14, 1.3e-9, 4.0e-11
+#:   d7 1e-3: 1.1e-19, 4.4e-13, 3.8e-13 / 3.1e-15, 5.6e-9, 1.6e-11
+ZERO_C_TOL = {("d6", 1e-2): ((5e-18, 4e-13, 1e-13), (8e-15, 5e-10, 1e-11)),
+              ("d6", 1e-3): ((5e-19, 3e-12, 1e-13), (5e-16, 3e-9, 8e-12)),
+              ("d7", 1e-2): ((1e-16, 4e-12, 2e-12), (3e-13, 1e-8, 4e-10)),
+              ("d7", 1e-3): ((1e-18, 4e-12, 3e-12), (3e-14, 5e-8, 1.5e-10))}
+
+
+@needs_80_bit
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("family, radius", sorted(ZERO_C_TOL))
+def test_zero_c_branches_near_t_zero_against_80_bit(family, radius, shifted):
+    # At N = 12 the jet Newton for lambda_0 failed its gate at every one of
+    # these groups (D6: ratios up to 2.3 at 1e-3); read off the u-chart,
+    # lambda_0's jet solves them.
+    model = MODELS[family + ("-b1" if shifted else "")]
+    c = P.c_0 if family == "d6" else C7
+    ts = radius * np.exp(1j * (0.3 + np.pi / 3 * np.arange(6)))
+    lams = np.array([min((b.lambda0 for b in model.branches(t)), key=lambda v: abs(v - t / c))
+                     for t in ts])
+    errs = _slot_errors(model, ts, lams)[0].max(axis=1)
+    assert np.all(errs <= ZERO_C_TOL[family, radius][shifted]), errs
 
 
 @needs_80_bit
@@ -199,8 +228,9 @@ def test_80_bit_base_point_at_a_turning_point_is_refused(family):
 def test_ill_conditioned_case_against_80_bit():
     # The HIGH_PRECISION case: D7 shifted, branch 0, N = 12.  The 80-bit
     # solve has residuals at 1.8e-19 of the slot scale and does not move
-    # with K (16, 20 or 28); the complex128 solve is within 4.7e-13 of it.  The 40-digit
-    # literals of series_reference are further from it, by up to 3.6e-12.
+    # with K (16, 20 or 28); the complex128 solve is within 6.8e-13 of it.
+    # The 40-digit literals of series_reference, solved independently, are
+    # within 4.0e-17 of it: the literals' own rounding to complex128.
     model = MODELS["d7-b1"]
     t0 = 0.8 + 0.6j
     lam = model.branches(t0)[0].lambda0
@@ -212,7 +242,7 @@ def test_ill_conditioned_case_against_80_bit():
     for name, series in zip(("lam", "mu", "R"), _series(*wide)):
         ref = series.coeffs[:, 0]
         literal_err = np.max(np.abs(np.array(HIGH_PRECISION[name]) - ref)) / (1 + np.max(np.abs(ref)))
-        assert literal_err <= 1e-11, name
+        assert literal_err <= 4e-16, name
 
 
 @pytest.mark.parametrize("t0", [np.complex64(0.75 + 0.5j), 0.75, np.float32(0.75), 2])
