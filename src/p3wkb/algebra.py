@@ -306,10 +306,14 @@ class D6Chart(UChart):
         return (u + 1) * (cp * u + cm) / (2 * u)
 
     def q(self, u):
+        # Integer powers as products in the association of complex ** (u ** 3
+        # is u * (u * u), u ** 4 is (u * u) * (u * u)): the same bits without
+        # the power's call.  Here, in phi and in D7Chart.q.
         cp2, cm2 = self._cp2, self._cm2
-        num = cp2 * u ** 3 + cm2
-        den = (u + 1) * u ** 4 * (cp2 * u * u - cm2) ** 2
-        return 4 * num ** 3 / den
+        uu = u * u
+        num = cp2 * (u * uu) + cm2
+        w = cp2 * u * u - cm2
+        return 4 * (num * (num * num)) / ((u + 1) * (uu * uu) * (w * w))
 
     def dt_du(self, u):
         return (u + 1) * (self._cp2 * u ** 3 + self._cm2) / (2 * u ** 3)
@@ -332,8 +336,9 @@ class D6Chart(UChart):
         if _nearer_negated(2 * n * s, (u + 1) * sq * uu * (cp2 * uu - cm2)):
             s = -s
         a, b = cp * uu + cm, cp * uu - cm
-        l_inf = _continued_log_quotient(a + s, a - s, -u * (cp * u - cm) ** 2, logs[0])
-        l_0 = _continued_log_quotient(b + s, b - s, -u * (cp * u + cm) ** 2, logs[1])
+        x_inf, x_0 = cp * u - cm, cp * u + cm
+        l_inf = _continued_log_quotient(a + s, a - s, -u * (x_inf * x_inf), logs[0])
+        l_0 = _continued_log_quotient(b + s, b - s, -u * (x_0 * x_0), logs[1])
         return 2 * s / u - (self.p.c_inf * l_inf + self.p.c_0 * l_0) / 2, (l_inf, l_0)
 
     def phi_origin(self, u0):
@@ -415,8 +420,8 @@ class D7Chart(UChart):
         return u * (self.c - u) / 2
 
     def q(self, u):
-        c = self.c
-        return (3 * u - 2 * c) ** 3 / (u * (u - c) ** 2)
+        a, b = 3 * u - 2 * self.c, u - self.c
+        return a * (a * a) / (u * (b * b))
 
     def dt_du(self, u):
         return u * (2 * self.c - 3 * u) / 2

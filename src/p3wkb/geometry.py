@@ -13,7 +13,9 @@ step is an RK4 predictor over 0.3 of the distance to the nearest special
 point, the chart's primitive at its end point, and a Newton projection back
 onto Im of the integral = 0: at most 7 evaluations of q however long the
 curve already is, and a scan of the earlier segments for closure only once
-the curve has turned through 1.5 pi since one of them.
+the curve has turned through 1.5 pi since one of them.  Steps have no cap:
+none passes over a special point, and far out, where q is nearly constant,
+they grow geometrically until the curve's fate is sealed.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ EPS_TRACE = 1e-6
 _MAX_HALVINGS = 20
 # The tracer's constants; they give the termini of the reference pictures.
 _STEP_FACTOR = 0.3           # of the distance to the nearest special point (origin included)
-_MAX_STEP = 1.0              # times the chart scale
 _MIN_STEP = 1e-9             # times the chart scale; a shorter step raises TraceError
 _CAPTURE_RADIUS = 1e-3       # scaled by the local pole size
 _TP_RADIUS = 1e-3            # scaled by the chart scale, for hitting another turning point
@@ -188,10 +189,12 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     however long the curve already is: at most 7 evaluations of q (3 for
     RK4, whose first stage reuses the square root at the current point,
     1 at the end point and 1 to 3 for the Newton projection onto
-    Im phi = 0; 5.5 per polyline point on the seeded benchmark scan), one
+    Im phi = 0; 5.6 per polyline point on the seeded benchmark scan), one
     of Phi, at the RK4 end point, and a scan of the earlier segments for
     closure only once the curve has turned through 1.5 pi since one of
-    them.  The projection shifts the end point along the normal by
+    them.  A step spans 0.3 of the distance to the nearest special point,
+    halved while the projection leaves too much drift, and has no cap.  The
+    projection shifts the end point along the normal by
     -Im phi / |sqrt q| and adds the trapezoid rule over the shift, until
     the shift is below 1e-6 of the step; it refuses shifts of 0.2 of the
     step or more.  The next step's Phi is exact again, so the trapezoid
@@ -206,7 +209,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
 
     escape = _ESCAPE_FACTOR * chart.escape_scale
     budget = _ARC_BUDGET_FACTOR * chart.arc_scale
-    max_h, min_h = _MAX_STEP * scale, _MIN_STEP * scale
+    min_h = _MIN_STEP * scale
     # Later entries win where capture discs overlap (see UChart.capture_points).
     captures = [(label, pole, _CAPTURE_RADIUS * max(1.0, abs(pole)))
                 for label, pole in chart.capture_points().items()]
@@ -244,33 +247,42 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     turn, turns = 0.0, [0.0]
     n_sep, lo, hi = 0, math.inf, -math.inf
 
-    def field_at(v: complex, ref: complex) -> tuple:
-        s = _sqrt_q(chart, v, ref)
-        return s.conjugate() / abs(s), s
-
+    # The loop's calls, bound once: q and Phi of the chart, and cmath.sqrt.
+    q, sqrt, phi_of = chart.q, cmath.sqrt, chart.phi
     step_shrink = 0
     dists = [abs(u - s) for s in specials]
     d_near = min(dists)
     while terminus is None:
-        h = min(max_h, _STEP_FACTOR * max(d_near, 1e-12))
-        h /= 2 ** step_shrink
+        h = _STEP_FACTOR * max(d_near, 1e-12) / 2 ** step_shrink
         if h < min_h:
             raise TraceError(f"step underflow at u={u:.6g}", partial=points)
 
-        # RK4 on the unit-speed field, with sign continuation via sq, which
-        # is already the continued square root at u.
+        # RK4 on the unit-speed field conj(s)/|s|, each stage's square root
+        # s continued from the previous stage's; the first stage reuses sq,
+        # already the continued square root at u.
         try:
             k1 = sq.conjugate() / abs(sq)
-            k2, s2 = field_at(u + 0.5 * h * k1, sq)
-            k3, s3 = field_at(u + 0.5 * h * k2, s2)
-            k4, s4 = field_at(u + h * k3, s3)
+            s2 = sqrt(q(u + 0.5 * h * k1))
+            if _nearer_negated(s2, sq):
+                s2 = -s2
+            k2 = s2.conjugate() / abs(s2)
+            s3 = sqrt(q(u + 0.5 * h * k2))
+            if _nearer_negated(s3, s2):
+                s3 = -s3
+            k3 = s3.conjugate() / abs(s3)
+            s4 = sqrt(q(u + h * k3))
+            if _nearer_negated(s4, s3):
+                s4 = -s4
+            k4 = s4.conjugate() / abs(s4)
         except ZeroDivisionError:
             raise TraceError(f"vanishing q at u={u:.6g}", partial=points) from None
         u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         # The integral from the origin, exact at the RK4 end point: the
         # chart's primitive with its logarithms continued from u.
-        sq_next = _sqrt_q(chart, u_next, s4)
-        big_phi, logs_next = chart.phi(u_next, sq_next, logs)
+        sq_next = sqrt(q(u_next))
+        if _nearer_negated(sq_next, s4):
+            sq_next = -sq_next
+        big_phi, logs_next = phi_of(u_next, sq_next, logs)
         phi_next = big_phi + offset
 
         # Newton projection onto Im phi = 0: a normal shift that cancels
@@ -285,7 +297,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
             if abs(shift) >= 0.2 * h:
                 break
             u_corr = u_next + shift
-            sq_corr = _sqrt_q(chart, u_corr, sq_next)
+            sq_corr = sqrt(q(u_corr))
+            if _nearer_negated(sq_corr, sq_next):
+                sq_corr = -sq_corr
             phi_next += (u_corr - u_next) / 2 * (sq_next + sq_corr)
             u_next, sq_next = u_corr, sq_corr
             if abs(shift) < 1e-6 * h:

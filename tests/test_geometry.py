@@ -130,7 +130,7 @@ def test_option_defaults():
     assert EPS_TRACE == 1e-6
     assert geometry._CAPTURE_RADIUS == 1e-3
     assert geometry._TP_RADIUS == 1e-3
-    assert (geometry._STEP_FACTOR, geometry._MAX_STEP, geometry._MIN_STEP) == (0.3, 1.0, 1e-9)
+    assert (geometry._STEP_FACTOR, geometry._MIN_STEP) == (0.3, 1e-9)
     assert (geometry._ESCAPE_FACTOR, geometry._ARC_BUDGET_FACTOR) == (1e3, 200.0)
     assert geometry._CLOSURE_COSINE == 0.99
 
@@ -266,7 +266,7 @@ def test_steps_cost_at_most_seven_q_calls(monkeypatch):
     # Every step evaluates the chart's primitive once, at the RK4 end point:
     # between two of those come the previous step's Newton projection (at
     # most 3 evaluations of q), RK4 (3) and the end point (1).  On the
-    # reference figures the mean is 5.49 per polyline point; a quadrature
+    # reference figures the mean is 5.59 per polyline point; a quadrature
     # chord would take 8 more per step.
     events = []
     for cls in (D6Chart, D7Chart):
@@ -283,6 +283,26 @@ def test_steps_cost_at_most_seven_q_calls(monkeypatch):
     runs = "".join("p" if e == "phi" else "q" for e in events).split("p")
     assert max(map(len, runs)) <= 7
     assert events.count("q") <= 6.0 * points
+
+
+@pytest.mark.parametrize("params", [P_GEN, 2 + 1j], ids=["d6", "d7"])
+def test_far_field_steps_grow_and_never_pass_a_special_point(params):
+    # Past 3.3 scale q is nearly constant and an escaping curve's fate is
+    # sealed: uncapped steps reach the 25 scale far-out radius in at most
+    # 12 points (10 measured on both charts; 24 and 23 with steps capped at
+    # one chart scale).  Every step after the first spans at most 0.3 of
+    # the distance from its start to the nearest singular point (measured
+    # up to 0.29999999988), so none can pass over one.
+    diag = _diagram(params)
+    chart = diag.chart
+    specials = np.asarray(chart.singular_points())
+    for c in diag.curves:
+        pts = np.asarray(c.points)
+        if c.terminus == chart.escape_label:
+            assert np.sum(np.abs(pts) > 3.3 * chart.scale) <= 12
+        start, end = pts[1:-1], pts[2:]
+        nearest = np.min(np.abs(start[:, None] - specials[None, :]), axis=1)
+        assert np.all(np.abs(end - start) <= 0.3 * (1 + 1e-6) * nearest)
 
 
 def test_spiral_terminus_ends_a_curve_past_its_arc_budget(monkeypatch):
