@@ -9,13 +9,16 @@ the simple pole from q's residue there; the chart gives both in closed form
 (``UChart.turning_point_leads``, ``UChart.simple_pole_lead``), and the
 integral as well (``UChart.phi``).  A curve starts on its exact level set a
 tenth of the way from its origin to the nearest other special point.  Each
-step is an RK4 predictor over 0.3 of the distance to the nearest special
+step is an RK4 predictor over half the distance to the nearest special
 point, the chart's primitive at its end point, and a Newton projection back
-onto Im of the integral = 0: at most 7 evaluations of q however long the
+onto Im of the integral = 0: at most 8 evaluations of q however long the
 curve already is, and a scan of the earlier segments for closure only once
 the curve has turned through 1.5 pi since one of them.  Steps have no cap:
 none passes over a special point, and far out, where q is nearly constant,
-they grow geometrically until the curve's fate is sealed.
+they grow geometrically until the curve's fate is sealed.  The same holds,
+in w = 1/(u - pole), near a finite point over t = infinity (D6's u = 0),
+where q has a pole of order 4: a curve heading into it within 1/25 of its
+distance to the other special points ends there.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ EPS_TRACE = 1e-6
 #: Step halvings the tracer tries on a drift before it gives up.
 _MAX_HALVINGS = 20
 # The tracer's constants; they give the termini of the reference pictures.
-_STEP_FACTOR = 0.3           # of the distance to the nearest special point (origin included)
+_STEP_FACTOR = 0.5           # of the distance to the nearest special point (origin included)
 _MIN_STEP = 1e-9             # times the chart scale; a shorter step raises TraceError
 _CAPTURE_RADIUS = 1e-3       # scaled by the local pole size
 _TP_RADIUS = 1e-3            # scaled by the chart scale, for hitting another turning point
@@ -186,19 +189,22 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     The running integral phi is Phi(u) - Phi(origin), Phi the chart's
     closed-form primitive with its logarithms continued along the curve
     (see ``_first_point`` for the first point).  Each step costs the same
-    however long the curve already is: at most 7 evaluations of q (3 for
+    however long the curve already is: at most 8 evaluations of q (3 for
     RK4, whose first stage reuses the square root at the current point,
-    1 at the end point and 1 to 3 for the Newton projection onto
-    Im phi = 0; 5.6 per polyline point on the seeded benchmark scan), one
-    of Phi, at the RK4 end point, and a scan of the earlier segments for
-    closure only once the curve has turned through 1.5 pi since one of
-    them.  A step spans 0.3 of the distance to the nearest special point,
-    halved while the projection leaves too much drift, and has no cap.  The
-    projection shifts the end point along the normal by
-    -Im phi / |sqrt q| and adds the trapezoid rule over the shift, until
-    the shift is below 1e-6 of the step; it refuses shifts of 0.2 of the
-    step or more.  The next step's Phi is exact again, so the trapezoid
-    errors do not accumulate."""
+    1 at the end point and up to 4 for the Newton projection onto
+    Im phi = 0; 114 per curve on the reference figures), one of Phi, at
+    the RK4 end point, and a scan of the earlier segments for closure only
+    once the curve has turned through 1.5 pi since one of them.  A step
+    spans half the distance to the nearest special point, halved while the
+    projection leaves too much drift, and has no cap.  The projection
+    shifts the end point along the normal by -Im phi / |sqrt q| and adds
+    the integral over the shift, by Simpson's rule on the first shift (as
+    long as RK4's error) and the trapezoid rule on later ones, until the
+    shift is below 1e-6 of the step; it refuses shifts of 0.2 of the step
+    or more.  The next step's Phi is exact again, so the quadrature errors
+    do not accumulate.  A curve ends at u = infinity once it heads outward
+    beyond 25 chart scales, and at a finite point over t = infinity once
+    it heads into it within 1/25 of that point's ``special_gap``."""
     # Start from the chart's own point, so the origin is not taken for a target.
     origin_label, origin = _trace_origin(complex(origin), chart)
     scale = chart.scale
@@ -225,6 +231,8 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     # terminus tests below read the others only if it is within reach.
     specials = [u_tp for _, u_tp, _ in tp_targets] + [sp] + [pole for _, pole, _ in captures]
     n_tp = len(tp_targets)
+    sealed = [(label, pole, chart.special_gap(pole) / 25)
+              for label, pole in chart.finite_infinities_u.items()]
     reach = max([sp_radius, tp_radius] + [radius for _, _, radius in captures])
     sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
@@ -286,9 +294,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         phi_next = big_phi + offset
 
         # Newton projection onto Im phi = 0: a normal shift that cancels
-        # the imaginary drift to first order, the trapezoid rule over the
-        # shift, repeated until the shift is negligible against the step.
-        for _ in range(3):
+        # the imaginary drift to first order, a quadrature over the shift,
+        # repeated until the shift is negligible against the step.
+        for newton in range(3):
             drift = phi_next.imag
             denom = abs(sq_next)
             if not (denom > 0 and abs(drift) > 0):
@@ -297,10 +305,22 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
             if abs(shift) >= 0.2 * h:
                 break
             u_corr = u_next + shift
-            sq_corr = sqrt(q(u_corr))
-            if _nearer_negated(sq_corr, sq_next):
-                sq_corr = -sq_corr
-            phi_next += (u_corr - u_next) / 2 * (sq_next + sq_corr)
+            if newton == 0:
+                # The first shift is the longest, as long as RK4's error,
+                # and the trapezoid rule's error grows as its cube:
+                # Simpson's rule, with one more q at the midpoint.
+                sq_mid = sqrt(q(u_next + 0.5 * shift))
+                if _nearer_negated(sq_mid, sq_next):
+                    sq_mid = -sq_mid
+                sq_corr = sqrt(q(u_corr))
+                if _nearer_negated(sq_corr, sq_mid):
+                    sq_corr = -sq_corr
+                phi_next += (u_corr - u_next) / 6 * (sq_next + 4 * sq_mid + sq_corr)
+            else:
+                sq_corr = sqrt(q(u_corr))
+                if _nearer_negated(sq_corr, sq_next):
+                    sq_corr = -sq_corr
+                phi_next += (u_corr - u_next) / 2 * (sq_next + sq_corr)
             u_next, sq_next = u_corr, sq_corr
             if abs(shift) < 1e-6 * h:
                 break
@@ -360,6 +380,15 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                     break
             if terminus:
                 break
+        # The mirror of far_out at a finite point over t = infinity: q has
+        # a pole of order 4 there, so in w = 1/(u - pole) the field is
+        # nearly constant, and a curve heading in is sealed to end there.
+        for label, pole, radius in sealed:
+            v = u - pole
+            if abs(v) < radius and (v.real * k1.real + v.imag * k1.imag) < 0:
+                terminus = label
+        if terminus:
+            break
         if arc > budget:
             terminus = "spiral"
             break

@@ -3,6 +3,7 @@ the t-form phase primitive of the test reference, and diagram rendering."""
 
 import cmath
 import json
+import math
 import time
 import xml.etree.ElementTree as ET
 
@@ -91,18 +92,19 @@ def test_trace_rejects_bad_ray():
 
 
 def test_trace_gives_up_on_a_drift_it_cannot_project_away(monkeypatch):
-    # A start that leaves Im phi at 0.3 |phi_1|.  The projection refuses a
-    # shift of 0.2 of the step, so on the first step it can cancel about
-    # 0.15 |phi_1|, and less on every halved step: the tracer must stop
-    # with the partial polyline, not crawl on at a millionth of a step
-    # until the arc budget is spent.  The drift enters through the offset
-    # that turns the chart's primitive into the integral from the origin,
-    # so every step's phi carries it.
+    # A start that leaves Im phi at |phi_1|.  The projection refuses a
+    # shift of 0.2 of the step, so the first step (half the distance back
+    # to the origin) can cancel at most 0.51 |phi_1| (measured by bisection
+    # on the drift), and every halved step less: the tracer must stop with
+    # the partial polyline, not crawl on at a millionth of a step until the
+    # arc budget is spent.
+    # The drift enters through the offset that turns the chart's primitive
+    # into the integral from the origin, so every step's phi carries it.
     first_point = geometry._first_point
 
     def drifting(*args):
         u, sq, phi, logs, offset = first_point(*args)
-        drift = 0.3j * abs(phi)
+        drift = 1j * abs(phi)
         return u, sq, phi + drift, logs, offset + drift
 
     monkeypatch.setattr(geometry, "_first_point", drifting)
@@ -130,7 +132,7 @@ def test_option_defaults():
     assert EPS_TRACE == 1e-6
     assert geometry._CAPTURE_RADIUS == 1e-3
     assert geometry._TP_RADIUS == 1e-3
-    assert (geometry._STEP_FACTOR, geometry._MIN_STEP) == (0.3, 1e-9)
+    assert (geometry._STEP_FACTOR, geometry._MIN_STEP) == (0.5, 1e-9)
     assert (geometry._ESCAPE_FACTOR, geometry._ARC_BUDGET_FACTOR) == (1e3, 200.0)
     assert geometry._CLOSURE_COSINE == 0.99
 
@@ -262,12 +264,15 @@ def test_traces_match_recorded_curves(name, params):
         assert c.im_drift <= 1e-12 * (1 + abs(c.phi_end))
 
 
-def test_steps_cost_at_most_seven_q_calls(monkeypatch):
+def test_steps_cost_at_most_eight_q_calls(monkeypatch):
     # Every step evaluates the chart's primitive once, at the RK4 end point:
     # between two of those come the previous step's Newton projection (at
-    # most 3 evaluations of q), RK4 (3) and the end point (1).  On the
-    # reference figures the mean is 5.59 per polyline point; a quadrature
-    # chord would take 8 more per step.
+    # most 4 evaluations of q: Simpson's rule on the first shift, the
+    # trapezoid rule on two more), RK4 (3) and the end point (1).  The cost
+    # is bounded per curve, not per polyline point, which would reward a
+    # tracer that crawls: on the reference figures a curve takes 114.0
+    # evaluations of q, and 170.2 with steps of 0.3 of the distance to the
+    # nearest special point.
     events = []
     for cls in (D6Chart, D7Chart):
         for name in ("q", "phi"):
@@ -278,21 +283,23 @@ def test_steps_cost_at_most_seven_q_calls(monkeypatch):
                 return _method(self, *args)
 
             monkeypatch.setattr(cls, name, counted)
-    points = sum(len(c.points) for _, params in TRACE_CASES
-                 for c in stokes_diagram(params).curves)
+    curves = sum(len(stokes_diagram(params).curves) for _, params in TRACE_CASES)
     runs = "".join("p" if e == "phi" else "q" for e in events).split("p")
-    assert max(map(len, runs)) <= 7
-    assert events.count("q") <= 6.0 * points
+    assert max(map(len, runs)) <= 8
+    assert events.count("q") <= 120 * curves
 
 
 @pytest.mark.parametrize("params", [P_GEN, 2 + 1j], ids=["d6", "d7"])
 def test_far_field_steps_grow_and_never_pass_a_special_point(params):
     # Past 3.3 scale q is nearly constant and an escaping curve's fate is
     # sealed: uncapped steps reach the 25 scale far-out radius in at most
-    # 12 points (10 measured on both charts; 24 and 23 with steps capped at
-    # one chart scale).  Every step after the first spans at most 0.3 of
-    # the distance from its start to the nearest singular point (measured
-    # up to 0.29999999988), so none can pass over one.
+    # 12 points (7 measured on both charts; 24 and 23 with steps capped at
+    # one chart scale).  Every step after the first spans at most
+    # _STEP_FACTOR of the distance from its start to the nearest singular
+    # point (measured up to 0.4999999995), so none can pass over one.  The
+    # mirror rule at a finite point over t = infinity (D6's u = 0, inf34)
+    # ends every curve heading into it within special_gap/25 of it
+    # (measured up to 0.96 of that radius).
     diag = _diagram(params)
     chart = diag.chart
     specials = np.asarray(chart.singular_points())
@@ -300,9 +307,14 @@ def test_far_field_steps_grow_and_never_pass_a_special_point(params):
         pts = np.asarray(c.points)
         if c.terminus == chart.escape_label:
             assert np.sum(np.abs(pts) > 3.3 * chart.scale) <= 12
+        if c.terminus in chart.finite_infinities_u:
+            pole = chart.finite_infinities_u[c.terminus]
+            assert abs(pts[-1] - pole) < chart.special_gap(pole) / 25
         start, end = pts[1:-1], pts[2:]
         nearest = np.min(np.abs(start[:, None] - specials[None, :]), axis=1)
-        assert np.all(np.abs(end - start) <= 0.3 * (1 + 1e-6) * nearest)
+        assert np.all(np.abs(end - start) <= geometry._STEP_FACTOR * (1 + 1e-6) * nearest)
+    if chart.finite_infinities_u:
+        assert any(c.terminus in chart.finite_infinities_u for c in diag.curves)
 
 
 def test_spiral_terminus_ends_a_curve_past_its_arc_budget(monkeypatch):
@@ -391,6 +403,20 @@ def test_wall_corner_traces_and_reports_degenerations():
     diag = _diagram(Parameters(1j, 0.5j))
     assert len(diag.curves) == 16
     assert len(diag.degenerations) >= 2
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 3.5])
+@pytest.mark.parametrize("wall", [90, -90], ids=["+90deg", "-90deg"])
+@pytest.mark.parametrize("off", [1, -1], ids=["+1deg", "-1deg"])
+def test_d7_one_degree_off_its_wall_ends_one_curve_at_the_double_pole(r, wall, off):
+    # D7's walls are arg c = +-pi/2, where a curve closes around the double
+    # pole.  A degree off, the double-pole curve still spirals into it
+    # however long the steps are: one curve ends at zero_c, none is taken
+    # for closed or outruns its arc budget, and there is no degeneration.
+    diag = _diagram(cmath.rect(r, math.radians(wall + off)))
+    termini = sorted(c.terminus for c in diag.curves)
+    assert termini == ["escaped"] * 4 + ["simple_pole", "zero_c"]
+    assert not diag.degenerations
 
 
 def test_escaping_curves_outlast_the_arc_budget_at_large_c_m_over_c_p():
@@ -549,9 +575,11 @@ def test_phi_primitive_differences_real_along_stokes_curve():
             defects.append(abs((phi - prev_phi).imag) / abs(phi - prev_phi))
         prev_phi, prev_r = phi, r
     defects = np.asarray(defects)
-    # principal-log jumps are isolated; away from them the difference is real
+    # principal-log jumps are isolated; away from them the difference is
+    # real.  One jump is crossed (1 of 13 differences), so the bound is a
+    # count, as strict at any number of points as a share is not.
     assert np.median(defects) < 1e-10
-    assert np.mean(defects < 1e-6) > 0.95
+    assert np.sum(defects >= 1e-6) <= 1
 
 
 def test_phi_primitive_raises_on_vanishing_log_argument():
