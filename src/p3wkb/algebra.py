@@ -18,8 +18,13 @@ Chart maps take a scalar u or a numpy array of nodes.  Each chart also
 gives its local data in closed form: dt/du, q's (u - u_tp)^3 lead at each
 turning point (``turning_point_leads``, which fix the Stokes rays), q's
 residue at the simple pole (``simple_pole_lead``), the residues of
-sqrt(q) du at its poles (``pole_residues``), and a primitive of sqrt(q) du
-(``phi``).  ``turning_points`` maps the chart's zeros of q to (t, lambda0);
+sqrt(q) du at its poles (``pole_residues``), the leading terms of sqrt(q)
+at the poles of q of order 2 and 4 (``pole_leads``), and a primitive of
+sqrt(q) du (``phi``).  Read off these and the divisor of q (``divisor``),
+once per chart: the expansions of sqrt(q) at the turning points and the
+simple pole (``origin_expansions``), and the end domain of each pole of
+order 2 or 4, which no trajectory entering it leaves (``end_domains``).
+``turning_points`` maps the chart's zeros of q to (t, lambda0);
 ``residues`` confirms ``pole_residues`` by contour integrals.
 """
 
@@ -30,6 +35,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,7 @@ __all__ = [
     "Parameters",
     "BranchPoint",
     "UChart",
+    "EndDomain",
     "D6Chart",
     "D7Chart",
     "quartic_coeffs",
@@ -199,7 +207,9 @@ class UChart:
     finite_infinities_u: dict     # label -> u position of a t = infinity branch
     pole_residues: dict           # terminus label -> residue of sqrt(q) du there (up
                                   # to sign); the escape label stands for u = infinity
-    escape_scale: float           # escape radius per unit of the tracer's escape factor
+    pole_leads: dict              # terminus label -> lead of sqrt(q) ~ lead (u - pole)^(-k)
+                                  # at a pole of q of order 2k (up to sign; at u = infinity
+                                  # sqrt(q) ~ lead); a double pole's lead is its residue
     arc_scale: float              # arc budget per unit of the tracer's budget factor
 
     def t_of_u(self, u):
@@ -222,16 +232,32 @@ class UChart:
         branch sq of sqrt(q(u)), its logarithms continued from ``logs``."""
         raise NotImplementedError
 
-    def phi_origin(self, u0: complex) -> tuple:
-        """``phi``'s value at a turning point or the simple pole u0."""
+    def origin_logs(self, u0: complex) -> tuple:
+        """``phi``'s logarithms at a turning point or the simple pole u0,
+        from which a curve leaving u0 continues them."""
         raise NotImplementedError
 
     # -- derived ------------------------------------------------------------
 
-    def singular_points(self) -> list[complex]:
-        return (list(self.turning_points_u) + [self.simple_pole_u]
-                + list(self.double_poles_u.values())
-                + list(self.finite_infinities_u.values()))
+    @cached_property
+    def divisor(self) -> tuple:
+        """(u, order) of each finite zero and pole of q: 3 at a turning
+        point, -1 at the simple pole, -2 at a double pole and -4 at a finite
+        point over t = infinity, in the order of ``singular_points``.  The
+        orders sum to 0, so q tends to a nonzero constant at u = infinity,
+        where q du^2 has a pole of order 4."""
+        return tuple([(u, 3) for u in self.turning_points_u] + [(self.simple_pole_u, -1)]
+                     + [(u, -2) for u in self.double_poles_u.values()]
+                     + [(u, -4) for u in self.finite_infinities_u.values()])
+
+    @cached_property
+    def _singular_points(self) -> tuple:
+        return tuple(u for u, _ in self.divisor)
+
+    def singular_points(self) -> tuple:
+        """The turning points, the simple pole, the double poles and the
+        finite points over t = infinity: one tuple per chart."""
+        return self._singular_points
 
     @cached_property
     def turning_point_leads(self) -> tuple:
@@ -249,14 +275,150 @@ class UChart:
         """Whether a and b are one point of the chart: within 1e-9 of its scale."""
         return abs(a - b) < 1e-9 * self.scale
 
+    @cached_property
+    def special_gaps(self) -> MappingProxyType:
+        """Read-only map from each singular point to ``special_gap`` there."""
+        return MappingProxyType({s: self._gap(s) for s in self.singular_points()})
+
     def special_gap(self, u: complex) -> float:
         """The distance from u to the nearest singular point other than u."""
-        return min(abs(s - u) for s in self.singular_points() if not self.same_point(s, u))
+        gap = self.special_gaps.get(u)
+        return self._gap(u) if gap is None else gap
+
+    def _gap(self, u: complex) -> float:
+        tol = 1e-9 * self.scale          # same_point's
+        return min(d for d in (abs(s - u) for s in self.singular_points()) if d >= tol)
 
     def capture_points(self) -> dict:
         """label -> u of the finite points where a Stokes curve ends.  The
         double poles come last, so they win where capture discs overlap."""
         return {**self.finite_infinities_u, **self.double_poles_u}
+
+    @cached_property
+    def end_domains(self) -> tuple:
+        """One ``EndDomain`` per pole of q of order 2 or 4 (``pole_leads``):
+        a region that every trajectory of q du^2 entering it with Re of
+        int sqrt(q) du growing stays in, and ends at the pole.
+
+        Near a finite pole p of order 2k, sqrt(q) = lead_s v^-k g with v =
+        u - p, lead_s the sign of lead continued along the curve, and g the
+        product of (1 + b_i v)^(m_i/2), b_i = 1 / (p - z_i), over the rest of
+        the divisor (at u = infinity: sqrt(q) = lead_s g, with b_i = -z_i and
+        1/u for v).  So log g = kappa v + sum_i m_i/2 (log(1 + b_i v) - b_i v),
+        kappa = sum_i m_i b_i / 2, and for |v| <= s
+
+            |arg g| <= B(s) = |kappa| s + sum_i |m_i|/2 (-log(1 - |b_i| s) - |b_i| s).
+
+        * Order 2 (lead = the residue): d|v|/ds has the sign of
+          Re(lead_s g).  With Re(lead_s) < 0 and B(|v|) below
+          arcsin(|Re lead| / |lead|), |v| falls at a rate bounded away from
+          0: the log spiral into the pole.  ``radius`` is the disc on which
+          that holds, 0 where the residue is imaginary (a loop wall).
+        * Order 4: in zeta = u at infinity, or zeta = -1/v, sqrt(q) du =
+          lead_s g dzeta, so d Re(lead_s zeta)/ds has the sign of Re g,
+          positive where B(1/|zeta|) < pi/2.  The half-plane Re(lead_s zeta)
+          > |lead| / s of that s lies there, and a curve in it runs on to
+          the pole.  ``radius`` is s (the disc |v| < s about p), or 1/s at
+          infinity (the outside of the circle |u| = 1/s).
+
+        Read once per chart from the closed-form leads and the divisor."""
+        domains = []
+        captures = self.capture_points()
+        for label, lead in self.pole_leads.items():
+            pole = None if label == self.escape_label else captures[label]
+            if pole is None:
+                order, others = 4, [(-z, m) for z, m in self.divisor]
+            else:
+                order = -dict(self.divisor)[pole]
+                others = [(1 / (pole - z), m) for z, m in self.divisor
+                          if not self.same_point(z, pole)]
+            kappa = abs(sum(b * m for b, m in others)) / 2
+            terms = [(abs(m) / 2, abs(b)) for b, m in others]
+            margin = math.asin(abs(lead.real) / abs(lead)) if order == 2 else math.pi / 2
+            radius = _arg_bound_radius(kappa, terms, margin)
+            if pole is None:
+                radius = 1 / radius
+            domains.append(EndDomain(label, pole, order, lead, radius))
+        return tuple(domains)
+
+    @cached_property
+    def origin_expansions(self) -> MappingProxyType:
+        """u0 -> (center, e, lead, g) at each turning point (e = 3/2, lead
+        from ``turning_point_leads``) and at the simple pole (e = -1/2,
+        ``simple_pole_lead``): sqrt(q) = +-sqrt(lead) v^e sum_n g_n v^n, v =
+        u - center, with _EXPANSION_TERMS coefficients, g_0 = 1.  g is the
+        product of (1 + v / (u0 - z_i))^(m_i / 2) over the rest of the
+        divisor, by the recursion (n + 1) g_(n+1) = sum_k c_k g_(n-k) on its
+        logarithmic derivative sum_k c_k v^k.  Converges for |v| <
+        ``special_gap(u0)``, and to rounding for |v| up to a tenth of it.
+
+        center is where q has its zero or pole, which the rounded u0 can
+        miss by ten ulps (a turning point found as an eigenvalue): enough
+        to move sqrt(q) by 1e-14 a tenth of the gap away.  It is read off q
+        there, at u0 + w, where q / (lead w^2e g(w)^2) = (1 + (u0 -
+        center) / w)^2e to first order."""
+        out = {}
+        origins = [(u, 1.5, lead) for u, lead in zip(self.turning_points_u,
+                                                      self.turning_point_leads)]
+        for u0, e, lead in origins + [(self.simple_pole_u, -0.5, self.simple_pole_lead)]:
+            c = [0j] * _EXPANSION_TERMS
+            for z, m in self.divisor:
+                if self.same_point(z, u0):
+                    continue
+                a = 1 / (u0 - z)
+                term, neg = m / 2 * a, -a
+                for k in range(_EXPANSION_TERMS):
+                    c[k] += term
+                    term *= neg
+            g = [1 + 0j]
+            for n in range(1, _EXPANSION_TERMS):
+                acc = 0j
+                for ck, gk in zip(c, reversed(g)):
+                    acc += ck * gk
+                g.append(acc / n)
+            w = 0.1 * self.special_gap(u0)
+            g_w = sum(gn * w ** n for n, gn in enumerate(g))
+            ratio = self.q(u0 + w) / (lead * w ** (2 * e) * g_w * g_w)
+            out[u0] = (u0 - w * (ratio ** (0.5 / e) - 1), e, lead, tuple(g))
+        return MappingProxyType(out)
+
+
+#: Coefficients of ``UChart.origin_expansions``: 0.1^16 is below rounding.
+_EXPANSION_TERMS = 16
+
+
+class EndDomain(NamedTuple):
+    """The end domain of one pole of q (see ``UChart.end_domains``)."""
+
+    label: str            # terminus label of the pole
+    pole: complex | None  # its u, None for u = infinity
+    order: int            # 2 (a double pole) or 4
+    lead: complex         # sqrt(q) ~ lead (u - pole)^(-order/2); lead at u = infinity
+    radius: float         # of the disc about the pole, or of the circle outside
+                          # which the domain lies at u = infinity
+
+
+def _arg_bound_radius(kappa: float, terms, target: float) -> float:
+    """The largest s < 1 / max |b|, to 2 % of itself, with B(s) = kappa s +
+    sum w (-log(1 - |b| s) - |b| s) <= target over the (w, |b|) of
+    ``terms``; 0 if target <= 0.  B grows with s, and -log(1 - x) - x lies
+    between x^2/2 and x^2 for x <= 1/2, so s lies between the roots of
+    kappa s + A s^2 = target and kappa s + A s^2 / 2 = target, A = sum w
+    |b|^2, which bisection narrows."""
+    if target <= 0:
+        return 0.0
+    cap = 1 / max(b for _, b in terms)
+    a = sum(w * b * b for w, b in terms)
+    lo = min(cap / 2, 2 * target / (kappa + math.sqrt(kappa * kappa + 4 * a * target)))
+    hi = min(cap, 2 * target / (kappa + math.sqrt(kappa * kappa + 2 * a * target)))
+    for _ in range(6):                  # hi / lo <= 2
+        mid = (lo + hi) / 2
+        x = kappa * mid + sum(w * (-math.log1p(-b * mid) - b * mid) for w, b in terms)
+        if x <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class D6Chart(UChart):
@@ -281,7 +443,8 @@ class D6Chart(UChart):
     def __init__(self, p: Parameters):
         self.p = p
         cp, cm = p.c_p, p.c_m
-        self.turning_points_u = tuple(poly_roots([cm ** 2, 0.0, 0.0, cp ** 2]))
+        cp2, cm2 = cp ** 2, cm ** 2
+        self.turning_points_u = tuple(poly_roots([cm2, 0.0, 0.0, cp2]))
         self.simple_pole_u = -1.0 + 0j
         self.simple_pole_lead = -4 * p.c_inf * p.c_0
         self.double_poles_u = {
@@ -291,10 +454,13 @@ class D6Chart(UChart):
         self.finite_infinities_u = {"inf34": 0j}
         self.pole_residues = {"inf12": p.c_p, "inf34": p.c_m,
                               "zero_cinf": p.c_inf, "zero_c0": p.c_0}
-        self.escape_scale = max(1.0, abs(cm / cp))
-        # At least scale/5, so the arc budget outlasts the far-out radius.
+        # q -> 4 c_p^2 at u = infinity, q ~ 4 c_m^2 / u^4 at u = 0.
+        self.pole_leads = {"inf12": 2 * cp, "inf34": 2 * cm,
+                           "zero_cinf": p.c_inf, "zero_c0": p.c_0}
+        # At least scale/5, so a budget of 200 outlasts the tracer's fallback
+        # escape radius of 25 scales.
         self.arc_scale = max(1.0, abs(cp), self.scale / 5)
-        self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp ** 2, cm ** 2
+        self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp2, cm2
 
     def t_of_u(self, u):
         cp, cm = self._cp, self._cm
@@ -341,8 +507,8 @@ class D6Chart(UChart):
         l_0 = _continued_log_quotient(b + s, b - s, -u * (x_0 * x_0), logs[1])
         return 2 * s / u - (self.p.c_inf * l_inf + self.p.c_0 * l_0) / 2, (l_inf, l_0)
 
-    def phi_origin(self, u0):
-        return 0j, (0j, 0j)
+    def origin_logs(self, u0):
+        return 0j, 0j
 
     def parameter_dict(self) -> dict:
         p = self.p
@@ -410,7 +576,7 @@ class D7Chart(UChart):
         self.double_poles_u = {"zero_c": c}
         self.finite_infinities_u = {}
         self.pole_residues = {"escaped": 0j, "zero_c": c}
-        self.escape_scale = 1.0
+        self.pole_leads = {"escaped": math.sqrt(27) + 0j, "zero_c": c}
         self.arc_scale = max(1.0, abs(c))
 
     def t_of_u(self, u):
@@ -437,9 +603,8 @@ class D7Chart(UChart):
         log = _continued_log_quotient(v - 1, v + 1, 2 * (u - c) / u, logs[0])
         return 3 * u * v + c * log, (log,)
 
-    def phi_origin(self, u0):
-        log = 0j if self.same_point(u0, self.simple_pole_u) else 1j * math.pi
-        return self.c * log, (log,)
+    def origin_logs(self, u0):
+        return (0j if self.same_point(u0, self.simple_pole_u) else 1j * math.pi,)
 
     def parameter_dict(self) -> dict:
         return {"c": [self.c.real, self.c.imag]}

@@ -8,17 +8,18 @@ rays of a turning point come from q's (u - u_tp)^3 lead there, the ray of
 the simple pole from q's residue there; the chart gives both in closed form
 (``UChart.turning_point_leads``, ``UChart.simple_pole_lead``), and the
 integral as well (``UChart.phi``).  A curve starts on its exact level set a
-tenth of the way from its origin to the nearest other special point.  Each
-step is an RK4 predictor over half the distance to the nearest special
-point, the chart's primitive at its end point, and a Newton projection back
-onto Im of the integral = 0: at most 8 evaluations of q however long the
-curve already is, and a scan of the earlier segments for closure only once
-the curve has turned through 1.5 pi since one of them.  Steps have no cap:
-none passes over a special point, and far out, where q is nearly constant,
-they grow geometrically until the curve's fate is sealed.  The same holds,
-in w = 1/(u - pole), near a finite point over t = infinity (D6's u = 0),
-where q has a pole of order 4: a curve heading into it within 1/25 of its
-distance to the other special points ends there.
+tenth of the way from its origin to the nearest other special point, the
+integral to there summed from the chart's expansion of sqrt(q) at the
+origin.  Each step is an RK4 predictor over half the distance to the
+nearest special point, the chart's primitive at its end point, and a
+Newton projection back onto Im of the integral = 0: at most 8 evaluations
+of q however long the curve already is, and a scan of the earlier segments
+for closure only once the curve has turned through 1.5 pi since one of
+them.  Steps have no cap: none passes over a special point.  A curve ends
+as soon as it enters the end domain of a pole of q of order 2 or 4 (u =
+infinity, D6's u = 0, the double poles): a region, read off the pole's
+closed-form leading term and the divisor of q (``UChart.end_domains``),
+that no trajectory entering it leaves before it reaches the pole.
 """
 
 from __future__ import annotations
@@ -55,9 +56,15 @@ _STEP_FACTOR = 0.5           # of the distance to the nearest special point (ori
 _MIN_STEP = 1e-9             # times the chart scale; a shorter step raises TraceError
 _CAPTURE_RADIUS = 1e-3       # scaled by the local pole size
 _TP_RADIUS = 1e-3            # scaled by the chart scale, for hitting another turning point
-_ESCAPE_FACTOR = 1e3         # times the chart's escape_scale
+_ESCAPE_FACTOR = 25.0        # times the chart scale, the fallback of u = infinity's end domain
 _ARC_BUDGET_FACTOR = 200.0   # times the chart's arc_scale
 _CLOSURE_COSINE = 0.99       # least alignment of a revisit with the earlier segment
+# A double pole's end domain seals only where -Re of the continued residue
+# is at least this fraction of its modulus: nearer a loop wall the spiral
+# into the pole shrinks by less than 27 % a turn, and the closure test can
+# take its turns for a cycle (seen up to 0.7 degrees off D7's walls), so
+# the capture fallback's labels stay those of the tracer without seals.
+_SEAL_RESIDUE_FRACTION = 0.05
 
 
 class TraceError(RuntimeError):
@@ -157,20 +164,64 @@ def _first_point(chart, origin: complex, direction: complex) -> tuple:
     """(u1, sqrt(q(u1)), phi, logs, offset) of a curve leaving ``origin``
     along ``direction``: u1 lies START_FRACTION of the way to the nearest
     other special point, moved along the ray's normal by Newton iteration
-    (at most 4 times) until phi = int_origin^u1 sqrt(q) du = Phi(u1) +
-    offset, offset = -Phi(origin), is real to 1e-14 of itself.  sqrt(q) is
-    the branch nearer conj(direction), whose field points along the ray."""
-    phi0, logs0 = chart.phi_origin(origin)
-    u = origin + START_FRACTION * chart.special_gap(origin) * direction
-    for newton in range(5):
-        sq = _sqrt_q(chart, u, direction.conjugate())
-        big_phi, logs = chart.phi(u, sq, logs0)
-        phi = big_phi - phi0
-        if newton == 4 or abs(phi.imag) <= 1e-14 * abs(phi):
+    until phi = int_origin^u1 sqrt(q) du is real to 1e-15 of itself.  phi
+    and its derivative come from the chart's expansion of sqrt(q) at the
+    origin (``UChart.origin_expansions``), integrated term by term, so the
+    start reads q and the primitive Phi once, at u1: sqrt(q) is the branch
+    nearer the expansion's, whose field points along the ray, and offset =
+    phi - Phi(u1) turns Phi into the integral from the origin."""
+    center, e, lead, g = chart.origin_expansions[origin]
+    # sqrt(q) = amp (v/d)^e g(v) / d with v = u - center, d = direction, and
+    # amp real and positive (up to rounding) by the choice of the rays.
+    amp = cmath.sqrt(lead) * direction ** (e + 1)
+    if amp.real < 0:
+        amp = -amp
+    h = [gn / (n + e + 1) for n, gn in enumerate(g)]
+    t = START_FRACTION * chart.special_gap(origin) + 0j    # t = v / d
+    for _ in range(8):
+        v = t * direction
+        g_sum = h_sum = 0j
+        for gn, hn in zip(reversed(g), reversed(h)):
+            g_sum = g_sum * v + gn
+            h_sum = h_sum * v + hn
+        power = t ** e                   # principal: t is near the positive axis
+        phi = amp * power * t * h_sum
+        dphi = amp * power * g_sum       # d phi / dt
+        # d(Im phi)/d(Im t) = Re(d phi / dt).
+        step = phi.imag / dphi.real
+        t -= 1j * step
+        if abs(step) <= 1e-16 * abs(t):
             break
-        # d(Im phi)/ds = Re(sqrt(q) direction) along u + 1j * direction * s.
-        u -= 1j * direction * (phi.imag / (sq * direction).real)
-    return u, sq, phi, logs, -phi0
+    u = center + t * direction
+    sq = _sqrt_q(chart, u, dphi / direction)
+    big_phi, logs = chart.phi(u, sq, chart.origin_logs(origin))
+    return u, sq, phi, logs, phi - big_phi
+
+
+def _sealed(domains, u: complex, sq: complex):
+    """The label of the end domain (``UChart.end_domains``) that holds u,
+    where the continued square root of q is sq, or None.  Inside one, the
+    curve's fate is settled: its pole's leading term decides it."""
+    for label, pole, order, lead, radius in domains:
+        if pole is None:                 # u = infinity: zeta = u, sqrt(q) ~ lead
+            if abs(u) <= radius:
+                continue
+            zeta, root, depth = u, sq, radius
+        else:
+            v = u - pole
+            if abs(v) >= radius:
+                continue
+            if order == 2:               # sqrt(q) ~ lead / v: lead is the residue
+                if ((sq * v * lead.conjugate()).real > 0) == (lead.real < 0):
+                    return label
+                continue
+            # zeta = -1/v, sqrt(q) ~ lead zeta^2
+            zeta, root, depth = -1 / v, sq * v * v, 1 / radius
+        if (root * lead.conjugate()).real < 0:
+            lead = -lead
+        if (lead * zeta).real > abs(lead) * depth:
+            return label
+    return None
 
 
 # A closure needs the sub-path since the revisited segment to have turned
@@ -186,13 +237,13 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
-    The running integral phi is Phi(u) - Phi(origin), Phi the chart's
-    closed-form primitive with its logarithms continued along the curve
-    (see ``_first_point`` for the first point).  Each step costs the same
-    however long the curve already is: at most 8 evaluations of q (3 for
-    RK4, whose first stage reuses the square root at the current point,
-    1 at the end point and up to 4 for the Newton projection onto
-    Im phi = 0; 114 per curve on the reference figures), one of Phi, at
+    The running integral phi is Phi(u) + offset, Phi the chart's
+    closed-form primitive with its logarithms continued along the curve and
+    offset fixed at the first point (see ``_first_point``).  Each step costs
+    the same however long the curve already is: at most 8 evaluations of q
+    (3 for RK4, whose first stage reuses the square root at the current
+    point, 1 at the end point and up to 4 for the Newton projection onto
+    Im phi = 0; 69.8 per curve on the reference figures), one of Phi, at
     the RK4 end point, and a scan of the earlier segments for closure only
     once the curve has turned through 1.5 pi since one of them.  A step
     spans half the distance to the nearest special point, halved while the
@@ -201,10 +252,16 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     the integral over the shift, by Simpson's rule on the first shift (as
     long as RK4's error) and the trapezoid rule on later ones, until the
     shift is below 1e-6 of the step; it refuses shifts of 0.2 of the step
-    or more.  The next step's Phi is exact again, so the quadrature errors
-    do not accumulate.  A curve ends at u = infinity once it heads outward
-    beyond 25 chart scales, and at a finite point over t = infinity once
-    it heads into it within 1/25 of that point's ``special_gap``."""
+    or more.  A last first-order shift, which needs no q, cancels the Im
+    phi that leaves.  The next step's Phi is exact again, so the quadrature
+    errors do not accumulate.
+
+    A curve ends at a pole of q of order 2 or 4 at the first point inside
+    its end domain (``UChart.end_domains``, tested by ``_sealed``); a double
+    pole's domain counts only where its residue is at least
+    _SEAL_RESIDUE_FRACTION off the imaginary axis.  The fallbacks are the
+    capture discs of the finite poles (_CAPTURE_RADIUS) and the escape
+    radius of _ESCAPE_FACTOR chart scales."""
     # Start from the chart's own point, so the origin is not taken for a target.
     origin_label, origin = _trace_origin(complex(origin), chart)
     scale = chart.scale
@@ -213,7 +270,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         raise AlgebraError(f"ray {ray} out of range for {origin_label}")
     direction = directions[ray]
 
-    escape = _ESCAPE_FACTOR * chart.escape_scale
+    escape = _ESCAPE_FACTOR * scale
     budget = _ARC_BUDGET_FACTOR * chart.arc_scale
     min_h = _MIN_STEP * scale
     # Later entries win where capture discs overlap (see UChart.capture_points).
@@ -231,8 +288,8 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     # terminus tests below read the others only if it is within reach.
     specials = [u_tp for _, u_tp, _ in tp_targets] + [sp] + [pole for _, pole, _ in captures]
     n_tp = len(tp_targets)
-    sealed = [(label, pole, chart.special_gap(pole) / 25)
-              for label, pole in chart.finite_infinities_u.items()]
+    domains = [d for d in chart.end_domains
+               if d.order != 2 or abs(d.lead.real) >= _SEAL_RESIDUE_FRACTION * abs(d.lead)]
     reach = max([sp_radius, tp_radius] + [radius for _, _, radius in captures])
     sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
@@ -254,6 +311,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     turn_exact = last_step != 0
     turn, turns = 0.0, [0.0]
     n_sep, lo, hi = 0, math.inf, -math.inf
+    scanned = np.empty(0, complex)      # the polyline as an array, for the scan
 
     # The loop's calls, bound once: q and Phi of the chart, and cmath.sqrt.
     q, sqrt, phi_of = chart.q, cmath.sqrt, chart.phi
@@ -335,6 +393,15 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
             step_shrink += 1
             continue
         step_shrink = max(0, step_shrink - 1)
+        # The projection stops once its shift is below 1e-6 of the step,
+        # which leaves an Im phi of second order in that shift (up to 1e-13
+        # of phi); one more first-order shift, along sq_next, cancels it
+        # without another q.
+        drift = phi_next.imag
+        if drift and sq_next:
+            shift = -1j * sq_next.conjugate() * (drift / abs(sq_next) ** 2)
+            u_next += shift
+            phi_next += shift * sq_next
 
         step = u_next - u
         arc += abs(step)
@@ -356,11 +423,10 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         # --- terminus checks -------------------------------------------
         if not left_origin and abs(u - origin) > leave_radius:
             left_origin = True
-        # Far outside every special point the field is a constant direction
-        # (q tends to its leading coefficient), so the fate is sealed well
-        # before the hard escape radius.
-        far_out = abs(u) > 25 * scale and (u.real * k1.real + u.imag * k1.imag) > 0
-        if abs(u) > escape or far_out:
+        terminus = _sealed(domains, u, sq)
+        if terminus:
+            break
+        if abs(u) > escape:
             terminus = chart.escape_label
             break
         dists = [abs(u - s) for s in specials]
@@ -380,15 +446,6 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                     break
             if terminus:
                 break
-        # The mirror of far_out at a finite point over t = infinity: q has
-        # a pole of order 4 there, so in w = 1/(u - pole) the field is
-        # nearly constant, and a curve heading in is sealed to end there.
-        for label, pole, radius in sealed:
-            v = u - pole
-            if abs(v) < radius and (v.real * k1.real + v.imag * k1.imag) < 0:
-                terminus = label
-        if terminus:
-            break
         if arc > budget:
             terminus = "spiral"
             break
@@ -404,9 +461,11 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 n_sep += 1
             behind = max(turn - lo, hi - turn)
             if n_sep and (not turn_exact or behind > _CLOSURE_TURN - _TURN_MARGIN):
-                pts = np.asarray(points)
-                a = pts[:n_sep]
-                seg = pts[1:n_sep + 1] - a
+                # The polyline only grows: convert just its new points.
+                if len(scanned) < len(points):
+                    scanned = np.concatenate([scanned, points[len(scanned):]])
+                a = scanned[:n_sep]
+                seg = scanned[1:n_sep + 1] - a
                 L2 = np.abs(seg) ** 2
                 tpar = np.clip(((u - a) * np.conj(seg)).real /
                                np.maximum(L2, 1e-300), 0.0, 1.0)
@@ -414,7 +473,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 j = int(np.argmin(d))
                 if d[j] < hit_tol * (1 + arc):
                     seg_dir = seg[j]
-                    dirs = np.diff(pts[j:])
+                    dirs = np.diff(scanned[j:])
                     dirs = dirs[np.abs(dirs) > 0]
                     turning = abs(float(np.sum(np.angle(dirs[1:] / dirs[:-1]))))
                     cosine = (step / abs(step) *

@@ -421,7 +421,7 @@ def _sqrt_q(chart, u, ref):
 def _no_logs(chart):
     """Phi's logarithms, all zero: a start from which ``phi`` returns
     their principal values."""
-    return chart.phi_origin(chart.simple_pole_u)[1]
+    return chart.origin_logs(chart.simple_pole_u)
 
 
 @pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
@@ -535,3 +535,126 @@ def test_branch_point_rejects_a_sign_other_than_plus_or_minus_one():
     for sign in (0, 2, -1.5):
         with pytest.raises(ValueError, match="sign must be"):
             BranchPoint(b.t, b.lambda0, sign=sign)
+
+
+# ---------------------------------------------------------------------------
+# Chart data read once: singular points and gaps, the divisor of q, the
+# leads at its poles, their end domains and the expansions at the origins
+# ---------------------------------------------------------------------------
+
+END_CHARTS = PHI_CHARTS + [D6Chart(Parameters(-3 + 1j, 1 + 0.5j)), D7Chart(1j),
+                           D6Chart(Parameters(-1.3447470589763546 + 0.8018009835012454j,
+                                              1.776090862600697 - 0.7735880706937113j))]
+END_IDS = PHI_IDS + ["d6-chamber-IV", "d7-loop", "d6-large-cm"]
+
+
+@pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
+def test_singular_points_and_gaps_are_shared_read_only_values(chart):
+    # Built once per chart; a caller can read them but not change the copy
+    # every other caller reads.
+    points = chart.singular_points()
+    assert points is chart.singular_points()
+    with pytest.raises(TypeError):
+        points[0] = 0j
+    with pytest.raises(AttributeError):
+        points.append(0j)
+    gaps = chart.special_gaps
+    assert gaps is chart.special_gaps
+    with pytest.raises(TypeError):
+        gaps[points[0]] = 1.0
+    assert points == chart.singular_points()
+    for s in points:
+        assert chart.special_gap(s) == min(abs(t - s) for t in points if t != s)
+    u = 0.123 + 0.456j
+    assert chart.special_gap(u) == min(abs(t - u) for t in points)
+
+
+@pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
+def test_divisor_gives_q_up_to_a_constant(chart):
+    # q is a constant times prod (u - z)^m over the divisor, and the orders
+    # sum to 0: q tends to that constant at u = infinity.
+    assert [z for z, _ in chart.divisor] == list(chart.singular_points())
+    assert sum(m for _, m in chart.divisor) == 0
+    rng = np.random.default_rng(30)
+    us = chart.scale * (rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8))
+    ratios = [chart.q(u) / np.prod([(u - z) ** m for z, m in chart.divisor]) for u in us]
+    assert max(abs(r / ratios[0] - 1) for r in ratios) < 1e-12
+
+
+@pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
+def test_pole_leads_are_the_leading_terms_of_sqrt_q(chart):
+    # sqrt(q) (u - p)^k / lead -> +-1 at a pole p of q of order 2k, and
+    # sqrt(q) / lead -> +-1 at u = infinity, the defect falling with the
+    # distance; a double pole's lead is its residue.
+    captures = chart.capture_points()
+    for label, lead in chart.pole_leads.items():
+        defects = []
+        for r in (1e-4, 1e-5):
+            if label == chart.escape_label:
+                u = chart.scale / r * cmath.exp(0.7j)
+                ratio = cmath.sqrt(chart.q(u)) / lead
+            else:
+                pole = captures[label]
+                k = 1 if label in chart.double_poles_u else 2
+                v = r * chart.special_gap(pole) * cmath.exp(0.7j)
+                ratio = cmath.sqrt(chart.q(pole + v)) * v ** k / lead
+            defects.append(min(abs(ratio - 1), abs(ratio + 1)))
+        assert defects[1] < 2e-4 and defects[1] < 0.2 * defects[0] + 1e-12, label
+        if label in chart.double_poles_u:
+            assert lead == chart.pole_residues[label]
+    assert set(chart.pole_leads) == set(chart.pole_residues)
+
+
+def _continued(values):
+    """values times the signs that keep them continuous from the first."""
+    out = [values[0]]
+    for v in values[1:]:
+        out.append(-v if abs(v + out[-1]) < abs(v - out[-1]) else v)
+    return out
+
+
+@pytest.mark.parametrize("chart", END_CHARTS, ids=END_IDS)
+def test_end_domains_hold_the_curves_that_enter_them(chart):
+    # Sampled from q itself, not from the divisor bound the chart sizes the
+    # domains with.  Order 2: on the disc, for the branch whose residue has
+    # Re < 0, the field conj(sqrt q) points into the pole (Re((u - p)
+    # sqrt(q)) < 0).  Order 4: on every circle |zeta| >= depth, g = sqrt(q)
+    # / (lead zeta^2) (sqrt(q) / lead at infinity), continued round it, has
+    # Re g > 0, so the field advances Re(lead zeta).  The disc of a double
+    # pole with an imaginary residue is empty.
+    angles = np.exp(2j * np.pi * np.arange(513) / 512)    # closed: the last is the first
+    for d in chart.end_domains:
+        assert d.radius > 0 or (d.order == 2 and d.lead.real == 0)
+        if d.order == 2:
+            if d.radius == 0:
+                continue
+            res = d.lead if d.lead.real < 0 else -d.lead
+            for rho in d.radius * np.arange(1, 9) / 8:
+                for v in rho * angles:
+                    s = cmath.sqrt(chart.q(d.pole + v))
+                    if (s * v / res).real < 0:
+                        s = -s
+                    assert (v * s).real < 0, (d.label, rho)
+            continue
+        depth = d.radius if d.pole is None else 1 / d.radius
+        for x in depth * np.array([1.0, 1.1, 1.5, 3.0, 10.0]):
+            zetas = x * angles
+            us = zetas if d.pole is None else d.pole - 1 / zetas
+            scale = np.ones_like(zetas) if d.pole is None else zetas ** 2
+            g = _continued([cmath.sqrt(chart.q(u)) / (d.lead * k) for u, k in zip(us, scale)])
+            g = np.asarray(g) * (1 if g[0].real > 0 else -1)
+            assert np.all(g.real > 0), (d.label, x)
+            assert abs(g[-1] - g[0]) < 1e-9 * abs(g[0])    # single-valued round the circle
+
+
+@pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
+def test_origin_expansions_sum_to_sqrt_q(chart):
+    # sqrt(q(u0 + v)) = +-sqrt(lead) v^e sum_n g_n v^n, to rounding at a
+    # tenth of the origin's gap (the first point's distance), every way out.
+    for u0, (center, e, lead, g) in chart.origin_expansions.items():
+        assert abs(center - u0) < 1e-14 * chart.scale
+        for w in np.exp(2j * np.pi * np.arange(7) / 7):
+            v = complex(0.1 * chart.special_gap(u0) * w)
+            series = cmath.sqrt(lead) * v ** e * sum(gn * v ** n for n, gn in enumerate(g))
+            exact = cmath.sqrt(chart.q(center + v))
+            assert min(abs(exact - series), abs(exact + series)) <= 1e-14 * abs(exact)

@@ -4,9 +4,11 @@ the t-form phase primitive of the test reference, and diagram rendering."""
 import cmath
 import json
 import math
+import random
 import time
 import xml.etree.ElementTree as ET
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,7 @@ from p3wkb.geometry import (
 from p3wkb.walls import on_imaginary_axis
 
 from asymptotics_reference import BranchCutError, phi_primitive
+from test_walls import WALL_POINTS, _chamber_sample
 from trace_reference import TRACES
 
 P_GEN = Parameters(2 + 1j, 3)
@@ -133,8 +136,9 @@ def test_option_defaults():
     assert geometry._CAPTURE_RADIUS == 1e-3
     assert geometry._TP_RADIUS == 1e-3
     assert (geometry._STEP_FACTOR, geometry._MIN_STEP) == (0.5, 1e-9)
-    assert (geometry._ESCAPE_FACTOR, geometry._ARC_BUDGET_FACTOR) == (1e3, 200.0)
+    assert (geometry._ESCAPE_FACTOR, geometry._ARC_BUDGET_FACTOR) == (25.0, 200.0)
     assert geometry._CLOSURE_COSINE == 0.99
+    assert geometry._SEAL_RESIDUE_FRACTION == 0.05
 
 
 @pytest.mark.parametrize("params, chart_cls, calls", [(P_GEN, D6Chart, 3), (2 + 1j, D7Chart, 1)],
@@ -270,9 +274,11 @@ def test_steps_cost_at_most_eight_q_calls(monkeypatch):
     # most 4 evaluations of q: Simpson's rule on the first shift, the
     # trapezoid rule on two more), RK4 (3) and the end point (1).  The cost
     # is bounded per curve, not per polyline point, which would reward a
-    # tracer that crawls: on the reference figures a curve takes 114.0
-    # evaluations of q, and 170.2 with steps of 0.3 of the distance to the
-    # nearest special point.
+    # tracer that crawls: on the reference figures a curve takes 69.8
+    # evaluations of q (the bound leaves 8 % over that), 114.0 when curves
+    # ran on to 25 chart scales, to 1/25 of u = 0's gap and into the double
+    # poles' capture discs, and 170.2 with steps of 0.3 of the distance to
+    # the nearest special point.
     events = []
     for cls in (D6Chart, D7Chart):
         for name in ("q", "phi"):
@@ -286,45 +292,68 @@ def test_steps_cost_at_most_eight_q_calls(monkeypatch):
     curves = sum(len(stokes_diagram(params).curves) for _, params in TRACE_CASES)
     runs = "".join("p" if e == "phi" else "q" for e in events).split("p")
     assert max(map(len, runs)) <= 8
-    assert events.count("q") <= 120 * curves
+    assert events.count("q") <= 75 * curves
 
 
-@pytest.mark.parametrize("params", [P_GEN, 2 + 1j], ids=["d6", "d7"])
-def test_far_field_steps_grow_and_never_pass_a_special_point(params):
-    # Past 3.3 scale q is nearly constant and an escaping curve's fate is
-    # sealed: uncapped steps reach the 25 scale far-out radius in at most
-    # 12 points (7 measured on both charts; 24 and 23 with steps capped at
-    # one chart scale).  Every step after the first spans at most
-    # _STEP_FACTOR of the distance from its start to the nearest singular
-    # point (measured up to 0.4999999995), so none can pass over one.  The
-    # mirror rule at a finite point over t = infinity (D6's u = 0, inf34)
-    # ends every curve heading into it within special_gap/25 of it
-    # (measured up to 0.96 of that radius).
+def _continued_roots(chart, pts):
+    """sqrt(q) at each polyline point after the first, on the branch whose
+    field conj(sqrt q) points along the chord that arrives there."""
+    out = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        s = cmath.sqrt(chart.q(b))
+        out.append(-s if (s * (b - a)).real < 0 else s)
+    return out
+
+
+@pytest.mark.parametrize("params", [P_GEN, 2 + 1j, Parameters(-3 + 1j, 1 + 0.5j)],
+                         ids=["d6", "d7", "d6_chamber_IV"])
+def test_curves_end_at_their_first_point_in_an_end_domain(params):
+    # A curve ends at a pole of q of order 2 or 4 at the first point inside
+    # the pole's end domain: the last point lies in it and no earlier one in
+    # any (tests/test_algebra.py checks on q itself that a domain holds
+    # what enters it).  A domain lies within its pole's gap, so every curve
+    # ending at a finite pole ends inside that gap, and escaping curves
+    # end before 3.3 chart scales or at their first point beyond (they
+    # took 7 points beyond 3.3 scales when they ran on to 25).  Every step
+    # after the first spans at most _STEP_FACTOR of the distance from its
+    # start to the nearest singular point (measured up to 0.4999999995),
+    # so none can pass over one.
     diag = _diagram(params)
     chart = diag.chart
+    domains = chart.end_domains
+    assert all(d.order == 4 or abs(d.lead.real) >= geometry._SEAL_RESIDUE_FRACTION * abs(d.lead)
+               for d in domains)
+    poles = {d.label: d for d in domains}
     specials = np.asarray(chart.singular_points())
     for c in diag.curves:
         pts = np.asarray(c.points)
+        roots = _continued_roots(chart, pts[1:])
+        labels = [geometry._sealed(domains, u, s) for u, s in zip(pts[2:], roots)]
+        if c.terminus in poles:
+            assert labels == [None] * (len(labels) - 1) + [c.terminus]
+            d = poles[c.terminus]
+            if d.pole is not None:
+                assert abs(pts[-1] - d.pole) < d.radius < chart.special_gap(d.pole)
+        else:
+            assert labels == [None] * len(labels)
         if c.terminus == chart.escape_label:
-            assert np.sum(np.abs(pts) > 3.3 * chart.scale) <= 12
-        if c.terminus in chart.finite_infinities_u:
-            pole = chart.finite_infinities_u[c.terminus]
-            assert abs(pts[-1] - pole) < chart.special_gap(pole) / 25
+            assert np.sum(np.abs(pts) > 3.3 * chart.scale) <= 1
         start, end = pts[1:-1], pts[2:]
         nearest = np.min(np.abs(start[:, None] - specials[None, :]), axis=1)
         assert np.all(np.abs(end - start) <= geometry._STEP_FACTOR * (1 + 1e-6) * nearest)
-    if chart.finite_infinities_u:
-        assert any(c.terminus in chart.finite_infinities_u for c in diag.curves)
+    for label in poles:
+        assert any(c.terminus == label for c in diag.curves)
 
 
 def test_spiral_terminus_ends_a_curve_past_its_arc_budget(monkeypatch):
-    # With the budget cut to 0.05 arc_scale, tp0's ray 0 outruns it after a
-    # few points (measured 0.137 against 0.127, after 10 points).
-    monkeypatch.setattr(geometry, "_ARC_BUDGET_FACTOR", 0.05)
+    # With the budget cut to 0.03 arc_scale, tp0's ray 0 outruns it after a
+    # few points (measured 0.094 against 0.076, after 6 points; the whole
+    # curve, sealed at zero_cinf, spans 0.055 arc_scale).
+    monkeypatch.setattr(geometry, "_ARC_BUDGET_FACTOR", 0.03)
     chart = D6Chart(P_GEN)
     curve = trace_curve(chart.turning_points_u[0], 0, chart)
     assert curve.terminus == "spiral"
-    assert curve.arc_length > 0.05 * chart.arc_scale
+    assert curve.arc_length > 0.03 * chart.arc_scale
 
 
 def test_closure_terminus_reports_loop(monkeypatch):
@@ -419,14 +448,101 @@ def test_d7_one_degree_off_its_wall_ends_one_curve_at_the_double_pole(r, wall, o
     assert not diag.degenerations
 
 
-def test_escaping_curves_outlast_the_arc_budget_at_large_c_m_over_c_p():
-    # A chamber III draw with |c_m/c_p| about 8: the far-out radius
+def test_escaping_curves_outlast_the_arc_budget_at_large_c_m_over_c_p(monkeypatch):
+    # A chamber III draw with |c_m/c_p| about 8: the fallback escape radius
     # 25 * scale lies beyond 200 * |c_p|, so the arc budget has to grow
-    # with the chart scale or five escaping curves end as "spiral".
+    # with the chart scale or, with the seals off, five escaping curves end
+    # as "spiral".
     p = Parameters(-1.3447470589763546 + 0.8018009835012454j,
                    1.776090862600697 - 0.7735880706937113j)
-    assert _terminus_multiset(_diagram(p)) == \
-        {"inf12": 6, "inf34": 7, "zero_c0": 2, "zero_cinf": 1}
+    expected = {"inf12": 6, "inf34": 7, "zero_c0": 2, "zero_cinf": 1}
+    assert _terminus_multiset(_diagram(p)) == expected
+    monkeypatch.setattr(geometry, "_sealed", lambda *args: None)
+    assert _terminus_multiset(_diagram(p)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The end-domain seal against the tracer without it
+# ---------------------------------------------------------------------------
+
+def _oracle_params(group):
+    rng = random.Random(1303)
+    if group == "d6_chambers":           # 13 seeded draws in each of the 8 chambers
+        return [_chamber_sample(rng, k) for k in range(8) for _ in range(13)]
+    if group == "walls":
+        return list(WALL_POINTS.values())
+    if group == "d7":                    # 56 seeded draws, any phase
+        return [cmath.rect(rng.uniform(0.3, 3.5), rng.uniform(-math.pi, math.pi))
+                for _ in range(56)]
+    return [params for _, params in TRACE_CASES]
+
+
+def _termini(params):
+    return [c.terminus for c in stokes_diagram(params).curves]
+
+
+@pytest.mark.parametrize("group", ["d6_chambers", "walls", "d7", "reference"])
+def test_seals_move_no_terminus(monkeypatch, group):
+    # Every curve's terminus is the one the tracer gives with the seal
+    # switched off, which follows the curve on to the capture discs of the
+    # finite poles and to the fallback escape radius: on 104 D6 chamber
+    # draws, the 8 wall points, 56 D7 draws and the 354 reference curves.
+    params = _oracle_params(group)
+    sealed = [_termini(p) for p in params]
+    monkeypatch.setattr(geometry, "_sealed", lambda *args: None)
+    assert [_termini(p) for p in params] == sealed
+
+
+def _turned(p, degrees):
+    """The D6 parameters p with their imaginary one turned by ``degrees``."""
+    turn = cmath.exp(1j * math.radians(degrees))
+    return Parameters(p.c_inf * turn if p.c_inf.real == 0 else p.c_inf,
+                      p.c_0 * turn if p.c_0.real == 0 else p.c_0)
+
+
+NEAR_WALL = ([cmath.rect(1.0, math.radians(wall + off)) for wall in (90, -90)
+              for off in (0.3, -0.3, 0.01, -0.01)]
+             + [_turned(WALL_POINTS[label], off) for label in ("W1", "W3", "W5", "W7")
+                for off in (0.01, -0.01)])
+
+
+@pytest.mark.parametrize("params", NEAR_WALL, ids=[
+    f"d7_{wall:+d}_{off:+g}deg" for wall in (90, -90) for off in (0.3, -0.3, 0.01, -0.01)] + [
+    f"{label}_{off:+g}deg" for label in ("W1", "W3", "W5", "W7") for off in (0.01, -0.01)])
+def test_double_pole_seals_stay_off_near_loop_walls(monkeypatch, params):
+    # Near a loop wall (D7's arg c = +-pi/2, D6's W1/W3/W5/W7 with the
+    # imaginary parameter turned by 0.01 degrees) a double pole's residue
+    # lies within _SEAL_RESIDUE_FRACTION of the imaginary axis: its seal
+    # never fires, and every terminus is the tracer's without seals, whose
+    # closure labels there move with the step length.  A curve on which no
+    # seal fires is traced exactly as without seals, so only the curves on
+    # which one fires are traced again with the seal off.
+    chart = u_chart(params)
+    margins = {label: abs(chart.pole_residues[label].real) / abs(chart.pole_residues[label])
+               for label in chart.double_poles_u}
+    assert min(margins.values()) < geometry._SEAL_RESIDUE_FRACTION
+    fired = []
+    sealed = geometry._sealed
+
+    def recording(*args):
+        label = sealed(*args)
+        if label:
+            fired.append(label)
+        return label
+
+    monkeypatch.setattr(geometry, "_sealed", recording)
+    rays = [(u, ray) for u in chart.turning_points_u for ray in range(5)] + [(chart.simple_pole_u, 0)]
+    ended = []
+    for u, ray in rays:
+        fired.clear()
+        curve = trace_curve(u, ray, chart)
+        if fired:
+            assert fired == [curve.terminus]
+            assert margins.get(curve.terminus, 1.0) >= geometry._SEAL_RESIDUE_FRACTION
+            ended.append((u, ray, curve.terminus))
+    monkeypatch.setattr(geometry, "_sealed", lambda *args: None)
+    for u, ray, terminus in ended:
+        assert trace_curve(u, ray, chart).terminus == terminus
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +628,61 @@ def test_start_integral_matches_the_tau_rule(params):
             vals = np.where(np.abs(raw - ref) > np.abs(raw + ref), -raw, raw)
             rule = (u1 - origin) * np.sum(w * tau * vals)
             assert abs(phi - rule) <= 1e-12 * abs(rule)
+
+
+def _q_mp(params, u):
+    cp, cm = mp.mpc(params.c_p), mp.mpc(params.c_m)
+    return 4 * (cp ** 2 * u ** 3 + cm ** 2) ** 3 / ((u + 1) * u ** 4 * (cp ** 2 * u ** 2 - cm ** 2) ** 2)
+
+
+def test_first_point_phi_matches_a_30_digit_integral():
+    # On P_GEN's 15 turning-point rays, the start's phi against mpmath's
+    # 30-digit quadrature of sqrt(q) from the origin in tau, u = origin +
+    # (u1 - origin) tau^2: within 1e-14 relative (measured 6.8e-15), where
+    # Phi(u1) - Phi(origin) cancelled to 6e-13.
+    chart = D6Chart(P_GEN)
+    with mp.workdps(30):
+        for origin in chart.turning_points_u:
+            for direction in emanation_directions(origin, chart):
+                u1, _, phi, _, _ = geometry._first_point(chart, origin, direction)
+                span = mp.mpc(u1) - mp.mpc(origin)
+
+                def integrand(tau):
+                    s = mp.sqrt(_q_mp(P_GEN, mp.mpc(origin) + span * tau ** 2))
+                    return 2 * span * tau * (s if mp.re(s * span) > 0 else -s)
+
+                ref = complex(mp.quad(integrand, [0, 1]))
+                assert abs(phi - ref) <= 1e-14 * abs(ref)
+
+
+def test_first_point_reads_q_and_phi_once(monkeypatch):
+    # The start sums phi from the origin's expansion, so on the reference
+    # figures no curve evaluates q or Phi more than 3 times before its
+    # first step (once each, measured), where the Newton iteration on
+    # Phi(u1) - Phi(origin) took 5 of each on 927 of 1,152 curves.  The
+    # expansions themselves read q once per origin, once per chart.
+    calls = []
+    for cls in (D6Chart, D7Chart):
+        for name in ("q", "phi"):
+            method = getattr(cls, name)
+
+            def counted(self, *args, _method=method):
+                calls.append(1)
+                return _method(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+    counts = []
+    for _, params in TRACE_CASES:
+        chart = u_chart(params)
+        calls.clear()
+        chart.origin_expansions
+        assert len(calls) == len(chart.turning_points_u) + 1
+        for origin in list(chart.turning_points_u) + [chart.simple_pole_u]:
+            for direction in emanation_directions(origin, chart):
+                calls.clear()
+                geometry._first_point(chart, origin, direction)
+                counts.append(len(calls))
+    assert len(counts) == 354 and max(counts) <= 3
 
 
 # ---------------------------------------------------------------------------
