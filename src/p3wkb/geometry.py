@@ -7,19 +7,20 @@ monotonically), and a continuation sign chained along the curve.  The five
 rays of a turning point come from q's (u - u_tp)^3 lead there, the ray of
 the simple pole from q's residue there; the chart gives both in closed form
 (``UChart.turning_point_leads``, ``UChart.simple_pole_lead``), and the
-integral as well (``UChart.phi``).  A curve starts on its exact level set a
-tenth of the way from its origin to the nearest other special point, the
-integral to there summed from the chart's expansion of sqrt(q) at the
-origin.  Each step is an RK4 predictor over half the distance to the
+integral as well (``UChart.phi``).  What the curves read of the chart
+alone (the rays, the expansion of sqrt(q) at each origin, the capture
+discs and end domains) is worked out once per chart, on its first curve.
+A curve starts on its exact level set a tenth of the way from its origin
+to the nearest other special point, the integral to there summed from the
+expansion.  Each step is an RK4 predictor over half the distance to the
 nearest special point, the chart's primitive at its end point, and a
 Newton projection back onto Im of the integral = 0: at most 8 evaluations
-of q however long the curve already is, and a scan of the earlier segments
-for closure only once the curve has turned through 1.5 pi since one of
-them.  Steps have no cap: none passes over a special point.  A curve ends
-as soon as it enters the end domain of a pole of q of order 2 or 4 (u =
-infinity, D6's u = 0, the double poles): a region, read off the pole's
-closed-form leading term and the divisor of q (``UChart.end_domains``),
-that no trajectory entering it leaves before it reaches the pole.
+of q however long the curve already is.  Steps have no cap: none passes
+over a special point.  A curve ends as soon as it enters the end domain
+of a pole of q of order 2 or 4 (u = infinity, D6's u = 0, the double
+poles): a region, read off the pole's closed-form leading term and the
+divisor of q (``UChart.end_domains``), that no trajectory entering it
+leaves before it reaches the pole.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,7 +140,13 @@ def emanation_directions(origin: complex, chart) -> list:
     """Unit directions of the Stokes rays at a turning point (five, from the
     local (5/2)-power primitive, by the chart's ``turning_point_leads``) or
     at the simple pole over t = 0 (one, from the local (1/2)-power
-    primitive, by the chart's ``simple_pole_lead``) of a u-plane chart."""
+    primitive, by the chart's ``simple_pole_lead``) of a u-plane chart.
+
+    Ray k of a turning point lies at (2 pi k - arg(lead)) / 5, with arg in
+    (-pi, pi] (``cmath.phase``), so ray 0 lies at -arg(lead) / 5.  At a
+    lead on the negative real axis the sign of its imaginary part (there
+    often rounding) takes arg near pi or near -pi: it rotates the labels by
+    one ray but never changes the set of five rays."""
     label, u0 = _trace_origin(complex(origin), chart)
     if label == "simple_pole":
         return [cmath.exp(-1j * cmath.phase(chart.simple_pole_lead))]
@@ -149,39 +159,86 @@ def emanation_directions(origin: complex, chart) -> list:
 # Curve tracing
 # ---------------------------------------------------------------------------
 
-def _sqrt_q(chart, u: complex, ref: complex) -> complex:
-    """Branch of sqrt(q(u)) closest in direction to ref (continuation)."""
-    v = cmath.sqrt(chart.q(u))
-    return -v if _nearer_negated(v, ref) else v
-
-
 #: A curve's first point lies this fraction of the way from its origin to
 #: the nearest other special point.
 START_FRACTION = 0.1
 
 
+class _Start(NamedTuple):
+    """What every curve leaving one origin reads of it (see ``_tracing_plan``)."""
+
+    label: str             # "tp0".."tp2" | "simple_pole"
+    u: complex
+    directions: tuple      # ``emanation_directions``, by ray
+    amps: tuple            # by ray: sqrt(q) = amp (v/d)^e g(v) / d, amp > 0 (``_first_point``)
+    center: complex        # and e: of ``UChart.origin_expansions`` at u
+    e: float
+    series: tuple          # (g_n, h_n), h_n = g_n / (n + e + 1), from the last n down
+    t: complex             # START_FRACTION of u's gap: where the Newton iteration starts
+    logs: tuple            # ``UChart.origin_logs``
+    is_origin: tuple       # per turning point, then the simple pole: whether it is u
+
+
+class _Plan(NamedTuple):
+    """The data a Stokes curve reads of its chart alone (see ``_tracing_plan``)."""
+
+    starts: MappingProxyType   # u of each turning point and of the simple pole -> _Start
+    specials: tuple            # turning points, simple pole, capture points: the nearest
+                               # sets a step, the others count if it lies within reach
+    captures: tuple            # (label, pole, radius); later ones win where discs overlap
+    sp_radius: float           # the simple pole's capture radius
+    domains: tuple             # the end domains that may seal a curve
+    reach: float               # the largest capture radius, the simple pole's included
+
+
+@lru_cache(maxsize=1)
+def _tracing_plan(chart) -> _Plan:
+    """What ``trace_curve`` reads of ``chart`` alone, worked out on its
+    first curve and kept for the others: per origin its rays (one call of
+    ``emanation_directions``), each ray's series amplitude and the expansion
+    integrated; the capture discs, and the end domains that may seal (a
+    double pole's only where its residue is at least _SEAL_RESIDUE_FRACTION
+    off the imaginary axis).  Data only, in tuples and read-only maps."""
+    tps, sp = chart.turning_points_u, chart.simple_pole_u
+    starts = {}
+    for label, u0 in [(f"tp{k}", u) for k, u in enumerate(tps)] + [("simple_pole", sp)]:
+        directions = tuple(emanation_directions(u0, chart))
+        center, e, lead, g = chart.origin_expansions[u0]
+        # amp is real and positive (up to rounding) by the choice of the rays.
+        amps = [cmath.sqrt(lead) * d ** (e + 1) for d in directions]
+        h = [gn / (n + e + 1) for n, gn in enumerate(g)]
+        starts[u0] = _Start(label, u0, directions, tuple(-a if a.real < 0 else a for a in amps),
+                            center, e, tuple(zip(reversed(g), reversed(h))),
+                            START_FRACTION * chart.special_gap(u0) + 0j, chart.origin_logs(u0),
+                            tuple(chart.same_point(s, u0) for s in tps + (sp,)))
+    captures = tuple((label, pole, _CAPTURE_RADIUS * max(1.0, abs(pole)))
+                     for label, pole in chart.capture_points().items())
+    sp_radius = _CAPTURE_RADIUS * max(1.0, abs(sp))
+    domains = tuple(d for d in chart.end_domains
+                    if d.order != 2 or abs(d.lead.real) >= _SEAL_RESIDUE_FRACTION * abs(d.lead))
+    return _Plan(MappingProxyType(starts), tps + (sp,) + tuple(p for _, p, _ in captures),
+                 captures, sp_radius, domains, max([sp_radius] + [r for _, _, r in captures]))
+
+
 def _first_point(chart, origin: complex, direction: complex) -> tuple:
     """(u1, sqrt(q(u1)), phi, logs, offset) of a curve leaving ``origin``
-    along ``direction``: u1 lies START_FRACTION of the way to the nearest
-    other special point, moved along the ray's normal by Newton iteration
-    until phi = int_origin^u1 sqrt(q) du is real to 1e-15 of itself.  phi
-    and its derivative come from the chart's expansion of sqrt(q) at the
-    origin (``UChart.origin_expansions``), integrated term by term, so the
-    start reads q and the primitive Phi once, at u1: sqrt(q) is the branch
-    nearer the expansion's, whose field points along the ray, and offset =
-    phi - Phi(u1) turns Phi into the integral from the origin."""
-    center, e, lead, g = chart.origin_expansions[origin]
-    # sqrt(q) = amp (v/d)^e g(v) / d with v = u - center, d = direction, and
-    # amp real and positive (up to rounding) by the choice of the rays.
-    amp = cmath.sqrt(lead) * direction ** (e + 1)
-    if amp.real < 0:
-        amp = -amp
-    h = [gn / (n + e + 1) for n, gn in enumerate(g)]
-    t = START_FRACTION * chart.special_gap(origin) + 0j    # t = v / d
+    along ``direction``, one of its rays: u1 lies START_FRACTION of the way
+    to the nearest other special point, moved along the ray's normal by
+    Newton iteration until phi = int_origin^u1 sqrt(q) du is real to 1e-15
+    of itself.  phi and its derivative come from the chart's expansion of
+    sqrt(q) at the origin (``UChart.origin_expansions``), integrated term by
+    term, so the start reads q and the primitive Phi once, at u1: sqrt(q) is
+    the branch nearer the expansion's, whose field points along the ray, and
+    offset = phi - Phi(u1) turns Phi into the integral from the origin."""
+    start = _tracing_plan(chart).starts[origin]
+    # sqrt(q) = amp (v/d)^e g(v) / d with v = u - center, d = direction.
+    amp = start.amps[start.directions.index(direction)]
+    center, e, series = start.center, start.e, start.series
+    t = start.t                          # t = v / d
     for _ in range(8):
         v = t * direction
         g_sum = h_sum = 0j
-        for gn, hn in zip(reversed(g), reversed(h)):
+        for gn, hn in series:
             g_sum = g_sum * v + gn
             h_sum = h_sum * v + hn
         power = t ** e                   # principal: t is near the positive axis
@@ -193,8 +250,10 @@ def _first_point(chart, origin: complex, direction: complex) -> tuple:
         if abs(step) <= 1e-16 * abs(t):
             break
     u = center + t * direction
-    sq = _sqrt_q(chart, u, dphi / direction)
-    big_phi, logs = chart.phi(u, sq, chart.origin_logs(origin))
+    sq = cmath.sqrt(chart.q(u))
+    if _nearer_negated(sq, dphi / direction):
+        sq = -sq
+    big_phi, logs = chart.phi(u, sq, start.logs)
     return u, sq, phi, logs, phi - big_phi
 
 
@@ -227,70 +286,54 @@ def _sealed(domains, u: complex, sq: complex):
 # A closure needs the sub-path since the revisited segment to have turned
 # through more than _CLOSURE_TURN.  The tracer keeps a running sum of the
 # turning angle, so the segment scan waits until some arc-separated segment
-# lies that far behind, less a margin far above the rounding between the
-# running sum and the scan's own sum over the same angles.
+# lies that far behind, and reads the turn since the revisited one off it.
 _CLOSURE_TURN = 1.5 * math.pi
-_TURN_MARGIN = 1e-6
 
 
 def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
-    The running integral phi is Phi(u) + offset, Phi the chart's
-    closed-form primitive with its logarithms continued along the curve and
-    offset fixed at the first point (see ``_first_point``).  Each step costs
-    the same however long the curve already is: at most 8 evaluations of q
-    (3 for RK4, whose first stage reuses the square root at the current
-    point, 1 at the end point and up to 4 for the Newton projection onto
-    Im phi = 0; 69.8 per curve on the reference figures), one of Phi, at
-    the RK4 end point, and a scan of the earlier segments for closure only
-    once the curve has turned through 1.5 pi since one of them.  A step
-    spans half the distance to the nearest special point, halved while the
-    projection leaves too much drift, and has no cap.  The projection
-    shifts the end point along the normal by -Im phi / |sqrt q| and adds
-    the integral over the shift, by Simpson's rule on the first shift (as
-    long as RK4's error) and the trapezoid rule on later ones, until the
-    shift is below 1e-6 of the step; it refuses shifts of 0.2 of the step
-    or more.  A last first-order shift, which needs no q, cancels the Im
-    phi that leaves.  The next step's Phi is exact again, so the quadrature
-    errors do not accumulate.
+    Once per chart (``_tracing_plan``): the origin's rays and start series,
+    the capture discs and the end domains.  Once per curve: the first point
+    (``_first_point``), which fixes offset in phi = Phi(u) + offset, Phi the
+    chart's closed-form primitive with its logarithms continued along the
+    curve.  Once per step, the same however long the curve already is: at
+    most 8 evaluations of q (3 for RK4, whose first stage reuses the square
+    root at the current point, 1 at the end point and up to 4 for the
+    Newton projection onto Im phi = 0; 69.8 per curve on the reference
+    figures), one of Phi, at the RK4 end point, the distances to the
+    singular points, the end-domain test, and a scan of the earlier
+    segments for closure only once the curve has turned through 1.5 pi
+    since one of them.  A step spans half the distance to the nearest
+    special point, halved while the projection leaves too much drift, and
+    has no cap.  The projection shifts the end point along the normal by
+    -Im phi / |sqrt q| and adds the integral over the shift, by Simpson's
+    rule on the first shift (as long as RK4's error) and the trapezoid rule
+    on later ones, until the shift is below 1e-6 of the step; it refuses
+    shifts of 0.2 of the step or more.  A last first-order shift, which
+    needs no q, cancels the Im phi that leaves.  The next step's Phi is
+    exact again, so the quadrature errors do not accumulate.
 
     A curve ends at a pole of q of order 2 or 4 at the first point inside
-    its end domain (``UChart.end_domains``, tested by ``_sealed``); a double
-    pole's domain counts only where its residue is at least
-    _SEAL_RESIDUE_FRACTION off the imaginary axis.  The fallbacks are the
-    capture discs of the finite poles (_CAPTURE_RADIUS) and the escape
-    radius of _ESCAPE_FACTOR chart scales."""
+    its end domain (``UChart.end_domains``, tested by ``_sealed``).  The
+    fallbacks are the capture discs of the finite poles (_CAPTURE_RADIUS)
+    and the escape radius of _ESCAPE_FACTOR chart scales."""
     # Start from the chart's own point, so the origin is not taken for a target.
-    origin_label, origin = _trace_origin(complex(origin), chart)
-    scale = chart.scale
-    directions = emanation_directions(origin, chart)
-    if not 0 <= ray < len(directions):
-        raise AlgebraError(f"ray {ray} out of range for {origin_label}")
-    direction = directions[ray]
+    starts, specials, captures, sp_radius, domains, reach = _tracing_plan(chart)
+    start = starts[_trace_origin(complex(origin), chart)[1]]
+    origin, is_origin = start.u, start.is_origin
+    if not 0 <= ray < len(start.directions):
+        raise AlgebraError(f"ray {ray} out of range for {start.label}")
+    direction = start.directions[ray]
 
+    scale = chart.scale
     escape = _ESCAPE_FACTOR * scale
     budget = _ARC_BUDGET_FACTOR * chart.arc_scale
     min_h = _MIN_STEP * scale
-    # Later entries win where capture discs overlap (see UChart.capture_points).
-    captures = [(label, pole, _CAPTURE_RADIUS * max(1.0, abs(pole)))
-                for label, pole in chart.capture_points().items()]
-    sp = chart.simple_pole_u
-    sp_radius = _CAPTURE_RADIUS * max(1.0, abs(sp))
-    sp_is_origin = chart.same_point(sp, origin)
     tp_radius = _TP_RADIUS * scale
-    tp_targets = [(k, u_tp, chart.same_point(u_tp, origin))
-                  for k, u_tp in enumerate(chart.turning_points_u)]
-    # Every singular point of the chart, once: the turning points, the
-    # simple pole, then the capture points.  Their distances from u are
-    # taken once per accepted step; the nearest sets the next step, and the
-    # terminus tests below read the others only if it is within reach.
-    specials = [u_tp for _, u_tp, _ in tp_targets] + [sp] + [pole for _, pole, _ in captures]
-    n_tp = len(tp_targets)
-    domains = [d for d in chart.end_domains
-               if d.order != 2 or abs(d.lead.real) >= _SEAL_RESIDUE_FRACTION * abs(d.lead)]
-    reach = max([sp_radius, tp_radius] + [radius for _, _, radius in captures])
+    n_tp = len(is_origin) - 1
+    reach = max(reach, tp_radius)       # with the turning points' radius
     sep_arc = 20 * _CAPTURE_RADIUS * scale
     hit_tol = 1e-5 * scale
 
@@ -313,13 +356,15 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     n_sep, lo, hi = 0, math.inf, -math.inf
     scanned = np.empty(0, complex)      # the polyline as an array, for the scan
 
-    # The loop's calls, bound once: q and Phi of the chart, and cmath.sqrt.
+    # The loop's calls, bound once: q and Phi of the chart, cmath.sqrt, the
+    # square root's continuation rule and the end-domain test.
     q, sqrt, phi_of = chart.q, cmath.sqrt, chart.phi
+    nearer_negated, sealed = _nearer_negated, _sealed
     step_shrink = 0
     dists = [abs(u - s) for s in specials]
     d_near = min(dists)
     while terminus is None:
-        h = _STEP_FACTOR * max(d_near, 1e-12) / 2 ** step_shrink
+        h = _STEP_FACTOR * (1e-12 if d_near < 1e-12 else d_near) / 2 ** step_shrink
         if h < min_h:
             raise TraceError(f"step underflow at u={u:.6g}", partial=points)
 
@@ -329,15 +374,15 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         try:
             k1 = sq.conjugate() / abs(sq)
             s2 = sqrt(q(u + 0.5 * h * k1))
-            if _nearer_negated(s2, sq):
+            if nearer_negated(s2, sq):
                 s2 = -s2
             k2 = s2.conjugate() / abs(s2)
             s3 = sqrt(q(u + 0.5 * h * k2))
-            if _nearer_negated(s3, s2):
+            if nearer_negated(s3, s2):
                 s3 = -s3
             k3 = s3.conjugate() / abs(s3)
             s4 = sqrt(q(u + h * k3))
-            if _nearer_negated(s4, s3):
+            if nearer_negated(s4, s3):
                 s4 = -s4
             k4 = s4.conjugate() / abs(s4)
         except ZeroDivisionError:
@@ -346,7 +391,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         # The integral from the origin, exact at the RK4 end point: the
         # chart's primitive with its logarithms continued from u.
         sq_next = sqrt(q(u_next))
-        if _nearer_negated(sq_next, s4):
+        if nearer_negated(sq_next, s4):
             sq_next = -sq_next
         big_phi, logs_next = phi_of(u_next, sq_next, logs)
         phi_next = big_phi + offset
@@ -368,15 +413,15 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 # and the trapezoid rule's error grows as its cube:
                 # Simpson's rule, with one more q at the midpoint.
                 sq_mid = sqrt(q(u_next + 0.5 * shift))
-                if _nearer_negated(sq_mid, sq_next):
+                if nearer_negated(sq_mid, sq_next):
                     sq_mid = -sq_mid
                 sq_corr = sqrt(q(u_corr))
-                if _nearer_negated(sq_corr, sq_mid):
+                if nearer_negated(sq_corr, sq_mid):
                     sq_corr = -sq_corr
                 phi_next += (u_corr - u_next) / 6 * (sq_next + 4 * sq_mid + sq_corr)
             else:
                 sq_corr = sqrt(q(u_corr))
-                if _nearer_negated(sq_corr, sq_next):
+                if nearer_negated(sq_corr, sq_next):
                     sq_corr = -sq_corr
                 phi_next += (u_corr - u_next) / 2 * (sq_next + sq_corr)
             u_next, sq_next = u_corr, sq_corr
@@ -392,7 +437,8 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                                  f"halvings at u={u:.6g}", partial=points)
             step_shrink += 1
             continue
-        step_shrink = max(0, step_shrink - 1)
+        if step_shrink:
+            step_shrink -= 1
         # The projection stops once its shift is below 1e-6 of the step,
         # which leaves an Im phi of second order in that shift (up to 1e-13
         # of phi); one more first-order shift, along sq_next, cancels it
@@ -408,7 +454,8 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         u, sq, phi, logs = u_next, sq_next, phi_next, logs_next
         points.append(u)
         arcs.append(arc)
-        im_worst = max(im_worst, abs(phi.imag))
+        if abs(phi.imag) > im_worst:
+            im_worst = abs(phi.imag)
         if turn_exact:
             bend = cmath.phase(step / last_step) if step else math.nan
             if abs(bend) < 3.0:
@@ -423,7 +470,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         # --- terminus checks -------------------------------------------
         if not left_origin and abs(u - origin) > leave_radius:
             left_origin = True
-        terminus = _sealed(domains, u, sq)
+        terminus = sealed(domains, u, sq)
         if terminus:
             break
         if abs(u) > escape:
@@ -437,11 +484,11 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                     terminus = label
             if terminus:
                 break
-            if (left_origin or not sp_is_origin) and dists[n_tp] < sp_radius:
+            if (left_origin or not is_origin[n_tp]) and dists[n_tp] < sp_radius:
                 terminus = "simple_pole"
                 break
-            for (k, _, tp_is_origin), d in zip(tp_targets, dists):
-                if (left_origin or not tp_is_origin) and d < tp_radius:
+            for k, d in enumerate(dists[:n_tp]):
+                if (left_origin or not is_origin[k]) and d < tp_radius:
                     terminus = f"turning_point:{k}"
                     break
             if terminus:
@@ -460,7 +507,7 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 lo, hi = min(lo, turns[n_sep]), max(hi, turns[n_sep])
                 n_sep += 1
             behind = max(turn - lo, hi - turn)
-            if n_sep and (not turn_exact or behind > _CLOSURE_TURN - _TURN_MARGIN):
+            if n_sep and (not turn_exact or behind > _CLOSURE_TURN):
                 # The polyline only grows: convert just its new points.
                 if len(scanned) < len(points):
                     scanned = np.concatenate([scanned, points[len(scanned):]])
@@ -473,16 +520,19 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 j = int(np.argmin(d))
                 if d[j] < hit_tol * (1 + arc):
                     seg_dir = seg[j]
-                    dirs = np.diff(scanned[j:])
-                    dirs = dirs[np.abs(dirs) > 0]
-                    turning = abs(float(np.sum(np.angle(dirs[1:] / dirs[:-1]))))
+                    if turn_exact:
+                        turning = abs(turn - turns[j])
+                    else:
+                        dirs = np.diff(scanned[j:])
+                        dirs = dirs[np.abs(dirs) > 0]
+                        turning = abs(float(np.sum(np.angle(dirs[1:] / dirs[:-1]))))
                     cosine = (step / abs(step) *
                               (seg_dir / abs(seg_dir)).conjugate()).real
                     if cosine > _CLOSURE_COSINE and turning > _CLOSURE_TURN:
                         terminus = "closed"
                         break
 
-    return TracedCurve(origin_label, ray, np.array(points), terminus,
+    return TracedCurve(start.label, ray, np.array(points), terminus,
                        phi_end=phi, im_drift=im_worst, arc_length=arc)
 
 

@@ -19,7 +19,6 @@ from p3wkb.algebra import (
     delta,
     lambda0_branches,
     mu0,
-    residues,
     turning_points,
     u_chart,
 )
@@ -27,6 +26,7 @@ from p3wkb.geometry import emanation_directions
 from p3wkb.numerics import Jet
 
 from asymptotics_reference import _classify_branch, phi_primitive
+from residue_reference import residues
 
 P_GEN = Parameters(2 + 1j, 3)
 P_ALT = Parameters(2, 2 - 1j)

@@ -82,6 +82,22 @@ def test_d7_ray_counts():
     assert len(emanation_directions(ch.simple_pole_u, ch)) == 1
 
 
+def test_ray_set_does_not_depend_on_the_sign_of_a_lead_on_the_cut():
+    # At the wall corner, tp0's lead of q lies on the negative real axis up
+    # to an imaginary part of rounding size.  Ray 0 lies at -arg(lead)/5, arg
+    # in (-pi, pi], so flipping that part's sign rotates the labels by one
+    # ray and leaves the set of five rays as it is.
+    p = Parameters(1j, 0.5j)
+    chart, flipped = u_chart(p), u_chart(p)
+    lead = chart.turning_point_leads[0]
+    assert lead.real < 0 and abs(lead.imag) < 1e-12 * abs(lead)
+    flipped.turning_point_leads = (lead.conjugate(),) + chart.turning_point_leads[1:]
+    u0 = chart.turning_points_u[0]
+    rays, turned = emanation_directions(u0, chart), emanation_directions(u0, flipped)
+    assert any(all(abs(turned[(k + s) % 5] - rays[k]) < 1e-12 for k in range(5))
+               for s in (1, -1))
+
+
 def test_emanation_rejects_non_origin():
     ch = D6Chart(P_GEN)
     with pytest.raises(AlgebraError):
@@ -156,6 +172,39 @@ def test_rays_need_one_q_leading_per_turning_point(monkeypatch, params, chart_cl
     monkeypatch.setattr(chart_cls, "q_leading", counted)
     stokes_diagram(params)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("params, calls", [(P_GEN, 4), (2 + 1j, 2)], ids=["d6", "d7"])
+def test_rays_are_found_once_per_origin_per_diagram(monkeypatch, params, calls):
+    # The curves of a diagram share one tracing plan of their chart, which
+    # finds the rays of each origin once, not once per curve (16 and 6 calls).
+    seen = []
+    directions = geometry.emanation_directions
+
+    def counted(*args):
+        seen.append(args)
+        return directions(*args)
+
+    monkeypatch.setattr(geometry, "emanation_directions", counted)
+    stokes_diagram(params)
+    assert len(seen) == calls
+
+
+def test_tracing_plan_cannot_be_written_by_its_readers():
+    # Every curve of a chart reads the same plan, so no reader may change
+    # what the next one reads: its containers are tuples and read-only maps.
+    chart = u_chart(P_GEN)
+    plan = geometry._tracing_plan(chart)
+    assert geometry._tracing_plan(chart) is plan
+    start = plan.starts[chart.turning_points_u[0]]
+    with pytest.raises(TypeError):
+        plan.starts[0j] = start
+    for container in (plan.specials, plan.captures, plan.domains, start.directions,
+                      start.amps, start.series, start.logs, start.is_origin):
+        with pytest.raises(TypeError):
+            container[0] = None
+    with pytest.raises(AttributeError):
+        plan.reach = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +315,21 @@ def test_traces_match_recorded_curves(name, params):
         # phi is exact at every step, so what the projection leaves of its
         # imaginary part is rounding.
         assert c.im_drift <= 1e-12 * (1 + abs(c.phi_end))
+
+
+@pytest.mark.parametrize("name,params", TRACE_CASES, ids=[c[0] for c in TRACE_CASES])
+def test_diagram_curves_equal_lone_curves_on_fresh_charts(name, params):
+    # The curves of a diagram share their chart's tracing plan; each one,
+    # traced alone on a chart of its own, is the same bit for bit.
+    for c in stokes_diagram(params).curves:
+        chart = u_chart(params)
+        u0 = (chart.simple_pole_u if c.origin == "simple_pole"
+              else chart.turning_points_u[int(c.origin[2:])])
+        alone = trace_curve(u0, c.ray, chart)
+        assert (alone.origin, alone.ray, alone.terminus) == (c.origin, c.ray, c.terminus)
+        assert alone.points.tobytes() == c.points.tobytes()
+        assert repr((alone.phi_end, alone.im_drift, alone.arc_length)) == \
+            repr((c.phi_end, c.im_drift, c.arc_length))
 
 
 def test_steps_cost_at_most_eight_q_calls(monkeypatch):
