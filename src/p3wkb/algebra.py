@@ -24,7 +24,6 @@ sqrt(q) du (``phi``).  Read off these and the divisor of q (``divisor``),
 once per chart: the expansions of sqrt(q) at the turning points and the
 simple pole (``origin_expansions``), and the end domain of each pole of
 order 2 or 4, which no trajectory entering it leaves (``end_domains``).
-``turning_points`` maps the chart's zeros of q to (t, lambda0).
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "d7_lambda0_branches",
     "delta",
     "mu0",
-    "turning_points",
     "u_chart",
 ]
 
@@ -534,9 +532,12 @@ class D6Chart(UChart):
             u = u - (t_u - t) / (w * (cp2 * uu * u + cm2) / (2 * uu * u))
         K = jets.K
         inv = 1 / u
-        geo = np.empty((K,) + u.shape[1:], u.dtype)      # (-1)^k / u^(k+2)
+        # (-1)^k / u^(k+2).  np.cumprod rounds a run of two rows with other
+        # bits than a longer run; three rows or more give each row the same
+        # bits whatever K.
+        geo = np.empty((max(K, 3),) + u.shape[1:], u.dtype)
         geo[:1], geo[1:] = inv * inv, -inv
-        np.cumprod(geo, axis=0, out=geo)
+        geo = np.cumprod(geo, axis=0, out=geo)[:K]
         dlam = (-cm / 2) * np.arange(1, K + 1).reshape((-1,) + (1,) * (geo.ndim - 1)) * geo
         dlam[:1] += cp / 2
         cube = _linear_factors_jet(K, u, u, u)
@@ -616,8 +617,8 @@ class D7Chart(UChart):
         c = np.asarray(c, jets.dtype)
         u = jets.t0[None] / lam
         K = jets.K
-        dlam = np.zeros((K,) + u.shape[1:], u.dtype)       # K >= 2 (K >= N + 2)
-        dlam[:1], dlam[1] = (c - 2 * u) / 2, -1
+        dlam = np.zeros((K,) + u.shape[1:], u.dtype)       # K >= 1: no u-term for K = 1
+        dlam[:1], dlam[1:2] = (c - 2 * u) / 2, -1
         return dlam, jets.divide(jets.constant(2)[:K],
                                      _times_linear(_linear_factors_jet(K, u), 2 * c - 3 * u, -3))
 
@@ -653,15 +654,6 @@ def u_chart(params) -> UChart:
     if isinstance(params, Parameters):
         return D6Chart(params)
     return D7Chart(params)
-
-
-def turning_points(params) -> tuple:
-    """The turning points (t, lambda0) where two lambda0 sheets meet, read
-    off the chart's order-3 zeros of q: three for D6 (``Parameters``), one
-    for D7 (a complex c: t = 2c^3/27, lambda0 = c^2/9)."""
-    chart = u_chart(params)
-    return tuple(BranchPoint(chart.t_of_u(u), chart.lambda0_of_u(u))
-                 for u in chart.turning_points_u)
 
 
 def d7_lambda0_branches(t: complex, c: complex) -> list[BranchPoint]:

@@ -458,6 +458,8 @@ class DenseJets:
         K = A.shape[1] - 1
         orders = (K,) * len(A) if orders is None else tuple(np.minimum(orders, K).tolist())
         out = np.zeros(A.shape, self.dtype)
+        if not len(A):          # the empty product: no pairs to index
+            return out
         if self.small:
             first, second, cells, runs, blocks, targets = _cauchy_cells(
                 len(A), step_a, step_b, K, orders)

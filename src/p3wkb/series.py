@@ -53,6 +53,7 @@ __all__ = [
     "ZeroParamSolution",
     "RiccatiSolution",
     "zero_param_solution",
+    "lowest_jet_order",
     "riccati_solution",
     "instanton1_prefactor",
     "x_factor",
@@ -439,6 +440,18 @@ def _slot_orders(K: int, N: int, shifted: bool):
     return _read_only(np.where(m % 2, K, K - m), K - np.maximum(m, 1), K - m)
 
 
+@lru_cache(maxsize=None)
+def lowest_jet_order(N: int, shifted: bool) -> int:
+    """The smallest jet order K at which ``zero_param_solution`` solves
+    through slot N: no slot of lambda, mu or R is left with a negative
+    Taylor order.  Each order ``_slot_orders`` keeps is K less a deficit
+    that depends only on the slot, so this is the largest deficit: N (and
+    at least 1) for a model that keeps its parameters, N + 1 for one that
+    shifts them by eta^-1 (``shifted``).  At this K every slot value is
+    certified."""
+    return -min(int(kept.min()) for kept in _slot_orders(0, N, shifted))
+
+
 # ---------------------------------------------------------------------------
 # Zero-parameter solution
 # ---------------------------------------------------------------------------
@@ -578,8 +591,9 @@ class ZeroParamSolution:
     points ``t0`` (one number, or an array solved as one batch), in their
     number type: complex128, or clongdouble for clongdouble ones.  ``lam``
     holds lambda_0 .. lambda_N, each slot of it and of mu zero above the
-    order ``_slot_orders`` certifies; ``t_jet`` and ``delta0`` are the
-    jets of t and of Delta, all of order K.
+    order ``_slot_orders`` certifies, which is 0 or more as K is at least
+    ``lowest_jet_order(N, model.shifted)``; ``t_jet`` and ``delta0`` are
+    the jets of t and of Delta, all of order K.
 
     Only lambda is solved eagerly.  ``mu`` follows from lambda and the
     model and is built on first access, so solves whose callers read only
@@ -632,12 +646,22 @@ def zero_param_solution(t0: complex, branch: BranchPoint, *, model, N: int = 6,
     mu-series is built when first read.
 
     ``t0`` and ``branch.lambda0`` may be arrays of base points, solved in
-    one batch.  K is the jet order of lambda_0; each eta-slot costs two
-    derivatives, so K >= N + 2 is required (default N + 4)."""
+    one batch.  K is the jet order of lambda_0 (default N + 4).  Each slot
+    keeps the Taylor order ``_slot_orders`` certifies, and a K that would
+    leave a slot of lambda, mu or R a negative order is refused: K >=
+    ``lowest_jet_order(N, model.shifted)``, where every slot's value is
+    certified.
+    The residuals differentiate the slots and refuse a series with no order
+    left to differentiate; the default leaves them every slot."""
     if K is None:
         K = N + 4
-    if K < N + 2:
-        raise OrderBudgetError(f"jet order K={K} too small for N={N}; need K >= N + 2")
+    lowest = lowest_jet_order(N, model.shifted)
+    if K < lowest:
+        name, kept = next((name, kept) for name, kept in zip(
+            ("lambda", "mu", "R"), _slot_orders(K, N, model.shifted)) if kept.min() < 0)
+        m = int(np.argmin(kept))
+        raise OrderBudgetError(f"jet order K={K} too small for N={N}: slot {m} of {name} "
+                               f"would keep Taylor order {kept[m]}; need K >= {lowest}")
     jets = DenseJets(t0, K)
     t0 = jets.t0[()]        # a scalar for one base point
     lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(
@@ -714,8 +738,9 @@ def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int, orders):
         term = (d - 1) * a * _eta_shift(powers[d - 2], e)
         groups[p - 2] = groups.get(p - 2, 0) + term
     # R reads slot n of H, and so slot n - 2 of (lam'/lam)^2, through
-    # orders[n] only: through orders[1] at most, as the orders fall with n.
-    q = int(orders[1])
+    # orders[n] only: through orders[1] at most, as the orders fall with n
+    # (and none at all for N = 0).
+    q = int(orders[1]) if len(orders) > 1 else 0
     h = _by_t_power(jets, groups, q)
     h[2:] -= jets.mul(ratio[:-2], ratio[:-2], step, step, orders[2:])[:, :q + 1]
     return g, h

@@ -33,7 +33,8 @@ import numpy as np
 
 from .algebra import BranchPoint, u_chart
 from .numerics import LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
-from .series import D6Model, D7Model, model_for, riccati_solution, zero_param_solution
+from .series import (D6Model, D7Model, lowest_jet_order, model_for, riccati_solution,
+                     zero_param_solution)
 
 __all__ = [
     "PathError",
@@ -573,12 +574,13 @@ def _batched_r_slots(chart, model, us: np.ndarray, n_max: int):
     branch per node) plus t and lambda_0 arrays for u-chart positions.
 
     Only the values (order 0) of the R slots are read, so the solve runs at
-    the lowest jet order the solvers accept, K = N + 2: it still certifies
-    R slot N through order 1 (see ``series._slot_orders``)."""
+    the lowest jet order the solvers accept for the model, which certifies
+    R slot N through order 0 (see ``series.lowest_jet_order``)."""
     ts = chart.t_of_u(us)
     lams = chart.lambda0_of_u(us)
     N = 2 * n_max
-    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 2, model=model)
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N,
+                             K=lowest_jet_order(N, model.shifted), model=model)
     ric = riccati_solution(zp, +1)
     slots = {k: np.asarray(ric.R.slot_value(-k)) for k in range(-1, 2 * n_max, 2)}
     return ts, lams, slots

@@ -55,11 +55,12 @@ from p3wkb.algebra import (
     delta,
     lambda0_branches,
     mu0,
-    turning_points,
 )
 from p3wkb.numerics import Jet
 from p3wkb.series import D6Model, riccati_solution, zero_param_solution
 from p3wkb.voros import EndpointSpec, voros_closed_form
+
+from chart_reference import turning_points
 
 
 class BranchCutError(AlgebraError):

@@ -19,13 +19,13 @@ from p3wkb.algebra import (
     delta,
     lambda0_branches,
     mu0,
-    turning_points,
     u_chart,
 )
 from p3wkb.geometry import emanation_directions
 from p3wkb.numerics import Jet
 
 from asymptotics_reference import _classify_branch, phi_primitive
+from chart_reference import turning_points
 from residue_reference import residues
 
 P_GEN = Parameters(2 + 1j, 3)

@@ -128,6 +128,32 @@ def test_certified_coefficients_equal_the_full_order_solve(family, N, dK, nodes,
         assert _certified(a) == _certified(b), name
 
 
+@pytest.mark.parametrize("nodes", [1, 20])
+@pytest.mark.parametrize("N", range(6))
+@pytest.mark.parametrize("family", ["d6", "d7", "d7-shifted"])
+def test_lowest_jet_orders_give_the_values_of_k_n_plus_4(family, N, nodes):
+    # The lowest K the budget admits (N, at least 1; N + 1 when the model
+    # shifts its parameters) and one above give every value of lambda and R
+    # bit for bit as K = N + 4 does, down to N = 0; one below is refused.
+    model = D6Model(P) if family == "d6" else D7Model(C7)
+    if family.endswith("shifted"):
+        model = model.backlund_shifted(1)
+    t0, branch = _nodes(model, nodes)
+    lowest = series.lowest_jet_order(N, model.shifted)
+    assert lowest == (N + 1 if model.shifted else max(N, 1))
+    with pytest.raises(series.OrderBudgetError):
+        zero_param_solution(t0, branch, N=N, K=lowest - 1, model=model)
+
+    def values(K):
+        zp = zero_param_solution(t0, branch, N=N, K=K, model=model)
+        return zp.lam.coeffs[:, 0], riccati_solution(zp, +1).R.coeffs[:, 0]
+
+    want = values(N + 4)
+    for K in (lowest, lowest + 1):
+        for got, full in zip(values(K), want):
+            assert np.array_equal(got, full), K
+
+
 @pytest.mark.parametrize("nodes", [(), (3,), (20,)])
 @pytest.mark.parametrize("steps", [(1, 1), (2, 2), (1, 2), (2, 1)])
 def test_kernels_stop_at_the_orders_they_are_given(steps, nodes):

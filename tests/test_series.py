@@ -15,7 +15,6 @@ from p3wkb.algebra import (
     d7_lambda0_branches,
     lambda0_branches,
     mu0,
-    turning_points,
 )
 from p3wkb.numerics import Jet
 from p3wkb.series import (
@@ -28,12 +27,14 @@ from p3wkb.series import (
     hamilton_residual,
     hamiltonian,
     instanton1_prefactor,
+    lowest_jet_order,
     main_equation_residual,
     riccati_residual,
     riccati_solution,
     x_factor,
     zero_param_solution,
 )
+from chart_reference import turning_points
 from series_reference import ENGINE, HIGH_PRECISION
 
 P = Parameters(2 + 1j, 3)
@@ -112,9 +113,51 @@ def test_tiny_delta_from_rescaling_is_accepted():
 
 
 def test_order_budget_gate():
+    # The lowest K leaves slot N of some series Taylor order 0: K = N on D6,
+    # K = N + 1 once the parameters shift by eta^-1.  One less is refused,
+    # naming that slot, its series and the order it would keep.
     b = lambda0_branches(T0, P)[0]
-    with pytest.raises(OrderBudgetError):
-        zero_param_solution(T0, b, model=D6Model(P), N=6, K=7)
+    for model, lowest, kind in ((D6Model(P), 6, "lambda"),
+                                (D6Model(P).backlund_shifted(1), 7, "mu")):
+        assert lowest_jet_order(6, model.shifted) == lowest
+        with pytest.raises(OrderBudgetError, match=rf"K={lowest - 1} too small for N=6: slot 6 "
+                                                   rf"of {kind} would keep Taylor order -1"):
+            zero_param_solution(T0, b, model=model, N=6, K=lowest - 1)
+        zp = zero_param_solution(T0, b, model=model, N=6, K=lowest)
+        assert zp.lam.orders.min() >= 0 and zp.mu.orders.min() >= 0
+        assert riccati_solution(zp, +1).R.orders[-1] == 0
+
+
+@pytest.mark.parametrize("N", range(6))
+@pytest.mark.parametrize("family", ["d6", "d6-shifted", "d7", "d7-shifted"])
+def test_residuals_below_k_n_plus_2_refuse_or_match(family, N):
+    # Below K = N + 2 a residual that runs out of t-derivatives raises
+    # OrderBudgetError and returns no number; at the lowest K (N >= 1) both
+    # do.  One with a derivative left on every slot (odd N, or N = 0)
+    # returns the values of the K = N + 4 solve bit for bit, never fewer
+    # or truncated ones.
+    model = D6Model(P) if family.startswith("d6") else D7Model(C7)
+    if family.endswith("shifted"):
+        model = model.backlund_shifted(1)
+    b = model.branches(T0)[0]
+
+    def residuals(K):
+        zp = zero_param_solution(T0, b, model=model, N=N, K=K)
+        return (lambda: main_equation_residual(zp),
+                lambda: riccati_residual(riccati_solution(zp, +1).R, zp))
+
+    want = [res() for res in residuals(N + 4)]
+    lowest = lowest_jet_order(N, model.shifted)
+    for K in range(lowest, N + 2):
+        for res, full in zip(residuals(K), want):
+            try:
+                got = res()
+            except OrderBudgetError as exc:
+                assert "jet order exhausted" in str(exc)
+                continue
+            assert K > lowest or N == 0
+            assert got.n_slots == full.n_slots
+            assert all(got.slot_value(p) == full.slot_value(p) for p in full.powers())
 
 
 def test_base_point_independence(zp):

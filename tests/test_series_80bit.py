@@ -15,7 +15,7 @@ import cmath
 import numpy as np
 import pytest
 
-from p3wkb.algebra import BranchPoint, Parameters, turning_points
+from p3wkb.algebra import BranchPoint, Parameters
 from p3wkb.series import (
     ConditioningError,
     D6Model,
@@ -25,6 +25,7 @@ from p3wkb.series import (
     riccati_solution,
     zero_param_solution,
 )
+from chart_reference import turning_points
 from series_reference import HIGH_PRECISION
 
 _EPS = np.finfo(np.longdouble).eps
