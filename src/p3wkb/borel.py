@@ -47,18 +47,23 @@ An independent Laplace-integral oracle evaluates the same sums directly,
 
     S-[K](z) = int_0^infty e^{-z y} k_K(y) dy,       Re z > 0,
     k_G(y) = (1/(e^y - 1) - 1/y + 1/2) / y,
-    k_F(y) = (1/2) k_G(y/2) - k_G(y),
+    k_F(y) = (1/(2 sinh(y/2)) - 1/y) / y = (1/2) k_G(y/2) - k_G(y),
 
 along the ray arg y = -theta, theta = sign(arg z) max(0, |arg z| - pi/4),
 which is the real axis for |Im z| <= Re z and keeps |Im(z y)| <= Re(z y)
-beyond it (the kernels' poles lie on the imaginary axis, so the ray may
-turn).  One graded grid in |y| serves every z: eight equal Gauss-Legendre
-panels out to 10 min(1, 1/x), x = Re(z e^{-i theta}), then panels growing
-by 1.6 out to 60/x.  The oracle runs only after passing a mandatory
-exact-rational gate: the Taylor coefficients of the kernels at y = 0,
-computed by power-series inversion of (e^y - 1)/y in Fractions (no
-Bernoulli numbers), must reproduce the series coefficients F_n/(2n-2)!
-and G_n/(2n-2)! exactly.
+beyond it (the poles of both kernels, y = 2 pi i k with k != 0, lie on the
+imaginary axis, so the ray may turn).  One graded grid in |y| serves every
+z: eight equal Gauss-Legendre panels out to 10 min(1, 1/x), x =
+Re(z e^{-i theta}), then panels growing by 1.6 out to 60/x.  All panels
+but the last are scaled from one cached unit template.  Each node costs
+one kernel evaluation: the even Taylor series, summed by Horner's rule in
+y^2, where |y| < 1, and elsewhere the kernel's closed form in expm1(-y)
+and e^{-y} (e^{-y/2} for k_F), which cannot overflow on Re y > 0.  The
+oracle runs only after passing a mandatory exact-rational gate: the Taylor
+coefficients of the kernels at y = 0, computed by power-series inversion
+of (e^y - 1)/y in Fractions (no Bernoulli numbers), must reproduce the
+series coefficients F_n/(2n-2)! and G_n/(2n-2)! exactly, for every term
+the series sums.
 """
 
 from __future__ import annotations
@@ -215,9 +220,10 @@ def jump_factor(kind: str, c: complex, eta: complex) -> complex:
 # Laplace-integral oracle
 # ---------------------------------------------------------------------------
 
-_KERNEL_DEPTH = 24          # Taylor terms kept for the small-y evaluation
-_KERNEL_GATE_ORDERS = 8     # exact coefficient matches demanded per kernel
-_KERNEL_CACHE: np.ndarray | None = None
+_SERIES_RADIUS = 1.0        # |y| below which the kernels are summed as Taylor series
+_KERNEL_TERMS = 12          # even Taylor terms summed there; the gate checks each
+_KERNEL_CACHE: dict[str, np.ndarray] | None = None
+_UNIT_GRID: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -241,23 +247,29 @@ def _kernel_table(n_terms: int) -> list[Fraction]:
     return inv[2:order]
 
 
+def _f_factor(m: int) -> Fraction:
+    """k_F's coefficient of y^m over k_G's: (1/2) k_G(y/2) - k_G(y) scales
+    y^m by 2^{-m-1} - 1."""
+    return Fraction(1, 2 ** (m + 1)) - 1
+
+
 def _validate_kernels(f_coeff=f_coefficient, g_coeff=g_coefficient,
-                      n_max: int = _KERNEL_GATE_ORDERS) -> list[Fraction]:
+                      n_max: int = _KERNEL_TERMS) -> list[Fraction]:
     """Exact-rational gate tying both kernels to the series coefficients.
 
-    The coefficient of y^{2n-2} in k_G must equal G_n/(2n-2)!; composing
-    k_F(y) = (1/2) k_G(y/2) - k_G(y) multiplies it by 2^{1-2n} - 1, which
-    must equal F_n/(2n-2)!.  Odd coefficients must vanish.  Any mismatch
-    aborts the oracle.
+    The coefficient of y^{2n-2} in k_G must equal G_n/(2n-2)!; in k_F it
+    is k_G's times 2^{1-2n} - 1, which must equal F_n/(2n-2)!.  Odd
+    coefficients must vanish.  Any mismatch aborts the oracle.  The default
+    ``n_max`` covers every coefficient the small-|y| series sums.
     """
-    table = _kernel_table(max(_KERNEL_DEPTH, 2 * n_max))
+    table = _kernel_table(2 * n_max)
     for n in range(1, n_max + 1):
         m = 2 * n - 2
         fact = Fraction(math.factorial(m))
         if table[m] != g_coeff(n) / fact:
             raise KernelGateError(
                 f"k_G coefficient of y^{m} disagrees with G_{n}/({m})!")
-        if table[m] * (Fraction(1, 2 ** (m + 1)) - 1) != f_coeff(n) / fact:
+        if table[m] * _f_factor(m) != f_coeff(n) / fact:
             raise KernelGateError(
                 f"k_F coefficient of y^{m} disagrees with F_{n}/({m})!")
         if table[m + 1] != 0:
@@ -265,45 +277,99 @@ def _validate_kernels(f_coeff=f_coefficient, g_coeff=g_coefficient,
     return table
 
 
-def _kernel_series() -> np.ndarray:
-    """Float Taylor coefficients of k_G, validated once per process.  The
-    array is shared by every caller, so it is read-only."""
+def _kernel_series(kind: str) -> np.ndarray:
+    """Float coefficients of y^0, y^2, ..., y^22 in k_F or k_G, validated
+    once per process.  The arrays are shared by every caller, so they are
+    read-only."""
     global _KERNEL_CACHE
     if _KERNEL_CACHE is None:
-        (_KERNEL_CACHE,) = _read_only(np.array([float(a) for a in _validate_kernels()]))
-    return _KERNEL_CACHE
+        even = _validate_kernels()[::2]
+        g = np.array([float(a) for a in even])
+        f = np.array([float(a * _f_factor(2 * j)) for j, a in enumerate(even)])
+        _KERNEL_CACHE = dict(zip("GF", _read_only(g, f)))
+    return _KERNEL_CACHE[kind]
 
 
-def _k_G(y: np.ndarray, series: np.ndarray) -> np.ndarray:
-    # The Taylor series converges for |y| < 2 pi; the test is on |y| so that
-    # complex y far from the origin takes the direct formula.
+def _kernel_values(kind: str, y: np.ndarray) -> np.ndarray:
+    """k_F or k_G at the points ``y`` (any shape), one pass per node.
+
+    Where |y| < 1 the even Taylor series is summed by Horner's rule in
+    y^2; it converges for |y| < 2 pi, and its first omitted term is below
+    1e-19 relative.  Elsewhere, with m = -y taken on Re m <= 0 through the
+    kernels' evenness,
+
+        k_G = (e^m / expm1(m) - 1/m - 1/2) / m,
+        k_F = (e^{m/2} / expm1(m) - 1/m) / m,
+
+    where neither exponential can overflow.  The second is the closed form
+    (1/(2 sinh(y/2)) - 1/y)/y of (1/2) k_G(y/2) - k_G(y).  The closed forms
+    lose up to about 24 eps/|y|^2 of relative accuracy to cancellation, so
+    the series is taken out to |y| = 1, where the two forms agree to 1e-14;
+    at |y| = 0.1 they would differ by up to 5e-13.
+    """
     out = np.empty_like(y)
-    small = np.abs(y) < 0.1
+    small = np.abs(y) < _SERIES_RADIUS
     if small.any():
-        # k_G is even: its odd coefficients are exact zeros (the gate checks
-        # them), so the even ones are summed as one matrix product in y^2.
-        even = series[::2]
-        out[small] = ((y[small] ** 2)[:, None] ** np.arange(even.size)) @ even
-    # k_G is even, so the direct formula is taken on Re y >= 0, where
-    # 1/(e^y - 1) = -e^{-y}/expm1(-y) cannot overflow.
-    yl = y[~small]
-    yl = np.where(yl.real < 0.0, -yl, yl)
-    out[~small] = (-np.exp(-yl) / np.expm1(-yl) - 1.0 / yl + 0.5) / yl
+        w = y[small] ** 2
+        series = _kernel_series(kind)
+        acc = series[-1] * w
+        for a in series[-2:0:-1]:
+            acc += a
+            acc *= w
+        out[small] = acc + series[0]
+    m = y[~small]
+    m = np.where(m.real > 0.0, -m, m)
+    if kind == "F":
+        out[~small] = (np.exp(0.5 * m) / np.expm1(m) - 1.0 / m) / m
+    else:
+        out[~small] = (np.exp(m) / np.expm1(m) - 1.0 / m - 0.5) / m
     return out
 
 
-def _kernel_values(kind: str, y: np.ndarray, series: np.ndarray) -> np.ndarray:
-    if kind == "G":
-        return _k_G(y, series)
-    return 0.5 * _k_G(0.5 * y, series) - _k_G(y, series)
+def _unit_grid(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``panels`` panels of the oracle's grid in units of
+    rho_split: their right edges, and their 32 Gauss-Legendre nodes and
+    weights each, flat and panel by panel.
+
+    The panels are the eight equal ones on [0, 1], then [1.6^{k-1}, 1.6^k]
+    for k = 1, 2, ...; every grid is a prefix of this sequence plus one
+    partial panel, so one read-only template serves every x.  It is
+    rebuilt, longer, when a grid needs more panels than it holds; the
+    edges 1.6^k do not depend on its length.
+    """
+    global _UNIT_GRID
+    if _UNIT_GRID is None or _UNIT_GRID[0].size < panels:
+        edges = np.concatenate((np.linspace(0.0, 1.0, 9), 1.6 ** np.arange(1, panels - 7)))
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+        _UNIT_GRID = _read_only(edges[1:], nodes.ravel(), (half[:, None] * _GL_WEIGHTS).ravel())
+    right, nodes, weights = _UNIT_GRID
+    return right[:panels], nodes[:32 * panels], weights[:32 * panels]
+
+
+def _ray_grid(rho_split: float, rho_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights in rho of the oracle's grid on [0, rho_max]: eight
+    equal panels out to rho_split, then panels growing by 1.6 while their
+    right edge rho_split 1.6^k stays below rho_max, then one last panel
+    out to rho_max.  All panels but the last are read off ``_unit_grid``."""
+    panels = 7 + math.ceil(math.log(rho_max / rho_split, 1.6))
+    right, nodes, weights = _unit_grid(panels)
+    while rho_split * right[panels - 1] >= rho_max:
+        panels -= 1
+    lo = rho_split * right[panels - 1]
+    half = 0.5 * (rho_max - lo)
+    n = 32 * panels
+    return (np.concatenate((rho_split * nodes[:n], (lo + half) + half * _GL_NODES)),
+            np.concatenate((rho_split * weights[:n], half * _GL_WEIGHTS)))
 
 
 def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
     """Evaluate the minus-side sum by direct Laplace quadrature.
 
     Requires Re(c eta) > 0.  The kernels' poles lie on the imaginary axis
-    (y = 2 pi i k, and 4 pi i k for F, k != 0), so by Cauchy's theorem the
-    integral may run along the ray y = rho e^{-i theta} with
+    (y = 2 pi i k, k != 0: the zeros of e^y - 1 for k_G and of sinh(y/2)
+    for k_F), so by Cauchy's theorem the integral may run along the ray
+    y = rho e^{-i theta} with
 
         theta = sign(arg z) max(0, |arg z| - pi/4),
 
@@ -316,8 +382,12 @@ def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
     panels growing by a factor 1.6 out to rho = 60/x, where the dropped tail
     is below e^{-60} (1/(2 rho) + 1/rho^2)/x.  That is 12 panels for x >= 1,
     42 at x = 1e-6 and about 1,500 at the smallest x the float range
-    admits, so the grid's size is bounded without a cap.  The kernel is
-    evaluated on Re y >= 0 through its evenness, where it cannot overflow.
+    admits, so the grid's size is bounded without a cap.  All panels but
+    the last, partial one are read off one cached unit template
+    (``_unit_grid``), in units of 10 min(1, 1/x).  Each node then costs one
+    pass of ``_kernel_values`` and one exponential e^{-z y}.  Since |theta|
+    < pi/4, Re y > 0 on every ray taken, so the kernels' evenness fold
+    serves only direct calls of ``_kernel_values``.
 
     Raises ``ValueError`` for an unknown kind, a non-finite z, Re z <= 0, or
     a ray end 60/x beyond the float range.
@@ -335,12 +405,10 @@ def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
     if not math.isfinite(rho_max):
         raise ValueError(f"Laplace oracle at z = {z}: the ray end 60/Re(z e^(-i theta)) "
                          "overflows a float")
-    grown = rho_split * 1.6 ** np.arange(1, math.ceil(math.log(rho_max / rho_split, 1.6)))
-    edges = np.concatenate((np.linspace(0.0, rho_split, 9), grown[grown < rho_max], [rho_max]))
-    half = 0.5 * np.diff(edges)
-    ys = ray * ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES)
-    integrand = _kernel_values(kind, ys, _kernel_series()) * np.exp(-z * ys)
-    return complex(ray * (half @ (integrand @ _GL_WEIGHTS)))
+    rho, weights = _ray_grid(rho_split, rho_max)
+    ys = ray * rho
+    integrand = _kernel_values(kind, ys) * np.exp(-z * ys)
+    return complex(ray * (weights * integrand).sum())
 
 
 # ---------------------------------------------------------------------------

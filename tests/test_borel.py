@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from p3wkb import borel
 from p3wkb.algebra import Parameters
 from p3wkb.borel import (
     BorelSumValue,
     GammaPoleError,
     KernelGateError,
     UnsupportedCaseError,
-    _k_G,
     _kernel_series,
     _kernel_values,
     _validate_kernels,
@@ -278,6 +278,18 @@ def test_kernel_gate_passes_and_matches_series():
         assert table[m] == g_coefficient(n) / Fraction(math.factorial(m))
 
 
+def test_kernel_series_are_the_gated_coefficients():
+    # Every coefficient the small-|y| series sums is one the gate checks:
+    # G_n/(2n-2)! for k_G and F_n/(2n-2)! for k_F, rounded once, and the
+    # gate refuses a change to the last of them.
+    last = _kernel_series("G").size
+    for kind, coeff in (("G", g_coefficient), ("F", f_coefficient)):
+        want = [float(coeff(n) / math.factorial(2 * n - 2)) for n in range(1, last + 1)]
+        assert _kernel_series(kind).tolist() == want
+    with pytest.raises(KernelGateError, match=f"y\\^{2 * last - 2} "):
+        _validate_kernels(g_coeff=lambda n: g_coefficient(n) * (1 + Fraction(n == last, 10 ** 30)))
+
+
 def test_kernel_gate_detects_corruption():
     with pytest.raises(KernelGateError):
         _validate_kernels(g_coeff=lambda n: g_coefficient(n) + Fraction(1, 10 ** 9))
@@ -289,9 +301,66 @@ def test_kernel_branch_is_chosen_by_modulus():
     # Complex y with Re y < 0.1 but |y| far beyond the series radius 2 pi
     # must take the direct formula; small |y| keeps the series.
     y = np.array([0.05 + 20j, -0.3 + 9j, 0.02 + 0.03j])
-    got = _k_G(y, _kernel_series())
+    got = _kernel_values("G", y)
     direct = (1.0 / np.expm1(y) - 1.0 / y + 0.5) / y
     assert np.all(np.abs(got - direct) < 1e-12 * np.abs(direct))
+
+
+EPS = np.finfo(float).eps
+
+
+def _kernel_mp(kind, y):
+    """k_F or k_G at complex y in 40-digit mpmath, from their definitions."""
+    with mp.workdps(40):
+        y = mp.mpc(y)
+        if kind == "G":
+            return complex((1 / mp.expm1(y) - 1 / y + mp.mpf(1) / 2) / y)
+        return complex((1 / (2 * mp.sinh(y / 2)) - 1 / y) / y)
+
+
+def _kernel_points(seed, n):
+    # |y| log-uniform on [1e-2, 1e3], |arg y| <= pi/4 as on the oracle's
+    # rays, plus points with Re y < 0, where the kernels' evenness serves.
+    rng = np.random.default_rng(seed)
+    y = 10 ** rng.uniform(-2, 3, n) * np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4, n))
+    return np.concatenate((y, [-0.3 + 0.2j, -5 + 1j, -40 - 30j, -2.0, -0.7 - 0.05j, -0.05 + 0.5j]))
+
+
+@pytest.mark.parametrize("kind", ["F", "G"])
+def test_kernels_match_mpmath(kind):
+    # The series is good to rounding where |y| < 1; the closed forms lose
+    # up to ~24 eps/|y|^2 to cancellation beyond it.
+    y = _kernel_points(5, 300)
+    want = np.array([_kernel_mp(kind, v) for v in y])
+    err = np.abs(_kernel_values(kind, y) - want) / np.abs(want)
+    r = np.abs(y)
+    assert np.all(err < np.where(r < 1.0, 4 * EPS, 32 * EPS * (1 + r ** -2.0)))
+
+
+def test_closed_form_k_f_matches_the_two_pass_reference():
+    # k_F = (1/(2 sinh(y/2)) - 1/y)/y against its definition (1/2) k_G(y/2)
+    # - k_G(y), evaluated in two passes.  The reference itself loses eps |y|
+    # where its two 1/(2y) terms cancel, and both lose eps/|y|^2 near the
+    # series switch.
+    y = _kernel_points(7, 2000)
+    y = y[np.abs(y) >= 0.1]
+    reference = 0.5 * _kernel_values("G", 0.5 * y) - _kernel_values("G", y)
+    err = np.abs(_kernel_values("F", y) - reference) / np.abs(reference)
+    r = np.abs(y)
+    assert np.all(err < 64 * EPS * (r + r ** -2.0))
+
+
+@pytest.mark.parametrize("kind", ["F", "G"])
+def test_series_and_closed_form_agree_at_the_switch(kind):
+    # Just inside |y| = 1 the series is summed, just outside the closed
+    # form: the series is good to rounding, the closed form to ~1e-14
+    # (at |y| = 0.1 the closed form is off by up to 5e-13).
+    unit = np.exp(1j * np.linspace(-np.pi / 4, np.pi / 4, 41))
+    inside, outside = unit * (1 - 4 * EPS), unit * (1 + 4 * EPS)
+    want = np.array([_kernel_mp(kind, v) for v in inside])
+    series, closed = _kernel_values(kind, inside), _kernel_values(kind, outside)
+    assert np.all(np.abs(series - want) < 4 * EPS * np.abs(want))
+    assert np.all(np.abs(closed - series) < 64 * EPS * np.abs(series))
 
 
 @pytest.mark.parametrize("kind,fn", [("G", borel_sum_G), ("F", borel_sum_F)])
@@ -315,8 +384,9 @@ def test_laplace_oracle_at_small_real_part(kind, fn, c):
 
 
 def test_kernel_series_is_read_only():
-    with pytest.raises(ValueError):
-        _kernel_series()[0] = 0.0
+    for kind in ("F", "G"):
+        with pytest.raises(ValueError):
+            _kernel_series(kind)[0] = 0.0
 
 
 @pytest.mark.parametrize("kind", ["F", "G"])
@@ -360,7 +430,7 @@ def _reference_oracle(kind, z):
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
         ys = 0.5 * (a + b) + half * nodes
-        kv = _kernel_values(kind, ys, _kernel_series())
+        kv = _kernel_values(kind, ys)
         total += half * np.sum(weights * kv * np.exp(-z * ys))
     return complex(total)
 
@@ -374,6 +444,74 @@ def test_block_quadrature_matches_per_panel_rule(band, x, kind):
     z = complex(x, x * 0.5 * sum(band))
     want = _reference_oracle(kind, z)
     assert abs(laplace_oracle(kind, z, 1.0) - want) < 1e-14 * max(1.0, abs(want))
+
+
+def _ray_ends(x):
+    return 10.0 * min(1.0, 1.0 / x), 60.0 / x
+
+
+def _per_call_grid(rho_split, rho_max):
+    # The grid as laplace_oracle built it on every call before the unit
+    # template: its edges, and its nodes and weights in rho panel by panel.
+    grown = rho_split * 1.6 ** np.arange(1, math.ceil(math.log(rho_max / rho_split, 1.6)))
+    edges = np.concatenate((np.linspace(0.0, rho_split, 9), grown[grown < rho_max], [rho_max]))
+    half = 0.5 * np.diff(edges)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    return edges, (edges[:-1] + half)[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+#: x = 6/1.6^k puts the grown edge 10 * 1.6^k within an ulp of 60/x, so
+#: the last bit decides whether that edge is kept.
+BOUNDARY_X = [float(v) for k in (4, 7, 12, 30) for v in
+              (np.nextafter(6 / 1.6 ** k, 0), 6 / 1.6 ** k, np.nextafter(6 / 1.6 ** k, 1))]
+#: Ray ends at which log(rho_max/rho_split, 1.6) rounds up past 6 while
+#: rho_split * 1.6^6 rounds to rho_max, so the filter grown < rho_max must
+#: drop that edge.  No x tried near the edges 10 * 1.6^k gave such ends:
+#: there the log bound alone leaves out every edge at or beyond rho_max.
+FILTERED_ENDS = (0.23841857910156286, 4.000000000000008)
+
+
+@pytest.mark.parametrize("ends", [_ray_ends(x) for x in
+                                  [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 1.0, 2.5, 5.0] + BOUNDARY_X]
+                         + [FILTERED_ENDS])
+def test_unit_grid_gives_the_panels_of_the_per_call_rule(ends):
+    edges, nodes, weights = _per_call_grid(*ends)
+    rho, w = borel._ray_grid(*ends)
+    assert rho.shape == w.shape == (nodes.size,)
+    # Nodes within a few ulps of their panel's right edge, weights of their own size.
+    assert np.all(np.abs(rho.reshape(nodes.shape) - nodes) <= 4 * EPS * edges[1:, None])
+    assert np.all(np.abs(w.reshape(weights.shape) - weights) <= 4 * EPS * weights)
+
+
+def test_boundary_ends_exercise_the_edge_filter():
+    # Among BOUNDARY_X an edge within an ulp below rho_max is kept, and at
+    # FILTERED_ENDS the filter drops the edge the log bound let in.
+    last_two = [_per_call_grid(*_ray_ends(x))[0][-2:] for x in BOUNDARY_X]
+    assert any(edge >= rho_max * (1 - EPS) for edge, rho_max in last_two)
+    rho_split, rho_max = FILTERED_ENDS
+    powers = 1.6 ** np.arange(7)
+    assert rho_split * powers[6] >= rho_max > rho_split * powers[5]
+    assert math.ceil(math.log(rho_max / rho_split, 1.6)) == 7
+    assert len(_per_call_grid(*FILTERED_ENDS)[0]) == 8 + 5 + 2
+
+
+def test_unit_grid_is_one_read_only_template(monkeypatch):
+    monkeypatch.setattr(borel, "_UNIT_GRID", None)
+    first = [a.copy() for a in borel._unit_grid(20)]
+    for x in np.geomspace(1e-12, 5.0, 200):
+        laplace_oracle("G", complex(x, 0.5 * x), 1.0)
+    template = borel._UNIT_GRID
+    # One template, as long as the largest grid served (x = 1e-12) needs.
+    assert template[0].size == len(_per_call_grid(*_ray_ends(1e-12))[0]) - 2
+    for a in template:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # A shorter grid is a view of that template, and rebuilding the
+    # template longer left the first 20 panels bit for bit as they were.
+    for a, b, before in zip(borel._unit_grid(20), template, first):
+        assert np.shares_memory(a, b)
+        assert np.array_equal(a, before)
 
 
 def test_laplace_oracle_eta_scaling():

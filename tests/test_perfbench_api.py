@@ -49,6 +49,19 @@ def test_series_scalar_gate_accepts_the_solve_and_rejects_the_perturbed_one(work
     assert not series_scalar.check(task, series_scalar.perturb(task, out)).ok
 
 
+@pytest.mark.parametrize("index", range(14))
+def test_borel_laplace_gate_accepts_the_sums_and_rejects_the_perturbed_one(workloads, index):
+    # One round is one F and one G task per |Im z| / Re z band.
+    borel_laplace = workloads.BorelLaplace
+    task = borel_laplace.tasks(1, borel_laplace.round_size)[index]
+    kind, z = task.args
+    lo, hi = workloads.RATIO_BANDS[index // 2]
+    assert kind == "FG"[index % 2] and lo <= abs(z.imag) / z.real <= hi
+    out = borel_laplace.run(task)
+    assert borel_laplace.check(task, out).ok
+    assert not borel_laplace.check(task, borel_laplace.perturb(task, out)).ok
+
+
 def test_traced_methods_exist_on_their_classes():
     tracing = _load("tracing")
     for module, cls, attr, _ in tracing.METHODS:
