@@ -262,19 +262,20 @@ def _chain_signs(values, start=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: Up to this many base points, jets multiply through one outer product of
-#: their coefficient vectors: few numpy calls, all (K+1)^2 terms.  Larger
-#: batches add shifted rows over the coefficient index instead: K+1 calls
-#: but half the terms, which is what counts once arithmetic sets the cost.
+#: their coefficient vectors: a fixed handful of numpy calls per Cauchy sum,
+#: all (K+1)^2 terms, numpy's per-call cost setting the price.  Larger
+#: batches add K+1 shifted rows over the coefficient index instead: K+1
+#: calls but half the terms, which is what counts once arithmetic does.
 _OUTER_PRODUCT_NODES = 16
 
 @lru_cache(maxsize=None)
-def _antidiagonals(K: int):
-    """Flat indices of the cells (j, l) with j + l <= K of a (K+1) x (K+1)
-    outer product, grouped by j + l, and the start of each group."""
-    j, l = np.divmod(np.arange((K + 1) ** 2), K + 1)
-    cells = np.flatnonzero(j + l <= K)
-    cells = cells[np.argsort((j + l)[cells], kind="stable")]
-    return _read_only(cells, np.searchsorted((j + l)[cells], np.arange(K + 1)))
+def _antidiagonals(pairs: int, q: int):
+    """Flat indices of the cells (pair, j, l) with j + l = k <= q of
+    ``pairs`` stacked (q+1) x (q+1) outer products, in runs of one k, pair
+    by pair, j rising, and the start of each run."""
+    return _read_only(np.array([p * (q + 1) ** 2 + j * q + k for k in range(q + 1)
+                                for p in range(pairs) for j in range(k + 1)]),
+                      pairs * np.arange(q + 1) * np.arange(1, q + 2) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -334,17 +335,9 @@ def _read_only(*arrays) -> tuple:
 
 def _refuse_zero_constant(a: np.ndarray, what: str):
     """Refuse a jet with a zero constant term, naming the first such node."""
-    zero = np.flatnonzero(a[0] == 0)
-    if len(zero):
-        raise SingularJetError(f"jet {what} of a zero constant term at node {zero[0]}")
-
-
-def _running_sum(terms: np.ndarray):
-    """The sum over the leading axis, added in order and kept as a one-row
-    slice.  Summed plainly, one base point (a 1-d array) would pair its
-    terms differently than a batch, and numpy scalars round differently
-    than arrays; this way one node and many give the same bits."""
-    return terms.cumsum(axis=0)[-1:] if len(terms) else 0.0
+    if np.count_nonzero(a[:1]) < a[:1].size:        # cheaper than np.all
+        raise SingularJetError(f"jet {what} of a zero constant term at node "
+                               f"{np.flatnonzero(a[:1] == 0)[0]}")
 
 
 class DenseJets:
@@ -354,7 +347,10 @@ class DenseJets:
     in s = t - t0, followed by the batch axes of t0 (none for one base
     point).  An eta-series is a stack of jets, shape (slots, K+1, *batch),
     slot m holding the coefficient of eta^(offset - m).  One base point
-    and a batch of them share every line below."""
+    and a batch of them share every line below and give the same bits.
+    Few base points (``small``) pay numpy's per-call cost, not arithmetic:
+    a Cauchy sum there is one outer product, one gather and one reduction;
+    a large batch adds K+1 shifted rows, half the terms of an outer product."""
 
     def __init__(self, t0, K: int):
         self.K = K
@@ -419,7 +415,7 @@ class DenseJets:
             return X * Y
         if self.small:
             M = X[:, :, None] * Y[:, None, :]
-            cells, starts = _antidiagonals(K1 - 1)
+            cells, starts = _antidiagonals(1, K1 - 1)
             M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
             return np.add.reduceat(M, starts, axis=1)
         out = X[:, :1] * Y
@@ -432,16 +428,20 @@ class DenseJets:
         """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi, a jet
         of order ``order`` (default: the stacks' order): the order the
         caller's slot is certified to, so no term above it is computed.
-        The terms are added in turn whatever the order.  ``sum`` does so
-        along the node axis of a large batch, but would add one node's
-        terms of one coefficient pairwise; few base points take the
-        running sum."""
+        Few base points add each coefficient's terms, pair by pair, in one
+        ``reduceat`` run, which pairs them alike for one node and several
+        (``sum`` would not) and alike whatever the order; a large batch
+        sums the pairs' products along the pair axis."""
         q = A.shape[1] - 1 if order is None else order
-        i = np.arange(lo, hi + 1, step)
-        if not len(i):
+        if hi < lo:
             return self.zeros()[:q + 1]
-        terms = self.products(A[i, :q + 1], B[m - i, :q + 1])
-        return _running_sum(terms)[0] if self.small else terms.sum(axis=0)
+        n = len(B) - 1 - m                  # B[m - i] is B[::-1][n + i]
+        X, Y = A[lo:hi + 1:step, :q + 1], B[::-1][n + lo:n + hi + 1:step, :q + 1]
+        if not self.small:
+            return self.products(X, Y).sum(axis=0)
+        M = X[:, :, None] * Y[:, None, :]
+        cells, starts = _antidiagonals(len(X), q)
+        return np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], starts, axis=0)
 
     def mul(self, A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
             orders=None) -> np.ndarray:
@@ -490,7 +490,9 @@ class DenseJets:
                                             out[:1], q)[0]
         return out
 
-    # -- single jets --------------------------------------------------------
+    # -- single jets: each order adds its products in turn (a cumsum) in
+    # one-row slices, so one node rounds as a batch does; a plain sum or a
+    # numpy scalar would not.
 
     @staticmethod
     def divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -499,7 +501,7 @@ class DenseJets:
         out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
         out[:1] = x[:1] * inv0
         for k in range(1, len(out)):
-            out[k:k + 1] = (x[k:k + 1] - _running_sum(out[:k] * y[k:0:-1])) * inv0
+            out[k:k + 1] = (x[k:k + 1] - (out[:k] * y[k:0:-1]).cumsum(axis=0)[-1:]) * inv0
         return out
 
     @staticmethod
@@ -509,8 +511,9 @@ class DenseJets:
         out = np.empty_like(a)
         out[:1] = np.sqrt(a[:1])
         half = 0.5 / out[:1]
-        for k in range(1, len(a)):
-            out[k:k + 1] = (a[k:k + 1] - _running_sum(out[1:k] * out[k - 1:0:-1])) * half
+        out[1:2] = a[1:2] * half
+        for k in range(2, len(a)):
+            out[k:k + 1] = (a[k:k + 1] - (out[1:k] * out[k - 1:0:-1]).cumsum(axis=0)[-1:]) * half
         return out
 
 

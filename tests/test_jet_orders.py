@@ -37,7 +37,7 @@ class FullOrderJets(DenseJets):
             full = X * Y
         elif self.small:
             M = X[:, :, None] * Y[:, None, :]
-            cells, starts = numerics._antidiagonals(K1 - 1)
+            cells, starts = numerics._antidiagonals(1, K1 - 1)
             M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
             full = np.add.reduceat(M, starts, axis=1)
         else:
@@ -48,7 +48,17 @@ class FullOrderJets(DenseJets):
 
     def slot(self, A, B, m, lo, hi, step=1, *, order=None):
         i = np.arange(lo, hi + 1, step)
-        full = self.products(A[i], B[m - i]).sum(axis=0) if len(i) else np.zeros_like(A[0])
+        if not len(i):
+            full = np.zeros_like(A[0])
+        elif self.small:
+            # One reduction per coefficient k over the terms A[i, j] B[m - i, k - j]
+            # of every pair, pair by pair, j rising.
+            M = A[i][:, :, None] * B[m - i][:, None, :]
+            full = np.array([np.add.reduceat(np.array([M[p, j, k - j] for p in range(len(i))
+                                                       for j in range(k + 1)]), [0], axis=0)[0]
+                             for k in range(A.shape[1])])
+        else:
+            full = self.products(A[i], B[m - i]).sum(axis=0)
         return full if order is None else full[:order + 1]
 
     def mul(self, A, B, step_a=1, step_b=1, orders=None):
@@ -159,11 +169,9 @@ def test_lowest_jet_orders_give_the_values_of_k_n_plus_4(family, N, nodes):
 def test_kernels_stop_at_the_orders_they_are_given(steps, nodes):
     # Random stacks and random orders that do not rise with the slot: mul
     # and inverse equal the full-order kernels zeroed above the orders,
-    # and slot equals the full-order slot cut to its order.  (Not K = 0:
-    # at one node the full-order slot's sum adds one-coefficient terms
-    # pairwise, while slot adds them in turn.)
+    # and slot equals the full-order slot cut to its order.
     rng = np.random.default_rng(len(nodes) + 10 * steps[0] + 100 * steps[1])
-    for K in (1, 4, 9):
+    for K in (1, 4, 9, 0):
         for n in (1, 3, 7):
             t0 = 0.9 + 0.3j + rng.random(nodes)
             jets, full = DenseJets(t0, K), FullOrderJets(t0, K)
@@ -188,7 +196,7 @@ def test_kernels_stop_at_the_orders_they_are_given(steps, nodes):
 
 def test_cached_order_tables_are_read_only():
     # Every solve shares these tables; a write must not corrupt the next one.
-    tables = (numerics._cauchy_cells(5, 2, 2, 6, (6, 6, 4, 4, 2))
+    tables = (numerics._cauchy_cells(5, 2, 2, 6, (6, 6, 4, 4, 2)) + numerics._antidiagonals(3, 4)
               + numerics._cauchy_by_order(5, 1, 2, (6, 5, 4, 3, 2))[0][1:]
               + series._slot_orders(6, 4, False))
     for table in tables:

@@ -401,6 +401,63 @@ def test_dense_eta_products_match_slot_sums():
     assert np.allclose(one[1:], 0, atol=1e-11)
 
 
+_WIDE = [np.complex128] + ([np.clongdouble] if np.finfo(np.longdouble).eps < 1e-18 else [])
+
+#: (m, lo, hi, step) of DenseJets.slot: every pair of a 9-slot stack, down
+#: to B[0]; step 2 from lo = 1 with hi off the step; two runs of B that stop
+#: above B[0]; one pair; and an empty range, a zero jet.
+_SLOT_RANGES = [(8, 0, 8, 1), (8, 1, 8, 2), (7, 1, 6, 2), (8, 2, 5, 1), (4, 4, 4, 1), (5, 3, 2, 1)]
+
+
+def _stacks(rng, n, K, nodes, dtype):
+    return [(rng.standard_normal((n, K + 1) + nodes)
+             + 1j * rng.standard_normal((n, K + 1) + nodes)).astype(dtype) for _ in range(2)]
+
+
+@pytest.mark.parametrize("dtype", _WIDE)
+@pytest.mark.parametrize("nodes", [(), (5,), (20,)])
+def test_slot_matches_a_loop_over_its_terms(nodes, dtype):
+    # Each coefficient k of slot is one sum of the terms A[i, j] B[m - i, k - j]
+    # over the pairs i and j <= k; a plain loop adds them in turn.  The two
+    # orders differ by rounding only: 4 eps times the sum of the moduli.
+    rng = np.random.default_rng(11)
+    K = 8
+    jets = DenseJets((0.7 + 0.2j + rng.random(nodes)).astype(dtype), K)
+    A, B = _stacks(rng, 9, K, nodes, dtype)
+    eps = np.finfo(jets.t0.real.dtype).eps
+    for m, lo, hi, step in _SLOT_RANGES:
+        got = jets.slot(A, B, m, lo, hi, step)
+        assert got.shape == (K + 1,) + nodes and got.dtype == dtype
+        want, scale = np.zeros_like(got), np.zeros(got.shape, jets.t0.real.dtype)
+        for i in range(lo, hi + 1, step):
+            for k in range(K + 1):
+                for j in range(k + 1):
+                    want[k] += A[i, j] * B[m - i, k - j]
+                    scale[k] += abs(A[i, j] * B[m - i, k - j])
+        if hi < lo:
+            assert not got.any()
+        assert np.all(np.abs(got - want) <= 4 * eps * scale), (m, lo, hi, step)
+
+
+def test_slot_bits_do_not_depend_on_order_or_node_count():
+    # A slot cut to order q equals the slot through K + 4 cut afterwards,
+    # and five nodes solved at once equal each node on its own, bit for bit.
+    rng = np.random.default_rng(12)
+    K = 6
+    t0 = 0.7 + 0.2j + rng.random(5)
+    A, B = _stacks(rng, 9, K + 4, (5,), np.complex128)
+    batch = DenseJets(t0, K + 4)
+    for m, lo, hi, step in _SLOT_RANGES:
+        for q in (0, K):
+            full = batch.slot(A, B, m, lo, hi, step)
+            cut = batch.slot(A, B, m, lo, hi, step, order=q)
+            assert cut.tobytes() == full[:q + 1].tobytes(), (m, lo, hi, step, q)
+            for node in range(5):
+                one = DenseJets(t0[node], K + 4).slot(A[..., node], B[..., node], m, lo, hi, step,
+                                                      order=q)
+                assert one.tobytes() == cut[..., node].tobytes(), (m, lo, hi, step, q, node)
+
+
 # ---------------------------------------------------------------------------
 # Laurent series at infinity
 # ---------------------------------------------------------------------------
