@@ -303,13 +303,19 @@ class UChart:
         1/u for v).  So log g = kappa v + sum_i m_i/2 (log(1 + b_i v) - b_i v),
         kappa = sum_i m_i b_i / 2, and for |v| <= s
 
-            |arg g| <= B(s) = |kappa| s + sum_i |m_i|/2 (-log(1 - |b_i| s) - |b_i| s).
+            |arg g| <= |log g| <= B(s) = |kappa| s + sum_i |m_i|/2 (-log(1 - |b_i| s) - |b_i| s).
 
-        * Order 2 (lead = the residue): d|v|/ds has the sign of
-          Re(lead_s g).  With Re(lead_s) < 0 and B(|v|) below
-          arcsin(|Re lead| / |lead|), |v| falls at a rate bounded away from
-          0: the log spiral into the pole.  ``radius`` is the disc on which
-          that holds, 0 where the residue is imaginary (a loop wall).
+        * Order 2 (lead = the residue r): d|v|/ds has the sign of
+          Re(lead_s g), so with Re(lead_s) < 0 and B(|v|) below
+          arcsin(|Re r| / |r|), |v| falls: the log spiral into the pole.
+          For any arg r, on a trajectory Phi = s + iC, log|v| = Re((s +
+          iC - h) / lead_s), h = lead_s int_0^v (g - 1) dw / w, so |h| <=
+          |r| I(|v|), I(R) = int_0^R (e^B(x) - 1) dx / x.  With Re(lead_s) < 0
+          it falls with s, up to 2 I, so a curve entering |v| < R e^(-2 I(R))
+          never leaves |v| < R.  The best R has B(R*) = log(3/2), and B is
+          convex, so I(R*) <= Ein(log(3/2)) = 0.45057, Ein(x) = int_0^x
+          (e^y - 1) dy / y.  ``radius`` is the larger disc, that of arcsin
+          or e^(-2 Ein) R* = 0.40611 R*.
         * Order 4: in zeta = u at infinity, or zeta = -1/v, sqrt(q) du =
           lead_s g dzeta, so d Re(lead_s zeta)/ds has the sign of Re g,
           positive where B(1/|zeta|) < pi/2.  The half-plane Re(lead_s zeta)
@@ -332,6 +338,8 @@ class UChart:
             terms = [(abs(m) / 2, abs(b)) for b, m in others]
             margin = math.asin(abs(lead.real) / abs(lead)) if order == 2 else math.pi / 2
             radius = _arg_bound_radius(kappa, terms, margin)
+            if order == 2:
+                radius = max(radius, _WALL_SIDE_SHRINK * _arg_bound_radius(kappa, terms, _LOG_3_2))
             if pole is None:
                 radius = 1 / radius
             domains.append(EndDomain(label, pole, order, lead, radius))
@@ -381,6 +389,10 @@ class UChart:
 
 #: Coefficients of ``UChart.origin_expansions``: 0.1^16 is below rounding.
 _EXPANSION_TERMS = 16
+#: e^(-2 Ein(log(3/2))), Ein(x) = sum_k x^k / (k k!): see ``UChart.end_domains``.
+_LOG_3_2 = math.log(1.5)
+_WALL_SIDE_SHRINK = math.exp(-2 * sum(_LOG_3_2 ** k / (k * math.factorial(k))
+                                      for k in range(1, 20)))
 
 
 class EndDomain(NamedTuple):

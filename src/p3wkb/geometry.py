@@ -20,7 +20,12 @@ over a special point.  A curve ends as soon as it enters the end domain
 of a pole of q of order 2 or 4 (u = infinity, D6's u = 0, the double
 poles): a region, read off the pole's closed-form leading term and the
 divisor of q (``UChart.end_domains``), that no trajectory entering it
-leaves before it reaches the pole.
+leaves before it reaches the pole.  It also ends at a turning point or
+the simple pole it runs into.  Off the walls q du^2 has no closed
+trajectory; on a loop wall a double pole with an imaginary residue does
+not seal, and a curve that turns once round it ends "closed".  One that
+outruns its arc budget ends "spiral".  The poles' capture discs and the
+escape radius end the curves with the seals off.
 """
 
 from __future__ import annotations
@@ -58,17 +63,12 @@ _MAX_HALVINGS = 20
 # The tracer's constants; they give the termini of the reference pictures.
 _STEP_FACTOR = 0.5           # of the distance to the nearest special point (origin included)
 _MIN_STEP = 1e-9             # times the chart scale; a shorter step raises TraceError
-_CAPTURE_RADIUS = 1e-3       # scaled by the local pole size
+_CAPTURE_RADIUS = 1e-3       # scaled by the local pole size: where a double pole on a
+                             # loop wall, or any pole with the seals off, ends a curve
 _TP_RADIUS = 1e-3            # scaled by the chart scale, for hitting another turning point
-_ESCAPE_FACTOR = 25.0        # times the chart scale, the fallback of u = infinity's end domain
+_ESCAPE_FACTOR = 25.0        # times the chart scale: ends a curve at u = infinity with
+                             # the seals off
 _ARC_BUDGET_FACTOR = 200.0   # times the chart's arc_scale
-_CLOSURE_COSINE = 0.99       # least alignment of a revisit with the earlier segment
-# A double pole's end domain seals only where -Re of the continued residue
-# is at least this fraction of its modulus: nearer a loop wall the spiral
-# into the pole shrinks by less than 27 % a turn, and the closure test can
-# take its turns for a cycle (seen up to 0.7 degrees off D7's walls), so
-# the capture fallback's labels stay those of the tracer without seals.
-_SEAL_RESIDUE_FRACTION = 0.05
 
 
 class TraceError(RuntimeError):
@@ -189,6 +189,7 @@ class _Plan(NamedTuple):
     sp_radius: float           # the simple pole's capture radius
     domains: tuple             # the end domains that may seal a curve
     reach: float               # the largest capture radius, the simple pole's included
+    loop_poles: tuple          # u of each double pole with an imaginary residue
 
 
 @lru_cache(maxsize=1)
@@ -196,9 +197,10 @@ def _tracing_plan(chart) -> _Plan:
     """What ``trace_curve`` reads of ``chart`` alone, worked out on its
     first curve and kept for the others: per origin its rays (one call of
     ``emanation_directions``), each ray's series amplitude and the expansion
-    integrated; the capture discs, and the end domains that may seal (a
-    double pole's only where its residue is at least _SEAL_RESIDUE_FRACTION
-    off the imaginary axis).  Data only, in tuples and read-only maps."""
+    integrated; the capture discs, and the end domains that may seal: all
+    but those of the double poles whose residue is imaginary in the sense of
+    ``walls.on_imaginary_axis`` (a loop wall), which the plan lists.  Data
+    only, in tuples and read-only maps."""
     tps, sp = chart.turning_points_u, chart.simple_pole_u
     starts = {}
     for label, u0 in [(f"tp{k}", u) for k, u in enumerate(tps)] + [("simple_pole", sp)]:
@@ -214,10 +216,10 @@ def _tracing_plan(chart) -> _Plan:
     captures = tuple((label, pole, _CAPTURE_RADIUS * max(1.0, abs(pole)))
                      for label, pole in chart.capture_points().items())
     sp_radius = _CAPTURE_RADIUS * max(1.0, abs(sp))
-    domains = tuple(d for d in chart.end_domains
-                    if d.order != 2 or abs(d.lead.real) >= _SEAL_RESIDUE_FRACTION * abs(d.lead))
+    on_wall = tuple(d for d in chart.end_domains if d.order == 2 and on_imaginary_axis(d.lead))
     return _Plan(MappingProxyType(starts), tps + (sp,) + tuple(p for _, p, _ in captures),
-                 captures, sp_radius, domains, max([sp_radius] + [r for _, _, r in captures]))
+                 captures, sp_radius, tuple(d for d in chart.end_domains if d not in on_wall),
+                 max([sp_radius] + [r for _, _, r in captures]), tuple(d.pole for d in on_wall))
 
 
 def _first_point(chart, origin: complex, direction: complex) -> tuple:
@@ -283,13 +285,6 @@ def _sealed(domains, u: complex, sq: complex):
     return None
 
 
-# A closure needs the sub-path since the revisited segment to have turned
-# through more than _CLOSURE_TURN.  The tracer keeps a running sum of the
-# turning angle, so the segment scan waits until some arc-separated segment
-# lies that far behind, and reads the turn since the revisited one off it.
-_CLOSURE_TURN = 1.5 * math.pi
-
-
 def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
@@ -303,11 +298,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     root at the current point, 1 at the end point and up to 4 for the
     Newton projection onto Im phi = 0; 69.8 per curve on the reference
     figures), one of Phi, at the RK4 end point, the distances to the
-    singular points, the end-domain test, and a scan of the earlier
-    segments for closure only once the curve has turned through 1.5 pi
-    since one of them.  A step spans half the distance to the nearest
-    special point, halved while the projection leaves too much drift, and
-    has no cap.  The projection shifts the end point along the normal by
+    singular points and the end-domain test.  A step spans half the
+    distance to the nearest special point, halved while the projection
+    leaves too much drift, and has no cap.  The projection shifts the end point along the normal by
     -Im phi / |sqrt q| and adds the integral over the shift, by Simpson's
     rule on the first shift (as long as RK4's error) and the trapezoid rule
     on later ones, until the shift is below 1e-6 of the step; it refuses
@@ -316,11 +309,15 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     exact again, so the quadrature errors do not accumulate.
 
     A curve ends at a pole of q of order 2 or 4 at the first point inside
-    its end domain (``UChart.end_domains``, tested by ``_sealed``).  The
-    fallbacks are the capture discs of the finite poles (_CAPTURE_RADIUS)
-    and the escape radius of _ESCAPE_FACTOR chart scales."""
+    its end domain (``UChart.end_domains``, tested by ``_sealed``); at a
+    turning point or the simple pole inside its capture disc; "closed" once
+    it has turned once round a double pole whose residue is imaginary (a
+    loop wall: off the walls no trajectory is closed); "spiral" once its arc
+    outruns _ARC_BUDGET_FACTOR arc scales.  The poles' capture discs
+    (_CAPTURE_RADIUS) and the escape radius (_ESCAPE_FACTOR) end the curves
+    that the seals would not: at those double poles, and with them off."""
     # Start from the chart's own point, so the origin is not taken for a target.
-    starts, specials, captures, sp_radius, domains, reach = _tracing_plan(chart)
+    starts, specials, captures, sp_radius, domains, reach, loop_poles = _tracing_plan(chart)
     start = starts[_trace_origin(complex(origin), chart)[1]]
     origin, is_origin = start.u, start.is_origin
     if not 0 <= ray < len(start.directions):
@@ -334,27 +331,19 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     tp_radius = _TP_RADIUS * scale
     n_tp = len(is_origin) - 1
     reach = max(reach, tp_radius)       # with the turning points' radius
-    sep_arc = 20 * _CAPTURE_RADIUS * scale
-    hit_tol = 1e-5 * scale
 
     u, sq, phi, logs, offset = _first_point(chart, origin, direction)
     points = [origin, u]
     arc = abs(u - origin)
-    arcs = [0.0, arc]   # cumulative arc length at each polyline point
     im_worst = abs(phi.imag)
     terminus = None
     # Capture checks at the origin itself stay off until the curve has left
     # its neighborhood (else the first step "terminates" immediately).
     leave_radius = 3 * max(_TP_RADIUS, _CAPTURE_RADIUS) * scale
     left_origin = False
-    # Running turning angle: turns[i] is the angle turned from the first
-    # step through step i (points[i] -> points[i+1]); lo and hi bound it
-    # over the first n_sep steps, the arc-separated ones.
-    last_step = u - origin
-    turn_exact = last_step != 0
-    turn, turns = 0.0, [0.0]
-    n_sep, lo, hi = 0, math.inf, -math.inf
-    scanned = np.empty(0, complex)      # the polyline as an array, for the scan
+    # The angle the curve has turned round each on-axis double pole: a step
+    # spans at most half the distance to one, so it turns less than pi.
+    windings = [cmath.phase((u - p) / (origin - p)) for p in loop_poles]
 
     # The loop's calls, bound once: q and Phi of the chart, cmath.sqrt, the
     # square root's continuation rule and the end-domain test.
@@ -449,23 +438,13 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
             u_next += shift
             phi_next += shift * sq_next
 
-        step = u_next - u
-        arc += abs(step)
+        arc += abs(u_next - u)
+        for k, p in enumerate(loop_poles):
+            windings[k] += cmath.phase((u_next - p) / (u - p))
         u, sq, phi, logs = u_next, sq_next, phi_next, logs_next
         points.append(u)
-        arcs.append(arc)
         if abs(phi.imag) > im_worst:
             im_worst = abs(phi.imag)
-        if turn_exact:
-            bend = cmath.phase(step / last_step) if step else math.nan
-            if abs(bend) < 3.0:
-                turn += bend
-                last_step = step
-            else:
-                # A zero step, or a near-reversal whose rounded angle may
-                # flip between +pi and -pi: scan on every step from here.
-                turn_exact = False
-        turns.append(turn)
 
         # --- terminus checks -------------------------------------------
         if not left_origin and abs(u - origin) > leave_radius:
@@ -496,41 +475,8 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         if arc > budget:
             terminus = "spiral"
             break
-        # Closure: revisiting an early portion of the polyline going the
-        # same way.  Candidates must be arc-separated (a curve lingering
-        # near a pole leaves many recent points close by), the revisit must
-        # land on the earlier segment itself (perpendicular distance at the
-        # integration-accuracy scale, far below any spiral's arm gap), and
-        # the intervening sub-path must have turned through a full loop.
-        if arc > sep_arc and len(points) > 20:
-            while n_sep < len(points) - 1 and arcs[n_sep] < arc - sep_arc:
-                lo, hi = min(lo, turns[n_sep]), max(hi, turns[n_sep])
-                n_sep += 1
-            behind = max(turn - lo, hi - turn)
-            if n_sep and (not turn_exact or behind > _CLOSURE_TURN):
-                # The polyline only grows: convert just its new points.
-                if len(scanned) < len(points):
-                    scanned = np.concatenate([scanned, points[len(scanned):]])
-                a = scanned[:n_sep]
-                seg = scanned[1:n_sep + 1] - a
-                L2 = np.abs(seg) ** 2
-                tpar = np.clip(((u - a) * np.conj(seg)).real /
-                               np.maximum(L2, 1e-300), 0.0, 1.0)
-                d = np.abs(u - (a + tpar * seg))
-                j = int(np.argmin(d))
-                if d[j] < hit_tol * (1 + arc):
-                    seg_dir = seg[j]
-                    if turn_exact:
-                        turning = abs(turn - turns[j])
-                    else:
-                        dirs = np.diff(scanned[j:])
-                        dirs = dirs[np.abs(dirs) > 0]
-                        turning = abs(float(np.sum(np.angle(dirs[1:] / dirs[:-1]))))
-                    cosine = (step / abs(step) *
-                              (seg_dir / abs(seg_dir)).conjugate()).real
-                    if cosine > _CLOSURE_COSINE and turning > _CLOSURE_TURN:
-                        terminus = "closed"
-                        break
+        if loop_poles and max(map(abs, windings)) >= 2 * math.pi:
+            terminus = "closed"
 
     return TracedCurve(start.label, ray, np.array(points), terminus,
                        phi_end=phi, im_drift=im_worst, arc_length=arc)

@@ -27,6 +27,7 @@ from p3wkb.numerics import Jet
 from asymptotics_reference import _classify_branch, phi_primitive
 from chart_reference import turning_points
 from residue_reference import residues
+from test_walls import WALL_POINTS, _turned
 
 P_GEN = Parameters(2 + 1j, 3)
 P_ALT = Parameters(2, 2 - 1j)
@@ -548,6 +549,19 @@ END_CHARTS = PHI_CHARTS + [D6Chart(Parameters(-3 + 1j, 1 + 0.5j)), D7Chart(1j),
 END_IDS = PHI_IDS + ["d6-chamber-IV", "d7-loop", "d6-large-cm"]
 
 
+# Charts whose double pole has its residue just off the imaginary axis, where
+# the wall-side radius of its end domain is the larger one.
+WALL_SIDE_CHARTS = ([D7Chart(cmath.rect(1.0, np.radians(90 + off)))
+                     for off in (0.3, -0.3, 0.01, -0.01)]
+                    + [D6Chart(_turned(WALL_POINTS[label], off)) for label in ("W1", "W3")
+                       for off in (0.01, -0.01)])
+WALL_SIDE_IDS = [f"d7-{off:+g}deg" for off in (0.3, -0.3, 0.01, -0.01)] + [
+    f"{label}-{off:+g}deg" for label in ("W1", "W3") for off in (0.01, -0.01)]
+#: Ein(log(3/2)) = int_0^log(3/2) (e^y - 1) dy / y, which bounds I(R*).
+EIN = float(mp.quad(lambda y: mp.expm1(y) / y, [0, mp.log(1.5)]))
+_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+
+
 @pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
 def test_singular_points_and_gaps_are_shared_read_only_values(chart):
     # Built once per chart; a caller can read them but not change the copy
@@ -613,28 +627,52 @@ def _continued(values):
     return out
 
 
-@pytest.mark.parametrize("chart", END_CHARTS, ids=END_IDS)
+def _levels(chart, pole, res, vs):
+    """log|v| + Re(h(v) / res) at the points vs, h(v) = int_0^v (sqrt(q) -
+    res / w) dw along the ray from the pole, by 64-point Gauss-Legendre, the
+    square root continued out along the ray from res / w.  On a trajectory
+    it is Re(Phi / res), Phi = int sqrt(q) du, up to a constant."""
+    ts = (_GL64_X + 1) / 2
+    w = np.asarray(vs)[:, None] * ts[None, :]
+    g = np.sqrt(chart.q(pole + w)) * w / res          # -> +-1 at the pole
+    prev = np.ones(len(vs), complex)
+    for k in range(len(ts)):
+        g[:, k] = np.where(np.abs(g[:, k] + prev) < np.abs(g[:, k] - prev), -g[:, k], g[:, k])
+        prev = g[:, k]
+    return np.log(np.abs(vs)) + ((g - 1) / ts[None, :] @ (_GL64_W / 2)).real
+
+
+@pytest.mark.parametrize("chart", END_CHARTS + WALL_SIDE_CHARTS, ids=END_IDS + WALL_SIDE_IDS)
 def test_end_domains_hold_the_curves_that_enter_them(chart):
     # Sampled from q itself, not from the divisor bound the chart sizes the
-    # domains with.  Order 2: on the disc, for the branch whose residue has
-    # Re < 0, the field conj(sqrt q) points into the pole (Re((u - p)
-    # sqrt(q)) < 0).  Order 4: on every circle |zeta| >= depth, g = sqrt(q)
-    # / (lead zeta^2) (sqrt(q) / lead at infinity), continued round it, has
-    # Re g > 0, so the field advances Re(lead zeta).  The disc of a double
-    # pole with an imaginary residue is empty.
+    # domains with.  Order 2, for the branch whose residue res has Re <= 0:
+    # either the field conj(sqrt q) points into the pole on the disc (Re((u
+    # - p) sqrt(q)) < 0), or the disc is the wall-side one, on whose circle
+    # the level L = log|v| + Re(h/res), which falls along a trajectory
+    # where Re res < 0 and holds where Re res = 0, stays below its least
+    # value on the circle e^(2 Ein(log(3/2))) times as wide, inside the
+    # pole's gap: what enters the disc never gets that far out.  The disc is
+    # the wall-side one exactly where the residue lies within 1 % of the
+    # imaginary axis (on the walls and in WALL_SIDE_CHARTS).
+    # Order 4: on every circle |zeta| >= depth, g = sqrt(q) / (lead
+    # zeta^2) (sqrt(q) / lead at infinity), continued round it, has Re g >
+    # 0, so the field advances Re(lead zeta).
     angles = np.exp(2j * np.pi * np.arange(513) / 512)    # closed: the last is the first
+    wall_side = []
     for d in chart.end_domains:
-        assert d.radius > 0 or (d.order == 2 and d.lead.real == 0)
+        assert d.radius > 0
         if d.order == 2:
-            if d.radius == 0:
+            res = d.lead if d.lead.real <= 0 else -d.lead
+            v = (d.radius * np.arange(1, 9) / 8)[:, None] * angles
+            s = np.sqrt(chart.q(d.pole + v))
+            s = np.where((s * v / res).real < 0, -s, s)
+            if np.all((v * s).real < 0):
                 continue
-            res = d.lead if d.lead.real < 0 else -d.lead
-            for rho in d.radius * np.arange(1, 9) / 8:
-                for v in rho * angles:
-                    s = cmath.sqrt(chart.q(d.pole + v))
-                    if (s * v / res).real < 0:
-                        s = -s
-                    assert (v * s).real < 0, (d.label, rho)
+            outer = d.radius * np.exp(2 * EIN)
+            assert outer < chart.special_gap(d.pole), d.label
+            assert (_levels(chart, d.pole, res, d.radius * angles).max()
+                    < _levels(chart, d.pole, res, outer * angles).min()), d.label
+            wall_side.append(d.label)
             continue
         depth = d.radius if d.pole is None else 1 / d.radius
         for x in depth * np.array([1.0, 1.1, 1.5, 3.0, 10.0]):
@@ -645,6 +683,40 @@ def test_end_domains_hold_the_curves_that_enter_them(chart):
             g = np.asarray(g) * (1 if g[0].real > 0 else -1)
             assert np.all(g.real > 0), (d.label, x)
             assert abs(g[-1] - g[0]) < 1e-9 * abs(g[0])    # single-valued round the circle
+    near_axis = [label for label in chart.double_poles_u
+                 if abs(chart.pole_residues[label].real) < 0.01 * abs(chart.pole_residues[label])]
+    assert sorted(wall_side) == sorted(near_axis)
+
+
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_wall_side_radius_integral_stays_below_ein(family):
+    # The wall-side radius e^(-2 Ein) R* of a double pole's end domain takes
+    # I(R*) = int_0^R* (e^B(x) - 1) dx / x <= Ein(log(3/2)) from B(R*) =
+    # log(3/2) and B convex; here I(R*) by 64-point Gauss-Legendre, B the
+    # divisor bound at the pole, on seeded charts of both families.
+    if family == "d6":
+        charts = [D6Chart(p) for p in _seeded_d6_params(35, 12)]
+    else:
+        rng = np.random.default_rng(35)
+        charts = [D7Chart(cmath.rect(rng.uniform(0.3, 3.5), rng.uniform(-np.pi, np.pi)))
+                  for _ in range(12)]
+    for chart in charts:
+        for label, pole in chart.double_poles_u.items():
+            others = [(1 / (pole - z), m) for z, m in chart.divisor
+                      if not chart.same_point(z, pole)]
+            kappa = abs(sum(b * m for b, m in others)) / 2
+            terms = [(abs(m) / 2, abs(b)) for b, m in others]
+
+            def bound(x):
+                return kappa * x + sum(w * (-np.log1p(-b * x) - b * x) for w, b in terms)
+
+            r_star = algebra._arg_bound_radius(kappa, terms, np.log(1.5))
+            assert bound(r_star) <= np.log(1.5)
+            x = r_star * (_GL64_X + 1) / 2
+            integral = r_star / 2 * np.sum(_GL64_W * np.expm1(bound(x)) / x)
+            assert 0 < integral <= EIN, label
+            domain = next(d for d in chart.end_domains if d.label == label)
+            assert domain.radius >= np.exp(-2 * EIN) * r_star * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)

@@ -36,7 +36,7 @@ from p3wkb.geometry import (
 from p3wkb.walls import on_imaginary_axis
 
 from asymptotics_reference import BranchCutError, phi_primitive
-from test_walls import WALL_POINTS, _chamber_sample
+from test_walls import WALL_POINTS, _chamber_sample, _turned
 from trace_reference import TRACES
 
 P_GEN = Parameters(2 + 1j, 3)
@@ -153,8 +153,6 @@ def test_option_defaults():
     assert geometry._TP_RADIUS == 1e-3
     assert (geometry._STEP_FACTOR, geometry._MIN_STEP) == (0.5, 1e-9)
     assert (geometry._ESCAPE_FACTOR, geometry._ARC_BUDGET_FACTOR) == (25.0, 200.0)
-    assert geometry._CLOSURE_COSINE == 0.99
-    assert geometry._SEAL_RESIDUE_FRACTION == 0.05
 
 
 @pytest.mark.parametrize("params, chart_cls, calls", [(P_GEN, D6Chart, 3), (2 + 1j, D7Chart, 1)],
@@ -385,8 +383,8 @@ def test_curves_end_at_their_first_point_in_an_end_domain(params):
     diag = _diagram(params)
     chart = diag.chart
     domains = chart.end_domains
-    assert all(d.order == 4 or abs(d.lead.real) >= geometry._SEAL_RESIDUE_FRACTION * abs(d.lead)
-               for d in domains)
+    assert not any(d.order == 2 and on_imaginary_axis(d.lead) for d in domains)
+    assert geometry._tracing_plan(chart).domains == domains
     poles = {d.label: d for d in domains}
     specials = np.asarray(chart.singular_points())
     for c in diag.curves:
@@ -424,8 +422,9 @@ def test_closure_terminus_reports_loop(monkeypatch):
     # At W1 moved off the wall by 3e-11 of |c_0|, inside WALL_TOL, the curve
     # from tp1 comes round the double pole and misses tp1 by about 8e-5, to
     # the side of its own first ray.  With a turning-point capture radius
-    # too small to catch that, it ends on its own earlier segment.  (On the
-    # wall itself the exact level set runs back into tp1.)
+    # too small to catch that, it ends "closed" once it has turned once round
+    # zero_c0, whose residue is imaginary.  (On the wall itself the exact
+    # level set runs back into tp1.)
     monkeypatch.setattr(geometry, "_TP_RADIUS", 1e-6)
     diag = stokes_diagram(Parameters(2 + 1j, -1e-10 + 3j))
     closed = [c for c in diag.curves if c.terminus == "closed"]
@@ -557,56 +556,41 @@ def test_seals_move_no_terminus(monkeypatch, group):
     assert [_termini(p) for p in params] == sealed
 
 
-def _turned(p, degrees):
-    """The D6 parameters p with their imaginary one turned by ``degrees``."""
-    turn = cmath.exp(1j * math.radians(degrees))
-    return Parameters(p.c_inf * turn if p.c_inf.real == 0 else p.c_inf,
-                      p.c_0 * turn if p.c_0.real == 0 else p.c_0)
-
-
-NEAR_WALL = ([cmath.rect(1.0, math.radians(wall + off)) for wall in (90, -90)
-              for off in (0.3, -0.3, 0.01, -0.01)]
-             + [_turned(WALL_POINTS[label], off) for label in ("W1", "W3", "W5", "W7")
+NEAR_WALL = ([(cmath.rect(1.0, math.radians(wall + off)), off) for wall in (90, -90)
+              for off in (0.3, -0.3, 0.1, -0.1, 0.01, -0.01)]
+             + [(_turned(WALL_POINTS[label], off), off) for label in ("W1", "W3", "W5", "W7")
                 for off in (0.01, -0.01)])
 
 
-@pytest.mark.parametrize("params", NEAR_WALL, ids=[
-    f"d7_{wall:+d}_{off:+g}deg" for wall in (90, -90) for off in (0.3, -0.3, 0.01, -0.01)] + [
-    f"{label}_{off:+g}deg" for label in ("W1", "W3", "W5", "W7") for off in (0.01, -0.01)])
-def test_double_pole_seals_stay_off_near_loop_walls(monkeypatch, params):
+@pytest.mark.parametrize("params, off", NEAR_WALL, ids=[
+    f"d7_{wall:+d}_{off:+g}deg" for wall in (90, -90) for off in (0.3, -0.3, 0.1, -0.1, 0.01, -0.01)
+] + [f"{label}_{off:+g}deg" for label in ("W1", "W3", "W5", "W7") for off in (0.01, -0.01)])
+def test_curves_near_loop_walls_end_at_their_double_poles(monkeypatch, params, off):
     # Near a loop wall (D7's arg c = +-pi/2, D6's W1/W3/W5/W7 with the
-    # imaginary parameter turned by 0.01 degrees) a double pole's residue
-    # lies within _SEAL_RESIDUE_FRACTION of the imaginary axis: its seal
-    # never fires, and every terminus is the tracer's without seals, whose
-    # closure labels there move with the step length.  A curve on which no
-    # seal fires is traced exactly as without seals, so only the curves on
-    # which one fires are traced again with the seal off.
+    # imaginary parameter turned) a double pole's residue lies just off the
+    # imaginary axis.  There q du^2 has no closed trajectory: the pole's end
+    # domain (its wall-side radius) seals, and no curve ends "closed".  From
+    # 0.1 degrees off, a curve ends at every double pole, and every terminus
+    # is the one the tracer gives with the seals off and no arc budget,
+    # which follows the spiral on to the pole's capture disc.  At 0.01
+    # degrees the spiral shrinks by 0.11 % a turn, and the curve into a pole
+    # may outrun its arc budget on the way: it ends "spiral" in that pole's
+    # gap.
     chart = u_chart(params)
-    margins = {label: abs(chart.pole_residues[label].real) / abs(chart.pole_residues[label])
-               for label in chart.double_poles_u}
-    assert min(margins.values()) < geometry._SEAL_RESIDUE_FRACTION
-    fired = []
-    sealed = geometry._sealed
-
-    def recording(*args):
-        label = sealed(*args)
-        if label:
-            fired.append(label)
-        return label
-
-    monkeypatch.setattr(geometry, "_sealed", recording)
-    rays = [(u, ray) for u in chart.turning_points_u for ray in range(5)] + [(chart.simple_pole_u, 0)]
-    ended = []
-    for u, ray in rays:
-        fired.clear()
-        curve = trace_curve(u, ray, chart)
-        if fired:
-            assert fired == [curve.terminus]
-            assert margins.get(curve.terminus, 1.0) >= geometry._SEAL_RESIDUE_FRACTION
-            ended.append((u, ray, curve.terminus))
-    monkeypatch.setattr(geometry, "_sealed", lambda *args: None)
-    for u, ray, terminus in ended:
-        assert trace_curve(u, ray, chart).terminus == terminus
+    assert not any(on_imaginary_axis(chart.pole_residues[label]) for label in chart.double_poles_u)
+    curves = stokes_diagram(params).curves
+    termini = [c.terminus for c in curves]
+    assert "closed" not in termini
+    spirals = [c.points[-1] for c in curves if c.terminus == "spiral"]
+    for label, pole in chart.double_poles_u.items():
+        if label not in termini:
+            assert abs(off) < 0.1
+            assert any(abs(u - pole) < chart.special_gap(pole) for u in spirals), label
+    assert len(spirals) == 0 or abs(off) < 0.1
+    if abs(off) >= 0.1:
+        monkeypatch.setattr(geometry, "_sealed", lambda *args: None)
+        monkeypatch.setattr(geometry, "_ARC_BUDGET_FACTOR", math.inf)
+        assert _termini(params) == termini
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +854,7 @@ def test_render_rejects_unknown_format():
 # Randomized structural check
 # ---------------------------------------------------------------------------
 
-_ALLOWED_D6 = {"inf12", "inf34", "zero_cinf", "zero_c0", "simple_pole",
-               "turning_point", "closed"}
+_ALLOWED_D6 = {"inf12", "inf34", "zero_cinf", "zero_c0", "simple_pole", "turning_point"}
 
 
 @settings(max_examples=8, deadline=None)

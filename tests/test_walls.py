@@ -3,6 +3,7 @@ wall -> jumping-coefficient map, exchange symmetry, agreement with the
 summability report, and the empirical correspondence between walls and
 degenerations of the traced curve geometry."""
 
+import cmath
 import math
 import random
 import warnings
@@ -261,6 +262,13 @@ def test_degeneration_found_on_every_wall(label):
     matches = [g for g in records if g.kind == kind
                and (pole is None or pole in g.participants)]
     assert matches, f"no {kind} degeneration found on {label}"
+
+
+def _turned(p, degrees):
+    """The D6 parameters p with their imaginary one turned by ``degrees``."""
+    turn = cmath.exp(1j * math.radians(degrees))
+    return Parameters(p.c_inf * turn if p.c_inf.real == 0 else p.c_inf,
+                      p.c_0 * turn if p.c_0.real == 0 else p.c_0)
 
 
 def _chamber_sample(rng, k):
