@@ -50,11 +50,8 @@ __all__ = [
     "EndDomain",
     "D6Chart",
     "D7Chart",
-    "quartic_coeffs",
     "lambda0_branches",
     "d7_lambda0_branches",
-    "delta",
-    "mu0",
     "u_chart",
 ]
 
@@ -134,17 +131,13 @@ class BranchPoint:
 
 
 # ---------------------------------------------------------------------------
-# Branches, Delta, mu0
+# Branches
 # ---------------------------------------------------------------------------
 
-def quartic_coeffs(t: complex, p: Parameters) -> list[complex]:
-    """Ascending coefficients of the leading quartic in lambda."""
-    return [-t * t, p.c_0 * t, 0.0, -p.c_inf, 1.0]
-
-
 def lambda0_branches(t: complex, p: Parameters) -> list[BranchPoint]:
-    """The four branches of lambda0 over a regular point t != 0."""
-    return _branches(t, lambda t: quartic_coeffs(t, p), "quartic")
+    """The four branches of lambda0 over a regular point t != 0, the roots
+    of the leading quartic lambda^4 - c_inf lambda^3 + c_0 t lambda - t^2."""
+    return _branches(t, lambda t: [-t * t, p.c_0 * t, 0.0, -p.c_inf, 1.0], "quartic")
 
 
 def _branches(t, coeffs_of, what: str) -> list[BranchPoint]:
@@ -163,22 +156,6 @@ def _branches(t, coeffs_of, what: str) -> list[BranchPoint]:
             raise AlgebraError(f"{what} root residual too large at t={t}: {res}")
         out.append(BranchPoint(t, r))
     return out
-
-
-def delta(b: BranchPoint, p: Parameters) -> complex:
-    """Delta = dF/dlambda at (lambda0, t); its square root is R_{-1}."""
-    if b.lambda0 == 0:
-        raise AlgebraError("Delta undefined at lambda0 = 0")
-    t, lam = b.t, b.lambda0
-    return 3 * lam ** 2 / t ** 2 - 2 * p.c_inf * lam / t ** 2 + 1 / lam ** 2
-
-
-def mu0(b: BranchPoint, p: Parameters) -> complex:
-    """Leading term of the conjugate momentum: 1/2 + c_0/(2 lambda0) - t/(2 lambda0^2)."""
-    if b.lambda0 == 0:
-        raise AlgebraError("mu0 undefined at lambda0 = 0")
-    t, lam = b.t, b.lambda0
-    return 0.5 + p.c_0 / (2 * lam) - t / (2 * lam ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,13 @@ from p3wkb.algebra import (
     AlgebraError,
     BranchPoint,
     Parameters,
-    delta,
     lambda0_branches,
-    mu0,
 )
 from p3wkb.numerics import Jet
 from p3wkb.series import D6Model, riccati_solution, zero_param_solution
 from p3wkb.voros import EndpointSpec, voros_closed_form
 
-from chart_reference import turning_points
+from chart_reference import delta, mu0, turning_points
 
 
 class BranchCutError(AlgebraError):

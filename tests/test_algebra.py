@@ -16,16 +16,14 @@ from p3wkb.algebra import (
     DegenerateParametersError,
     NearDegenerateWarning,
     Parameters,
-    delta,
     lambda0_branches,
-    mu0,
     u_chart,
 )
 from p3wkb.geometry import emanation_directions
 from p3wkb.numerics import Jet
 
 from asymptotics_reference import _classify_branch, phi_primitive
-from chart_reference import turning_points
+from chart_reference import delta, mu0, turning_points
 from residue_reference import residues
 from test_walls import WALL_POINTS, _turned
 

@@ -20,7 +20,6 @@ from p3wkb.algebra import (
     D6Chart,
     D7Chart,
     Parameters,
-    delta,
     lambda0_branches,
     u_chart,
 )
@@ -36,6 +35,7 @@ from p3wkb.geometry import (
 from p3wkb.walls import on_imaginary_axis
 
 from asymptotics_reference import BranchCutError, phi_primitive
+from chart_reference import delta
 from test_walls import WALL_POINTS, _chamber_sample, _turned
 from trace_reference import TRACES
 

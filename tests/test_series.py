@@ -14,7 +14,6 @@ from p3wkb.algebra import (
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
-    mu0,
 )
 from p3wkb.numerics import Jet
 from p3wkb.series import (
@@ -34,7 +33,7 @@ from p3wkb.series import (
     x_factor,
     zero_param_solution,
 )
-from chart_reference import turning_points
+from chart_reference import mu0, turning_points
 from series_reference import ENGINE, HIGH_PRECISION
 
 P = Parameters(2 + 1j, 3)

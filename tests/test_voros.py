@@ -341,8 +341,7 @@ def test_oracle_reports_the_cancellation_between_its_parts(target):
 def test_oracle_error_stays_below_its_rounding_scale(spec, params):
     # rounding_scale is the size of the rounding the circle's samples carry
     # into mode_sum; the oracle's error was measured at up to 5.1e-14 of it
-    # here.  With the root flipping after one turn, the even bins of the
-    # two tiled turns are exactly zero.
+    # here.  even_ratio is kept at 0.0 for the benchmark's tracer.
     res = voros_numeric_oracle(spec, params, n_max=3)
     closed = voros_closed_form(spec, params, 3)
     for n, diag in res.diagnostics.items():
@@ -355,20 +354,57 @@ def test_oracle_error_stays_below_its_rounding_scale(spec, params):
     (EndpointSpec("d6", "zero_c0", +1), P_GEN, 5 + 5j),
 ])
 def test_oracle_refuses_a_circle_around_no_turning_point(spec, params, center, monkeypatch):
-    # The second turn of the circle reuses the values solved on the first;
-    # with no branch point inside, the signs do not flip after one turn and
-    # the integer-power modes must still give the circle away.
+    # With no branch point inside, the square root does not flip after one
+    # turn, and the closure check gives the circle away.
     monkeypatch.setattr(voros, "_select_turning_point", lambda chart, spec: center)
-    with pytest.raises(PathError, match="integer-power"):
+    with pytest.raises(PathError, match="does not flip after one turn"):
         voros_numeric_oracle(spec, params, n_max=2)
 
 
 def test_oracle_refuses_a_circle_with_too_few_samples(monkeypatch):
-    # 32 samples on two turns hold the modes up to s = 8 only; the rest fold
+    # 16 samples on one turn hold the modes up to |s| = 8 only; the rest fold
     # onto them and fill the high-frequency bins.
-    monkeypatch.setattr(voros, "_CIRCLE_SAMPLES", 32)
+    monkeypatch.setattr(voros, "_CIRCLE_SAMPLES", 16)
     with pytest.raises(PathError, match="high-frequency"):
         voros_numeric_oracle(EndpointSpec("d6", "zero_c0", +1), P_GEN, n_max=2)
+
+
+def _two_turn_modes(f):
+    """Reference: the half-odd modes read off the double cover, an FFT of
+    the samples followed by their negation (the root's sign after one
+    turn); the odd bins k hold the modes s = k/2."""
+    M = 2 * f.shape[-1]
+    k = np.fft.fftfreq(M, d=1.0 / M)
+    chat = np.fft.fft(np.concatenate([f, -f], axis=-1)) / M
+    odd = k % 2 == 1
+    return k[odd] / 2, chat[..., odd]
+
+
+@pytest.mark.parametrize("spec, params", [
+    *((EndpointSpec("d6", t, +1), P_GEN)
+      for t in ("zero_cinf", "zero_c0", "inf1", "inf2", "inf3", "inf4")),
+    (EndpointSpec("d7", "zero_c", +1), 2 + 1j),
+])
+def test_one_turn_modes_match_the_two_turn_reference(spec, params, monkeypatch):
+    # Both routes get the oracle's own circle samples; the one-turn mode_sum
+    # was measured within 1.6e-15 of rounding_scale of the reference.
+    seen, one_turn = [], voros._half_odd_modes
+
+    def recording(f):
+        seen.append(f)
+        return one_turn(f)
+
+    monkeypatch.setattr(voros, "_half_odd_modes", recording)
+    res = voros_numeric_oracle(spec, params, n_max=3)
+    chart = u_chart(params)
+    u_star = voros._target_of(chart, spec)
+    theta_P = 0.0 if u_star is None else cmath.phase(u_star - res.turning_point_u)
+    z = voros._RADIUS_FACTOR * chart.special_gap(res.turning_point_u) * cmath.exp(1j * theta_P)  # P - u_tp
+    (f,) = seen
+    s, modes = _two_turn_modes(f)
+    for n, diag in res.diagnostics.items():
+        ref = np.sum(modes[n - 1] * z / (s + 1))
+        assert abs(diag["mode_sum"] - ref) <= 1e-13 * diag["rounding_scale"]
 
 
 # ---------------------------------------------------------------------------
