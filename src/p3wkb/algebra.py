@@ -32,7 +32,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -327,45 +327,44 @@ class UChart:
         """u0 -> (center, e, lead, g) at each turning point (e = 3/2, lead
         from ``turning_point_leads``) and at the simple pole (e = -1/2,
         ``simple_pole_lead``): sqrt(q) = +-sqrt(lead) v^e sum_n g_n v^n, v =
-        u - center, with _EXPANSION_TERMS coefficients, g_0 = 1.  g is the
-        product of (1 + v / (u0 - z_i))^(m_i / 2) over the rest of the
-        divisor, by the recursion (n + 1) g_(n+1) = sum_k c_k g_(n-k) on its
-        logarithmic derivative sum_k c_k v^k.  Converges for |v| <
-        ``special_gap(u0)``, and to rounding for |v| up to a tenth of it.
+        u - center, with _EXPANSION_TERMS coefficients in a read-only array,
+        g_0 = 1: the product over the rest of the divisor of the binomial
+        series of (1 + v / (u0 - z_i))^(m_i / 2), each the cumulative product
+        of its term ratios (m_i/2 - k) / ((k + 1) (u0 - z_i)), multiplied out
+        by truncated convolutions.  Converges for |v| < ``special_gap(u0)``,
+        and to rounding for |v| up to START_FRACTION of it.
 
         center is where q has its zero or pole, which the rounded u0 can
         miss by ten ulps (a turning point found as an eigenvalue): enough
         to move sqrt(q) by 1e-14 a tenth of the gap away.  It is read off q
         there, at u0 + w, where q / (lead w^2e g(w)^2) = (1 + (u0 -
         center) / w)^2e to first order."""
-        out = {}
-        origins = [(u, 1.5, lead) for u, lead in zip(self.turning_points_u,
-                                                      self.turning_point_leads)]
-        for u0, e, lead in origins + [(self.simple_pole_u, -0.5, self.simple_pole_lead)]:
-            c = [0j] * _EXPANSION_TERMS
-            for z, m in self.divisor:
-                if self.same_point(z, u0):
-                    continue
-                a = 1 / (u0 - z)
-                term, neg = m / 2 * a, -a
-                for k in range(_EXPANSION_TERMS):
-                    c[k] += term
-                    term *= neg
-            g = [1 + 0j]
-            for n in range(1, _EXPANSION_TERMS):
-                acc = 0j
-                for ck, gk in zip(c, reversed(g)):
-                    acc += ck * gk
-                g.append(acc / n)
-            w = 0.1 * self.special_gap(u0)
-            g_w = sum(gn * w ** n for n, gn in enumerate(g))
-            ratio = self.q(u0 + w) / (lead * w ** (2 * e) * g_w * g_w)
-            out[u0] = (u0 - w * (ratio ** (0.5 / e) - 1), e, lead, tuple(g))
-        return MappingProxyType(out)
+        k = np.arange(_EXPANSION_TERMS)
+        u0 = np.array(self.turning_points_u + (self.simple_pole_u,))
+        e = np.array([1.5] * len(self.turning_points_u) + [-0.5])
+        lead = np.array(self.turning_point_leads + (self.simple_pole_lead,))
+        z, m = np.array(self.divisor).T
+        offsets = u0[:, None] - z
+        others = ~self.same_point(u0[:, None], z)
+        ratios = ((m.real[:, None] / 2 - k[:-1]) / k[1:]
+                  * np.divide(1, offsets, out=np.zeros_like(offsets), where=others)[..., None])
+        binomials = np.cumprod(np.concatenate([np.ones_like(ratios[..., :1]), ratios], -1), -1)
+        g = np.array([reduce(lambda x, y: np.convolve(x, y)[:_EXPANSION_TERMS], series[rest])
+                      for series, rest in zip(binomials, others)])
+        g.flags.writeable = False
+        w = 0.1 * np.array([self.special_gap(u) for u in u0])
+        g_w = np.sum(g * w[:, None] ** k, axis=1)
+        ratio = np.array([self.q(u) for u in (u0 + w).tolist()]) / (lead * w ** (2 * e) * g_w ** 2)
+        center = u0 - w * (ratio ** (0.5 / e) - 1)
+        return MappingProxyType(dict(zip(u0.tolist(), zip(center.tolist(), e.tolist(),
+                                                           lead.tolist(), g))))
 
 
-#: Coefficients of ``UChart.origin_expansions``: 0.1^16 is below rounding.
-_EXPANSION_TERMS = 16
+#: Stokes curves start this fraction of the way from their origin to the nearest
+#: other special point (``geometry``), where ``UChart.origin_expansions`` sum to
+#: rounding: they run to the first n with START_FRACTION^n < 2^-54 (32 at 0.3).
+START_FRACTION = 0.3
+_EXPANSION_TERMS = math.ceil(math.log(2.0 ** -54) / math.log(START_FRACTION))
 #: e^(-2 Ein(log(3/2))), Ein(x) = sum_k x^k / (k k!): see ``UChart.end_domains``.
 _LOG_3_2 = math.log(1.5)
 _WALL_SIDE_SHRINK = math.exp(-2 * sum(_LOG_3_2 ** k / (k * math.factorial(k))

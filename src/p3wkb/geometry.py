@@ -10,8 +10,8 @@ the simple pole from q's residue there; the chart gives both in closed form
 integral as well (``UChart.phi``).  What the curves read of the chart
 alone (the rays, the expansion of sqrt(q) at each origin, the capture
 discs and end domains) is worked out once per chart, on its first curve.
-A curve starts on its exact level set a tenth of the way from its origin
-to the nearest other special point, the integral to there summed from the
+A curve starts on its exact level set three tenths of the way out from
+its origin to the nearest other special point, the integral summed from the
 expansion.  Each step is an RK4 predictor over half the distance to the
 nearest special point, the chart's primitive at its end point, and a
 Newton projection back onto Im of the integral = 0: at most 8 evaluations
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraError, u_chart
+from .algebra import START_FRACTION, AlgebraError, u_chart
 from .numerics import _nearer_negated
 from .walls import on_imaginary_axis
 
@@ -159,22 +159,13 @@ def emanation_directions(origin: complex, chart) -> list:
 # Curve tracing
 # ---------------------------------------------------------------------------
 
-#: A curve's first point lies this fraction of the way from its origin to
-#: the nearest other special point.
-START_FRACTION = 0.1
-
-
 class _Start(NamedTuple):
     """What every curve leaving one origin reads of it (see ``_tracing_plan``)."""
 
     label: str             # "tp0".."tp2" | "simple_pole"
     u: complex
     directions: tuple      # ``emanation_directions``, by ray
-    amps: tuple            # by ray: sqrt(q) = amp (v/d)^e g(v) / d, amp > 0 (``_first_point``)
-    center: complex        # and e: of ``UChart.origin_expansions`` at u
-    e: float
-    series: tuple          # (g_n, h_n), h_n = g_n / (n + e + 1), from the last n down
-    t: complex             # START_FRACTION of u's gap: where the Newton iteration starts
+    firsts: tuple          # by ray: (u1, phi, sqrt(q) of the series at u1) (``_start_points``)
     logs: tuple            # ``UChart.origin_logs``
     is_origin: tuple       # per turning point, then the simple pole: whether it is u
 
@@ -196,23 +187,18 @@ class _Plan(NamedTuple):
 def _tracing_plan(chart) -> _Plan:
     """What ``trace_curve`` reads of ``chart`` alone, worked out on its
     first curve and kept for the others: per origin its rays (one call of
-    ``emanation_directions``), each ray's series amplitude and the expansion
-    integrated; the capture discs, and the end domains that may seal: all
-    but those of the double poles whose residue is imaginary in the sense of
-    ``walls.on_imaginary_axis`` (a loop wall), which the plan lists.  Data
-    only, in tuples and read-only maps."""
+    ``emanation_directions``) and where each ray's curve starts, all rays
+    solved at once (``_start_points``); the capture discs, and the end
+    domains that may seal: all but those of the double poles whose residue
+    is imaginary in the sense of ``walls.on_imaginary_axis`` (a loop wall),
+    which the plan lists.  Data only, in tuples and read-only maps."""
     tps, sp = chart.turning_points_u, chart.simple_pole_u
-    starts = {}
-    for label, u0 in [(f"tp{k}", u) for k, u in enumerate(tps)] + [("simple_pole", sp)]:
-        directions = tuple(emanation_directions(u0, chart))
-        center, e, lead, g = chart.origin_expansions[u0]
-        # amp is real and positive (up to rounding) by the choice of the rays.
-        amps = [cmath.sqrt(lead) * d ** (e + 1) for d in directions]
-        h = [gn / (n + e + 1) for n, gn in enumerate(g)]
-        starts[u0] = _Start(label, u0, directions, tuple(-a if a.real < 0 else a for a in amps),
-                            center, e, tuple(zip(reversed(g), reversed(h))),
-                            START_FRACTION * chart.special_gap(u0) + 0j, chart.origin_logs(u0),
-                            tuple(chart.same_point(s, u0) for s in tps + (sp,)))
+    origins = [(f"tp{k}", u) for k, u in enumerate(tps)] + [("simple_pole", sp)]
+    rays = [tuple(emanation_directions(u0, chart)) for _, u0 in origins]
+    firsts = iter(_start_points(chart, rays))
+    starts = {u0: _Start(label, u0, directions, tuple(next(firsts) for _ in directions),
+                         chart.origin_logs(u0), tuple(chart.same_point(s, u0) for s in tps + (sp,)))
+              for (label, u0), directions in zip(origins, rays)}
     captures = tuple((label, pole, _CAPTURE_RADIUS * max(1.0, abs(pole)))
                      for label, pole in chart.capture_points().items())
     sp_radius = _CAPTURE_RADIUS * max(1.0, abs(sp))
@@ -222,38 +208,53 @@ def _tracing_plan(chart) -> _Plan:
                  max([sp_radius] + [r for _, _, r in captures]), tuple(d.pole for d in on_wall))
 
 
+def _start_points(chart, rays) -> list:
+    """(u1, phi, root) of every ray of ``rays`` (the directions at each
+    origin, in the order of ``UChart.origin_expansions``), all at once.
+    With sqrt(q) = amp (v/d)^e g(v) / d there, v = u - center, d the ray and
+    amp > 0, phi = int_origin^u1 sqrt(q) du = amp t^(e+1) h(v), t = v / d,
+    h_n = g_n / (n + e + 1).  u1 = center + t d lies on the circle |t| = r,
+    START_FRACTION of the origin's gap, at the theta = arg t where phi is
+    real: Newton's method on (e + 1) theta + arg h(v), of derivative
+    Re(g(v) / h(v)), from the root of its linear term, -Im(c) / (e + 1 +
+    Re(c)) with c = r d h_1 / h_0, until it is below 1e-15.  root = amp t^e
+    g(v) / d is sqrt(q) at u1 on the branch whose field points along the ray."""
+    expansions = chart.origin_expansions
+    counts = [len(directions) for directions in rays]
+    center, e, lead, g = (np.repeat(col, counts, axis=0)
+                          for col in map(np.array, zip(*expansions.values())))
+    r = np.repeat([START_FRACTION * chart.special_gap(u0) for u0 in expansions], counts)
+    d = np.concatenate(rays)
+    n = np.arange(g.shape[1])
+    gh = np.stack([g, g / (n + e[:, None] + 1)], axis=1)
+    # amp is real and positive (up to rounding) by the choice of the rays.
+    amp = np.sqrt(lead) * d ** (e + 1)
+    amp[amp.real < 0] *= -1
+    c = r * d * gh[:, 1, 1] / gh[:, 1, 0]
+    theta = -c.imag / (e + 1 + c.real)
+    for _ in range(8):
+        t = r * np.exp(1j * theta)
+        g_sum, h_sum = (gh @ ((t * d)[:, None] ** n)[..., None])[..., 0].T
+        level = (e + 1) * theta + np.angle(h_sum)
+        if np.max(np.abs(level)) <= 1e-15:
+            break
+        theta -= level / (g_sum / h_sum).real
+    power = amp * t ** e
+    return list(zip((center + t * d).tolist(), (power * t * h_sum).tolist(),
+                    (power * g_sum / d).tolist()))
+
+
 def _first_point(chart, origin: complex, direction: complex) -> tuple:
     """(u1, sqrt(q(u1)), phi, logs, offset) of a curve leaving ``origin``
-    along ``direction``, one of its rays: u1 lies START_FRACTION of the way
-    to the nearest other special point, moved along the ray's normal by
-    Newton iteration until phi = int_origin^u1 sqrt(q) du is real to 1e-15
-    of itself.  phi and its derivative come from the chart's expansion of
-    sqrt(q) at the origin (``UChart.origin_expansions``), integrated term by
-    term, so the start reads q and the primitive Phi once, at u1: sqrt(q) is
-    the branch nearer the expansion's, whose field points along the ray, and
-    offset = phi - Phi(u1) turns Phi into the integral from the origin."""
+    along ``direction``, one of its rays: u1 and phi = int_origin^u1
+    sqrt(q) du, real there, are the plan's (``_start_points``), so the start
+    reads q and the primitive Phi once, at u1: sqrt(q) is the branch nearer
+    the expansion's, whose field points along the ray, and offset = phi -
+    Phi(u1) turns Phi into the integral from the origin."""
     start = _tracing_plan(chart).starts[origin]
-    # sqrt(q) = amp (v/d)^e g(v) / d with v = u - center, d = direction.
-    amp = start.amps[start.directions.index(direction)]
-    center, e, series = start.center, start.e, start.series
-    t = start.t                          # t = v / d
-    for _ in range(8):
-        v = t * direction
-        g_sum = h_sum = 0j
-        for gn, hn in series:
-            g_sum = g_sum * v + gn
-            h_sum = h_sum * v + hn
-        power = t ** e                   # principal: t is near the positive axis
-        phi = amp * power * t * h_sum
-        dphi = amp * power * g_sum       # d phi / dt
-        # d(Im phi)/d(Im t) = Re(d phi / dt).
-        step = phi.imag / dphi.real
-        t -= 1j * step
-        if abs(step) <= 1e-16 * abs(t):
-            break
-    u = center + t * direction
+    u, phi, root = start.firsts[start.directions.index(direction)]
     sq = cmath.sqrt(chart.q(u))
-    if _nearer_negated(sq, dphi / direction):
+    if _nearer_negated(sq, root):
         sq = -sq
     big_phi, logs = chart.phi(u, sq, start.logs)
     return u, sq, phi, logs, phi - big_phi
@@ -289,14 +290,14 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     """Trace one Stokes curve from a turning point (rays 0-4) or the simple
     pole (ray 0), following Im int sqrt(q) du = 0 with Re increasing.
 
-    Once per chart (``_tracing_plan``): the origin's rays and start series,
+    Once per chart (``_tracing_plan``): the origin's rays and first points,
     the capture discs and the end domains.  Once per curve: the first point
     (``_first_point``), which fixes offset in phi = Phi(u) + offset, Phi the
     chart's closed-form primitive with its logarithms continued along the
     curve.  Once per step, the same however long the curve already is: at
     most 8 evaluations of q (3 for RK4, whose first stage reuses the square
     root at the current point, 1 at the end point and up to 4 for the
-    Newton projection onto Im phi = 0; 69.8 per curve on the reference
+    Newton projection onto Im phi = 0; 51.4 per curve on the reference
     figures), one of Phi, at the RK4 end point, the distances to the
     singular points and the end-domain test.  A step spans half the
     distance to the nearest special point, halved while the projection

@@ -1,7 +1,9 @@
 """The chart's turning points in the (t, lambda0) plane, for the tests that
-place base points at or beside them, and the leading terms Delta and mu0 of
+place base points at or beside them; the leading terms Delta and mu0 of
 the D6 series at a branch point, for the tests that check the solvers and
-the chart against them."""
+the chart against them; and the expansion of sqrt(q) at an origin by the
+recursion on its logarithmic derivative, for the test that checks the
+chart's binomial products against it."""
 
 from p3wkb.algebra import AlgebraError, BranchPoint, Parameters, u_chart
 
@@ -29,3 +31,27 @@ def mu0(b: BranchPoint, p: Parameters) -> complex:
         raise AlgebraError("mu0 undefined at lambda0 = 0")
     t, lam = b.t, b.lambda0
     return 0.5 + p.c_0 / (2 * lam) - t / (2 * lam ** 2)
+
+
+def recursive_origin_series(chart, u0: complex, terms: int) -> list:
+    """g_0 .. g_(terms-1) of ``UChart.origin_expansions`` at u0: g is the
+    product of (1 + v / (u0 - z_i))^(m_i / 2) over the rest of the divisor,
+    here by the recursion (n + 1) g_(n+1) = sum_k c_k g_(n-k) on its
+    logarithmic derivative sum_k c_k v^k, c_k = sum_i (m_i / 2) a_i (-a_i)^k
+    with a_i = 1 / (u0 - z_i)."""
+    c = [0j] * terms
+    for z, m in chart.divisor:
+        if chart.same_point(z, u0):
+            continue
+        a = 1 / (u0 - z)
+        term, neg = m / 2 * a, -a
+        for k in range(terms):
+            c[k] += term
+            term *= neg
+    g = [1 + 0j]
+    for n in range(1, terms):
+        acc = 0j
+        for ck, gk in zip(c, reversed(g)):
+            acc += ck * gk
+        g.append(acc / n)
+    return g

@@ -19,11 +19,11 @@ from p3wkb.algebra import (
     lambda0_branches,
     u_chart,
 )
-from p3wkb.geometry import emanation_directions
+from p3wkb.geometry import START_FRACTION, emanation_directions
 from p3wkb.numerics import Jet
 
 from asymptotics_reference import _classify_branch, phi_primitive
-from chart_reference import delta, mu0, turning_points
+from chart_reference import delta, mu0, recursive_origin_series, turning_points
 from residue_reference import residues
 from test_walls import WALL_POINTS, _turned
 
@@ -719,12 +719,35 @@ def test_wall_side_radius_integral_stays_below_ein(family):
 
 @pytest.mark.parametrize("chart", PHI_CHARTS, ids=PHI_IDS)
 def test_origin_expansions_sum_to_sqrt_q(chart):
-    # sqrt(q(u0 + v)) = +-sqrt(lead) v^e sum_n g_n v^n, to rounding at a
-    # tenth of the origin's gap (the first point's distance), every way out.
+    # sqrt(q(u0 + v)) = +-sqrt(lead) v^e sum_n g_n v^n, to rounding at
+    # START_FRACTION of the origin's gap (the first point's distance), every
+    # way out.
     for u0, (center, e, lead, g) in chart.origin_expansions.items():
         assert abs(center - u0) < 1e-14 * chart.scale
         for w in np.exp(2j * np.pi * np.arange(7) / 7):
-            v = complex(0.1 * chart.special_gap(u0) * w)
+            v = complex(START_FRACTION * chart.special_gap(u0) * w)
             series = cmath.sqrt(lead) * v ** e * sum(gn * v ** n for n, gn in enumerate(g))
             exact = cmath.sqrt(chart.q(center + v))
             assert min(abs(exact - series), abs(exact + series)) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_origin_series_match_the_log_derivative_recursion(family):
+    # The binomial products of ``origin_expansions`` against the recursion on
+    # g's logarithmic derivative (chart_reference): the sums agree within
+    # 1e-15 relative at a tenth and at START_FRACTION of each origin's gap,
+    # seven ways out, on seeded charts of both families.
+    if family == "d6":
+        charts = [D6Chart(p) for p in _seeded_d6_params(37, 20)]
+    else:
+        rng = np.random.default_rng(37)
+        charts = [D7Chart(cmath.rect(rng.uniform(0.3, 3.5), rng.uniform(-np.pi, np.pi)))
+                  for _ in range(20)]
+    n = np.arange(algebra._EXPANSION_TERMS)
+    for chart in charts:
+        for u0, (_, _, _, g) in chart.origin_expansions.items():
+            ref = np.array(recursive_origin_series(chart, u0, len(n)))
+            for fraction in (0.1, START_FRACTION):
+                v = fraction * chart.special_gap(u0) * np.exp(2j * np.pi * np.arange(7) / 7)
+                powers = v[:, None] ** n
+                assert np.all(abs(powers @ g - powers @ ref) <= 1e-15 * abs(powers @ ref))
