@@ -184,6 +184,14 @@ class UChart:
                                   # at a pole of q of order 2k (up to sign; at u = infinity
                                   # sqrt(q) ~ lead); a double pole's lead is its residue
     arc_scale: float              # arc budget per unit of the tracer's budget factor
+    # What ``series.odd_slot_ratios`` builds the odd Riccati slots from.  A
+    # Laurent polynomial in u is a pair (coefficients from the lowest power
+    # up, that power); T has its coefficients from u^0 up.
+    turning_polynomial: np.ndarray  # T(u): its roots are the turning points
+    lambda0_laurent: tuple        # lambda_0(u)
+    t_over_lambda0: tuple         # t(u) / lambda_0(u)
+    theta_laurent: tuple          # h(u) with t / t'(u) = (u - simple_pole_u) h(u) / T(u)
+    delta_power: int              # a with t^2 Delta = u^a (u - simple_pole_u) T(u)
 
     def t_of_u(self, u):
         raise NotImplementedError
@@ -428,7 +436,8 @@ class D6Chart(UChart):
         self.p = p
         cp, cm = p.c_p, p.c_m
         cp2, cm2 = cp ** 2, cm ** 2
-        self.turning_points_u = tuple(poly_roots([cm2, 0.0, 0.0, cp2]))
+        self.turning_polynomial = np.array([cm2, 0, 0, cp2])
+        self.turning_points_u = tuple(poly_roots(self.turning_polynomial))
         self.simple_pole_u = -1.0 + 0j
         self.simple_pole_lead = -4 * p.c_inf * p.c_0
         self.double_poles_u = {
@@ -445,6 +454,13 @@ class D6Chart(UChart):
         # escape radius of 25 scales.
         self.arc_scale = max(1.0, abs(cp), self.scale / 5)
         self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp2, cm2
+        # lambda_0 = (u + 1)(c_p u + c_m) / (2u), t / lambda_0 = (u + 1)(c_p u
+        # - c_m) / (2u), t / t' = (u + 1) u (c_p^2 u^2 - c_m^2) / (2T) and
+        # t^2 Delta = (u + 1) T / u^2.
+        self.lambda0_laurent = (np.array([cm / 2, (cp + cm) / 2, cp / 2]), -1)
+        self.t_over_lambda0 = (np.array([-cm / 2, (cp - cm) / 2, cp / 2]), -1)
+        self.theta_laurent = (np.array([-cm2 / 2, 0, cp2 / 2]), 1)
+        self.delta_power = -2
 
     def t_of_u(self, u):
         cp, cm = self._cp, self._cm
@@ -565,6 +581,13 @@ class D7Chart(UChart):
         self.pole_residues = {"escaped": 0j, "zero_c": c}
         self.pole_leads = {"escaped": math.sqrt(27) + 0j, "zero_c": c}
         self.arc_scale = max(1.0, abs(c))
+        # T = 3u - 2c, lambda_0 = u (c - u) / 2, t / lambda_0 = u, t / t' =
+        # u (u - c) / T and t^2 Delta = u T.
+        self.turning_polynomial = np.array([-2 * c, 3])
+        self.lambda0_laurent = (np.array([c / 2, -0.5]), 1)
+        self.t_over_lambda0 = (np.array([1.0 + 0j]), 1)
+        self.theta_laurent = (np.array([-c, 1]), 0)
+        self.delta_power = 0
 
     def t_of_u(self, u):
         return u * u * (self.c - u) / 2

@@ -15,7 +15,10 @@ computes with the ``DenseJets`` kernels.  On it sit:
   the linearization along lambda^(0), by the same kind of recursion,
 * the conjugate-momentum series, Hamiltonians, and the parameter-shift
   (Backlund) transformations,
-* the analogous objects for the degenerate family (one parameter c).
+* the analogous objects for the degenerate family (one parameter c),
+* the odd Riccati slots over sqrt(Delta) as rational functions on the
+  u-chart, built once per chart by the same recursions on polynomial
+  numerators (``odd_slot_ratios``).
 
 Parameter shifts by multiples of eta^-1 are first-class: models carry
 integer shift amounts, so a "solution at shifted parameters" is an ordinary
@@ -41,6 +44,7 @@ from .algebra import (
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
+    u_chart,
 )
 from .numerics import DenseJets, Jet, _read_only
 
@@ -55,6 +59,8 @@ __all__ = [
     "zero_param_solution",
     "lowest_jet_order",
     "riccati_solution",
+    "OddSlotRatios",
+    "odd_slot_ratios",
     "instanton1_prefactor",
     "x_factor",
     "hamiltonian",
@@ -771,6 +777,291 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
             - jets.slot(g, r, n - 1, 0, n - 1, step, order=q) - h[n, :q + 1]
         r[n, :q + 1] = jets.products(acc[None], inv2r, q)[0]
     return RiccatiSolution(zp, sign, EtaSeries(1, r, orders, zp.t0))
+
+
+# ---------------------------------------------------------------------------
+# The odd Riccati slots as rational functions on the u-chart
+# ---------------------------------------------------------------------------
+#
+# The slots of R at eta^1, eta^-1, eta^-3, ... flip with the sign of
+# sqrt(Delta), and each is B_2n(u) sqrt(Delta) with B_2n rational on the
+# u-chart (B_0 = 1).  odd_slot_ratios builds B_2 .. B_2N once per chart.
+# With theta = t d/dt = (t / t'(u)) d/du, the equation for lambda times
+# lambda t^2 reads lambda^2 theta^2 log lambda = eta^2 P(lambda), P = lambda
+# t^2 F.  Write lambda = lambda_0 G, G = 1 + sum_k g_k eta^-2k, and P(lambda)
+# / lambda^2 = sum_j m_j G^j, m_j the sum of a t^p lambda_0^(d-2) over the
+# terms of P with d - 2 = j:
+#
+#     theta^2 log lambda_0 + theta^2 log G = eta^2 sum_j m_j G^j.        (1)
+#
+# sum_j m_j = P(lambda_0) / lambda_0^2 = 0 and sum_j j m_j = P'(lambda_0) /
+# lambda_0 = t^2 Delta = W_0 = u^a (u - u_s) T(u), so slot eta^(2-2k) of (1)
+# gives g_k over W_0, and theta log lambda_0 = -sum p a t^p lambda_0^(d-2) /
+# W_0 (theta t = t).  Neither has a pole at u_s: the division leaves a
+# factor u - u_s in the numerator, which is deflated.  V = t R - theta log
+# lambda turns the Riccati equation into V^2 + theta V = eta^2 U, U = sum_j j
+# m_j G^j by (1), whose odd part t R_odd = eta sigma_0 B, sigma_0^2 = W_0,
+# B = 1 + sum_k B_2k eta^-2k, solves
+#
+#     W_0 B^2 = U + eta^-2 (theta L / 2 - L^2 / 4),   L = theta log W_0 / 2 + theta log B.
+#
+# Each quantity is kept exact as a Laurent polynomial in u times powers of
+# u - u_s and T (_ChartRationals).  B_2n comes out over (u - u_s)^n
+# T^(5n); its numerator has degree (5 deg T - 1) n, a zero of order 2n at a
+# finite point over t = infinity (D6's u = 0) and a simple zero at each
+# double pole, which are divided out so that B_2n keeps its digits there.
+
+
+def _laurent_sum(terms):
+    """The sum of Laurent polynomials (coefficients, lowest power)."""
+    lo = min(low for _, low in terms)
+    out = np.zeros(max(low + len(c) for c, low in terms) - lo, complex)
+    for c, low in terms:
+        out[low - lo:low - lo + len(c)] += c
+    return out, lo
+
+
+def _deflate(c, z: complex):
+    """(q, residual) with c(u) = (u - z) q(u) + remainder: coefficients from
+    u^0 up.  q is taken from the top down to the largest term |c_j z^j| and
+    from the bottom up below it, so the rounding of neither direction
+    reaches the small coefficients on the other side; the residual is the
+    remainder relative to sum |c_j z^j| (sum |c_j| at z = 0)."""
+    if z == 0:
+        return c[1:], abs(c[0]) / max(np.abs(c).sum(), 1e-300)
+    terms = np.abs(c) * abs(z) ** np.arange(len(c))
+    m, n = int(np.argmax(terms)), len(c) - 1
+    c, q = c.tolist(), [0j] * n
+    acc = 0j
+    for j in range(n, m, -1):
+        acc = c[j] + z * acc
+        q[j - 1] = acc
+    acc = 0j
+    for j in range(m):
+        acc = (acc - c[j]) / z
+        q[j] = acc
+    rem = c[m] - ((q[m - 1] if m else 0) - (z * q[m] if m < n else 0))
+    return np.array(q), abs(rem) * abs(z) ** m / terms.sum()
+
+
+class _ChartRationals:
+    """Exact arithmetic on the rational functions of a u-chart with poles at
+    u = 0, at the simple pole u_s and at the zeros of T only: each is a
+    tuple (c, lo, s, g) for L(u) (u - u_s)^s T(u)^g, L = sum_j c[j] u^(lo+j).
+    A sum brings its terms to the smallest s and g; theta = (t / t'(u))
+    d/du = (u - u_s) h(u) / T(u) d/du maps the family into itself."""
+
+    def __init__(self, chart):
+        self.root, self.a = chart.simple_pole_u, chart.delta_power
+        self.h = chart.theta_laurent
+        self.base = {"f": np.array([-self.root, 1]), "T": np.asarray(chart.turning_polynomial, complex)}
+        self.dT = np.polynomial.polynomial.polyder(self.base["T"])
+        self._powers = {"f": [np.ones(1)], "T": [np.ones(1)]}
+
+    def power(self, name: str, k: int) -> np.ndarray:
+        powers = self._powers[name]
+        while len(powers) <= k:
+            powers.append(np.convolve(powers[-1], self.base[name]))
+        return powers[k]
+
+    @staticmethod
+    def laurent(c, lo=0):
+        return np.asarray(c, complex), lo, 0, 0
+
+    @staticmethod
+    def mul(x, y):
+        return np.convolve(x[0], y[0]), x[1] + y[1], x[2] + y[2], x[3] + y[3]
+
+    @staticmethod
+    def scale(x, a):
+        return x[0] * a, x[1], x[2], x[3]
+
+    def add(self, *xs):
+        if not xs:
+            return self.laurent([0])
+        s, g = min(x[2] for x in xs), min(x[3] for x in xs)
+        terms = []
+        for c, lo, f_exp, t_exp in xs:
+            if f_exp != s:
+                c = np.convolve(c, self.power("f", f_exp - s))
+            if t_exp != g:
+                c = np.convolve(c, self.power("T", t_exp - g))
+            terms.append((c, lo))
+        c, lo = _laurent_sum(terms)
+        return c, lo, s, g
+
+    def theta(self, x):
+        """theta L f^s T^g = h f^s T^(g-2) (T (f L' + s L) + g f T' L), with
+        T^(g-1) and no T' term for g = 0."""
+        c, lo, s, g = x
+        f = self.base["f"]
+        d = (np.convolve(f, c * (lo + np.arange(len(c)))), lo - 1)
+        inner = _laurent_sum([d, (s * c, lo)])
+        if g:
+            inner = _laurent_sum([(np.convolve(self.base["T"], inner[0]), inner[1]),
+                                  (g * np.convolve(np.convolve(f, self.dT), c), lo)])
+        return np.convolve(self.h[0], inner[0]), self.h[1] + inner[1], s, g - 2 if g else g - 1
+
+    def over_w0(self, x, deflate=False):
+        """x / W_0, W_0 = u^a (u - u_s) T; with ``deflate``, for an x / W_0
+        without a pole at u_s, with the factor u - u_s divided out."""
+        c, lo, s, g = x
+        if not deflate:
+            return c, lo - self.a, s - 1, g - 1
+        if lo > 0:
+            c, lo = np.concatenate([np.zeros(lo, complex), c]), 0
+        q, residual = _deflate(c, self.root)
+        if residual > _DEFLATION_GATE:
+            raise ConditioningError(f"u - u_s does not divide the numerator (residual {residual:.1e})")
+        return q, lo - self.a, s, g - 1
+
+
+#: A deflated factor must leave a remainder at most this much of the terms.
+_DEFLATION_GATE = 1e-9
+
+
+@dataclass(frozen=True)
+class OddSlotRatios:
+    """B_2, ..., B_2N of one u-chart: the slot of R at eta^(1-2n) is B_2n(u)
+    sqrt(Delta(u)), and the integrand of the Voros coefficient W_n is
+    B_2n(u) sqrt(q(u)) du.
+
+        B_2n(u) = prod_z (u - z) M_n(u) / ((u - u_s)^n T(u)^(5n)),
+
+    z over ``zeros[n - 1]``: 2n times each finite point over t = infinity,
+    and each double pole once.  ``numerators[n - 1]`` holds M_n, its
+    coefficients from u^0 up."""
+
+    simple_pole_u: complex
+    turning_polynomial: np.ndarray
+    numerators: tuple
+    zeros: tuple
+
+    def __call__(self, x, inverted: bool = False) -> np.ndarray:
+        """B_2n at u = x, or at u = 1/x with ``inverted``: shape (N, len(x))."""
+        return self.evaluate(x, inverted)[0]
+
+    def evaluate(self, x, inverted: bool = False) -> tuple:
+        """(B_2n, condition) at the points u = x of a 1-d array, or u = 1/x
+        with ``inverted``, where the reversed numerators are read in x, so
+        that no power of a large u is formed.  ``condition`` holds per point
+        the largest over n of sum_j |M_j u^j| |prod_z (u - z)| / |(u -
+        u_s)^n T^5n| over max(1, |B_2n|): the factor by which the rounding
+        of M_n's coefficients grows in B_2n there, relative to 1 or B_2n."""
+        x = np.asarray(x)
+        ax = np.abs(x)
+        T = self.turning_polynomial
+        if inverted:
+            f, tx = 1 - self.simple_pole_u * x, np.polyval(T, x)
+        else:
+            f, tx = x - self.simple_pole_u, np.polyval(T[::-1], x)
+        # Horner on all numerators at once, each padded at the top to the
+        # longest, with the moduli of the terms alongside.
+        deg = max(len(M) for M in self.numerators)
+        stack = np.array([np.pad(M[::-1] if inverted else M, (0, deg - len(M)))
+                          for M in self.numerators])
+        value, terms = np.zeros((len(stack), len(x)), complex), np.zeros((len(stack), len(x)))
+        for m in stack.T[::-1]:
+            value = value * x + m[:, None]
+            terms = terms * ax + np.abs(m)[:, None]
+        values, condition = [], np.zeros(len(x))
+        for n, (M, zeros) in enumerate(zip(self.numerators, self.zeros), 1):
+            if inverted:
+                # The powers of u in numerator and denominator leave x^(2n).
+                power = n * (1 + 5 * (len(T) - 1)) - len(zeros) - (len(M) - 1)
+                factor = x ** power * (1 - np.multiply.outer(x, zeros)).prod(-1)
+            else:
+                factor = np.subtract.outer(x, zeros).prod(-1)
+            factor = factor / (f ** n * tx ** (5 * n))
+            values.append(value[n - 1] * factor)
+            condition = np.maximum(condition, terms[n - 1] * np.abs(factor)
+                                   / np.maximum(1.0, np.abs(values[-1])))
+        return np.array(values), condition
+
+
+def odd_slot_ratios(params, n_max: int = 2) -> OddSlotRatios:
+    """B_2n(u) for n = 1..n_max on the u-chart of ``params``, read off the
+    chart's ``lambda0_laurent``, ``t_over_lambda0``, ``theta_laurent``,
+    ``turning_polynomial`` and ``delta_power`` and the model's ``lam_poly``
+    (see the comment above).  Raises ConditioningError when a factor that
+    must divide a numerator leaves a remainder above 1e-9 of its terms."""
+    chart, model = u_chart(params), model_for(params)
+    A = _ChartRationals(chart)
+    lam0, ratio = chart.lambda0_laurent, chart.t_over_lambda0
+
+    def laurent_power(base, k):
+        c = np.ones(1, complex)
+        for _ in range(k):
+            c = np.convolve(c, base[0])
+        return c, k * base[1]
+
+    m, dm = {}, []
+    for d, e, a, p in model.lam_poly():
+        if e == 0 and a != 0:
+            (c1, l1), (c2, l2) = laurent_power(ratio, p), laurent_power(lam0, d - 2 + p)
+            term = A.laurent(a * np.convolve(c1, c2), l1 + l2)
+            m.setdefault(d - 2, []).append(term)
+            dm.append(A.scale(term, p))
+    m = {j: A.add(*terms) for j, terms in m.items()}
+    theta_log_lam0 = A.over_w0(A.scale(A.add(*dm), -1), deflate=True)
+
+    one = A.laurent([1])
+    g, logs = [one], [A.laurent([0])]
+    g_powers = {j: [one] for j in m}
+    for k in range(1, n_max + 1):
+        for j, pw in g_powers.items():   # [G^j]_k without g_k: J. C. P. Miller's recurrence
+            pw.append(A.add(*(A.scale(A.mul(g[i], pw[k - i]), ((j + 1) * i - k) / k)
+                              for i in range(1, k))))
+        rhs = A.theta(theta_log_lam0 if k == 1 else A.theta(logs[k - 1]))
+        g.append(A.over_w0(A.add(rhs, *(A.scale(A.mul(m[j], pw[k]), -1)
+                                        for j, pw in g_powers.items())), deflate=True))
+        for j, pw in g_powers.items():
+            pw[k] = A.add(pw[k], A.scale(g[k], j))
+        logs.append(_log_slot(A, logs, g, k))
+
+    w0 = (np.ones(1, complex), A.a, 1, 1)
+    L0 = A.scale(A.over_w0(A.theta(w0)), 0.5)
+    B, logs, dlogs = [one], [A.laurent([0])], [None]
+    for k in range(1, n_max + 1):
+        U = A.add(*(A.scale(A.mul(m[j], pw[k]), j) for j, pw in g_powers.items()))
+        if k == 1:
+            V = (A.scale(A.theta(L0), 0.5), A.scale(A.mul(L0, L0), -0.25))
+        else:
+            V = (A.scale(A.theta(dlogs[k - 1]), 0.5), A.scale(A.mul(L0, dlogs[k - 1]), -0.5),
+                 *(A.scale(A.mul(dlogs[i], dlogs[k - 1 - i]), -0.25) for i in range(1, k - 1)))
+        B.append(A.add(A.scale(A.over_w0(A.add(U, *V)), 0.5),
+                       *(A.scale(A.mul(B[i], B[k - i]), -0.5) for i in range(1, k))))
+        logs.append(_log_slot(A, logs, B, k))
+        dlogs.append(A.theta(logs[k]))
+
+    return OddSlotRatios(chart.simple_pole_u, A.base["T"], *zip(
+        *(_numerator(chart, B[n], n) for n in range(1, n_max + 1))))
+
+
+def _log_slot(A, logs, series, k):
+    """Slot k of log of 1 + sum_i series[i] eta^-2i, from the slots below it."""
+    return A.add(series[k], *(A.scale(A.mul(logs[i], series[k - i]), -i / k) for i in range(1, k)))
+
+
+def _numerator(chart, b, n: int) -> tuple:
+    """(M_n, zeros) of B_2n = b (see ``OddSlotRatios``)."""
+    c, lo, s, g = b
+    deg = (5 * (len(chart.turning_polynomial) - 1) - 1) * n
+    if (s, g) != (-n, -5 * n) or lo > 0:
+        raise ConditioningError(f"B_{2 * n} is not over (u - u_s)^{n} T^{5 * n}")
+    keep = np.zeros(deg + 1, complex)
+    part = c[-lo:deg + 1 - lo]
+    keep[:len(part)] = part
+    stray = np.abs(np.concatenate([c[:-lo], c[deg + 1 - lo:]])).max(initial=0.0)
+    zeros = [z for z in chart.finite_infinities_u.values() for _ in range(2 * n)]
+    zeros += list(chart.double_poles_u.values())
+    worst = stray / np.abs(keep).max()
+    for z in zeros:
+        keep, residual = _deflate(keep, z)
+        worst = max(worst, residual)
+    if worst > _DEFLATION_GATE:
+        raise ConditioningError(f"B_{2 * n} lacks a zero of its structure (residual {worst:.1e})")
+    return keep, np.array(zeros, complex)
 
 
 # ---------------------------------------------------------------------------

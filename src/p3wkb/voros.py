@@ -14,11 +14,13 @@ They live in one endpoint table, ``_ENDPOINTS``, keyed by family and then
 by target, whose rows also say where each endpoint sits in the u-chart and
 how the oracle reads the endpoint's +/- convention there.
 
-The numerical oracle integrates slot 2n-1 of the Riccati series along a
-dumbbell contour in the u-plane: a circle around a turning point, resolved
-mode-by-mode through an FFT (each half-odd Puiseux mode has an elementary
-primitive, so the circle plus the escaping leg can be assembled without
-cancellation), plus a numerically integrated leg to the endpoint.
+The numerical oracle integrates rho_n = B_2n(u) sqrt(q(u)) du, the odd
+Riccati slot of eta^(1-2n) in the u-chart, along a dumbbell contour in the
+u-plane: a circle around a turning point, resolved mode-by-mode through an
+FFT (each half-odd Puiseux mode has an elementary primitive, so the circle
+plus the escaping leg can be assembled without cancellation), plus a
+numerically integrated leg to the endpoint.  B_2n is built once per chart
+as a rational function (``series.odd_slot_ratios``).
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 
 from .algebra import BranchPoint, u_chart
 from .numerics import LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
-from .series import (D6Model, D7Model, lowest_jet_order, model_for, riccati_solution,
-                     zero_param_solution)
+from .series import (D6Model, D7Model, lowest_jet_order, model_for, odd_slot_ratios,
+                     riccati_solution, zero_param_solution)
 
 __all__ = [
     "PathError",
@@ -376,17 +378,23 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # Numerical contour oracle
 # ---------------------------------------------------------------------------
 #
-# The Voros coefficient W_n is half the integral of slot 2n-1 of the Riccati
-# series along a path that runs from the endpoint to a turning point, once
-# around it, and back on the other sheet.  In the u-chart this is a dumbbell:
-# a leg from a staging point P on a circle around the turning point out to the
-# endpoint, plus the circle itself.  Near the turning point the integrand has
-# a convergent half-odd-power Puiseux expansion, so the circle part is
-# resolved mode by mode with an FFT over one turn: each mode has an
-# elementary primitive, which sidesteps the catastrophic cancellation a naive
-# contour integral suffers from the high-order pole.
+# The Voros coefficient W_n is half the integral of the odd Riccati slot of
+# eta^(1-2n) along a path that runs from the endpoint to a turning point, once
+# around it, and back on the other sheet.  That slot is B_2n sqrt(Delta), and
+# q du^2 = Delta dt^2, so in the u-chart the integrand is
 #
-#   rho_n(u) = R_{2n-1}(t(u)) dt/du = sum_j a_j (u - u_tp)^{s_j},
+#   rho_n(u) = B_2n(u) sqrt(q(u)) du,   sqrt(q) = sqrt(Delta) t'(u),
+#
+# with B_2n rational (series.odd_slot_ratios) and the root continued along
+# the path by its sign chain.  The path is a dumbbell: a leg from a staging
+# point P on a circle around the turning point out to the endpoint, plus the
+# circle itself.  Near the turning point the integrand has a convergent
+# half-odd-power Puiseux expansion, so the circle part is resolved mode by
+# mode with an FFT over one turn: each mode has an elementary primitive,
+# which sidesteps the catastrophic cancellation a naive contour integral
+# suffers from the high-order pole.
+#
+#   rho_n(u) / du = sum_j a_j (u - u_tp)^{s_j},
 #   s_j half-odd,   W_n = orient * [ sum_j c_j (P - u_tp)/(s_j + 1) + leg ],
 #
 # where c_j = a_j (P - u_tp)^{s_j}.  On the circle u = u_tp + (P - u_tp)
@@ -424,6 +432,12 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # so a circle too wide for its samples is refused rather than aliased.  Each
 # sample is rounded at its node, so mode_sum carries rounding of about
 # rounding_scale = rho rms|f| / sqrt(M), which W_n's error tracks.
+#
+# B_2n's numerator is a polynomial in u of degree up to 14n.  Where the sum of
+# the moduli of its terms exceeds |B_2n| (or 1) by more than _RATIO_CONDITION
+# (OddSlotRatios.evaluate's ``condition``), the rounding of its coefficients
+# would show in the slot; there, mostly on D6 contours near the double pole
+# u = -c_m/c_p, B_2n is taken from the series solve at the node instead.
 
 _CIRCLE_SAMPLES = 128      # on one turn
 _RADIUS_FACTOR = 0.6
@@ -437,6 +451,9 @@ _TAIL_ROWS = ((2 * np.arange(14, 16) + 1) / 2)[:, None] \
 #: one takes about 165 panels; _MAX_PANELS bounds the panels of a segment.
 _PANEL_FRACTION = 0.25
 _MAX_PANELS = 400
+#: Nodes where OddSlotRatios.condition exceeds this take B_2n from the
+#: node solve instead.
+_RATIO_CONDITION = 300.0
 
 
 def _half_odd_modes(f: np.ndarray):
@@ -556,10 +573,10 @@ def _leg_specials(chart, spec: EndpointSpec) -> np.ndarray:
 
 
 def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray):
-    """Gauss-Legendre data (u positions, dt/dx, weights in x) for the leg,
-    with x = u along the u-chart waypoints and then x = w = 1/u along the
-    w-chart ones.  Node order runs from the staging point to the endpoint,
-    16 nodes to a panel.
+    """Gauss-Legendre data (x, dt/dx, weights in x, in_w) for the leg, with
+    x = u along the u-chart waypoints and then x = w = 1/u along the
+    w-chart ones (in_w True).  Node order runs from the staging point to
+    the endpoint, 16 nodes to a panel.
 
     The panels are graded by the distance to the nearest of ``specials``
     (in the w-chart, to their images 1/s).  A segment may not pass through
@@ -572,28 +589,20 @@ def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray):
         x, wts = (np.concatenate(arrays) for arrays in zip(*(
             _gl_rule(_graded_edges(a, b, pole_pts, tiny))
             for a, b in zip(pts, pts[1:]))))
-        if in_w:
-            groups.append((1 / x, -chart.dt_du(1 / x) / (x * x), wts))
-        else:
-            groups.append((x, chart.dt_du(x), wts))
+        jac = -chart.dt_du(1 / x) / (x * x) if in_w else chart.dt_du(x)
+        groups.append((x, jac, wts, np.full(len(x), in_w)))
     return tuple(np.concatenate(arrays) for arrays in zip(*groups))
 
 
-def _batched_r_slots(chart, model, us: np.ndarray, n_max: int):
-    """Slot values R_{-1}, R_1, ..., R_{2 n_max - 1} (principal square-root
-    branch per node) plus t and lambda_0 arrays for u-chart positions.
-
-    Only the values (order 0) of the R slots are read, so the solve runs at
-    the lowest jet order the solvers accept for the model, which certifies
-    R slot N through order 0 (see ``series.lowest_jet_order``)."""
-    ts = chart.t_of_u(us)
-    lams = chart.lambda0_of_u(us)
-    N = 2 * n_max
-    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N,
-                             K=lowest_jet_order(N, model.shifted), model=model)
-    ric = riccati_solution(zp, +1)
-    slots = {k: np.asarray(ric.R.slot_value(-k)) for k in range(-1, 2 * n_max, 2)}
-    return ts, lams, slots
+def _node_ratios(chart, params, us: np.ndarray, n_max: int) -> np.ndarray:
+    """B_2n at u-chart points as the ratios of R's slots eta^(1-2n) and
+    eta^1, solved at each point's t at the lowest jet order that certifies
+    the slot values (see ``series.lowest_jet_order``)."""
+    ts, N = chart.t_of_u(us), 2 * n_max
+    model = model_for(params)
+    R = riccati_solution(zero_param_solution(ts, BranchPoint(ts, chart.lambda0_of_u(us)), N=N,
+                                             K=lowest_jet_order(N, model.shifted), model=model)).R
+    return np.array([R.slot_value(1 - 2 * n) for n in range(1, n_max + 1)]) / R.slot_value(1)
 
 
 def _anchor_label(spec: EndpointSpec, chart, t_end, lam_end, r_end) -> int:
@@ -622,9 +631,13 @@ def _select_turning_point(chart, spec: EndpointSpec) -> complex:
 
 def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleResult:
     """Contour-integral evaluation of W_1..W_{n_max} at an endpoint,
-    independent of the closed forms: Riccati slots are integrated along a
-    dumbbell around the adjacent turning point with FFT mode extraction on
-    the circle.  Raises PathError when a consistency check fails.
+    independent of the closed forms: rho_n = B_2n sqrt(q) du, B_2n the odd
+    Riccati slots over sqrt(Delta) built once per chart, is integrated along
+    a dumbbell around the adjacent turning point with FFT mode extraction on
+    the circle.  B_2n is read at the circle's nodes and the leg's u-chart
+    nodes as it stands, at its w-chart nodes from the reversed numerators,
+    and from the series solve at the nodes where its numerator is
+    ill-conditioned.  Raises PathError when a consistency check fails.
 
     The leg's panels each span a quarter of the distance from their start
     to the nearest singular point or turning point (the finite endpoint
@@ -641,13 +654,14 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     relative to the leg (``leg_rel_err``), the two parts of W_n before the
     sign label (``mode_sum`` and ``leg``), and ``cancellation`` =
     (|mode_sum| + |leg|) / |W_n| >= 1, the factor by which rounding in
-    either part is amplified in W_n.  ``even_ratio`` is 0.0 on every
+    either part is amplified in W_n, ``nodes`` (circle and leg), ``panels``
+    (the leg's) and ``node_solves``, the nodes that took B_2n from the series
+    solve.  ``even_ratio`` is 0.0 on every
     returned result: the one-turn modes hold no integer powers, and the key
     stays only because the benchmark's tracer reads it."""
     chart = u_chart(params)
     if chart.equation != spec.equation:
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
-    model = model_for(params)
     u_tp = _select_turning_point(chart, spec)
     rho = _RADIUS_FACTOR * chart.special_gap(u_tp)
 
@@ -658,29 +672,42 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     P = turn[0]
 
     u_pts, w_pts = _leg_waypoints(chart, spec, u_tp, P)
-    leg_us, leg_jac, leg_wts = _leg_quadrature(chart, u_pts, w_pts, _leg_specials(chart, spec))
+    leg_x, leg_jac, leg_wts, in_w = _leg_quadrature(chart, u_pts, w_pts, _leg_specials(chart, spec))
     # A panel's weights are its half-length times those of [-1, 1], which sum
     # to 2: their moduli sum to the panel's length.
     panel_len = np.abs(leg_wts).reshape(-1, 16).sum(axis=1)
 
-    ts, lams, slots = _batched_r_slots(chart, model, np.concatenate([turn, leg_us]), n_max)
+    # B_2n on every node, a w-chart node read in w; R_{-1} = sqrt(Delta),
+    # Delta = q / t'(u)^2, on the principal branch per node.
+    ratios = odd_slot_ratios(params, n_max)
+    us = np.concatenate([turn, leg_x])
+    us[M:][in_w] = 1 / leg_x[in_w]
+    b, cond = np.empty((n_max, len(us)), complex), np.empty(len(us))
+    for rows, x, inverted in ((slice(0, M), turn, False),
+                              (M + np.flatnonzero(~in_w), leg_x[~in_w], False),
+                              (M + np.flatnonzero(in_w), leg_x[in_w], True)):
+        b[:, rows], cond[rows] = ratios.evaluate(x, inverted)
+    ill = cond > _RATIO_CONDITION
+    if np.any(ill):
+        b[:, ill] = _node_ratios(chart, params, us[ill], n_max)
+    sqrtD = np.sqrt(chart.q(us) / chart.dt_du(us) ** 2)
 
-    sqrtD = slots[-1]          # R_{-1} values, principal branch per node
     sig_circle = _chain_signs(sqrtD[:M])
     if not _nearer_negated(sqrtD[0], sig_circle[-1] * sqrtD[M - 1]):
         raise PathError("the square root does not flip after one turn: "
                         "no branch point inside the circle")
     sig_leg = _chain_signs(np.concatenate([[sqrtD[0]], sqrtD[M:]]), start=sqrtD[0])[1:]
 
-    # rho_n = R dt/du on the circle, one row per n.
-    f_circle = np.array([slots[2 * n - 1][:M] for n in range(1, n_max + 1)]) \
-        * (sig_circle * chart.dt_du(turn))
+    # rho_n = B_2n sqrt(q) du, one row per n: on the circle, and on the leg
+    # in x = u or w.
+    f_circle = b[:, :M] * (sig_circle * sqrtD[:M] * chart.dt_du(turn))
+    f_legs = b[:, M:] * (sig_leg * sqrtD[M:] * leg_jac)
     s, modes = _half_odd_modes(f_circle)
     tail = np.abs(s) > 0.4 * M
 
     values, diags = {}, {}
     for n in range(1, n_max + 1):
-        r, chat = slots[2 * n - 1], modes[n - 1]
+        chat, f_leg = modes[n - 1], f_legs[n - 1]
         amp = np.max(np.abs(chat))
         tail_ratio = float(np.max(np.abs(chat[tail])) / amp) if amp > 0 else 0.0
         if tail_ratio > 1e-10:
@@ -688,7 +715,6 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
                             "circle samples alias the Puiseux modes")
         mode_sum = np.sum(chat * (P - u_tp) / (s + 1))
 
-        f_leg = sig_leg * r[M:] * leg_jac
         leg = np.sum(leg_wts * f_leg)
         a_tail = f_leg.reshape(-1, 16) @ _TAIL_ROWS.T     # a_14, a_15 of each panel
         est = float(panel_len @ np.abs(a_tail).sum(axis=1))
@@ -704,9 +730,12 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
                     "rounding_scale": float(rho * np.sqrt(np.mean(np.abs(f_circle[n - 1]) ** 2) / M)),
                     "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg,
                     "cancellation": float((abs(mode_sum) + abs(leg)) / abs(w_n))
-                    if w_n else math.inf}
+                    if w_n else math.inf,
+                    "nodes": len(us), "panels": len(panel_len), "node_solves": int(ill.sum())}
 
-    label = _anchor_label(spec, chart, ts[-1], lams[-1], sig_leg[-1] * sqrtD[-1])
+    u_end = us[-1]
+    label = _anchor_label(spec, chart, chart.t_of_u(u_end), chart.lambda0_of_u(u_end),
+                          sig_leg[-1] * sqrtD[-1])
     if label != spec.sign:
         values = {n: -v for n, v in values.items()}
     return OracleResult(spec, values, label, u_tp, diags)

@@ -14,6 +14,7 @@ from p3wkb.algebra import (
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
+    u_chart,
 )
 from p3wkb.numerics import Jet
 from p3wkb.series import (
@@ -28,6 +29,7 @@ from p3wkb.series import (
     instanton1_prefactor,
     lowest_jet_order,
     main_equation_residual,
+    odd_slot_ratios,
     riccati_residual,
     riccati_solution,
     x_factor,
@@ -644,3 +646,37 @@ def test_replaced_lam_gets_its_own_mu():
     moved = replace(first, lam=second.lam)
     assert np.array_equal(moved.mu.coeffs, second.mu.coeffs)
     assert moved.mu.slot_value(0) != stale.slot_value(0)
+
+
+# ---------------------------------------------------------------------------
+# The odd Riccati slots as rational functions on the u-chart
+# ---------------------------------------------------------------------------
+
+def _d7_b2(v):
+    """B_2 at c = 1, derived exactly from the slot recursions."""
+    return -(v - 1) * (9 * v ** 3 - 27 * v ** 2 + 3 * v - 1) / (8 * v * (3 * v - 2) ** 5)
+
+
+def _d7_b4(v):
+    """B_4 at c = 1, derived exactly from the slot recursions."""
+    poly = (2025 * v ** 7 - 29727 * v ** 6 + 54189 * v ** 5 - 19659 * v ** 4
+            - 5573 * v ** 3 - 1789 * v ** 2 + 303 * v - 25)
+    return -(v - 1) * poly / (128 * v ** 2 * (3 * v - 2) ** 10)
+
+
+@pytest.mark.parametrize("c", [1.0, 2 + 1j, -0.7 + 1.3j])
+def test_d7_odd_slot_ratios_are_the_exact_literals(c):
+    # R_{eta^-1} = c^-2 B_2(u/c) sqrt(Delta) and R_{eta^-3} = c^-4 B_4(u/c)
+    # sqrt(Delta): the builder's values and the node solve's slots both lie
+    # within 3e-14 relative of the literals.
+    chart = u_chart(c)
+    us = (0.9 + 0.55j + 0.4 * np.exp(2j * np.pi * np.arange(12) / 12)) * c
+    ts, lams = chart.t_of_u(us), chart.lambda0_of_u(us)
+    R = riccati_solution(zero_param_solution(ts, BranchPoint(ts, lams), N=4,
+                                             model=D7Model(c)), +1).R
+    ratios = odd_slot_ratios(c, 2)(us)
+    for n, literal in ((1, _d7_b2), (2, _d7_b4)):
+        want = c ** (-2 * n) * literal(us / c)
+        assert np.all(np.abs(ratios[n - 1] - want) <= 3e-14 * np.abs(want))
+        slot = R.slot_value(1 - 2 * n) / R.slot_value(1)
+        assert np.all(np.abs(slot - want) <= 3e-14 * np.abs(want))

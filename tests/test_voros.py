@@ -13,6 +13,7 @@ from p3wkb.algebra import BranchPoint, Parameters, u_chart
 from p3wkb.numerics import LaurentAtInfinity
 from p3wkb.series import (
     D7Model,
+    odd_slot_ratios,
     riccati_solution,
     zero_param_solution,
 )
@@ -450,19 +451,28 @@ def _leg_of(spec, params, radius_factor=None):
     return chart, rho, u_pts, w_pts, voros._leg_specials(chart, spec)
 
 
-def _oracle_batch(spec, params, monkeypatch):
-    """(t, lambda_0, keyword arguments) of the oracle's batched solve."""
+def _oracle_nodes(spec, params, monkeypatch, n_max=2):
+    """(u of every node in the oracle's order, t, lambda_0, their
+    OddSlotRatios.evaluate output) of the oracle at an endpoint."""
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return zero_param_solution(*args, **kwargs)
+    def spy(*args):
+        ratios = odd_slot_ratios(*args)
+
+        class Recording:
+            def evaluate(self, x, inverted=False):
+                calls.append((1 / x if inverted else x, ratios.evaluate(x, inverted)))
+                return calls[-1][1]
+        return Recording()
 
     with monkeypatch.context() as patch:
-        patch.setattr(voros, "zero_param_solution", spy)
-        voros_numeric_oracle(spec, params, n_max=2)
-    (ts, branch), kwargs = calls[0]
-    return ts, branch.lambda0, kwargs
+        patch.setattr(voros, "odd_slot_ratios", spy)
+        voros_numeric_oracle(spec, params, n_max=n_max)
+    us = np.concatenate([u for u, _ in calls])
+    chart = u_chart(params)
+    values = np.concatenate([v for _, (v, _) in calls], axis=1)
+    condition = np.concatenate([c for _, (_, c) in calls])
+    return us, chart.t_of_u(us), chart.lambda0_of_u(us), values, condition
 
 
 _BATCH_CASES = [(EndpointSpec("d6", "inf1", +1), P_GEN), (EndpointSpec("d7", "inf1", +1), 2 + 1j)]
@@ -472,11 +482,12 @@ _BATCH_CASES = [(EndpointSpec("d6", "inf1", +1), P_GEN), (EndpointSpec("d7", "in
 #: graded rule replaced; the last three are the one rule's measured counts.
 @pytest.mark.parametrize("target, most", [("inf1", 608), ("inf3", 224), ("zero_cinf", 176),
                                           ("inf1", 400), ("inf3", 176), ("zero_cinf", 160)])
-def test_oracle_solves_at_most_its_measured_nodes(target, most, monkeypatch):
-    # Half the circle's samples plus the leg's nodes:
-    # a wider leg or a denser circle shows here before it shows in a timing.
-    ts, _, _ = _oracle_batch(EndpointSpec("d6", target, +1), P_GEN, monkeypatch)
-    assert len(ts) <= most
+def test_oracle_solves_at_most_its_measured_nodes(target, most):
+    # The circle's samples plus the leg's nodes, 16 to a panel: a wider leg
+    # or a denser circle shows here before it shows in a timing.
+    diag = voros_numeric_oracle(EndpointSpec("d6", target, +1), P_GEN, n_max=2).diagnostics
+    for d in diag.values():
+        assert d["nodes"] == voros._CIRCLE_SAMPLES + 16 * d["panels"] <= most
 
 
 _ENDPOINT_CASES = _BATCH_CASES + [
@@ -562,14 +573,14 @@ def test_straight_leg_past_a_special_point_meets_the_closed_form(spec, params):
 
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
 def test_lowest_jet_order_gives_the_same_r_values(spec, params, monkeypatch):
-    # The oracle reads only R's values and solves at the lowest K the order
-    # budget admits; they are those of K = N + 4 bit for bit.
-    ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
-    N = kwargs["N"]
-    assert kwargs["K"] == series.lowest_jet_order(N, kwargs["model"].shifted)
+    # On the oracle's nodes the series solve at the lowest K the order
+    # budget admits gives the R values of K = N + 4 bit for bit; the oracle
+    # takes B_2n from it where the rational B_2n are ill-conditioned.
+    _, ts, lams, _, _ = _oracle_nodes(spec, params, monkeypatch)
+    N, model = 4, series.model_for(params)
     low, high = (riccati_solution(zero_param_solution(
-        ts, BranchPoint(ts, lams), N=N, K=K, model=kwargs["model"]), +1).R
-        for K in (kwargs["K"], N + 4))
+        ts, BranchPoint(ts, lams), N=N, K=K, model=model), +1).R
+        for K in (series.lowest_jet_order(N, model.shifted), N + 4))
     for power in low.powers():
         assert np.array_equal(low.slot_value(power), high.slot_value(power)), power
 
@@ -605,15 +616,18 @@ def test_oracle_refuses_a_leg_on_panels_too_coarse(spec, params, monkeypatch):
 @pytest.mark.parametrize("spec, params", _ENDPOINT_CASES, ids=_ENDPOINT_IDS)
 def test_residuals_vanish_on_every_node_of_the_oracle_batch(spec, params, monkeypatch):
     # The oracle's own nodes at K = N + 2, the lowest order whose residuals
-    # reach every slot, where R has the oracle's values bit for bit: both
-    # residuals vanish on eta^2 .. eta^(2-N) at every node, relative to 1 +
-    # the node's largest slot (the rule of the series_scalar benchmark gate).
-    ts, lams, kwargs = _oracle_batch(spec, params, monkeypatch)
-    N = kwargs["N"]
-    oracle = riccati_solution(zero_param_solution(ts, BranchPoint(ts, lams), **kwargs), +1).R
-    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 2, model=kwargs["model"])
+    # reach every slot, where R has the values of the lowest K bit for bit:
+    # both residuals vanish on eta^2 .. eta^(2-N) at every node, relative to
+    # 1 + the node's largest slot (the rule of the series_scalar benchmark
+    # gate).
+    _, ts, lams, _, _ = _oracle_nodes(spec, params, monkeypatch)
+    N, model = 4, series.model_for(params)
+    lowest = riccati_solution(zero_param_solution(
+        ts, BranchPoint(ts, lams), N=N, K=series.lowest_jet_order(N, model.shifted),
+        model=model), +1).R
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), N=N, K=N + 2, model=model)
     ric = riccati_solution(zp, +1)
-    assert np.array_equal(oracle.coeffs[:, 0], ric.R.coeffs[:, 0])
+    assert np.array_equal(lowest.coeffs[:, 0], ric.R.coeffs[:, 0])
     for res, sol in ((series.main_equation_residual(zp), zp.lam),
                      (series.riccati_residual(ric.R, zp), ric.R)):
         size = 1.0 + np.abs(sol.coeffs[:, 0]).max(axis=0)
@@ -677,3 +691,56 @@ def test_double_pole_batch_at_the_oracle_order_matches_one_node_solves():
             if wide is not None:
                 ref = complex(wide.slot_value(power)[k])
                 assert max(abs(got - ref), abs(want - ref)) <= 5e-11 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# The odd slots as rational functions against the node solve
+# ---------------------------------------------------------------------------
+
+_CROSS_CASES = [*((EndpointSpec("d6", t, +1), P_GEN)
+                  for t in ("zero_cinf", "zero_c0", "inf1", "inf2", "inf3", "inf4")),
+                (EndpointSpec("d7", "zero_c", +1), 2 + 1j), (EndpointSpec("d7", "inf1", +1), 2 + 1j),
+                *_NEAR_PASSES, _REPRODUCER,
+                # The first seeded checks of the voros_oracle benchmark at
+                # seeds 4711, 101 and 7.
+                *((EndpointSpec("d6", "inf1", +1), Parameters(*p)) for p in (
+                    (2.171769715204236 - 0.33474609327059923j, 0.7976725881844997 + 0.45035116175978307j),
+                    (2.238601257208553 - 0.5752464632833378j, 0.6217128690310447 + 0.9422119027075473j),
+                    (1.7400458253090048 - 0.8602891528507621j, 0.22097161464303583 - 0.8185739733122699j)))]
+_CROSS_IDS = [str(spec) for spec, _ in _CROSS_CASES[:8]] + [
+    "near-inf3", "near-inf4", "reproducer", "seed-4711", "seed-101", "seed-7"]
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+@pytest.mark.parametrize("spec, params", _CROSS_CASES, ids=_CROSS_IDS)
+def test_odd_slot_ratios_match_the_node_solve_on_the_oracle_nodes(spec, params, n_max, monkeypatch):
+    # Every slot the oracle reads from B_2n: within 1e-13 of the node solve
+    # at K = N + 4 (in 80 bits where numpy has them), relative to 1 + the
+    # node's largest slot, the rule of test_series_80bit.  The other nodes,
+    # where OddSlotRatios.condition is above the oracle's bound, take the
+    # node solve itself.
+    us, ts, lams, values, condition = _oracle_nodes(spec, params, monkeypatch, n_max)
+    N = 2 * n_max
+    dtype = np.clongdouble if _HAS_80_BIT else np.complex128
+    R = riccati_solution(zero_param_solution(np.asarray(ts, dtype), BranchPoint(ts, lams), N=N,
+                                             K=N + 4, model=series.model_for(params)), +1).R
+    slots = np.array([R.slot_value(1 - 2 * n) for n in range(n_max + 1)]).astype(complex)
+    size = 1 + np.abs(slots).max(axis=0)
+    read = condition <= voros._RATIO_CONDITION
+    err = np.abs(values * slots[0] - slots[1:]).max(axis=0) / size
+    assert np.all(err[read] <= 1e-13), np.max(err[read])
+
+
+@pytest.mark.parametrize("params", [P_GEN, Parameters(2 + 1j, 3 - 0.5j),
+                                    Parameters(1.2 - 0.7j, -0.4 + 1.1j), 2 + 1j, -0.7 + 1.3j])
+def test_odd_slot_ratios_have_the_structure_of_their_chart(params):
+    # B_2n (u - u_s)^n T^5n is a polynomial of degree (5 deg T - 1) n: 14n
+    # for D6 (a zero of order 2n at u = 0 among them), 4n for D7; each
+    # double pole is a simple zero.
+    chart, ratios = u_chart(params), odd_slot_ratios(params, 3)
+    deg_T = len(chart.turning_polynomial) - 1
+    for n, (M, zeros) in enumerate(zip(ratios.numerators, ratios.zeros), 1):
+        assert len(M) - 1 + len(zeros) == (5 * deg_T - 1) * n
+        assert sorted(zeros.tolist(), key=abs) == sorted(
+            [0j] * (2 * n * len(chart.finite_infinities_u)) + list(chart.double_poles_u.values()), key=abs)
+        assert M[-1] != 0 and M[0] != 0
