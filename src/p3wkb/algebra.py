@@ -172,25 +172,27 @@ class UChart:
     equation: str                 # "d6" | "d7"
     escape_label: str             # terminus of a curve running off to u = infinity
 
-    # Concrete classes set these in __init__:
+    # Concrete classes set these (in __init__ where they vary):
     turning_points_u: tuple
     simple_pole_u: complex
     simple_pole_lead: complex     # q ~ simple_pole_lead / (u - simple_pole_u)
     double_poles_u: dict          # label -> u position
-    finite_infinities_u: dict     # label -> u position of a t = infinity branch
+    finite_infinities_u: dict     # label -> u position of a t = infinity branch (u = 0)
     pole_residues: dict           # terminus label -> residue of sqrt(q) du there (up
                                   # to sign); the escape label stands for u = infinity
     pole_leads: dict              # terminus label -> lead of sqrt(q) ~ lead (u - pole)^(-k)
                                   # at a pole of q of order 2k (up to sign; at u = infinity
                                   # sqrt(q) ~ lead); a double pole's lead is its residue
     arc_scale: float              # arc budget per unit of the tracer's budget factor
-    # What ``series.odd_slot_ratios`` builds the odd Riccati slots from.  A
-    # Laurent polynomial in u is a pair (coefficients from the lowest power
-    # up, that power); T has its coefficients from u^0 up.
-    turning_polynomial: np.ndarray  # T(u): its roots are the turning points
-    lambda0_laurent: tuple        # lambda_0(u)
-    t_over_lambda0: tuple         # t(u) / lambda_0(u)
-    theta_laurent: tuple          # h(u) with t / t'(u) = (u - simple_pole_u) h(u) / T(u)
+    turning_polynomial: np.ndarray  # T(u), from u^0 up: its roots are the turning points
+    # ``series.odd_slot_ratios`` builds its family table from these, at unit
+    # scale, with rows the powers of u from u^lo (u^0 without lo) and columns
+    # those of the free ratio, and rescales it per chart (``numerator_scales``).
+    unit_lambda0: tuple           # (lambda_0(u), lo)
+    unit_t_over_lambda0: tuple    # (t(u) / lambda_0(u), lo)
+    unit_theta: tuple             # (h(u), lo), t / t'(u) = (u - simple_pole_u) h(u) / T(u)
+    unit_turning: tuple           # T(u)
+    unit_double_poles: tuple      # monic in u: its roots are the double poles
     delta_power: int              # a with t^2 Delta = u^a (u - simple_pole_u) T(u)
 
     def t_of_u(self, u):
@@ -431,6 +433,17 @@ class D6Chart(UChart):
 
     equation = "d6"
     escape_label = "inf12"
+    simple_pole_u = -1.0 + 0j
+    finite_infinities_u = MappingProxyType({"inf34": 0j})
+    # At c_p = 1, columns powers of c_m: lambda_0 = (u + 1)(u + c_m) / (2u), t /
+    # lambda_0 = (u + 1)(u - c_m) / (2u), t / t' = (u + 1) u (u^2 - c_m^2) /
+    # (2T), T = u^3 + c_m^2, t^2 Delta = (u + 1) T / u^2, double poles +/- c_m.
+    unit_lambda0 = (((0, 0.5), (0.5, 0.5), (0.5, 0)), -1)
+    unit_t_over_lambda0 = (((0, -0.5), (0.5, -0.5), (0.5, 0)), -1)
+    unit_theta = (((0, 0, -0.5), (0, 0, 0), (0.5, 0, 0)), 1)
+    unit_turning = ((0, 0, 1), (0, 0, 0), (0, 0, 0), (1, 0, 0))
+    unit_double_poles = ((0, 0, -1), (0, 0, 0), (1, 0, 0))
+    delta_power = -2
 
     def __init__(self, p: Parameters):
         self.p = p
@@ -438,13 +451,11 @@ class D6Chart(UChart):
         cp2, cm2 = cp ** 2, cm ** 2
         self.turning_polynomial = np.array([cm2, 0, 0, cp2])
         self.turning_points_u = tuple(poly_roots(self.turning_polynomial))
-        self.simple_pole_u = -1.0 + 0j
         self.simple_pole_lead = -4 * p.c_inf * p.c_0
         self.double_poles_u = {
             "zero_cinf": cm / cp,
             "zero_c0": -cm / cp,
         }
-        self.finite_infinities_u = {"inf34": 0j}
         self.pole_residues = {"inf12": p.c_p, "inf34": p.c_m,
                               "zero_cinf": p.c_inf, "zero_c0": p.c_0}
         # q -> 4 c_p^2 at u = infinity, q ~ 4 c_m^2 / u^4 at u = 0.
@@ -454,13 +465,10 @@ class D6Chart(UChart):
         # escape radius of 25 scales.
         self.arc_scale = max(1.0, abs(cp), self.scale / 5)
         self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp2, cm2
-        # lambda_0 = (u + 1)(c_p u + c_m) / (2u), t / lambda_0 = (u + 1)(c_p u
-        # - c_m) / (2u), t / t' = (u + 1) u (c_p^2 u^2 - c_m^2) / (2T) and
-        # t^2 Delta = (u + 1) T / u^2.
-        self.lambda0_laurent = (np.array([cm / 2, (cp + cm) / 2, cp / 2]), -1)
-        self.t_over_lambda0 = (np.array([-cm / 2, (cp - cm) / 2, cp / 2]), -1)
-        self.theta_laurent = (np.array([-cm2 / 2, 0, cp2 / 2]), 1)
-        self.delta_power = -2
+
+    def numerator_scales(self, n, rows, cols):
+        """c_p^(8n - 2k) c_m^(2k) for column k: M_n = c_p^(8n) M_n(1, c_m / c_p)."""
+        return self._cp ** (8 * n - 2 * np.arange(cols)[None]) * self._cm2 ** np.arange(cols)[None]
 
     def t_of_u(self, u):
         cp, cm = self._cp, self._cm
@@ -567,6 +575,16 @@ class D7Chart(UChart):
 
     equation = "d7"
     escape_label = "escaped"
+    simple_pole_u = 0j
+    finite_infinities_u = MappingProxyType({})
+    # At c = 1: T = 3u - 2, lambda_0 = u (1 - u) / 2, t / lambda_0 = u, t / t'
+    # = u (u - 1) / T, t^2 Delta = u T, and the double pole is u = 1.
+    unit_lambda0 = (((0.5,), (-0.5,)), 1)
+    unit_t_over_lambda0 = (((1,),), 1)
+    unit_theta = (((-1,), (1,)), 0)
+    unit_turning = ((-2,), (3,))
+    unit_double_poles = ((-1,), (1,))
+    delta_power = 0
 
     def __init__(self, c: complex):
         c = complex(c)
@@ -574,20 +592,16 @@ class D7Chart(UChart):
             raise DegenerateParametersError("D7 requires c != 0")
         self.c = c
         self.turning_points_u = (2 * c / 3,)
-        self.simple_pole_u = 0j
         self.simple_pole_lead = -8 * c
         self.double_poles_u = {"zero_c": c}
-        self.finite_infinities_u = {}
         self.pole_residues = {"escaped": 0j, "zero_c": c}
         self.pole_leads = {"escaped": math.sqrt(27) + 0j, "zero_c": c}
         self.arc_scale = max(1.0, abs(c))
-        # T = 3u - 2c, lambda_0 = u (c - u) / 2, t / lambda_0 = u, t / t' =
-        # u (u - c) / T and t^2 Delta = u T.
         self.turning_polynomial = np.array([-2 * c, 3])
-        self.lambda0_laurent = (np.array([c / 2, -0.5]), 1)
-        self.t_over_lambda0 = (np.array([1.0 + 0j]), 1)
-        self.theta_laurent = (np.array([-c, 1]), 0)
-        self.delta_power = 0
+
+    def numerator_scales(self, n, rows, cols):
+        """c^(4n - 1 - j) for row j: M_n(u; c) = c^(4n - 1) M_n(u / c; 1)."""
+        return (self.c ** (4 * n - 1 - np.arange(rows)))[:, None]
 
     def t_of_u(self, u):
         return u * u * (self.c - u) / 2

@@ -17,8 +17,8 @@ computes with the ``DenseJets`` kernels.  On it sit:
   (Backlund) transformations,
 * the analogous objects for the degenerate family (one parameter c),
 * the odd Riccati slots over sqrt(Delta) as rational functions on the
-  u-chart, built once per chart by the same recursions on polynomial
-  numerators (``odd_slot_ratios``).
+  u-chart, built once per family by the same recursions on polynomial
+  numerators and rescaled per chart (``odd_slot_ratios``).
 
 Parameter shifts by multiples of eta^-1 are first-class: models carry
 integer shift amounts, so a "solution at shifted parameters" is an ordinary
@@ -33,7 +33,7 @@ as independent checks: no solver calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -256,6 +256,8 @@ class D6Model:
     p: Parameters
     shift_inf: int = 0
     shift_0: int = 0
+    #: lam_poly's eta^0 terms (d, a, p) at c_p = 1, a in powers of c_m (c_0 = 1 - c_m).
+    unit_lam_poly = ((4, (1.0,), 0), (3, (-1.0, -1.0), 0), (1, (1.0, -1.0), 1), (0, (-1.0,), 2))
 
     @property
     def shifted(self) -> bool:
@@ -341,6 +343,8 @@ class D7Model:
 
     c: complex
     shift: int = 0
+    #: lam_poly's eta^0 terms at c = 1, like ``D6Model.unit_lam_poly``.
+    unit_lam_poly = ((3, (-2.0,), 0), (1, (1.0,), 1), (0, (-1.0,), 2))
 
     @property
     def shifted(self) -> bool:
@@ -785,12 +789,11 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 #
 # The slots of R at eta^1, eta^-1, eta^-3, ... flip with the sign of
 # sqrt(Delta), and each is B_2n(u) sqrt(Delta) with B_2n rational on the
-# u-chart (B_0 = 1).  odd_slot_ratios builds B_2 .. B_2N once per chart.
-# With theta = t d/dt = (t / t'(u)) d/du, the equation for lambda times
-# lambda t^2 reads lambda^2 theta^2 log lambda = eta^2 P(lambda), P = lambda
-# t^2 F.  Write lambda = lambda_0 G, G = 1 + sum_k g_k eta^-2k, and P(lambda)
-# / lambda^2 = sum_j m_j G^j, m_j the sum of a t^p lambda_0^(d-2) over the
-# terms of P with d - 2 = j:
+# u-chart (B_0 = 1).  With theta = t d/dt = (t / t'(u)) d/du, the equation
+# for lambda times lambda t^2 reads lambda^2 theta^2 log lambda = eta^2
+# P(lambda), P = lambda t^2 F.  Write lambda = lambda_0 G, G = 1 + sum_k g_k
+# eta^-2k, and P(lambda) / lambda^2 = sum_j m_j G^j, m_j the sum of a t^p
+# lambda_0^(d-2) over the terms of P with d - 2 = j:
 #
 #     theta^2 log lambda_0 + theta^2 log G = eta^2 sum_j m_j G^j.        (1)
 #
@@ -798,7 +801,7 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 # lambda_0 = t^2 Delta = W_0 = u^a (u - u_s) T(u), so slot eta^(2-2k) of (1)
 # gives g_k over W_0, and theta log lambda_0 = -sum p a t^p lambda_0^(d-2) /
 # W_0 (theta t = t).  Neither has a pole at u_s: the division leaves a
-# factor u - u_s in the numerator, which is deflated.  V = t R - theta log
+# factor u - u_s in the numerator, which is divided out.  V = t R - theta log
 # lambda turns the Riccati equation into V^2 + theta V = eta^2 U, U = sum_j j
 # m_j G^j by (1), whose odd part t R_odd = eta sigma_0 B, sigma_0^2 = W_0,
 # B = 1 + sum_k B_2k eta^-2k, solves
@@ -806,71 +809,81 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 #     W_0 B^2 = U + eta^-2 (theta L / 2 - L^2 / 4),   L = theta log W_0 / 2 + theta log B.
 #
 # Each quantity is kept exact as a Laurent polynomial in u times powers of
-# u - u_s and T (_ChartRationals).  B_2n comes out over (u - u_s)^n
+# u - u_s and T (_FamilyRationals).  B_2n comes out over (u - u_s)^n
 # T^(5n); its numerator has degree (5 deg T - 1) n, a zero of order 2n at a
 # finite point over t = infinity (D6's u = 0) and a simple zero at each
 # double pole, which are divided out so that B_2n keeps its digits there.
+#
+# This runs once per family and n_max (_slot_table), at unit scale, on arrays
+# with rows powers of u and columns powers of the family's free ratio (D6: c_p
+# = 1, columns c_m; D7: c = 1, one column).  B_2n is homogeneous and even in
+# c_m (c_inf <-> c_0 maps lambda to t / lambda), so a chart evaluates the
+# table at (c_m / c_p)^2 and rescales it (``numerator_scales`` of the charts).
+
+
+def _mul(x, y):
+    """The product of two coefficient arrays: one np.convolve of their rows
+    packed end to end, each padded to the product's width."""
+    w, rows = x.shape[1] + y.shape[1] - 1, len(x) + len(y) - 1
+    packed = [np.zeros((len(x), w)), np.zeros((len(y), w))]
+    packed[0][:, :x.shape[1]], packed[1][:, :y.shape[1]] = x, y
+    return np.convolve(packed[0].ravel(), packed[1].ravel())[:rows * w].reshape(rows, w)
 
 
 def _laurent_sum(terms):
-    """The sum of Laurent polynomials (coefficients, lowest power)."""
+    """The sum of Laurent polynomials (coefficient array, lowest power of u)."""
     lo = min(low for _, low in terms)
-    out = np.zeros(max(low + len(c) for c, low in terms) - lo, complex)
+    out = np.zeros((max(low + len(c) for c, low in terms) - lo, max(c.shape[1] for c, _ in terms)))
     for c, low in terms:
-        out[low - lo:low - lo + len(c)] += c
+        out[low - lo:low - lo + len(c), :c.shape[1]] += c
     return out, lo
 
 
-def _deflate(c, z: complex):
-    """(q, residual) with c(u) = (u - z) q(u) + remainder: coefficients from
-    u^0 up.  q is taken from the top down to the largest term |c_j z^j| and
-    from the bottom up below it, so the rounding of neither direction
-    reaches the small coefficients on the other side; the residual is the
-    remainder relative to sum |c_j z^j| (sum |c_j| at z = 0)."""
-    if z == 0:
-        return c[1:], abs(c[0]) / max(np.abs(c).sum(), 1e-300)
-    terms = np.abs(c) * abs(z) ** np.arange(len(c))
-    m, n = int(np.argmax(terms)), len(c) - 1
-    c, q = c.tolist(), [0j] * n
-    acc = 0j
-    for j in range(n, m, -1):
-        acc = c[j] + z * acc
-        q[j - 1] = acc
-    acc = 0j
-    for j in range(m):
-        acc = (acc - c[j]) / z
-        q[j] = acc
-    rem = c[m] - ((q[m - 1] if m else 0) - (z * q[m] if m < n else 0))
-    return np.array(q), abs(rem) * abs(z) ** m / terms.sum()
+def _divide(c, z):
+    """(q, residual) with c = z q + remainder, z monic in u, rows from u^0
+    up; q from the top down, residual sum |remainder| / sum |c|."""
+    d, width = len(z) - 1, c.shape[1]
+    q, work = np.zeros((len(c) - d, width)), c.copy()
+    lower = [(l, row) for l, row in enumerate(z[:d]) if row.any()]
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = work[i + d]
+        for l, row in lower:
+            work[i + l] -= np.convolve(q[i], row)[:width]
+    rem = _mul(z, q)
+    rem[:, :width] -= c
+    return q, np.abs(rem).sum() / max(np.abs(c).sum(), 1e-300)
 
 
-class _ChartRationals:
-    """Exact arithmetic on the rational functions of a u-chart with poles at
-    u = 0, at the simple pole u_s and at the zeros of T only: each is a
-    tuple (c, lo, s, g) for L(u) (u - u_s)^s T(u)^g, L = sum_j c[j] u^(lo+j).
-    A sum brings its terms to the smallest s and g; theta = (t / t'(u))
-    d/du = (u - u_s) h(u) / T(u) d/du maps the family into itself."""
+class _FamilyRationals:
+    """Exact arithmetic, at unit scale, on the rational functions of a
+    family's u-chart with poles at u = 0, at the simple pole u_s and at the
+    zeros of T only: each is a tuple (c, lo, s, g) for L(u) (u - u_s)^s
+    T(u)^g, L = sum_ik c[i, k] u^(lo+i) ratio^k.  A sum brings its terms to
+    the smallest s and g; theta = (t / t'(u)) d/du = (u - u_s) h(u) / T(u)
+    d/du maps the family into itself."""
 
-    def __init__(self, chart):
-        self.root, self.a = chart.simple_pole_u, chart.delta_power
-        self.h = chart.theta_laurent
-        self.base = {"f": np.array([-self.root, 1]), "T": np.asarray(chart.turning_polynomial, complex)}
-        self.dT = np.polynomial.polynomial.polyder(self.base["T"])
-        self._powers = {"f": [np.ones(1)], "T": [np.ones(1)]}
+    def __init__(self, chart_cls):
+        self.a = chart_cls.delta_power
+        self.h = np.array(chart_cls.unit_theta[0], float), chart_cls.unit_theta[1]
+        T = np.array(chart_cls.unit_turning, float)
+        # The unit-scale data are real.
+        self.base = {"f": np.array([[-chart_cls.simple_pole_u.real], [1.0]]), "T": T}
+        self.f_dT = _mul(self.base["f"], T[1:] * np.arange(1, len(T))[:, None])
+        self._powers = {"f": [np.ones((1, 1))], "T": [np.ones((1, 1))]}
 
     def power(self, name: str, k: int) -> np.ndarray:
         powers = self._powers[name]
         while len(powers) <= k:
-            powers.append(np.convolve(powers[-1], self.base[name]))
+            powers.append(_mul(powers[-1], self.base[name]))
         return powers[k]
 
     @staticmethod
     def laurent(c, lo=0):
-        return np.asarray(c, complex), lo, 0, 0
+        return np.atleast_2d(np.asarray(c, float)), lo, 0, 0
 
     @staticmethod
     def mul(x, y):
-        return np.convolve(x[0], y[0]), x[1] + y[1], x[2] + y[2], x[3] + y[3]
+        return _mul(x[0], y[0]), x[1] + y[1], x[2] + y[2], x[3] + y[3]
 
     @staticmethod
     def scale(x, a):
@@ -883,9 +896,9 @@ class _ChartRationals:
         terms = []
         for c, lo, f_exp, t_exp in xs:
             if f_exp != s:
-                c = np.convolve(c, self.power("f", f_exp - s))
+                c = _mul(c, self.power("f", f_exp - s))
             if t_exp != g:
-                c = np.convolve(c, self.power("T", t_exp - g))
+                c = _mul(c, self.power("T", t_exp - g))
             terms.append((c, lo))
         c, lo = _laurent_sum(terms)
         return c, lo, s, g
@@ -894,13 +907,12 @@ class _ChartRationals:
         """theta L f^s T^g = h f^s T^(g-2) (T (f L' + s L) + g f T' L), with
         T^(g-1) and no T' term for g = 0."""
         c, lo, s, g = x
-        f = self.base["f"]
-        d = (np.convolve(f, c * (lo + np.arange(len(c)))), lo - 1)
+        d = (_mul(self.base["f"], c * (lo + np.arange(len(c)))[:, None]), lo - 1)
         inner = _laurent_sum([d, (s * c, lo)])
         if g:
-            inner = _laurent_sum([(np.convolve(self.base["T"], inner[0]), inner[1]),
-                                  (g * np.convolve(np.convolve(f, self.dT), c), lo)])
-        return np.convolve(self.h[0], inner[0]), self.h[1] + inner[1], s, g - 2 if g else g - 1
+            inner = _laurent_sum([(_mul(self.base["T"], inner[0]), inner[1]),
+                                  (g * _mul(self.f_dT, c), lo)])
+        return _mul(self.h[0], inner[0]), self.h[1] + inner[1], s, g - 2 if g else g - 1
 
     def over_w0(self, x, deflate=False):
         """x / W_0, W_0 = u^a (u - u_s) T; with ``deflate``, for an x / W_0
@@ -909,14 +921,14 @@ class _ChartRationals:
         if not deflate:
             return c, lo - self.a, s - 1, g - 1
         if lo > 0:
-            c, lo = np.concatenate([np.zeros(lo, complex), c]), 0
-        q, residual = _deflate(c, self.root)
+            c, lo = _laurent_sum([(c, lo), (np.zeros((1, 1)), 0)])
+        q, residual = _divide(c, self.base["f"])
         if residual > _DEFLATION_GATE:
             raise ConditioningError(f"u - u_s does not divide the numerator (residual {residual:.1e})")
         return q, lo - self.a, s, g - 1
 
 
-#: A deflated factor must leave a remainder at most this much of the terms.
+#: A factor divided out must leave a remainder at most this much of the terms.
 _DEFLATION_GATE = 1e-9
 
 
@@ -929,13 +941,16 @@ class OddSlotRatios:
         B_2n(u) = prod_z (u - z) M_n(u) / ((u - u_s)^n T(u)^(5n)),
 
     z over ``zeros[n - 1]``: 2n times each finite point over t = infinity,
-    and each double pole once.  ``numerators[n - 1]`` holds M_n, its
-    coefficients from u^0 up."""
+    and each double pole once.  ``numerators[n - 1]`` holds M_n from u^0 up,
+    as does ``coefficients[0, n - 1]`` padded (reversed in ``coefficients[1]``),
+    with the moduli of each one's table terms summed in ``weights``; read-only."""
 
     simple_pole_u: complex
     turning_polynomial: np.ndarray
     numerators: tuple
     zeros: tuple
+    coefficients: np.ndarray
+    weights: np.ndarray
 
     def __call__(self, x, inverted: bool = False) -> np.ndarray:
         """B_2n at u = x, or at u = 1/x with ``inverted``: shape (N, len(x))."""
@@ -945,9 +960,10 @@ class OddSlotRatios:
         """(B_2n, condition) at the points u = x of a 1-d array, or u = 1/x
         with ``inverted``, where the reversed numerators are read in x, so
         that no power of a large u is formed.  ``condition`` holds per point
-        the largest over n of sum_j |M_j u^j| |prod_z (u - z)| / |(u -
-        u_s)^n T^5n| over max(1, |B_2n|): the factor by which the rounding
-        of M_n's coefficients grows in B_2n there, relative to 1 or B_2n."""
+        the largest over n of sum_j w_j |u^j| |prod_z (u - z)| / |(u - u_s)^n
+        T^5n| over max(1, |B_2n|), w_j the ``weights`` of M_n: the factor by
+        which the rounding of the table's terms grows in B_2n there, relative
+        to 1 or B_2n, counting every term where they cancel."""
         x = np.asarray(x)
         ax = np.abs(x)
         T = self.turning_polynomial
@@ -955,15 +971,11 @@ class OddSlotRatios:
             f, tx = 1 - self.simple_pole_u * x, np.polyval(T, x)
         else:
             f, tx = x - self.simple_pole_u, np.polyval(T[::-1], x)
-        # Horner on all numerators at once, each padded at the top to the
-        # longest, with the moduli of the terms alongside.
-        deg = max(len(M) for M in self.numerators)
-        stack = np.array([np.pad(M[::-1] if inverted else M, (0, deg - len(M)))
-                          for M in self.numerators])
+        stack, weights = self.coefficients[int(inverted)], self.weights[int(inverted)]
         value, terms = np.zeros((len(stack), len(x)), complex), np.zeros((len(stack), len(x)))
-        for m in stack.T[::-1]:
+        for m, w in zip(stack.T[::-1], weights.T[::-1]):
             value = value * x + m[:, None]
-            terms = terms * ax + np.abs(m)[:, None]
+            terms = terms * ax + w[:, None]
         values, condition = [], np.zeros(len(x))
         for n, (M, zeros) in enumerate(zip(self.numerators, self.zeros), 1):
             if inverted:
@@ -979,29 +991,46 @@ class OddSlotRatios:
         return np.array(values), condition
 
 
-def odd_slot_ratios(params, n_max: int = 2) -> OddSlotRatios:
-    """B_2n(u) for n = 1..n_max on the u-chart of ``params``, read off the
-    chart's ``lambda0_laurent``, ``t_over_lambda0``, ``theta_laurent``,
-    ``turning_polynomial`` and ``delta_power`` and the model's ``lam_poly``
-    (see the comment above).  Raises ConditioningError when a factor that
-    must divide a numerator leaves a remainder above 1e-9 of its terms."""
-    chart, model = u_chart(params), model_for(params)
-    A = _ChartRationals(chart)
-    lam0, ratio = chart.lambda0_laurent, chart.t_over_lambda0
+def odd_slot_ratios(params, n_max: int = 2, chart=None) -> OddSlotRatios:
+    """B_2n(u) for n = 1..n_max on the u-chart of ``params`` (``chart`` if
+    given): the family's table rescaled by ``chart.numerator_scales``.  The
+    first call per family builds the table, which raises ConditioningError
+    when a factor that must divide a numerator leaves over 1e-9 of it."""
+    if chart is None:
+        chart = u_chart(params)
+    table = _slot_table(type(chart), type(model_for(params)), n_max)
+    width = len(table[-1][0])
+    coefficients, weights = np.zeros((2, n_max, width), complex), np.zeros((2, n_max, width))
+    for n, (P, size) in enumerate(table, 1):
+        scales = chart.numerator_scales(n, *P.shape)
+        for out, row in ((coefficients, (P * scales).sum(1)),
+                         (weights, (size * np.abs(scales)).sum(1))):
+            out[0, n - 1, :len(row)], out[1, n - 1, :len(row)] = row, row[::-1]
+    _read_only(coefficients, weights)
+    zeros = tuple(np.array([*chart.finite_infinities_u.values()] * (2 * n)
+                           + [*chart.double_poles_u.values()], complex)
+                  for n in range(1, n_max + 1))
+    return OddSlotRatios(chart.simple_pole_u, chart.turning_polynomial,
+                         tuple(coefficients[0, n, :len(P)] for n, (P, _) in enumerate(table)),
+                         zeros, coefficients, weights)
+
+
+@lru_cache(maxsize=None)
+def _slot_table(chart_cls, model_cls, n_max: int) -> tuple:
+    """Per n, (P, |P|), read-only: P[j, k] is the coefficient of u^j
+    ratio^(2k) in M_n at unit scale, from the classes' unit data."""
+    A = _FamilyRationals(chart_cls)
+    lam0, ratio = chart_cls.unit_lambda0, chart_cls.unit_t_over_lambda0
 
     def laurent_power(base, k):
-        c = np.ones(1, complex)
-        for _ in range(k):
-            c = np.convolve(c, base[0])
-        return c, k * base[1]
+        return reduce(_mul, [np.array(base[0], float)] * k, np.ones((1, 1))), k * base[1]
 
     m, dm = {}, []
-    for d, e, a, p in model.lam_poly():
-        if e == 0 and a != 0:
-            (c1, l1), (c2, l2) = laurent_power(ratio, p), laurent_power(lam0, d - 2 + p)
-            term = A.laurent(a * np.convolve(c1, c2), l1 + l2)
-            m.setdefault(d - 2, []).append(term)
-            dm.append(A.scale(term, p))
+    for d, a, p in model_cls.unit_lam_poly:
+        (c1, l1), (c2, l2) = laurent_power(ratio, p), laurent_power(lam0, d - 2 + p)
+        term = A.laurent(_mul(np.array([a]), _mul(c1, c2)), l1 + l2)
+        m.setdefault(d - 2, []).append(term)
+        dm.append(A.scale(term, p))
     m = {j: A.add(*terms) for j, terms in m.items()}
     theta_log_lam0 = A.over_w0(A.scale(A.add(*dm), -1), deflate=True)
 
@@ -1019,7 +1048,7 @@ def odd_slot_ratios(params, n_max: int = 2) -> OddSlotRatios:
             pw[k] = A.add(pw[k], A.scale(g[k], j))
         logs.append(_log_slot(A, logs, g, k))
 
-    w0 = (np.ones(1, complex), A.a, 1, 1)
+    w0 = (np.ones((1, 1)), A.a, 1, 1)
     L0 = A.scale(A.over_w0(A.theta(w0)), 0.5)
     B, logs, dlogs = [one], [A.laurent([0])], [None]
     for k in range(1, n_max + 1):
@@ -1034,8 +1063,8 @@ def odd_slot_ratios(params, n_max: int = 2) -> OddSlotRatios:
         logs.append(_log_slot(A, logs, B, k))
         dlogs.append(A.theta(logs[k]))
 
-    return OddSlotRatios(chart.simple_pole_u, A.base["T"], *zip(
-        *(_numerator(chart, B[n], n) for n in range(1, n_max + 1))))
+    return tuple(_read_only(P, np.abs(P)) for P in (
+        _numerator(A, chart_cls, B[n], n) for n in range(1, n_max + 1)))
 
 
 def _log_slot(A, logs, series, k):
@@ -1043,25 +1072,21 @@ def _log_slot(A, logs, series, k):
     return A.add(series[k], *(A.scale(A.mul(logs[i], series[k - i]), -i / k) for i in range(1, k)))
 
 
-def _numerator(chart, b, n: int) -> tuple:
-    """(M_n, zeros) of B_2n = b (see ``OddSlotRatios``)."""
+def _numerator(A, chart_cls, b, n: int) -> np.ndarray:
+    """M_n of B_2n = b (see ``OddSlotRatios``), columns even powers of the ratio."""
     c, lo, s, g = b
-    deg = (5 * (len(chart.turning_polynomial) - 1) - 1) * n
+    deg = (5 * (len(A.base["T"]) - 1) - 1) * n
     if (s, g) != (-n, -5 * n) or lo > 0:
         raise ConditioningError(f"B_{2 * n} is not over (u - u_s)^{n} T^{5 * n}")
-    keep = np.zeros(deg + 1, complex)
-    part = c[-lo:deg + 1 - lo]
-    keep[:len(part)] = part
-    stray = np.abs(np.concatenate([c[:-lo], c[deg + 1 - lo:]])).max(initial=0.0)
-    zeros = [z for z in chart.finite_infinities_u.values() for _ in range(2 * n)]
-    zeros += list(chart.double_poles_u.values())
-    worst = stray / np.abs(keep).max()
-    for z in zeros:
-        keep, residual = _deflate(keep, z)
-        worst = max(worst, residual)
+    low = 2 * n * len(chart_cls.finite_infinities_u)
+    c, lo = _laurent_sum([(c, lo), (np.zeros((deg + 1, 1)), 0)])
+    stray = np.abs(np.concatenate([c[:low - lo], c[deg + 1 - lo:]])).max(initial=0.0)
+    q, residual = _divide(c[low - lo:deg + 1 - lo], np.array(chart_cls.unit_double_poles, float))
+    worst = max(residual, max(stray, np.abs(q[:, 1::2]).max(initial=0.0)) / np.abs(q).max())
     if worst > _DEFLATION_GATE:
         raise ConditioningError(f"B_{2 * n} lacks a zero of its structure (residual {worst:.1e})")
-    return keep, np.array(zeros, complex)
+    # Columns past the numerator's degree in the ratio hold exact zeros.
+    return q[:, :np.flatnonzero(q.any(axis=0))[-1] + 1:2].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ Riccati slot of eta^(1-2n) in the u-chart, along a dumbbell contour in the
 u-plane: a circle around a turning point, resolved mode-by-mode through an
 FFT (each half-odd Puiseux mode has an elementary primitive, so the circle
 plus the escaping leg can be assembled without cancellation), plus a
-numerically integrated leg to the endpoint.  B_2n is built once per chart
-as a rational function (``series.odd_slot_ratios``).
+numerically integrated leg to the endpoint.  B_2n is read off a table
+built once per family and rescaled per chart (``series.odd_slot_ratios``).
 """
 
 from __future__ import annotations
@@ -433,11 +433,11 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # sample is rounded at its node, so mode_sum carries rounding of about
 # rounding_scale = rho rms|f| / sqrt(M), which W_n's error tracks.
 #
-# B_2n's numerator is a polynomial in u of degree up to 14n.  Where the sum of
-# the moduli of its terms exceeds |B_2n| (or 1) by more than _RATIO_CONDITION
-# (OddSlotRatios.evaluate's ``condition``), the rounding of its coefficients
-# would show in the slot; there, mostly on D6 contours near the double pole
-# u = -c_m/c_p, B_2n is taken from the series solve at the node instead.
+# B_2n's numerator is a polynomial in u of degree up to 12n - 2 whose
+# coefficients sum table terms.  Where the moduli of all its terms exceed
+# |B_2n| (or 1) by more than _RATIO_CONDITION (OddSlotRatios.evaluate's
+# ``condition``), their rounding would show in the slot; there, mostly on D6
+# contours near u = -c_m/c_p, B_2n is taken from the series solve instead.
 
 _CIRCLE_SAMPLES = 128      # on one turn
 _RADIUS_FACTOR = 0.6
@@ -632,12 +632,12 @@ def _select_turning_point(chart, spec: EndpointSpec) -> complex:
 def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleResult:
     """Contour-integral evaluation of W_1..W_{n_max} at an endpoint,
     independent of the closed forms: rho_n = B_2n sqrt(q) du, B_2n the odd
-    Riccati slots over sqrt(Delta) built once per chart, is integrated along
-    a dumbbell around the adjacent turning point with FFT mode extraction on
-    the circle.  B_2n is read at the circle's nodes and the leg's u-chart
-    nodes as it stands, at its w-chart nodes from the reversed numerators,
-    and from the series solve at the nodes where its numerator is
-    ill-conditioned.  Raises PathError when a consistency check fails.
+    Riccati slots over sqrt(Delta) read off the family's table, is integrated
+    along a dumbbell around the adjacent turning point with FFT mode
+    extraction on the circle.  B_2n is read at the circle's nodes and the
+    leg's u-chart nodes as it stands, at its w-chart nodes from the reversed
+    numerators, and from the series solve where it is ill-conditioned.
+    Raises PathError when a consistency check fails.
 
     The leg's panels each span a quarter of the distance from their start
     to the nearest singular point or turning point (the finite endpoint
@@ -679,7 +679,7 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
 
     # B_2n on every node, a w-chart node read in w; R_{-1} = sqrt(Delta),
     # Delta = q / t'(u)^2, on the principal branch per node.
-    ratios = odd_slot_ratios(params, n_max)
+    ratios = odd_slot_ratios(params, n_max, chart)
     us = np.concatenate([turn, leg_x])
     us[M:][in_w] = 1 / leg_x[in_w]
     b, cond = np.empty((n_max, len(us)), complex), np.empty(len(us))

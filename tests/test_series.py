@@ -2,9 +2,13 @@
 Hamiltonians, and parameter-shift transformations."""
 
 import cmath
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -680,3 +684,19 @@ def test_d7_odd_slot_ratios_are_the_exact_literals(c):
         assert np.all(np.abs(ratios[n - 1] - want) <= 3e-14 * np.abs(want))
         slot = R.slot_value(1 - 2 * n) / R.slot_value(1)
         assert np.all(np.abs(slot - want) <= 3e-14 * np.abs(want))
+
+
+def test_import_loads_numpy_only_and_builds_no_table():
+    # p3wkb depends on numpy alone, and the family tables of odd_slot_ratios
+    # are built on their first use, not on import.
+    import p3wkb
+
+    code = ("import sys, p3wkb, p3wkb.borel, p3wkb.geometry, p3wkb.voros, p3wkb.walls\n"
+            "from p3wkb import series\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'mpmath', 'scipy'}),"
+            " series._slot_table.cache_info().currsize)")
+    src = str(Path(p3wkb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["[]", "0"]

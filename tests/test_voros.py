@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p3wkb import series, voros
-from p3wkb.algebra import BranchPoint, Parameters, u_chart
+from p3wkb.algebra import BranchPoint, D6Chart, D7Chart, Parameters, u_chart
 from p3wkb.numerics import LaurentAtInfinity
 from p3wkb.series import (
     D7Model,
@@ -711,14 +711,11 @@ _CROSS_IDS = [str(spec) for spec, _ in _CROSS_CASES[:8]] + [
     "near-inf3", "near-inf4", "reproducer", "seed-4711", "seed-101", "seed-7"]
 
 
-@pytest.mark.parametrize("n_max", [2, 3])
-@pytest.mark.parametrize("spec, params", _CROSS_CASES, ids=_CROSS_IDS)
-def test_odd_slot_ratios_match_the_node_solve_on_the_oracle_nodes(spec, params, n_max, monkeypatch):
-    # Every slot the oracle reads from B_2n: within 1e-13 of the node solve
-    # at K = N + 4 (in 80 bits where numpy has them), relative to 1 + the
-    # node's largest slot, the rule of test_series_80bit.  The other nodes,
-    # where OddSlotRatios.condition is above the oracle's bound, take the
-    # node solve itself.
+def _read_slot_errors(spec, params, n_max, monkeypatch) -> np.ndarray:
+    """Per node the oracle reads B_2n at, the largest error of the slots
+    B_2n sqrt(Delta) against the node solve at K = N + 4 (in 80 bits where
+    numpy has them), relative to 1 + the node's largest slot, the rule of
+    test_series_80bit."""
     us, ts, lams, values, condition = _oracle_nodes(spec, params, monkeypatch, n_max)
     N = 2 * n_max
     dtype = np.clongdouble if _HAS_80_BIT else np.complex128
@@ -727,8 +724,71 @@ def test_odd_slot_ratios_match_the_node_solve_on_the_oracle_nodes(spec, params, 
     slots = np.array([R.slot_value(1 - 2 * n) for n in range(n_max + 1)]).astype(complex)
     size = 1 + np.abs(slots).max(axis=0)
     read = condition <= voros._RATIO_CONDITION
-    err = np.abs(values * slots[0] - slots[1:]).max(axis=0) / size
-    assert np.all(err[read] <= 1e-13), np.max(err[read])
+    return (np.abs(values * slots[0] - slots[1:]).max(axis=0) / size)[read]
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+@pytest.mark.parametrize("spec, params", _CROSS_CASES, ids=_CROSS_IDS)
+def test_odd_slot_ratios_match_the_node_solve_on_the_oracle_nodes(spec, params, n_max, monkeypatch):
+    # Every slot the oracle reads from B_2n lies within 1e-13 of the node
+    # solve.  The other nodes, where OddSlotRatios.condition is above the
+    # oracle's bound, take the node solve itself.
+    err = _read_slot_errors(spec, params, n_max, monkeypatch)
+    assert np.all(err <= 1e-13), np.max(err)
+
+
+@pytest.mark.parametrize("chart_cls, spec, params", [
+    (D6Chart, *_CROSS_CASES[-3]), (D7Chart, EndpointSpec("d7", "zero_c", +1), 2 + 1j)],
+    ids=["d6-seed-4711", "d7-zero_c"])
+def test_a_table_rescaled_with_a_wrong_exponent_fails_the_node_solve_check(
+        chart_cls, spec, params, monkeypatch):
+    # One more power of the scale (c_p on D6, c on D7) on every numerator:
+    # the check above must see it on the nodes it reads.
+    right = chart_cls.numerator_scales
+
+    def wrong(chart, n, rows, cols):
+        return right(chart, n, rows, cols) * (chart.p.c_p if chart_cls is D6Chart else chart.c)
+
+    monkeypatch.setattr(chart_cls, "numerator_scales", wrong)
+    err = _read_slot_errors(spec, params, 2, monkeypatch)
+    assert len(err) and np.max(err) > 1e-13
+
+
+_HOMOGENEITY_NODES = 0.9 + 0.55j + 0.4 * np.exp(2j * np.pi * np.arange(12) / 12)
+
+
+@pytest.mark.parametrize("s", [0.6 - 1.3j, -2.1 + 0.4j])
+@pytest.mark.parametrize("params", [P_GEN, 1.3 - 0.4j], ids=["d6", "d7"])
+def test_odd_slot_ratios_are_homogeneous_in_the_parameters(params, s):
+    # The identities the family tables rest on, read off the t-jet node
+    # solve, not off a table, at n = 1..3:
+    #   D6: B_2n(u; s c_p, s c_m) = s^-2n B_2n(u; c_p, c_m),
+    #   D7: B_2n(u; c) = c^-2n B_2n(u / c; 1), here with c = s params.
+    us = _HOMOGENEITY_NODES
+    if isinstance(params, Parameters):
+        scaled = Parameters(s * params.c_inf, s * params.c_0)
+        base, at_scale = (voros._node_ratios(u_chart(p), p, us, 3) for p in (params, scaled))
+    else:
+        s = s * params
+        base, at_scale = (voros._node_ratios(u_chart(c), c, c * us, 3) for c in (1.0, s))
+    for n in range(1, 4):
+        want = s ** (-2 * n) * base[n - 1]
+        assert np.all(np.abs(at_scale[n - 1] - want) <= 2e-13 * np.abs(want)), n
+
+
+def test_the_family_table_cannot_be_corrupted_by_its_callers():
+    # Every chart of a family reads one shared table: neither the table nor
+    # the arrays odd_slot_ratios returns take a write, and a later chart's
+    # B_2n stays as it was.
+    other = Parameters(2 + 1j, 3 - 0.5j)
+    us = _HOMOGENEITY_NODES
+    before = odd_slot_ratios(other, 2)(us)
+    ratios = odd_slot_ratios(P_GEN, 2)
+    for array in (*ratios.numerators, ratios.coefficients, ratios.weights,
+                  *(a for pair in series._slot_table(D6Chart, series.D6Model, 2) for a in pair)):
+        with pytest.raises(ValueError):
+            array[..., 0] = 1.0
+    assert np.array_equal(odd_slot_ratios(other, 2)(us), before)
 
 
 @pytest.mark.parametrize("params", [P_GEN, Parameters(2 + 1j, 3 - 0.5j),
