@@ -14,16 +14,28 @@ Each u-plane chart pulls the whole many-sheeted picture back to a single
 plane where the quadratic differential q(u) du^2 has polynomial zeros; all
 Stokes tracing happens there.
 
+Each chart class states its maps lambda_0, t, dt/du and q once, as a
+constant times integer powers of u and of named polynomials in u formed
+from the parameters (``Factored``); dt/du, the turning polynomial, the
+u-jets of the eta-series solver and the family's unit-scale data for the
+odd Riccati slots (``series``) are read off it.  Hand-written beside it stay
+q, t_of_u, lambda0_of_u and phi, on whose bits the tracer and its
+references depend; the leads and residues, which a product over the
+divisor misses by up to 7e-14, enough to flip the sign of a vanishing
+imaginary part and so the labels of the Stokes rays; and the turning
+points, as eigenvalues, which a Newton polish would move.
+
 Chart maps take a scalar u or a numpy array of nodes.  Each chart also
-gives its local data in closed form: dt/du, q's (u - u_tp)^3 lead at each
-turning point (``turning_point_leads``, which fix the Stokes rays), q's
-residue at the simple pole (``simple_pole_lead``), the residues of
-sqrt(q) du at its poles (``pole_residues``), the leading terms of sqrt(q)
-at the poles of q of order 2 and 4 (``pole_leads``), and a primitive of
-sqrt(q) du (``phi``).  Read off these and the divisor of q (``divisor``),
-once per chart: the expansions of sqrt(q) at the turning points and the
-simple pole (``origin_expansions``), and the end domain of each pole of
-order 2 or 4, which no trajectory entering it leaves (``end_domains``).
+gives its local data in closed form: q's (u - u_tp)^3 lead at each turning
+point (``turning_point_leads``, which fix the Stokes rays), q's residue at
+the simple pole (``simple_pole_lead``), the residues of sqrt(q) du at its
+poles (``pole_residues``), the leading terms of sqrt(q) at the poles of q
+of order 2 and 4 (``pole_leads``), and a primitive of sqrt(q) du
+(``phi``).  Read off these and the divisor of q (``divisor``), once per
+chart: the expansions of sqrt(q) at the turning points and the simple pole
+(``origin_expansions``), and the end domain of each pole of order 2 or 4,
+which no trajectory entering it leaves (``end_domains``).  Its label maps
+are read-only, as their readers cache what they derive.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ __all__ = [
     "NearDegenerateWarning",
     "Parameters",
     "BranchPoint",
+    "Factored",
     "UChart",
     "EndDomain",
     "D6Chart",
@@ -72,6 +85,14 @@ _GENERICITY_HARD = 1e-12
 _GENERICITY_WARN = 1e-6
 
 
+def _finite(name: str, value) -> complex:
+    """value as a complex number; AlgebraError naming the parameter unless finite."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise AlgebraError(f"parameter {name} = {value} is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Parameters:
     """The parameter pair (c_inf, c_0) with the derived combinations
@@ -85,8 +106,8 @@ class Parameters:
     c_0: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "c_inf", complex(self.c_inf))
-        object.__setattr__(self, "c_0", complex(self.c_0))
+        object.__setattr__(self, "c_inf", _finite("c_inf", self.c_inf))
+        object.__setattr__(self, "c_0", _finite("c_0", self.c_0))
         s = max(abs(self.c_inf), abs(self.c_0))
         if s == 0:
             raise DegenerateParametersError("c_inf = c_0 = 0")
@@ -162,53 +183,116 @@ def _branches(t, coeffs_of, what: str) -> list[BranchPoint]:
 # u-plane charts
 # ---------------------------------------------------------------------------
 
+class Factored:
+    """A chart map stated once: const prod_f f(u)^e over the {f: e} of
+    ``powers``, f a polynomial factor of the chart class (``UChart.factors``)
+    or "u", u itself.  Maps multiply, divide and take integer powers."""
+
+    def __init__(self, const, **powers):
+        self.const, self.powers = const, MappingProxyType({f: e for f, e in powers.items() if e})
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        powers = {f: self.powers.get(f, 0) + other.powers.get(f, 0)
+                  for f in {**self.powers, **other.powers}}
+        return Factored(self.const * other.const, **powers)
+
+    def __pow__(self, k: int) -> "Factored":
+        return Factored(self.const ** k, **{f: k * e for f, e in self.powers.items()})
+
+    def __truediv__(self, other: "Factored") -> "Factored":
+        return self * other ** -1
+
+    def value(self, factors: dict, u):
+        """The map at u, each of the chart's ``factors`` by Horner's rule."""
+        out = self.const
+        for f, e in self.powers.items():
+            x = u if f == "u" else reduce(lambda acc, c: acc * u + c, reversed(factors[f]))
+            x = x ** abs(e) if abs(e) > 1 else x          # numpy's x ** 1 is no free copy
+            out = out * x if e > 0 else out / x
+        return out
+
+    def polynomials(self, factors: dict, sign: int) -> list:
+        """The factors with powers of this sign, each as often as its power
+        and u as (0, 1): coefficient lists from u^0 up."""
+        return [(0, 1) if f == "u" else factors[f]
+                for f, e in self.powers.items() for _ in range(sign * e)]
+
+    def expand(self, factors: dict) -> tuple:
+        """(N, j), the map being u^j N(u), N from u^0 up: for a map whose
+        factors other than u have positive powers."""
+        polys = [factors[f] for f, e in self.powers.items() if f != "u" for _ in range(e)]
+        return reduce(np.convolve, polys, [self.const]), self.powers.get("u", 0)
+
+
 class UChart:
     """Shared structure of the u-plane uniformization: positions of the
     distinguished points and the quadratic differential q(u) with q du^2
-    equal to Delta dt^2.  Concrete charts implement the rational maps and
-    carry everything in which the two equations differ, so the tracer and
-    the oracle run one code path for both."""
+    equal to Delta dt^2.  Concrete charts declare the rational maps, write
+    q, t_of_u and lambda0_of_u out by hand, and carry everything in which
+    the two equations differ, so the tracer and the oracle run one code
+    path for both."""
 
     equation: str                 # "d6" | "d7"
     escape_label: str             # terminus of a curve running off to u = infinity
+
+    # Declared per class over the polynomials ``factors(*args)``, "T" the turning
+    # polynomial, args the parameters (D6: c_inf, c_0; D7: c) or ``unit_args``:
+    lambda0_map: Factored
+    t_map: Factored
+    dt_du_map: Factored
+    q_map: Factored
+    unit_args: tuple
 
     # Concrete classes set these (in __init__ where they vary):
     turning_points_u: tuple
     simple_pole_u: complex
     simple_pole_lead: complex     # q ~ simple_pole_lead / (u - simple_pole_u)
-    double_poles_u: dict          # label -> u position
-    finite_infinities_u: dict     # label -> u position of a t = infinity branch (u = 0)
-    pole_residues: dict           # terminus label -> residue of sqrt(q) du there (up
-                                  # to sign); the escape label stands for u = infinity
-    pole_leads: dict              # terminus label -> lead of sqrt(q) ~ lead (u - pole)^(-k)
+    double_poles_u: MappingProxyType       # label -> u position
+    finite_infinities_u: MappingProxyType  # label -> u of a t = infinity branch (u = 0)
+    pole_residues: MappingProxyType  # terminus label -> residue of sqrt(q) du there (up
+                                     # to sign); the escape label stands for u = infinity
+    pole_leads: MappingProxyType  # terminus label -> lead of sqrt(q) ~ lead (u - pole)^(-k)
                                   # at a pole of q of order 2k (up to sign; at u = infinity
                                   # sqrt(q) ~ lead); a double pole's lead is its residue
     arc_scale: float              # arc budget per unit of the tracer's budget factor
-    turning_polynomial: np.ndarray  # T(u), from u^0 up: its roots are the turning points
-    # ``series.odd_slot_ratios`` builds its family table from these, at unit
-    # scale, with rows the powers of u from u^lo (u^0 without lo) and columns
-    # those of the free ratio, and rescales it per chart (``numerator_scales``).
-    unit_lambda0: tuple           # (lambda_0(u), lo)
-    unit_t_over_lambda0: tuple    # (t(u) / lambda_0(u), lo)
-    unit_theta: tuple             # (h(u), lo), t / t'(u) = (u - simple_pole_u) h(u) / T(u)
-    unit_turning: tuple           # T(u)
-    unit_double_poles: tuple      # monic in u: its roots are the double poles
-    delta_power: int              # a with t^2 Delta = u^a (u - simple_pole_u) T(u)
 
-    def t_of_u(self, u):
-        raise NotImplementedError
-
-    def lambda0_of_u(self, u):
-        raise NotImplementedError
-
-    def q(self, u):
-        raise NotImplementedError
+    def __init__(self, *args):
+        self._factors = self.factors(*args)
+        self.turning_polynomial = np.array(self._factors["T"])    # from u^0 up, read-only
+        self.turning_polynomial.setflags(write=False)
 
     def dt_du(self, u):
-        raise NotImplementedError
+        return self.dt_du_map.value(self._factors, u)
 
     def q_leading(self, u_tp: complex) -> complex:
         raise NotImplementedError
+
+    @classmethod
+    def lambda0_u_jets(cls, args, jets, lam) -> tuple:
+        """The u-jets of dlambda0/du and 1/t'(u), of order K - 1 in v = u - u0,
+        at u0 = ``u_of`` (t0, lam), t0 the base points of the DenseJets
+        ``jets`` and lam (shape (1, *batch)) roots of the leading equation:
+        read off the declared maps at the parameters ``args`` in the base
+        points' number type.  dlambda0/du is a Laurent polynomial: Horner
+        steps for its powers u^j >= 0, the binomial series of (u0 + v)^j for
+        j < 0; 1/t'(u) is one division of the jets of t''s factors."""
+        factors = cls.factors(*(np.asarray(a, jets.dtype) for a in args))
+        u, K = cls.u_of(factors, jets.t0[None], lam), jets.K
+        num, lo = cls.lambda0_map.expand(factors)
+        terms = {lo + i - 1: (lo + i) * c for i, c in enumerate(num) if lo + i}
+        dlam = _product_jet(1, [[terms.get(j, 0) for j in range(max(terms) + 1)]], u, K)
+        for j, c in terms.items():
+            if j < 0:
+                # (-1)^k u0^(j - k).  np.cumprod rounds a run of two rows with other
+                # bits than a longer run; three or more give each row the same bits.
+                geo = np.empty((max(K, 3),) + u.shape[1:], u.dtype)
+                geo[:1], geo[1:] = (1 / u) ** -j, -1 / u
+                binomial = np.reshape([math.comb(k - j - 1, k) for k in range(K)],
+                                      (-1,) + (1,) * (u.ndim - 1))
+                dlam += c * binomial * np.cumprod(geo, axis=0, out=geo)[:K]
+        dt = cls.dt_du_map
+        return dlam, jets.divide(_product_jet(1 / dt.const, dt.polynomials(factors, -1), u, K),
+                                 _product_jet(1, dt.polynomials(factors, 1), u, K))
 
     def phi(self, u: complex, sq: complex, logs: tuple) -> tuple:
         """(Phi(u), its logarithms): Phi a primitive of sqrt(q) du on the
@@ -416,13 +500,7 @@ def _arg_bound_radius(kappa: float, terms, target: float) -> float:
 
 
 class D6Chart(UChart):
-    """u-plane chart of the D6 equation.
-
-    u = (1 - mu0)/mu0, so mu0 = 1/(1+u), and
-
-        lambda0(u) = (u+1)(c_p u + c_m)/(2u)
-        t(u)       = (u+1)^2 (c_p^2 u^2 - c_m^2)/(4 u^2)
-        q(u)       = 4 (c_p^2 u^3 + c_m^2)^3 / ((u+1) u^4 (c_p^2 u^2 - c_m^2)^2)
+    """u-plane chart of the D6 equation, u = (1 - mu0)/mu0, so mu0 = 1/(1+u).
 
     Distinguished points: three order-3 zeros of q (turning points), the
     simple pole u = -1 (the simple-pole branch over t = 0), double poles
@@ -435,32 +513,39 @@ class D6Chart(UChart):
     escape_label = "inf12"
     simple_pole_u = -1.0 + 0j
     finite_infinities_u = MappingProxyType({"inf34": 0j})
-    # At c_p = 1, columns powers of c_m: lambda_0 = (u + 1)(u + c_m) / (2u), t /
-    # lambda_0 = (u + 1)(u - c_m) / (2u), t / t' = (u + 1) u (u^2 - c_m^2) /
-    # (2T), T = u^3 + c_m^2, t^2 Delta = (u + 1) T / u^2, double poles +/- c_m.
-    unit_lambda0 = (((0, 0.5), (0.5, 0.5), (0.5, 0)), -1)
-    unit_t_over_lambda0 = (((0, -0.5), (0.5, -0.5), (0.5, 0)), -1)
-    unit_theta = (((0, 0, -0.5), (0, 0, 0), (0.5, 0, 0)), 1)
-    unit_turning = ((0, 0, 1), (0, 0, 0), (0, 0, 0), (1, 0, 0))
-    unit_double_poles = ((0, 0, -1), (0, 0, 0), (1, 0, 0))
-    delta_power = -2
+    lambda0_map = Factored(0.5, s=1, b=1, u=-1)
+    t_map = Factored(0.25, s=2, a=1, b=1, u=-2)
+    dt_du_map = Factored(0.5, s=1, T=1, u=-3)
+    q_map = Factored(4, T=3, s=-1, a=-2, b=-2, u=-4)
+    unit_args = tuple(np.polynomial.Polynomial([1, s]) for s in (1, -1))   # c_p = 1, c_m = X
+
+    @staticmethod
+    def factors(c_inf, c_0) -> dict:
+        cp, cm = (c_inf + c_0) / 2, (c_inf - c_0) / 2
+        return {"s": (1, 1), "a": (-cm, cp), "b": (cm, cp), "T": (cm ** 2, 0, 0, cp ** 2)}
+
+    @classmethod
+    def u_of(cls, factors, t, lam):
+        """c_m lam / (lam^2 - t - c_m lam), then two Newton steps on t(u) = t."""
+        cm = factors["b"][0]                     # b = c_p u + c_m
+        u = cm * lam / (lam * lam - t - cm * lam)
+        for _ in range(2):
+            u = u - (cls.t_map.value(factors, u) - t) / cls.dt_du_map.value(factors, u)
+        return u
 
     def __init__(self, p: Parameters):
+        super().__init__(p.c_inf, p.c_0)
         self.p = p
         cp, cm = p.c_p, p.c_m
         cp2, cm2 = cp ** 2, cm ** 2
-        self.turning_polynomial = np.array([cm2, 0, 0, cp2])
         self.turning_points_u = tuple(poly_roots(self.turning_polynomial))
         self.simple_pole_lead = -4 * p.c_inf * p.c_0
-        self.double_poles_u = {
-            "zero_cinf": cm / cp,
-            "zero_c0": -cm / cp,
-        }
-        self.pole_residues = {"inf12": p.c_p, "inf34": p.c_m,
-                              "zero_cinf": p.c_inf, "zero_c0": p.c_0}
+        self.double_poles_u = MappingProxyType({"zero_cinf": cm / cp, "zero_c0": -cm / cp})
+        self.pole_residues = MappingProxyType({"inf12": p.c_p, "inf34": p.c_m,
+                                               "zero_cinf": p.c_inf, "zero_c0": p.c_0})
         # q -> 4 c_p^2 at u = infinity, q ~ 4 c_m^2 / u^4 at u = 0.
-        self.pole_leads = {"inf12": 2 * cp, "inf34": 2 * cm,
-                           "zero_cinf": p.c_inf, "zero_c0": p.c_0}
+        self.pole_leads = MappingProxyType({"inf12": 2 * cp, "inf34": 2 * cm,
+                                            "zero_cinf": p.c_inf, "zero_c0": p.c_0})
         # At least scale/5, so a budget of 200 outlasts the tracer's fallback
         # escape radius of 25 scales.
         self.arc_scale = max(1.0, abs(cp), self.scale / 5)
@@ -488,9 +573,6 @@ class D6Chart(UChart):
         num = cp2 * (u * uu) + cm2
         w = cp2 * u * u - cm2
         return 4 * (num * (num * num)) / ((u + 1) * (uu * uu) * (w * w))
-
-    def dt_du(self, u):
-        return (u + 1) * (self._cp2 * u ** 3 + self._cm2) / (2 * u ** 3)
 
     def q_leading(self, u_tp):
         den = (u_tp + 1) * u_tp ** 4 * (self._cp2 * u_tp ** 2 - self._cm2) ** 2
@@ -522,51 +604,11 @@ class D6Chart(UChart):
         p = self.p
         return {"c_inf": [p.c_inf.real, p.c_inf.imag], "c_0": [p.c_0.real, p.c_0.imag]}
 
-    @staticmethod
-    def lambda0_u_jets(p: Parameters, jets, lam) -> tuple:
-        """The u-jets of dlambda0/du and of 1/t'(u), of order K - 1 in
-        v = u - u0, at the chart points u0 of (t0, lam): the base points t0
-        of the DenseJets ``jets`` and the roots lam (shape (1, *batch)) of
-        the quartic there.  u0 = c_m lam / (lam^2 - t0 - c_m lam), then two
-        Newton steps on t(u) = t0.  No chart is built: c_p and c_m are
-        formed here, in the base points' number type.
-
-            dlambda0/du = c_p/2 - (c_m/2) / u^2
-            1/t'(u)     = 2 u^3 / ((u + 1) (c_p^2 u^3 + c_m^2))"""
-        c_inf, c_0 = np.asarray(p.c_inf, jets.dtype), np.asarray(p.c_0, jets.dtype)
-        cp, cm = (c_inf + c_0) / 2, (c_inf - c_0) / 2
-        cp2, cm2 = cp * cp, cm * cm
-        t = jets.t0[None]
-        u = cm * lam / (lam * lam - t - cm * lam)
-        for _ in range(2):
-            uu, w = u * u, u + 1
-            t_u = w * w * (cp * u - cm) * (cp * u + cm) / (4 * uu)
-            u = u - (t_u - t) / (w * (cp2 * uu * u + cm2) / (2 * uu * u))
-        K = jets.K
-        inv = 1 / u
-        # (-1)^k / u^(k+2).  np.cumprod rounds a run of two rows with other
-        # bits than a longer run; three rows or more give each row the same
-        # bits whatever K.
-        geo = np.empty((max(K, 3),) + u.shape[1:], u.dtype)
-        geo[:1], geo[1:] = inv * inv, -inv
-        geo = np.cumprod(geo, axis=0, out=geo)[:K]
-        dlam = (-cm / 2) * np.arange(1, K + 1).reshape((-1,) + (1,) * (geo.ndim - 1)) * geo
-        dlam[:1] += cp / 2
-        cube = _linear_factors_jet(K, u, u, u)
-        cubic = cp2 * cube
-        cubic[:1] += cm2
-        return dlam, jets.divide(2 * cube, _times_linear(cubic, u + 1))
-
 
 class D7Chart(UChart):
-    """u-plane chart of the degenerate (D7) equation.
-
-    The leading equation is the cubic 2 lambda0^3 - c t lambda0 + t^2 = 0;
-    with mu0 = (c lambda0 - t)/(2 lambda0^2) and u = 1/mu0:
-
-        lambda0(u) = u (c - u)/2
-        t(u)       = u^2 (c - u)/2
-        q(u)       = (3u - 2c)^3 / (u (u - c)^2)
+    """u-plane chart of the degenerate (D7) equation, whose leading equation
+    is the cubic 2 lambda0^3 - c t lambda0 + t^2 = 0: u = 1/mu0, mu0 =
+    (c lambda0 - t)/(2 lambda0^2).
 
     One turning point u = 2c/3, simple pole u = 0, double pole u = c; all
     three branches over t = infinity meet the single order-structure at
@@ -577,27 +619,32 @@ class D7Chart(UChart):
     escape_label = "escaped"
     simple_pole_u = 0j
     finite_infinities_u = MappingProxyType({})
-    # At c = 1: T = 3u - 2, lambda_0 = u (1 - u) / 2, t / lambda_0 = u, t / t'
-    # = u (u - 1) / T, t^2 Delta = u T, and the double pole is u = 1.
-    unit_lambda0 = (((0.5,), (-0.5,)), 1)
-    unit_t_over_lambda0 = (((1,),), 1)
-    unit_theta = (((-1,), (1,)), 0)
-    unit_turning = ((-2,), (3,))
-    unit_double_poles = ((-1,), (1,))
-    delta_power = 0
+    lambda0_map = Factored(-0.5, u=1, d=1)
+    t_map = Factored(-0.5, u=2, d=1)
+    dt_du_map = Factored(-0.5, u=1, T=1)
+    q_map = Factored(1, T=3, u=-1, d=-2)
+    unit_args = (1.0,)                            # c = 1
+
+    @staticmethod
+    def factors(c) -> dict:
+        return {"d": (-c, 1), "T": (-2 * c, 3)}
+
+    @staticmethod
+    def u_of(factors, t, lam):
+        return t / lam
 
     def __init__(self, c: complex):
-        c = complex(c)
+        c = _finite("c", c)
         if abs(c) <= 1e-12:
             raise DegenerateParametersError("D7 requires c != 0")
+        super().__init__(c)
         self.c = c
         self.turning_points_u = (2 * c / 3,)
         self.simple_pole_lead = -8 * c
-        self.double_poles_u = {"zero_c": c}
-        self.pole_residues = {"escaped": 0j, "zero_c": c}
-        self.pole_leads = {"escaped": math.sqrt(27) + 0j, "zero_c": c}
+        self.double_poles_u = MappingProxyType({"zero_c": c})
+        self.pole_residues = MappingProxyType({"escaped": 0j, "zero_c": c})
+        self.pole_leads = MappingProxyType({"escaped": math.sqrt(27) + 0j, "zero_c": c})
         self.arc_scale = max(1.0, abs(c))
-        self.turning_polynomial = np.array([-2 * c, 3])
 
     def numerator_scales(self, n, rows, cols):
         """c^(4n - 1 - j) for row j: M_n(u; c) = c^(4n - 1) M_n(u / c; 1)."""
@@ -612,9 +659,6 @@ class D7Chart(UChart):
     def q(self, u):
         a, b = 3 * u - 2 * self.c, u - self.c
         return a * (a * a) / (u * (b * b))
-
-    def dt_du(self, u):
-        return u * (2 * self.c - 3 * u) / 2
 
     def q_leading(self, u_tp):
         return 27 / (u_tp * (u_tp - self.c) ** 2)
@@ -633,28 +677,23 @@ class D7Chart(UChart):
     def parameter_dict(self) -> dict:
         return {"c": [self.c.real, self.c.imag]}
 
-    @staticmethod
-    def lambda0_u_jets(c, jets, lam) -> tuple:
-        """``D6Chart.lambda0_u_jets`` for the cubic, at u0 = t0/lam:
 
-            dlambda0/du = (c - 2u)/2
-            1/t'(u)     = 2 / (u (2c - 3u))"""
-        c = np.asarray(c, jets.dtype)
-        u = jets.t0[None] / lam
-        K = jets.K
-        dlam = np.zeros((K,) + u.shape[1:], u.dtype)       # K >= 1: no u-term for K = 1
-        dlam[:1], dlam[1:2] = (c - 2 * u) / 2, -1
-        return dlam, jets.divide(jets.constant(2)[:K],
-                                     _times_linear(_linear_factors_jet(K, u), 2 * c - 3 * u, -3))
-
-
-def _linear_factors_jet(K: int, *roots):
-    """The jet of order K - 1 in v of the product of the factors u + v, one
-    per u in ``roots`` (arrays of shape (1, *batch))."""
-    out = np.zeros((K,) + roots[0].shape[1:], roots[0].dtype)
-    out[0] = 1
-    for u in roots:
-        out = _times_linear(out, u)
+def _product_jet(const, polys, u, K: int):
+    """The jet of order K - 1 in v of const prod_p p(u + v), the p of
+    ``polys`` coefficient lists from u^0 up, at the points u (shape
+    (1, *batch)).  A linear factor multiplies by its value at u plus its
+    slope times v, so the jet keeps the digits of a factor near its root;
+    any other by Horner's rule."""
+    out = np.zeros((K,) + u.shape[1:], u.dtype)
+    out[0] = const
+    for p in polys:
+        if len(p) == 2:
+            out = _times_linear(out, p[0] + p[1] * u, p[1])
+            continue
+        acc = p[-1] * out
+        for c in p[-2::-1]:
+            acc = _times_linear(acc, u) + c * out
+        out = acc
     return out
 
 

@@ -33,7 +33,7 @@ as independent checks: no solver calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .algebra import (
     BranchPoint,
     D6Chart,
     D7Chart,
+    Factored,
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
@@ -258,6 +259,8 @@ class D6Model:
     shift_0: int = 0
     #: lam_poly's eta^0 terms (d, a, p) at c_p = 1, a in powers of c_m (c_0 = 1 - c_m).
     unit_lam_poly = ((4, (1.0,), 0), (3, (-1.0, -1.0), 0), (1, (1.0, -1.0), 1), (0, (-1.0,), 2))
+    chart = D6Chart       # its maps give lambda_0's jets, at these parameters:
+    chart_args = property(lambda self: (self.p.c_inf, self.p.c_0))
 
     @property
     def shifted(self) -> bool:
@@ -265,11 +268,6 @@ class D6Model:
 
     def branches(self, t):
         return lambda0_branches(t, self.p)
-
-    def lambda0_u_jets(self, jets: DenseJets, lam) -> tuple:
-        """The u-jets of dlambda_0/du and 1/t'(u) at the roots lam of the
-        leading equation over the base points (``D6Chart.lambda0_u_jets``)."""
-        return D6Chart.lambda0_u_jets(self.p, jets, lam)
 
     def lam_poly(self) -> tuple:
         """lam t^2 F(lam) = lam^4 - c_inf lam^3 + c_0 t lam - t^2 as terms
@@ -345,6 +343,8 @@ class D7Model:
     shift: int = 0
     #: lam_poly's eta^0 terms at c = 1, like ``D6Model.unit_lam_poly``.
     unit_lam_poly = ((3, (-2.0,), 0), (1, (1.0,), 1), (0, (-1.0,), 2))
+    chart = D7Chart
+    chart_args = property(lambda self: (self.c,))
 
     @property
     def shifted(self) -> bool:
@@ -352,9 +352,6 @@ class D7Model:
 
     def branches(self, t):
         return d7_lambda0_branches(t, self.c)
-
-    def lambda0_u_jets(self, jets: DenseJets, lam) -> tuple:
-        return D7Chart.lambda0_u_jets(self.c, jets, lam)
 
     def lam_poly(self) -> tuple:
         """lam t^2 F(lam) = -2 lam^3 + c t lam - t^2 as (d, e, a, p) terms."""
@@ -477,7 +474,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     t-derivatives come from the model's u-chart, on which lambda_0 and t
     are rational in u: with D = (1/t'(u)) d/du, the chain rule gives
     lambda_k = (D^k lambda_0)(u_0)/k!, K products of falling order of the
-    u-jets of dlambda_0/du and 1/t'(u) at the chart point u_0 of the node."""
+    u-jets of dlambda_0/du and 1/t'(u) at u_0 (``UChart.lambda0_u_jets``)."""
     coeff = jets.zeros(1 + max(d for d, *_ in model.lam_poly()))
     for d, e, a, p in model.lam_poly():
         if e == 0:
@@ -522,7 +519,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
             f"term at node {node}, t0={np.ravel(jets.t0)[node]}: "
             "too close to a turning point")
     K = jets.K
-    dlam, inv_dt = model.lambda0_u_jets(jets, lam)
+    dlam, inv_dt = model.chart.lambda0_u_jets(model.chart_args, jets, lam)
     kfac = np.arange(1, K + 1).reshape((-1,) + (1,) * len(jets.batch))
     out = jets.zeros()
     out[:1] = lam
@@ -816,9 +813,10 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 #
 # This runs once per family and n_max (_slot_table), at unit scale, on arrays
 # with rows powers of u and columns powers of the family's free ratio (D6: c_p
-# = 1, columns c_m; D7: c = 1, one column).  B_2n is homogeneous and even in
-# c_m (c_inf <-> c_0 maps lambda to t / lambda), so a chart evaluates the
-# table at (c_m / c_p)^2 and rescales it (``numerator_scales`` of the charts).
+# = 1, columns c_m; D7: c = 1, one column), from the charts' declared maps
+# (``_unit_laurent``).  B_2n is homogeneous and even in c_m (c_inf <-> c_0
+# maps lambda to t / lambda), so a chart evaluates the table at (c_m / c_p)^2
+# and rescales it (``numerator_scales`` of the charts).
 
 
 def _mul(x, y):
@@ -854,18 +852,30 @@ def _divide(c, z):
     return q, np.abs(rem).sum() / max(np.abs(c).sum(), 1e-300)
 
 
+def _unit_laurent(chart_cls, m) -> tuple:
+    """(c, lo) of the declared map m, with no negative power but of u, at unit
+    scale: c[i, k] the coefficient of u^(lo+i) ratio^k."""
+    num, lo = m.expand(chart_cls.factors(*chart_cls.unit_args))
+    cols = [np.atleast_1d(getattr(c, "coef", c)) for c in num]
+    return np.array([np.pad(c, (0, max(map(len, cols)) - len(c))) for c in cols], float), lo
+
+
 class _FamilyRationals:
     """Exact arithmetic, at unit scale, on the rational functions of a
     family's u-chart with poles at u = 0, at the simple pole u_s and at the
     zeros of T only: each is a tuple (c, lo, s, g) for L(u) (u - u_s)^s
     T(u)^g, L = sum_ik c[i, k] u^(lo+i) ratio^k.  A sum brings its terms to
     the smallest s and g; theta = (t / t'(u)) d/du = (u - u_s) h(u) / T(u)
-    d/du maps the family into itself."""
+    d/du maps the family into itself.  u - u_s, the double poles and T are
+    q's factors of power -1, -2 and 3, t^2 Delta = t^2 q / t'^2 = u^a (u - u_s) T."""
 
     def __init__(self, chart_cls):
-        self.a = chart_cls.delta_power
-        self.h = np.array(chart_cls.unit_theta[0], float), chart_cls.unit_theta[1]
-        T = np.array(chart_cls.unit_turning, float)
+        t, dt, q = chart_cls.t_map, chart_cls.dt_du_map, chart_cls.q_map
+        f, double, T = (Factored(1, **{name: 1 for name, e in q.powers.items() if e == k})
+                        for k in (-1, -2, 3))
+        self.a = (t * t * q / (dt * dt * f * T)).powers.get("u", 0)
+        self.h = _unit_laurent(chart_cls, t / dt / f * T)
+        self.double_poles, T = (_unit_laurent(chart_cls, m)[0] for m in (double, T))
         # The unit-scale data are real.
         self.base = {"f": np.array([[-chart_cls.simple_pole_u.real], [1.0]]), "T": T}
         self.f_dT = _mul(self.base["f"], T[1:] * np.arange(1, len(T))[:, None])
@@ -1018,17 +1028,12 @@ def odd_slot_ratios(params, n_max: int = 2, chart=None) -> OddSlotRatios:
 @lru_cache(maxsize=None)
 def _slot_table(chart_cls, model_cls, n_max: int) -> tuple:
     """Per n, (P, |P|), read-only: P[j, k] is the coefficient of u^j
-    ratio^(2k) in M_n at unit scale, from the classes' unit data."""
+    ratio^(2k) in M_n at unit scale, from the classes' declared maps."""
     A = _FamilyRationals(chart_cls)
-    lam0, ratio = chart_cls.unit_lambda0, chart_cls.unit_t_over_lambda0
-
-    def laurent_power(base, k):
-        return reduce(_mul, [np.array(base[0], float)] * k, np.ones((1, 1))), k * base[1]
-
     m, dm = {}, []
     for d, a, p in model_cls.unit_lam_poly:
-        (c1, l1), (c2, l2) = laurent_power(ratio, p), laurent_power(lam0, d - 2 + p)
-        term = A.laurent(_mul(np.array([a]), _mul(c1, c2)), l1 + l2)
+        c, lo = _unit_laurent(chart_cls, chart_cls.lambda0_map ** (d - 2) * chart_cls.t_map ** p)
+        term = A.laurent(_mul(np.array([a]), c), lo)
         m.setdefault(d - 2, []).append(term)
         dm.append(A.scale(term, p))
     m = {j: A.add(*terms) for j, terms in m.items()}
@@ -1081,7 +1086,7 @@ def _numerator(A, chart_cls, b, n: int) -> np.ndarray:
     low = 2 * n * len(chart_cls.finite_infinities_u)
     c, lo = _laurent_sum([(c, lo), (np.zeros((deg + 1, 1)), 0)])
     stray = np.abs(np.concatenate([c[:low - lo], c[deg + 1 - lo:]])).max(initial=0.0)
-    q, residual = _divide(c[low - lo:deg + 1 - lo], np.array(chart_cls.unit_double_poles, float))
+    q, residual = _divide(c[low - lo:deg + 1 - lo], A.double_poles)
     worst = max(residual, max(stray, np.abs(q[:, 1::2]).max(initial=0.0)) / np.abs(q).max())
     if worst > _DEFLATION_GATE:
         raise ConditioningError(f"B_{2 * n} lacks a zero of its structure (residual {worst:.1e})")

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BranchPoint, u_chart
+from .algebra import BranchPoint, _finite, u_chart
 from .numerics import LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
 from .series import (D6Model, D7Model, lowest_jet_order, model_for, odd_slot_ratios,
                      riccati_solution, zero_param_solution)
@@ -185,7 +185,7 @@ def cycle_symbolic() -> dict:
 
 
 def _variable_value(var: str, params) -> complex:
-    return complex(params) if var == "c" else getattr(params, var)
+    return _finite("c", params) if var == "c" else getattr(params, var)
 
 
 def voros_closed_form(spec: EndpointSpec, params, n_max: int = 6) -> dict:
@@ -677,16 +677,15 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     # to 2: their moduli sum to the panel's length.
     panel_len = np.abs(leg_wts).reshape(-1, 16).sum(axis=1)
 
-    # B_2n on every node, a w-chart node read in w; R_{-1} = sqrt(Delta),
-    # Delta = q / t'(u)^2, on the principal branch per node.
+    # B_2n on every node: the circle and the u-leg in u, then the w-leg,
+    # whose nodes come last, in w; R_{-1} = sqrt(Delta), Delta = q / t'(u)^2,
+    # on the principal branch per node.
     ratios = odd_slot_ratios(params, n_max, chart)
-    us = np.concatenate([turn, leg_x])
-    us[M:][in_w] = 1 / leg_x[in_w]
-    b, cond = np.empty((n_max, len(us)), complex), np.empty(len(us))
-    for rows, x, inverted in ((slice(0, M), turn, False),
-                              (M + np.flatnonzero(~in_w), leg_x[~in_w], False),
-                              (M + np.flatnonzero(in_w), leg_x[in_w], True)):
-        b[:, rows], cond[rows] = ratios.evaluate(x, inverted)
+    xs = np.concatenate([turn, leg_x])
+    k = M + np.count_nonzero(~in_w)
+    us = np.concatenate([xs[:k], 1 / xs[k:]])
+    b, cond = (np.concatenate(parts, axis=-1) for parts in zip(
+        ratios.evaluate(xs[:k]), ratios.evaluate(xs[k:], True)))
     ill = cond > _RATIO_CONDITION
     if np.any(ill):
         b[:, ill] = _node_ratios(chart, params, us[ill], n_max)

@@ -1,9 +1,10 @@
 """The chart's turning points in the (t, lambda0) plane, for the tests that
 place base points at or beside them; the leading terms Delta and mu0 of
 the D6 series at a branch point, for the tests that check the solvers and
-the chart against them; and the expansion of sqrt(q) at an origin by the
+the chart against them; the expansion of sqrt(q) at an origin by the
 recursion on its logarithmic derivative, for the test that checks the
-chart's binomial products against it."""
+chart's binomial products against it; and the families' unit-scale data,
+typed out by hand, for the test that reads them off the declared maps."""
 
 from p3wkb.algebra import AlgebraError, BranchPoint, Parameters, u_chart
 
@@ -55,3 +56,25 @@ def recursive_origin_series(chart, u0: complex, terms: int) -> list:
             acc += ck * gk
         g.append(acc / n)
     return g
+
+
+#: Per family, at unit scale (D6: c_p = 1, columns the powers of c_m; D7: c
+#: = 1), as (rows, lo) with rows the powers of u from u^lo, or as rows from
+#: u^0: lambda_0; t / lambda_0 = (u + 1)(u - c_m) / (2u) on D6, u on D7; h
+#: with t / t'(u) = (u - u_s) h(u) / T(u); T, u^3 + c_m^2 and 3u - 2; the
+#: monic polynomial of the double poles, u^2 - c_m^2 and u - 1; and a with
+#: t^2 Delta = u^a (u - u_s) T(u).
+UNIT_DATA = {
+    "d6": {"lambda0": (((0, 0.5), (0.5, 0.5), (0.5, 0)), -1),
+           "t_over_lambda0": (((0, -0.5), (0.5, -0.5), (0.5, 0)), -1),
+           "theta": (((0, 0, -0.5), (0, 0, 0), (0.5, 0, 0)), 1),
+           "turning": ((0, 0, 1), (0, 0, 0), (0, 0, 0), (1, 0, 0)),
+           "double_poles": ((0, 0, -1), (0, 0, 0), (1, 0, 0)),
+           "delta_power": -2},
+    "d7": {"lambda0": (((0.5,), (-0.5,)), 1),
+           "t_over_lambda0": (((1,),), 1),
+           "theta": (((-1,), (1,)), 0),
+           "turning": ((-2,), (3,)),
+           "double_poles": ((-1,), (1,)),
+           "delta_power": 0},
+}

@@ -20,7 +20,7 @@ from p3wkb.algebra import (
     u_chart,
 )
 from p3wkb.geometry import START_FRACTION, emanation_directions
-from p3wkb.numerics import Jet
+from p3wkb.numerics import Jet, poly_roots
 
 from asymptotics_reference import _classify_branch, phi_primitive
 from chart_reference import delta, mu0, recursive_origin_series, turning_points
@@ -66,6 +66,23 @@ def test_degenerate_parameters_rejected(c_inf, c_0):
 def test_near_degenerate_parameters_warn():
     with pytest.warns(NearDegenerateWarning):
         Parameters(2, 2 + 1e-8)
+
+
+NON_FINITE = [float("nan"), float("inf"), complex(1, float("nan")), complex(float("-inf"), 1)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("slot", ["c_inf", "c_0"])
+def test_non_finite_parameters_are_refused_by_name(slot, bad):
+    with pytest.raises(AlgebraError, match=f"parameter {slot} = "):
+        Parameters(**{"c_inf": 2 + 1j, "c_0": 3, slot: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_d7_parameter_is_refused_by_name(bad):
+    for build in (D7Chart, u_chart):
+        with pytest.raises(AlgebraError, match="parameter c = "):
+            build(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +369,62 @@ def test_d7_distinguished_points():
 def test_d7_rejects_zero_parameter():
     with pytest.raises(DegenerateParametersError):
         D7Chart(0)
+
+
+_DECLARED = [(D6Chart(P_GEN), (P_GEN.c_inf, P_GEN.c_0)), (D6Chart(P_ALT), (P_ALT.c_inf, P_ALT.c_0)),
+             (D7Chart(2 + 1j), (2 + 1j,)), (D7Chart(-0.7 + 1.3j), (-0.7 + 1.3j,))]
+_DECLARED_IDS = ["d6", "d6-alt", "d7", "d7-alt"]
+
+
+@pytest.mark.parametrize("chart, args", _DECLARED, ids=_DECLARED_IDS)
+def test_hand_written_maps_match_the_declared_maps(chart, args):
+    # q, t_of_u and lambda0_of_u are written out by hand for their bits;
+    # dt_du is the declaration's.  All four within 1e-14 of the declared
+    # products, on node arrays and on scalars.
+    cls = type(chart)
+    factors = cls.factors(*args)
+    rng = np.random.default_rng(20130316)
+    us = chart.scale * (rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50))
+    for name, declared in (("t_of_u", cls.t_map), ("lambda0_of_u", cls.lambda0_map),
+                           ("q", cls.q_map), ("dt_du", cls.dt_du_map)):
+        want = declared.value(factors, us)
+        assert np.all(np.abs(getattr(chart, name)(us) - want) <= 1e-14 * np.abs(want)), name
+        for u, w in zip(us.tolist(), want.tolist()):
+            assert abs(getattr(chart, name)(u) - w) <= 1e-14 * abs(w), name
+
+
+@pytest.mark.parametrize("chart, args", _DECLARED, ids=_DECLARED_IDS)
+def test_declared_q_has_the_orders_of_the_divisor(chart, args):
+    # q's power of each factor is the order of the divisor at its roots: 3 at
+    # each root of T, -1 at the simple pole, -2 at the double poles, -4 at
+    # D6's u = 0 (D7's u = 0 is its simple pole).
+    factors = type(chart).factors(*args)
+    declared = [(root, e) for f, e in type(chart).q_map.powers.items()
+                for root in ([0j] if f == "u" else poly_roots(factors[f]))]
+    assert len(declared) == len(chart.divisor)
+    for z, order in chart.divisor:
+        assert [e for root, e in declared if chart.same_point(root, z)] == [order], z
+
+
+@pytest.mark.parametrize("params", [P_GEN, P_ALT, 2 + 1j, -0.7 + 1.3j])
+def test_turning_polynomial_is_its_closed_form_bit_for_bit(params):
+    # The polynomial poly_roots takes the turning points from.
+    if isinstance(params, Parameters):
+        want = np.array([params.c_m ** 2, 0, 0, params.c_p ** 2])
+    else:
+        want = np.array([-2 * params, 3], complex)
+    assert u_chart(params).turning_polynomial.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chart", [D6Chart(P_GEN), D7Chart(2 + 1j)], ids=["d6", "d7"])
+def test_chart_label_maps_and_turning_polynomial_are_read_only(chart):
+    # end_domains, the tracer's plan and odd_slot_ratios keep what they read
+    # off these; a write in place would leave them stale.
+    for name in ("double_poles_u", "finite_infinities_u", "pole_residues", "pole_leads"):
+        with pytest.raises(TypeError):
+            getattr(chart, name)["zero_c"] = 1.0
+    with pytest.raises(ValueError):
+        chart.turning_polynomial[0] = 1.0
 
 
 @pytest.mark.parametrize("chart", [D6Chart(P_GEN), D7Chart(2 + 1j)], ids=["d6", "d7"])

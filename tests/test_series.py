@@ -13,8 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from p3wkb import series
 from p3wkb.algebra import (
     BranchPoint,
+    D6Chart,
+    D7Chart,
     Parameters,
     d7_lambda0_branches,
     lambda0_branches,
@@ -39,7 +42,7 @@ from p3wkb.series import (
     x_factor,
     zero_param_solution,
 )
-from chart_reference import mu0, turning_points
+from chart_reference import UNIT_DATA, mu0, turning_points
 from series_reference import ENGINE, HIGH_PRECISION
 
 P = Parameters(2 + 1j, 3)
@@ -684,6 +687,24 @@ def test_d7_odd_slot_ratios_are_the_exact_literals(c):
         assert np.all(np.abs(ratios[n - 1] - want) <= 3e-14 * np.abs(want))
         slot = R.slot_value(1 - 2 * n) / R.slot_value(1)
         assert np.all(np.abs(slot - want) <= 3e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("chart_cls", [D6Chart, D7Chart], ids=["d6", "d7"])
+def test_unit_data_read_off_the_declared_maps_equal_the_typed_out_data(chart_cls):
+    # Exactly, shapes included: the family table is built from these.
+    family, lam0 = series._FamilyRationals(chart_cls), chart_cls.lambda0_map
+    got = {"lambda0": series._unit_laurent(chart_cls, lam0),
+           "t_over_lambda0": series._unit_laurent(chart_cls, chart_cls.t_map / lam0),
+           "theta": family.h, "turning": family.base["T"],
+           "double_poles": family.double_poles, "delta_power": family.a}
+    for name, want in UNIT_DATA[chart_cls.equation].items():
+        if name == "delta_power":
+            assert got[name] == want
+            continue
+        rows, lo = want if name in ("lambda0", "t_over_lambda0", "theta") else (want, None)
+        array = got[name][0] if lo is not None else got[name]
+        assert array.dtype == float and np.array_equal(array, np.array(rows, float)), name
+        assert lo is None or got[name][1] == lo, name
 
 
 def test_import_loads_numpy_only_and_builds_no_table():

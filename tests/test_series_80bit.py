@@ -15,7 +15,8 @@ import cmath
 import numpy as np
 import pytest
 
-from p3wkb.algebra import BranchPoint, Parameters
+from p3wkb.algebra import BranchPoint, D6Chart, Parameters
+from p3wkb.numerics import DenseJets
 from p3wkb.series import (
     ConditioningError,
     D6Model,
@@ -83,6 +84,23 @@ def _group_errors(model, groups):
     ts, lams = map(np.array, zip(*(node for nodes in groups.values() for node in nodes)))
     errs, wide = _slot_errors(model, ts, lams)
     return {key: errs[:, [k == key for k in keys]].max() for key in groups}, wide
+
+
+@needs_80_bit
+@pytest.mark.parametrize("distance", [1e-2, 1e-4, 1e-6])
+def test_u_jets_keep_their_digits_next_to_the_simple_pole(distance):
+    # u0 next to u = -1, where t'(u) has the simple zero of its factor u + 1:
+    # the jets carry that factor's value, so they keep their relative
+    # digits; a jet of the multiplied-out polynomial loses 1/distance ulps
+    # (3.5e-10 relative at 1e-6).  Measured at most 2.5e-15.
+    chart = D6Chart(P)
+    us = -1 + distance * np.exp(1j * np.array([0.3, 1.9, 4.0]))
+    ts, lams = chart.t_of_u(us), chart.lambda0_of_u(us)
+    jets = [D6Chart.lambda0_u_jets((P.c_inf, P.c_0), DenseJets(np.asarray(ts, dtype), 8),
+                                   np.asarray(lams, dtype)[None])
+            for dtype in (np.complex128, np.clongdouble)]
+    for got, ref in zip(*jets):
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 # Every branch at two points of T_BATCH; measured 6.4e-15 (D6), 2.9e-13

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p3wkb import series, voros
-from p3wkb.algebra import BranchPoint, D6Chart, D7Chart, Parameters, u_chart
+from p3wkb.algebra import AlgebraError, BranchPoint, D6Chart, D7Chart, Parameters, u_chart
 from p3wkb.numerics import LaurentAtInfinity
 from p3wkb.series import (
     D7Model,
@@ -752,6 +752,12 @@ def test_a_table_rescaled_with_a_wrong_exponent_fails_the_node_solve_check(
     monkeypatch.setattr(chart_cls, "numerator_scales", wrong)
     err = _read_slot_errors(spec, params, 2, monkeypatch)
     assert len(err) and np.max(err) > 1e-13
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))])
+def test_d7_closed_form_refuses_a_non_finite_parameter(bad):
+    with pytest.raises(AlgebraError, match="parameter c = "):
+        voros_closed_form(EndpointSpec("d7", "zero_c", +1), bad)
 
 
 _HOMOGENEITY_NODES = 0.9 + 0.55j + 0.4 * np.exp(2j * np.pi * np.arange(12) / 12)
