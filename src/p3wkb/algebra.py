@@ -17,8 +17,9 @@ Stokes tracing happens there.
 Each chart class states its maps lambda_0, t, dt/du and q once, as a
 constant times integer powers of u and of named polynomials in u formed
 from the parameters (``Factored``); dt/du, the turning polynomial, the
-u-jets of the eta-series solver and the family's unit-scale data for the
-odd Riccati slots (``series``) are read off it.  Hand-written beside it stay
+u-jets of the eta-series solver and, expanded exactly at the exact
+``unit_args`` (``numerics.ExactLaurent``), the family's unit-scale data for
+the odd Riccati slots (``series``) are read off it.  Hand-written beside it stay
 q, t_of_u, lambda0_of_u and phi, on whose bits the tracer and its
 references depend; the leads and residues, which a product over the
 divisor misses by up to 7e-14, enough to flip the sign of a vanishing
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _nearer_negated, poly_roots
+from .numerics import ExactLaurent, _nearer_negated, poly_roots
 
 __all__ = [
     "AlgebraError",
@@ -219,7 +220,8 @@ class Factored:
 
     def expand(self, factors: dict) -> tuple:
         """(N, j), the map being u^j N(u), N from u^0 up: for a map whose
-        factors other than u have positive powers."""
+        factors other than u have positive powers.  N is exact for factors
+        with exact coefficients, such as those of ``unit_args``."""
         polys = [factors[f] for f, e in self.powers.items() if f != "u" for _ in range(e)]
         return reduce(np.convolve, polys, [self.const]), self.powers.get("u", 0)
 
@@ -236,7 +238,8 @@ class UChart:
     escape_label: str             # terminus of a curve running off to u = infinity
 
     # Declared per class over the polynomials ``factors(*args)``, "T" the turning
-    # polynomial, args the parameters (D6: c_inf, c_0; D7: c) or ``unit_args``:
+    # polynomial, args the parameters (D6: c_inf, c_0; D7: c) or ``unit_args``,
+    # the parameters at unit scale as exact constants in X (ExactLaurent):
     lambda0_map: Factored
     t_map: Factored
     dt_du_map: Factored
@@ -517,7 +520,7 @@ class D6Chart(UChart):
     t_map = Factored(0.25, s=2, a=1, b=1, u=-2)
     dt_du_map = Factored(0.5, s=1, T=1, u=-3)
     q_map = Factored(4, T=3, s=-1, a=-2, b=-2, u=-4)
-    unit_args = tuple(np.polynomial.Polynomial([1, s]) for s in (1, -1))   # c_p = 1, c_m = X
+    unit_args = (ExactLaurent([[1, 1]]), ExactLaurent([[1, -1]]))   # c_p = 1, c_m = X
 
     @staticmethod
     def factors(c_inf, c_0) -> dict:
@@ -623,7 +626,7 @@ class D7Chart(UChart):
     t_map = Factored(-0.5, u=2, d=1)
     dt_du_map = Factored(-0.5, u=1, T=1)
     q_map = Factored(1, T=3, u=-1, d=-2)
-    unit_args = (1.0,)                            # c = 1
+    unit_args = (ExactLaurent([[1]]),)            # c = 1
 
     @staticmethod
     def factors(c) -> dict:

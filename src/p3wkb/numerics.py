@@ -1,7 +1,7 @@
 """Foundational arithmetic: Bernoulli numbers, truncated Taylor jets, Laurent
-series at infinity, polynomial roots, Binet's function ``binet`` and the
-complex ``log_gamma`` built on it, and the sign chain that continues a square
-root along a path.
+series at infinity, exact Laurent polynomials in u and X, polynomial roots,
+Binet's function ``binet`` and the complex ``log_gamma`` built on it, and
+the sign chain that continues a square root along a path.
 
 Everything in this module but ``DenseJets`` is a pure function over immutable
 values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 __all__ = [
     "DenseJets",
+    "ExactLaurent",
     "Jet",
     "LaurentAtInfinity",
     "SingularJetError",
@@ -802,3 +804,102 @@ class LaurentAtInfinity:
     def __repr__(self):
         terms = ", ".join(f"z^{p}: {a}" for p, a in sorted(self.coeffs.items(), reverse=True))
         return f"LaurentAtInfinity({{{terms}}}, depth={self.depth})"
+
+
+# ---------------------------------------------------------------------------
+# Exact Laurent polynomials in u with polynomial coefficients in X
+# ---------------------------------------------------------------------------
+
+class ExactLaurent:
+    """sum_ij c[i, j] u^(lo+i) X^j / den, exactly.  ``c`` is a read-only
+    object array of Python ints, rows the powers of u from u^lo and columns
+    the powers of X, in lowest terms with the positive int ``den``; its
+    first and last rows and last column are nonzero (zero is [[0]] at lo =
+    0).  Scalars are ints, Fractions and floats, a float at its exact binary
+    value (the constants of the declared chart maps).  ``theta`` is u d/du;
+    ``divide`` divides by a monic polynomial in u."""
+
+    __slots__ = ("c", "lo", "den")
+
+    def __init__(self, c, lo: int = 0, den: int = 1):
+        """c[i][j] an int, den times the coefficient of u^(lo+i) X^j: rows of
+        ints, or an object array of Python ints, which is taken over."""
+        if not isinstance(c, np.ndarray):
+            c = np.array([[operator.index(a) for a in row] for row in c], object)
+        rows, cols = np.nonzero(c)
+        if not len(rows):
+            c, lo = np.zeros((1, 1), object), 0
+        elif rows[0] or rows[-1] + 1 < len(c) or cols.max() + 1 < c.shape[1]:
+            c, lo = c[rows[0]:rows[-1] + 1, :cols.max() + 1], lo + int(rows[0])
+        g = math.gcd(den, *c.flat) if den > 1 else 1
+        self.c, self.lo, self.den = c // g if g > 1 else c, lo, den // g
+        self.c.flags.writeable = False
+
+    def padded(self, lo: int) -> np.ndarray:
+        """``c`` with rows from u^lo, lo <= self.lo: a writable copy."""
+        return np.concatenate([np.zeros((self.lo - lo, self.c.shape[1]), object), self.c])
+
+    def __add__(self, other) -> "ExactLaurent":
+        if not isinstance(other, ExactLaurent):
+            other = Fraction(other)
+            other = ExactLaurent([[other.numerator]], 0, other.denominator)
+        lo, den = min(self.lo, other.lo), math.lcm(self.den, other.den)
+        c = np.zeros((max(self.lo + len(self.c), other.lo + len(other.c)) - lo,
+                      max(self.c.shape[1], other.c.shape[1])), object)
+        for x in (self, other):
+            c[x.lo - lo:x.lo - lo + len(x.c), :x.c.shape[1]] += x.c * (den // x.den)
+        return ExactLaurent(c, lo, den)
+
+    def __mul__(self, other) -> "ExactLaurent":
+        if not isinstance(other, ExactLaurent):
+            a = Fraction(other)
+            return ExactLaurent(self.c * a.numerator, self.lo, self.den * a.denominator)
+        # Each product of two nonzero terms, added at the sum of their powers.
+        (i, j), (k, l) = np.nonzero(self.c), np.nonzero(other.c)
+        c = np.zeros((len(self.c) + len(other.c) - 1, self.c.shape[1] + other.c.shape[1] - 1),
+                     object)
+        np.add.at(c, (np.add.outer(i, k), np.add.outer(j, l)),
+                  np.multiply.outer(self.c[i, j], other.c[k, l]))
+        return ExactLaurent(c, self.lo + other.lo, self.den * other.den)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.c.size > 1 or self.c[0, 0])
+
+    def __neg__(self) -> "ExactLaurent":
+        return self * -1
+
+    def __sub__(self, other) -> "ExactLaurent":
+        return self + -other
+
+    def __truediv__(self, a) -> "ExactLaurent":
+        return self * (1 / Fraction(a))
+
+    def __pow__(self, k: int) -> "ExactLaurent":
+        if k < 0:
+            raise ValueError(f"a power must be nonnegative, got {k}")
+        return reduce(operator.mul, [self] * k, ExactLaurent([[1]]))
+
+    def theta(self) -> "ExactLaurent":
+        """u d/du."""
+        powers = np.arange(self.lo, self.lo + len(self.c)).astype(object)
+        return ExactLaurent(self.c * powers[:, None], self.lo, self.den)
+
+    def divide(self, z: "ExactLaurent") -> tuple:
+        """(q, exact) for self = u^m P(u), m = min(lo, 0) and P a polynomial,
+        and z a polynomial in u with integer coefficients and leading
+        coefficient 1: q is u^m times the quotient of P by z, and ``exact``
+        whether the remainder is zero, that is, whether self = z q."""
+        zc = z.padded(0)
+        if z.den != 1 or zc[-1, 0] != 1 or zc[-1, 1:].any():
+            raise ValueError("the divisor is not monic in u")
+        m, d = min(self.lo, 0), len(zc) - 1
+        work = self.padded(m)
+        q = np.zeros((max(len(work) - d, 1), work.shape[1]), object)
+        for i in range(len(work) - d - 1, -1, -1):
+            q[i] = work[i + d]
+            for l in range(d):
+                work[i + l] -= np.convolve(q[i], zc[l])[:work.shape[1]]
+        q = ExactLaurent(q, m, self.den)
+        return q, not self - z * q

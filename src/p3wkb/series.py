@@ -33,6 +33,7 @@ as independent checks: no solver calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,11 +48,12 @@ from .algebra import (
     lambda0_branches,
     u_chart,
 )
-from .numerics import DenseJets, Jet, _read_only
+from .numerics import DenseJets, ExactLaurent, Jet, _read_only
 
 __all__ = [
     "ConditioningError",
     "OrderBudgetError",
+    "SlotStructureError",
     "EtaSeries",
     "D6Model",
     "D7Model",
@@ -258,7 +260,7 @@ class D6Model:
     shift_inf: int = 0
     shift_0: int = 0
     #: lam_poly's eta^0 terms (d, a, p) at c_p = 1, a in powers of c_m (c_0 = 1 - c_m).
-    unit_lam_poly = ((4, (1.0,), 0), (3, (-1.0, -1.0), 0), (1, (1.0, -1.0), 1), (0, (-1.0,), 2))
+    unit_lam_poly = ((4, (1,), 0), (3, (-1, -1), 0), (1, (1, -1), 1), (0, (-1,), 2))
     chart = D6Chart       # its maps give lambda_0's jets, at these parameters:
     chart_args = property(lambda self: (self.p.c_inf, self.p.c_0))
 
@@ -342,7 +344,7 @@ class D7Model:
     c: complex
     shift: int = 0
     #: lam_poly's eta^0 terms at c = 1, like ``D6Model.unit_lam_poly``.
-    unit_lam_poly = ((3, (-2.0,), 0), (1, (1.0,), 1), (0, (-1.0,), 2))
+    unit_lam_poly = ((3, (-2,), 0), (1, (1,), 1), (0, (-1,), 2))
     chart = D7Chart
     chart_args = property(lambda self: (self.c,))
 
@@ -811,135 +813,96 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 # finite point over t = infinity (D6's u = 0) and a simple zero at each
 # double pole, which are divided out so that B_2n keeps its digits there.
 #
-# This runs once per family and n_max (_slot_table), at unit scale, on arrays
-# with rows powers of u and columns powers of the family's free ratio (D6: c_p
-# = 1, columns c_m; D7: c = 1, one column), from the charts' declared maps
-# (``_unit_laurent``).  B_2n is homogeneous and even in c_m (c_inf <-> c_0
-# maps lambda to t / lambda), so a chart evaluates the table at (c_m / c_p)^2
-# and rescales it (``numerator_scales`` of the charts).
+# This runs once per family and n_max (_exact_numerators), at unit scale and
+# in exact rational arithmetic (``ExactLaurent``, columns the powers of the
+# family's free ratio X; D6: c_p = 1, c_m = X; D7: c = 1, one column), from
+# the charts' declared maps expanded at their exact ``unit_args``.  Each
+# factor that must divide a numerator leaves a zero remainder, and each
+# coefficient that must vanish is zero, or SlotStructureError names the
+# slot.  The table is rounded to float64 once (_slot_table).  B_2n is
+# homogeneous and even in c_m (c_inf <-> c_0 maps lambda to t / lambda), so
+# a chart evaluates the table at (c_m / c_p)^2 and rescales it
+# (``numerator_scales`` of the charts).
 
 
-def _mul(x, y):
-    """The product of two coefficient arrays: one np.convolve of their rows
-    packed end to end, each padded to the product's width."""
-    w, rows = x.shape[1] + y.shape[1] - 1, len(x) + len(y) - 1
-    packed = [np.zeros((len(x), w)), np.zeros((len(y), w))]
-    packed[0][:, :x.shape[1]], packed[1][:, :y.shape[1]] = x, y
-    return np.convolve(packed[0].ravel(), packed[1].ravel())[:rows * w].reshape(rows, w)
-
-
-def _laurent_sum(terms):
-    """The sum of Laurent polynomials (coefficient array, lowest power of u)."""
-    lo = min(low for _, low in terms)
-    out = np.zeros((max(low + len(c) for c, low in terms) - lo, max(c.shape[1] for c, _ in terms)))
-    for c, low in terms:
-        out[low - lo:low - lo + len(c), :c.shape[1]] += c
-    return out, lo
-
-
-def _divide(c, z):
-    """(q, residual) with c = z q + remainder, z monic in u, rows from u^0
-    up; q from the top down, residual sum |remainder| / sum |c|."""
-    d, width = len(z) - 1, c.shape[1]
-    q, work = np.zeros((len(c) - d, width)), c.copy()
-    lower = [(l, row) for l, row in enumerate(z[:d]) if row.any()]
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = work[i + d]
-        for l, row in lower:
-            work[i + l] -= np.convolve(q[i], row)[:width]
-    rem = _mul(z, q)
-    rem[:, :width] -= c
-    return q, np.abs(rem).sum() / max(np.abs(c).sum(), 1e-300)
-
-
-def _unit_laurent(chart_cls, m) -> tuple:
-    """(c, lo) of the declared map m, with no negative power but of u, at unit
-    scale: c[i, k] the coefficient of u^(lo+i) ratio^k."""
-    num, lo = m.expand(chart_cls.factors(*chart_cls.unit_args))
-    cols = [np.atleast_1d(getattr(c, "coef", c)) for c in num]
-    return np.array([np.pad(c, (0, max(map(len, cols)) - len(c))) for c in cols], float), lo
+class SlotStructureError(ArithmeticError):
+    """An exact identity of the odd-slot recursions fails at unit scale: a
+    factor that must divide a numerator leaves a remainder, or a coefficient
+    that must vanish does not."""
 
 
 class _FamilyRationals:
     """Exact arithmetic, at unit scale, on the rational functions of a
     family's u-chart with poles at u = 0, at the simple pole u_s and at the
-    zeros of T only: each is a tuple (c, lo, s, g) for L(u) (u - u_s)^s
-    T(u)^g, L = sum_ik c[i, k] u^(lo+i) ratio^k.  A sum brings its terms to
-    the smallest s and g; theta = (t / t'(u)) d/du = (u - u_s) h(u) / T(u)
-    d/du maps the family into itself.  u - u_s, the double poles and T are
-    q's factors of power -1, -2 and 3, t^2 Delta = t^2 q / t'^2 = u^a (u - u_s) T."""
+    zeros of T only: each is a tuple (L, s, g) for L(u) (u - u_s)^s T(u)^g,
+    L an ``ExactLaurent``.  A sum brings its terms to the smallest s and g;
+    theta = (t / t'(u)) d/du = (u - u_s) h(u) / T(u) d/du maps the family
+    into itself.  u - u_s, the double poles and T are q's factors of power
+    -1, -2 and 3, t^2 Delta = t^2 q / t'^2 = u^a (u - u_s) T."""
 
     def __init__(self, chart_cls):
         t, dt, q = chart_cls.t_map, chart_cls.dt_du_map, chart_cls.q_map
         f, double, T = (Factored(1, **{name: 1 for name, e in q.powers.items() if e == k})
                         for k in (-1, -2, 3))
         self.a = (t * t * q / (dt * dt * f * T)).powers.get("u", 0)
-        self.h = _unit_laurent(chart_cls, t / dt / f * T)
-        self.double_poles, T = (_unit_laurent(chart_cls, m)[0] for m in (double, T))
-        # The unit-scale data are real.
-        self.base = {"f": np.array([[-chart_cls.simple_pole_u.real], [1.0]]), "T": T}
-        self.f_dT = _mul(self.base["f"], T[1:] * np.arange(1, len(T))[:, None])
-        self._powers = {"f": [np.ones((1, 1))], "T": [np.ones((1, 1))]}
+        self._factors = chart_cls.factors(*chart_cls.unit_args)
+        self.h, self.double_poles, f, T = (self.unit(m) for m in (t / dt / f * T, double, f, T))
+        self.base = {"f": f, "T": T}
+        self.f_over_u, self.over_u_a = f * ExactLaurent([[1]], -1), ExactLaurent([[1]], -self.a)
+        self.f_dT = self.f_over_u * T.theta()
+        self._powers = {"f": [ExactLaurent([[1]])], "T": [ExactLaurent([[1]])]}
 
-    def power(self, name: str, k: int) -> np.ndarray:
+    def unit(self, m) -> ExactLaurent:
+        """The declared map m at unit scale, with no negative power but of u."""
+        num, lo = m.expand(self._factors)
+        return sum(a * ExactLaurent([[1]], lo + i) for i, a in enumerate(num))
+
+    def power(self, name: str, k: int) -> ExactLaurent:
         powers = self._powers[name]
         while len(powers) <= k:
-            powers.append(_mul(powers[-1], self.base[name]))
+            powers.append(powers[-1] * self.base[name])
         return powers[k]
 
     @staticmethod
-    def laurent(c, lo=0):
-        return np.atleast_2d(np.asarray(c, float)), lo, 0, 0
-
-    @staticmethod
     def mul(x, y):
-        return _mul(x[0], y[0]), x[1] + y[1], x[2] + y[2], x[3] + y[3]
+        return x[0] * y[0], x[1] + y[1], x[2] + y[2]
 
     @staticmethod
     def scale(x, a):
-        return x[0] * a, x[1], x[2], x[3]
+        return x[0] * a, x[1], x[2]
 
     def add(self, *xs):
         if not xs:
-            return self.laurent([0])
-        s, g = min(x[2] for x in xs), min(x[3] for x in xs)
+            return ExactLaurent([[0]]), 0, 0
+        s, g = min(x[1] for x in xs), min(x[2] for x in xs)
         terms = []
-        for c, lo, f_exp, t_exp in xs:
+        for L, f_exp, t_exp in xs:
             if f_exp != s:
-                c = _mul(c, self.power("f", f_exp - s))
+                L = L * self.power("f", f_exp - s)
             if t_exp != g:
-                c = _mul(c, self.power("T", t_exp - g))
-            terms.append((c, lo))
-        c, lo = _laurent_sum(terms)
-        return c, lo, s, g
+                L = L * self.power("T", t_exp - g)
+            terms.append(L)
+        return sum(terms[1:], terms[0]), s, g
 
     def theta(self, x):
         """theta L f^s T^g = h f^s T^(g-2) (T (f L' + s L) + g f T' L), with
         T^(g-1) and no T' term for g = 0."""
-        c, lo, s, g = x
-        d = (_mul(self.base["f"], c * (lo + np.arange(len(c)))[:, None]), lo - 1)
-        inner = _laurent_sum([d, (s * c, lo)])
+        L, s, g = x
+        inner = self.f_over_u * L.theta() + s * L
         if g:
-            inner = _laurent_sum([(_mul(self.base["T"], inner[0]), inner[1]),
-                                  (g * _mul(self.f_dT, c), lo)])
-        return _mul(self.h[0], inner[0]), self.h[1] + inner[1], s, g - 2 if g else g - 1
+            inner = self.base["T"] * inner + g * self.f_dT * L
+        return self.h * inner, s, g - 2 if g else g - 1
 
-    def over_w0(self, x, deflate=False):
-        """x / W_0, W_0 = u^a (u - u_s) T; with ``deflate``, for an x / W_0
-        without a pole at u_s, with the factor u - u_s divided out."""
-        c, lo, s, g = x
-        if not deflate:
-            return c, lo - self.a, s - 1, g - 1
-        if lo > 0:
-            c, lo = _laurent_sum([(c, lo), (np.zeros((1, 1)), 0)])
-        q, residual = _divide(c, self.base["f"])
-        if residual > _DEFLATION_GATE:
-            raise ConditioningError(f"u - u_s does not divide the numerator (residual {residual:.1e})")
-        return q, lo - self.a, s, g - 1
-
-
-#: A factor divided out must leave a remainder at most this much of the terms.
-_DEFLATION_GATE = 1e-9
+    def over_w0(self, x, deflate: str | None = None):
+        """x / W_0, W_0 = u^a (u - u_s) T; with ``deflate``, the name of an
+        x / W_0 without a pole at u_s, with the factor u - u_s divided out."""
+        L, s, g = x
+        if deflate is None:
+            return L * self.over_u_a, s - 1, g - 1
+        L, exact = L.divide(self.base["f"])
+        if not exact:
+            raise SlotStructureError(f"u - u_s does not divide the numerator of {deflate}")
+        return L * self.over_u_a, s, g - 1
 
 
 @dataclass(frozen=True)
@@ -1004,8 +967,9 @@ class OddSlotRatios:
 def odd_slot_ratios(params, n_max: int = 2, chart=None) -> OddSlotRatios:
     """B_2n(u) for n = 1..n_max on the u-chart of ``params`` (``chart`` if
     given): the family's table rescaled by ``chart.numerator_scales``.  The
-    first call per family builds the table, which raises ConditioningError
-    when a factor that must divide a numerator leaves over 1e-9 of it."""
+    first call per family builds the table exactly, and raises
+    SlotStructureError where a factor that must divide a numerator leaves a
+    remainder or a coefficient that must vanish does not."""
     if chart is None:
         chart = u_chart(params)
     table = _slot_table(type(chart), type(model_for(params)), n_max)
@@ -1028,70 +992,81 @@ def odd_slot_ratios(params, n_max: int = 2, chart=None) -> OddSlotRatios:
 @lru_cache(maxsize=None)
 def _slot_table(chart_cls, model_cls, n_max: int) -> tuple:
     """Per n, (P, |P|), read-only: P[j, k] is the coefficient of u^j
-    ratio^(2k) in M_n at unit scale, from the classes' declared maps."""
+    ratio^(2k) in M_n at unit scale, ``_exact_numerators`` rounded to
+    float64."""
+    return tuple(_read_only(P, np.abs(P)) for P in (
+        (M.padded(0)[:, ::2] / M.den).astype(float)
+        for M in _exact_numerators(chart_cls, model_cls, n_max)))
+
+
+@lru_cache(maxsize=None)
+def _exact_numerators(chart_cls, model_cls, n_max: int) -> tuple:
+    """M_1, ..., M_n_max (see ``OddSlotRatios``) at unit scale, exactly, from
+    the classes' declared maps."""
     A = _FamilyRationals(chart_cls)
     m, dm = {}, []
     for d, a, p in model_cls.unit_lam_poly:
-        c, lo = _unit_laurent(chart_cls, chart_cls.lambda0_map ** (d - 2) * chart_cls.t_map ** p)
-        term = A.laurent(_mul(np.array([a]), c), lo)
-        m.setdefault(d - 2, []).append(term)
-        dm.append(A.scale(term, p))
+        term = ExactLaurent([a]) * A.unit(chart_cls.lambda0_map ** (d - 2) * chart_cls.t_map ** p)
+        m.setdefault(d - 2, []).append((term, 0, 0))
+        dm.append((term * p, 0, 0))
     m = {j: A.add(*terms) for j, terms in m.items()}
-    theta_log_lam0 = A.over_w0(A.scale(A.add(*dm), -1), deflate=True)
+    theta_log_lam0 = A.over_w0(A.scale(A.add(*dm), -1), deflate="theta log lambda_0")
 
-    one = A.laurent([1])
-    g, logs = [one], [A.laurent([0])]
+    one = ExactLaurent([[1]]), 0, 0
+    g, logs = [one], [A.add()]
     g_powers = {j: [one] for j in m}
     for k in range(1, n_max + 1):
         for j, pw in g_powers.items():   # [G^j]_k without g_k: J. C. P. Miller's recurrence
-            pw.append(A.add(*(A.scale(A.mul(g[i], pw[k - i]), ((j + 1) * i - k) / k)
+            pw.append(A.add(*(A.scale(A.mul(g[i], pw[k - i]), Fraction((j + 1) * i - k, k))
                               for i in range(1, k))))
         rhs = A.theta(theta_log_lam0 if k == 1 else A.theta(logs[k - 1]))
         g.append(A.over_w0(A.add(rhs, *(A.scale(A.mul(m[j], pw[k]), -1)
-                                        for j, pw in g_powers.items())), deflate=True))
+                                        for j, pw in g_powers.items())), deflate=f"g_{k}"))
         for j, pw in g_powers.items():
             pw[k] = A.add(pw[k], A.scale(g[k], j))
         logs.append(_log_slot(A, logs, g, k))
 
-    w0 = (np.ones((1, 1)), A.a, 1, 1)
-    L0 = A.scale(A.over_w0(A.theta(w0)), 0.5)
-    B, logs, dlogs = [one], [A.laurent([0])], [None]
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    w0 = ExactLaurent([[1]], A.a), 1, 1
+    L0 = A.scale(A.over_w0(A.theta(w0)), half)
+    B, logs, dlogs = [one], [A.add()], [None]
     for k in range(1, n_max + 1):
         U = A.add(*(A.scale(A.mul(m[j], pw[k]), j) for j, pw in g_powers.items()))
         if k == 1:
-            V = (A.scale(A.theta(L0), 0.5), A.scale(A.mul(L0, L0), -0.25))
+            V = (A.scale(A.theta(L0), half), A.scale(A.mul(L0, L0), -quarter))
         else:
-            V = (A.scale(A.theta(dlogs[k - 1]), 0.5), A.scale(A.mul(L0, dlogs[k - 1]), -0.5),
-                 *(A.scale(A.mul(dlogs[i], dlogs[k - 1 - i]), -0.25) for i in range(1, k - 1)))
-        B.append(A.add(A.scale(A.over_w0(A.add(U, *V)), 0.5),
-                       *(A.scale(A.mul(B[i], B[k - i]), -0.5) for i in range(1, k))))
+            V = (A.scale(A.theta(dlogs[k - 1]), half), A.scale(A.mul(L0, dlogs[k - 1]), -half),
+                 *(A.scale(A.mul(dlogs[i], dlogs[k - 1 - i]), -quarter) for i in range(1, k - 1)))
+        B.append(A.add(A.scale(A.over_w0(A.add(U, *V)), half),
+                       *(A.scale(A.mul(B[i], B[k - i]), -half) for i in range(1, k))))
         logs.append(_log_slot(A, logs, B, k))
         dlogs.append(A.theta(logs[k]))
-
-    return tuple(_read_only(P, np.abs(P)) for P in (
-        _numerator(A, chart_cls, B[n], n) for n in range(1, n_max + 1)))
+    return tuple(_numerator(A, chart_cls, B[n], n) for n in range(1, n_max + 1))
 
 
 def _log_slot(A, logs, series, k):
     """Slot k of log of 1 + sum_i series[i] eta^-2i, from the slots below it."""
-    return A.add(series[k], *(A.scale(A.mul(logs[i], series[k - i]), -i / k) for i in range(1, k)))
+    return A.add(series[k], *(A.scale(A.mul(logs[i], series[k - i]), Fraction(-i, k))
+                              for i in range(1, k)))
 
 
-def _numerator(A, chart_cls, b, n: int) -> np.ndarray:
-    """M_n of B_2n = b (see ``OddSlotRatios``), columns even powers of the ratio."""
-    c, lo, s, g = b
-    deg = (5 * (len(A.base["T"]) - 1) - 1) * n
-    if (s, g) != (-n, -5 * n) or lo > 0:
-        raise ConditioningError(f"B_{2 * n} is not over (u - u_s)^{n} T^{5 * n}")
-    low = 2 * n * len(chart_cls.finite_infinities_u)
-    c, lo = _laurent_sum([(c, lo), (np.zeros((deg + 1, 1)), 0)])
-    stray = np.abs(np.concatenate([c[:low - lo], c[deg + 1 - lo:]])).max(initial=0.0)
-    q, residual = _divide(c[low - lo:deg + 1 - lo], A.double_poles)
-    worst = max(residual, max(stray, np.abs(q[:, 1::2]).max(initial=0.0)) / np.abs(q).max())
-    if worst > _DEFLATION_GATE:
-        raise ConditioningError(f"B_{2 * n} lacks a zero of its structure (residual {worst:.1e})")
-    # Columns past the numerator's degree in the ratio hold exact zeros.
-    return q[:, :np.flatnonzero(q.any(axis=0))[-1] + 1:2].copy()
+def _numerator(A, chart_cls, b, n: int) -> ExactLaurent:
+    """M_n of B_2n = b (see ``OddSlotRatios``): b's numerator, with powers
+    of u from u^low to u^deg only, over u^low and the double poles; its odd
+    powers of the ratio vanish."""
+    L, s, g = b
+    if (s, g) != (-n, -5 * n):
+        raise SlotStructureError(f"B_{2 * n} is not over (u - u_s)^{n} T^{5 * n}")
+    T = A.base["T"]
+    deg, low = (5 * (T.lo + len(T.c) - 1) - 1) * n, 2 * n * len(chart_cls.finite_infinities_u)
+    if L.lo < low or L.lo + len(L.c) - 1 > deg:
+        raise SlotStructureError(f"B_{2 * n}'s numerator has powers of u outside u^{low}..u^{deg}")
+    M, exact = (L * ExactLaurent([[1]], -low)).divide(A.double_poles)
+    if not exact:
+        raise SlotStructureError(f"the double poles do not divide B_{2 * n}'s numerator")
+    if M.c[:, 1::2].any():
+        raise SlotStructureError(f"M_{n} has an odd power of the ratio")
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from p3wkb import numerics, voros
 from p3wkb.algebra import Parameters
 from p3wkb.numerics import (
     DenseJets,
+    ExactLaurent,
     Jet,
     LaurentAtInfinity,
     SingularJetError,
@@ -505,3 +506,101 @@ def test_laurent_equality_and_mismatch():
     assert a != c
     assert a.first_mismatch(c) == -3
     assert a.first_mismatch(b) is None
+
+
+# ---------------------------------------------------------------------------
+# Exact Laurent polynomials in u and X
+# ---------------------------------------------------------------------------
+
+def _exact(terms: dict) -> ExactLaurent:
+    """{(power of u, power of X): rational} as an ExactLaurent."""
+    terms = {k: Fraction(v) for k, v in terms.items() if v}
+    if not terms:
+        return ExactLaurent([[0]])
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    lo = min(i for i, _ in terms)
+    c = np.zeros((max(i for i, _ in terms) - lo + 1, max(j for _, j in terms) + 1), object)
+    for (i, j), v in terms.items():
+        c[i - lo, j] = int(v * den)
+    return ExactLaurent(c, lo, den)
+
+
+def _terms(e: ExactLaurent) -> dict:
+    return {(e.lo + i, j): Fraction(v, e.den) for (i, j), v in np.ndenumerate(e.c) if v}
+
+
+def _product(a: dict, b: dict) -> dict:
+    out = {}
+    for (i, j), v in a.items():
+        for (k, l), w in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_canonical(e: ExactLaurent):
+    assert e.den > 0 and math.gcd(e.den, *e.c.flat) == 1
+    assert not e.c.flags.writeable
+    assert all(type(v) is int for v in e.c.flat)
+    if e.c.any():
+        assert e.c[0].any() and e.c[-1].any() and e.c[:, -1].any()
+    else:
+        assert e.c.shape == (1, 1) and e.lo == 0
+
+
+_LAURENT_TERMS = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LAURENT_TERMS, _LAURENT_TERMS, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_exact_laurent_arithmetic_is_the_arithmetic_of_its_terms(a, b, r):
+    x, y = _exact(a), _exact(b)
+    a, b = _terms(x), _terms(y)
+    keys = set(a) | set(b)
+    results = {
+        "sum": (x + y, {k: a.get(k, 0) + b.get(k, 0) for k in keys}),
+        "difference": (x - y, {k: a.get(k, 0) - b.get(k, 0) for k in keys}),
+        "product": (x * y, _product(a, b)),
+        "scaled": (r * x, {k: r * v for k, v in a.items()}),
+        "quotient": (x / 3, {k: v / 3 for k, v in a.items()}),
+        "theta": (x.theta(), {(i, j): i * v for (i, j), v in a.items()}),
+        "square": (x ** 2, _product(a, a)),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert _terms(got) == {k: v for k, v in want.items() if v}, name
+
+
+def test_exact_laurent_takes_a_float_at_its_exact_value():
+    x = _exact({(0, 1): 1})
+    assert _terms(0.5 * x + 0.25) == {(0, 1): Fraction(1, 2), (0, 0): Fraction(1, 4)}
+    assert _terms(x * 0.1) == {(0, 1): Fraction(0.1)}
+    with pytest.raises(TypeError):
+        ExactLaurent([[0.5]])
+
+
+@pytest.mark.parametrize("divisor", [{(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 0): 1},
+                                     {(1, 0): 1}], ids=["u^2-X^2", "u+1", "u"])
+def test_exact_laurent_division_reports_whether_it_leaves_a_remainder(divisor):
+    z = _exact(divisor)
+    q = _exact({(0, 0): Fraction(3, 2), (2, 1): -4, (3, 0): Fraction(1, 3), (1, 3): 7})
+    quotient, exact = (z * q).divide(z)
+    assert exact and _terms(quotient) == _terms(q)
+    _assert_canonical(quotient)
+    # A constant term the divisor cannot absorb: z * q + 1 is u^0 P with
+    # P(0) = 1 for z = u too.
+    assert not (z * q + 1).divide(z)[1]
+    # A Laurent dividend u^m P, m < 0: z divides it where it divides P.
+    shifted = z * q * _exact({(-2, 0): 1})
+    quotient, exact = shifted.divide(z)
+    assert exact == (divisor != {(1, 0): 1})
+    if exact:
+        assert _terms(quotient) == _terms(q * _exact({(-2, 0): 1}))
+
+
+@pytest.mark.parametrize("divisor", [{(1, 0): 2, (0, 0): 1}, {(1, 1): 1, (0, 0): 1},
+                                     {(1, 0): Fraction(1, 2)}])
+def test_exact_laurent_refuses_a_divisor_not_monic_in_u(divisor):
+    with pytest.raises(ValueError, match="monic"):
+        _exact({(3, 0): 1}).divide(_exact(divisor))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -693,18 +694,49 @@ def test_d7_odd_slot_ratios_are_the_exact_literals(c):
 def test_unit_data_read_off_the_declared_maps_equal_the_typed_out_data(chart_cls):
     # Exactly, shapes included: the family table is built from these.
     family, lam0 = series._FamilyRationals(chart_cls), chart_cls.lambda0_map
-    got = {"lambda0": series._unit_laurent(chart_cls, lam0),
-           "t_over_lambda0": series._unit_laurent(chart_cls, chart_cls.t_map / lam0),
+    got = {"lambda0": family.unit(lam0), "t_over_lambda0": family.unit(chart_cls.t_map / lam0),
            "theta": family.h, "turning": family.base["T"],
            "double_poles": family.double_poles, "delta_power": family.a}
     for name, want in UNIT_DATA[chart_cls.equation].items():
         if name == "delta_power":
             assert got[name] == want
             continue
-        rows, lo = want if name in ("lambda0", "t_over_lambda0", "theta") else (want, None)
-        array = got[name][0] if lo is not None else got[name]
-        assert array.dtype == float and np.array_equal(array, np.array(rows, float)), name
-        assert lo is None or got[name][1] == lo, name
+        rows, lo = want if name in ("lambda0", "t_over_lambda0", "theta") else (want, 0)
+        exact = got[name]
+        assert exact.lo == lo, name
+        assert [[Fraction(v, exact.den) for v in row] for row in exact.c.tolist()] \
+            == [[Fraction(v) for v in row] for row in rows], name
+
+
+def test_d6_tables_have_the_columns_homogeneity_allows():
+    # M_n is homogeneous of degree 8n in (c_p, c_m) and even in c_m: the
+    # powers c_m^2k, k <= 4n, and no odd power.  Each float entry is its
+    # exact entry rounded to nearest.
+    exact = series._exact_numerators(D6Chart, series.D6Model, 4)
+    for n, (M, (P, _)) in enumerate(zip(exact, series._slot_table(D6Chart, series.D6Model, 4)), 1):
+        assert P.shape[1] <= 4 * n + 1, n
+        assert M.lo == 0 and not M.c[:, 1::2].any(), n
+        assert P.tolist() == [[float(Fraction(v, M.den)) for v in row[::2]] for row in M.c.tolist()]
+
+
+def test_the_table_build_names_the_slot_whose_structure_fails():
+    # A wrong eta^0 term of lam_poly, which lambda_0 no longer solves: the
+    # exact build refuses B_2's numerator, which keeps odd powers of c_m.
+    wrong = ((4, (1,), 0), (3, (-1, -1), 0), (1, (1, -1), 1), (0, (-2,), 2))
+    model = type("WrongModel", (series.D6Model,), {"unit_lam_poly": wrong})
+    with pytest.raises(series.SlotStructureError, match="M_1 has an odd power"):
+        series._exact_numerators(D6Chart, model, 1)
+
+
+def test_d7_numerators_are_the_exact_literals():
+    # B_2n = (u - 1) M_n(u) / (u^n (3u - 2)^5n) at c = 1, M_n of degree 4n - 1:
+    # equal to the literal, exactly, at more than 4n points, M_n is its numerator.
+    for n, (M, literal) in enumerate(zip(series._exact_numerators(D7Chart, series.D7Model, 2),
+                                         (_d7_b2, _d7_b4)), 1):
+        assert (M.lo, len(M.c)) == (0, 4 * n)
+        for v in (Fraction(k, 7) for k in range(-4 * n, 4 * n + 3) if k not in (0, 7)):
+            m = sum(Fraction(a, M.den) * v ** j for j, a in enumerate(M.c[:, 0]))
+            assert (v - 1) * m / (v ** n * (3 * v - 2) ** (5 * n)) == literal(v), (n, v)
 
 
 def test_import_loads_numpy_only_and_builds_no_table():

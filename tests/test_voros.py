@@ -791,7 +791,8 @@ def test_the_family_table_cannot_be_corrupted_by_its_callers():
     before = odd_slot_ratios(other, 2)(us)
     ratios = odd_slot_ratios(P_GEN, 2)
     for array in (*ratios.numerators, ratios.coefficients, ratios.weights,
-                  *(a for pair in series._slot_table(D6Chart, series.D6Model, 2) for a in pair)):
+                  *(a for pair in series._slot_table(D6Chart, series.D6Model, 2) for a in pair),
+                  *(M.c for M in series._exact_numerators(D6Chart, series.D6Model, 2))):
         with pytest.raises(ValueError):
             array[..., 0] = 1.0
     assert np.array_equal(odd_slot_ratios(other, 2)(us), before)
