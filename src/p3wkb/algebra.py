@@ -554,9 +554,11 @@ class D6Chart(UChart):
         self.arc_scale = max(1.0, abs(cp), self.scale / 5)
         self._cp, self._cm, self._cp2, self._cm2 = cp, cm, cp2, cm2
 
-    def numerator_scales(self, n, rows, cols):
-        """c_p^(8n - 2k) c_m^(2k) for column k: M_n = c_p^(8n) M_n(1, c_m / c_p)."""
-        return self._cp ** (8 * n - 2 * np.arange(cols)[None]) * self._cm2 ** np.arange(cols)[None]
+    def numerator_scales(self, n, rows, cols, dtype=np.complex128):
+        """c_p^(8n - 2k) c_m^(2k) for column k, in the number type ``dtype``:
+        M_n = c_p^(8n) M_n(1, c_m / c_p)."""
+        cp, cm = dtype(self._cp), dtype(self._cm)
+        return cp ** (8 * n - 2 * np.arange(cols)[None]) * (cm * cm) ** np.arange(cols)[None]
 
     def t_of_u(self, u):
         cp, cm = self._cp, self._cm
@@ -649,9 +651,10 @@ class D7Chart(UChart):
         self.pole_leads = MappingProxyType({"escaped": math.sqrt(27) + 0j, "zero_c": c})
         self.arc_scale = max(1.0, abs(c))
 
-    def numerator_scales(self, n, rows, cols):
-        """c^(4n - 1 - j) for row j: M_n(u; c) = c^(4n - 1) M_n(u / c; 1)."""
-        return (self.c ** (4 * n - 1 - np.arange(rows)))[:, None]
+    def numerator_scales(self, n, rows, cols, dtype=np.complex128):
+        """c^(4n - 1 - j) for row j, in the number type ``dtype``:
+        M_n(u; c) = c^(4n - 1) M_n(u / c; 1)."""
+        return (dtype(self.c) ** (4 * n - 1 - np.arange(rows)))[:, None]
 
     def t_of_u(self, u):
         return u * u * (self.c - u) / 2

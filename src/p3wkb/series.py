@@ -819,10 +819,12 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 # the charts' declared maps expanded at their exact ``unit_args``.  Each
 # factor that must divide a numerator leaves a zero remainder, and each
 # coefficient that must vanish is zero, or SlotStructureError names the
-# slot.  The table is rounded to float64 once (_slot_table).  B_2n is
-# homogeneous and even in c_m (c_inf <-> c_0 maps lambda to t / lambda), so
-# a chart evaluates the table at (c_m / c_p)^2 and rescales it
-# (``numerator_scales`` of the charts).
+# slot.  The table is rounded to nearest once per number type (_slot_table):
+# to float64 for every chart, and to the 80 bits of np.clongdouble for the
+# charts where the float64 read cancels at some node (the contour oracle's
+# second read).  B_2n is homogeneous and even in c_m (c_inf <-> c_0 maps
+# lambda to t / lambda), so a chart evaluates the table at (c_m / c_p)^2 and
+# rescales it in the table's number type (``numerator_scales`` of the charts).
 
 
 class SlotStructureError(ArithmeticError):
@@ -916,7 +918,10 @@ class OddSlotRatios:
     z over ``zeros[n - 1]``: 2n times each finite point over t = infinity,
     and each double pole once.  ``numerators[n - 1]`` holds M_n from u^0 up,
     as does ``coefficients[0, n - 1]`` padded (reversed in ``coefficients[1]``),
-    with the moduli of each one's table terms summed in ``weights``; read-only."""
+    with the moduli of each one's table terms summed in ``weights``; read-only.
+    The stacks are in one complex number type: complex128, or clongdouble
+    for the copy a chart builds where its complex128 read is ill-conditioned
+    (``odd_slot_ratios``'s ``dtype``); ``evaluate`` computes in that type."""
 
     simple_pole_u: complex
     turning_polynomial: np.ndarray
@@ -932,24 +937,32 @@ class OddSlotRatios:
     def evaluate(self, x, inverted: bool = False) -> tuple:
         """(B_2n, condition) at the points u = x of a 1-d array, or u = 1/x
         with ``inverted``, where the reversed numerators are read in x, so
-        that no power of a large u is formed.  ``condition`` holds per point
-        the largest over n of sum_j w_j |u^j| |prod_z (u - z)| / |(u - u_s)^n
-        T^5n| over max(1, |B_2n|), w_j the ``weights`` of M_n: the factor by
-        which the rounding of the table's terms grows in B_2n there, relative
-        to 1 or B_2n, counting every term where they cancel."""
-        x = np.asarray(x)
+        that no power of a large u is formed; both in the stacks' number
+        type.  ``condition`` holds per point the largest over n of sum_j w_j
+        |u^j| |prod_z (u - z)| / |(u - u_s)^n T^5n| over max(1, |B_2n|), w_j
+        the ``weights`` of M_n: the factor by which the rounding of the
+        table's terms grows in B_2n there, relative to 1 or B_2n, counting
+        every term where they cancel."""
+        stack, weights = self.coefficients[int(inverted)], self.weights[int(inverted)]
+        x = np.asarray(x, stack.dtype)
         ax = np.abs(x)
         T = self.turning_polynomial
         if inverted:
             f, tx = 1 - self.simple_pole_u * x, np.polyval(T, x)
         else:
             f, tx = x - self.simple_pole_u, np.polyval(T[::-1], x)
-        stack, weights = self.coefficients[int(inverted)], self.weights[int(inverted)]
-        value, terms = np.zeros((len(stack), len(x)), complex), np.zeros((len(stack), len(x)))
-        for m, w in zip(stack.T[::-1], weights.T[::-1]):
-            value = value * x + m[:, None]
-            terms = terms * ax + w[:, None]
-        values, condition = [], np.zeros(len(x))
+        # One Horner pass in x for the numerators and in |x| for the sums of
+        # their terms' moduli, these as complex numbers of imaginary part 0,
+        # which take the same roundings as in real arithmetic.
+        N = len(stack)
+        var = np.empty((2 * N, len(x)), stack.dtype)
+        var[:N], var[N:] = x, ax
+        acc = np.zeros_like(var)
+        for m in np.concatenate([stack, weights]).T[::-1, :, None]:
+            acc *= var
+            acc += m
+        value, terms = acc[:N], acc[N:].real
+        values, condition = [], np.zeros(len(x), ax.dtype)
         for n, (M, zeros) in enumerate(zip(self.numerators, self.zeros), 1):
             if inverted:
                 # The powers of u in numerator and denominator leave x^(2n).
@@ -961,22 +974,24 @@ class OddSlotRatios:
             values.append(value[n - 1] * factor)
             condition = np.maximum(condition, terms[n - 1] * np.abs(factor)
                                    / np.maximum(1.0, np.abs(values[-1])))
-        return np.array(values), condition
+        return np.array(values, stack.dtype), condition
 
 
-def odd_slot_ratios(params, n_max: int = 2, chart=None) -> OddSlotRatios:
+def odd_slot_ratios(params, n_max: int = 2, chart=None, dtype=np.complex128) -> OddSlotRatios:
     """B_2n(u) for n = 1..n_max on the u-chart of ``params`` (``chart`` if
-    given): the family's table rescaled by ``chart.numerator_scales``.  The
-    first call per family builds the table exactly, and raises
-    SlotStructureError where a factor that must divide a numerator leaves a
-    remainder or a coefficient that must vanish does not."""
+    given): the family's table rounded to the complex number type ``dtype``
+    (complex128 or clongdouble) and rescaled by ``chart.numerator_scales``
+    in that type.  The first call per family builds the table exactly, and
+    raises SlotStructureError where a factor that must divide a numerator
+    leaves a remainder or a coefficient that must vanish does not."""
     if chart is None:
         chart = u_chart(params)
-    table = _slot_table(type(chart), type(model_for(params)), n_max)
+    real = np.finfo(dtype).dtype.type
+    table = _slot_table(type(chart), type(model_for(params)), n_max, real)
     width = len(table[-1][0])
-    coefficients, weights = np.zeros((2, n_max, width), complex), np.zeros((2, n_max, width))
+    coefficients, weights = np.zeros((2, n_max, width), dtype), np.zeros((2, n_max, width), real)
     for n, (P, size) in enumerate(table, 1):
-        scales = chart.numerator_scales(n, *P.shape)
+        scales = chart.numerator_scales(n, *P.shape, dtype)
         for out, row in ((coefficients, (P * scales).sum(1)),
                          (weights, (size * np.abs(scales)).sum(1))):
             out[0, n - 1, :len(row)], out[1, n - 1, :len(row)] = row, row[::-1]
@@ -990,13 +1005,32 @@ def odd_slot_ratios(params, n_max: int = 2, chart=None) -> OddSlotRatios:
 
 
 @lru_cache(maxsize=None)
-def _slot_table(chart_cls, model_cls, n_max: int) -> tuple:
+def _slot_table(chart_cls, model_cls, n_max: int, real) -> tuple:
     """Per n, (P, |P|), read-only: P[j, k] is the coefficient of u^j
     ratio^(2k) in M_n at unit scale, ``_exact_numerators`` rounded to
-    float64."""
-    return tuple(_read_only(P, np.abs(P)) for P in (
-        (M.padded(0)[:, ::2] / M.den).astype(float)
-        for M in _exact_numerators(chart_cls, model_cls, n_max)))
+    nearest in the binary real number type ``real``."""
+    bits, out = np.finfo(real).nmant, []
+    for M in _exact_numerators(chart_cls, model_cls, n_max):
+        num = M.padded(0)[:, ::2]
+        m, s = zip(*(_rounded(p, M.den, bits) for p in num.ravel()))
+        P = np.ldexp(np.array(m, real), -np.array(s)).reshape(num.shape)
+        out.append(_read_only(P, np.abs(P)))
+    return tuple(out)
+
+
+def _rounded(p: int, q: int, bits: int) -> tuple:
+    """(m, s) with m 2^-s the number nearest p / q, q > 0, whose mantissa has
+    ``bits`` bits after the point, ties to even (subnormals aside): for p !=
+    0, |m| is the integer nearest |p| 2^s / q in [2^bits, 2^(bits + 1)]."""
+    a = abs(p)
+    e = a.bit_length() - q.bit_length()          # 2^(e - 1) < a / q < 2^(e + 1)
+    if a << max(-e, 0) < q << max(e, 0):
+        e -= 1                                   # now 2^e <= a / q < 2^(e + 1)
+    s = bits - e
+    den = q << max(-s, 0)
+    m, r = divmod(a << max(s, 0), den)
+    m += 2 * r > den or 2 * r == den and m % 2
+    return (m if p > 0 else -m), s
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,8 @@ u-plane: a circle around a turning point, resolved mode-by-mode through an
 FFT (each half-odd Puiseux mode has an elementary primitive, so the circle
 plus the escaping leg can be assembled without cancellation), plus a
 numerically integrated leg to the endpoint.  B_2n is read off a table
-built once per family and rescaled per chart (``series.odd_slot_ratios``).
+built once per family and rescaled per chart (``series.odd_slot_ratios``),
+in float64, or in 80 bits where the float64 read cancels.
 """
 
 from __future__ import annotations
@@ -436,8 +437,19 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
 # B_2n's numerator is a polynomial in u of degree up to 12n - 2 whose
 # coefficients sum table terms.  Where the moduli of all its terms exceed
 # |B_2n| (or 1) by more than _RATIO_CONDITION (OddSlotRatios.evaluate's
-# ``condition``), their rounding would show in the slot; there, mostly on D6
-# contours near u = -c_m/c_p, B_2n is taken from the series solve instead.
+# ``condition``), their rounding in float64 would show in the slot.  So B_2n
+# has up to three reads per node (_table_reads):
+#
+#   float64:   the family table in complex128, at every node;
+#   80 bits:   the table rounded to clongdouble and read again, at the nodes
+#              where the float64 read is ill-conditioned, mostly on D6
+#              contours near u = -c_m/c_p.  Horner's forward error grows with
+#              the unit roundoff, so the read is taken where its condition is
+#              at most _RATIO_CONDITION * eps(float64) / eps(clongdouble)
+#              (614,400 on x86-64), which keeps the same float64 bound;
+#   node solve: the t-jet series solve (_node_ratios), at the nodes beyond
+#              that gate too.  Where clongdouble is no wider than complex128
+#              the gate is _RATIO_CONDITION and it takes every ill node.
 
 _CIRCLE_SAMPLES = 128      # on one turn
 _RADIUS_FACTOR = 0.6
@@ -451,8 +463,9 @@ _TAIL_ROWS = ((2 * np.arange(14, 16) + 1) / 2)[:, None] \
 #: one takes about 165 panels; _MAX_PANELS bounds the panels of a segment.
 _PANEL_FRACTION = 0.25
 _MAX_PANELS = 400
-#: Nodes where OddSlotRatios.condition exceeds this take B_2n from the
-#: node solve instead.
+#: Nodes where OddSlotRatios.condition of the float64 read exceeds this
+#: read B_2n again in 80 bits, under the bound scaled by the ratio of unit
+#: roundoffs, and beyond that take it from the node solve.
 _RATIO_CONDITION = 300.0
 
 
@@ -510,10 +523,14 @@ def _graded_edges(a: complex, b: complex, specials: np.ndarray, tiny: float) -> 
     return a + seg * np.array(out)
 
 
-def _distances_to_segment(a: complex, b: complex, points: np.ndarray) -> np.ndarray:
-    """The distance from each of ``points`` to the segment a -> b."""
+def _distances_to_segment(a: complex, b, points: np.ndarray) -> np.ndarray:
+    """The distance from each of ``points`` to the segment a -> b; for an
+    array of ends b of shape (m, 1), from each point to each segment, shape
+    (m, len(points)).  |b - a| is taken by hypot, as abs takes it of one
+    complex number: numpy's vector abs can differ from it in the last bit."""
     seg = b - a
-    feet = np.clip(((points - a) * seg.conjugate()).real / abs(seg) ** 2, 0.0, 1.0)
+    feet = np.clip(((points - a) * np.conjugate(seg)).real / np.hypot(seg.real, seg.imag) ** 2,
+                   0.0, 1.0)
     return np.abs(points - (a + feet * seg))
 
 
@@ -556,9 +573,10 @@ def _leg_waypoints(chart, spec: EndpointSpec, u_tp: complex, P: complex):
         return _straight_run(P, u_star, *in_u), []
 
     # Target u = infinity: out to the large radius whose run clears the
-    # special points widest, then w = 1/u to zero.
-    u_big = max((u_tp + 12.0 * chart.scale * cmath.exp(1j * (2 * math.pi * m / 24))
-                 for m in range(24)), key=lambda end: np.min(_distances_to_segment(P, end, specials)))
+    # special points widest (the first such), then w = 1/u to zero.
+    ends = [u_tp + 12.0 * chart.scale * cmath.exp(1j * (2 * math.pi * m / 24)) for m in range(24)]
+    clear = np.min(_distances_to_segment(P, np.array(ends)[:, None], specials), axis=1)
+    u_big = ends[int(np.argmax(clear))]
     return (_straight_run(P, u_big, *in_u),
             _straight_run(1 / u_big, 0j, *_chart_specials(chart, specials, True)))
 
@@ -592,6 +610,30 @@ def _leg_quadrature(chart, u_pts: list, w_pts: list, specials: np.ndarray):
         jac = -chart.dt_du(1 / x) / (x * x) if in_w else chart.dt_du(x)
         groups.append((x, jac, wts, np.full(len(x), in_w)))
     return tuple(np.concatenate(arrays) for arrays in zip(*groups))
+
+
+def _table_reads(chart, params, n_max: int, xs: np.ndarray, k: int) -> tuple:
+    """(B_2n, read) at the nodes x = u, and x = w = 1/u from node k on, read
+    off the family's table: every node in complex128, then the nodes where
+    that read is ill-conditioned again in clongdouble.  A read in a type of
+    unit roundoff eps is taken where its condition is at most
+    _RATIO_CONDITION float64 eps / eps, so that it keeps within about
+    _RATIO_CONDITION float64 ulps of max(1, |B_2n|).  ``read`` holds per
+    node the read taken: 0 for complex128, 1 for clongdouble, 2 for neither
+    (B_2n is left 0 there for the node solve)."""
+    b = np.zeros((n_max, len(xs)), complex)
+    read = np.full(len(xs), 2)
+    for i, dtype in enumerate((np.complex128, np.clongdouble)):
+        left = np.flatnonzero(read == 2)
+        if not len(left):
+            break
+        ratios = odd_slot_ratios(params, n_max, chart, dtype)
+        values, cond = (np.concatenate(parts, axis=-1) for parts in zip(*(
+            ratios.evaluate(xs[part], inverted)
+            for inverted, part in ((False, left[left < k]), (True, left[left >= k])) if len(part))))
+        taken = cond <= _RATIO_CONDITION * np.finfo(float).eps / np.finfo(dtype).eps
+        b[:, left[taken]], read[left[taken]] = values[:, taken], i
+    return b, read
 
 
 def _node_ratios(chart, params, us: np.ndarray, n_max: int) -> np.ndarray:
@@ -636,8 +678,11 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     along a dumbbell around the adjacent turning point with FFT mode
     extraction on the circle.  B_2n is read at the circle's nodes and the
     leg's u-chart nodes as it stands, at its w-chart nodes from the reversed
-    numerators, and from the series solve where it is ill-conditioned.
-    Raises PathError when a consistency check fails.
+    numerators: off the table in float64; where that read is
+    ill-conditioned, off the table again in 80 bits (clongdouble), taken
+    where its condition is within _RATIO_CONDITION scaled by the ratio of
+    the two types' unit roundoffs; and from the series solve at the nodes
+    beyond that too.  Raises PathError when a consistency check fails.
 
     The leg's panels each span a quarter of the distance from their start
     to the nearest singular point or turning point (the finite endpoint
@@ -655,10 +700,11 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     sign label (``mode_sum`` and ``leg``), and ``cancellation`` =
     (|mode_sum| + |leg|) / |W_n| >= 1, the factor by which rounding in
     either part is amplified in W_n, ``nodes`` (circle and leg), ``panels``
-    (the leg's) and ``node_solves``, the nodes that took B_2n from the series
-    solve.  ``even_ratio`` is 0.0 on every
-    returned result: the one-turn modes hold no integer powers, and the key
-    stays only because the benchmark's tracer reads it."""
+    (the leg's), ``wide_nodes``, the nodes that took B_2n from the 80-bit
+    read of the table, and ``node_solves``, the nodes that took it from the
+    series solve; the other nodes took the float64 read.  ``even_ratio`` is
+    0.0 on every returned result: the one-turn modes hold no integer powers,
+    and the key stays only because the benchmark's tracer reads it."""
     chart = u_chart(params)
     if chart.equation != spec.equation:
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
@@ -680,15 +726,13 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     # B_2n on every node: the circle and the u-leg in u, then the w-leg,
     # whose nodes come last, in w; R_{-1} = sqrt(Delta), Delta = q / t'(u)^2,
     # on the principal branch per node.
-    ratios = odd_slot_ratios(params, n_max, chart)
     xs = np.concatenate([turn, leg_x])
     k = M + np.count_nonzero(~in_w)
     us = np.concatenate([xs[:k], 1 / xs[k:]])
-    b, cond = (np.concatenate(parts, axis=-1) for parts in zip(
-        ratios.evaluate(xs[:k]), ratios.evaluate(xs[k:], True)))
-    ill = cond > _RATIO_CONDITION
-    if np.any(ill):
-        b[:, ill] = _node_ratios(chart, params, us[ill], n_max)
+    b, read = _table_reads(chart, params, n_max, xs, k)
+    solved = read == 2
+    if np.any(solved):
+        b[:, solved] = _node_ratios(chart, params, us[solved], n_max)
     sqrtD = np.sqrt(chart.q(us) / chart.dt_du(us) ** 2)
 
     sig_circle = _chain_signs(sqrtD[:M])
@@ -730,7 +774,9 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
                     "leg_rel_err": leg_err, "mode_sum": mode_sum, "leg": leg,
                     "cancellation": float((abs(mode_sum) + abs(leg)) / abs(w_n))
                     if w_n else math.inf,
-                    "nodes": len(us), "panels": len(panel_len), "node_solves": int(ill.sum())}
+                    "nodes": len(us), "panels": len(panel_len),
+                    "wide_nodes": int(np.count_nonzero(read == 1)),
+                    "node_solves": int(np.count_nonzero(solved))}
 
     u_end = us[-1]
     label = _anchor_label(spec, chart, chart.t_of_u(u_end), chart.lambda0_of_u(u_end),

@@ -713,10 +713,95 @@ def test_d6_tables_have_the_columns_homogeneity_allows():
     # powers c_m^2k, k <= 4n, and no odd power.  Each float entry is its
     # exact entry rounded to nearest.
     exact = series._exact_numerators(D6Chart, series.D6Model, 4)
-    for n, (M, (P, _)) in enumerate(zip(exact, series._slot_table(D6Chart, series.D6Model, 4)), 1):
+    table = series._slot_table(D6Chart, series.D6Model, 4, np.float64)
+    for n, (M, (P, _)) in enumerate(zip(exact, table), 1):
         assert P.shape[1] <= 4 * n + 1, n
         assert M.lo == 0 and not M.c[:, 1::2].any(), n
         assert P.tolist() == [[float(Fraction(v, M.den)) for v in row[::2]] for row in M.c.tolist()]
+
+
+def _is_nearest(v, want: Fraction) -> bool:
+    """No neighbour of v in its type lies nearer want, and at a tie v's
+    mantissa is even."""
+    gap = abs(Fraction(*v.as_integer_ratio()) - want)
+    real = type(v)
+    even = np.ldexp(np.frexp(v)[0], np.finfo(real).nmant + 1) % 2 == 0
+    return all(gap < other or gap == other and even for other in (
+        abs(Fraction(*np.nextafter(v, real(side)).as_integer_ratio()) - want)
+        for side in (np.inf, -np.inf)))
+
+
+def test_the_80_bit_table_is_the_exact_table_rounded_to_nearest():
+    # float64 holds M_n exactly through n = 3 (at most 43 significant bits
+    # over a power of 2); D6's M_4 has up to 66, so there the 80-bit table is
+    # not the float64 one widened, and one entry of 65 bits is a tie.
+    exact = series._exact_numerators(D6Chart, D6Model, 4)
+    table = series._slot_table(D6Chart, D6Model, 4, np.longdouble)
+    narrow = series._slot_table(D6Chart, D6Model, 4, np.float64)
+    assert not np.array_equal(table[-1][0], narrow[-1][0])
+    for M, (P, size) in zip(exact, table):
+        assert P.dtype == size.dtype == np.longdouble and P.shape == M.c[:, ::2].shape
+        for v, want in zip(P.ravel(), M.padded(0)[:, ::2].ravel()):
+            assert _is_nearest(v, Fraction(want, M.den))
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+def test_rounding_to_a_binary_type_is_to_nearest_ties_to_even(real):
+    bits = np.finfo(real).nmant
+    rng = np.random.default_rng(7)
+    cases = [((-1) ** k * int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 80)),
+              int(rng.integers(1, 2 ** 40))) for k in range(300)]
+    # Halfway between two numbers of the type: 2^bits + j + 1/2.
+    cases += [((-1) ** j * (2 ** (bits + 1) + 2 * j + 1), 2) for j in range(4)]
+    for p, q in cases:
+        m, s = series._rounded(p, q, bits)
+        assert _is_nearest(np.ldexp(real(m), -s), Fraction(p, q)), (p, q)
+
+
+def _eta0_terms(model) -> dict:
+    """{(d, p): a} of the eta^0 terms of model.lam_poly()."""
+    out = {}
+    for d, e, a, p in model.lam_poly():
+        if e == 0 and a:
+            out[d, p] = out.get((d, p), 0) + a
+    return out
+
+
+def _unit_terms(model_cls, X) -> dict:
+    """{(d, p): a} of model_cls.unit_lam_poly, each a at the family's free
+    ratio X (D6: c_m = X at c_p = 1; D7: no ratio)."""
+    out = {}
+    for d, a, p in model_cls.unit_lam_poly:
+        value = sum(Fraction(c) * X ** j for j, c in enumerate(a))
+        if value:
+            out[d, p] = out.get((d, p), 0) + value
+    return out
+
+
+_UNIT_RATIOS = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), Fraction(3)]
+
+
+def test_each_model_states_its_unit_data():
+    # unit_lam_poly, from which the family tables are built, is lam_poly's
+    # eta^0 part at unit scale: D6 at c_inf = 1 + X, c_0 = 1 - X (c_p = 1,
+    # c_m = X; binary fractions X, so the parameters are exact), D7 at c = 1.
+    for X in _UNIT_RATIOS:
+        assert _eta0_terms(D6Model(Parameters(1 + X, 1 - X))) == _unit_terms(D6Model, X), X
+    assert _eta0_terms(D7Model(1)) == _unit_terms(D7Model, 0)
+
+
+@pytest.mark.parametrize("wrong", [
+    ((3, (-2,), 0), (1, (1,), 1), (0, (-2,), 2)),     # t^2 term -2 for -1
+    ((3, (-2,), 0), (1, (2,), 1), (0, (-1,), 2)),     # t lambda term 2 for 1
+    ((3, (-3,), 0), (1, (1,), 1), (0, (-1,), 2))],    # lambda^3 term -3 for -2
+    ids=["t2", "t-lambda", "lambda3"])
+def test_a_d7_model_with_wrong_unit_data_is_refused(wrong):
+    # The exact structure checks let these through (D7's numerators have
+    # no finite point over t = infinity and one double pole to test); the
+    # comparison with lam_poly does not.
+    model_cls = type("WrongD7Model", (D7Model,), {"unit_lam_poly": wrong})
+    series._exact_numerators(D7Chart, model_cls, 2)
+    assert _eta0_terms(model_cls(1)) != _unit_terms(model_cls, 0)
 
 
 def test_the_table_build_names_the_slot_whose_structure_fails():

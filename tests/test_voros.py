@@ -2,8 +2,10 @@
 and agreement with the independent contour oracle."""
 
 import cmath
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,8 @@ from p3wkb.voros import (
     voros_numeric_oracle,
     voros_symbolic,
 )
+
+from w2_sweep import _workloads
 
 P_GEN = Parameters(3 + 1j, 1 + 0.5j)
 
@@ -451,28 +455,31 @@ def _leg_of(spec, params, radius_factor=None):
     return chart, rho, u_pts, w_pts, voros._leg_specials(chart, spec)
 
 
-def _oracle_nodes(spec, params, monkeypatch, n_max=2):
-    """(u of every node in the oracle's order, t, lambda_0, their
-    OddSlotRatios.evaluate output) of the oracle at an endpoint."""
-    calls = []
+def _oracle_reads(spec, params, monkeypatch, n_max=2):
+    """(result, x of every node in the oracle's order, the index k from
+    which x is w = 1/u, B_2n as read off the family's table (0 at a node
+    not read there), and per node the read taken: 0 in complex128, 1 in
+    clongdouble, 2 none, the node solve) of the oracle at an endpoint."""
+    calls, table_reads = [], voros._table_reads
 
-    def spy(*args):
-        ratios = odd_slot_ratios(*args)
-
-        class Recording:
-            def evaluate(self, x, inverted=False):
-                calls.append((1 / x if inverted else x, ratios.evaluate(x, inverted)))
-                return calls[-1][1]
-        return Recording()
+    def spy(chart, params, n_max, xs, k):
+        calls.append((xs, k, *table_reads(chart, params, n_max, xs, k)))
+        return calls[-1][2:]
 
     with monkeypatch.context() as patch:
-        patch.setattr(voros, "odd_slot_ratios", spy)
-        voros_numeric_oracle(spec, params, n_max=n_max)
-    us = np.concatenate([u for u, _ in calls])
+        patch.setattr(voros, "_table_reads", spy)
+        result = voros_numeric_oracle(spec, params, n_max=n_max)
+    (xs, k, values, read), = calls
+    return result, xs, k, values, read
+
+
+def _oracle_nodes(spec, params, monkeypatch, n_max=2):
+    """(u of every node in the oracle's order, t, lambda_0, and the B_2n
+    and read of ``_oracle_reads``) of the oracle at an endpoint."""
+    _, xs, k, values, read = _oracle_reads(spec, params, monkeypatch, n_max)
+    us = np.concatenate([xs[:k], 1 / xs[k:]])
     chart = u_chart(params)
-    values = np.concatenate([v for _, (v, _) in calls], axis=1)
-    condition = np.concatenate([c for _, (_, c) in calls])
-    return us, chart.t_of_u(us), chart.lambda0_of_u(us), values, condition
+    return us, chart.t_of_u(us), chart.lambda0_of_u(us), values, read
 
 
 _BATCH_CASES = [(EndpointSpec("d6", "inf1", +1), P_GEN), (EndpointSpec("d7", "inf1", +1), 2 + 1j)]
@@ -546,6 +553,36 @@ def test_leg_runs_straight_unless_it_runs_through_a_special_point():
     assert abs(way - (1 + 1j)) == pytest.approx(0.48 * 1.5, rel=1e-15)
     for lo, hi in ((a, way), (way, b)):
         voros._graded_edges(lo, hi, specials, 1e-9)
+
+
+def _loop_pick(chart, spec, u_tp, P):
+    """The far-out leg end as the oracle once picked it: each of the 24
+    candidates scored by its own call, the first best kept by ``max``."""
+    specials = voros._leg_specials(chart, spec)
+
+    def clearance(end):
+        seg = end - P
+        feet = np.clip(((specials - P) * seg.conjugate()).real / abs(seg) ** 2, 0.0, 1.0)
+        return np.min(np.abs(specials - (P + feet * seg)))
+
+    return max((u_tp + 12.0 * chart.scale * cmath.exp(1j * (2 * math.pi * m / 24))
+                for m in range(24)), key=clearance)
+
+
+def test_far_out_leg_end_is_the_loops_pick():
+    # The candidates are scored in one broadcast; np.argmax keeps the first
+    # best as max did, and the distances are the loop's bit for bit, so the
+    # pick is the same end, the same Python complex.  On the u = infinity
+    # cases of _CROSS_CASES and the voros_oracle benchmark's seed-4711 checks.
+    seeded = [task.args for task in _workloads().VorosOracle.tasks(4711, 57)]
+    cases = [(spec, params) for spec, params in _CROSS_CASES + seeded
+             if spec.row.capture is None]
+    assert len(cases) > 20
+    for spec, params in cases:
+        chart, _, u_pts, w_pts, _ = _leg_of(spec, params)
+        P, u_tp = u_pts[0], voros._select_turning_point(chart, spec)
+        want = _loop_pick(chart, spec, u_tp, P)
+        assert type(u_pts[-1]) is type(want) and u_pts[-1] == want and w_pts[0] == 1 / want
 
 
 #: Seed 106, chamber I: two legs that the graded panels alone keep accurate
@@ -712,27 +749,28 @@ _CROSS_IDS = [str(spec) for spec, _ in _CROSS_CASES[:8]] + [
 
 
 def _read_slot_errors(spec, params, n_max, monkeypatch) -> np.ndarray:
-    """Per node the oracle reads B_2n at, the largest error of the slots
-    B_2n sqrt(Delta) against the node solve at K = N + 4 (in 80 bits where
-    numpy has them), relative to 1 + the node's largest slot, the rule of
+    """Per node the oracle reads B_2n at off the family's table, in
+    complex128 or in clongdouble, the largest error of the slots B_2n
+    sqrt(Delta) against the node solve at K = N + 4 (in 80 bits where numpy
+    has them), relative to 1 + the node's largest slot, the rule of
     test_series_80bit."""
-    us, ts, lams, values, condition = _oracle_nodes(spec, params, monkeypatch, n_max)
+    us, ts, lams, values, read = _oracle_nodes(spec, params, monkeypatch, n_max)
     N = 2 * n_max
     dtype = np.clongdouble if _HAS_80_BIT else np.complex128
     R = riccati_solution(zero_param_solution(np.asarray(ts, dtype), BranchPoint(ts, lams), N=N,
                                              K=N + 4, model=series.model_for(params)), +1).R
     slots = np.array([R.slot_value(1 - 2 * n) for n in range(n_max + 1)]).astype(complex)
     size = 1 + np.abs(slots).max(axis=0)
-    read = condition <= voros._RATIO_CONDITION
-    return (np.abs(values * slots[0] - slots[1:]).max(axis=0) / size)[read]
+    return (np.abs(values * slots[0] - slots[1:]).max(axis=0) / size)[read < 2]
 
 
 @pytest.mark.parametrize("n_max", [2, 3])
 @pytest.mark.parametrize("spec, params", _CROSS_CASES, ids=_CROSS_IDS)
 def test_odd_slot_ratios_match_the_node_solve_on_the_oracle_nodes(spec, params, n_max, monkeypatch):
-    # Every slot the oracle reads from B_2n lies within 1e-13 of the node
-    # solve.  The other nodes, where OddSlotRatios.condition is above the
-    # oracle's bound, take the node solve itself.
+    # Every slot the oracle reads from B_2n, in complex128 or again in
+    # clongdouble where the first read is ill-conditioned, lies within 1e-13
+    # of the node solve.  The other nodes, where the condition of both reads
+    # is above the oracle's bounds, take the node solve itself.
     err = _read_slot_errors(spec, params, n_max, monkeypatch)
     assert np.all(err <= 1e-13), np.max(err)
 
@@ -746,12 +784,78 @@ def test_a_table_rescaled_with_a_wrong_exponent_fails_the_node_solve_check(
     # the check above must see it on the nodes it reads.
     right = chart_cls.numerator_scales
 
-    def wrong(chart, n, rows, cols):
-        return right(chart, n, rows, cols) * (chart.p.c_p if chart_cls is D6Chart else chart.c)
+    def wrong(chart, n, rows, cols, dtype=np.complex128):
+        return right(chart, n, rows, cols, dtype) * (chart.p.c_p if chart_cls is D6Chart else chart.c)
 
     monkeypatch.setattr(chart_cls, "numerator_scales", wrong)
     err = _read_slot_errors(spec, params, 2, monkeypatch)
     assert len(err) and np.max(err) > 1e-13
+
+
+def _exact_d6_ratios(params, n_max, us):
+    """B_2n(u) of D6 at the points us in mpmath at 50 digits, from the exact
+    numerators at unit scale: B_2n = u^2n (u^2 - (c_m/c_p)^2) M_n(u) /
+    ((u + 1)^n T(u)^5n), T = c_p^2 u^3 + c_m^2, with the coefficient of
+    u^i X^j in M_n at unit scale times c_p^(8n - j) c_m^j."""
+    with mpmath.workdps(50):
+        cp, cm = mpmath.mpc(params.c_p), mpmath.mpc(params.c_m)
+        out = []
+        for n, M in enumerate(series._exact_numerators(D6Chart, series.D6Model, n_max), 1):
+            coeffs = [sum(mpmath.mpf(int(a)) / M.den * cp ** (8 * n - j) * cm ** j
+                          for j, a in enumerate(row)) for row in M.c]
+            out.append([complex(u ** (2 * n) * (u * u - (cm / cp) ** 2)
+                                * mpmath.polyval(coeffs[::-1], u) * u ** M.lo
+                                / ((u + 1) ** n * (cp * cp * u ** 3 + cm * cm) ** (5 * n)))
+                        for u in us])
+        return np.array(out)
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+@pytest.mark.parametrize("spec, params", [(EndpointSpec("d6", "zero_c0", +1), P_GEN), *_NEAR_PASSES],
+                         ids=["d6:zero_c0:+", "near-inf3", "near-inf4"])
+def test_table_reads_match_the_exact_numerators_in_mpmath(spec, params, n_max, monkeypatch):
+    # B_2n at every node the oracle reads off the family's table, in
+    # complex128 or again in clongdouble, lies within 1e-13 of max(1, |B_2n|)
+    # of B_2n from the exact numerators at 50 digits: a reference that
+    # shares neither the table's rounding nor the node solve.  These legs
+    # run near -c_m/c_p, where most of their nodes are ill-conditioned in
+    # complex128 (zero_c0 at n_max = 3 leaves all 160 to the node solve).
+    _, xs, k, values, read = _oracle_reads(spec, params, monkeypatch, n_max)
+    with mpmath.workdps(50):
+        us = [mpmath.mpc(x) if i < k else 1 / mpmath.mpc(x) for i, x in enumerate(xs)]
+    exact = _exact_d6_ratios(params, n_max, us)
+    err = (np.abs(values - exact) / np.maximum(1, np.abs(exact))).max(axis=0)[read < 2]
+    assert np.all(err <= 1e-13), np.max(err)
+
+
+@pytest.mark.parametrize("target", ["zero_cinf", "zero_c0", "inf1", "inf2", "inf3", "inf4"])
+def test_without_a_wider_type_every_ill_node_takes_the_node_solve(target, monkeypatch):
+    # Where numpy's clongdouble is no wider than complex128 the second read
+    # is gated at _RATIO_CONDITION itself and takes no node: the node solve
+    # takes every node whose complex128 condition exceeds it, and W_n is that
+    # of the oracle with the clongdouble reads refused, bit for bit.
+    spec = EndpointSpec("d6", target, +1)
+    evaluate = series.OddSlotRatios.evaluate
+
+    def refuse_wide(ratios, x, inverted=False):
+        values, condition = evaluate(ratios, x, inverted)
+        wide = ratios.coefficients.dtype != np.complex128
+        return values, np.full_like(condition, np.inf) if wide else condition
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series.OddSlotRatios, "evaluate", refuse_wide)
+        want = voros_numeric_oracle(spec, P_GEN, n_max=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "clongdouble", np.complex128)
+        got, xs, k, _, read = _oracle_reads(spec, P_GEN, monkeypatch)
+    ratios = odd_slot_ratios(P_GEN, 2)
+    condition = np.concatenate([ratios.evaluate(xs[:k])[1], ratios.evaluate(xs[k:], True)[1]])
+    ill = np.count_nonzero(condition > voros._RATIO_CONDITION)
+    assert np.count_nonzero(read == 2) == ill
+    assert ill or target != "zero_c0"
+    for n, diag in got.diagnostics.items():
+        assert (diag["wide_nodes"], diag["node_solves"]) == (0, ill)
+        assert got.values[n] == want.values[n] and diag["leg"] == want.diagnostics[n]["leg"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))])
@@ -791,7 +895,8 @@ def test_the_family_table_cannot_be_corrupted_by_its_callers():
     before = odd_slot_ratios(other, 2)(us)
     ratios = odd_slot_ratios(P_GEN, 2)
     for array in (*ratios.numerators, ratios.coefficients, ratios.weights,
-                  *(a for pair in series._slot_table(D6Chart, series.D6Model, 2) for a in pair),
+                  *(a for pair in series._slot_table(D6Chart, series.D6Model, 2, np.float64)
+                    for a in pair),
                   *(M.c for M in series._exact_numerators(D6Chart, series.D6Model, 2))):
         with pytest.raises(ValueError):
             array[..., 0] = 1.0
