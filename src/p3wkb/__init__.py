@@ -2,8 +2,9 @@
 
 Modules by layer:
 
-- ``numerics``  — Bernoulli numbers, jets, Laurent series, roots, the
-                  square-root sign chain, ``binet`` and ``log_gamma``
+- ``numerics``  — Bernoulli numbers, jets, Laurent series, exact Laurent
+                  polynomials (``ExactLaurent``), roots, the square-root
+                  sign chain, ``binet`` and ``log_gamma``
 - ``algebra``   — parameters, branches of the leading algebraic equations,
                   turning points, the u-plane charts of D6 and D7 and their
                   quadratic differentials

@@ -5,14 +5,12 @@ the sign chain that continues a square root along a path.
 
 Everything in this module but ``DenseJets`` is a pure function over immutable
 values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
-in the local coordinate ``s = t - t0``, at one base point or a batch of them,
-held as one array, on which the series solvers and ``series.EtaSeries``
-compute.  Its number type is fixed once, from the base points, as
-``np.result_type(t0, np.complex128)``: complex128, or 80-bit ``clongdouble``
-for clongdouble base points, which run the same code in extended precision.
-A ``Jet`` is one such jet, read-only, with operators that run on the same
-kernels; in the package only ``series`` uses it, for the slots of an
-eta-series and the t-jet of a solution.  The tests check the kernels
+in ``s = t - t0``, at one base point or a batch of them, held as one array,
+on which the series solvers and ``series.EtaSeries`` compute.  An instance
+holds the base points and their number type, complex128 or, for clongdouble
+base points, 80-bit ``clongdouble``; the Cauchy products are static and take
+their operands' type.  A ``Jet`` is one such jet, read-only, with operators
+on the same kernels; only ``series`` uses it.  The tests check the kernels
 against numpy's polynomial arithmetic.
 """
 
@@ -263,13 +261,6 @@ def _chain_signs(values, start=None) -> np.ndarray:
 # Dense jets: stacks of jets as complex arrays
 # ---------------------------------------------------------------------------
 
-#: Up to this many base points, jets multiply through one outer product of
-#: their coefficient vectors: a fixed handful of numpy calls per Cauchy sum,
-#: all (K+1)^2 terms, numpy's per-call cost setting the price.  Larger
-#: batches add K+1 shifted rows over the coefficient index instead: K+1
-#: calls but half the terms, which is what counts once arithmetic does.
-_OUTER_PRODUCT_NODES = 16
-
 @lru_cache(maxsize=None)
 def _antidiagonals(pairs: int, q: int):
     """Flat indices of the cells (pair, j, l) with j + l = k <= q of
@@ -293,28 +284,13 @@ def _cauchy_pairs(n: int, step_a: int, step_b: int):
 
 
 @lru_cache(maxsize=None)
-def _cauchy_by_order(n: int, step_a: int, step_b: int, orders: tuple):
-    """The pairs of ``_cauchy_pairs`` split by the order q = orders[m] of
-    their product slot m: per q, (q, i's, j's, group starts, the m's)."""
-    first, second, starts, ms = _cauchy_pairs(n, step_a, step_b)
-    sizes = np.diff(np.append(starts, len(first)))
-    out = []
-    for q in sorted({orders[m] for m in ms}, reverse=True):
-        keep = np.array([orders[m] == q for m in ms])
-        rows = np.repeat(keep, sizes)
-        out.append((q,) + _read_only(first[rows], second[rows],
-                                     np.cumsum(sizes[keep]) - sizes[keep], ms[keep]))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _cauchy_cells(n: int, step_a: int, step_b: int, K: int, orders: tuple):
-    """The outer-product path of ``DenseJets.mul`` through order orders[m]
-    of each product slot m: the pairs of ``_cauchy_pairs``; the flat
-    indices of the cells (pair, j, l) of their (K+1) x (K+1) outer
-    products with j + l = k <= orders[m], in runs of one (m, k, pair),
-    j rising, the start of each run, the start of each (m, k) block of
-    runs, and each block's flat index m (K+1) + k in the product stack."""
+    """``DenseJets.mul`` through order orders[m] of each product slot m:
+    the pairs of ``_cauchy_pairs``; the flat indices of the cells (pair,
+    j, l) of their (K+1) x (K+1) outer products with j + l = k <=
+    orders[m], in runs of one (m, k, pair), j rising, the start of each
+    run, the start of each (m, k) block of runs, and each block's flat
+    index m (K+1) + k in the product stack."""
     first, second, starts, ms = _cauchy_pairs(n, step_a, step_b)
     bounds = np.append(starts, len(first))
     cells, runs, blocks, targets = [], [], [], []
@@ -349,17 +325,16 @@ class DenseJets:
     in s = t - t0, followed by the batch axes of t0 (none for one base
     point).  An eta-series is a stack of jets, shape (slots, K+1, *batch),
     slot m holding the coefficient of eta^(offset - m).  One base point
-    and a batch of them share every line below and give the same bits.
-    Few base points (``small``) pay numpy's per-call cost, not arithmetic:
-    a Cauchy sum there is one outer product, one gather and one reduction;
-    a large batch adds K+1 shifted rows, half the terms of an outer product."""
+    and a batch of any size share every line below and give the same bits:
+    a Cauchy sum is one outer product, one gather of its antidiagonal
+    cells and one ``reduceat``, which adds each node's terms alike whatever
+    the batch."""
 
     def __init__(self, t0, K: int):
         self.K = K
         self.t0 = np.asarray(t0, np.result_type(t0, np.complex128))
         self.dtype = self.t0.dtype
         self.batch = np.shape(t0)
-        self.small = self.t0.size <= _OUTER_PRODUCT_NODES
         tail = (slice(None),) * len(self.batch)
         self._hi = (Ellipsis, slice(1, None)) + tail
         self._lo = (Ellipsis, slice(None, -1)) + tail
@@ -402,79 +377,63 @@ class DenseJets:
 
     # -- products: the one (eta, t) Cauchy kernel ---------------------------
 
-    def products(self, X: np.ndarray, Y: np.ndarray, order: int | None = None) -> np.ndarray:
+    @staticmethod
+    def products(X: np.ndarray, Y: np.ndarray, order: int | None = None) -> np.ndarray:
         """Truncated jet products X[i] * Y[i] along the leading axis of two
-        stacks (a stack of one broadcasts), through Taylor order ``order``,
-        the result holding order + 1 coefficients.  Coefficient k adds the
-        same terms in the same order whatever the order, so a product
-        stopped at the order its slot is certified to is bit-identical
-        below it.  Without ``order`` it is read off X, so lower-order
-        stacks work too."""
+        stacks (a stack of one broadcasts), through Taylor order ``order``
+        (default: X's), the result holding order + 1 coefficients.
+        Coefficient k adds the same terms in the same order whatever the
+        order, so a product stopped at its slot's certified order is
+        bit-identical below it."""
         if order is not None:
             X, Y = X[:, :order + 1], Y[:, :order + 1]
         K1 = X.shape[1]
         if K1 == 1:
             return X * Y
-        if self.small:
-            M = X[:, :, None] * Y[:, None, :]
-            cells, starts = _antidiagonals(1, K1 - 1)
-            M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
-            return np.add.reduceat(M, starts, axis=1)
-        out = X[:, :1] * Y
-        for j in range(1, K1):
-            out[:, j:] += X[:, j:j + 1] * Y[:, :K1 - j]
-        return out
+        M = X[:, :, None] * Y[:, None, :]
+        cells, starts = _antidiagonals(1, K1 - 1)
+        M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
+        return np.add.reduceat(M, starts, axis=1)
 
-    def slot(self, A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
+    @staticmethod
+    def slot(A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
              step: int = 1, *, order: int | None = None) -> np.ndarray:
         """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi, a jet
         of order ``order`` (default: the stacks' order): the order the
         caller's slot is certified to, so no term above it is computed.
-        Few base points add each coefficient's terms, pair by pair, in one
-        ``reduceat`` run, which pairs them alike for one node and several
-        (``sum`` would not) and alike whatever the order; a large batch
-        sums the pairs' products along the pair axis."""
+        Each coefficient adds its terms, pair by pair, in one ``reduceat``
+        run, in one order for one node and several (``sum`` would not)."""
         q = A.shape[1] - 1 if order is None else order
         if hi < lo:
-            return self.zeros()[:q + 1]
+            return np.zeros((q + 1,) + A.shape[2:], np.result_type(A, B))
         n = len(B) - 1 - m                  # B[m - i] is B[::-1][n + i]
         X, Y = A[lo:hi + 1:step, :q + 1], B[::-1][n + lo:n + hi + 1:step, :q + 1]
-        if not self.small:
-            return self.products(X, Y).sum(axis=0)
         M = X[:, :, None] * Y[:, None, :]
         cells, starts = _antidiagonals(len(X), q)
         return np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], starts, axis=0)
 
-    def mul(self, A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
+    @staticmethod
+    def mul(A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
             orders=None) -> np.ndarray:
         """The eta-product of two stacks of equal length, truncated to it;
         A (B) is nonzero only on slots that are multiples of step_a (step_b).
         Product slot m stops at Taylor order orders[m] (default: the
-        stacks' order), the order it is certified to, and is zero above.
-
-        With few base points one gather picks, from the pairs' outer
-        products, the cells of every kept order of every slot, and two
-        reductions add each antidiagonal and then each slot's pairs, in
-        the order the full product adds them.  A large batch runs the
-        shifted rows of ``products`` once per distinct order."""
+        stacks' order), the order it is certified to, and is zero above;
+        below it, it adds the terms as the full product does."""
         K = A.shape[1] - 1
         orders = (K,) * len(A) if orders is None else tuple(np.minimum(orders, K).tolist())
-        out = np.zeros(A.shape, self.dtype)
+        out = np.zeros(A.shape, np.result_type(A, B))
         if not len(A):          # the empty product: no pairs to index
             return out
-        if self.small:
-            first, second, cells, runs, blocks, targets = _cauchy_cells(
-                len(A), step_a, step_b, K, orders)
-            M = A[first][:, :, None] * B[second][:, None, :]
-            sums = np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], runs, axis=0)
-            out.reshape((-1,) + out.shape[2:])[targets] = np.add.reduceat(sums, blocks, axis=0)
-            return out
-        for q, first, second, starts, ms in _cauchy_by_order(len(A), step_a, step_b, orders):
-            out[ms, :q + 1] = np.add.reduceat(
-                self.products(A[first, :q + 1], B[second, :q + 1]), starts, axis=0)
+        first, second, cells, runs, blocks, targets = _cauchy_cells(
+            len(A), step_a, step_b, K, orders)
+        M = A[first][:, :, None] * B[second][:, None, :]
+        sums = np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], runs, axis=0)
+        out.reshape((-1,) + out.shape[2:])[targets] = np.add.reduceat(sums, blocks, axis=0)
         return out
 
-    def inverse(self, A: np.ndarray, step: int = 1, orders=None) -> np.ndarray:
+    @staticmethod
+    def inverse(A: np.ndarray, step: int = 1, orders=None) -> np.ndarray:
         """The eta-series 1 / A, for A nonzero only on slots that are
         multiples of ``step`` (and so is the result).  Slot m stops at
         Taylor order orders[m] (default: the stack's order) and is zero
@@ -483,13 +442,14 @@ class DenseJets:
         as the full-order inverse computes it."""
         K = A.shape[1] - 1
         orders = [K] * len(A) if orders is None else np.minimum(orders, K).tolist()
-        out = np.zeros(A.shape, self.dtype)
+        out = np.zeros_like(A)
         q = orders[0]
-        out[0, :q + 1] = self.divide(self.constant(1.0)[:q + 1], A[0, :q + 1])
+        out[0, 0] = 1.0         # the jet 1, then divided by A[0]
+        out[0, :q + 1] = DenseJets.divide(out[0, :q + 1], A[0, :q + 1])
         for m in range(step, len(A), step):
             q = orders[m]
-            out[m, :q + 1] = -self.products(self.slot(A, out, m, step, m, step, order=q)[None],
-                                            out[:1], q)[0]
+            out[m, :q + 1] = -DenseJets.products(
+                DenseJets.slot(A, out, m, step, m, step, order=q)[None], out[:1], q)[0]
         return out
 
     # -- single jets: each order adds its products in turn (a cumsum) in
@@ -610,8 +570,8 @@ class Jet:
                 return NotImplemented
             return Jet(self.base_point, self.coeffs * other)
         n = min(self.order, other.order)
-        return Jet(self.base_point, DenseJets(self.base_point, n).products(
-            self.coeffs[None], other.coeffs[None], n)[0])
+        return Jet(self.base_point,
+                   DenseJets.products(self.coeffs[None], other.coeffs[None], n)[0])
 
     __rmul__ = __mul__
 

@@ -187,17 +187,15 @@ class EtaSeries:
     def __mul__(self, other):
         if isinstance(other, Jet):      # slot by slot, not as a lifted series
             K = min(self.K, other.order)
-            return EtaSeries(self.offset, DenseJets(self.t0, K).products(
-                self.coeffs[:, :K + 1], other.coeffs[None, :K + 1]),
-                np.minimum(self.orders, K), self.t0)
+            return EtaSeries(self.offset, DenseJets.products(self.coeffs, other.coeffs[None], K),
+                             np.minimum(self.orders, K), self.t0)
         if not isinstance(other, EtaSeries):
             return replace(self, coeffs=self.coeffs * other)
         n, K = min(self.n_slots, other.n_slots), min(self.K, other.K)
         orders = np.minimum(np.minimum.accumulate(self.orders[:n]),
                             np.minimum.accumulate(other.orders[:n]))
         orders = np.minimum(orders, K)
-        coeffs = DenseJets(self.t0, K).mul(self.coeffs[:n, :K + 1], other.coeffs[:n, :K + 1],
-                                           orders=orders)
+        coeffs = DenseJets.mul(self.coeffs[:n, :K + 1], other.coeffs[:n, :K + 1], orders=orders)
         return EtaSeries(self.offset + other.offset, coeffs, orders, self.t0)
 
     __rmul__ = __mul__
@@ -205,8 +203,8 @@ class EtaSeries:
     def inverse(self) -> "EtaSeries":
         """1 / self; a vanishing leading value raises SingularJetError."""
         orders = np.minimum.accumulate(self.orders)
-        return EtaSeries(-self.offset, DenseJets(self.t0, self.K).inverse(self.coeffs, orders=orders),
-                         orders, self.t0)
+        return EtaSeries(-self.offset, DenseJets.inverse(self.coeffs, orders=orders), orders,
+                         self.t0)
 
     def __truediv__(self, other):
         return self * (other.inverse() if isinstance(other, EtaSeries) else 1.0 / other)
@@ -457,7 +455,9 @@ def lowest_jet_order(N: int, shifted: bool) -> int:
     that depends only on the slot, so this is the largest deficit: N (and
     at least 1) for a model that keeps its parameters, N + 1 for one that
     shifts them by eta^-1 (``shifted``).  At this K every slot value is
-    certified."""
+    certified.  N < 0 is refused."""
+    if N < 0:
+        raise ValueError(f"N={N}: the series runs through slot N >= 0")
     return -min(int(kept.min()) for kept in _slot_orders(0, N, shifted))
 
 
@@ -522,7 +522,6 @@ def _lambda0_jet(model, jets: DenseJets, seed):
             "too close to a turning point")
     K = jets.K
     dlam, inv_dt = model.chart.lambda0_u_jets(model.chart_args, jets, lam)
-    kfac = np.arange(1, K + 1).reshape((-1,) + (1,) * len(jets.batch))
     out = jets.zeros()
     out[:1] = lam
     for k in range(1, K + 1):
@@ -530,8 +529,8 @@ def _lambda0_jet(model, jets: DenseJets, seed):
         # through order K - k, whose value is k! lambda_k.
         dlam = jets.products(inv_dt[None, :K + 1 - k], dlam[None])[0]
         out[k] = dlam[0]
-        dlam = dlam[1:] * kfac[:K - k]
-    out[1:] /= np.cumprod(kfac.astype(jets.t0.real.dtype), axis=0)
+        dlam = dlam[1:] * jets._kfac[:K - k]
+    out[1:] /= np.cumprod(jets._kfac.astype(jets.t0.real.dtype), axis=0)
     val, dval = horner(out)
     # Gate the residual per node against the size of the polynomial's own
     # terms (lam * P'(lam) dominates the leading monomial), so batches that
@@ -984,6 +983,8 @@ def odd_slot_ratios(params, n_max: int = 2, chart=None, dtype=np.complex128) -> 
     in that type.  The first call per family builds the table exactly, and
     raises SlotStructureError where a factor that must divide a numerator
     leaves a remainder or a coefficient that must vanish does not."""
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max}: B_2n runs over n = 1..n_max, n_max >= 1")
     if chart is None:
         chart = u_chart(params)
     real = np.finfo(dtype).dtype.type

@@ -671,6 +671,13 @@ def _select_turning_point(chart, spec: EndpointSpec) -> complex:
     return max(tps, key=lambda v: (v.real, v.imag))
 
 
+def _staging_angle(chart, spec: EndpointSpec, u_tp: complex) -> float:
+    """theta_P, the direction from u_tp to the staging point P where the
+    oracle's circle meets its leg: toward the endpoint u*, 0 at u = oo."""
+    u_star = _target_of(chart, spec)
+    return 0.0 if u_star is None else cmath.phase(u_star - u_tp)
+
+
 def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleResult:
     """Contour-integral evaluation of W_1..W_{n_max} at an endpoint,
     independent of the closed forms: rho_n = B_2n sqrt(q) du, B_2n the odd
@@ -705,14 +712,15 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     series solve; the other nodes took the float64 read.  ``even_ratio`` is
     0.0 on every returned result: the one-turn modes hold no integer powers,
     and the key stays only because the benchmark's tracer reads it."""
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max}: the oracle evaluates W_1..W_n_max, n_max >= 1")
     chart = u_chart(params)
     if chart.equation != spec.equation:
         raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
     u_tp = _select_turning_point(chart, spec)
     rho = _RADIUS_FACTOR * chart.special_gap(u_tp)
 
-    u_star = _target_of(chart, spec)
-    theta_P = 0.0 if u_star is None else cmath.phase(u_star - u_tp)
+    theta_P = _staging_angle(chart, spec, u_tp)
     M = _CIRCLE_SAMPLES
     turn = u_tp + rho * np.exp(1j * (theta_P + 2 * math.pi * np.arange(M) / M))
     P = turn[0]

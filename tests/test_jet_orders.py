@@ -31,47 +31,48 @@ class FullOrderJets(DenseJets):
     asked: mul and inverse ignore ``orders``; products and slot cut their
     full result to ``order`` + 1 coefficients, the width callers expect."""
 
-    def products(self, X, Y, order=None):
+    @staticmethod
+    def products(X, Y, order=None):
         K1 = X.shape[1]
         if K1 == 1:
             full = X * Y
-        elif self.small:
+        else:
             M = X[:, :, None] * Y[:, None, :]
             cells, starts = numerics._antidiagonals(1, K1 - 1)
             M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
             full = np.add.reduceat(M, starts, axis=1)
-        else:
-            full = X[:, :1] * Y
-            for j in range(1, K1):
-                full[:, j:] += X[:, j:j + 1] * Y[:, :K1 - j]
         return full if order is None else full[:, :order + 1]
 
-    def slot(self, A, B, m, lo, hi, step=1, *, order=None):
+    @staticmethod
+    def slot(A, B, m, lo, hi, step=1, *, order=None):
         i = np.arange(lo, hi + 1, step)
         if not len(i):
             full = np.zeros_like(A[0])
-        elif self.small:
+        else:
             # One reduction per coefficient k over the terms A[i, j] B[m - i, k - j]
             # of every pair, pair by pair, j rising.
             M = A[i][:, :, None] * B[m - i][:, None, :]
             full = np.array([np.add.reduceat(np.array([M[p, j, k - j] for p in range(len(i))
                                                        for j in range(k + 1)]), [0], axis=0)[0]
                              for k in range(A.shape[1])])
-        else:
-            full = self.products(A[i], B[m - i]).sum(axis=0)
         return full if order is None else full[:order + 1]
 
-    def mul(self, A, B, step_a=1, step_b=1, orders=None):
+    @staticmethod
+    def mul(A, B, step_a=1, step_b=1, orders=None):
         first, second, starts, ms = numerics._cauchy_pairs(len(A), step_a, step_b)
         out = np.zeros_like(A)
-        out[ms] = np.add.reduceat(self.products(A[first], B[second]), starts, axis=0)
+        out[ms] = np.add.reduceat(FullOrderJets.products(A[first], B[second]), starts, axis=0)
         return out
 
-    def inverse(self, A, step=1, orders=None):
+    @staticmethod
+    def inverse(A, step=1, orders=None):
         out = np.zeros_like(A)
-        out[0] = self.divide(self.constant(1.0), A[0])
+        one = np.zeros_like(A[0])
+        one[0] = 1.0
+        out[0] = FullOrderJets.divide(one, A[0])
         for m in range(step, len(A), step):
-            out[m] = -self.products(self.slot(A, out, m, step, m, step)[None], out[:1])[0]
+            out[m] = -FullOrderJets.products(FullOrderJets.slot(A, out, m, step, m, step)[None],
+                                             out[:1])[0]
         return out
 
 
@@ -124,9 +125,8 @@ def _nodes(model, count):
 @pytest.mark.parametrize("N", [4, 8, 12])
 @pytest.mark.parametrize("family", ["d6", "d7", "d6-shifted", "d7-shifted"])
 def test_certified_coefficients_equal_the_full_order_solve(family, N, dK, nodes, monkeypatch):
-    # One node multiplies by outer products, twenty by shifted rows; the
-    # shifted models fill every slot of lambda (step 1), the others every
-    # other slot (step 2).
+    # One node and twenty; the shifted models fill every slot of lambda
+    # (step 1), the others every other slot (step 2).
     model = D6Model(P) if family.startswith("d6") else D7Model(C7)
     if family.endswith("shifted"):
         model = model.backlund_shifted(1)
@@ -197,7 +197,6 @@ def test_kernels_stop_at_the_orders_they_are_given(steps, nodes):
 def test_cached_order_tables_are_read_only():
     # Every solve shares these tables; a write must not corrupt the next one.
     tables = (numerics._cauchy_cells(5, 2, 2, 6, (6, 6, 4, 4, 2)) + numerics._antidiagonals(3, 4)
-              + numerics._cauchy_by_order(5, 1, 2, (6, 5, 4, 3, 2))[0][1:]
               + series._slot_orders(6, 4, False))
     for table in tables:
         with pytest.raises(ValueError):

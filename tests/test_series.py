@@ -504,8 +504,7 @@ def _batch_case(family):
 @pytest.mark.parametrize("family", ["d6", "d7"])
 def test_batched_solve_equals_scalar_solves(family, repeat):
     # Five base points solved at once give each node's scalar solve bit for
-    # bit.  Repeated to twenty, the batch multiplies jets by shifted rows
-    # instead of outer products, which rounds differently.
+    # bit, and so do twenty: every batch size runs the same product kernels.
     model, lams = _batch_case(family)
     ts, lams = np.tile(T_BATCH, repeat), np.tile(lams, repeat)
     zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
@@ -523,6 +522,24 @@ def test_batched_solve_equals_scalar_solves(family, repeat):
     assert zp.diagnostics["delta_node"] == int(np.argmin(delta))
     assert zp.diagnostics["delta_min"] == pytest.approx(delta.min(), rel=1e-15)
     assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
+
+
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_a_40_node_batch_gives_the_bytes_of_one_node_solves(family):
+    # Forty distinct base points solved at once: lambda, mu and R at each
+    # node are byte for byte those of the node solved alone.
+    model = _batch_case(family)[0]
+    rng = np.random.default_rng(40)
+    ts = 0.8 + 0.6j + 0.4 * (rng.random(40) + 1j * rng.random(40))
+    lams = np.array([model.branches(complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
+    zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
+    batch = (zp.lam, zp.mu, riccati_solution(zp, +1).R)
+    for node in range(len(ts)):
+        one = zero_param_solution(complex(ts[node]), BranchPoint(ts[node], lams[node]),
+                                  model=model, N=6)
+        for name, batched, series in zip(("lam", "mu", "R"), batch,
+                                         (one.lam, one.mu, riccati_solution(one, +1).R)):
+            assert batched.coeffs[..., node].tobytes() == series.coeffs.tobytes(), (name, node)
 
 
 def test_slot_jets_are_read_only():
@@ -563,6 +580,24 @@ def test_diagnostics_record_the_gates(zp):
     assert zp.diagnostics["delta_min"] == pytest.approx(abs(zp.delta0.value()), rel=1e-15)
     assert zp.diagnostics["delta_node"] == zp.diagnostics["newton_node"] == 0
     assert 0 <= zp.diagnostics["newton_ratio"] < 1e-8
+
+
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_a_negative_slot_count_is_refused_by_name(family):
+    # N = 0 solves lambda_0 alone; N = -1 has no slot to solve.
+    model, lams = _batch_case(family)
+    t0, branch = complex(T_BATCH[0]), BranchPoint(T_BATCH[0], lams[0])
+    zp = zero_param_solution(t0, branch, model=model, N=0)
+    assert zp.lam.n_slots == riccati_solution(zp, +1).R.n_slots == 1
+    with pytest.raises(ValueError, match="N=-1"):
+        zero_param_solution(t0, branch, model=model, N=-1)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+@pytest.mark.parametrize("params", [P, C7])
+def test_odd_slot_ratios_without_a_slot_are_refused_by_name(params, n_max):
+    with pytest.raises(ValueError, match=f"n_max={n_max}"):
+        odd_slot_ratios(params, n_max)
 
 
 @pytest.mark.parametrize("k", range(3))

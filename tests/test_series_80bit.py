@@ -216,11 +216,9 @@ def test_zero_c_branches_near_t_zero_against_80_bit(family, radius, shifted):
 @needs_80_bit
 @pytest.mark.parametrize("name, repeat", [("d6", 1), ("d7-b1", 4)])
 def test_80_bit_batch_matches_one_node_solves(name, repeat):
-    # Five nodes take the outer-product kernels of one node, bit for bit.
-    # Twenty take the shifted-row kernels, which add the terms of one
-    # coefficient in order, where np.add.reduceat adds the first to the
-    # sum of the rest: they agree to 80-bit rounding, within 1.4e-17 (D6)
-    # and 5.3e-15 (D7, in the top Taylor orders) of the largest coefficient.
+    # Five nodes and twenty run the product kernels of one node and give
+    # its bits; the test holds twenty within 5e-14 of the largest
+    # coefficient.
     model = MODELS[name]
     lams = [model.branches(t)[k % 3].lambda0 for k, t in enumerate(T_BATCH)]
     ts, lams = np.tile(T_BATCH, repeat), np.tile(lams, repeat)

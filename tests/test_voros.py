@@ -374,6 +374,12 @@ def test_oracle_refuses_a_circle_with_too_few_samples(monkeypatch):
         voros_numeric_oracle(EndpointSpec("d6", "zero_c0", +1), P_GEN, n_max=2)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_oracle_without_a_coefficient_is_refused_by_name(n_max):
+    with pytest.raises(ValueError, match=f"n_max={n_max}"):
+        voros_numeric_oracle(EndpointSpec("d6", "inf1", +1), P_GEN, n_max=n_max)
+
+
 def _two_turn_modes(f):
     """Reference: the half-odd modes read off the double cover, an FFT of
     the samples followed by their negation (the root's sign after one
@@ -401,10 +407,9 @@ def test_one_turn_modes_match_the_two_turn_reference(spec, params, monkeypatch):
 
     monkeypatch.setattr(voros, "_half_odd_modes", recording)
     res = voros_numeric_oracle(spec, params, n_max=3)
-    chart = u_chart(params)
-    u_star = voros._target_of(chart, spec)
-    theta_P = 0.0 if u_star is None else cmath.phase(u_star - res.turning_point_u)
-    z = voros._RADIUS_FACTOR * chart.special_gap(res.turning_point_u) * cmath.exp(1j * theta_P)  # P - u_tp
+    chart, u_tp = u_chart(params), res.turning_point_u
+    theta_P = voros._staging_angle(chart, spec, u_tp)
+    z = voros._RADIUS_FACTOR * chart.special_gap(u_tp) * cmath.exp(1j * theta_P)  # P - u_tp
     (f,) = seen
     s, modes = _two_turn_modes(f)
     for n, diag in res.diagnostics.items():
@@ -446,11 +451,9 @@ def _leg_of(spec, params, radius_factor=None):
     is the oracle's own unless given."""
     chart = u_chart(params)
     u_tp = voros._select_turning_point(chart, spec)
-    u_star = voros._target_of(chart, spec)
     factor = voros._RADIUS_FACTOR if radius_factor is None else radius_factor
     rho = factor * chart.special_gap(u_tp)
-    theta = 0.0 if u_star is None else cmath.phase(u_star - u_tp)
-    P = u_tp + rho * cmath.exp(1j * theta)
+    P = u_tp + rho * cmath.exp(1j * voros._staging_angle(chart, spec, u_tp))
     u_pts, w_pts = voros._leg_waypoints(chart, spec, u_tp, P)
     return chart, rho, u_pts, w_pts, voros._leg_specials(chart, spec)
 
@@ -712,9 +715,8 @@ def test_double_pole_batch_at_k8_matches_the_80_bit_solve():
 
 
 def test_double_pole_batch_at_the_oracle_order_matches_one_node_solves():
-    # Batch and one-node solves agree within 3.4e-12 relative: lambda_0's
-    # jets agree within 3.5e-16 of each order, and the slot recursions' two
-    # product kernels differ on coefficients of size rho^(-k).  Each lies
+    # The batch gives the one-node solves bit for bit (the test holds it
+    # within 1e-11 relative); both run one product kernel.  Each lies
     # within 1.9e-11 of the 80-bit solve (1.7e-10 when lambda_0 came from
     # the jet Newton).
     ts, lams, model = _double_pole_nodes()

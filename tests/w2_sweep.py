@@ -9,7 +9,9 @@ infinity checks (``d7_inf``, whose closed form vanishes), and prints the
 figure with the seed and label of the check that sets it, and the nodes of
 those checks summed by the read that gave B_2n there: off the family table
 in float64, off it again in 80 bits, or from the node solve (the oracle's
-``diagnostics``: ``nodes``, ``wide_nodes``, ``node_solves``).  The task count
+``diagnostics``: ``nodes``, ``wide_nodes``, ``node_solves``), and the
+largest batch of nodes one check sends to the node solve, with the count of
+checks that send any.  The task count
 fixes the list: it sets the number of rounds, and so which D7 draws come
 before the D6 draws.  The workloads file is read as ``test_perfbench_api``
 reads it, leaving no bytecode cache in ``perfbench/``.  pytest does not
@@ -39,9 +41,12 @@ def _workloads():
 
 def sweep() -> tuple:
     """((error, seed, label) of the worst W_2 check, the nodes summed over
-    the checks as (float64 table, 80-bit table, node solve))."""
+    the checks as (float64 table, 80-bit table, node solve), (nodes, seed,
+    label) of the largest node-solve batch, (checks with node solves,
+    checks))."""
     oracle = _workloads().VorosOracle
     worst, reads = (-1.0, None, None), [0, 0, 0]
+    largest, solving, checks = (0, None, None), 0, 0
     for seed in SEEDS:
         for task in oracle.tasks(seed, COUNT):
             if task.kind == "d7_inf":
@@ -49,15 +54,20 @@ def sweep() -> tuple:
             closed, values, diagnostics = oracle.run(task)
             worst = max(worst, (abs(values[2] - closed[2]) / abs(closed[2]), seed, task.label))
             d = diagnostics[2]
+            if d["node_solves"] > largest[0]:
+                largest = (d["node_solves"], seed, task.label)
+            solving, checks = solving + (d["node_solves"] > 0), checks + 1
             for i, count in enumerate((d["nodes"] - d["wide_nodes"] - d["node_solves"],
                                        d["wide_nodes"], d["node_solves"])):
                 reads[i] += count
-    return worst, tuple(reads)
+    return worst, tuple(reads), largest, (solving, checks)
 
 
 if __name__ == "__main__":
     start = time.perf_counter()
-    (err, seed, label), (table, wide, solved) = sweep()
+    (err, seed, label), (table, wide, solved), (batch, b_seed, b_label), (solving, checks) = sweep()
     print(f"max |W_2 - closed| / |closed| = {err:.3e}  (seed {seed}, {label})"
           f"  [{time.perf_counter() - start:.1f} s]")
     print(f"nodes: {table} float64 table, {wide} 80-bit table, {solved} node solve")
+    print(f"largest node-solve batch: {batch} nodes (seed {b_seed}, {b_label});"
+          f" {solving} of {checks} checks solve nodes")
