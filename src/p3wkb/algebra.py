@@ -605,10 +605,6 @@ class D6Chart(UChart):
     def origin_logs(self, u0):
         return 0j, 0j
 
-    def parameter_dict(self) -> dict:
-        p = self.p
-        return {"c_inf": [p.c_inf.real, p.c_inf.imag], "c_0": [p.c_0.real, p.c_0.imag]}
-
 
 class D7Chart(UChart):
     """u-plane chart of the degenerate (D7) equation, whose leading equation
@@ -679,9 +675,6 @@ class D7Chart(UChart):
 
     def origin_logs(self, u0):
         return (0j if self.same_point(u0, self.simple_pole_u) else 1j * math.pi,)
-
-    def parameter_dict(self) -> dict:
-        return {"c": [self.c.real, self.c.imag]}
 
 
 def _product_jet(const, polys, u, K: int):

@@ -78,7 +78,7 @@ import numpy as np
 from .algebra import Parameters
 from .numerics import _atanh_excess, _read_only, binet
 from .voros import f_coefficient, g_coefficient
-from .walls import _JUMPING, WALL_TABLE, on_imaginary_axis
+from .walls import WALL_TABLE, on_imaginary_axis
 
 __all__ = [
     "GammaPoleError",
@@ -90,7 +90,6 @@ __all__ = [
     "borel_sum_G",
     "jump_factor",
     "laplace_oracle",
-    "summability_report",
     "connection_multiplier",
 ]
 
@@ -412,18 +411,8 @@ def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Summability report and connection multipliers
+# Connection multipliers
 # ---------------------------------------------------------------------------
-
-def summability_report(p: Parameters) -> dict[str, bool]:
-    """Which of the four endpoint Voros series are Borel summable at ``p``.
-
-    A series fails exactly when its argument is purely imaginary
-    (``walls.on_imaginary_axis``), i.e. when ``p`` sits on the matching wall.
-    """
-    return {block: not on_imaginary_axis(getattr(p, quantity))
-            for quantity, block in _JUMPING.items()}
-
 
 @dataclass(frozen=True)
 class ConnectionMultiplier:

@@ -1,5 +1,5 @@
-"""Stokes geometry on the u-plane: emanating directions, curve tracing,
-degeneration detection, and diagram serialization (SVG / JSON).
+"""Stokes geometry on the u-plane: emanating directions, curve tracing and
+degeneration detection.
 
 Curves are integral curves of Im int sqrt(q) du = 0, traced with the
 unit-speed field conj(sqrt q)/|sqrt q| (so Re of the integral increases
@@ -31,7 +31,6 @@ escape radius end the curves with the seals off.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,7 +52,6 @@ __all__ = [
     "trace_curve",
     "stokes_diagram",
     "detect_degenerations",
-    "render",
 ]
 
 #: A step is halved while the drift of Im phi exceeds this, times 1 + arc + step.
@@ -103,23 +101,6 @@ class StokesDiagram:
     chart: object
     curves: list = field(default_factory=list)
     degenerations: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "parameters": self.chart.parameter_dict(),
-            "turning_points_u": [[u.real, u.imag] for u in self.chart.turning_points_u],
-            "curves": [{
-                "origin": c.origin,
-                "ray": c.ray,
-                "points": [[u.real, u.imag] for u in c.points],
-                "terminus": c.terminus,
-            } for c in self.curves],
-            "degenerations": [{
-                "kind": d.kind,
-                "participants": d.participants,
-                "diagnostic": d.diagnostic,
-            } for d in self.degenerations],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -554,51 +535,3 @@ def detect_degenerations(diagram: StokesDiagram) -> list:
                        for r in records):
                 records.append(rec)
     return records
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-def render(diagram: StokesDiagram, format: str = "svg") -> bytes:
-    """Serialize: deterministic JSON (schema fixed) or an 800x800 SVG with
-    curves, x = turning points, filled dots = double poles, triangle = the
-    simple pole."""
-    if format == "json":
-        return json.dumps(diagram.to_dict(), indent=1, sort_keys=True).encode()
-    if format != "svg":
-        raise ValueError(f"unknown format {format!r}")
-
-    chart = diagram.chart
-    tps = list(chart.turning_points_u)
-    centroid = sum(tps) / len(tps)
-    specials = chart.singular_points()
-    span = max([abs(s - centroid) for s in specials] + [1e-3]) * 2.8
-    half = 400.0
-
-    def to_px(u: complex):
-        return (half + (u.real - centroid.real) / span * 2 * half,
-                half - (u.imag - centroid.imag) / span * 2 * half)
-
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-             'viewBox="0 0 800 800">',
-             '<rect width="800" height="800" fill="white"/>']
-    for c in diagram.curves:
-        pts = [to_px(u) for u in c.points if abs(u - centroid) < 1.2 * span]
-        if len(pts) < 2:
-            continue
-        path = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pts)
-        parts.append(f'<path d="{path}" fill="none" stroke="black" stroke-width="1"/>')
-    for u in tps:
-        x, y = to_px(u)
-        parts.append(f'<path d="M {x-5:.2f} {y-5:.2f} L {x+5:.2f} {y+5:.2f} '
-                     f'M {x-5:.2f} {y+5:.2f} L {x+5:.2f} {y-5:.2f}" '
-                     'stroke="red" stroke-width="2"/>')
-    for u in chart.double_poles_u.values():
-        x, y = to_px(u)
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="blue"/>')
-    x, y = to_px(chart.simple_pole_u)
-    parts.append(f'<path d="M {x:.2f} {y-6:.2f} L {x-5:.2f} {y+4:.2f} '
-                 f'L {x+5:.2f} {y+4:.2f} Z" fill="green"/>')
-    parts.append("</svg>")
-    return "\n".join(parts).encode()

@@ -1,7 +1,7 @@
 """Foundational arithmetic: Bernoulli numbers, truncated Taylor jets, Laurent
 series at infinity, exact Laurent polynomials in u and X, polynomial roots,
-Binet's function ``binet`` and the complex ``log_gamma`` built on it, and
-the sign chain that continues a square root along a path.
+Binet's function ``binet``, and the sign chain that continues a square root
+along a path.
 
 Everything in this module but ``DenseJets`` is a pure function over immutable
 values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
@@ -34,7 +34,6 @@ __all__ = [
     "bernoulli",
     "binet",
     "poly_roots",
-    "log_gamma",
 ]
 
 class SingularJetError(ValueError):
@@ -119,10 +118,8 @@ def poly_roots(coeffs) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# Binet's function and log Gamma
+# Binet's function
 # ---------------------------------------------------------------------------
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 #: B_{2n} / (2n (2n - 1)), n = 1..12: the Stirling series of J, summed where
 #: |w| >= _STIRLING_RADIUS and Re w >= 0 (there the 13th term is below 1e-16
@@ -209,18 +206,6 @@ def binet(w: complex) -> complex:
     for c in reversed(_STIRLING):
         acc = acc * u + c
     return shift + acc / w
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z), continuous on C minus (-inf, 0].
-
-    On the cut the sign of the zero imaginary part picks the lip: the upper
-    lip, Im z = +0, is the limit from Im z > 0, so log_gamma(-2.5 + 0j) has
-    imaginary part -3 pi and the lower lip +3 pi.  Raises ``ValueError`` at
-    the poles z = 0, -1, -2, ...
-    """
-    z = complex(z)
-    return binet(z) + (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI
 
 
 # ---------------------------------------------------------------------------

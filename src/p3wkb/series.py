@@ -729,8 +729,7 @@ def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int, orders):
     (lam'/lam)^2 (slot n at eta^(2-n)) as stacks.  With P = lam t^2 F,
     dF = t^-2 sum (d - 1) a t^p lam^(d-2) eta^-e over the terms of P.
     Their eta-products stop at ``orders``, the orders of R's slots: R_n
-    reads slot n of H and slots below n of G, and no deeper order.  So H,
-    whose slot 0 R never reads, is computed through orders[1] only."""
+    reads slot n of H and slots below n of G, and no deeper order."""
     terms = [term for term in model.lam_poly() if term[2] != 0 and term[0] != 1]
     one = jets.zeros(len(lam))
     one[0, 0] = 1.0
@@ -745,12 +744,8 @@ def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int, orders):
     for d, e, a, p in terms:
         term = (d - 1) * a * _eta_shift(powers[d - 2], e)
         groups[p - 2] = groups.get(p - 2, 0) + term
-    # R reads slot n of H, and so slot n - 2 of (lam'/lam)^2, through
-    # orders[n] only: through orders[1] at most, as the orders fall with n
-    # (and none at all for N = 0).
-    q = int(orders[1]) if len(orders) > 1 else 0
-    h = _by_t_power(jets, groups, q)
-    h[2:] -= jets.mul(ratio[:-2], ratio[:-2], step, step, orders[2:])[:, :q + 1]
+    h = _by_t_power(jets, groups)
+    h[2:] -= jets.mul(ratio[:-2], ratio[:-2], step, step, orders[2:])
     return g, h
 
 

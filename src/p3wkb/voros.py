@@ -20,8 +20,9 @@ u-plane: a circle around a turning point, resolved mode-by-mode through an
 FFT (each half-odd Puiseux mode has an elementary primitive, so the circle
 plus the escaping leg can be assembled without cancellation), plus a
 numerically integrated leg to the endpoint.  B_2n is read off a table
-built once per family and rescaled per chart (``series.odd_slot_ratios``),
-in float64, or in 80 bits where the float64 read cancels.
+built once per family and rescaled per chart (``series.odd_slot_ratios``):
+in float64, in 80 bits where the float64 read cancels, and, where that
+read cancels too, from the t-jet series solve at the node.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .series import (D6Model, D7Model, lowest_jet_order, model_for, odd_slot_rat
 __all__ = [
     "PathError",
     "EndpointSpec",
-    "parse_endpoint",
     "f_coefficient",
     "g_coefficient",
     "f_series",
@@ -125,14 +125,6 @@ class EndpointSpec:
     @property
     def row(self) -> _Endpoint:
         return _ENDPOINTS[self.equation][self.target]
-
-
-def parse_endpoint(text: str) -> EndpointSpec:
-    """Parse 'd6:inf3:+' style endpoint descriptions."""
-    parts = text.strip().split(":")
-    if len(parts) != 3 or parts[2] not in ("+", "-"):
-        raise ValueError(f"endpoint must look like 'd6:inf3:+', got {text!r}")
-    return EndpointSpec(parts[0], parts[1], +1 if parts[2] == "+" else -1)
 
 
 # ---------------------------------------------------------------------------

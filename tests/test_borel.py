@@ -26,9 +26,10 @@ from p3wkb.borel import (
     connection_multiplier,
     jump_factor,
     laplace_oracle,
-    summability_report,
 )
 from p3wkb.voros import f_coefficient, g_coefficient
+
+from test_walls import _summable
 
 ORACLE_POINTS = [3.0, 7 + 2j, 2.5, 4 + 1j, 6 - 3j]
 
@@ -558,15 +559,15 @@ def test_laplace_oracle_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# Summability report
+# Summability at the endpoint arguments
 # ---------------------------------------------------------------------------
 
 def test_summability_printed_examples():
-    assert summability_report(Parameters(2, 2 - 1j)) == {
+    assert _summable(Parameters(2, 2 - 1j)) == {
         "F(c_p)": True, "F(c_m)": False, "G(c_inf)": True, "G(c_0)": True}
-    assert summability_report(Parameters(2 + 1j, 3)) == {
+    assert _summable(Parameters(2 + 1j, 3)) == {
         "F(c_p)": True, "F(c_m)": True, "G(c_inf)": True, "G(c_0)": True}
-    report = summability_report(Parameters(1j, 3 + 0.5j))
+    report = _summable(Parameters(1j, 3 + 0.5j))
     assert report["G(c_inf)"] is False
     assert report["F(c_p)"] and report["F(c_m)"] and report["G(c_0)"]
 
@@ -575,9 +576,9 @@ def test_summability_relative_tolerance():
     # c_m = i/2 + tiny real part: flips back to summable once the real
     # part exceeds the relative tolerance.
     p = Parameters(2, 2 - 1j + 1e-6)
-    assert summability_report(p)["F(c_m)"] is True
+    assert borel_sum_F(p.c_m, 1.0).summable is True
     p = Parameters(2, 2 - 1j + 1e-12)
-    assert summability_report(p)["F(c_m)"] is False
+    assert borel_sum_F(p.c_m, 1.0).summable is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Stokes geometry: emanating rays, curve tracing, degeneration detection,
-the t-form phase primitive of the test reference, and diagram rendering."""
+and the t-form phase primitive of the test reference."""
 
 import cmath
-import json
 import math
 import random
 import time
-import xml.etree.ElementTree as ET
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +26,6 @@ from p3wkb.geometry import (
     START_FRACTION,
     TraceError,
     emanation_directions,
-    render,
     stokes_diagram,
     trace_curve,
 )
@@ -812,46 +809,6 @@ def test_phi_primitive_raises_on_vanishing_log_argument():
     for sign in (+1, -1):
         with pytest.raises(BranchCutError):
             phi_primitive(BranchPoint(t0, lam, sign=sign), p)
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-def test_render_json_roundtrip():
-    diag = _diagram(P_GEN)
-    data = json.loads(render(diag, "json"))
-    assert data == diag.to_dict()
-    assert sorted(data.keys()) == ["curves", "degenerations", "parameters",
-                                   "turning_points_u"]
-    assert sorted(data["parameters"].keys()) == ["c_0", "c_inf"]
-    assert len(data["turning_points_u"]) == 3
-    assert len(data["curves"]) == 16
-    for c in data["curves"]:
-        assert sorted(c.keys()) == ["origin", "points", "ray", "terminus"]
-        assert all(len(pt) == 2 for pt in c["points"])
-
-
-def test_render_json_d7_parameter_key():
-    data = json.loads(render(_diagram(1j), "json"))
-    assert sorted(data["parameters"].keys()) == ["c"]
-    assert len(data["curves"]) == 6
-    assert data["degenerations"][0]["kind"] == "loop"
-
-
-def test_render_svg_well_formed():
-    diag = _diagram(Parameters(2, 2 - 1j))
-    svg = render(diag, "svg")
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    assert root.attrib["width"] == "800"
-    body = svg.decode()
-    assert body.count("polyline") >= 16 or body.count("path") >= 16
-
-
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        render(_diagram(P_GEN), "pdf")
 
 
 # ---------------------------------------------------------------------------

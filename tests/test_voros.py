@@ -30,7 +30,6 @@ from p3wkb.voros import (
     g_difference_rhs,
     g_series,
     increments_match,
-    parse_endpoint,
     reconstruct_from_difference,
     verify_difference_equation,
     voros_closed_form,
@@ -49,17 +48,18 @@ P_GEN = Parameters(3 + 1j, 1 + 0.5j)
 # Endpoint specs
 # ---------------------------------------------------------------------------
 
-def test_parse_endpoint_roundtrip():
-    spec = parse_endpoint("d6:inf3:+")
-    assert spec == EndpointSpec("d6", "inf3", +1)
-    assert parse_endpoint("d7:zero_c:-").sign == -1
-    assert str(parse_endpoint("d6:zero_cinf:-")) == "d6:zero_cinf:-"
+def test_endpoint_spec_prints_as_family_target_sign():
+    assert str(EndpointSpec("d6", "inf3")) == "d6:inf3:+"
+    assert str(EndpointSpec("d6", "zero_cinf", -1)) == "d6:zero_cinf:-"
+    assert str(EndpointSpec("d7", "zero_c", -1)) == "d7:zero_c:-"
 
 
-@pytest.mark.parametrize("bad", ["d6:inf3", "d8:inf3:+", "d6:nowhere:+", "d7:zero_cinf:+"])
-def test_parse_endpoint_rejects(bad):
+@pytest.mark.parametrize("bad", [("d8", "inf3", +1), ("d6", "nowhere", +1),
+                                 ("d7", "zero_cinf", +1), ("d6", "inf3", 0)],
+                         ids=["d8:inf3:+", "d6:nowhere:+", "d7:zero_cinf:+", "d6:inf3:0"])
+def test_endpoint_spec_rejects(bad):
     with pytest.raises(ValueError):
-        parse_endpoint(bad)
+        EndpointSpec(*bad)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +278,17 @@ def test_each_row_anchor_is_the_limit_at_its_endpoint(spec, params):
 #: (endpoint at p.swapped(), endpoint at p) with equal W_n.  c_inf <-> c_0
 #: leaves q unchanged, exchanges the double poles over t = 0 and negates c_m,
 #: and F is odd, so the inf3 row changes sign.
-_SWAP_PAIRS = [("d6:zero_cinf:+", "d6:zero_c0:+"), ("d6:zero_c0:+", "d6:zero_cinf:+"),
-               ("d6:inf3:+", "d6:inf3:-")]
+_SWAP_PAIRS = [(EndpointSpec("d6", "zero_cinf"), EndpointSpec("d6", "zero_c0")),
+               (EndpointSpec("d6", "zero_c0"), EndpointSpec("d6", "zero_cinf")),
+               (EndpointSpec("d6", "inf3"), EndpointSpec("d6", "inf3", -1))]
 
 
 @pytest.mark.parametrize("p", [Parameters(2 + 1j, 0.7 - 0.4j), P_GEN])
-@pytest.mark.parametrize("at_swapped, at_p", _SWAP_PAIRS)
+@pytest.mark.parametrize("at_swapped, at_p", _SWAP_PAIRS, ids=str)
 def test_oracle_under_parameter_swap(p, at_swapped, at_p):
-    a = voros_numeric_oracle(parse_endpoint(at_swapped), p.swapped(), n_max=2)
-    b = voros_numeric_oracle(parse_endpoint(at_p), p, n_max=2)
-    closed = voros_closed_form(parse_endpoint(at_p), p, 2)
+    a = voros_numeric_oracle(at_swapped, p.swapped(), n_max=2)
+    b = voros_numeric_oracle(at_p, p, n_max=2)
+    closed = voros_closed_form(at_p, p, 2)
     for n in (1, 2):
         rel = abs(a.values[n] - b.values[n]) / abs(closed[n])
         assert rel < 1e-5, f"n={n}: rel {rel:.2e}"
@@ -715,21 +716,18 @@ def test_double_pole_batch_at_k8_matches_the_80_bit_solve():
 
 
 def test_double_pole_batch_at_the_oracle_order_matches_one_node_solves():
-    # The batch gives the one-node solves bit for bit (the test holds it
-    # within 1e-11 relative); both run one product kernel.  Each lies
-    # within 1.9e-11 of the 80-bit solve (1.7e-10 when lambda_0 came from
-    # the jet Newton).
+    # The batch gives the one-node solves byte for byte; both run one
+    # product kernel.  Each lies within 1.9e-11 of the 80-bit solve
+    # (1.7e-10 when lambda_0 came from the jet Newton).
     ts, lams, model = _double_pole_nodes()
     R = _double_pole_ric(ts, lams, model, 6).R
     wide = _double_pole_ric(ts, lams, model, 6, np.clongdouble).R if _HAS_80_BIT else None
     for k in range(len(ts)):
         one = _double_pole_ric(complex(ts[k]), lams[k], model, 6).R
-        for power in one.powers():
-            got, want = R.slot_value(power)[k], one.slot_value(power)
-            assert abs(got - want) <= 1e-11 * abs(want)
-            if wide is not None:
-                ref = complex(wide.slot_value(power)[k])
-                assert max(abs(got - ref), abs(want - ref)) <= 5e-11 * abs(ref)
+        assert R.coeffs[..., k].tobytes() == one.coeffs.tobytes()
+        for power in one.powers() if wide is not None else ():
+            ref = complex(wide.slot_value(power)[k])
+            assert abs(one.slot_value(power) - ref) <= 5e-11 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +826,39 @@ def test_table_reads_match_the_exact_numerators_in_mpmath(spec, params, n_max, m
     exact = _exact_d6_ratios(params, n_max, us)
     err = (np.abs(values - exact) / np.maximum(1, np.abs(exact))).max(axis=0)[read < 2]
     assert np.all(err <= 1e-13), np.max(err)
+
+
+def _mp_exact(x) -> mpmath.mpc:
+    """A complex number of any numpy width in mpmath, without rounding."""
+    re, im = (mpmath.mpf(p) / q for p, q in (x.real.as_integer_ratio(), x.imag.as_integer_ratio()))
+    return mpmath.mpc(re, im)
+
+
+@pytest.mark.skipif(not _HAS_80_BIT, reason="numpy's clongdouble is no wider than complex128 here")
+@pytest.mark.parametrize("params", [P_GEN, _NEAR_PASSES[0][1], 2 + 1j, 0.7 - 1.3j],
+                         ids=["d6", "near-inf3", "d7", "d7-inexact"])
+def test_80_bit_table_reads_rescale_the_exact_numerators_in_80_bits(params):
+    # Each coefficient of the clongdouble numerators lies within 64 units of
+    # clongdouble's roundoff, times the sum of the moduli of its terms, of
+    # the exact numerators at unit scale times the scales of the float
+    # parameters, summed at 40 digits.  These stay within 3.1 units; scales
+    # formed in complex128, whose roundoff is 2^11 times larger, leave 850
+    # or more.  At c = 2 + 1j every D7 scale is exact in either type, so
+    # c = 0.7 - 1.3j checks D7's scales.
+    chart = u_chart(params)
+    got = odd_slot_ratios(params, 3, chart, np.clongdouble).coefficients[0]
+    eps = mpmath.ldexp(1, -np.finfo(np.longdouble).nmant)
+    if isinstance(params, Parameters):
+        cp, cm = mpmath.mpc(params.c_p), mpmath.mpc(params.c_m)
+        scale = lambda n, j, k: cp ** (8 * n - 2 * k) * cm ** (2 * k)
+    else:
+        scale = lambda n, j, k: mpmath.mpc(params) ** (4 * n - 1 - j)
+    with mpmath.workdps(40):
+        for n, M in enumerate(series._exact_numerators(type(chart), type(series.model_for(params)), 3), 1):
+            for j, row in enumerate(M.padded(0)[:, ::2]):
+                terms = [mpmath.mpf(int(a)) / M.den * scale(n, j, k) for k, a in enumerate(row)]
+                err = abs(_mp_exact(got[n - 1, j]) - mpmath.fsum(terms))
+                assert err <= 64 * eps * mpmath.fsum(abs(t) for t in terms), (n, j)
 
 
 @pytest.mark.parametrize("target", ["zero_cinf", "zero_c0", "inf1", "inf2", "inf3", "inf4"])

@@ -1,7 +1,7 @@
 """Stratification of parameter space: wall/chamber classification, the
 wall -> jumping-coefficient map, exchange symmetry, agreement with the
-summability report, and the empirical correspondence between walls and
-degenerations of the traced curve geometry."""
+summability of the lateral Borel sums, and the empirical correspondence
+between walls and degenerations of the traced curve geometry."""
 
 import cmath
 import math
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from p3wkb.algebra import AlgebraError, NearDegenerateWarning, Parameters
-from p3wkb.borel import borel_sum_F, borel_sum_G, summability_report
+from p3wkb.borel import borel_sum_F, borel_sum_G
 from p3wkb.geometry import stokes_diagram
 from p3wkb.walls import (
     CHAMBER_SIGNS,
@@ -126,14 +126,28 @@ def test_jumping_coefficients_on_chambers_empty():
         assert jumping_coefficients(Stratum("chamber", label)) == set()
 
 
-def test_summability_report_agrees_with_walls():
+#: quantity -> (model series, jumping-coefficient key)
+_BLOCKS = {"c_inf": (borel_sum_G, "G(c_inf)"), "c_0": (borel_sum_G, "G(c_0)"),
+           "c_p": (borel_sum_F, "F(c_p)"), "c_m": (borel_sum_F, "F(c_m)")}
+
+
+def _summable(p) -> dict:
+    """Per endpoint series, whether its lateral Borel sum at eta = 1 exists,
+    each taken on the side of the imaginary axis away from its Gamma poles."""
+    out = {}
+    for name, (borel_sum, key) in _BLOCKS.items():
+        c = getattr(p, name)
+        out[key] = borel_sum(c, 1.0, "minus" if c.real >= 0 else "plus").summable
+    return out
+
+
+def test_summability_agrees_with_walls():
     for label, p in WALL_POINTS.items():
         jumping = jumping_coefficients(classify(p))
-        report = summability_report(p)
-        for key, summable in report.items():
+        for key, summable in _summable(p).items():
             assert summable == (key not in jumping)
     for p in CHAMBER_POINTS.values():
-        assert all(summability_report(p).values())
+        assert all(_summable(p).values())
 
 
 def test_wall_point_is_not_borel_summable():
@@ -141,7 +155,6 @@ def test_wall_point_is_not_borel_summable():
     p = Parameters(1 + 0.5j, 3e-11 + 1j)
     assert classify(p) == Stratum("wall", "W1")
     assert not borel_sum_G(p.c_0, 1.0).summable
-    assert summability_report(p)["G(c_0)"] is False
 
 
 @pytest.mark.parametrize("p, chamber", [(Parameters(1e-6 + 1j, 3 + 0.5j), "II"),
@@ -158,13 +171,7 @@ def test_small_parameter_off_the_axis_is_in_a_chamber():
     # |c_0| = 1e-3: Re c_0 = 5e-12 is 5e-9 of |c_0|, well off the wall.
     p = Parameters(2 + 1j, 5e-12 + 1e-3j)
     assert classify(p).kind == "chamber"
-    assert all(summability_report(p).values())
-    assert borel_sum_G(p.c_0, 1.0).summable
-
-
-#: quantity -> (model series, summability-report key)
-_BLOCKS = {"c_inf": (borel_sum_G, "G(c_inf)"), "c_0": (borel_sum_G, "G(c_0)"),
-           "c_p": (borel_sum_F, "F(c_p)"), "c_m": (borel_sum_F, "F(c_m)")}
+    assert all(_summable(p).values())
 
 
 @given(st.sampled_from(sorted(_BLOCKS)),
@@ -174,8 +181,8 @@ _BLOCKS = {"c_inf": (borel_sum_G, "G(c_inf)"), "c_0": (borel_sum_G, "G(c_0)"),
        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
 @settings(max_examples=200, deadline=None)
 def test_walls_and_summability_agree_near_walls(near, rel_re, log_size, im, other):
-    """classify, jumping_coefficients, summability_report and the lateral
-    Borel sums give one verdict per quantity, also at small |c|."""
+    """classify, jumping_coefficients and the lateral Borel sums give one
+    verdict per quantity, also at small |c|."""
     size = 10.0 ** log_size
     a = size * complex(rel_re * im, im)        # Re a / |a| ~ rel_re
     b = size * other
@@ -187,14 +194,7 @@ def test_walls_and_summability_agree_near_walls(near, rel_re, log_size, im, othe
             p = Parameters(c_inf, c_0)
     except (AlgebraError, NearDegenerateWarning):
         assume(False)
-    report = summability_report(p)
-    off_axis = {}
-    for name, (borel_sum, key) in _BLOCKS.items():
-        c = getattr(p, name)
-        side = "minus" if c.real >= 0 else "plus"   # away from the Gamma poles
-        off_axis[key] = borel_sum(c, 1.0, side).summable
-        assert report[key] is off_axis[key]
-    jumping = {key for key, ok in off_axis.items() if not ok}
+    jumping = {key for key, ok in _summable(p).items() if not ok}
     try:
         stratum = classify(p)
     except StratificationError:
