@@ -9,9 +9,12 @@ in ``s = t - t0``, at one base point or a batch of them, held as one array,
 on which the series solvers and ``series.EtaSeries`` compute.  An instance
 holds the base points and their number type, complex128 or, for clongdouble
 base points, 80-bit ``clongdouble``; the Cauchy products are static and take
-their operands' type.  A ``Jet`` is one such jet, read-only, with operators
+their operands' type.  They form only the terms a truncated product keeps
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13): both
+factors of each term are gathered through index tables built once per shape
+and cached read-only.  A ``Jet`` is one such jet, read-only, with operators
 on the same kernels; only ``series`` uses it.  The tests check the kernels
-against numpy's polynomial arithmetic.
+against numpy's polynomial arithmetic and the tables against loops.
 """
 
 from __future__ import annotations
@@ -246,14 +249,34 @@ def _chain_signs(values, start=None) -> np.ndarray:
 # Dense jets: stacks of jets as complex arrays
 # ---------------------------------------------------------------------------
 
+def _ragged(counts):
+    """For runs of the given lengths laid end to end: each entry's run, its
+    offset in the run, and the start of each run."""
+    starts = np.cumsum(counts) - counts
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - starts[run], starts
+
+
+def _factor_runs(lengths, x0, y0):
+    """Runs of terms X[x] Y[y] laid end to end, run r taking x = x0[r] + j
+    and y = y0[r] - j for j = 0 .. lengths[r] - 1: (x's, y's, the start of
+    each run)."""
+    starts = np.cumsum(lengths) - lengths
+    j = np.arange(np.sum(lengths))
+    return np.repeat(x0 - starts, lengths) + j, np.repeat(y0 + starts, lengths) - j, starts
+
+
 @lru_cache(maxsize=None)
-def _antidiagonals(pairs: int, q: int):
-    """Flat indices of the cells (pair, j, l) with j + l = k <= q of
-    ``pairs`` stacked (q+1) x (q+1) outer products, in runs of one k, pair
-    by pair, j rising, and the start of each run."""
-    return _read_only(np.array([p * (q + 1) ** 2 + j * q + k for k in range(q + 1)
-                                for p in range(pairs) for j in range(k + 1)]),
-                      pairs * np.arange(q + 1) * np.arange(1, q + 2) // 2)
+def _antidiagonal_factors(pairs: int, q: int, stride: int):
+    """The terms X[p, j] Y[pairs - 1 - p, k - j], k <= q, of ``pairs``
+    jets each in X and Y, jet p starting at flat index p * stride (``slot``
+    reads the rows B[m - i] in order of falling i), in runs of one k, pair
+    by pair, j rising: the flat indices of both factors and the start of
+    each run."""
+    k = np.repeat(np.arange(q + 1), pairs)
+    p = np.tile(np.arange(pairs), q + 1)
+    xs, ys, _ = _factor_runs(k + 1, p * stride, (pairs - 1 - p) * stride + k)
+    return _read_only(xs, ys, pairs * np.arange(q + 1) * np.arange(1, q + 2) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -269,24 +292,19 @@ def _cauchy_pairs(n: int, step_a: int, step_b: int):
 
 
 @lru_cache(maxsize=None)
-def _cauchy_cells(n: int, step_a: int, step_b: int, K: int, orders: tuple):
+def _cauchy_factors(n: int, step_a: int, step_b: int, K: int, orders: tuple):
     """``DenseJets.mul`` through order orders[m] of each product slot m:
-    the pairs of ``_cauchy_pairs``; the flat indices of the cells (pair,
-    j, l) of their (K+1) x (K+1) outer products with j + l = k <=
-    orders[m], in runs of one (m, k, pair), j rising, the start of each
-    run, the start of each (m, k) block of runs, and each block's flat
-    index m (K+1) + k in the product stack."""
+    the terms A[i, j] B[i', k - j] of the pairs (i, i') of ``_cauchy_pairs``
+    with k <= orders[m], in runs of one (m, k, pair), j rising.  The flat
+    indices of both factors in stacks of K+1 coefficients, the start of
+    each run, the start of each (m, k) block of runs, and each block's
+    flat index m (K+1) + k in the product stack."""
     first, second, starts, ms = _cauchy_pairs(n, step_a, step_b)
-    bounds = np.append(starts, len(first))
-    cells, runs, blocks, targets = [], [], [], []
-    for g, m in enumerate(ms):
-        for k in range(orders[m] + 1):
-            blocks.append(len(runs))
-            targets.append(m * (K + 1) + k)
-            for pair in range(bounds[g], bounds[g + 1]):
-                runs.append(len(cells))
-                cells.extend(pair * (K + 1) ** 2 + j * (K + 1) + k - j for j in range(k + 1))
-    return (first, second) + _read_only(*map(np.array, (cells, runs, blocks, targets)))
+    g, k, _ = _ragged(np.asarray(orders)[ms] + 1)                 # blocks (m, k)
+    b, r, blocks = _ragged(np.diff(np.append(starts, len(first)))[g])   # runs (m, k, pair)
+    pair, kr = starts[g[b]] + r, k[b]
+    xs, ys, runs = _factor_runs(kr + 1, first[pair] * (K + 1), second[pair] * (K + 1) + kr)
+    return _read_only(xs, ys, runs, blocks, ms[g] * (K + 1) + k)
 
 
 def _read_only(*arrays) -> tuple:
@@ -311,8 +329,9 @@ class DenseJets:
     point).  An eta-series is a stack of jets, shape (slots, K+1, *batch),
     slot m holding the coefficient of eta^(offset - m).  One base point
     and a batch of any size share every line below and give the same bits:
-    a Cauchy sum is one outer product, one gather of its antidiagonal
-    cells and one ``reduceat``, which adds each node's terms alike whatever
+    a Cauchy sum gathers the two factors of each term it keeps, multiplies
+    them (numpy writes a large product into the first gather) and adds the
+    terms with ``reduceat``, which adds each node's terms alike whatever
     the batch."""
 
     def __init__(self, t0, K: int):
@@ -370,32 +389,32 @@ class DenseJets:
         Coefficient k adds the same terms in the same order whatever the
         order, so a product stopped at its slot's certified order is
         bit-identical below it."""
-        if order is not None:
-            X, Y = X[:, :order + 1], Y[:, :order + 1]
-        K1 = X.shape[1]
-        if K1 == 1:
-            return X * Y
-        M = X[:, :, None] * Y[:, None, :]
-        cells, starts = _antidiagonals(1, K1 - 1)
-        M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
-        return np.add.reduceat(M, starts, axis=1)
+        q = X.shape[1] - 1 if order is None else order
+        if q == 0:
+            return X[:, :1] * Y[:, :1]
+        xs, ys, starts = _antidiagonal_factors(1, q, q + 1)
+        return np.add.reduceat(X.take(xs, axis=1) * Y.take(ys, axis=1), starts, axis=1)
 
     @staticmethod
     def slot(A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
              step: int = 1, *, order: int | None = None) -> np.ndarray:
-        """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi, a jet
-        of order ``order`` (default: the stacks' order): the order the
-        caller's slot is certified to, so no term above it is computed.
-        Each coefficient adds its terms, pair by pair, in one ``reduceat``
-        run, in one order for one node and several (``sum`` would not)."""
-        q = A.shape[1] - 1 if order is None else order
+        """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi, for two
+        stacks of one jet order, a jet of order ``order`` (default: the
+        stacks' order): the order the caller's slot is certified to, so no
+        term above it is computed.  Each coefficient adds its terms, pair by
+        pair, in one ``reduceat`` run, in one order for one node and several
+        (``sum`` would not)."""
+        K1 = A.shape[1]
+        q = K1 - 1 if order is None else order
         if hi < lo:
             return np.zeros((q + 1,) + A.shape[2:], np.result_type(A, B))
-        n = len(B) - 1 - m                  # B[m - i] is B[::-1][n + i]
-        X, Y = A[lo:hi + 1:step, :q + 1], B[::-1][n + lo:n + hi + 1:step, :q + 1]
-        M = X[:, :, None] * Y[:, None, :]
-        cells, starts = _antidiagonals(len(X), q)
-        return np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], starts, axis=0)
+        # The factors are read off the flat stacks from row lo of A and,
+        # backwards, from row m - last of B, rows step apart.
+        last = hi - (hi - lo) % step
+        xs, ys, starts = _antidiagonal_factors((last - lo) // step + 1, q, step * K1)
+        flat = (-1,) + A.shape[2:]
+        terms = A.reshape(flat)[lo * K1:][xs] * B.reshape(flat)[(m - last) * K1:][ys]
+        return np.add.reduceat(terms, starts, axis=0)
 
     @staticmethod
     def mul(A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
@@ -410,11 +429,11 @@ class DenseJets:
         out = np.zeros(A.shape, np.result_type(A, B))
         if not len(A):          # the empty product: no pairs to index
             return out
-        first, second, cells, runs, blocks, targets = _cauchy_cells(
-            len(A), step_a, step_b, K, orders)
-        M = A[first][:, :, None] * B[second][:, None, :]
-        sums = np.add.reduceat(M.reshape((-1,) + M.shape[3:])[cells], runs, axis=0)
-        out.reshape((-1,) + out.shape[2:])[targets] = np.add.reduceat(sums, blocks, axis=0)
+        xs, ys, runs, blocks, targets = _cauchy_factors(len(A), step_a, step_b, K, orders)
+        flat = (-1,) + A.shape[2:]
+        terms = A.reshape(flat)[xs] * B.reshape(flat)[ys]
+        sums = np.add.reduceat(terms, runs, axis=0)
+        out.reshape(flat)[targets] = np.add.reduceat(sums, blocks, axis=0)
         return out
 
     @staticmethod

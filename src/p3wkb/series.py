@@ -580,8 +580,11 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
             pw[d, m, :q + 1] = jets.slot(pw[d - 1], lam, m, step, m, step, order=q)   # lambda_m still 0
         groups = {}
         for d, e, a, p in terms:
-            if m >= e:
-                groups[p] = groups.get(p, 0) + a * pw[d, m - e:m - e + 1]
+            # Skip slots m - e of lam^d that are zero here: below slot 0,
+            # lambda_m itself (not yet solved), and every slot but 0 of lam^0.
+            if m < e or (d == 1 and e == 0) or (d == 0 and e != m):
+                continue
+            groups[p] = groups.get(p, 0) + a * pw[d, m - e:m - e + 1]
         rhs = -_by_t_power(jets, groups, q)[0]
         if m >= 2:
             rhs += jets.slot(lam, th2, m - 2, 0, m - 2, step, order=q) \

@@ -26,6 +26,12 @@ from p3wkb.series import (
 )
 
 
+def _loop_pairs(n, step_a, step_b):
+    """The slot pairs (m, i, j), m = i + j < n, of an eta-product of stacks
+    nonzero on multiples of step_a and step_b, by m, i rising."""
+    return sorted((i + j, i, j) for i in range(0, n, step_a) for j in range(0, n - i, step_b))
+
+
 class FullOrderJets(DenseJets):
     """DenseJets whose products run through order K whatever order is
     asked: mul and inverse ignore ``orders``; products and slot cut their
@@ -37,10 +43,12 @@ class FullOrderJets(DenseJets):
         if K1 == 1:
             full = X * Y
         else:
+            # Every outer product X[j] Y[l], then its antidiagonal cells
+            # j + l = k, j rising, one reduceat run per k.
             M = X[:, :, None] * Y[:, None, :]
-            cells, starts = numerics._antidiagonals(1, K1 - 1)
+            cells = [j * K1 + k - j for k in range(K1) for j in range(k + 1)]
             M = M.reshape((M.shape[0], K1 * K1) + M.shape[3:])[:, cells]
-            full = np.add.reduceat(M, starts, axis=1)
+            full = np.add.reduceat(M, [k * (k + 1) // 2 for k in range(K1)], axis=1)
         return full if order is None else full[:, :order + 1]
 
     @staticmethod
@@ -59,9 +67,12 @@ class FullOrderJets(DenseJets):
 
     @staticmethod
     def mul(A, B, step_a=1, step_b=1, orders=None):
-        first, second, starts, ms = numerics._cauchy_pairs(len(A), step_a, step_b)
+        pairs = _loop_pairs(len(A), step_a, step_b)
+        ms = np.array([m for m, _, _ in pairs])
+        starts = np.flatnonzero(np.diff(ms, prepend=-1))
         out = np.zeros_like(A)
-        out[ms] = np.add.reduceat(FullOrderJets.products(A[first], B[second]), starts, axis=0)
+        out[ms[starts]] = np.add.reduceat(FullOrderJets.products(
+            A[[i for _, i, _ in pairs]], B[[j for _, _, j in pairs]]), starts, axis=0)
         return out
 
     @staticmethod
@@ -196,8 +207,65 @@ def test_kernels_stop_at_the_orders_they_are_given(steps, nodes):
 
 def test_cached_order_tables_are_read_only():
     # Every solve shares these tables; a write must not corrupt the next one.
-    tables = (numerics._cauchy_cells(5, 2, 2, 6, (6, 6, 4, 4, 2)) + numerics._antidiagonals(3, 4)
+    tables = (numerics._cauchy_factors(5, 2, 2, 6, (6, 6, 4, 4, 2))
+              + numerics._antidiagonal_factors(3, 4, 5) + numerics._cauchy_pairs(5, 2, 2)
               + series._slot_orders(6, 4, False))
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def _loop_antidiagonal_factors(pairs, q, stride):
+    """``numerics._antidiagonal_factors`` term by term: for each k, pair p
+    and j <= k, the flat indices of X[p, j] and Y[pairs - 1 - p, k - j],
+    row p starting at p * stride."""
+    xs, ys, starts = [], [], []
+    for k in range(q + 1):
+        starts.append(len(xs))
+        for p in range(pairs):
+            for j in range(k + 1):
+                xs.append(p * stride + j)
+                ys.append((pairs - 1 - p) * stride + k - j)
+    return xs, ys, starts
+
+
+def _loop_cauchy_factors(n, step_a, step_b, K, orders):
+    """``numerics._cauchy_factors`` term by term: for each product slot m,
+    order k <= orders[m], pair (i, i') and j <= k, the flat indices of
+    A[i, j] and B[i', k - j]; the starts of the (m, k, pair) runs and of
+    the (m, k) blocks, and each block's flat index in the product."""
+    pairs = _loop_pairs(n, step_a, step_b)
+    xs, ys, runs, blocks, targets = [], [], [], [], []
+    for m in sorted({m for m, _, _ in pairs}):
+        for k in range(orders[m] + 1):
+            blocks.append(len(runs))
+            targets.append(m * (K + 1) + k)
+            for i, i2 in [(i, i2) for mm, i, i2 in pairs if mm == m]:
+                runs.append(len(xs))
+                for j in range(k + 1):
+                    xs.append(i * (K + 1) + j)
+                    ys.append(i2 * (K + 1) + k - j)
+    return xs, ys, runs, blocks, targets
+
+
+@pytest.mark.parametrize("pairs, q, stride", [(1, 0, 1), (1, 7, 8), (3, 4, 5), (2, 12, 34),
+                                              (40, 84, 170)])
+def test_antidiagonal_factor_tables_equal_a_loop(pairs, q, stride):
+    # One pair of single jets is the table of ``products``; the others are
+    # ``slot``'s over stacks of step 1 and 2, down to orders below the
+    # stacks' (q < stride - 1), and 40 pairs of step 2 at q = 84 is its
+    # size in a one-node solve at N = 80.
+    got = numerics._antidiagonal_factors(pairs, q, stride)
+    for table, want in zip(got, _loop_antidiagonal_factors(pairs, q, stride)):
+        assert table.tolist() == want
+
+
+@pytest.mark.parametrize("n, steps, K", [(1, (1, 1), 4), (7, (1, 1), 9), (7, (1, 2), 9),
+                                         (7, (2, 1), 9), (8, (2, 2), 9), (41, (2, 2), 44)])
+def test_cauchy_factor_tables_equal_a_loop(n, steps, K):
+    # Orders that fall with the slot, as the solver's do, down to 0; the
+    # last case is a one-node solve's stack at N = 40.
+    orders = tuple(max(K - m - m // 3, 0) for m in range(n))
+    got = numerics._cauchy_factors(n, *steps, K, orders)
+    for table, want in zip(got, _loop_cauchy_factors(n, *steps, K, orders)):
+        assert table.tolist() == want

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -461,6 +462,30 @@ def test_slot_bits_do_not_depend_on_order_or_node_count():
                 for node in range(nodes):
                     one = DenseJets.slot(A[..., node], B[..., node], m, lo, hi, step, order=q)
                     assert one.tobytes() == cut[..., node].tobytes(), (m, lo, hi, step, q, node)
+
+
+@pytest.mark.parametrize("kernel, pairs", [("products", 3), ("slot", 3), ("mul", 6)])
+def test_cauchy_kernels_allocate_about_twice_their_terms(kernel, pairs):
+    # tracemalloc sees numpy's buffers.  A kernel gathers both factors of
+    # each term A[i, j] B[i', k - j] it keeps and multiplies them in place
+    # of the first gather, so one call on three-slot stacks of 2000 jets of
+    # order 16 peaks at about twice the bytes of its terms (17 * 18 / 2 per
+    # pair and node).  Forming the outer products of every (j, l) first
+    # would peak near 2.9 times.
+    rng = np.random.default_rng(13)
+    A, B = _stacks(rng, 3, 16, (2000,), np.complex128)
+    call = {"products": lambda: DenseJets.products(A, B),
+            "slot": lambda: DenseJets.slot(A, B, 2, 0, 2),
+            "mul": lambda: DenseJets.mul(A, B)}[kernel]
+    call()                  # builds the index tables, which later calls share
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = pairs * 17 * 18 // 2 * 2000 * A.itemsize
+    assert peak <= 2.2 * terms, peak / terms
 
 
 # ---------------------------------------------------------------------------
