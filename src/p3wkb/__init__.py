@@ -2,9 +2,9 @@
 
 Modules by layer:
 
-- ``numerics``  — Bernoulli numbers, jets, Laurent series, exact Laurent
-                  polynomials (``ExactLaurent``), roots, the square-root
-                  sign chain and ``binet``
+- ``numerics``  — Bernoulli numbers, jets, exact Laurent polynomials
+                  (``ExactLaurent``), roots, the square-root sign chain
+                  and ``binet``
 - ``algebra``   — parameters, branches of the leading algebraic equations,
                   turning points, the u-plane charts of D6 and D7 and their
                   quadratic differentials

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import START_FRACTION, AlgebraError, u_chart
-from .numerics import _nearer_negated
+from .numerics import _continued_sqrt
 from .walls import on_imaginary_axis
 
 __all__ = [
@@ -234,9 +234,7 @@ def _first_point(chart, origin: complex, direction: complex) -> tuple:
     Phi(u1) turns Phi into the integral from the origin."""
     start = _tracing_plan(chart).starts[origin]
     u, phi, root = start.firsts[start.directions.index(direction)]
-    sq = cmath.sqrt(chart.q(u))
-    if _nearer_negated(sq, root):
-        sq = -sq
+    sq = _continued_sqrt(chart.q(u), root)
     big_phi, logs = chart.phi(u, sq, start.logs)
     return u, sq, phi, logs, phi - big_phi
 
@@ -327,10 +325,9 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
     # spans at most half the distance to one, so it turns less than pi.
     windings = [cmath.phase((u - p) / (origin - p)) for p in loop_poles]
 
-    # The loop's calls, bound once: q and Phi of the chart, cmath.sqrt, the
-    # square root's continuation rule and the end-domain test.
-    q, sqrt, phi_of = chart.q, cmath.sqrt, chart.phi
-    nearer_negated, sealed = _nearer_negated, _sealed
+    # The loop's calls, bound once: q and Phi of the chart, the continued
+    # square root and the end-domain test.
+    q, phi_of, root, sealed = chart.q, chart.phi, _continued_sqrt, _sealed
     step_shrink = 0
     dists = [abs(u - s) for s in specials]
     d_near = min(dists)
@@ -344,26 +341,18 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
         # already the continued square root at u.
         try:
             k1 = sq.conjugate() / abs(sq)
-            s2 = sqrt(q(u + 0.5 * h * k1))
-            if nearer_negated(s2, sq):
-                s2 = -s2
+            s2 = root(q(u + 0.5 * h * k1), sq)
             k2 = s2.conjugate() / abs(s2)
-            s3 = sqrt(q(u + 0.5 * h * k2))
-            if nearer_negated(s3, s2):
-                s3 = -s3
+            s3 = root(q(u + 0.5 * h * k2), s2)
             k3 = s3.conjugate() / abs(s3)
-            s4 = sqrt(q(u + h * k3))
-            if nearer_negated(s4, s3):
-                s4 = -s4
+            s4 = root(q(u + h * k3), s3)
             k4 = s4.conjugate() / abs(s4)
         except ZeroDivisionError:
             raise TraceError(f"vanishing q at u={u:.6g}", partial=points) from None
         u_next = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         # The integral from the origin, exact at the RK4 end point: the
         # chart's primitive with its logarithms continued from u.
-        sq_next = sqrt(q(u_next))
-        if nearer_negated(sq_next, s4):
-            sq_next = -sq_next
+        sq_next = root(q(u_next), s4)
         big_phi, logs_next = phi_of(u_next, sq_next, logs)
         phi_next = big_phi + offset
 
@@ -383,17 +372,11 @@ def trace_curve(origin: complex, ray: int, chart) -> TracedCurve:
                 # The first shift is the longest, as long as RK4's error,
                 # and the trapezoid rule's error grows as its cube:
                 # Simpson's rule, with one more q at the midpoint.
-                sq_mid = sqrt(q(u_next + 0.5 * shift))
-                if nearer_negated(sq_mid, sq_next):
-                    sq_mid = -sq_mid
-                sq_corr = sqrt(q(u_corr))
-                if nearer_negated(sq_corr, sq_mid):
-                    sq_corr = -sq_corr
+                sq_mid = root(q(u_next + 0.5 * shift), sq_next)
+                sq_corr = root(q(u_corr), sq_mid)
                 phi_next += (u_corr - u_next) / 6 * (sq_next + 4 * sq_mid + sq_corr)
             else:
-                sq_corr = sqrt(q(u_corr))
-                if nearer_negated(sq_corr, sq_next):
-                    sq_corr = -sq_corr
+                sq_corr = root(q(u_corr), sq_next)
                 phi_next += (u_corr - u_next) / 2 * (sq_next + sq_corr)
             u_next, sq_next = u_corr, sq_corr
             if abs(shift) < 1e-6 * h:

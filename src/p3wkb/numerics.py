@@ -1,7 +1,7 @@
-"""Foundational arithmetic: Bernoulli numbers, truncated Taylor jets, Laurent
-series at infinity, exact Laurent polynomials in u and X, polynomial roots,
-Binet's function ``binet``, and the sign chain that continues a square root
-along a path.
+"""Foundational arithmetic: Bernoulli numbers, truncated Taylor jets, exact
+Laurent polynomials in one variable and X, polynomial roots, Binet's
+function ``binet``, and the sign chain that continues a square root along a
+path.
 
 Everything in this module but ``DenseJets`` is a pure function over immutable
 values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
@@ -32,7 +32,6 @@ __all__ = [
     "DenseJets",
     "ExactLaurent",
     "Jet",
-    "LaurentAtInfinity",
     "SingularJetError",
     "bernoulli",
     "binet",
@@ -219,6 +218,13 @@ def _nearer_negated(v, ref) -> bool:
     """The continuation rule for a square root: True when -v lies closer
     than v to ``ref``, the signed value at the previous point."""
     return abs(v - ref) > abs(v + ref)
+
+
+def _continued_sqrt(z, ref) -> complex:
+    """cmath.sqrt(z) continued from ``ref``, the signed square root at the
+    previous point: negated where ``_nearer_negated`` says so."""
+    s = cmath.sqrt(z)
+    return -s if _nearer_negated(s, ref) else s
 
 
 def _chain_signs(values, start=None) -> np.ndarray:
@@ -640,146 +646,17 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# Laurent series at infinity with exact rational coefficients
-# ---------------------------------------------------------------------------
-
-class LaurentAtInfinity:
-    """Finite Laurent series sum_p a_p z^p, powers bounded above, truncated
-    below at z^{-depth}: coefficients for powers < -depth are dropped but the
-    truncation depth is remembered so identities are only asserted through it.
-
-    Coefficients are exact rationals; the class backs the difference-equation
-    verification, where 'equal' means coefficientwise equality of Fractions
-    through the common depth.
-    """
-
-    __slots__ = ("coeffs", "depth")
-
-    def __init__(self, coeffs: dict[int, Fraction], depth: int):
-        self.depth = int(depth)
-        self.coeffs = {
-            int(p): Fraction(a)
-            for p, a in coeffs.items()
-            if p >= -self.depth and a != 0
-        }
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def monomial(power: int, coeff, depth: int) -> "LaurentAtInfinity":
-        return LaurentAtInfinity({power: Fraction(coeff)}, depth)
-
-    @staticmethod
-    def log1p_over_z(a, depth: int) -> "LaurentAtInfinity":
-        """log(1 + a/z) = sum_{k>=1} (-1)^{k+1} (a/z)^k / k, exact."""
-        a = Fraction(a)
-        coeffs = {}
-        for k in range(1, depth + 1):
-            coeffs[-k] = Fraction((-1) ** (k + 1), k) * a ** k
-        return LaurentAtInfinity(coeffs, depth)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _common(self, other: "LaurentAtInfinity") -> int:
-        return min(self.depth, other.depth)
-
-    def __add__(self, other) -> "LaurentAtInfinity":
-        if not isinstance(other, LaurentAtInfinity):
-            other = LaurentAtInfinity.monomial(0, other, self.depth)
-        depth = self._common(other)
-        out = dict(self.coeffs)
-        for p, a in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + a
-        return LaurentAtInfinity(out, depth)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentAtInfinity":
-        return LaurentAtInfinity({p: -a for p, a in self.coeffs.items()}, self.depth)
-
-    def __sub__(self, other) -> "LaurentAtInfinity":
-        if not isinstance(other, LaurentAtInfinity):
-            other = LaurentAtInfinity.monomial(0, other, self.depth)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentAtInfinity":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentAtInfinity":
-        if not isinstance(other, LaurentAtInfinity):
-            f = Fraction(other)
-            return LaurentAtInfinity({p: a * f for p, a in self.coeffs.items()}, self.depth)
-        depth = self._common(other)
-        out: dict[int, Fraction] = {}
-        for p, a in self.coeffs.items():
-            for q, b in other.coeffs.items():
-                r = p + q
-                if r >= -depth:
-                    out[r] = out.get(r, Fraction(0)) + a * b
-        return LaurentAtInfinity(out, depth)
-
-    __rmul__ = __mul__
-
-    def shift(self, a) -> "LaurentAtInfinity":
-        """Substitute z -> z + a, expanded at infinity through the depth."""
-        a = Fraction(a)
-        out: dict[int, Fraction] = {}
-        for p, c in self.coeffs.items():
-            if p >= 0:
-                # Finite binomial expansion.
-                for j in range(p + 1):
-                    out[p - j] = out.get(p - j, Fraction(0)) + c * math.comb(p, j) * a ** j
-            else:
-                # (z+a)^p = z^p * sum_j C(p, j) (a/z)^j, infinite; truncate.
-                binom = Fraction(1)
-                for j in range(0, self.depth + p + 1):
-                    if j > 0:
-                        binom = binom * Fraction(p - j + 1, j)
-                    out[p - j] = out.get(p - j, Fraction(0)) + c * binom * a ** j
-        return LaurentAtInfinity(out, self.depth)
-
-    # -- inspection ---------------------------------------------------------
-
-    def coefficient(self, power: int) -> Fraction:
-        return self.coeffs.get(power, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentAtInfinity):
-            return NotImplemented
-        depth = self._common(other)
-        powers = {p for p in self.coeffs if p >= -depth} | {p for p in other.coeffs if p >= -depth}
-        return all(self.coefficient(p) == other.coefficient(p) for p in powers)
-
-    def __hash__(self):
-        return hash((self.depth, tuple(sorted(self.coeffs.items()))))
-
-    def first_mismatch(self, other: "LaurentAtInfinity") -> int | None:
-        """Highest power where the two series disagree, or None."""
-        depth = self._common(other)
-        powers = sorted(
-            {p for p in self.coeffs if p >= -depth} | {p for p in other.coeffs if p >= -depth},
-            reverse=True,
-        )
-        for p in powers:
-            if self.coefficient(p) != other.coefficient(p):
-                return p
-        return None
-
-    def __repr__(self):
-        terms = ", ".join(f"z^{p}: {a}" for p, a in sorted(self.coeffs.items(), reverse=True))
-        return f"LaurentAtInfinity({{{terms}}}, depth={self.depth})"
-
-
-# ---------------------------------------------------------------------------
-# Exact Laurent polynomials in u with polynomial coefficients in X
+# Exact Laurent polynomials in one variable with polynomial coefficients in X
 # ---------------------------------------------------------------------------
 
 class ExactLaurent:
-    """sum_ij c[i, j] u^(lo+i) X^j / den, exactly.  ``c`` is a read-only
-    object array of Python ints, rows the powers of u from u^lo and columns
-    the powers of X, in lowest terms with the positive int ``den``; its
-    first and last rows and last column are nonzero (zero is [[0]] at lo =
-    0).  Scalars are ints, Fractions and floats, a float at its exact binary
+    """sum_ij c[i, j] u^(lo+i) X^j / den, exactly, in one variable: u on
+    the charts (``series``), or z at infinity with one X column (``voros``'s
+    model series and difference equations).  ``c`` is a read-only object
+    array of Python ints, rows the powers of u from u^lo and columns the
+    powers of X, in lowest terms with the positive int ``den``; its first
+    and last rows and last column are nonzero (zero is [[0]] at lo = 0).
+    Scalars are ints, Fractions and floats, a float at its exact binary
     value (the constants of the declared chart maps).  ``theta`` is u d/du;
     ``divide`` divides by a monic polynomial in u."""
 

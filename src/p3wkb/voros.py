@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BranchPoint, _finite, u_chart
-from .numerics import LaurentAtInfinity, _chain_signs, _nearer_negated, bernoulli
+from .numerics import ExactLaurent, _chain_signs, _nearer_negated, bernoulli
 from .series import (D6Model, D7Model, lowest_jet_order, model_for, odd_slot_ratios,
                      riccati_solution, zero_param_solution)
 
@@ -145,16 +145,14 @@ def g_coefficient(n: int) -> Fraction:
     return bernoulli(2 * n) / (2 * n * (2 * n - 1))
 
 
-def f_series(depth: int = 21) -> LaurentAtInfinity:
-    coeffs = {1 - 2 * n: f_coefficient(n) for n in range(1, depth // 2 + 2)
-              if 2 * n - 1 <= depth}
-    return LaurentAtInfinity(coeffs, depth)
+def f_series(depth: int = 21) -> ExactLaurent:
+    """F through z^-depth."""
+    return _series({1 - 2 * n: f_coefficient(n) for n in range(1, (depth + 1) // 2 + 1)})
 
 
-def g_series(depth: int = 21) -> LaurentAtInfinity:
-    coeffs = {1 - 2 * n: g_coefficient(n) for n in range(1, depth // 2 + 2)
-              if 2 * n - 1 <= depth}
-    return LaurentAtInfinity(coeffs, depth)
+def g_series(depth: int = 21) -> ExactLaurent:
+    """G through z^-depth."""
+    return _series({1 - 2 * n: g_coefficient(n) for n in range(1, (depth + 1) // 2 + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +196,69 @@ def voros_closed_form(spec: EndpointSpec, params, n_max: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 # Difference equations
 # ---------------------------------------------------------------------------
+#
+# The model series, their shifts and the right-hand sides are ExactLaurent
+# polynomials in z with one X column, each cut below the z^-depth that its
+# builder was given, so two of them are equal when their difference is zero.
 
-def _times_z_plus(a: Fraction, L: LaurentAtInfinity) -> LaurentAtInfinity:
-    """(z + a) * L; the shift up by one power costs one order of depth."""
-    zL = LaurentAtInfinity({p + 1: c for p, c in L.coeffs.items()}, L.depth - 1)
-    return zL + L * a
+def _series(coeffs: dict) -> ExactLaurent:
+    """sum_p coeffs[p] z^p, from {power: rational}."""
+    den = math.lcm(*(Fraction(a).denominator for a in coeffs.values()))
+    powers = range(min(coeffs, default=0), max(coeffs, default=0) + 1)
+    return ExactLaurent([[int(coeffs.get(p, 0) * den)] for p in powers], powers[0], den)
 
 
-def f_difference_rhs(depth: int = 21) -> LaurentAtInfinity:
+def _cut(L: ExactLaurent, depth: int) -> ExactLaurent:
+    """L without its powers below z^-depth."""
+    k = max(-depth - L.lo, 0)
+    return ExactLaurent(L.c[k:], L.lo + k, L.den)
+
+
+def _coefficient(L: ExactLaurent, power: int) -> Fraction:
+    i = power - L.lo
+    return Fraction(L.c[i, 0], L.den) if 0 <= i < len(L.c) else Fraction(0)
+
+
+def _first_mismatch(a: ExactLaurent, b) -> int | None:
+    """The highest power at which a and b differ, or None."""
+    d = a - b
+    return d.lo + len(d.c) - 1 if d else None
+
+
+def _log1p_over(a, depth: int) -> ExactLaurent:
+    """log(1 + a/z) = sum_{k>=1} (-1)^(k+1) (a/z)^k / k through z^-depth."""
+    return _series({-k: (-1) ** (k + 1) * Fraction(a) ** k / k for k in range(1, depth + 1)})
+
+
+def _shifted(L: ExactLaurent, a, depth: int) -> ExactLaurent:
+    """L(z + a) through z^-depth: (z + a)^p = sum_j binom(p, j) a^j z^(p-j),
+    so the powers through z^-depth read only L's powers through z^-depth."""
+    a, out = Fraction(a), {}
+    for i, c in enumerate(L.c[:, 0]):
+        if not c:
+            continue
+        p, binom = L.lo + i, Fraction(c, L.den)
+        for j in range(p + depth + 1):
+            out[p - j] = out.get(p - j, 0) + binom * a ** j
+            binom *= Fraction(p - j, j + 1)
+    return _series(out)
+
+
+def _printed_block(depth: int, *, a_log: Fraction, z_coeff: Fraction) -> ExactLaurent:
+    """(z + z_coeff) log(1 + a_log/z) through z^-depth, its constant term
+    kept: the building block of the right-hand sides."""
+    return _cut(_series({1: 1, 0: z_coeff}) * _log1p_over(a_log, depth + 1), depth)
+
+
+def f_difference_rhs(depth: int = 21) -> ExactLaurent:
     """1 - (z+1) log(1 + 1/z) + log(1 + 1/(2z))."""
-    one = LaurentAtInfinity.monomial(0, Fraction(1), depth)
-    return one - _times_z_plus(Fraction(1), LaurentAtInfinity.log1p_over_z(Fraction(1), depth + 1)) \
-        + LaurentAtInfinity.log1p_over_z(Fraction(1, 2), depth)
+    return _log1p_over(Fraction(1, 2), depth) \
+        - _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1)) + 1
 
 
-def g_difference_rhs(depth: int = 21) -> LaurentAtInfinity:
+def g_difference_rhs(depth: int = 21) -> ExactLaurent:
     """1 - (z + 1/2) log(1 + 1/z)."""
-    one = LaurentAtInfinity.monomial(0, Fraction(1), depth)
-    return one - _times_z_plus(Fraction(1, 2), LaurentAtInfinity.log1p_over_z(Fraction(1), depth + 1))
+    return -_printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1, 2)) + 1
 
 
 def verify_difference_equation(kind: str, depth: int = 21):
@@ -226,41 +269,31 @@ def verify_difference_equation(kind: str, depth: int = 21):
 
     Returns (ok, first_mismatch_power_or_None)."""
     if kind == "F":
-        lhs = f_series(depth).shift(1) - f_series(depth)
-        rhs = f_difference_rhs(depth)
+        series, rhs = f_series(depth), f_difference_rhs(depth)
     elif kind == "G":
-        lhs = g_series(depth).shift(1) - g_series(depth)
-        rhs = g_difference_rhs(depth)
+        series, rhs = g_series(depth), g_difference_rhs(depth)
     else:
         raise ValueError("kind must be 'F' or 'G'")
-    mismatch = lhs.first_mismatch(rhs)
+    mismatch = _first_mismatch(_shifted(series, 1, depth) - series, rhs)
     return mismatch is None, mismatch
 
 
-def reconstruct_from_difference(rhs: LaurentAtInfinity, depth: int = 21) -> LaurentAtInfinity:
-    """The unique inverse-power series Phi = sum_{m>=1} a_m z^-m with
-    Phi(z+1) - Phi(z) = rhs, built order by order (the triangular system
-    that makes the solution unique)."""
-    if rhs.coefficient(0) != 0 or rhs.coefficient(1) != 0:
-        raise ValueError("difference of a decaying series has no z^0 or z^1 part")
-    if rhs.coefficient(-1) != 0:
-        raise ValueError("difference of a decaying series has no z^-1 part")
-    if rhs.depth < depth + 1:
-        raise ValueError(f"need rhs known through z^-{depth + 1} to solve to z^-{depth}")
-    a: dict[int, Fraction] = {}
-    # coefficient of z^-k in Phi(z+1) - Phi(z): sum over m < k of
-    # a_m * binom(-m, k-m); the m = k-1 term has factor -(k-1).
-    for k in range(2, depth + 2):
-        acc = Fraction(0)
-        for m in range(1, k - 1):
-            j = k - m
-            binom = Fraction(1)
-            for i in range(j):
-                binom *= Fraction(-m - i, i + 1)
-            acc += a.get(m, Fraction(0)) * binom
-        target = rhs.coefficient(-k)
-        a[k - 1] = (target - acc) / (-(k - 1))
-    return LaurentAtInfinity({-m: v for m, v in a.items() if v != 0}, depth)
+def reconstruct_from_difference(rhs: ExactLaurent, depth: int = 21) -> ExactLaurent:
+    """The unique inverse-power series Phi = sum_{m>=1} a_m z^-m, through
+    z^-depth, with Phi(z+1) - Phi(z) = rhs.  rhs holds only powers z^-2 and
+    below, and must be known through z^-(depth+1); its lower powers are not
+    read.  The solve is the triangular system that makes Phi unique:
+    a_m z^-m adds -m a_m z^-(m+1) and lower powers to the difference, so
+    a_m is read off what is left of rhs at z^-(m+1)."""
+    top = _first_mismatch(rhs, 0)
+    if top is not None and top > -2:
+        raise ValueError(f"difference of a decaying series has no z^{top} part")
+    left, phi = _cut(rhs, depth + 1), ExactLaurent([[0]])
+    for m in range(1, depth + 1):
+        term = ExactLaurent([[1]], -m) * (_coefficient(left, -m - 1) / -m)
+        left -= _shifted(term, 1, depth + 1) - term
+        phi += term
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +311,9 @@ def shift_decomposition(which: int, equation: str = "d6") -> dict:
     return shifts(model(None).backlund_shifted(which))
 
 
-def _series_increment(kind: str, delta: int, depth: int) -> LaurentAtInfinity:
-    base = f_series(depth + 2) if kind == "F" else g_series(depth + 2)
-    return LaurentAtInfinity((base.shift(delta) - base).coeffs, depth)
+def _series_increment(kind: str, delta: int, depth: int) -> ExactLaurent:
+    base = f_series(depth) if kind == "F" else g_series(depth)
+    return _shifted(base, delta, depth) - base
 
 
 def voros_increment(symbolic: dict, which: int, equation: str = "d6",
@@ -298,13 +331,6 @@ def voros_increment(symbolic: dict, which: int, equation: str = "d6",
     return parts
 
 
-def _printed_block(depth: int, *, a_log: Fraction, z_coeff: Fraction) -> LaurentAtInfinity:
-    """(z + z_coeff) log(1 + a_log/z), expanded at infinity with its
-    constant term kept: building block for the literal right-hand sides."""
-    return LaurentAtInfinity(_times_z_plus(
-        z_coeff, LaurentAtInfinity.log1p_over_z(a_log, depth + 1)).coeffs, depth)
-
-
 def voros_increment_printed(endpoint_key: str, which: int, depth: int = 21):
     """The literal right-hand sides of the shift lemmas, as
     (bare constant, {variable: Laurent including its expansion constant});
@@ -313,8 +339,8 @@ def voros_increment_printed(endpoint_key: str, which: int, depth: int = 21):
     negative).  Total constant terms cancel, matching the decaying
     left-hand side."""
     # -(z+1) log(1+1/z) + log(1+1/(2z))
-    F_var = _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1)) * Fraction(-1) \
-        + LaurentAtInfinity.log1p_over_z(Fraction(1, 2), depth)
+    F_var = _log1p_over(Fraction(1, 2), depth) \
+        - _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1))
     G_up3 = _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1, 2)) * Fraction(3)
     G_dn3 = _printed_block(depth, a_log=Fraction(-1), z_coeff=Fraction(-1, 2)) * Fraction(3)
 
@@ -340,7 +366,7 @@ def voros_increment_printed(endpoint_key: str, which: int, depth: int = 21):
             return Fraction(-2), {"c_p": F_var, "c_0": G_up3}
         # +2 + (z+1) log(1+1/z) - log(1+1/(2z)) at c_m,
         # plus 3 (z-1/2) log(1-1/z) at c_0 (the downward shift).
-        return Fraction(2), {"c_m": F_var * Fraction(-1), "c_0": G_dn3}
+        return Fraction(2), {"c_m": -F_var, "c_0": G_dn3}
     if endpoint_key == "zero_c":
         # degenerate family: -3 (G(z+1) - G(z)) = -3 + 3 (z+1/2) log(1+1/z)
         return Fraction(-3), {"c": G_up3}
@@ -356,10 +382,9 @@ def increments_match(computed: dict, printed) -> tuple[bool, str]:
         return False, f"variables differ: {sorted(computed)} vs {sorted(printed_parts)}"
     total_const = Fraction(bare)
     for var, block in printed_parts.items():
-        total_const += block.coefficient(0)
-        decaying = LaurentAtInfinity(
-            {p: c for p, c in block.coeffs.items() if p != 0}, block.depth)
-        mm = computed[var].first_mismatch(decaying)
+        const = _coefficient(block, 0)
+        total_const += const
+        mm = _first_mismatch(computed[var], block - const)
         if mm is not None:
             return False, f"{var}: first mismatch at power {mm}"
     if total_const != 0:

@@ -1,9 +1,13 @@
-"""Every public function or class of p3wkb has a caller outside tests/.
+"""Every public function or class of p3wkb has a caller outside tests/,
+and every private helper a reader.
 
 A name in a module's ``__all__`` must be read somewhere in the package or
 in ``perfbench``, outside its own definition, or be one of the paper-level
-checks below, which only the tests run.  A read is a name or attribute in
-code; docstrings, comments and the ``__all__`` strings do not count."""
+checks below, which only the tests run.  A module-level private function,
+class or constant (one leading underscore) must be read there too, so that
+no refactor leaves an orphan helper behind.  A read is a name or attribute
+loaded in code; assignments, docstrings, comments and the ``__all__``
+strings do not count."""
 
 import ast
 import importlib
@@ -39,11 +43,31 @@ def _reads(path: Path) -> set:
     for top in ast.parse(path.read_text()).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add((owner, node.id))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 out.add((owner, node.attr))
     return out
+
+
+def _named(sources) -> set:
+    """The names read in the files, each outside its own definition."""
+    reads = set().union(*(_reads(path) for path in sources))
+    return {name for owner, name in reads if owner != name}
+
+
+def _private_definitions(path: Path):
+    """The module-level private functions, classes and constants of a file."""
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
 
 
 def _public_callables():
@@ -55,13 +79,22 @@ def _public_callables():
 
 
 def _without_caller(sources) -> set:
-    reads = set().union(*(_reads(path) for path in sources))
-    named = {name for owner, name in reads if owner != name}
+    named = _named(sources)
     return {f"{module}.{name}" for module, name in _public_callables() if name not in named}
 
 
+def _without_reader(package, sources) -> set:
+    named = _named(sources)
+    return {f"{path.stem}.{name}" for path in package
+            for name in _private_definitions(path) if name not in named}
+
+
+def _package():
+    return sorted(Path(p3wkb.__file__).parent.glob("*.py"))
+
+
 def _sources():
-    return sorted(Path(p3wkb.__file__).parent.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    return _package() + sorted(PERFBENCH.glob("*.py"))
 
 
 def test_every_public_function_or_class_has_a_caller_or_is_a_paper_check():
@@ -74,3 +107,19 @@ def test_a_read_inside_its_own_definition_is_no_caller(tmp_path):
     source = tmp_path / "numerics.py"
     source.write_text("def binet(w):\n    return -binet(-w)\n")
     assert "numerics.binet" in _without_caller([source])
+
+
+def test_every_private_helper_has_a_reader():
+    assert _without_reader(_package(), _sources()) == set()
+
+
+def test_an_assignment_or_a_read_inside_its_own_definition_is_no_reader(tmp_path):
+    # A recursive helper, and a constant that is only ever assigned, are
+    # orphans; a constant read by a function is not, nor is that function
+    # once it is read.
+    source = tmp_path / "numerics.py"
+    source.write_text("_A = 1\n_B: int = 2\n_A, _C = 3, 4\n"
+                      "def _walk(n):\n    return _walk(n - 1) + _B\n"
+                      "def _step():\n    return _B\n_D = _step()\n")
+    assert _without_reader([source], [source]) == {
+        "numerics._A", "numerics._C", "numerics._D", "numerics._walk"}

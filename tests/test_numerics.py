@@ -22,7 +22,6 @@ from p3wkb.numerics import (
     DenseJets,
     ExactLaurent,
     Jet,
-    LaurentAtInfinity,
     SingularJetError,
     _chain_signs,
     bernoulli,
@@ -489,52 +488,68 @@ def test_cauchy_kernels_allocate_about_twice_their_terms(kernel, pairs):
 
 
 # ---------------------------------------------------------------------------
-# Laurent series at infinity
+# Laurent series at infinity: ExactLaurent in z, through voros's helpers
 # ---------------------------------------------------------------------------
 
 def test_laurent_shift_matches_binomial():
     # (z+1)^{-2} = z^{-2} - 2 z^{-3} + 3 z^{-4} - ...
-    s = LaurentAtInfinity.monomial(-2, 1, depth=8).shift(1)
+    s = voros._shifted(ExactLaurent([[1]], -2), 1, depth=8)
+    assert s.lo == -8
     for k in range(2, 9):
-        assert s.coefficient(-k) == Fraction((-1) ** k * (k - 1))
+        assert voros._coefficient(s, -k) == Fraction((-1) ** k * (k - 1))
+
+
+@pytest.mark.parametrize("a", [Fraction(-1), Fraction(1, 2)], ids=["-1", "1/2"])
+def test_laurent_shift_matches_binomial_at(a):
+    # (2 z^{-3} + 5 z^{-1}) / 7 at z + a: (z+a)^{-3} = sum_j binom(-3, j)
+    # a^j z^{-3-j} and (z+a)^{-1} = sum_k (-a)^k z^{-1-k}.  a = -1 is the
+    # shift of c_0 in the shift lemma with which = 2.
+    s = voros._shifted(ExactLaurent([[2], [0], [5]], -3, 7), a, depth=9)
+    assert voros._coefficient(s, -1) == Fraction(5, 7)
+    assert voros._coefficient(s, -2) == Fraction(5, 7) * -a
+    for j in range(0, 7):
+        assert voros._coefficient(s, -3 - j) == (
+            Fraction(2, 7) * (-1) ** j * Fraction((j + 1) * (j + 2), 2) * a ** j
+            + Fraction(5, 7) * (-a) ** (j + 2))
+    assert s.lo == -9
 
 
 def test_laurent_shift_positive_power():
     # (z+1)^2 = z^2 + 2z + 1 exactly
-    s = LaurentAtInfinity.monomial(2, 1, depth=6).shift(1)
-    assert s.coefficient(2) == 1
-    assert s.coefficient(1) == 2
-    assert s.coefficient(0) == 1
-    assert s.coefficient(-1) == 0
+    s = voros._shifted(ExactLaurent([[1]], 2), 1, depth=6)
+    assert voros._coefficient(s, 2) == 1
+    assert voros._coefficient(s, 1) == 2
+    assert voros._coefficient(s, 0) == 1
+    assert s.lo == 0
 
 
 def test_laurent_log_expansion():
-    s = LaurentAtInfinity.log1p_over_z(Fraction(1, 2), depth=6)
+    s = voros._log1p_over(Fraction(1, 2), depth=6)
+    assert s.lo == -6
     for k in range(1, 7):
-        assert s.coefficient(-k) == Fraction((-1) ** (k + 1), k) * Fraction(1, 2 ** k)
+        assert voros._coefficient(s, -k) == Fraction((-1) ** (k + 1), k) * Fraction(1, 2 ** k)
 
 
 def test_laurent_classic_identity():
     # (z + 1/2) * log(1 + 1/z) = 1 + (1/12) z^{-2} - (1/12) z^{-3} + ...
-    depth = 10
-    lhs = (LaurentAtInfinity.monomial(1, 1, depth)
-           + LaurentAtInfinity.monomial(0, Fraction(1, 2), depth)) \
-        * LaurentAtInfinity.log1p_over_z(1, depth)
-    assert lhs.coefficient(0) == 1
-    assert lhs.coefficient(-1) == 0
-    assert lhs.coefficient(-2) == Fraction(1, 12)
-    assert lhs.coefficient(-3) == Fraction(-1, 12)
-    assert lhs.coefficient(-4) == Fraction(3, 40)
+    lhs = voros._printed_block(10, a_log=Fraction(1), z_coeff=Fraction(1, 2))
+    assert lhs.lo == -10
+    assert voros._coefficient(lhs, 1) == 0
+    assert voros._coefficient(lhs, 0) == 1
+    assert voros._coefficient(lhs, -1) == 0
+    assert voros._coefficient(lhs, -2) == Fraction(1, 12)
+    assert voros._coefficient(lhs, -3) == Fraction(-1, 12)
+    assert voros._coefficient(lhs, -4) == Fraction(3, 40)
 
 
 def test_laurent_equality_and_mismatch():
-    a = LaurentAtInfinity({0: Fraction(1), -3: Fraction(2, 7)}, depth=5)
-    b = LaurentAtInfinity({0: Fraction(1), -3: Fraction(2, 7)}, depth=9)
-    assert a == b
-    c = LaurentAtInfinity({0: Fraction(1), -3: Fraction(3, 7)}, depth=5)
-    assert a != c
-    assert a.first_mismatch(c) == -3
-    assert a.first_mismatch(b) is None
+    a = voros._series({0: Fraction(1), -3: Fraction(2, 7)})
+    b = voros._cut(a + voros._series({-7: Fraction(5)}), 5)
+    assert voros._first_mismatch(a, b) is None
+    c = voros._series({0: Fraction(1), -3: Fraction(3, 7), -4: Fraction(1)})
+    assert voros._first_mismatch(a, c) == -3
+    assert voros._first_mismatch(a, 1) == -3
+    assert voros._first_mismatch(a, 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from p3wkb import series, voros
 from p3wkb.algebra import AlgebraError, BranchPoint, D6Chart, D7Chart, Parameters, u_chart
-from p3wkb.numerics import LaurentAtInfinity
+from p3wkb.numerics import ExactLaurent
 from p3wkb.series import (
     D7Model,
     odd_slot_ratios,
@@ -74,7 +74,9 @@ def test_leading_coefficients():
 
 def test_series_powers_are_odd_inverse():
     for series in (f_series(21), g_series(21)):
-        assert all(p <= -1 and p % 2 == 1 for p in series.coeffs)
+        powers = series.lo + np.flatnonzero(series.c[:, 0])
+        assert series.c.shape == (21, 1) and series.lo == -21
+        assert all(p <= -1 and p % 2 == 1 for p in powers)
 
 
 # ---------------------------------------------------------------------------
@@ -93,28 +95,42 @@ def test_difference_equation_exact(kind):
 ])
 def test_unique_reconstruction_from_difference(kind, series, rhs):
     rebuilt = reconstruct_from_difference(rhs(25), depth=23)
-    assert rebuilt.first_mismatch(series(23)) is None
+    assert not rebuilt - series(23)
 
 
 def test_reconstruction_rejects_nondecaying_rhs():
-    bad = LaurentAtInfinity.monomial(0, Fraction(1), 10)
+    bad = ExactLaurent([[1]])
     with pytest.raises(ValueError):
         reconstruct_from_difference(bad, depth=10)
+
+
+@pytest.mark.parametrize("rhs, top", [
+    (ExactLaurent([[1]], 2), 2),
+    (ExactLaurent([[1]], 3) + ExactLaurent([[1]], -2), 3),
+    (ExactLaurent([[1]], -1) + ExactLaurent([[1]], -2), -1),
+], ids=["z^2", "z^3+z^-2", "z^-1+z^-2"])
+def test_reconstruction_refuses_every_power_above_z_minus_2(rhs, top):
+    # Phi(z+1) - Phi(z) of a decaying Phi starts at z^-2 or below, so no
+    # decaying Phi has this rhs.
+    with pytest.raises(ValueError, match=rf"no z\^{top} part"):
+        reconstruct_from_difference(rhs, depth=10)
 
 
 @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_reconstruction_inverts_difference(coeffs):
-    phi = LaurentAtInfinity({-m: c for m, c in enumerate(coeffs, start=1)}, 17)
-    rhs = phi.shift(1) - phi
+    phi = sum(ExactLaurent([[1]], -m) * c for m, c in enumerate(coeffs, start=1))
+    rhs = voros._shifted(phi, 1, 17) - phi
     rebuilt = reconstruct_from_difference(rhs, depth=16)
-    assert rebuilt.first_mismatch(phi) is None
+    assert not rebuilt - phi
 
 
 def test_duplication_identity():
+    # G(2z) - G(z) = F(z): the coefficient of z^p in G(2z) is 2^p times G's.
     g = g_series(41)
-    g_at_2z = LaurentAtInfinity({p: c * Fraction(2) ** p for p, c in g.coeffs.items()}, 41)
-    assert (g_at_2z - g).first_mismatch(f_series(41)) is None
+    scale = np.array([[2 ** i] for i in range(len(g.c))], object)
+    g_at_2z = ExactLaurent(g.c * scale, g.lo, g.den * 2 ** -g.lo)
+    assert not g_at_2z - g - f_series(41)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +196,7 @@ def _spoil_variables(bare, parts):
 
 def _spoil_coefficients(bare, parts):
     # Two wrong coefficients; the first mismatch is the higher power, z^-4.
-    off = (LaurentAtInfinity.monomial(-7, Fraction(1, 3), 21)
-           + LaurentAtInfinity.monomial(-4, Fraction(1, 1000), 21))
+    off = ExactLaurent([[1]], -7) / 3 + ExactLaurent([[1]], -4) / 1000
     return bare, {**parts, "c_inf": parts["c_inf"] + off}
 
 
