@@ -292,7 +292,7 @@ class UChart:
                 geo[:1], geo[1:] = (1 / u) ** -j, -1 / u
                 binomial = np.reshape([math.comb(k - j - 1, k) for k in range(K)],
                                       (-1,) + (1,) * (u.ndim - 1))
-                dlam += c * binomial * np.cumprod(geo, axis=0, out=geo)[:K]
+                dlam += c * binomial * geo.cumprod(axis=0, out=geo)[:K]
         dt = cls.dt_du_map
         return dlam, jets.divide(_product_jet(1 / dt.const, dt.polynomials(factors, -1), u, K),
                                  _product_jet(1, dt.polynomials(factors, 1), u, K))

@@ -12,9 +12,10 @@ base points, 80-bit ``clongdouble``; the Cauchy products are static and take
 their operands' type.  They form only the terms a truncated product keeps
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13): both
 factors of each term are gathered through index tables built once per shape
-and cached read-only.  A ``Jet`` is one such jet, read-only, with operators
-on the same kernels; only ``series`` uses it.  The tests check the kernels
-against numpy's polynomial arithmetic and the tables against loops.
+and cached read-only, and the slot sums of one recursion step share a
+gather.  A ``Jet`` is one such jet, read-only, with operators on the same
+kernels; only ``series`` uses it.  The tests check the kernels against
+numpy's polynomial arithmetic and the tables against loops.
 """
 
 from __future__ import annotations
@@ -275,14 +276,33 @@ def _factor_runs(lengths, x0, y0):
 @lru_cache(maxsize=None)
 def _antidiagonal_factors(pairs: int, q: int, stride: int):
     """The terms X[p, j] Y[pairs - 1 - p, k - j], k <= q, of ``pairs``
-    jets each in X and Y, jet p starting at flat index p * stride (``slot``
-    reads the rows B[m - i] in order of falling i), in runs of one k, pair
+    jets each in X and Y, jet p starting at flat index p * stride (``slots``
+    reads the rows Y[m - i] in order of falling i), in runs of one k, pair
     by pair, j rising: the flat indices of both factors and the start of
     each run."""
     k = np.repeat(np.arange(q + 1), pairs)
     p = np.tile(np.arange(pairs), q + 1)
     xs, ys, _ = _factor_runs(k + 1, p * stride, (pairs - 1 - p) * stride + k)
     return _read_only(xs, ys, pairs * np.arange(q + 1) * np.arange(1, q + 2) // 2)
+
+
+@lru_cache(maxsize=None)
+def _slot_factors(sums: tuple, rows_x: int, rows_y: int, K1: int, q: int):
+    """``DenseJets.slots``' terms: per sum (a, b, m, lo, hi, step) with pairs,
+    the runs of ``_antidiagonal_factors`` from row lo of X[a] and, backwards,
+    from row m - last of Y[b]; the flat indices, run starts and those sums."""
+    xs, ys, starts, kept, size = [], [], [], [], 0
+    for s, (a, b, m, lo, hi, step) in enumerate(sums):
+        if hi >= lo:
+            last = hi - (hi - lo) % step
+            x, y, st = _antidiagonal_factors((last - lo) // step + 1, q, step * K1)
+            xs.append(x + (a * rows_x + lo) * K1)
+            ys.append(y + (b * rows_y + m - last) * K1)
+            starts.append(st + size)
+            kept.append(s)
+            size += len(x)
+    return _read_only(*(np.concatenate([np.zeros(0, np.intp)] + v) for v in (xs, ys, starts)),
+                      np.array(kept, np.intp))
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +358,8 @@ class DenseJets:
     a Cauchy sum gathers the two factors of each term it keeps, multiplies
     them (numpy writes a large product into the first gather) and adds the
     terms with ``reduceat``, which adds each node's terms alike whatever
-    the batch."""
+    the batch.  The same holds for several sums in one gather (``slots``),
+    each in its own runs, and for divisions stacked on a trailing axis."""
 
     def __init__(self, t0, K: int):
         self.K = K
@@ -360,19 +381,20 @@ class DenseJets:
         return out
 
     def t_power(self, p: int) -> np.ndarray:
-        """The jet of t^p: binomial coefficients of (t0 + s)^p."""
+        """The jet of t^p: binomial coefficients of (t0 + s)^p, cached
+        read-only (every computation on these jets shares it)."""
         if p not in self._t_powers:
             fac = np.ones((self.K + 1,) + self.batch, self.dtype)
             k = np.arange(1, self.K + 1, dtype=self.t0.real.dtype)
             fac[1:] = ((p - k + 1) / k).reshape(self._kfac.shape) / self.t0
-            self._t_powers[p] = self.t0 ** p * np.cumprod(fac, axis=0)
+            self._t_powers[p] = _read_only(self.t0 ** p * fac.cumprod(axis=0))[0]
         return self._t_powers[p]
 
     # -- t-operations on jets or stacks -------------------------------------
 
     def derive(self, a: np.ndarray) -> np.ndarray:
         """d/dt; the top coefficient, which d/dt cannot know, becomes 0."""
-        out = np.zeros_like(a)
+        out = np.zeros(a.shape, a.dtype)        # np.zeros_like costs four times as much
         out[self._lo] = a[self._hi] * self._kfac
         return out
 
@@ -386,6 +408,24 @@ class DenseJets:
         return self.times_t(self.derive(a))
 
     # -- products: the one (eta, t) Cauchy kernel ---------------------------
+
+    @staticmethod
+    def slots(X: np.ndarray, Y: np.ndarray, sums: tuple, order: int | None = None) -> np.ndarray:
+        """For each (a, b, m, lo, hi, step) of ``sums``, the jet sum of X[a, i]
+        * Y[b, m - i] over i = lo, lo + step, ... <= hi (zero if hi < lo),
+        through Taylor order ``order`` (default: X's): shape (len(sums), order
+        + 1, *batch).  One gather of each factor, one multiply and one
+        ``reduceat`` serve all sums, each coefficient of each sum its own run,
+        pair by pair: alike for one sum or many, one node or several."""
+        q = X.shape[2] - 1 if order is None else order
+        xs, ys, starts, kept = _slot_factors(sums, X.shape[1], Y.shape[1], X.shape[2], q)
+        terms = X.reshape((-1,) + X.shape[3:])[xs] * Y.reshape((-1,) + Y.shape[3:])[ys]
+        done = np.add.reduceat(terms, starts, axis=0).reshape((len(kept), q + 1) + terms.shape[1:])
+        if len(kept) == len(sums):
+            return done
+        out = np.zeros((len(sums),) + done.shape[1:], done.dtype)
+        out[kept] = done
+        return out
 
     @staticmethod
     def products(X: np.ndarray, Y: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -404,23 +444,9 @@ class DenseJets:
     @staticmethod
     def slot(A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
              step: int = 1, *, order: int | None = None) -> np.ndarray:
-        """sum of A[i] * B[m - i] over i = lo, lo + step, ... <= hi, for two
-        stacks of one jet order, a jet of order ``order`` (default: the
-        stacks' order): the order the caller's slot is certified to, so no
-        term above it is computed.  Each coefficient adds its terms, pair by
-        pair, in one ``reduceat`` run, in one order for one node and several
-        (``sum`` would not)."""
-        K1 = A.shape[1]
-        q = K1 - 1 if order is None else order
-        if hi < lo:
-            return np.zeros((q + 1,) + A.shape[2:], np.result_type(A, B))
-        # The factors are read off the flat stacks from row lo of A and,
-        # backwards, from row m - last of B, rows step apart.
-        last = hi - (hi - lo) % step
-        xs, ys, starts = _antidiagonal_factors((last - lo) // step + 1, q, step * K1)
-        flat = (-1,) + A.shape[2:]
-        terms = A.reshape(flat)[lo * K1:][xs] * B.reshape(flat)[(m - last) * K1:][ys]
-        return np.add.reduceat(terms, starts, axis=0)
+        """``slots``' one sum of A[i] * B[m - i] over i = lo, lo + step, ...
+        <= hi, for two stacks of jets."""
+        return DenseJets.slots(A[None], B[None], ((0, 0, m, lo, hi, step),), order)[0]
 
     @staticmethod
     def mul(A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
@@ -443,19 +469,22 @@ class DenseJets:
         return out
 
     @staticmethod
-    def inverse(A: np.ndarray, step: int = 1, orders=None) -> np.ndarray:
+    def inverse(A: np.ndarray, step: int = 1, orders=None, first=None) -> np.ndarray:
         """The eta-series 1 / A, for A nonzero only on slots that are
         multiples of ``step`` (and so is the result).  Slot m stops at
         Taylor order orders[m] (default: the stack's order) and is zero
         above; it reads only slots of A and of the result at or below m,
         so orders that do not rise with m leave every kept coefficient
-        as the full-order inverse computes it."""
+        as the full-order inverse computes it.  ``first`` is 1 / A[0]
+        through orders[0] where the caller has divided already."""
         K = A.shape[1] - 1
         orders = [K] * len(A) if orders is None else np.minimum(orders, K).tolist()
-        out = np.zeros_like(A)
+        out = np.zeros(A.shape, A.dtype)
         q = orders[0]
-        out[0, 0] = 1.0         # the jet 1, then divided by A[0]
-        out[0, :q + 1] = DenseJets.divide(out[0, :q + 1], A[0, :q + 1])
+        if first is None:
+            out[0, 0] = 1.0         # the jet 1, then divided by A[0]
+            first = DenseJets.divide(out[0, :q + 1], A[0, :q + 1])
+        out[0, :q + 1] = first[:q + 1]
         for m in range(step, len(A), step):
             q = orders[m]
             out[m, :q + 1] = -DenseJets.products(
@@ -468,12 +497,15 @@ class DenseJets:
 
     @staticmethod
     def divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x / y; a trailing axis of both may stack several divisions, which
+        cost little more than one, as every step reads contiguous rows."""
         _refuse_zero_constant(y, "division")
         inv0 = 1.0 / y[:1]
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
+        out = np.empty(np.broadcast(x, y).shape, np.result_type(x, y))
         out[:1] = x[:1] * inv0
-        for k in range(1, len(out)):
-            out[k:k + 1] = (x[k:k + 1] - (out[:k] * y[k:0:-1]).cumsum(axis=0)[-1:]) * inv0
+        rev, K = y[:0:-1].copy(), len(out) - 1         # y_K .. y_1
+        for k in range(1, K + 1):
+            out[k:k + 1] = (x[k:k + 1] - (out[:k] * rev[K - k:]).cumsum(axis=0)[-1:]) * inv0
         return out
 
     @staticmethod
@@ -713,6 +745,9 @@ class ExactLaurent:
 
     def __sub__(self, other) -> "ExactLaurent":
         return self + -other
+
+    def __rsub__(self, other) -> "ExactLaurent":
+        return -self + other
 
     def __truediv__(self, a) -> "ExactLaurent":
         return self * (1 / Fraction(a))

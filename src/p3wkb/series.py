@@ -486,7 +486,8 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     def horner(lam):
         """P(lam) and P'(lam) for jets of the order of lam."""
         q1 = lam.shape[0]
-        vd = np.stack([np.zeros_like(lam), coeff[top, :q1]])
+        vd = np.zeros((2,) + lam.shape, lam.dtype)
+        vd[1] = coeff[top, :q1]
         for d in range(top - 1, -1, -1):
             nxt = jets.products(vd, lam[None])
             nxt[0] += vd[1]
@@ -514,7 +515,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     terms = np.abs([a * lam[0] ** d * jets.t0 ** p
                     for d, e, a, p in model.lam_poly() if e == 0])
     delta_ratio = np.abs(lam[0] * values(lam)[1][0]) / terms.max(axis=0)
-    if not np.all(delta_ratio >= 1e-6):
+    if not (delta_ratio >= 1e-6).all():
         node = int(np.argmin(delta_ratio))
         raise ConditioningError(
             f"|lambda_0 P'(lambda_0)| is {np.ravel(delta_ratio)[node]:.2e} of P's largest "
@@ -530,7 +531,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
         dlam = jets.products(inv_dt[None, :K + 1 - k], dlam[None])[0]
         out[k] = dlam[0]
         dlam = dlam[1:] * jets._kfac[:K - k]
-    out[1:] /= np.cumprod(jets._kfac.astype(jets.t0.real.dtype), axis=0)
+    out[1:] /= jets._kfac.astype(jets.t0.real.dtype).cumprod(axis=0)
     val, dval = horner(out)
     # Gate the residual per node against the size of the polynomial's own
     # terms (lam * P'(lam) dominates the leading monomial), so batches that
@@ -539,7 +540,7 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     scale = np.abs(jets.products(out[None], dval[None])[0]).max(axis=0)
     ratio = res / np.maximum(1.0, np.maximum(scale, np.abs(jets.t0) ** 2))
     failed = ~(ratio <= 1e-8)
-    if np.any(failed):
+    if failed.any():
         node = int(np.argmax(np.where(failed, ratio, 0.0)))
         raise ConditioningError(
             f"the jet of lambda_0 leaves a residual of P at node {node}, "
@@ -548,36 +549,41 @@ def _lambda0_jet(model, jets: DenseJets, seed):
     return out, dval, ratio, delta_ratio
 
 
-def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
-    """The stack of the slots lambda_0..lambda_N.
+def _lambda_slots(model, jets: DenseJets, lam0, linv, N: int):
+    """The stack of the slots lambda_0..lambda_N; linv is 1 / P'(lambda_0).
 
     Multiplied by lam t^2, the equation reads eta^2 P(lam) = lam theta^2 lam
     - (theta lam)^2.  At eta^(2-m) the left side is linear in lambda_m with
     coefficient P'(lambda_0) = lambda_0 t^2 Delta, and the right side holds
-    only slots up to m - 2.  The powers of lam keep running slots, so each
-    new slot costs O(m) jet products; theta lam = t lam' is kept the same way.
-    Slot m of lam and of the powers is computed through the order
-    ``_slot_orders`` certifies for lambda_m and is zero above it."""
+    only slots up to m - 2.  The powers of lam keep running slots, so slot m
+    of lam^d is one sum of O(m) jet products; theta lam = t lam' and theta^2
+    lam share their buffer, so slot m of lam^2 and both theta sums are one
+    gather, and lam^d, d >= 3, follows in turn.  Slot m of lam and of the
+    powers is computed through the order ``_slot_orders`` certifies for
+    lambda_m and is zero above it."""
     terms = [term for term in model.lam_poly() if term[2] != 0]
     top = max(d for d, *_ in terms)
     step = _step(model)
-    orders = _slot_orders(jets.K, N, model.shifted)[0]
-    pw = jets.zeros(top + 1, N + 1)
+    orders = _slot_orders(jets.K, N, model.shifted)[0].tolist()
+    th1, th2 = top + 1, top + 2         # rows of theta lam and theta^2 lam
+    buf = jets.zeros(top + 3, N + 1)
+    pw, lam = buf[:th1], buf[1]
     pw[0, 0, 0] = 1.0
     pw[1, 0] = lam0
     for d in range(2, top + 1):
         pw[d, 0] = jets.products(pw[d - 1, :1], lam0[None])[0]
     # d lambda_0^(d-1): how slot m of lam^d moves with lambda_m, d = 2..D.
     grow = np.arange(2, top + 1).reshape((-1,) + (1,) * (1 + len(jets.batch))) * pw[1:top, 0]
-    lam = pw[1]
-    th1, th2 = jets.zeros(N + 1), jets.zeros(N + 1)
-    th1[0] = jets.theta(lam0)
-    th2[0] = jets.theta(th1[0])
-    linv = jets.divide(jets.constant(1.0), dP)[None]
+    buf[th1, 0] = jets.theta(lam0)
+    buf[th2, 0] = jets.theta(buf[th1, 0])
     for m in range(step, N + 1, step):
         q = orders[m]
-        for d in range(2, top + 1):
-            pw[d, m, :q + 1] = jets.slot(pw[d - 1], lam, m, step, m, step, order=q)   # lambda_m still 0
+        # lam^2 (lambda_m still 0) and, from m = 2, both theta sums
+        theta = ((1, th2, m - 2, 0, m - 2, step), (th1, th1, m - 2, 0, m - 2, step))
+        sums = jets.slots(buf, buf, ((1, 1, m, step, m, step),) + (theta if m >= 2 else ()), q)
+        pw[2, m, :q + 1] = sums[0]
+        for d in range(3, top + 1):
+            pw[d, m, :q + 1] = jets.slot(pw[d - 1], lam, m, step, m, step, order=q)
         groups = {}
         for d, e, a, p in terms:
             # Skip slots m - e of lam^d that are zero here: below slot 0,
@@ -587,13 +593,12 @@ def _lambda_slots(model, jets: DenseJets, lam0, dP, N: int):
             groups[p] = groups.get(p, 0) + a * pw[d, m - e:m - e + 1]
         rhs = -_by_t_power(jets, groups, q)[0]
         if m >= 2:
-            rhs += jets.slot(lam, th2, m - 2, 0, m - 2, step, order=q) \
-                - jets.slot(th1, th1, m - 2, 0, m - 2, step, order=q)
-        lam[m, :q + 1] = jets.products(rhs[None], linv, q)[0]
-        th1[m] = jets.theta(lam[m])
-        th2[m] = jets.theta(th1[m])
+            rhs += sums[1] - sums[2]
+        lam[m, :q + 1] = jets.products(rhs[None], linv[None], q)[0]
+        buf[th1, m] = jets.theta(lam[m])
+        buf[th2, m] = jets.theta(buf[th1, m])
         pw[2:, m, :q + 1] += jets.products(grow, lam[m][None], q)
-    return lam.copy()      # not the view, which would keep all of pw alive
+    return lam.copy()      # not the view, which would keep all of buf alive
 
 
 @dataclass(frozen=True)
@@ -608,8 +613,10 @@ class ZeroParamSolution:
 
     Only lambda is solved eagerly.  ``mu`` follows from lambda and the
     model and is built on first access, so solves whose callers read only
-    lambda or R (the Voros oracle among them) never pay for it; a copy
-    made with ``dataclasses.replace`` derives its own mu from its own lam.
+    lambda or R (the Voros oracle among them) never pay for it.  Its
+    ``DenseJets`` (t-powers shared by mu and R) and 1 / lambda_0 (divided
+    with Delta, read by R) are cached properties too: a copy made with
+    ``dataclasses.replace`` derives its own from its own fields.
 
     ``diagnostics`` records what the conditioning gates measured: the worst
     ratio of P's residual at lambda_0's jet to its scale (``newton_ratio``,
@@ -629,13 +636,16 @@ class ZeroParamSolution:
     delta0: Jet
     diagnostics: dict = field(default_factory=dict, compare=False)
 
+    _jets = cached_property(lambda self: DenseJets(self.t0, self.K))
+    _lam0_inverse = cached_property(    # 1 / lambda_0 through order K
+        lambda self: self._jets.divide(self._jets.constant(1.0), self.lam.coeffs[0]))
+
     @cached_property
     def mu(self) -> EtaSeries:
         """The mu-series from lam: mu = (eta^-1 theta lam + Q(lam)) / (2 lam^2),
         Q from the model's table.  Its products stop at the orders
         ``_slot_orders`` certifies for mu."""
-        model, lam = self.model, self.lam.coeffs
-        jets = DenseJets(self.t0, self.K)
+        model, lam, jets = self.model, self.lam.coeffs, self._jets
         step = _step(model)
         orders = _slot_orders(self.K, self.N, model.shifted)[1]
         one = jets.zeros(len(lam))
@@ -677,21 +687,26 @@ def zero_param_solution(t0: complex, branch: BranchPoint, *, model, N: int = 6,
     t0 = jets.t0[()]        # a scalar for one base point
     lam0, dP, newton_ratio, delta_ratio = _lambda0_jet(
         model, jets, np.broadcast_to(branch.lambda0, np.shape(t0)))
-    delta0 = jets.divide(dP, jets.times_t(jets.times_t(lam0)))
+    # 1 / P'(lambda_0), Delta = P'(lambda_0) / (t^2 lambda_0) and 1 / lambda_0: one division
+    one, t2lam0 = jets.constant(1.0), jets.times_t(jets.times_t(lam0))
+    stacked = jets.divide(np.stack([one, dP, one], -1), np.stack([dP, t2lam0, lam0], -1))
+    linv, delta0, inv_lam0 = (stacked[..., i].copy() for i in range(3))
     delta_abs = np.abs(delta0[0])
-    newton_node, delta_node = int(np.argmax(newton_ratio)), int(np.argmin(delta_abs))
-    ratio_node = int(np.argmin(delta_ratio))
-    return ZeroParamSolution(
+    newton_node, delta_node = int(newton_ratio.argmax()), int(delta_abs.argmin())
+    ratio_node = int(delta_ratio.argmin())
+    zp = ZeroParamSolution(
         model, t0, branch, N, K, Jet.variable(t0, K),
-        EtaSeries(0, _lambda_slots(model, jets, lam0, dP, N),
+        EtaSeries(0, _lambda_slots(model, jets, lam0, linv, N),
                   _slot_orders(K, N, model.shifted)[0], t0),
         Jet(t0, delta0),
-        {"newton_ratio": float(np.ravel(newton_ratio)[newton_node]),
+        {"newton_ratio": float(newton_ratio.ravel()[newton_node]),
          "newton_node": newton_node,
-         "delta_ratio": float(np.ravel(delta_ratio)[ratio_node]),
+         "delta_ratio": float(delta_ratio.ravel()[ratio_node]),
          "delta_ratio_node": ratio_node,
-         "delta_min": float(np.ravel(delta_abs)[delta_node]),
+         "delta_min": float(delta_abs.ravel()[delta_node]),
          "delta_node": delta_node})
+    vars(zp).update(_jets=jets, _lam0_inverse=inv_lam0)     # the cached properties' values
+    return zp
 
 
 def main_equation_residual(zp: ZeroParamSolution) -> EtaSeries:
@@ -727,16 +742,17 @@ def riccati_residual(R: EtaSeries, zp: ZeroParamSolution) -> EtaSeries:
         - (zp.model.dF(lam, t).shift_eta(2) - ratio * ratio)
 
 
-def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int, orders):
+def _riccati_terms(model, jets: DenseJets, lam: np.ndarray, step: int, orders, inv_lam0):
     """G = 2 lam'/lam - 1/t (slot k at eta^-k) and H = eta^2 dF(lam) -
     (lam'/lam)^2 (slot n at eta^(2-n)) as stacks.  With P = lam t^2 F,
     dF = t^-2 sum (d - 1) a t^p lam^(d-2) eta^-e over the terms of P.
     Their eta-products stop at ``orders``, the orders of R's slots: R_n
-    reads slot n of H and slots below n of G, and no deeper order."""
+    reads slot n of H and slots below n of G, and no deeper order.  1/lam
+    starts from the solve's 1 / lambda_0, ``inv_lam0``."""
     terms = [term for term in model.lam_poly() if term[2] != 0 and term[0] != 1]
     one = jets.zeros(len(lam))
     one[0, 0] = 1.0
-    inv = jets.inverse(lam, step, orders)
+    inv = jets.inverse(lam, step, orders, inv_lam0)
     ratio = jets.mul(jets.derive(lam), inv, step, step, orders)
     g = 2 * ratio
     g[0] -= jets.t_power(-1)
@@ -761,22 +777,21 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    N, K = zp.N, zp.K
-    jets = DenseJets(zp.t0, K)
+    N, K, jets = zp.N, zp.K, zp._jets
     step = _step(zp.model)
     orders = _slot_orders(K, N, zp.model.shifted)[2]
-    g, h = _riccati_terms(zp.model, jets, zp.lam.coeffs, step, orders)
-    r = jets.zeros(N + 1)
+    g, h = _riccati_terms(zp.model, jets, zp.lam.coeffs, step, orders, zp._lam0_inverse)
+    buf = jets.zeros(2, N + 1)          # R, then G: both sums of R_n are one gather
+    r, buf[1] = buf[0], g
     r[0] = jets.sqrt(zp.delta0.coeffs)
     if sign < 0:
         r[0] = -r[0]
     inv2r = jets.divide(jets.constant(-0.5), r[0])[None]
-    for n in range(1, N + 1):
-        q = orders[n]
-        acc = jets.slot(r, r, n, 1, n - 1, order=q) + jets.derive(r[n - 1])[:q + 1] \
-            - jets.slot(g, r, n - 1, 0, n - 1, step, order=q) - h[n, :q + 1]
+    for n, q in enumerate(orders.tolist()[1:], 1):
+        rr, gr = jets.slots(buf, buf, ((0, 0, n, 1, n - 1, 1), (1, 0, n - 1, 0, n - 1, step)), q)
+        acc = rr + jets.derive(r[n - 1])[:q + 1] - gr - h[n, :q + 1]
         r[n, :q + 1] = jets.products(acc[None], inv2r, q)[0]
-    return RiccatiSolution(zp, sign, EtaSeries(1, r, orders, zp.t0))
+    return RiccatiSolution(zp, sign, EtaSeries(1, r.copy(), orders, zp.t0))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def f_difference_rhs(depth: int = 21) -> ExactLaurent:
 
 def g_difference_rhs(depth: int = 21) -> ExactLaurent:
     """1 - (z + 1/2) log(1 + 1/z)."""
-    return -_printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1, 2)) + 1
+    return 1 - _printed_block(depth, a_log=Fraction(1), z_coeff=Fraction(1, 2))
 
 
 def verify_difference_equation(kind: str, depth: int = 21):

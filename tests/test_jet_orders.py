@@ -34,8 +34,10 @@ def _loop_pairs(n, step_a, step_b):
 
 class FullOrderJets(DenseJets):
     """DenseJets whose products run through order K whatever order is
-    asked: mul and inverse ignore ``orders``; products and slot cut their
-    full result to ``order`` + 1 coefficients, the width callers expect."""
+    asked: mul and inverse ignore ``orders`` (and inverse the first slot it
+    is handed, which it divides out itself); products, slot and slots cut
+    their full result to ``order`` + 1 coefficients, the width callers
+    expect."""
 
     @staticmethod
     def products(X, Y, order=None):
@@ -66,6 +68,11 @@ class FullOrderJets(DenseJets):
         return full if order is None else full[:order + 1]
 
     @staticmethod
+    def slots(X, Y, sums, order=None):
+        return np.stack([FullOrderJets.slot(X[a], Y[b], m, lo, hi, step, order=order)
+                         for a, b, m, lo, hi, step in sums])
+
+    @staticmethod
     def mul(A, B, step_a=1, step_b=1, orders=None):
         pairs = _loop_pairs(len(A), step_a, step_b)
         ms = np.array([m for m, _, _ in pairs])
@@ -76,7 +83,7 @@ class FullOrderJets(DenseJets):
         return out
 
     @staticmethod
-    def inverse(A, step=1, orders=None):
+    def inverse(A, step=1, orders=None, first=None):
         out = np.zeros_like(A)
         one = np.zeros_like(A[0])
         one[0] = 1.0
@@ -209,6 +216,7 @@ def test_cached_order_tables_are_read_only():
     # Every solve shares these tables; a write must not corrupt the next one.
     tables = (numerics._cauchy_factors(5, 2, 2, 6, (6, 6, 4, 4, 2))
               + numerics._antidiagonal_factors(3, 4, 5) + numerics._cauchy_pairs(5, 2, 2)
+              + numerics._slot_factors(((0, 1, 4, 0, 4, 2), (1, 1, 3, 1, 0, 1)), 5, 5, 7, 4)
               + series._slot_orders(6, 4, False))
     for table in tables:
         with pytest.raises(ValueError):

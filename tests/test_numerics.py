@@ -463,6 +463,46 @@ def test_slot_bits_do_not_depend_on_order_or_node_count():
                     assert one.tobytes() == cut[..., node].tobytes(), (m, lo, hi, step, q, node)
 
 
+#: (a, b, m, lo, hi, step) sums of DenseJets.slots over three stacks of nine
+#: slots: steps 1 and 2, stacks read against others and against themselves,
+#: one pair, and empty ranges, such as R_1's sum of R_i R_(1-i) over 0 < i < 1.
+_FUSED_SUMS = ((0, 1, 1, 1, 0, 1), (0, 0, 8, 1, 7, 1), (1, 2, 6, 0, 6, 2), (2, 2, 6, 0, 6, 2),
+               (1, 0, 4, 4, 4, 1), (2, 0, 7, 1, 6, 2), (0, 2, 3, 3, 2, 2))
+
+
+@pytest.mark.parametrize("nodes", [(), (20,)])
+def test_fused_slots_equal_each_slot_alone(nodes):
+    # One gather for several sums gives each sum the bytes of its own slot
+    # call, at full order and cut below it, and twenty nodes at once give
+    # each node the bytes of its one-node call.
+    rng = np.random.default_rng(14)
+    K = 7
+    X, Y = (rng.standard_normal((3, 9, K + 1) + nodes)
+            + 1j * rng.standard_normal((3, 9, K + 1) + nodes) for _ in range(2))
+    for q in (K, 3, 0):
+        fused = DenseJets.slots(X, Y, _FUSED_SUMS, q)
+        assert fused.shape == (len(_FUSED_SUMS), q + 1) + nodes
+        for got, (a, b, m, lo, hi, step) in zip(fused, _FUSED_SUMS):
+            alone = DenseJets.slot(X[a], Y[b], m, lo, hi, step, order=q)
+            assert got.tobytes() == alone.tobytes(), (q, a, b, m, lo, hi, step)
+            assert hi >= lo or not got.any()
+            for node in range(nodes[0] if nodes else 0):
+                one = DenseJets.slot(X[a, ..., node], Y[b, ..., node], m, lo, hi, step, order=q)
+                assert got[..., node].tobytes() == one.tobytes(), (q, m, lo, hi, step, node)
+    empty = DenseJets.slots(X, Y, _FUSED_SUMS[:1] + _FUSED_SUMS[-1:], K)
+    assert empty.shape == (2, K + 1) + nodes and not empty.any()
+
+
+def test_t_powers_are_read_only():
+    # A solve, its mu and its R share one DenseJets and so its cached
+    # t-powers; a write into one would corrupt the others.
+    jets = DenseJets(np.array([0.7 + 0.2j, 1.1 - 0.4j]), 5)
+    power = jets.t_power(-2)
+    with pytest.raises(ValueError):
+        power[1] += 1.0
+    assert jets.t_power(-2) is power
+
+
 @pytest.mark.parametrize("kernel, pairs", [("products", 3), ("slot", 3), ("mul", 6)])
 def test_cauchy_kernels_allocate_about_twice_their_terms(kernel, pairs):
     # tracemalloc sees numpy's buffers.  A kernel gathers both factors of
@@ -605,6 +645,8 @@ def test_exact_laurent_arithmetic_is_the_arithmetic_of_its_terms(a, b, r):
     results = {
         "sum": (x + y, {k: a.get(k, 0) + b.get(k, 0) for k in keys}),
         "difference": (x - y, {k: a.get(k, 0) - b.get(k, 0) for k in keys}),
+        "reflected difference": (r - x, {**{k: -v for k, v in a.items()},
+                                         (0, 0): r - a.get((0, 0), 0)}),
         "product": (x * y, _product(a, b)),
         "scaled": (r * x, {k: r * v for k, v in a.items()}),
         "quotient": (x / 3, {k: v / 3 for k, v in a.items()}),
@@ -614,6 +656,14 @@ def test_exact_laurent_arithmetic_is_the_arithmetic_of_its_terms(a, b, r):
     for name, (got, want) in results.items():
         _assert_canonical(got)
         assert _terms(got) == {k: v for k, v in want.items() if v}, name
+
+
+def test_exact_laurent_subtracts_from_a_scalar():
+    # 1 - L works as 1 + L and 2 * L do, and is -(L - 1).
+    L = _exact({(0, 0): Fraction(1, 3), (-2, 1): 5, (1, 0): -2})
+    _assert_canonical(1 - L)
+    assert _terms(1 - L) == _terms(-(L - 1))
+    assert _terms(1 - _exact({(0, 0): 1})) == {}
 
 
 def test_exact_laurent_takes_a_float_at_its_exact_value():

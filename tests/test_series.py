@@ -689,6 +689,20 @@ def test_replaced_lam_gets_its_own_mu():
     assert moved.mu.slot_value(0) != stale.slot_value(0)
 
 
+@pytest.mark.parametrize("family", ["d6", "d7"])
+def test_replaced_lam_gets_its_own_riccati_series(family):
+    # A solve keeps its jets and 1 / lambda_0 for R; a copy made with another
+    # branch's lam and Delta derives its own, so its R is that branch's R byte
+    # for byte, though the first solve's R was built before the copy.
+    model = D6Model(P) if family == "d6" else D7Model(2 + 1j)
+    first, second = (zero_param_solution(T0, b, model=model, N=6) for b in model.branches(T0)[:2])
+    riccati_solution(first, +1)
+    moved = replace(first, lam=second.lam, delta0=second.delta0)
+    for sign in (1, -1):
+        assert (riccati_solution(moved, sign).R.coeffs.tobytes()
+                == riccati_solution(second, sign).R.coeffs.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # The odd Riccati slots as rational functions on the u-chart
 # ---------------------------------------------------------------------------
