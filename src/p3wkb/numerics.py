@@ -10,12 +10,13 @@ on which the series solvers and ``series.EtaSeries`` compute.  An instance
 holds the base points and their number type, complex128 or, for clongdouble
 base points, 80-bit ``clongdouble``; the Cauchy products are static and take
 their operands' type.  They form only the terms a truncated product keeps
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13): both
-factors of each term are gathered through index tables built once per shape
-and cached read-only, and the slot sums of one recursion step share a
-gather.  A ``Jet`` is one such jet, read-only, with operators on the same
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).
+Every eta-slot sum, a slot of an eta-product included, runs through one
+index plan (``slots``), built once per shape and cached read-only, which
+gathers both factors of each term; the sums of one recursion step share a
+gather.  A ``Jet`` is one jet, read-only, with operators on the same
 kernels; only ``series`` uses it.  The tests check the kernels against
-numpy's polynomial arithmetic and the tables against loops.
+numpy's polynomial arithmetic and the plans against loops.
 """
 
 from __future__ import annotations
@@ -257,11 +258,10 @@ def _chain_signs(values, start=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ragged(counts):
-    """For runs of the given lengths laid end to end: each entry's run, its
-    offset in the run, and the start of each run."""
-    starts = np.cumsum(counts) - counts
+    """For runs of the given lengths laid end to end: each entry's run and
+    its offset in the run."""
     run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - starts[run], starts
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
 def _factor_runs(lengths, x0, y0):
@@ -274,63 +274,46 @@ def _factor_runs(lengths, x0, y0):
 
 
 @lru_cache(maxsize=None)
-def _antidiagonal_factors(pairs: int, q: int, stride: int):
-    """The terms X[p, j] Y[pairs - 1 - p, k - j], k <= q, of ``pairs``
-    jets each in X and Y, jet p starting at flat index p * stride (``slots``
-    reads the rows Y[m - i] in order of falling i), in runs of one k, pair
-    by pair, j rising: the flat indices of both factors and the start of
-    each run."""
-    k = np.repeat(np.arange(q + 1), pairs)
-    p = np.tile(np.arange(pairs), q + 1)
-    xs, ys, _ = _factor_runs(k + 1, p * stride, (pairs - 1 - p) * stride + k)
-    return _read_only(xs, ys, pairs * np.arange(q + 1) * np.arange(1, q + 2) // 2)
+def _product_factors(q: int):
+    """``DenseJets.products``' terms X[j] Y[k - j], k <= q, in runs of one
+    k, j rising: the indices of both factors and the start of each run."""
+    k = np.arange(q + 1)
+    return _read_only(*_factor_runs(k + 1, 0 * k, k))
 
 
 @lru_cache(maxsize=None)
-def _slot_factors(sums: tuple, rows_x: int, rows_y: int, K1: int, q: int):
-    """``DenseJets.slots``' terms: per sum (a, b, m, lo, hi, step) with pairs,
-    the runs of ``_antidiagonal_factors`` from row lo of X[a] and, backwards,
-    from row m - last of Y[b]; the flat indices, run starts and those sums."""
-    xs, ys, starts, kept, size = [], [], [], [], 0
-    for s, (a, b, m, lo, hi, step) in enumerate(sums):
-        if hi >= lo:
-            last = hi - (hi - lo) % step
-            x, y, st = _antidiagonal_factors((last - lo) // step + 1, q, step * K1)
-            xs.append(x + (a * rows_x + lo) * K1)
-            ys.append(y + (b * rows_y + m - last) * K1)
-            starts.append(st + size)
-            kept.append(s)
-            size += len(x)
-    return _read_only(*(np.concatenate([np.zeros(0, np.intp)] + v) for v in (xs, ys, starts)),
-                      np.array(kept, np.intp))
+def _slot_factors(sums: tuple, rows_x: int, rows_y: int, K1: int):
+    """``DenseJets.slots``' plan: per sum (a, b, m, lo, hi, step, q) and
+    k <= q, the terms X[a, i, j] Y[b, m - i, k - j] over i = lo, lo + step,
+    ... <= hi and j <= k, in one run per (sum, k), pair by pair, j rising.
+    The flat indices of both factors in stacks of K1 coefficients, the
+    start of each run, each run's cell s * width + k in the result, and
+    the width, 1 + max q."""
+    a, b, m, lo, hi, step, q = np.array(sums, np.intp).reshape(-1, 7).T
+    if (q >= K1).any():
+        raise ValueError(f"order {q.max()} above the stacks' order {K1 - 1}")
+    pairs = np.maximum((hi - lo) // step + 1, 0)
+    s, k = _ragged(q + 1)                       # cells (sum, k)
+    size = pairs[s] * (k + 1)
+    c, p = _ragged(pairs[s])                    # runs (sum, k, pair)
+    i = lo[s[c]] + p * step[s[c]]
+    xs, ys, _ = _factor_runs(k[c] + 1, (a[s[c]] * rows_x + i) * K1,
+                             (b[s[c]] * rows_y + m[s[c]] - i) * K1 + k[c])
+    width = int(q.max(initial=-1)) + 1
+    kept = size > 0
+    return _read_only(xs, ys, (np.cumsum(size) - size)[kept], (s * width + k)[kept]) + (width,)
 
 
 @lru_cache(maxsize=None)
-def _cauchy_pairs(n: int, step_a: int, step_b: int):
-    """The slot pairs (i, j) with i + j < n, i a multiple of step_a and j of
-    step_b, grouped by m = i + j: (i's, j's, group starts, the m's)."""
-    pairs = sorted((i + j, i, j) for i in range(0, n, step_a)
-                   for j in range(0, n - i, step_b))
-    ms = np.array([m for m, _, _ in pairs])
-    starts = np.flatnonzero(np.diff(ms, prepend=-1))
-    return _read_only(np.array([i for _, i, _ in pairs]), np.array([j for _, _, j in pairs]),
-                      starts, ms[starts])
-
-
-@lru_cache(maxsize=None)
-def _cauchy_factors(n: int, step_a: int, step_b: int, K: int, orders: tuple):
-    """``DenseJets.mul`` through order orders[m] of each product slot m:
-    the terms A[i, j] B[i', k - j] of the pairs (i, i') of ``_cauchy_pairs``
-    with k <= orders[m], in runs of one (m, k, pair), j rising.  The flat
-    indices of both factors in stacks of K+1 coefficients, the start of
-    each run, the start of each (m, k) block of runs, and each block's
-    flat index m (K+1) + k in the product stack."""
-    first, second, starts, ms = _cauchy_pairs(n, step_a, step_b)
-    g, k, _ = _ragged(np.asarray(orders)[ms] + 1)                 # blocks (m, k)
-    b, r, blocks = _ragged(np.diff(np.append(starts, len(first)))[g])   # runs (m, k, pair)
-    pair, kr = starts[g[b]] + r, k[b]
-    xs, ys, runs = _factor_runs(kr + 1, first[pair] * (K + 1), second[pair] * (K + 1) + kr)
-    return _read_only(xs, ys, runs, blocks, ms[g] * (K + 1) + k)
+def _product_sums(step_a: int, step_b: int, orders: tuple) -> tuple:
+    """``DenseJets.mul``'s sums: product slot m through order orders[m]
+    adds A[i] B[m - i] over the multiples i of step_a with m - i a multiple
+    of step_b, which follow each other lcm(step_a, step_b) apart."""
+    sums = []
+    for m, q in enumerate(orders):
+        lo = next((i for i in range(0, m + 1, step_a) if (m - i) % step_b == 0), m + 1)
+        sums.append((0, 0, m, lo, m, math.lcm(step_a, step_b), q))
+    return tuple(sums)
 
 
 def _read_only(*arrays) -> tuple:
@@ -355,11 +338,12 @@ class DenseJets:
     point).  An eta-series is a stack of jets, shape (slots, K+1, *batch),
     slot m holding the coefficient of eta^(offset - m).  One base point
     and a batch of any size share every line below and give the same bits:
-    a Cauchy sum gathers the two factors of each term it keeps, multiplies
-    them (numpy writes a large product into the first gather) and adds the
-    terms with ``reduceat``, which adds each node's terms alike whatever
-    the batch.  The same holds for several sums in one gather (``slots``),
-    each in its own runs, and for divisions stacked on a trailing axis."""
+    every eta-slot sum, alone, fused with others or as a slot of ``mul``,
+    gathers the two factors of each term it keeps through ``slots``' plan,
+    multiplies them (numpy writes a large product into the first gather)
+    and adds the terms with ``reduceat``, one run per coefficient, which
+    adds each node's terms alike whatever the batch.  The same holds for
+    ``products`` and for divisions stacked on a trailing axis."""
 
     def __init__(self, t0, K: int):
         self.K = K
@@ -410,22 +394,23 @@ class DenseJets:
     # -- products: the one (eta, t) Cauchy kernel ---------------------------
 
     @staticmethod
-    def slots(X: np.ndarray, Y: np.ndarray, sums: tuple, order: int | None = None) -> np.ndarray:
-        """For each (a, b, m, lo, hi, step) of ``sums``, the jet sum of X[a, i]
-        * Y[b, m - i] over i = lo, lo + step, ... <= hi (zero if hi < lo),
-        through Taylor order ``order`` (default: X's): shape (len(sums), order
-        + 1, *batch).  One gather of each factor, one multiply and one
-        ``reduceat`` serve all sums, each coefficient of each sum its own run,
-        pair by pair: alike for one sum or many, one node or several."""
-        q = X.shape[2] - 1 if order is None else order
-        xs, ys, starts, kept = _slot_factors(sums, X.shape[1], Y.shape[1], X.shape[2], q)
-        terms = X.reshape((-1,) + X.shape[3:])[xs] * Y.reshape((-1,) + Y.shape[3:])[ys]
-        done = np.add.reduceat(terms, starts, axis=0).reshape((len(kept), q + 1) + terms.shape[1:])
-        if len(kept) == len(sums):
-            return done
-        out = np.zeros((len(sums),) + done.shape[1:], done.dtype)
-        out[kept] = done
-        return out
+    def slots(X: np.ndarray, Y: np.ndarray, sums: tuple) -> np.ndarray:
+        """For each (a, b, m, lo, hi, step, q) of ``sums``, the jet sum of
+        X[a, i] * Y[b, m - i] over i = lo, lo + step, ... <= hi (zero if
+        hi < lo) through Taylor order q: shape (len(sums), 1 + max q,
+        *batch), each sum zero above its q.  One gather of each factor, one
+        multiply and one ``reduceat`` serve all sums, each coefficient of
+        each sum one run, pair by pair, j rising: alike for one sum or
+        many, one node or several.  Orders above the stacks' are refused."""
+        xs, ys, starts, cells, width = _slot_factors(sums, X.shape[1], Y.shape[1], X.shape[2])
+        batch = X.shape[3:]
+        terms = X.reshape((-1,) + batch)[xs] * Y.reshape((-1,) + batch)[ys]
+        done = np.add.reduceat(terms, starts, axis=0)
+        if len(cells) < len(sums) * width:      # empty sums, or orders below the width
+            out = np.zeros((len(sums) * width,) + batch, done.dtype)
+            out[cells] = done
+            done = out
+        return done.reshape((len(sums), width) + batch)
 
     @staticmethod
     def products(X: np.ndarray, Y: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -434,38 +419,38 @@ class DenseJets:
         (default: X's), the result holding order + 1 coefficients.
         Coefficient k adds the same terms in the same order whatever the
         order, so a product stopped at its slot's certified order is
-        bit-identical below it."""
+        bit-identical below it.  Orders above the jets' are refused."""
         q = X.shape[1] - 1 if order is None else order
+        if q >= min(X.shape[1], Y.shape[1]):
+            raise ValueError(f"order {q} above the jets' order {min(X.shape[1], Y.shape[1]) - 1}")
         if q == 0:
             return X[:, :1] * Y[:, :1]
-        xs, ys, starts = _antidiagonal_factors(1, q, q + 1)
+        xs, ys, starts = _product_factors(q)
         return np.add.reduceat(X.take(xs, axis=1) * Y.take(ys, axis=1), starts, axis=1)
 
     @staticmethod
     def slot(A: np.ndarray, B: np.ndarray, m: int, lo: int, hi: int,
              step: int = 1, *, order: int | None = None) -> np.ndarray:
         """``slots``' one sum of A[i] * B[m - i] over i = lo, lo + step, ...
-        <= hi, for two stacks of jets."""
-        return DenseJets.slots(A[None], B[None], ((0, 0, m, lo, hi, step),), order)[0]
+        <= hi, for two stacks of jets, through order ``order`` (A's)."""
+        q = A.shape[1] - 1 if order is None else order
+        return DenseJets.slots(A[None], B[None], ((0, 0, m, lo, hi, step, q),))[0]
 
     @staticmethod
     def mul(A: np.ndarray, B: np.ndarray, step_a: int = 1, step_b: int = 1,
             orders=None) -> np.ndarray:
         """The eta-product of two stacks of equal length, truncated to it;
         A (B) is nonzero only on slots that are multiples of step_a (step_b).
-        Product slot m stops at Taylor order orders[m] (default: the
-        stacks' order), the order it is certified to, and is zero above;
-        below it, it adds the terms as the full product does."""
+        Product slot m is ``slots``' sum over its pairs (``_product_sums``)
+        through Taylor order orders[m] (default, and at most: the stacks'
+        order), the order it is certified to, and is zero above."""
         K = A.shape[1] - 1
         orders = (K,) * len(A) if orders is None else tuple(np.minimum(orders, K).tolist())
-        out = np.zeros(A.shape, np.result_type(A, B))
-        if not len(A):          # the empty product: no pairs to index
-            return out
-        xs, ys, runs, blocks, targets = _cauchy_factors(len(A), step_a, step_b, K, orders)
-        flat = (-1,) + A.shape[2:]
-        terms = A.reshape(flat)[xs] * B.reshape(flat)[ys]
-        sums = np.add.reduceat(terms, runs, axis=0)
-        out.reshape(flat)[targets] = np.add.reduceat(sums, blocks, axis=0)
+        done = DenseJets.slots(A[None], B[None], _product_sums(step_a, step_b, orders))
+        if done.shape[1] == K + 1:
+            return done
+        out = np.zeros(A.shape, done.dtype)     # every order below the stacks'
+        out[:, :done.shape[1]] = done
         return out
 
     @staticmethod

@@ -192,9 +192,7 @@ class EtaSeries:
         if not isinstance(other, EtaSeries):
             return replace(self, coeffs=self.coeffs * other)
         n, K = min(self.n_slots, other.n_slots), min(self.K, other.K)
-        orders = np.minimum(np.minimum.accumulate(self.orders[:n]),
-                            np.minimum.accumulate(other.orders[:n]))
-        orders = np.minimum(orders, K)
+        orders = np.minimum.accumulate(np.minimum(self.orders[:n], other.orders[:n]).clip(max=K))
         coeffs = DenseJets.mul(self.coeffs[:n, :K + 1], other.coeffs[:n, :K + 1], orders=orders)
         return EtaSeries(self.offset + other.offset, coeffs, orders, self.t0)
 
@@ -579,8 +577,8 @@ def _lambda_slots(model, jets: DenseJets, lam0, linv, N: int):
     for m in range(step, N + 1, step):
         q = orders[m]
         # lam^2 (lambda_m still 0) and, from m = 2, both theta sums
-        theta = ((1, th2, m - 2, 0, m - 2, step), (th1, th1, m - 2, 0, m - 2, step))
-        sums = jets.slots(buf, buf, ((1, 1, m, step, m, step),) + (theta if m >= 2 else ()), q)
+        theta = ((1, th2, m - 2, 0, m - 2, step, q), (th1, th1, m - 2, 0, m - 2, step, q))
+        sums = jets.slots(buf, buf, ((1, 1, m, step, m, step, q),) + (theta if m >= 2 else ()))
         pw[2, m, :q + 1] = sums[0]
         for d in range(3, top + 1):
             pw[d, m, :q + 1] = jets.slot(pw[d - 1], lam, m, step, m, step, order=q)
@@ -788,7 +786,8 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
         r[0] = -r[0]
     inv2r = jets.divide(jets.constant(-0.5), r[0])[None]
     for n, q in enumerate(orders.tolist()[1:], 1):
-        rr, gr = jets.slots(buf, buf, ((0, 0, n, 1, n - 1, 1), (1, 0, n - 1, 0, n - 1, step)), q)
+        rr, gr = jets.slots(buf, buf, ((0, 0, n, 1, n - 1, 1, q),
+                                       (1, 0, n - 1, 0, n - 1, step, q)))
         acc = rr + jets.derive(r[n - 1])[:q + 1] - gr - h[n, :q + 1]
         r[n, :q + 1] = jets.products(acc[None], inv2r, q)[0]
     return RiccatiSolution(zp, sign, EtaSeries(1, r.copy(), orders, zp.t0))

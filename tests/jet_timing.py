@@ -16,7 +16,9 @@ each on branch k mod 3 of lambda_0 (the recipe of
 - the one-node solve (``zero_param_solution`` plus ``riccati_solution``,
   K = N + 4) and its two residuals at N = 40 and N = 80, cold (every
   ``lru_cache`` table of ``numerics`` and ``series`` cleared before the
-  call, so that it builds its index tables) and warm, in turn;
+  call, so that it builds its index tables) and warm, in turn; then the
+  number of ``numerics`` index tables that one cold solve plus its
+  residuals leaves cached, beside the process's peak RSS so far;
 - the warm one-node solve in the shapes of the ``series_scalar`` benchmark
   workload: D6 at ``Parameters(3 + 1j, 1 + 0.5j)`` and D7 at c = 2 + i,
   N = 4, 8, 12 and K = N + 4, each the best of 5 means over 20 solves,
@@ -115,6 +117,17 @@ def cold_and_warm(call) -> tuple:
     return 1e3 * cold, 1e3 * warm
 
 
+def cached_tables() -> int:
+    """The number of index tables the ``lru_cache`` functions of
+    ``numerics`` hold."""
+    return sum(value.cache_info().currsize for value in vars(numerics).values()
+               if hasattr(value, "cache_info"))
+
+
+def peak_rss() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def clear_tables():
     """Empty every ``lru_cache`` of ``numerics`` and ``series``."""
     for module in (numerics, series):
@@ -140,6 +153,10 @@ def main():
         cold_res, warm_res = cold_and_warm(lambda: residuals(*out))
         print(f"one node, N = {N}: solve + Riccati cold {cold:8.1f} ms, warm {warm:8.1f} ms; "
               f"both residuals cold {cold_res:8.1f} ms, warm {warm_res:8.1f} ms")
+        clear_tables()
+        residuals(*solve(t0, one, N, N + 4))
+        print(f"one node, N = {N}: {cached_tables()} numerics index tables cached after a cold "
+              f"solve + Riccati + residuals; peak RSS so far {peak_rss():.0f} MB")
     for model in (MODEL, D7_MODEL):
         ts, branch = nodes(1, model)
         t0, one = complex(ts[0]), BranchPoint(complex(ts[0]), complex(branch.lambda0[0]))
@@ -151,7 +168,7 @@ def main():
             print(f"one node, {type(model).__name__[:2]}, N = {N:2d}, K = {N + 4:2d}: warm solve + "
                   f"Riccati {ms(twenty) / 20:6.3f} ms, {sum(calls.values())} kernel calls ("
                   + ", ".join(f"{name} {n}" for name, n in calls.items()) + ")")
-    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+    print(f"peak RSS {peak_rss():.0f} MB")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ afterwards.  Solved with it and with every slot order raised to K, then
 zeroed above ``series._slot_orders``, the series must equal the
 order-aware solve byte for byte, and so must both residuals."""
 
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -35,9 +36,9 @@ def _loop_pairs(n, step_a, step_b):
 class FullOrderJets(DenseJets):
     """DenseJets whose products run through order K whatever order is
     asked: mul and inverse ignore ``orders`` (and inverse the first slot it
-    is handed, which it divides out itself); products, slot and slots cut
-    their full result to ``order`` + 1 coefficients, the width callers
-    expect."""
+    is handed, which it divides out itself); products and slot cut their
+    full result to ``order`` + 1 coefficients, the width callers expect,
+    and slots zeroes each sum above its own order and cuts to the largest."""
 
     @staticmethod
     def products(X, Y, order=None):
@@ -54,32 +55,38 @@ class FullOrderJets(DenseJets):
         return full if order is None else full[:, :order + 1]
 
     @staticmethod
-    def slot(A, B, m, lo, hi, step=1, *, order=None):
-        i = np.arange(lo, hi + 1, step)
+    def _pair_sum(A, B, m, i):
+        """The jet sum of A[i] B[m - i] over the rows i, one reduction per
+        coefficient k over the terms A[i, j] B[m - i, k - j] of every pair,
+        pair by pair, j rising."""
         if not len(i):
-            full = np.zeros_like(A[0])
-        else:
-            # One reduction per coefficient k over the terms A[i, j] B[m - i, k - j]
-            # of every pair, pair by pair, j rising.
-            M = A[i][:, :, None] * B[m - i][:, None, :]
-            full = np.array([np.add.reduceat(np.array([M[p, j, k - j] for p in range(len(i))
-                                                       for j in range(k + 1)]), [0], axis=0)[0]
-                             for k in range(A.shape[1])])
+            return np.zeros_like(A[0])
+        M = A[i][:, :, None] * B[m - i][:, None, :]
+        return np.array([np.add.reduceat(np.array([M[p, j, k - j] for p in range(len(i))
+                                                   for j in range(k + 1)]), [0], axis=0)[0]
+                         for k in range(A.shape[1])])
+
+    @staticmethod
+    def slot(A, B, m, lo, hi, step=1, *, order=None):
+        full = FullOrderJets._pair_sum(A, B, m, np.arange(lo, hi + 1, step))
         return full if order is None else full[:order + 1]
 
     @staticmethod
-    def slots(X, Y, sums, order=None):
-        return np.stack([FullOrderJets.slot(X[a], Y[b], m, lo, hi, step, order=order)
-                         for a, b, m, lo, hi, step in sums])
+    def slots(X, Y, sums):
+        out = np.stack([FullOrderJets.slot(X[a], Y[b], m, lo, hi, step)
+                        for a, b, m, lo, hi, step, _ in sums])
+        orders = np.array([q for *_, q in sums])
+        out[np.arange(out.shape[1]) > orders[:, None]] = 0
+        return out[:, :orders.max() + 1]
 
     @staticmethod
     def mul(A, B, step_a=1, step_b=1, orders=None):
+        # Each product slot m is the full-order slot of its pairs (i, m - i).
         pairs = _loop_pairs(len(A), step_a, step_b)
-        ms = np.array([m for m, _, _ in pairs])
-        starts = np.flatnonzero(np.diff(ms, prepend=-1))
         out = np.zeros_like(A)
-        out[ms[starts]] = np.add.reduceat(FullOrderJets.products(
-            A[[i for _, i, _ in pairs]], B[[j for _, _, j in pairs]]), starts, axis=0)
+        for m in range(len(A)):
+            rows = np.array([i for mm, i, _ in pairs if mm == m], np.intp)
+            out[m] = FullOrderJets._pair_sum(A, B, m, rows)
         return out
 
     @staticmethod
@@ -214,66 +221,82 @@ def test_kernels_stop_at_the_orders_they_are_given(steps, nodes):
 
 def test_cached_order_tables_are_read_only():
     # Every solve shares these tables; a write must not corrupt the next one.
-    tables = (numerics._cauchy_factors(5, 2, 2, 6, (6, 6, 4, 4, 2))
-              + numerics._antidiagonal_factors(3, 4, 5) + numerics._cauchy_pairs(5, 2, 2)
-              + numerics._slot_factors(((0, 1, 4, 0, 4, 2), (1, 1, 3, 1, 0, 1)), 5, 5, 7, 4)
+    tables = (numerics._product_factors(4)
+              + numerics._slot_factors(((0, 1, 4, 0, 4, 2, 4), (1, 1, 3, 1, 0, 1, 2)), 5, 5, 7)[:4]
               + series._slot_orders(6, 4, False))
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1
 
 
-def _loop_antidiagonal_factors(pairs, q, stride):
-    """``numerics._antidiagonal_factors`` term by term: for each k, pair p
-    and j <= k, the flat indices of X[p, j] and Y[pairs - 1 - p, k - j],
-    row p starting at p * stride."""
-    xs, ys, starts = [], [], []
-    for k in range(q + 1):
-        starts.append(len(xs))
-        for p in range(pairs):
-            for j in range(k + 1):
-                xs.append(p * stride + j)
-                ys.append((pairs - 1 - p) * stride + k - j)
-    return xs, ys, starts
-
-
-def _loop_cauchy_factors(n, step_a, step_b, K, orders):
-    """``numerics._cauchy_factors`` term by term: for each product slot m,
-    order k <= orders[m], pair (i, i') and j <= k, the flat indices of
-    A[i, j] and B[i', k - j]; the starts of the (m, k, pair) runs and of
-    the (m, k) blocks, and each block's flat index in the product."""
-    pairs = _loop_pairs(n, step_a, step_b)
-    xs, ys, runs, blocks, targets = [], [], [], [], []
-    for m in sorted({m for m, _, _ in pairs}):
-        for k in range(orders[m] + 1):
-            blocks.append(len(runs))
-            targets.append(m * (K + 1) + k)
-            for i, i2 in [(i, i2) for mm, i, i2 in pairs if mm == m]:
-                runs.append(len(xs))
+def _loop_plan(sums, K1):
+    """An index plan of ``DenseJets.slots`` term by term.  ``sums`` lists
+    (q, rows), rows the (x row, y row) of each pair: for each sum, k <= q,
+    pair and j <= k, the flat indices of X[x row, j] and Y[y row, k - j]
+    in rows of K1 coefficients; the start of each (sum, k) run that has
+    terms, its cell s * width + k in the result, and the width, 1 + max q."""
+    width = 1 + max((q for q, _ in sums), default=-1)
+    xs, ys, starts, cells = (array("q") for _ in range(4))      # 8 bytes an index
+    for s, (q, rows) in enumerate(sums):
+        for k in range(q + 1):
+            if rows:
+                starts.append(len(xs))
+                cells.append(s * width + k)
+            for x, y in rows:
                 for j in range(k + 1):
-                    xs.append(i * (K + 1) + j)
-                    ys.append(i2 * (K + 1) + k - j)
-    return xs, ys, runs, blocks, targets
+                    xs.append(x * K1 + j)
+                    ys.append(y * K1 + k - j)
+    return xs, ys, starts, cells, width
+
+
+def _assert_plan(got, want):
+    assert len(got) == len(want)
+    for table, loop in zip(got, want):
+        assert np.array_equal(table, loop)
 
 
 @pytest.mark.parametrize("pairs, q, stride", [(1, 0, 1), (1, 7, 8), (3, 4, 5), (2, 12, 34),
                                               (40, 84, 170)])
 def test_antidiagonal_factor_tables_equal_a_loop(pairs, q, stride):
-    # One pair of single jets is the table of ``products``; the others are
-    # ``slot``'s over stacks of step 1 and 2, down to orders below the
-    # stacks' (q < stride - 1), and 40 pairs of step 2 at q = 84 is its
-    # size in a one-node solve at N = 80.
-    got = numerics._antidiagonal_factors(pairs, q, stride)
-    for table, want in zip(got, _loop_antidiagonal_factors(pairs, q, stride)):
-        assert table.tolist() == want
+    # One sum X[i] Y[pairs - 1 - i] over stacks of ``pairs`` jets of
+    # ``stride`` coefficients, through order q, down to orders below the
+    # stacks' (q < stride - 1); 40 pairs at q = 84 bound every sum of a
+    # one-node solve at N = 80.  One pair is also ``products``' table.
+    want = _loop_plan([(q, [(p, pairs - 1 - p) for p in range(pairs)])], stride)
+    got = numerics._slot_factors(((0, 0, pairs - 1, 0, pairs - 1, 1, q),), pairs, pairs, stride)
+    _assert_plan(got, want)
+    if pairs == 1:
+        _assert_plan(numerics._product_factors(q), want[:3])
+
+
+#: (a, b, m, lo, hi, step, q) of DenseJets.slots over stacks of 9 slots:
+#: an empty range first and last, orders mixed down to 0, step 2
+#: from lo > 0 with hi off the step, stacks read against others and
+#: against themselves, and one pair.
+_PLAN_SUMS = ((1, 0, 1, 1, 0, 1, 5), (0, 1, 8, 1, 7, 2, 7), (1, 1, 6, 0, 6, 2, 0),
+              (0, 0, 8, 0, 8, 1, 3), (1, 0, 4, 4, 4, 1, 6), (2, 1, 7, 1, 6, 2, 2),
+              (0, 1, 3, 3, 2, 2, 4))
+
+
+@pytest.mark.parametrize("sums", [_PLAN_SUMS, _PLAN_SUMS[1:-1], _PLAN_SUMS[:1], ()])
+def test_slot_factor_tables_equal_a_loop(sums):
+    # Several sums in one plan, with and without empty ranges, all empty,
+    # and none; X holds three stacks of 9 jets of 8 coefficients, Y two.
+    want = _loop_plan([(q, [(a * 9 + i, b * 9 + m - i) for i in range(lo, hi + 1, step)])
+                       for a, b, m, lo, hi, step, q in sums], 8)
+    _assert_plan(numerics._slot_factors(sums, 9, 9, 8), want)
 
 
 @pytest.mark.parametrize("n, steps, K", [(1, (1, 1), 4), (7, (1, 1), 9), (7, (1, 2), 9),
-                                         (7, (2, 1), 9), (8, (2, 2), 9), (41, (2, 2), 44)])
+                                         (7, (2, 1), 9), (8, (2, 2), 9), (41, (2, 2), 44),
+                                         (81, (2, 2), 84)])
 def test_cauchy_factor_tables_equal_a_loop(n, steps, K):
-    # Orders that fall with the slot, as the solver's do, down to 0; the
-    # last case is a one-node solve's stack at N = 40.
+    # mul's plan: slots over ``_product_sums``, against the pairs of the
+    # eta-product.  Orders that fall with the slot, as the solver's do,
+    # down to 0; the last cases are a one-node solve's stacks at N = 40
+    # and N = 80.
     orders = tuple(max(K - m - m // 3, 0) for m in range(n))
-    got = numerics._cauchy_factors(n, *steps, K, orders)
-    for table, want in zip(got, _loop_cauchy_factors(n, *steps, K, orders)):
-        assert table.tolist() == want
+    pairs = _loop_pairs(n, *steps)
+    want = _loop_plan([(orders[m], [(i, j) for mm, i, j in pairs if mm == m]) for m in range(n)],
+                      K + 1)
+    _assert_plan(numerics._slot_factors(numerics._product_sums(*steps, orders), n, n, K + 1), want)

@@ -473,24 +473,62 @@ _FUSED_SUMS = ((0, 1, 1, 1, 0, 1), (0, 0, 8, 1, 7, 1), (1, 2, 6, 0, 6, 2), (2, 2
 @pytest.mark.parametrize("nodes", [(), (20,)])
 def test_fused_slots_equal_each_slot_alone(nodes):
     # One gather for several sums gives each sum the bytes of its own slot
-    # call, at full order and cut below it, and twenty nodes at once give
-    # each node the bytes of its one-node call.
+    # call, at full order, cut below it and at orders mixed in one call
+    # (zero above each sum's own), and twenty nodes at once give each node
+    # the bytes of its one-node call.
     rng = np.random.default_rng(14)
     K = 7
     X, Y = (rng.standard_normal((3, 9, K + 1) + nodes)
             + 1j * rng.standard_normal((3, 9, K + 1) + nodes) for _ in range(2))
-    for q in (K, 3, 0):
-        fused = DenseJets.slots(X, Y, _FUSED_SUMS, q)
-        assert fused.shape == (len(_FUSED_SUMS), q + 1) + nodes
-        for got, (a, b, m, lo, hi, step) in zip(fused, _FUSED_SUMS):
+    for orders in ((K,) * 7, (3,) * 7, (0,) * 7, (5, 0, 7, 3, 2, 6, 1)):
+        sums = tuple(s + (q,) for s, q in zip(_FUSED_SUMS, orders))
+        fused = DenseJets.slots(X, Y, sums)
+        assert fused.shape == (len(sums), max(orders) + 1) + nodes
+        for got, (a, b, m, lo, hi, step, q) in zip(fused, sums):
             alone = DenseJets.slot(X[a], Y[b], m, lo, hi, step, order=q)
-            assert got.tobytes() == alone.tobytes(), (q, a, b, m, lo, hi, step)
-            assert hi >= lo or not got.any()
+            assert got[:q + 1].tobytes() == alone.tobytes(), (q, a, b, m, lo, hi, step)
+            assert not got[q + 1:].any() and (hi >= lo or not got.any())
             for node in range(nodes[0] if nodes else 0):
                 one = DenseJets.slot(X[a, ..., node], Y[b, ..., node], m, lo, hi, step, order=q)
-                assert got[..., node].tobytes() == one.tobytes(), (q, m, lo, hi, step, node)
-    empty = DenseJets.slots(X, Y, _FUSED_SUMS[:1] + _FUSED_SUMS[-1:], K)
+                assert got[:q + 1, ..., node].tobytes() == one.tobytes(), (q, m, lo, hi, step, node)
+    empty = DenseJets.slots(X, Y, ((0, 1, 1, 1, 0, 1, K), (0, 2, 3, 3, 2, 2, 2)))
     assert empty.shape == (2, K + 1) + nodes and not empty.any()
+
+
+def test_slot_orders_above_the_stacks_are_refused():
+    # An order above the stacks' would read the next jet's coefficients;
+    # it is refused by name, alone or beside sums within the order, and
+    # still after a plan of the same stacks was cached.
+    rng = np.random.default_rng(15)
+    K = 3
+    A, B = _stacks(rng, 3, K, (), np.complex128)
+    DenseJets.slot(A, B, 2, 0, 2, order=K)
+    with pytest.raises(ValueError, match=f"order {K + 2} above the stacks' order {K}"):
+        DenseJets.slot(A, B, 2, 0, 2, order=K + 2)
+    with pytest.raises(ValueError, match=f"order {K + 1} above"):
+        DenseJets.slots(A[None], B[None], ((0, 0, 2, 0, 2, 1, K), (0, 0, 1, 0, 1, 1, K + 1)))
+
+
+def test_product_orders_above_the_jets_are_refused():
+    # As for slots: the order the jets cannot reach is named, for either
+    # operand, where a gather past the jet raised an IndexError before.
+    rng = np.random.default_rng(16)
+    A, B = _stacks(rng, 2, 3, (4,), np.complex128)
+    for X, Y, q in ((A, B, 5), (A, B[:, :3], 3)):
+        with pytest.raises(ValueError, match=f"order {q} above the jets' order"):
+            DenseJets.products(X, Y, q)
+
+
+def test_mul_and_inverse_clamp_orders_above_the_stacks():
+    # mul and inverse take the orders of the series they serve and, as
+    # documented, stop at the stacks' order where those are higher.
+    rng = np.random.default_rng(17)
+    K = 4
+    A, B = _stacks(rng, 5, K, (3,), np.complex128)
+    A[0, 0] += 3.0
+    high = (K + 2,) * 5
+    assert DenseJets.mul(A, B, orders=high).tobytes() == DenseJets.mul(A, B).tobytes()
+    assert DenseJets.inverse(A, orders=high).tobytes() == DenseJets.inverse(A).tobytes()
 
 
 def test_t_powers_are_read_only():
