@@ -17,9 +17,10 @@ Stokes tracing happens there.
 Each chart class states its maps lambda_0, t, dt/du and q once, as a
 constant times integer powers of u and of named polynomials in u formed
 from the parameters (``Factored``); dt/du, the turning polynomial, the
-u-jets of the eta-series solver and, expanded exactly at the exact
-``unit_args`` (``numerics.ExactLaurent``), the family's unit-scale data for
-the odd Riccati slots (``series``) are read off it.  Hand-written beside it stay
+u-jets of the eta-series solver, on ``numerics.DenseJets`` (this module
+lays out no jet), and, expanded exactly at the exact ``unit_args``
+(``numerics.ExactLaurent``), the family's unit-scale data for the odd
+Riccati slots (``series``) are read off it.  Hand-written beside it stay
 q, t_of_u, lambda0_of_u and phi, on whose bits the tracer and its
 references depend; the leads and residues, which a product over the
 divisor misses by up to 7e-14, enough to flip the sign of a vanishing
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import ExactLaurent, _nearer_negated, poly_roots
+from .numerics import DenseJets, ExactLaurent, _nearer_negated, poly_roots
 
 __all__ = [
     "AlgebraError",
@@ -92,6 +93,15 @@ def _finite(name: str, value) -> complex:
     if not cmath.isfinite(value):
         raise AlgebraError(f"parameter {name} = {value} is not finite")
     return value
+
+
+def _d7_parameter(c) -> complex:
+    """c as a complex number, the one check of D7's chart and model: AlgebraError
+    unless finite, DegenerateParametersError where |c| <= 1e-12."""
+    c = _finite("c", c)
+    if abs(c) <= _GENERICITY_HARD:
+        raise DegenerateParametersError("D7 requires c != 0")
+    return c
 
 
 @dataclass(frozen=True)
@@ -272,30 +282,23 @@ class UChart:
 
     @classmethod
     def lambda0_u_jets(cls, args, jets, lam) -> tuple:
-        """The u-jets of dlambda0/du and 1/t'(u), of order K - 1 in v = u - u0,
-        at u0 = ``u_of`` (t0, lam), t0 the base points of the DenseJets
-        ``jets`` and lam (shape (1, *batch)) roots of the leading equation:
-        read off the declared maps at the parameters ``args`` in the base
-        points' number type.  dlambda0/du is a Laurent polynomial: Horner
-        steps for its powers u^j >= 0, the binomial series of (u0 + v)^j for
-        j < 0; 1/t'(u) is one division of the jets of t''s factors."""
+        """The u-jets of dlambda0/du and 1/t'(u), of order K - 1 in v = u - u0, at u0 =
+        ``u_of`` (t0, lam), t0 the base points of the DenseJets ``jets`` and lam (shape
+        (1, *batch)) roots of the leading equation: read off the declared maps at the
+        parameters ``args`` on DenseJets at u0, formed per node on one-element arrays
+        (numpy rounds a lone complex number otherwise).  dlambda0/du, a Laurent
+        polynomial, goes by Horner's rule and ``t_power``; 1/t'(u) is one division."""
         factors = cls.factors(*(np.asarray(a, jets.dtype) for a in args))
-        u, K = cls.u_of(factors, jets.t0[None], lam), jets.K
+        ujets = DenseJets(cls.u_of(factors, jets.t0[None], lam)[0], jets.K - 1)
         num, lo = cls.lambda0_map.expand(factors)
         terms = {lo + i - 1: (lo + i) * c for i, c in enumerate(num) if lo + i}
-        dlam = _product_jet(1, [[terms.get(j, 0) for j in range(max(terms) + 1)]], u, K)
+        dlam = ujets.product_of(1, [[terms.get(j, 0) for j in range(max(terms) + 1)]])
         for j, c in terms.items():
             if j < 0:
-                # (-1)^k u0^(j - k).  np.cumprod rounds a run of two rows with other
-                # bits than a longer run; three or more give each row the same bits.
-                geo = np.empty((max(K, 3),) + u.shape[1:], u.dtype)
-                geo[:1], geo[1:] = (1 / u) ** -j, -1 / u
-                binomial = np.reshape([math.comb(k - j - 1, k) for k in range(K)],
-                                      (-1,) + (1,) * (u.ndim - 1))
-                dlam += c * binomial * geo.cumprod(axis=0, out=geo)[:K]
+                dlam += c * ujets.t_power(j)
         dt = cls.dt_du_map
-        return dlam, jets.divide(_product_jet(1 / dt.const, dt.polynomials(factors, -1), u, K),
-                                 _product_jet(1, dt.polynomials(factors, 1), u, K))
+        return dlam, ujets.divide(ujets.product_of(1 / dt.const, dt.polynomials(factors, -1)),
+                                  ujets.product_of(1, dt.polynomials(factors, 1)))
 
     def phi(self, u: complex, sq: complex, logs: tuple) -> tuple:
         """(Phi(u), its logarithms): Phi a primitive of sqrt(q) du on the
@@ -635,11 +638,8 @@ class D7Chart(UChart):
         return t / lam
 
     def __init__(self, c: complex):
-        c = _finite("c", c)
-        if abs(c) <= 1e-12:
-            raise DegenerateParametersError("D7 requires c != 0")
+        self.c = c = _d7_parameter(c)
         super().__init__(c)
-        self.c = c
         self.turning_points_u = (2 * c / 3,)
         self.simple_pole_lead = -8 * c
         self.double_poles_u = MappingProxyType({"zero_c": c})
@@ -675,32 +675,6 @@ class D7Chart(UChart):
 
     def origin_logs(self, u0):
         return (0j if self.same_point(u0, self.simple_pole_u) else 1j * math.pi,)
-
-
-def _product_jet(const, polys, u, K: int):
-    """The jet of order K - 1 in v of const prod_p p(u + v), the p of
-    ``polys`` coefficient lists from u^0 up, at the points u (shape
-    (1, *batch)).  A linear factor multiplies by its value at u plus its
-    slope times v, so the jet keeps the digits of a factor near its root;
-    any other by Horner's rule."""
-    out = np.zeros((K,) + u.shape[1:], u.dtype)
-    out[0] = const
-    for p in polys:
-        if len(p) == 2:
-            out = _times_linear(out, p[0] + p[1] * u, p[1])
-            continue
-        acc = p[-1] * out
-        for c in p[-2::-1]:
-            acc = _times_linear(acc, u) + c * out
-        out = acc
-    return out
-
-
-def _times_linear(a, b, slope=1):
-    """The jet a times (b + slope v), truncated to the order of a."""
-    out = a * b
-    out[1:] += slope * a[:-1]
-    return out
 
 
 def _continued_log_quotient(x: complex, y: complex, xy: complex, prev: complex) -> complex:

@@ -6,7 +6,8 @@ path.
 Everything in this module but ``DenseJets`` is a pure function over immutable
 values.  ``DenseJets`` is the one truncated Taylor arithmetic: stacks of jets
 in ``s = t - t0``, at one base point or a batch of them, held as one array,
-on which the series solvers and ``series.EtaSeries`` compute.  An instance
+on which the series solvers and ``series.EtaSeries`` compute, and in u,
+on which the charts' maps are multiplied out (``product_of``).  An instance
 holds the base points and their number type, complex128 or, for clongdouble
 base points, 80-bit ``clongdouble``; the Cauchy products are static and take
 their operands' type.  They form only the terms a truncated product keeps
@@ -331,7 +332,7 @@ def _refuse_zero_constant(a: np.ndarray, what: str):
 
 
 class DenseJets:
-    """Truncated Taylor arithmetic of order K at the base points t0.
+    """Truncated Taylor arithmetic of order K at the base points t0 of t (u on the charts).
 
     A jet is an array whose axis -1 - t0.ndim holds its K+1 coefficients
     in s = t - t0, followed by the batch axes of t0 (none for one base
@@ -373,6 +374,22 @@ class DenseJets:
             fac[1:] = ((p - k + 1) / k).reshape(self._kfac.shape) / self.t0
             self._t_powers[p] = _read_only(self.t0 ** p * fac.cumprod(axis=0))[0]
         return self._t_powers[p]
+
+    def product_of(self, const, polys) -> np.ndarray:
+        """The jet of const prod_p p(t), ``polys`` the p's coefficients from t^0 up.  A
+        linear factor enters by its value at t0 plus its slope times s, so the jet keeps
+        its digits next to the factor's root; any other by Horner's rule."""
+        out = self.constant(const)
+        for p in polys:
+            if len(p) == 2:
+                acc = out * (p[0] + p[1] * self.t0)
+                acc[self._hi] += p[1] * out[self._lo]
+            else:
+                acc = p[-1] * out
+                for c in p[-2::-1]:
+                    acc = self.times_t(acc) + c * out
+            out = acc
+        return out
 
     # -- t-operations on jets or stacks -------------------------------------
 

@@ -44,6 +44,7 @@ from .algebra import (
     D7Chart,
     Factored,
     Parameters,
+    _d7_parameter,
     d7_lambda0_branches,
     lambda0_branches,
     u_chart,
@@ -335,7 +336,8 @@ class D6Model:
 
 @dataclass(frozen=True)
 class D7Model:
-    """The one-parameter degenerate equation, optional shift c -> c + shift eta^-1."""
+    """The one-parameter degenerate equation, optional shift c -> c + shift
+    eta^-1; c is refused where ``D7Chart`` refuses it."""
 
     c: complex
     shift: int = 0
@@ -343,6 +345,9 @@ class D7Model:
     unit_lam_poly = ((3, (-2,), 0), (1, (1,), 1), (0, (-1,), 2))
     chart = D7Chart
     chart_args = property(lambda self: (self.c,))
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", _d7_parameter(self.c))
 
     @property
     def shifted(self) -> bool:
@@ -398,7 +403,7 @@ def model_for(params):
     the single complex parameter c."""
     if isinstance(params, Parameters):
         return D6Model(params)
-    return D7Model(complex(params))
+    return D7Model(params)
 
 
 def _eta_shift(A: np.ndarray, e: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BranchPoint, _finite, u_chart
+from .algebra import BranchPoint, Parameters, u_chart
 from .numerics import ExactLaurent, _chain_signs, _nearer_negated, bernoulli
 from .series import (D6Model, D7Model, lowest_jet_order, model_for, odd_slot_ratios,
                      riccati_solution, zero_param_solution)
@@ -93,12 +93,12 @@ _ENDPOINTS = {
            "zero_c": _Endpoint({"c": (-3, "G")}, "zero_c")},
 }
 
-#: family -> (model, the eta^-1 shift of each closed-form variable in a shifted model).
+#: family -> (a generic model, the eta^-1 shift of each closed-form variable in a shifted model).
 _SHIFTS = {
-    "d6": (D6Model, lambda m: {"c_inf": m.shift_inf, "c_0": m.shift_0,
-                               "c_p": (m.shift_inf + m.shift_0) // 2,
-                               "c_m": (m.shift_inf - m.shift_0) // 2}),
-    "d7": (D7Model, lambda m: {"c": m.shift}),
+    "d6": (D6Model(Parameters(1, 2)),
+           lambda m: {"c_inf": m.shift_inf, "c_0": m.shift_0, "c_p": (m.shift_inf + m.shift_0) // 2,
+                      "c_m": (m.shift_inf - m.shift_0) // 2}),
+    "d7": (D7Model(1), lambda m: {"c": m.shift}),
 }
 
 
@@ -175,20 +175,29 @@ def cycle_symbolic() -> dict:
     return {"c_m": (1, "F")}
 
 
-def _variable_value(var: str, params) -> complex:
-    return _finite("c", params) if var == "c" else getattr(params, var)
+def _endpoint_model(spec: EndpointSpec, params, n_max: int):
+    """``model_for(params)``, the closed form's and the oracle's one check:
+    ValueError unless ``spec`` is an endpoint of its family and n_max >= 1."""
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max}: W_1..W_n_max need n_max >= 1")
+    model = model_for(params)
+    if model.chart.equation != spec.equation:
+        raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
+    return model
 
 
 def voros_closed_form(spec: EndpointSpec, params, n_max: int = 6) -> dict:
     """{n: W_n} with W = sum_n W_n eta^(1-2n): the closed-form coefficient
-    values at the given parameters."""
+    values at the given parameters, which ``spec`` must belong to."""
+    model = _endpoint_model(spec, params, n_max)
     sym = voros_symbolic(spec)
     out = {}
     for n in range(1, n_max + 1):
         acc = 0j
         for var, (mult, kind) in sym.items():
             coeff = f_coefficient(n) if kind == "F" else g_coefficient(n)
-            acc += mult * complex(coeff) * _variable_value(var, params) ** (1 - 2 * n)
+            value = model.c if var == "c" else getattr(params, var)
+            acc += mult * complex(coeff) * value ** (1 - 2 * n)
         out[n] = acc
     return out
 
@@ -307,8 +316,8 @@ def shift_decomposition(which: int, equation: str = "d6") -> dict:
     and c_p, c_m = (c_inf +/- c_0)/2 follow; the degenerate family moves c
     by +1."""
     model, shifts = _SHIFTS[equation]
-    # The shifts do not depend on the parameters, so none are supplied.
-    return shifts(model(None).backlund_shifted(which))
+    # The shifts do not depend on the parameters, so any generic point serves.
+    return shifts(model.backlund_shifted(which))
 
 
 def _series_increment(kind: str, delta: int, depth: int) -> ExactLaurent:
@@ -729,11 +738,8 @@ def voros_numeric_oracle(spec: EndpointSpec, params, n_max: int = 2) -> OracleRe
     series solve; the other nodes took the float64 read.  ``even_ratio`` is
     0.0 on every returned result: the one-turn modes hold no integer powers,
     and the key stays only because the benchmark's tracer reads it."""
-    if n_max < 1:
-        raise ValueError(f"n_max={n_max}: the oracle evaluates W_1..W_n_max, n_max >= 1")
+    _endpoint_model(spec, params, n_max)
     chart = u_chart(params)
-    if chart.equation != spec.equation:
-        raise ValueError(f"endpoint {spec} does not belong to parameters {params!r}")
     u_tp = _select_turning_point(chart, spec)
     rho = _RADIUS_FACTOR * chart.special_gap(u_tp)
 

@@ -24,8 +24,8 @@ each on branch k mod 3 of lambda_0 (the recipe of
   N = 4, 8, 12 and K = N + 4, each the best of 5 means over 20 solves,
   with the ``DenseJets`` kernel calls one solve makes (every call of
   ``products``, ``slots`` (``slot`` where there is no ``slots``), ``mul``,
-  ``divide``, ``sqrt``, ``derive``, ``times_t`` and ``t_power``, also
-  those made inside another kernel);
+  ``divide``, ``sqrt``, ``derive``, ``times_t``, ``t_power`` and
+  ``product_of``, also those made inside another kernel);
 - the process's peak RSS.
 
 pytest does not collect this file.
@@ -44,7 +44,8 @@ D7_MODEL = series.D7Model(2 + 1j)
 BATCHES = ((17, 4, 8), (400, 4, 4), (2752, 4, 6), (400, 12, 16))
 ONE_NODE = (40, 80)
 SCALAR_N = (4, 8, 12)
-KERNELS = ("products", "slots", "mul", "divide", "sqrt", "derive", "times_t", "t_power")
+KERNELS = ("products", "slots", "mul", "divide", "sqrt", "derive", "times_t", "t_power",
+           "product_of")
 REPEAT = 5
 
 

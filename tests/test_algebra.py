@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p3wkb import algebra
+from p3wkb import algebra, series
 from p3wkb.algebra import (
     AlgebraError,
     BranchPoint,
@@ -369,6 +369,20 @@ def test_d7_distinguished_points():
 def test_d7_rejects_zero_parameter():
     with pytest.raises(DegenerateParametersError):
         D7Chart(0)
+
+
+@pytest.mark.parametrize("bad, error", [(float("nan"), AlgebraError),
+                                        (complex(1, float("inf")), AlgebraError),
+                                        (0, DegenerateParametersError),
+                                        (1e-13j, DegenerateParametersError)],
+                         ids=["nan", "inf", "zero", "1e-13"])
+def test_d7_model_and_chart_refuse_the_same_parameters(bad, error):
+    # The model runs the chart's check, so the two dispatchers agree: a D7
+    # model at c = 0 would only fail later, in its solve's residual gate.
+    for build in (series.model_for, series.D7Model, u_chart, D7Chart):
+        with pytest.raises(error) as caught:
+            build(bad)
+        assert type(caught.value) is error, build
 
 
 _DECLARED = [(D6Chart(P_GEN), (P_GEN.c_inf, P_GEN.c_0)), (D6Chart(P_ALT), (P_ALT.c_inf, P_ALT.c_0)),

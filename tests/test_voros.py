@@ -906,6 +906,24 @@ def test_without_a_wider_type_every_ill_node_takes_the_node_solve(target, monkey
         assert got.values[n] == want.values[n] and diag["leg"] == want.diagnostics[n]["leg"]
 
 
+_TARGETS = [("d6", t) for t in ("inf1", "inf2", "inf3", "inf4", "zero_cinf", "zero_c0")] \
+    + [("d7", t) for t in ("inf1", "inf2", "inf3", "zero_c")]
+
+
+@pytest.mark.parametrize("family, target", _TARGETS, ids=[f"{f}:{t}" for f, t in _TARGETS])
+def test_closed_form_refuses_what_the_oracle_refuses(family, target):
+    # The other family's parameters, and n_max = 0, are refused by both
+    # before any work, where the closed form once returned zeros or {} or
+    # failed on an attribute or a type.
+    spec = EndpointSpec(family, target)
+    own, other = (P_GEN, 2 + 1j) if family == "d6" else (2 + 1j, P_GEN)
+    for evaluate in (voros_closed_form, voros_numeric_oracle):
+        with pytest.raises(ValueError, match="does not belong"):
+            evaluate(spec, other, 1)
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            evaluate(spec, own, 0)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))])
 def test_d7_closed_form_refuses_a_non_finite_parameter(bad):
     with pytest.raises(AlgebraError, match="parameter c = "):
