@@ -3,13 +3,13 @@ checks, branches of the leading algebraic functions, the u-plane charts of
 both families with their quadratic differentials, and the data read off the
 charts: turning points and the residues of sqrt(q) du at its poles.
 
-The leading-order equation is the quartic
+The leading-order equation P(lambda, t) = lambda t^2 F = 0, a quartic for
+D6 and a cubic for the degenerate (D7) family, is stated once per family on
+its chart class (``leading``), beside the maps lambda_0(u) and t(u) that
+solve it; the branches, the series models and the odd-slot tables read it.
+The branches are the companion-matrix eigenvalues, unpolished, each refused
+unless its residual is small against P's own terms.
 
-    lambda^4 - c_inf lambda^3 + c_0 t lambda - t^2 = 0,
-
-equivalently F(lambda, t) = lambda^3/t^2 - c_inf lambda^2/t^2 + c_0/t
-- 1/lambda = 0; the degenerate (D7) family has the cubic
-2 lambda^3 - c t lambda + t^2 = 0 (``D7Chart``, ``d7_lambda0_branches``).
 Each u-plane chart pulls the whole many-sheeted picture back to a single
 plane where the quadratic differential q(u) du^2 has polynomial zeros; all
 Stokes tracing happens there.
@@ -168,23 +168,25 @@ class BranchPoint:
 
 def lambda0_branches(t: complex, p: Parameters) -> list[BranchPoint]:
     """The four branches of lambda0 over a regular point t != 0, the roots
-    of the leading quartic lambda^4 - c_inf lambda^3 + c_0 t lambda - t^2."""
-    return _branches(t, lambda t: [-t * t, p.c_0 * t, 0.0, -p.c_inf, 1.0], "quartic")
+    of D6's leading quartic (``D6Chart.leading``)."""
+    return _branches(t, D6Chart.leading(p.c_inf, p.c_0), "quartic")
 
 
-def _branches(t, coeffs_of, what: str) -> list[BranchPoint]:
-    """The branches over t != 0 of the roots of sum_k a_k lambda^k, a_k =
-    coeffs_of(t).  A root's residual may be at most 1e-10 of max(1, each
-    |a_k root^k|): its own terms set the scale, however large c or |t|."""
-    t = complex(t)
+def _branches(t, terms, what: str) -> list[BranchPoint]:
+    """The branches over a finite t != 0 of the roots of a chart's ``leading``
+    terms.  A root's residual may be at most 1e-10 of max(1, each |a_k
+    root^k|), a_k its coefficient of lambda^k: its own terms set the scale."""
+    t = _finite("t", t)
     if t == 0:
         raise AlgebraError("t = 0 is the singular point; branches are classified separately")
-    coeffs = coeffs_of(t)
+    coeffs, powers = [0.0] * (1 + max(d for d, *_ in terms)), (None, t, t * t)
+    for d, a, p in terms:
+        coeffs[d] = a * powers[p] if p else a
     out = []
     for r in poly_roots(coeffs):
-        terms = [a * r ** k for k, a in enumerate(coeffs)]
-        res = abs(sum(terms))
-        if res > 1e-10 * max(1.0, *map(abs, terms)):
+        monomials = [a * r ** k for k, a in enumerate(coeffs)]
+        res = abs(sum(monomials))
+        if res > 1e-10 * max(1.0, *map(abs, monomials)):
             raise AlgebraError(f"{what} root residual too large at t={t}: {res}")
         out.append(BranchPoint(t, r))
     return out
@@ -249,7 +251,8 @@ class UChart:
 
     # Declared per class over the polynomials ``factors(*args)``, "T" the turning
     # polynomial, args the parameters (D6: c_inf, c_0; D7: c) or ``unit_args``,
-    # the parameters at unit scale as exact constants in X (ExactLaurent):
+    # the parameters at unit scale as exact constants in X (ExactLaurent), and
+    # beside them ``leading(*args)``, the P that lambda0_map and t_map solve:
     lambda0_map: Factored
     t_map: Factored
     dt_du_map: Factored
@@ -526,6 +529,12 @@ class D6Chart(UChart):
     unit_args = (ExactLaurent([[1, 1]]), ExactLaurent([[1, -1]]))   # c_p = 1, c_m = X
 
     @staticmethod
+    def leading(c_inf, c_0) -> tuple:
+        """P = lambda^4 - c_inf lambda^3 + c_0 t lambda - t^2 as terms (d, a, p),
+        each a t^p lambda^d, one per d."""
+        return ((4, 1, 0), (3, -c_inf, 0), (1, c_0, 1), (0, -1, 2))
+
+    @staticmethod
     def factors(c_inf, c_0) -> dict:
         cp, cm = (c_inf + c_0) / 2, (c_inf - c_0) / 2
         return {"s": (1, 1), "a": (-cm, cp), "b": (cm, cp), "T": (cm ** 2, 0, 0, cp ** 2)}
@@ -611,8 +620,7 @@ class D6Chart(UChart):
 
 class D7Chart(UChart):
     """u-plane chart of the degenerate (D7) equation, whose leading equation
-    is the cubic 2 lambda0^3 - c t lambda0 + t^2 = 0: u = 1/mu0, mu0 =
-    (c lambda0 - t)/(2 lambda0^2).
+    is a cubic (``leading``): u = 1/mu0, mu0 = (c lambda0 - t)/(2 lambda0^2).
 
     One turning point u = 2c/3, simple pole u = 0, double pole u = c; all
     three branches over t = infinity meet the single order-structure at
@@ -628,6 +636,11 @@ class D7Chart(UChart):
     dt_du_map = Factored(-0.5, u=1, T=1)
     q_map = Factored(1, T=3, u=-1, d=-2)
     unit_args = (ExactLaurent([[1]]),)            # c = 1
+
+    @staticmethod
+    def leading(c) -> tuple:
+        """P(lambda, t) = -2 lambda^3 + c t lambda - t^2, like ``D6Chart.leading``."""
+        return ((3, -2, 0), (1, c, 1), (0, -1, 2))
 
     @staticmethod
     def factors(c) -> dict:
@@ -694,6 +707,6 @@ def u_chart(params) -> UChart:
 
 
 def d7_lambda0_branches(t: complex, c: complex) -> list[BranchPoint]:
-    """The three branches of the degenerate family's leading cubic
-    2 lambda0^3 - c t lambda0 + t^2 = 0 over t != 0."""
-    return _branches(t, lambda t: [t * t, -c * t, 0.0, 2.0], "cubic")
+    """The three branches of D7's leading cubic (``D7Chart.leading``) over
+    t != 0; c is refused where ``D7Chart`` refuses it."""
+    return _branches(t, D7Chart.leading(_d7_parameter(c)), "cubic")

@@ -388,14 +388,15 @@ def laplace_oracle(kind: str, c: complex, eta: complex) -> complex:
     < pi/4, Re y > 0 on every ray taken, so the kernels' evenness fold
     serves only direct calls of ``_kernel_values``.
 
-    Raises ``ValueError`` for an unknown kind, a non-finite z, Re z <= 0, or
+    Raises ``ValueError`` for an unknown kind, a non-finite z, Re z <= 0, z
+    on the imaginary axis (``walls.on_imaginary_axis``: the sums' walls), or
     a ray end 60/x beyond the float range.
     """
     if kind not in ("F", "G"):
         raise ValueError(f"kind must be 'F' or 'G', got {kind!r}")
     z = _argument(c, eta)
-    if z.real <= 0.0:
-        raise ValueError(f"Laplace oracle needs Re(c eta) > 0, got z = {z}")
+    if z.real <= 0.0 or on_imaginary_axis(z):
+        raise ValueError(f"Laplace oracle needs Re(c eta) > 0 off the imaginary axis, got z = {z}")
     arg = math.atan2(z.imag, z.real)
     theta = math.copysign(max(0.0, abs(arg) - math.pi / 4), arg)
     ray = cmath.exp(-1j * theta) if theta else 1.0     # real nodes on the real axis

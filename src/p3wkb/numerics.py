@@ -73,53 +73,23 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial roots (low degree, polished)
+# Polynomial roots
 # ---------------------------------------------------------------------------
 
 def poly_roots(coeffs) -> list[complex]:
-    """All complex roots of sum_k coeffs[k] * x^k, leading coefficient last.
-
-    Roots come from the companion matrix (``numpy.roots``) and are then
-    polished by a few Newton steps; the target residual is
-    1e-13 * max|coeff| * max(1, |root|)^deg per root.  Intended for the
-    degree <= 4 work of the algebraic layer, but not restricted to it.
+    """All complex roots of sum_k coeffs[k] * x^k, leading coefficient last:
+    the eigenvalues of the companion matrix (``numpy.roots``), unpolished.
+    They are backward stable (Edelman & Murakami, *Math. Comp.* 64, 1995);
+    a caller that needs a residual gates it (``algebra._branches``).
+    Intended for the degree <= 4 work of the algebraic layer, but not
+    restricted to it.
     """
     c = [complex(x) for x in coeffs]
     while c and c[-1] == 0:
         c.pop()
     if len(c) < 2:
         raise ValueError("poly_roots needs degree >= 1 with nonzero leading coefficient")
-    deg = len(c) - 1
-    scale = max(abs(x) for x in c)
-
-    def p(x: complex) -> complex:
-        acc = 0j
-        for a in reversed(c):
-            acc = acc * x + a
-        return acc
-
-    def dp(x: complex) -> complex:
-        acc = 0j
-        for k in range(deg, 0, -1):
-            acc = acc * x + k * c[k]
-        return acc
-
-    roots = [complex(r) for r in np.roots(c[::-1])]
-    polished = []
-    for r in roots:
-        for _ in range(12):
-            res = p(r)
-            if abs(res) <= 1e-13 * scale * max(1.0, abs(r)) ** deg:
-                break
-            d = dp(r)
-            if d == 0:
-                break
-            step = res / d
-            if abs(step) > 1.0 + abs(r):
-                break
-            r = r - step
-        polished.append(r)
-    return polished
+    return [complex(r) for r in np.roots(c[::-1])]
 
 
 # ---------------------------------------------------------------------------

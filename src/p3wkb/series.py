@@ -45,8 +45,6 @@ from .algebra import (
     Factored,
     Parameters,
     _d7_parameter,
-    d7_lambda0_branches,
-    lambda0_branches,
     u_chart,
 )
 from .numerics import DenseJets, ExactLaurent, Jet, _read_only
@@ -256,8 +254,6 @@ class D6Model:
     p: Parameters
     shift_inf: int = 0
     shift_0: int = 0
-    #: lam_poly's eta^0 terms (d, a, p) at c_p = 1, a in powers of c_m (c_0 = 1 - c_m).
-    unit_lam_poly = ((4, (1,), 0), (3, (-1, -1), 0), (1, (1, -1), 1), (0, (-1,), 2))
     chart = D6Chart       # its maps give lambda_0's jets, at these parameters:
     chart_args = property(lambda self: (self.p.c_inf, self.p.c_0))
 
@@ -265,14 +261,11 @@ class D6Model:
     def shifted(self) -> bool:
         return bool(self.shift_inf or self.shift_0)
 
-    def branches(self, t):
-        return lambda0_branches(t, self.p)
-
     def lam_poly(self) -> tuple:
-        """lam t^2 F(lam) = lam^4 - c_inf lam^3 + c_0 t lam - t^2 as terms
-        (d, e, a, p), each a t^p lam^d eta^-e."""
-        return ((4, 0, 1, 0), (3, 0, -self.p.c_inf, 0), (3, 1, -self.shift_inf, 0),
-                (1, 0, self.p.c_0, 1), (1, 1, self.shift_0, 1), (0, 0, -1, 2))
+        """P = lam t^2 F(lam) as terms (d, e, a, p), each a t^p lam^d eta^-e: the
+        chart's ``leading`` at eta^0, then the eta^-1 shifts of c_inf and c_0."""
+        return (*((d, 0, a, p) for d, a, p in self.chart.leading(*self.chart_args)),
+                (3, 1, -self.shift_inf, 0), (1, 1, self.shift_0, 1))
 
     def mu_poly(self) -> tuple:
         """2 lam^2 mu - eta^-1 t lam' = lam^2 + (c_0 - eta^-1) lam - t, as
@@ -341,8 +334,6 @@ class D7Model:
 
     c: complex
     shift: int = 0
-    #: lam_poly's eta^0 terms at c = 1, like ``D6Model.unit_lam_poly``.
-    unit_lam_poly = ((3, (-2,), 0), (1, (1,), 1), (0, (-1,), 2))
     chart = D7Chart
     chart_args = property(lambda self: (self.c,))
 
@@ -353,12 +344,9 @@ class D7Model:
     def shifted(self) -> bool:
         return bool(self.shift)
 
-    def branches(self, t):
-        return d7_lambda0_branches(t, self.c)
-
     def lam_poly(self) -> tuple:
-        """lam t^2 F(lam) = -2 lam^3 + c t lam - t^2 as (d, e, a, p) terms."""
-        return ((3, 0, -2, 0), (1, 0, self.c, 1), (1, 1, self.shift, 1), (0, 0, -1, 2))
+        """P as (d, e, a, p) terms: ``leading``, then the eta^-1 shift of c."""
+        return (*((d, 0, a, p) for d, a, p in self.chart.leading(self.c)), (1, 1, self.shift, 1))
 
     def mu_poly(self) -> tuple:
         """2 lam^2 mu - eta^-1 t lam' = (c - eta^-1) lam - t, as terms."""
@@ -832,15 +820,16 @@ def riccati_solution(zp: ZeroParamSolution, sign: int = +1) -> RiccatiSolution:
 # This runs once per family and n_max (_exact_numerators), at unit scale and
 # in exact rational arithmetic (``ExactLaurent``, columns the powers of the
 # family's free ratio X; D6: c_p = 1, c_m = X; D7: c = 1, one column), from
-# the charts' declared maps expanded at their exact ``unit_args``.  Each
-# factor that must divide a numerator leaves a zero remainder, and each
-# coefficient that must vanish is zero, or SlotStructureError names the
-# slot.  The table is rounded to nearest once per number type (_slot_table):
-# to float64 for every chart, and to the 80 bits of np.clongdouble for the
-# charts where the float64 read cancels at some node (the contour oracle's
-# second read).  B_2n is homogeneous and even in c_m (c_inf <-> c_0 maps
-# lambda to t / lambda), so a chart evaluates the table at (c_m / c_p)^2 and
-# rescales it in the table's number type (``numerator_scales`` of the charts).
+# the chart class alone: its P (``leading``, which the models and branches
+# also read) and its maps, at its exact ``unit_args``.  Each factor that
+# must divide a numerator leaves a zero remainder, and each coefficient that
+# must vanish is zero, or SlotStructureError names the slot.  The table is
+# rounded to nearest once per number type (_slot_table): to float64 for
+# every chart, and to the 80 bits of np.clongdouble for the charts where the
+# float64 read cancels at some node (the contour oracle's second read).
+# B_2n is homogeneous and even in c_m (c_inf <-> c_0 maps lambda to t /
+# lambda), so a chart evaluates the table at (c_m / c_p)^2 and rescales it
+# in the table's number type (``numerator_scales`` of the charts).
 
 
 class SlotStructureError(ArithmeticError):
@@ -1005,7 +994,7 @@ def odd_slot_ratios(params, n_max: int = 2, chart=None, dtype=np.complex128) -> 
     if chart is None:
         chart = u_chart(params)
     real = np.finfo(dtype).dtype.type
-    table = _slot_table(type(chart), type(model_for(params)), n_max, real)
+    table = _slot_table(type(chart), n_max, real)
     width = len(table[-1][0])
     coefficients, weights = np.zeros((2, n_max, width), dtype), np.zeros((2, n_max, width), real)
     for n, (P, size) in enumerate(table, 1):
@@ -1023,12 +1012,12 @@ def odd_slot_ratios(params, n_max: int = 2, chart=None, dtype=np.complex128) -> 
 
 
 @lru_cache(maxsize=None)
-def _slot_table(chart_cls, model_cls, n_max: int, real) -> tuple:
+def _slot_table(chart_cls, n_max: int, real) -> tuple:
     """Per n, (P, |P|), read-only: P[j, k] is the coefficient of u^j
     ratio^(2k) in M_n at unit scale, ``_exact_numerators`` rounded to
     nearest in the binary real number type ``real``."""
     bits, out = np.finfo(real).nmant, []
-    for M in _exact_numerators(chart_cls, model_cls, n_max):
+    for M in _exact_numerators(chart_cls, n_max):
         num = M.padded(0)[:, ::2]
         m, s = zip(*(_rounded(p, M.den, bits) for p in num.ravel()))
         P = np.ldexp(np.array(m, real), -np.array(s)).reshape(num.shape)
@@ -1052,13 +1041,13 @@ def _rounded(p: int, q: int, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _exact_numerators(chart_cls, model_cls, n_max: int) -> tuple:
+def _exact_numerators(chart_cls, n_max: int) -> tuple:
     """M_1, ..., M_n_max (see ``OddSlotRatios``) at unit scale, exactly, from
-    the classes' declared maps."""
+    the chart class's declared maps and its ``leading`` P at ``unit_args``."""
     A = _FamilyRationals(chart_cls)
     m, dm = {}, []
-    for d, a, p in model_cls.unit_lam_poly:
-        term = ExactLaurent([a]) * A.unit(chart_cls.lambda0_map ** (d - 2) * chart_cls.t_map ** p)
+    for d, a, p in chart_cls.leading(*chart_cls.unit_args):
+        term = a * A.unit(chart_cls.lambda0_map ** (d - 2) * chart_cls.t_map ** p)
         m.setdefault(d - 2, []).append((term, 0, 0))
         dm.append((term * p, 0, 0))
     m = {j: A.add(*terms) for j, terms in m.items()}

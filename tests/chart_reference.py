@@ -1,12 +1,14 @@
 """The chart's turning points in the (t, lambda0) plane, for the tests that
-place base points at or beside them; the leading terms Delta and mu0 of
+place base points at or beside them; the branches of lambda0 of a series
+model's family; the leading terms Delta and mu0 of
 the D6 series at a branch point, for the tests that check the solvers and
 the chart against them; the expansion of sqrt(q) at an origin by the
 recursion on its logarithmic derivative, for the test that checks the
 chart's binomial products against it; and the families' unit-scale data,
 typed out by hand, for the test that reads them off the declared maps."""
 
-from p3wkb.algebra import AlgebraError, BranchPoint, Parameters, u_chart
+from p3wkb.algebra import (AlgebraError, BranchPoint, D6Chart, Parameters, d7_lambda0_branches,
+                           lambda0_branches, u_chart)
 
 
 def turning_points(params) -> tuple:
@@ -16,6 +18,14 @@ def turning_points(params) -> tuple:
     chart = u_chart(params)
     return tuple(BranchPoint(chart.t_of_u(u), chart.lambda0_of_u(u))
                  for u in chart.turning_points_u)
+
+
+def model_branches(model, t) -> list:
+    """The branches of lambda0 over t of the family of the series model
+    ``model`` (``series.D6Model`` or ``series.D7Model``)."""
+    if model.chart is D6Chart:
+        return lambda0_branches(t, model.p)
+    return d7_lambda0_branches(t, model.c)
 
 
 def delta(b: BranchPoint, p: Parameters) -> complex:

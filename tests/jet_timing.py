@@ -39,6 +39,8 @@ import numpy as np
 from p3wkb import numerics, series
 from p3wkb.algebra import BranchPoint, Parameters
 
+from chart_reference import model_branches
+
 MODEL = series.D6Model(Parameters(3 + 1j, 1 + 0.5j))
 D7_MODEL = series.D7Model(2 + 1j)
 BATCHES = ((17, 4, 8), (400, 4, 4), (2752, 4, 6), (400, 12, 16))
@@ -53,7 +55,7 @@ def nodes(count: int, model=MODEL):
     """``count`` seeded base points and their lambda_0 branch points."""
     rng = np.random.default_rng(count)
     ts = 0.8 + 0.6j + 0.4 * (rng.random(count) + 1j * rng.random(count))
-    lams = np.array([model.branches(complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
+    lams = np.array([model_branches(model, complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
     return ts, BranchPoint(ts, lams)
 
 

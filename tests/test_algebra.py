@@ -108,9 +108,37 @@ def test_branches_satisfy_vieta(c_inf, c_0, t):
 
 
 def test_branches_reject_t_zero():
-    from p3wkb.algebra import AlgebraError
     with pytest.raises(AlgebraError):
         lambda0_branches(0, P_GEN)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_branches_refuse_a_non_finite_t_by_name(bad):
+    # Refused before numpy's eigenvalue solver sees a NaN or an infinity.
+    for branches in (lambda t: lambda0_branches(t, P_GEN),
+                     lambda t: algebra.d7_lambda0_branches(t, 2 + 1j)):
+        with pytest.raises(AlgebraError, match="parameter t = "):
+            branches(bad)
+
+
+def test_unpolished_branches_pass_their_residual_gate_over_wide_scales():
+    # poly_roots returns numpy's companion-matrix eigenvalues unpolished; the
+    # residual gate of the branches (1e-10 of the root's own terms) holds on
+    # 1,000 seeded draws per family with |t| from 1e-8 to 1e8 and the
+    # parameters' scale from 1e-4 to 1e4.
+    rng = np.random.default_rng(1303)
+
+    def draws(lo, hi):
+        return 10 ** rng.uniform(lo, hi, 1000) * np.exp(2j * np.pi * rng.random(1000))
+
+    ts, scales, ratios, cs = draws(-8, 8), draws(-4, 4), draws(-1, 0), draws(-4, 4)
+    solved = 0
+    for t, s, r, c in zip(ts, scales, ratios, cs):
+        assert len(algebra.d7_lambda0_branches(t, c)) == 3
+        if _generic_params(1, r):
+            assert len(lambda0_branches(t, Parameters(s, s * r))) == 4
+            solved += 1
+    assert solved > 900
 
 
 @pytest.mark.parametrize("c", [1e5, 1e8])
@@ -379,7 +407,11 @@ def test_d7_rejects_zero_parameter():
 def test_d7_model_and_chart_refuse_the_same_parameters(bad, error):
     # The model runs the chart's check, so the two dispatchers agree: a D7
     # model at c = 0 would only fail later, in its solve's residual gate.
-    for build in (series.model_for, series.D7Model, u_chart, D7Chart):
+    # So do the branches, which read the chart's leading cubic.
+    def branches(c):
+        return algebra.d7_lambda0_branches(1 + 0.5j, c)
+
+    for build in (series.model_for, series.D7Model, u_chart, D7Chart, branches):
         with pytest.raises(error) as caught:
             build(bad)
         assert type(caught.value) is error, build

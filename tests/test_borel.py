@@ -549,6 +549,17 @@ def test_laplace_oracle_refuses_non_finite_argument(c, eta):
         laplace_oracle("G", c, eta)
 
 
+@pytest.mark.parametrize("kind", ["F", "G"])
+@pytest.mark.parametrize("z", [1e-11 + 1j, 1e-9 - 1e2j, 1e-302 + 1e-291j])
+def test_laplace_oracle_refuses_where_the_borel_sums_are_not_summable(z, kind):
+    # One Re z = 0 test (walls.on_imaginary_axis) for the sums and the oracle:
+    # where the sums report summable=False, the oracle integrates nothing.
+    sum_ = borel_sum_F if kind == "F" else borel_sum_G
+    assert not sum_(z, 1.0).summable
+    with pytest.raises(ValueError, match="imaginary axis"):
+        laplace_oracle(kind, z, 1.0)
+
+
 def test_laplace_oracle_preconditions():
     with pytest.raises(ValueError):
         laplace_oracle("G", -2.0, 1.0)

@@ -26,6 +26,8 @@ from p3wkb.series import (
     zero_param_solution,
 )
 
+from chart_reference import model_branches
+
 
 def _loop_pairs(n, step_a, step_b):
     """The slot pairs (m, i, j), m = i + j < n, of an eta-product of stacks
@@ -139,7 +141,7 @@ C7 = 2 + 1j
 def _nodes(model, count):
     rng = np.random.default_rng(count)
     ts = 0.8 + 0.6j + 0.4 * (rng.random(count) + 1j * rng.random(count))
-    lams = np.array([model.branches(complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
+    lams = np.array([model_branches(model, complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
     if count == 1:
         return complex(ts[0]), BranchPoint(complex(ts[0]), complex(lams[0]))
     return ts, BranchPoint(ts, lams)

@@ -43,7 +43,7 @@ from p3wkb.series import (
     x_factor,
     zero_param_solution,
 )
-from chart_reference import UNIT_DATA, mu0, turning_points
+from chart_reference import UNIT_DATA, model_branches, mu0, turning_points
 from series_reference import ENGINE, HIGH_PRECISION
 
 P = Parameters(2 + 1j, 3)
@@ -148,7 +148,7 @@ def test_residuals_below_k_n_plus_2_refuse_or_match(family, N):
     model = D6Model(P) if family.startswith("d6") else D7Model(C7)
     if family.endswith("shifted"):
         model = model.backlund_shifted(1)
-    b = model.branches(T0)[0]
+    b = model_branches(model, T0)[0]
 
     def residuals(K):
         zp = zero_param_solution(T0, b, model=model, N=N, K=K)
@@ -529,7 +529,7 @@ def test_a_40_node_batch_gives_the_bytes_of_one_node_solves(family):
     model = _batch_case(family)[0]
     rng = np.random.default_rng(40)
     ts = 0.8 + 0.6j + 0.4 * (rng.random(40) + 1j * rng.random(40))
-    lams = np.array([model.branches(complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
+    lams = np.array([model_branches(model, complex(t))[k % 3].lambda0 for k, t in enumerate(ts)])
     zp = zero_param_solution(ts, BranchPoint(ts, lams), model=model, N=6)
     batch = (zp.lam, zp.mu, riccati_solution(zp, +1).R)
     for node in range(len(ts)):
@@ -618,7 +618,8 @@ def test_a_node_exactly_at_a_turning_point_is_refused_by_name():
     # NaN gate ratio, which the gate must refuse, alone or in a batch.
     model = D7Model(3)
     ts = np.array([0.8 + 0.6j, 2, -1.7 + 0.2j])
-    lams = np.array([model.branches(ts[0])[0].lambda0, 1, model.branches(ts[2])[1].lambda0])
+    lams = np.array([model_branches(model, ts[0])[0].lambda0, 1,
+                     model_branches(model, ts[2])[1].lambda0])
     for t, lam, node in ((ts[1], lams[1], 0), (ts, lams, 1)):
         with pytest.raises(ConditioningError, match=re.escape(f"at node {node}, t0=(2+0j):")):
             zero_param_solution(t, BranchPoint(t, lam), model=model, N=4)
@@ -695,7 +696,8 @@ def test_replaced_lam_gets_its_own_riccati_series(family):
     # branch's lam and Delta derives its own, so its R is that branch's R byte
     # for byte, though the first solve's R was built before the copy.
     model = D6Model(P) if family == "d6" else D7Model(2 + 1j)
-    first, second = (zero_param_solution(T0, b, model=model, N=6) for b in model.branches(T0)[:2])
+    first, second = (zero_param_solution(T0, b, model=model, N=6)
+                     for b in model_branches(model, T0)[:2])
     riccati_solution(first, +1)
     moved = replace(first, lam=second.lam, delta0=second.delta0)
     for sign in (1, -1):
@@ -759,8 +761,8 @@ def test_d6_tables_have_the_columns_homogeneity_allows():
     # M_n is homogeneous of degree 8n in (c_p, c_m) and even in c_m: the
     # powers c_m^2k, k <= 4n, and no odd power.  Each float entry is its
     # exact entry rounded to nearest.
-    exact = series._exact_numerators(D6Chart, series.D6Model, 4)
-    table = series._slot_table(D6Chart, series.D6Model, 4, np.float64)
+    exact = series._exact_numerators(D6Chart, 4)
+    table = series._slot_table(D6Chart, 4, np.float64)
     for n, (M, (P, _)) in enumerate(zip(exact, table), 1):
         assert P.shape[1] <= 4 * n + 1, n
         assert M.lo == 0 and not M.c[:, 1::2].any(), n
@@ -782,9 +784,9 @@ def test_the_80_bit_table_is_the_exact_table_rounded_to_nearest():
     # float64 holds M_n exactly through n = 3 (at most 43 significant bits
     # over a power of 2); D6's M_4 has up to 66, so there the 80-bit table is
     # not the float64 one widened, and one entry of 65 bits is a tie.
-    exact = series._exact_numerators(D6Chart, D6Model, 4)
-    table = series._slot_table(D6Chart, D6Model, 4, np.longdouble)
-    narrow = series._slot_table(D6Chart, D6Model, 4, np.float64)
+    exact = series._exact_numerators(D6Chart, 4)
+    table = series._slot_table(D6Chart, 4, np.longdouble)
+    narrow = series._slot_table(D6Chart, 4, np.float64)
     assert not np.array_equal(table[-1][0], narrow[-1][0])
     for M, (P, size) in zip(exact, table):
         assert P.dtype == size.dtype == np.longdouble and P.shape == M.c[:, ::2].shape
@@ -805,65 +807,55 @@ def test_rounding_to_a_binary_type_is_to_nearest_ties_to_even(real):
         assert _is_nearest(np.ldexp(real(m), -s), Fraction(p, q)), (p, q)
 
 
-def _eta0_terms(model) -> dict:
-    """{(d, p): a} of the eta^0 terms of model.lam_poly()."""
-    out = {}
-    for d, e, a, p in model.lam_poly():
-        if e == 0 and a:
-            out[d, p] = out.get((d, p), 0) + a
-    return out
+def _leading_on_its_chart(chart_cls):
+    """P(lambda_0(u), t(u)), the sum of a lambda_0^d t^p over the terms of the
+    chart class's ``leading``, exactly at its ``unit_args``."""
+    A = series._FamilyRationals(chart_cls)
+    return sum(a * A.unit(chart_cls.lambda0_map ** d * chart_cls.t_map ** p)
+               for d, a, p in chart_cls.leading(*chart_cls.unit_args))
 
 
-def _unit_terms(model_cls, X) -> dict:
-    """{(d, p): a} of model_cls.unit_lam_poly, each a at the family's free
-    ratio X (D6: c_m = X at c_p = 1; D7: no ratio)."""
-    out = {}
-    for d, a, p in model_cls.unit_lam_poly:
-        value = sum(Fraction(c) * X ** j for j, c in enumerate(a))
-        if value:
-            out[d, p] = out.get((d, p), 0) + value
-    return out
+def _with_leading(chart_cls, leading):
+    return type("Wrong" + chart_cls.__name__, (chart_cls,), {"leading": staticmethod(leading)})
 
 
-_UNIT_RATIOS = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 8), Fraction(3)]
+@pytest.mark.parametrize("chart_cls", [D6Chart, D7Chart], ids=["d6", "d7"])
+def test_each_chart_states_the_polynomial_its_maps_solve(chart_cls):
+    # The branches, the models' lam_poly and the family tables all read the
+    # chart's P; lambda_0(u) and t(u) solve it identically in u and X.
+    assert not _leading_on_its_chart(chart_cls)
 
 
-def test_each_model_states_its_unit_data():
-    # unit_lam_poly, from which the family tables are built, is lam_poly's
-    # eta^0 part at unit scale: D6 at c_inf = 1 + X, c_0 = 1 - X (c_p = 1,
-    # c_m = X; binary fractions X, so the parameters are exact), D7 at c = 1.
-    for X in _UNIT_RATIOS:
-        assert _eta0_terms(D6Model(Parameters(1 + X, 1 - X))) == _unit_terms(D6Model, X), X
-    assert _eta0_terms(D7Model(1)) == _unit_terms(D7Model, 0)
+#: A chart class and a leading polynomial with one term wrong.
+_WRONG_LEADING = {
+    "d7-t2": (D7Chart, lambda c: ((3, -2, 0), (1, c, 1), (0, -2, 2))),
+    "d7-t-lambda": (D7Chart, lambda c: ((3, -2, 0), (1, 2 * c, 1), (0, -1, 2))),
+    "d7-lambda3": (D7Chart, lambda c: ((3, -3, 0), (1, c, 1), (0, -1, 2))),
+    "d6-t2": (D6Chart, lambda c_inf, c_0: ((4, 1, 0), (3, -c_inf, 0), (1, c_0, 1), (0, -2, 2))),
+}
 
 
-@pytest.mark.parametrize("wrong", [
-    ((3, (-2,), 0), (1, (1,), 1), (0, (-2,), 2)),     # t^2 term -2 for -1
-    ((3, (-2,), 0), (1, (2,), 1), (0, (-1,), 2)),     # t lambda term 2 for 1
-    ((3, (-3,), 0), (1, (1,), 1), (0, (-1,), 2))],    # lambda^3 term -3 for -2
-    ids=["t2", "t-lambda", "lambda3"])
-def test_a_d7_model_with_wrong_unit_data_is_refused(wrong):
-    # The exact structure checks let these through (D7's numerators have
-    # no finite point over t = infinity and one double pole to test); the
-    # comparison with lam_poly does not.
-    model_cls = type("WrongD7Model", (D7Model,), {"unit_lam_poly": wrong})
-    series._exact_numerators(D7Chart, model_cls, 2)
-    assert _eta0_terms(model_cls(1)) != _unit_terms(model_cls, 0)
+@pytest.mark.parametrize("name", list(_WRONG_LEADING))
+def test_a_wrong_leading_polynomial_fails_the_identity(name):
+    chart_cls = _with_leading(*_WRONG_LEADING[name])
+    assert _leading_on_its_chart(chart_cls)
+    if chart_cls.equation == "d7":
+        # The exact structure checks let D7's through (its numerators have
+        # no finite point over t = infinity and one double pole to test).
+        series._exact_numerators(chart_cls, 2)
 
 
 def test_the_table_build_names_the_slot_whose_structure_fails():
-    # A wrong eta^0 term of lam_poly, which lambda_0 no longer solves: the
+    # A wrong term of the chart's P, which lambda_0 no longer solves: the
     # exact build refuses B_2's numerator, which keeps odd powers of c_m.
-    wrong = ((4, (1,), 0), (3, (-1, -1), 0), (1, (1, -1), 1), (0, (-2,), 2))
-    model = type("WrongModel", (series.D6Model,), {"unit_lam_poly": wrong})
     with pytest.raises(series.SlotStructureError, match="M_1 has an odd power"):
-        series._exact_numerators(D6Chart, model, 1)
+        series._exact_numerators(_with_leading(*_WRONG_LEADING["d6-t2"]), 1)
 
 
 def test_d7_numerators_are_the_exact_literals():
     # B_2n = (u - 1) M_n(u) / (u^n (3u - 2)^5n) at c = 1, M_n of degree 4n - 1:
     # equal to the literal, exactly, at more than 4n points, M_n is its numerator.
-    for n, (M, literal) in enumerate(zip(series._exact_numerators(D7Chart, series.D7Model, 2),
+    for n, (M, literal) in enumerate(zip(series._exact_numerators(D7Chart, 2),
                                          (_d7_b2, _d7_b4)), 1):
         assert (M.lo, len(M.c)) == (0, 4 * n)
         for v in (Fraction(k, 7) for k in range(-4 * n, 4 * n + 3) if k not in (0, 7)):

@@ -26,7 +26,7 @@ from p3wkb.series import (
     riccati_solution,
     zero_param_solution,
 )
-from chart_reference import turning_points
+from chart_reference import model_branches, turning_points
 from series_reference import HIGH_PRECISION
 
 _EPS = np.finfo(np.longdouble).eps
@@ -113,7 +113,7 @@ GENERIC_TOL = {"d6": 5e-14, "d6-b1": 2e-12, "d6-b2": 2e-12, "d7": 5e-13, "d7-b1"
 @pytest.mark.parametrize("name", MODELS)
 def test_slots_at_generic_points_against_80_bit(name):
     model = MODELS[name]
-    nodes = [(t, b.lambda0) for t in T_BATCH[:2] for b in model.branches(t)]
+    nodes = [(t, b.lambda0) for t in T_BATCH[:2] for b in model_branches(model, t)]
     errs, wide = _group_errors(model, {"generic": nodes})
     assert errs["generic"] <= GENERIC_TOL[name]
     if name in ("d6-b2", "d7-b1"):
@@ -135,7 +135,7 @@ def test_slots_near_turning_points_against_80_bit(name):
     for tp in turning_points(P if name.startswith("d6") else C7):
         for d, nodes in groups.items():
             t = tp.t * (1 + d * cmath.exp(0.3j))
-            near = sorted(model.branches(t), key=lambda b: abs(b.lambda0 - tp.lambda0))
+            near = sorted(model_branches(model, t), key=lambda b: abs(b.lambda0 - tp.lambda0))
             nodes += [(t, b.lambda0) for b in near[:2]]
     errs = _group_errors(model, groups)[0]
     for d, tol in TURNING_TOL.items():
@@ -177,7 +177,8 @@ def test_slots_near_t_zero_against_80_bit(family, shifted):
     groups = {key: [] for key in NEAR_ZERO_TOL if key[0].startswith(family)}
     for (branches, radius), nodes in groups.items():
         t = radius * cmath.exp(0.3j)
-        nodes += [(t, min((b.lambda0 for b in model.branches(t)), key=lambda v: abs(v - lead)))
+        nodes += [(t, min((b.lambda0 for b in model_branches(model, t)),
+                          key=lambda v: abs(v - lead)))
                   for lead in _LEADS[branches](t)]
     errs = _group_errors(model, groups)[0]
     for key in groups:
@@ -207,8 +208,8 @@ def test_zero_c_branches_near_t_zero_against_80_bit(family, radius, shifted):
     model = MODELS[family + ("-b1" if shifted else "")]
     c = P.c_0 if family == "d6" else C7
     ts = radius * np.exp(1j * (0.3 + np.pi / 3 * np.arange(6)))
-    lams = np.array([min((b.lambda0 for b in model.branches(t)), key=lambda v: abs(v - t / c))
-                     for t in ts])
+    lams = np.array([min((b.lambda0 for b in model_branches(model, t)),
+                         key=lambda v: abs(v - t / c)) for t in ts])
     errs = _slot_errors(model, ts, lams)[0].max(axis=1)
     assert np.all(errs <= ZERO_C_TOL[family, radius][shifted]), errs
 
@@ -220,7 +221,7 @@ def test_80_bit_batch_matches_one_node_solves(name, repeat):
     # its values exactly (equal values, not bytes: the six padding bytes of
     # each 80-bit number hold whatever the buffer held).
     model = MODELS[name]
-    lams = [model.branches(t)[k % 3].lambda0 for k, t in enumerate(T_BATCH)]
+    lams = [model_branches(model, t)[k % 3].lambda0 for k, t in enumerate(T_BATCH)]
     ts, lams = np.tile(T_BATCH, repeat), np.tile(lams, repeat)
     batch = _series(*_solve(model, ts, lams, np.clongdouble, N=6))
     for node in range(5):
@@ -235,7 +236,8 @@ def test_80_bit_batch_matches_one_node_solves(name, repeat):
 def test_80_bit_base_point_at_a_turning_point_is_refused(family):
     model = MODELS[family]
     for tp in turning_points(P if family == "d6" else C7):
-        lam = min((b.lambda0 for b in model.branches(tp.t)), key=lambda v: abs(v - tp.lambda0))
+        lam = min((b.lambda0 for b in model_branches(model, tp.t)),
+                  key=lambda v: abs(v - tp.lambda0))
         with pytest.raises(ConditioningError):
             _solve(model, tp.t, lam, np.clongdouble, N=4)
 
@@ -249,7 +251,7 @@ def test_ill_conditioned_case_against_80_bit():
     # within 4.0e-17 of it: the literals' own rounding to complex128.
     model = MODELS["d7-b1"]
     t0 = 0.8 + 0.6j
-    lam = model.branches(t0)[0].lambda0
+    lam = model_branches(model, t0)[0].lambda0
     errs, wide = _slot_errors(model, t0, lam)
     assert errs.max() <= 2e-12
     assert _residuals(*wide).max() <= 1e-18
@@ -266,7 +268,7 @@ def test_narrow_base_points_solve_in_complex128(t0):
     # Base points narrower than complex128 widen to it, never below: the
     # solve is the complex128 solve bit for bit.
     model = MODELS["d6-b1"]
-    b = model.branches(complex(t0))[1]
+    b = model_branches(model, complex(t0))[1]
     got = zero_param_solution(t0, b, model=model, N=6)
     want = zero_param_solution(complex(t0), b, model=model, N=6)
     for a, w in ((got.lam, want.lam), (got.mu, want.mu), (got.delta0, want.delta0),

@@ -815,7 +815,7 @@ def _exact_d6_ratios(params, n_max, us):
     with mpmath.workdps(50):
         cp, cm = mpmath.mpc(params.c_p), mpmath.mpc(params.c_m)
         out = []
-        for n, M in enumerate(series._exact_numerators(D6Chart, series.D6Model, n_max), 1):
+        for n, M in enumerate(series._exact_numerators(D6Chart, n_max), 1):
             coeffs = [sum(mpmath.mpf(int(a)) / M.den * cp ** (8 * n - j) * cm ** j
                           for j, a in enumerate(row)) for row in M.c]
             out.append([complex(u ** (2 * n) * (u * u - (cm / cp) ** 2)
@@ -869,7 +869,7 @@ def test_80_bit_table_reads_rescale_the_exact_numerators_in_80_bits(params):
     else:
         scale = lambda n, j, k: mpmath.mpc(params) ** (4 * n - 1 - j)
     with mpmath.workdps(40):
-        for n, M in enumerate(series._exact_numerators(type(chart), type(series.model_for(params)), 3), 1):
+        for n, M in enumerate(series._exact_numerators(type(chart), 3), 1):
             for j, row in enumerate(M.padded(0)[:, ::2]):
                 terms = [mpmath.mpf(int(a)) / M.den * scale(n, j, k) for k, a in enumerate(row)]
                 err = abs(_mp_exact(got[n - 1, j]) - mpmath.fsum(terms))
@@ -961,9 +961,9 @@ def test_the_family_table_cannot_be_corrupted_by_its_callers():
     before = odd_slot_ratios(other, 2)(us)
     ratios = odd_slot_ratios(P_GEN, 2)
     for array in (*ratios.numerators, ratios.coefficients, ratios.weights,
-                  *(a for pair in series._slot_table(D6Chart, series.D6Model, 2, np.float64)
+                  *(a for pair in series._slot_table(D6Chart, 2, np.float64)
                     for a in pair),
-                  *(M.c for M in series._exact_numerators(D6Chart, series.D6Model, 2))):
+                  *(M.c for M in series._exact_numerators(D6Chart, 2))):
         with pytest.raises(ValueError):
             array[..., 0] = 1.0
     assert np.array_equal(odd_slot_ratios(other, 2)(us), before)
